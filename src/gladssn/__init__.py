@@ -3,7 +3,7 @@
 from .baselines import ArmijoConfig, armijo_gd
 from .harness import (NotEstimableError, RunConfig, VerifyReport, compare,
                       estimate_order, read_trace, run, verify, write_trace)
-from .linalg import LinOp, MetricB, SolverStallError, dual_norm_b, norm_b, sym_part
+from .linalg import LinOp, MetricB, SolverStallError, sym_part
 from .oracle import (CompositeProblem, SeparableProx, SmoothOracle, ZeroPart,
                      check_gradient_fd, check_hvp_fd)
 from .problems import (load_instance, make_huber, make_nmf, make_quadratic,
@@ -11,20 +11,20 @@ from .problems import (load_instance, make_huber, make_nmf, make_quadratic,
                        save_instance)
 from .ssn import (CONVERGED, MAXITER, STALLED, IterateState, NonFiniteError,
                   SolveResult, SolverConfig, TraceRecord, acceptance_test,
-                  lazy_index, solve, trial_lambda, trial_step)
+                  solve, trial_lambda, trial_step)
 
 __all__ = [
     "ArmijoConfig", "armijo_gd",
     "NotEstimableError", "RunConfig", "VerifyReport", "compare",
     "estimate_order", "read_trace", "run", "verify", "write_trace",
-    "LinOp", "MetricB", "SolverStallError", "dual_norm_b", "norm_b", "sym_part",
+    "LinOp", "MetricB", "SolverStallError", "sym_part",
     "CompositeProblem", "SeparableProx", "SmoothOracle", "ZeroPart",
     "check_gradient_fd", "check_hvp_fd",
     "load_instance", "make_huber", "make_nmf", "make_quadratic", "make_svm",
     "penalty_violation", "problem_from_instance", "save_instance",
     "CONVERGED", "MAXITER", "STALLED", "IterateState", "NonFiniteError",
     "SolveResult", "SolverConfig", "TraceRecord", "acceptance_test",
-    "lazy_index", "solve", "trial_lambda", "trial_step",
+    "solve", "trial_lambda", "trial_step",
 ]
 
 __version__ = "0.1.0"

@@ -18,8 +18,6 @@ __all__ = [
     "sym_part",
     "MetricB",
     "LinOp",
-    "norm_b",
-    "dual_norm_b",
     "opnorm_est",
     "solve_regularized",
 ]
@@ -124,21 +122,19 @@ class MetricB:
         return self._opnorm
 
 
-def norm_b(v: np.ndarray, metric: MetricB) -> float:
-    """Primal norm sqrt(v^T B v)."""
-    return metric.norm(v)
-
-
-def dual_norm_b(g: np.ndarray, metric: MetricB) -> float:
-    """Dual norm sqrt(g^T B^{-1} g)."""
-    return metric.dual_norm(g)
-
-
 class LinOp:
-    """Symmetric linear operator: either a dense array or a matvec callback."""
+    """Symmetric linear operator: either a dense array or a matvec callback.
 
-    def __init__(self, dense: np.ndarray | None = None, matvec=None, dim: int | None = None):
+    A dense operator made with reuse=True expects many regularized solves
+    (several lam, several right-hand sides): its first solve computes an
+    eigendecomposition that every later solve reuses.
+    """
+
+    def __init__(self, dense: np.ndarray | None = None, matvec=None, dim: int | None = None,
+                 reuse: bool = False):
         self._opnorm: float | None = None
+        self.reuse = reuse
+        self._eig: tuple | None = None  # (metric matrix, eigenvalues, eigenvectors)
         if (dense is None) == (matvec is None):
             raise ValueError("pass exactly one of dense= or matvec=")
         if dense is not None:
@@ -156,8 +152,8 @@ class LinOp:
             self.dim = int(dim)
 
     @classmethod
-    def from_dense(cls, a: np.ndarray) -> "LinOp":
-        return cls(dense=a)
+    def from_dense(cls, a: np.ndarray, reuse: bool = False) -> "LinOp":
+        return cls(dense=a, reuse=reuse)
 
     @classmethod
     def from_matvec(cls, fn, dim: int) -> "LinOp":
@@ -198,6 +194,58 @@ class LinOp:
             self._opnorm = opnorm_est(self.apply, self.dim)
         return self._opnorm
 
+    def solve(self, metric: MetricB, lam: float, rhs: np.ndarray) -> np.ndarray:
+        """Solve (H + lam * B) s = rhs to a tight residual target.
+
+        A dense operator is solved directly.  With reuse=True the solve runs
+        in the eigenbasis of the pencil (H, B): eigh(H), or eigh(H, B) for a
+        general metric, computed on the first solve and kept, so each later
+        solve costs O(n^2) for any lam and an indefinite H needs no special
+        case.  Otherwise H + lam B is factored by Cholesky with a
+        scale-relative pivot test.  Both direct paths take up to three
+        steps of iterative refinement.  Matrix-free operators, and dense
+        ones whose direct solve misses the target, go to MINRES capped at
+        10 n iterations.  The accepted residual is
+        max(1e-10, 1e-12 * ||rhs||); a solve that cannot reach it raises
+        SolverStallError.
+        """
+        if not (lam > 0.0 and np.isfinite(lam)):
+            raise ValueError(f"regularizer must be positive and finite, got {lam}")
+        rhs = np.asarray(rhs, dtype=np.float64)
+        n = rhs.shape[0]
+        if self.dim != n:
+            raise ValueError(f"operator dim {self.dim} does not match rhs dim {n}")
+        target = _residual_target(rhs)
+        if float(np.linalg.norm(rhs)) == 0.0:
+            return np.zeros(n)
+
+        if self.dense is not None:
+            if self.reuse:
+                s = self._eigen_solve(metric, lam, rhs, target)
+            else:
+                s = _cholesky_solve(self.dense + lam * metric.dense(n), rhs, target)
+            if s is not None:
+                return s
+        return _minres_solve(self, metric, lam, rhs, target)
+
+    def _eigen_solve(self, metric: MetricB, lam: float, rhs: np.ndarray,
+                     target: float) -> np.ndarray | None:
+        """Direct solve in the cached eigenbasis; None if it misses the target."""
+        if self._eig is None or self._eig[0] is not metric.matrix:
+            if metric.is_identity:
+                w, vecs = np.linalg.eigh(self.dense)
+            else:
+                w, vecs = scipy.linalg.eigh(self.dense, metric.matrix)
+            self._eig = (metric.matrix, w, vecs)
+        _, w, vecs = self._eig
+        # V^T B V = I and V^T H V = diag(w), so (H + lam B)^{-1} = V diag(1/(w + lam)) V^T.
+        shifted = w + lam
+        if np.min(np.abs(shifted)) <= _PIVOT_REL * float(np.mean(np.abs(shifted))):
+            return None
+        dense = self.dense
+        return _refined(lambda r: vecs @ ((vecs.T @ r) / shifted),
+                        lambda v: dense @ v + lam * metric.apply(v), rhs, target)
+
 
 def opnorm_est(matvec, n: int, iters: int = 50) -> float:
     """Power-iteration estimate of the operator norm of a symmetric matvec.
@@ -227,6 +275,22 @@ def _residual_target(rhs: np.ndarray) -> float:
     return max(1e-10, 1e-12 * float(np.linalg.norm(rhs)))
 
 
+def _refined(solve_once, apply, rhs: np.ndarray, target: float) -> np.ndarray | None:
+    """solve_once(rhs) plus up to three steps of iterative refinement.
+
+    Returns None when the residual rhs - apply(s) still misses the target.
+    """
+    s = solve_once(rhs)
+    for _ in range(3):
+        r = rhs - apply(s)
+        if float(np.linalg.norm(r)) <= target:
+            return s
+        s = s + solve_once(r)
+    if float(np.linalg.norm(rhs - apply(s))) <= target:
+        return s
+    return None
+
+
 def _cholesky_solve(m: np.ndarray, rhs: np.ndarray, target: float) -> np.ndarray | None:
     """Solve m s = rhs by Cholesky with iterative refinement.
 
@@ -241,42 +305,14 @@ def _cholesky_solve(m: np.ndarray, rhs: np.ndarray, target: float) -> np.ndarray
         return None
     if np.min(np.diag(chol)) ** 2 <= _PIVOT_REL * (np.trace(m) / n):
         return None
-    s = scipy.linalg.cho_solve((chol, True), rhs)
-    for _ in range(3):
-        r = rhs - m @ s
-        if float(np.linalg.norm(r)) <= target:
-            return s
-        s = s + scipy.linalg.cho_solve((chol, True), r)
-    if float(np.linalg.norm(rhs - m @ s)) <= target:
-        return s
-    return None
+    return _refined(lambda r: scipy.linalg.cho_solve((chol, True), r), m.__matmul__,
+                    rhs, target)
 
 
-def solve_regularized(h: LinOp, metric: MetricB, lam: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (H + lam * B) s = rhs to a tight residual target.
-
-    Dense operators go through Cholesky (with a scale-relative pivot test
-    and iterative refinement); indefinite or matrix-free systems are handled
-    by MINRES capped at 10 n iterations.  The accepted residual is
-    max(1e-10, 1e-12 * ||rhs||); a solve that cannot reach it raises
-    SolverStallError.
-    """
-    if not (lam > 0.0 and np.isfinite(lam)):
-        raise ValueError(f"regularizer must be positive and finite, got {lam}")
-    rhs = np.asarray(rhs, dtype=np.float64)
+def _minres_solve(h: LinOp, metric: MetricB, lam: float, rhs: np.ndarray,
+                  target: float) -> np.ndarray:
+    """Solve (H + lam B) s = rhs by restarted MINRES; raises SolverStallError."""
     n = rhs.shape[0]
-    if h.dim != n:
-        raise ValueError(f"operator dim {h.dim} does not match rhs dim {n}")
-    target = _residual_target(rhs)
-    if float(np.linalg.norm(rhs)) == 0.0:
-        return np.zeros(n)
-
-    if h.is_dense:
-        m = h.dense + lam * metric.dense(n)
-        s = _cholesky_solve(m, rhs, target)
-        if s is not None:
-            return s
-
     if metric.is_identity:
         def matvec(v):
             return h.apply(v) + lam * v
@@ -306,3 +342,7 @@ def solve_regularized(h: LinOp, metric: MetricB, lam: float, rhs: np.ndarray) ->
         f"regularized solve stalled at residual {min(res, best):.3e} (target {target:.3e})",
         best_residual=min(res, best),
     )
+
+
+# The solver's per-trial entry point: the operator's own solve.
+solve_regularized = LinOp.solve

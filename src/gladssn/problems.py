@@ -82,18 +82,6 @@ class QuadInstance:
     x0: np.ndarray
 
 
-def _hessian_handle(hvp, dim: int) -> LinOp:
-    if dim > DENSE_DIM_MAX:
-        return LinOp.from_matvec(hvp, dim)
-    dense = np.empty((dim, dim))
-    e = np.zeros(dim)
-    for i in range(dim):
-        e[i] = 1.0
-        dense[:, i] = hvp(e)
-        e[i] = 0.0
-    return LinOp.from_dense(dense)
-
-
 # ----------------------------------------------------------------------- nmf
 
 def make_nmf(seed: int, d: int = 200, n: int = 100, r: int = 12,
@@ -148,6 +136,25 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
         resid = u @ v.T - y_obs
         mask_u = (u < 0.0).astype(np.float64)
         mask_v = (v < 0.0).astype(np.float64)
+        if dim <= DENSE_DIM_MAX:
+            # Closed form, rows and columns ordered (row, factor):
+            #   H_UU = I_d (x) V^T V,  H_VV = I_n (x) U^T U,
+            #   H_UV[(i,a),(j,b)] = U[i,b] V[j,a] + R[i,j] delta_ab,
+            # plus the diagonal 2 alpha + mask / beta.  The blocks are
+            # written through 4-d views of the one dense array.
+            du = d * r
+            dense = np.zeros((dim, dim))
+            h_uu = dense[:du, :du].reshape(d, r, d, r)
+            h_uv = dense[:du, du:].reshape(d, r, n, r)
+            h_vv = dense[du:, du:].reshape(n, r, n, r)
+            h_uu[np.arange(d), :, np.arange(d), :] = v.T @ v
+            h_vv[np.arange(n), :, np.arange(n), :] = u.T @ u
+            h_uv[...] = u[:, None, None, :] * v.T[None, :, :, None]
+            h_uv[:, np.arange(r), :, np.arange(r)] += resid
+            dense[du:, :du] = dense[:du, du:].T
+            diag = np.concatenate([mask_u.ravel(), mask_v.ravel()]) / beta + 2.0 * alpha
+            dense[np.arange(dim), np.arange(dim)] += diag
+            return LinOp.from_dense(dense)
 
         def hvp(p):
             pu, pv = unpack(p)
@@ -156,7 +163,7 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
             hv = dresid.T @ u + resid.T @ pu + 2.0 * alpha * pv + mask_v * pv / beta
             return np.concatenate([hu.ravel(), hv.ravel()])
 
-        return _hessian_handle(hvp, dim)
+        return LinOp.from_matvec(hvp, dim)
 
     return CompositeProblem(
         smooth=SmoothOracle(dim=dim, eval_f=eval_f, eval_grad=eval_grad,

@@ -17,17 +17,25 @@ accepted when
 
 both hold, after which Lambda_{k+1} = 4^{j_k} Lambda_k / 4.  Rejected
 trials quadruple lambda; a failed inner solve counts as a rejected trial.
+
+A dense H is solved against directly.  By default each trial factors
+H + lambda B by Cholesky.  When a refresh can expect many solves, that is
+when k >= 1, m >= 2 and m * (trials so far / k) >= 6 (_EIGH_MIN_SOLVES),
+the refreshed H is instead decomposed once, on its first solve (eigh(H),
+or eigh(H, B) for a general metric), and every later trial and lazy
+iteration solves in that eigenbasis in O(n^2) for any lambda (see
+LinOp.solve).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import LinOp, MetricB, SolverStallError, norm_b, solve_regularized, sym_part
+from .linalg import LinOp, MetricB, SolverStallError, solve_regularized, sym_part
 from .oracle import CompositeProblem
 
 __all__ = [
@@ -40,7 +48,6 @@ __all__ = [
     "TraceRecord",
     "TrialResult",
     "SolveResult",
-    "lazy_index",
     "trial_lambda",
     "acceptance_test",
     "trial_step",
@@ -53,6 +60,12 @@ STALLED = "stalled"
 
 # Inner prox-gradient budget for models with a nonzero psi.
 _PROX_MAX_SWEEPS = 500
+
+# Solves per Hessian refresh from which one eigendecomposition of a dense H
+# beats a Cholesky factorization per solve: at n = 240 on one OpenBLAS thread
+# of a Xeon core, eigh costs 6-8 ms and one Cholesky solve with refinement
+# about 1.1 ms.
+_EIGH_MIN_SOLVES = 6.0
 
 
 class NonFiniteError(RuntimeError):
@@ -99,17 +112,11 @@ class SolverConfig:
 
 @dataclass
 class IterateState:
-    """Solver state at the top of outer iteration k (after any H refresh)."""
+    """What a trial step needs at the current iterate: x, f'(x) and the lazy H."""
 
-    k: int
     x: np.ndarray
     f_grad: np.ndarray
-    psi_sub: np.ndarray
-    F_sub: np.ndarray
-    Lambda: float
     H_lazy: LinOp
-    hessian_evals: int = 0
-    trials_total: int = 0
 
 
 @dataclass
@@ -152,13 +159,6 @@ class SolveResult:
     Lambda_final: float
     hess_evals: int
     trials: int
-
-
-def lazy_index(k: int, m: int) -> int:
-    """Index of the iterate whose Hessian iteration k reuses: k - k % m."""
-    if k < 0 or m < 1:
-        raise ValueError(f"need k >= 0 and m >= 1, got k={k}, m={m}")
-    return k - k % m
 
 
 def trial_lambda(Lambda_k: float, g_k: float, p: float, j: int) -> float:
@@ -230,8 +230,19 @@ def trial_step(state: IterateState, lam: float, problem: CompositeProblem) -> Tr
     return TrialResult(x_plus, psi_sub_plus, F_sub_plus, f_grad_plus)
 
 
+def _reuse_pays(k: int, m: int, trials: int) -> bool:
+    """Whether the H refreshed at iteration k should be decomposed once.
+
+    The expected number of solves against it is m times the trials per
+    iteration so far.  A single iteration's trial count is not predictable,
+    so m = 1 never decomposes; neither does the first refresh, which has no
+    history yet.
+    """
+    return k >= 1 and m >= 2 and m * trials / k >= _EIGH_MIN_SOLVES
+
+
 def _prepare_hessian(problem: CompositeProblem, x: np.ndarray,
-                     config: SolverConfig) -> LinOp:
+                     config: SolverConfig, reuse: bool) -> LinOp:
     h = problem.smooth.eval_hess(x)
     if not isinstance(h, LinOp):
         raise TypeError("eval_hess must return a LinOp")
@@ -241,6 +252,8 @@ def _prepare_hessian(problem: CompositeProblem, x: np.ndarray,
         h = LinOp.from_dense(sym_part(h.dense))
     if config.hessian_mode == "matrixfree":
         h = h.as_matvec()
+    if h.is_dense and reuse:
+        h = LinOp.from_dense(h.dense, reuse=True)
     return h
 
 
@@ -292,11 +305,9 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             status = MAXITER
             break
         if k % config.m == 0:
-            h = _prepare_hessian(problem, x, config)
+            h = _prepare_hessian(problem, x, config, _reuse_pays(k, config.m, trials))
             hess_evals += 1
-        state = IterateState(k=k, x=x, f_grad=f_grad, psi_sub=psi_sub, F_sub=F_sub,
-                             Lambda=Lambda_k, H_lazy=h, hessian_evals=hess_evals,
-                             trials_total=trials)
+        state = IterateState(x=x, f_grad=f_grad, H_lazy=h)
 
         accepted = None
         for j in range(config.max_inner):
@@ -324,7 +335,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
         step = x - trial.x_plus
         trace.append(TraceRecord(
             k=k, j_k=j, lambda_k=lam, Lambda_k=Lambda_k,
-            f_val=f_val, F_val=F_val, g_k=g, r_k=norm_b(step, metric),
+            f_val=f_val, F_val=F_val, g_k=g, r_k=metric.norm(step),
             inner_prod=float(trial.F_sub_plus @ step),
             hess_evals=hess_evals, trials=trials,
             wall_ns=time.perf_counter_ns() - start_ns))

@@ -1,8 +1,9 @@
 """Acceptance gate: one test per shipped guarantee.
 
 Each test prints a single `ACCEPTANCE CRITERION NN <slug>: PASS/FAIL (...)`
-line straight to the terminal (bypassing capture) and then asserts, so the
-gate status is readable off a plain `pytest -v` run.  Tolerances are pinned
+line straight to the terminal (bypassing capture) and then asserts that
+same verdict, which folds in every check of the criterion, so the gate
+status is readable off a plain `pytest -v` run.  Tolerances are pinned
 here and nowhere else; run configurations were chosen so that every audited
 run terminates cleanly (converged or at its iteration cap) except where a
 stall is the documented floor behaviour and the checked inequalities hold
@@ -176,12 +177,12 @@ def test_criterion_03_global_envelope(capsys):
             rhs = 4.0 * math.sqrt(lam_bar * (f0 - fstar) / k)
             worst = max(worst, best[k - 1] / rhs)
             n_checked += 1
-    ok = worst <= 1.05
+    ok = worst <= 1.05 and ref.status == "converged"
     strict = "holds strictly" if worst <= 1.0 else "within 5% band only"
     line = _report(capsys, 3, "global envelope", ok,
-                   f"{n_checked} prefixes, worst ratio {worst:.3f}, {strict}")
+                   f"{n_checked} prefixes, worst ratio {worst:.3f}, {strict}, "
+                   f"reference run {ref.status}")
     assert ok, line
-    assert ref.status == "converged", ref.status
 
 
 def test_criterion_04_superlinear_order(capsys):
@@ -334,7 +335,8 @@ def test_criterion_08_oracle_correctness(capsys):
     dirs = np.random.default_rng(202)
     for name, prob in probs:
         pts = kink_free_points(prob, seed=11, count=20, min_gap=1e-3)
-        assert len(pts) == 20
+        if len(pts) != 20:
+            failures.append(f"{name}: {len(pts)} of 20 kink-free points")
         for x in pts:
             v = dirs.standard_normal(prob.dim)
             v /= np.linalg.norm(v)
@@ -359,7 +361,8 @@ def test_criterion_08_oracle_correctness(capsys):
     x = prob.x0 + 0.05 * rng.standard_normal(prob.dim)
     x[3] = -0.2
     x[d * r + 2] = -0.15  # make both penalty masks nontrivial
-    assert prob.kink_gap(x) > 1e-2
+    if not prob.kink_gap(x) > 1e-2:
+        failures.append(f"nmf test point kink gap {prob.kink_gap(x):.2e}")
     u_mat = x[:d * r].reshape(d, r)
     v_mat = x[d * r:].reshape(n, r)
     resid = u_mat @ v_mat.T - inst.Y

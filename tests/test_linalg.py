@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from gladssn.linalg import (LinOp, MetricB, MetricError, SolverStallError,
-                            dual_norm_b, norm_b, opnorm_est, solve_regularized,
-                            sym_part)
+                            opnorm_est, solve_regularized, sym_part)
 
 
 def test_sym_part():
@@ -34,8 +34,6 @@ def test_dense_metric_norms():
     # v^T B v = 5, v^T B^{-1} v = 1.25
     assert b.norm(v) == pytest.approx(np.sqrt(5.0), rel=1e-15)
     assert b.dual_norm(v) == pytest.approx(np.sqrt(1.25), rel=1e-15)
-    assert norm_b(v, b) == b.norm(v)
-    assert dual_norm_b(v, b) == b.dual_norm(v)
     assert b.opnorm() == pytest.approx(4.0, rel=1e-12)
     np.testing.assert_allclose(b.solve(b.apply(v)), v, atol=1e-14)
 
@@ -110,27 +108,29 @@ def test_solve_regularized_indefinite_frozen():
 
 def test_solve_regularized_random_spd():
     rng = np.random.default_rng(2)
-    for n in (3, 10, 40):
-        for _ in range(10):
-            a = rng.standard_normal((n, n))
-            h = LinOp.from_dense(a @ a.T)
-            lam = 10.0 ** rng.uniform(-4, 2)
-            rhs = rng.standard_normal(n)
-            s = solve_regularized(h, MetricB(), lam, rhs)
-            res = np.linalg.norm(h.apply(s) + lam * s - rhs)
-            assert res <= max(1e-10, 1e-12 * np.linalg.norm(rhs)) * (1 + 1e-9)
+    for reuse in (False, True):
+        for n in (3, 10, 40):
+            for _ in range(10):
+                a = rng.standard_normal((n, n))
+                h = LinOp.from_dense(a @ a.T, reuse=reuse)
+                lam = 10.0 ** rng.uniform(-4, 2)
+                rhs = rng.standard_normal(n)
+                s = solve_regularized(h, MetricB(), lam, rhs)
+                res = np.linalg.norm(h.apply(s) + lam * s - rhs)
+                assert res <= max(1e-10, 1e-12 * np.linalg.norm(rhs)) * (1 + 1e-9)
 
 
 def test_solve_regularized_with_metric():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((6, 6))
-    h = LinOp.from_dense(a @ a.T)
     bmat = np.diag(rng.uniform(0.5, 2.0, size=6))
     metric = MetricB(bmat)
     rhs = rng.standard_normal(6)
-    s = solve_regularized(h, metric, 0.7, rhs)
-    res = np.linalg.norm(h.apply(s) + 0.7 * (bmat @ s) - rhs)
-    assert res <= 1e-10 * (1 + 1e-9)
+    for reuse in (False, True):
+        h = LinOp.from_dense(a @ a.T, reuse=reuse)
+        s = solve_regularized(h, metric, 0.7, rhs)
+        res = np.linalg.norm(h.apply(s) + 0.7 * (bmat @ s) - rhs)
+        assert res <= 1e-10 * (1 + 1e-9)
 
 
 def test_solve_regularized_dense_vs_matvec_route():
@@ -145,24 +145,28 @@ def test_solve_regularized_dense_vs_matvec_route():
 
 
 def test_solve_regularized_zero_rhs():
-    h = LinOp.from_dense(np.diag([1.0, 2.0]))
-    np.testing.assert_array_equal(solve_regularized(h, MetricB(), 1.0, np.zeros(2)),
-                                  np.zeros(2))
+    for reuse in (False, True):
+        h = LinOp.from_dense(np.diag([1.0, 2.0]), reuse=reuse)
+        np.testing.assert_array_equal(solve_regularized(h, MetricB(), 1.0, np.zeros(2)),
+                                      np.zeros(2))
 
 
 def test_solve_regularized_inconsistent_system_stalls():
-    # diag(-1,1) + I = diag(0,2); rhs (1,0) has no solution
-    h = LinOp.from_dense(np.diag([-1.0, 1.0]))
-    with pytest.raises(SolverStallError) as exc:
-        solve_regularized(h, MetricB(), 1.0, np.array([1.0, 0.0]))
-    assert exc.value.best_residual > 0.0
+    # diag(-1,1) + I = diag(0,2); rhs (1,0) has no solution.  Both direct
+    # paths decline the singular system and MINRES reports the stall.
+    for reuse in (False, True):
+        h = LinOp.from_dense(np.diag([-1.0, 1.0]), reuse=reuse)
+        with pytest.raises(SolverStallError) as exc:
+            solve_regularized(h, MetricB(), 1.0, np.array([1.0, 0.0]))
+        assert exc.value.best_residual > 0.0
 
 
 def test_solve_regularized_singular_but_consistent():
     # same singular matrix, rhs in the range: any solution is fine
-    h = LinOp.from_dense(np.diag([-1.0, 1.0]))
-    s = solve_regularized(h, MetricB(), 1.0, np.array([0.0, 2.0]))
-    assert abs(2.0 * s[1] - 2.0) <= 1e-9
+    for reuse in (False, True):
+        h = LinOp.from_dense(np.diag([-1.0, 1.0]), reuse=reuse)
+        s = solve_regularized(h, MetricB(), 1.0, np.array([0.0, 2.0]))
+        assert abs(2.0 * s[1] - 2.0) <= 1e-9
 
 
 def test_solve_regularized_argument_errors():
@@ -175,3 +179,62 @@ def test_solve_regularized_argument_errors():
         solve_regularized(h, MetricB(), np.inf, np.ones(2))
     with pytest.raises(ValueError):
         solve_regularized(h, MetricB(), 1.0, np.ones(3))
+
+
+def _rotated(eigs, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(eigs), len(eigs))))
+    return (q * np.asarray(eigs, dtype=np.float64)) @ q.T
+
+
+def test_reused_operator_matches_cholesky_solve():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((12, 12))
+    spd = a @ a.T
+    c = rng.standard_normal((12, 12))
+    for metric in (MetricB(), MetricB(c @ c.T + 12.0 * np.eye(12))):
+        reused = LinOp.from_dense(spd, reuse=True)
+        for lam in (1e-3, 0.5, 40.0):
+            rhs = rng.standard_normal(12)
+            s_eig = solve_regularized(reused, metric, lam, rhs)
+            s_chol = solve_regularized(LinOp.from_dense(spd), metric, lam, rhs)
+            np.testing.assert_allclose(s_eig, s_chol, rtol=1e-9, atol=1e-12)
+            res = np.linalg.norm(spd @ s_eig + lam * metric.apply(s_eig) - rhs)
+            assert res <= max(1e-10, 1e-12 * np.linalg.norm(rhs))
+
+
+def test_reused_operator_decomposes_once(monkeypatch):
+    calls = {"eigh": 0, "cholesky": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+    h = LinOp.from_dense(_rotated([5.0, 2.0, 1.0, 0.5, 0.1], 6), reuse=True)
+    assert calls["eigh"] == 0  # decomposed lazily, on the first solve
+    rng = np.random.default_rng(6)
+    for lam in (0.01, 0.04, 0.16, 0.64):
+        solve_regularized(h, MetricB(), lam, rng.standard_normal(5))
+    assert calls == {"eigh": 1, "cholesky": 0}
+
+
+def test_reused_operator_solves_indefinite_shift_directly(monkeypatch):
+    # eigenvalues of H + 1.5 I are (4.5, 0.5, -0.5, -1.5): Cholesky rejects
+    # the system, the eigenbasis solves it without the MINRES fallback.
+    h_mat = _rotated([3.0, -1.0, -2.0, -3.0], 7)
+    rhs = np.array([1.0, -2.0, 0.5, 3.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(h_mat + 1.5 * np.eye(4))
+
+    def no_minres(*args, **kwargs):
+        raise AssertionError("MINRES fallback was used")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "minres", no_minres)
+    for lam in (1.5, 3.5):  # indefinite shift, then lam > -w_min
+        s = solve_regularized(LinOp.from_dense(h_mat, reuse=True), MetricB(), lam, rhs)
+        np.testing.assert_allclose(s, np.linalg.solve(h_mat + lam * np.eye(4), rhs),
+                                   rtol=1e-12)
+        assert np.linalg.norm(h_mat @ s + lam * s - rhs) <= 1e-10

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gladssn import problems
 from gladssn.problems import (DENSE_DIM_MAX, HuberInstance, NmfInstance,
                               load_instance, make_huber, make_nmf,
                               make_quadratic, make_svm, penalty_violation,
@@ -75,18 +76,29 @@ def test_nmf_gradient_matches_loop_oracle():
                                rtol=1e-12, atol=1e-12)
 
 
-def test_nmf_dense_threshold_and_hvp_consistency():
+def test_nmf_dense_threshold_and_hvp_consistency(monkeypatch):
     small = make_nmf(1, d=6, n=5, r=2)
     assert small.smooth.eval_hess(small.x0).is_dense
     big = make_nmf(1)  # (200 + 100) * 12 = 3600 > DENSE_DIM_MAX
     assert big.dim > DENSE_DIM_MAX
     assert not big.smooth.eval_hess(big.x0).is_dense
-    # dense handle is assembled from the hvp; must act identically
     h = small.smooth.eval_hess(small.x0)
     rng = np.random.default_rng(0)
     for _ in range(5):
         vv = rng.standard_normal(small.dim)
         np.testing.assert_allclose(h.to_dense() @ vv, h.apply(vv), rtol=1e-12)
+    # the closed-form dense Hessian equals the column assembly of the hvp,
+    # at a point with negative entries in both U and V (both masks active)
+    inst = small.instance
+    x = small.x0 + 0.1 * rng.standard_normal(small.dim)
+    x[:inst.d * inst.r:3] = -0.3
+    x[inst.d * inst.r::4] = -0.2
+    dense = small.smooth.eval_hess(x).dense
+    monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
+    by_hvp = small.smooth.eval_hess(x)  # LinOp.from_matvec(hvp, dim)
+    assert not by_hvp.is_dense
+    by_columns = by_hvp.to_dense()
+    assert np.max(np.abs(dense - by_columns)) <= 1e-13 * np.max(np.abs(by_columns))
 
 
 def test_nmf_data_model():

@@ -8,21 +8,9 @@ from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPa
 from gladssn.problems import make_huber, make_nmf, make_quadratic, make_svm
 from gladssn.ssn import (CONVERGED, MAXITER, STALLED, IterateState,
                          NonFiniteError, SolverConfig, acceptance_test,
-                         lazy_index, solve, trial_lambda, trial_step)
+                         solve, trial_lambda, trial_step)
 
 from helpers import final_transition_violations, slack_ok
-
-
-def test_lazy_index():
-    assert lazy_index(0, 5) == 0
-    assert lazy_index(4, 5) == 0
-    assert lazy_index(5, 5) == 5
-    assert lazy_index(7, 5) == 5
-    assert lazy_index(9, 1) == 9
-    with pytest.raises(ValueError):
-        lazy_index(-1, 5)
-    with pytest.raises(ValueError):
-        lazy_index(3, 0)
 
 
 def test_trial_lambda():
@@ -46,10 +34,7 @@ def test_acceptance_boundaries():
 
 def quad_state(x):
     # f(x) = 0.5 ||x||^2, exact oracles
-    n = x.shape[0]
-    return IterateState(k=0, x=x, f_grad=x.copy(), psi_sub=np.zeros(n),
-                        F_sub=x.copy(), Lambda=1.0,
-                        H_lazy=LinOp.from_dense(np.eye(n)))
+    return IterateState(x=x, f_grad=x.copy(), H_lazy=LinOp.from_dense(np.eye(x.shape[0])))
 
 
 def half_norm_problem(n):
@@ -86,8 +71,7 @@ def test_trial_step_certifies_model_optimality():
     a = rng.standard_normal((4, 4))
     h = LinOp.from_dense(a @ a.T)
     x = rng.standard_normal(4)
-    state = IterateState(k=0, x=x, f_grad=2.0 * x, psi_sub=np.zeros(4),
-                         F_sub=2.0 * x, Lambda=1.0, H_lazy=h)
+    state = IterateState(x=x, f_grad=2.0 * x, H_lazy=h)
     prob = CompositeProblem(
         smooth=SmoothOracle(dim=4, eval_f=lambda z: float(z @ z),
                             eval_grad=lambda z: 2.0 * z,
@@ -112,8 +96,7 @@ def test_trial_step_soft_threshold_frozen():
                             eval_grad=lambda x: np.zeros(1),
                             eval_hess=lambda x: LinOp.from_dense(np.zeros((1, 1)))),
         psi=psi)
-    state = IterateState(k=0, x=np.array([2.0]), f_grad=np.zeros(1),
-                         psi_sub=np.ones(1), F_sub=np.ones(1), Lambda=1.0,
+    state = IterateState(x=np.array([2.0]), f_grad=np.zeros(1),
                          H_lazy=LinOp.from_dense(np.zeros((1, 1))))
     trial = trial_step(state, 1.0, prob)
     assert abs(trial.x_plus[0] - 1.0) <= 1e-8
