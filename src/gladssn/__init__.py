@@ -9,9 +9,9 @@ from .oracle import (CompositeProblem, SeparableProx, SmoothOracle, ZeroPart,
 from .problems import (load_instance, make_huber, make_nmf, make_quadratic,
                        make_svm, penalty_violation, problem_from_instance,
                        save_instance)
-from .ssn import (CONVERGED, MAXITER, STALLED, IterateState, NonFiniteError,
-                  SolveResult, SolverConfig, TraceRecord, acceptance_test,
-                  solve, trial_lambda, trial_step)
+from .ssn import (CONVERGED, MAXITER, STALLED, NonFiniteError, SolveResult,
+                  SolverConfig, TraceRecord, acceptance_test, solve,
+                  trial_lambda, trial_step)
 
 __all__ = [
     "ArmijoConfig", "armijo_gd",
@@ -22,7 +22,7 @@ __all__ = [
     "check_gradient_fd", "check_hvp_fd",
     "load_instance", "make_huber", "make_nmf", "make_quadratic", "make_svm",
     "penalty_violation", "problem_from_instance", "save_instance",
-    "CONVERGED", "MAXITER", "STALLED", "IterateState", "NonFiniteError",
+    "CONVERGED", "MAXITER", "STALLED", "NonFiniteError",
     "SolveResult", "SolverConfig", "TraceRecord", "acceptance_test",
     "solve", "trial_lambda", "trial_step",
 ]

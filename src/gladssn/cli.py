@@ -16,7 +16,7 @@ import json
 import sys
 
 from .harness import (ConfigError, NotEstimableError, RunConfig, compare,
-                      estimate_order, run, verify)
+                      estimate_order, format_compare_table, run, verify)
 
 _RUN_FLAGS = {
     "problem": "problem", "solver": "solver", "p": "p", "m": "m",
@@ -109,7 +109,7 @@ def _compare_command(args) -> int:
         loaded = json.load(fh)
     if not isinstance(loaded, list):
         raise ConfigError(f"{args.config} must hold a JSON list of run configs")
-    compare([RunConfig.from_dict(d) for d in loaded])
+    print(format_compare_table(compare([RunConfig.from_dict(d) for d in loaded])))
     return 0
 
 

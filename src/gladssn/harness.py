@@ -1,15 +1,14 @@
 """Run, persist, and audit solver traces.
 
-A trace is one record per accepted outer iteration with the columns
-
-    k,j_k,lambda_k,Lambda_k,f_val,F_val,g_k,r_k,inner_prod,hess_evals,trials,wall_ns
-
-serialized as CSV (default) or JSON with full round-trip precision.  Row k
-stores the pre-step state (F_val, g_k) plus the accepted trial's lambda_k,
-step length r_k and duality pairing inner_prod, so consecutive rows carry
-everything the progress inequalities mention; the transition out of the
-final row needs the terminal state and is checked from SolveResult in the
-test suite instead.
+A trace is one record per accepted outer iteration, whose columns are the
+fields of ssn.TraceRecord, serialized as CSV (default) or JSON with full
+round-trip precision.  Row k stores the pre-step state (F_val, g_k) plus the
+accepted trial's lambda_k, step length r_k and duality pairing inner_prod,
+so consecutive rows carry everything the progress inequalities mention.
+The transition out of the final row also needs the terminal state
+(g_final, F_final), which only a SolveResult carries: given one, verify()
+checks every accepted step, the last one included; given a path or a list
+of records, it checks every transition but the last.
 
 verify() rechecks, with relative slack 1e-9 and absolute slack 1e-12:
 
@@ -33,13 +32,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, problems, ssn
-from .ssn import TraceRecord
+from .ssn import SolveResult, TraceRecord
 
 __all__ = [
     "COLUMNS",
@@ -56,11 +56,11 @@ __all__ = [
     "verify",
     "estimate_order",
     "compare",
+    "format_compare_table",
 ]
 
-COLUMNS = ["k", "j_k", "lambda_k", "Lambda_k", "f_val", "F_val", "g_k", "r_k",
-           "inner_prod", "hess_evals", "trials", "wall_ns"]
-_INT_COLUMNS = {"k", "j_k", "hess_evals", "trials", "wall_ns"}
+COLUMNS = [f.name for f in fields(TraceRecord)]
+_INT_COLUMNS = {name for name, t in typing.get_type_hints(TraceRecord).items() if t is int}
 
 EXIT_CODES = {ssn.CONVERGED: 0, ssn.MAXITER: 2, ssn.STALLED: 3}
 
@@ -276,10 +276,14 @@ def _check_ineq(name: str, lhs: np.ndarray, rhs: np.ndarray,
 def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyReport:
     """Recheck every inequality a trace is supposed to satisfy.
 
-    trace may be a path or a list of records.  L enables the lambda cap
+    trace may be a path, a list of records or a SolveResult.  A SolveResult
+    also ends the last transition at its terminal state: g_final and F_final
+    stand in for the row after the last one, and Lambda_final closes the
+    last prefix of the trial-count identity.  L enables the lambda cap
     check and fstar the gradient-envelope check.
     """
-    records = _as_records(trace)
+    terminal = trace if isinstance(trace, SolveResult) else None
+    records = trace.trace if terminal is not None else _as_records(trace)
     n_rows = len(records)
     checks: dict[str, CheckResult] = {}
     notes: list[str] = []
@@ -301,18 +305,25 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
         notes.append("Lambda_k <= 0: baseline trace, adaptive checks skipped")
         return VerifyReport(rows=n_rows, checks=checks, lambda_bar=None, notes=notes)
 
-    # transitions between consecutive rows: g_{k+1} lives in the next row
+    # transition k runs from row k to the next row, or for the last row of a
+    # SolveResult to its terminal state
     g_next = gs[1:]
-    lam_tr = lams[:-1]
-    row_ids = ks[:-1]
-    checks["pairing"] = _check_ineq("pairing", pair[:-1],
+    F_next = f_F[1:]
+    if terminal is not None:
+        g_next = np.append(g_next, terminal.g_final)
+        F_next = np.append(F_next, terminal.F_final)
+    n_tr = g_next.size
+    lam_tr = lams[:n_tr]
+    r_tr = rs[:n_tr]
+    row_ids = ks[:n_tr]
+    checks["pairing"] = _check_ineq("pairing", pair[:n_tr],
                                     g_next**2 / (2.0 * lam_tr), row_ids)
-    decrease = f_F[:-1] - f_F[1:]
+    decrease = f_F[:n_tr] - F_next
     checks["decrease"] = _check_ineq("decrease", decrease,
-                                     0.25 * lam_tr * rs[:-1]**2, row_ids)
-    checks["step_grad"] = _check_ineq("step_grad", 2.0 * lam_tr * rs[:-1],
+                                     0.25 * lam_tr * r_tr**2, row_ids)
+    checks["step_grad"] = _check_ineq("step_grad", 2.0 * lam_tr * r_tr,
                                       g_next, row_ids)
-    checks["no_overshoot"] = _check_ineq("no_overshoot", 2.0 * gs[:-1],
+    checks["no_overshoot"] = _check_ineq("no_overshoot", 2.0 * gs[:n_tr],
                                          g_next, row_ids)
     checks["value_gain"] = _check_ineq("value_gain", decrease,
                                        g_next**2 / (16.0 * lam_tr), row_ids)
@@ -326,9 +337,12 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
     else:
         notes.append("no L given: lambda_cap skipped")
 
-    # counting identity at every prefix; Lambda_{k+1} for the last row comes
-    # from the update rule
-    lam_next = np.append(caps[1:], 4.0**js[-1] * caps[-1] / 4.0)
+    # counting identity at every prefix; Lambda_{k+1} for the last row is
+    # Lambda_final of a SolveResult, else it comes from the update rule
+    if terminal is not None:
+        lam_next = np.append(caps[1:], terminal.Lambda_final)
+    else:
+        lam_next = np.append(caps[1:], 4.0**js[-1] * caps[-1] / 4.0)
     with np.errstate(divide="ignore"):
         expected = (ks - ks[0] + 1) + np.log(lam_next / caps[0]) / np.log(4.0)
     sum_j = np.cumsum(js)
@@ -347,11 +361,11 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
         gap0 = f_F[0] - fstar
         if gap0 < 0.0:
             notes.append("F_0 < fstar: envelope skipped")
-        elif n_rows >= 2:
-            steps = np.arange(1, n_rows)
+        elif n_tr >= 1:
+            steps = np.arange(1, n_tr + 1)
             best_g = np.minimum.accumulate(g_next)
             bound = 4.0 * np.sqrt(env_bar * gap0 / steps)
-            checks["envelope"] = _check_ineq("envelope", bound, best_g, ks[1:])
+            checks["envelope"] = _check_ineq("envelope", bound, best_g, row_ids + 1)
     else:
         notes.append("no fstar given: envelope skipped")
 
@@ -426,7 +440,7 @@ def estimate_order(trace, tail: int = 6) -> OrderEstimate:
 # ------------------------------------------------------------------- compare
 
 def compare(configs: list[RunConfig]) -> list[dict]:
-    """Run each config and return (and pretty-print) one summary per run."""
+    """Run each config and return one summary per run (see format_compare_table)."""
     summaries = []
     for cfg in configs:
         _problem, result = _execute(cfg)
@@ -439,7 +453,6 @@ def compare(configs: list[RunConfig]) -> list[dict]:
             "trials": result.trials, "hess_evals": result.hess_evals,
             "g_final": result.g_final, "wall_s": wall_ns / 1e9,
         })
-    print(format_compare_table(summaries))
     return summaries
 
 

@@ -181,13 +181,6 @@ class LinOp:
             e[i] = 0.0
         return out
 
-    def as_matvec(self) -> "LinOp":
-        """View of this operator that hides any dense representation."""
-        if self.dense is None:
-            return self
-        a = self.dense
-        return LinOp(matvec=lambda v: a @ v, dim=self.dim)
-
     def opnorm(self) -> float:
         """Power-iteration estimate of the operator norm; cached per handle."""
         if self._opnorm is None:

@@ -1,7 +1,9 @@
 """Deterministic random streams for reproducible problem instances.
 
-Instance generation must be bit-identical across machines and library
-versions, so nothing here depends on numpy's Generator internals.  Draw i
+Nothing here depends on numpy's Generator internals.  The uniform stream
+is integer arithmetic and reproduces bit for bit; gaussians go through
+np.log, np.cos and np.sin, so they match a pure-Python Box-Muller to
+rounding of the platform's libm (the tests allow 1e-15 absolute).  Draw i
 (0-based) of a stream with seed s is
 
     z_i = mix64((s + (i + 1) * 0x9E3779B97F4A7C15) mod 2**64)
@@ -22,7 +24,8 @@ A request for q gaussians consumes the next 2*ceil(q/2) uniforms as pairs
     sqrt(-2 ln u1) * cos(2 pi u2),  sqrt(-2 ln u1) * sin(2 pi u2)
 
 in that order, and the trailing value is dropped when q is odd.  Any
-implementation following this recipe reproduces the exact streams.
+implementation following this recipe reproduces the uniform stream exactly
+and the gaussians up to libm rounding.
 """
 
 from __future__ import annotations

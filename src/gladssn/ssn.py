@@ -27,13 +27,13 @@ the decrease is taken from eval_f_diff(x_k, x_+ - x_k) instead.  Outside
 the band, or without eval_f_diff, the rounded values decide, and a run
 whose trials all fail on noise stops as stalled.
 
-A dense H is solved against directly.  By default each trial factors
-H + lambda B by Cholesky.  When a refresh can expect many solves, that is
-when k >= 1, m >= 2 and m * (trials so far / k) >= 6 (_EIGH_MIN_SOLVES),
-the refreshed H is instead decomposed once, on its first solve (eigh(H),
-or eigh(H, B) for a general metric), and every later trial and lazy
-iteration solves in that eigenbasis in O(n^2) for any lambda (see
-LinOp.solve).
+A dense H is replaced by its symmetric part (H + H^T) / 2 and solved
+against directly.  By default each trial factors H + lambda B by Cholesky.
+When a refresh can expect many solves, that is when k >= 1, m >= 2 and
+m * (trials so far / k) >= 6 (_EIGH_MIN_SOLVES), the refreshed H is instead
+decomposed once, on its first solve (eigh(H), or eigh(H, B) for a general
+metric), and every later trial and lazy iteration solves in that eigenbasis
+in O(n^2) for any lambda (see LinOp.solve).  A matrix-free H goes to MINRES.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "STALLED",
     "NonFiniteError",
     "SolverConfig",
-    "IterateState",
     "TraceRecord",
     "TrialResult",
     "SolveResult",
@@ -107,8 +106,6 @@ class SolverConfig:
     grad_tol: float = 1e-8
     max_outer: int = 1000
     max_inner: int = 60
-    hessian_mode: str | None = None  # None = as the oracle returns it
-    symmetrize: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -124,22 +121,11 @@ class SolverConfig:
             raise ValueError(f"max_outer must be nonnegative, got {self.max_outer}")
         if self.max_inner < 1:
             raise ValueError(f"max_inner must be at least 1, got {self.max_inner}")
-        if self.hessian_mode not in (None, "dense", "matrixfree"):
-            raise ValueError(f"unknown hessian_mode {self.hessian_mode!r}")
-
-
-@dataclass
-class IterateState:
-    """What a trial step needs at the current iterate: x, f'(x) and the lazy H."""
-
-    x: np.ndarray
-    f_grad: np.ndarray
-    H_lazy: LinOp
 
 
 @dataclass
 class TraceRecord:
-    """One accepted outer iteration; field order matches the CSV schema."""
+    """One accepted outer iteration."""
 
     k: int
     j_k: int
@@ -249,11 +235,13 @@ def _prox_model_solve(h: LinOp, metric: MetricB, lam: float, x: np.ndarray,
     )
 
 
-def trial_step(state: IterateState, lam: float, problem: CompositeProblem) -> TrialResult:
-    """Solve the regularized model at state.x and certify the new gradient.
+def trial_step(x: np.ndarray, f_grad: np.ndarray, h: LinOp, lam: float,
+               problem: CompositeProblem) -> TrialResult:
+    """Solve the regularized model at x and certify the new gradient.
 
-    The psi subgradient at the trial point always comes from the model
-    optimality identity
+    f_grad is f'(x) and h the lazy curvature operator H.  The psi
+    subgradient at the trial point always comes from the model optimality
+    identity
 
         psi_sub_plus = -f_grad - H (x_+ - x) - lam * B (x_+ - x),
 
@@ -261,7 +249,6 @@ def trial_step(state: IterateState, lam: float, problem: CompositeProblem) -> Tr
     the inner solve misses its residual target.
     """
     metric = problem.metric
-    x, f_grad, h = state.x, state.f_grad, state.H_lazy
     if problem.psi.is_zero:
         s = solve_regularized(h, metric, lam, -f_grad)
         x_plus = x + s
@@ -285,19 +272,13 @@ def _reuse_pays(k: int, m: int, trials: int) -> bool:
     return k >= 1 and m >= 2 and m * trials / k >= _EIGH_MIN_SOLVES
 
 
-def _prepare_hessian(problem: CompositeProblem, x: np.ndarray,
-                     config: SolverConfig, reuse: bool) -> LinOp:
+def _prepare_hessian(problem: CompositeProblem, x: np.ndarray, reuse: bool) -> LinOp:
+    """H(x) from the oracle, a dense H replaced by its symmetric part."""
     h = problem.smooth.eval_hess(x)
     if not isinstance(h, LinOp):
         raise TypeError("eval_hess must return a LinOp")
-    if config.hessian_mode == "dense" and not h.is_dense:
-        h = LinOp.from_dense(h.to_dense())
-    if h.is_dense and config.symmetrize:
-        h = LinOp.from_dense(sym_part(h.dense))
-    if config.hessian_mode == "matrixfree":
-        h = h.as_matvec()
-    if h.is_dense and reuse:
-        h = LinOp.from_dense(h.dense, reuse=True)
+    if h.is_dense:
+        h = LinOp.from_dense(sym_part(h.dense), reuse=reuse)
     return h
 
 
@@ -349,16 +330,15 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             status = MAXITER
             break
         if k % config.m == 0:
-            h = _prepare_hessian(problem, x, config, _reuse_pays(k, config.m, trials))
+            h = _prepare_hessian(problem, x, _reuse_pays(k, config.m, trials))
             hess_evals += 1
-        state = IterateState(x=x, f_grad=f_grad, H_lazy=h)
 
         accepted = None
         for j in range(config.max_inner):
             lam = trial_lambda(Lambda_k, g, config.p, j)
             trials += 1
             try:
-                trial = trial_step(state, lam, problem)
+                trial = trial_step(x, f_grad, h, lam, problem)
             except SolverStallError:
                 continue
             f_plus = float(problem.smooth.eval_f(trial.x_plus))

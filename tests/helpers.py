@@ -16,35 +16,6 @@ def slack_ok(lhs, rhs):
     return rhs - lhs <= tol
 
 
-def final_transition_violations(result):
-    """Recheck the accepted-step inequalities on the last transition.
-
-    The stored trace only has rows for iterations 0..K-1, so the transition
-    from the last row to the returned iterate has to be checked from the
-    in-memory result (g_final, F_final).  Returns a list of failing check
-    names, empty when everything holds.
-    """
-    if not result.trace:
-        return []
-    last = result.trace[-1]
-    lam = last.lambda_k
-    r = last.r_k
-    g_next = result.g_final
-    dec = last.F_val - result.F_final
-    bad = []
-    if not slack_ok(last.inner_prod, g_next**2 / (2.0 * lam)):
-        bad.append("pairing")
-    if not slack_ok(dec, 0.25 * lam * r**2):
-        bad.append("decrease")
-    if not slack_ok(2.0 * lam * r, g_next):
-        bad.append("step_grad")
-    if not slack_ok(2.0 * last.g_k, g_next):
-        bad.append("no_overshoot")
-    if not slack_ok(dec, g_next**2 / (16.0 * lam)):
-        bad.append("value_gain")
-    return bad
-
-
 def synthetic_trace(gs, lam=1.0):
     """Minimal trace whose g_k column follows the given sequence."""
     rows = []

@@ -25,7 +25,7 @@ from gladssn.linalg import opnorm_est
 from gladssn.oracle import check_gradient_fd, check_hvp_fd
 from gladssn.problems import penalty_violation
 
-from helpers import final_transition_violations, kink_free_points
+from helpers import kink_free_points
 
 
 def _report(capsys, num, slug, ok, detail):
@@ -35,19 +35,13 @@ def _report(capsys, num, slug, ok, detail):
     return line
 
 
-def _sum_j_ok(res, Lambda0=1.0):
-    """Trial-count identity: sum j_i == iters + log4(Lambda_final / Lambda0)."""
-    sj = sum(r.j_k for r in res.trace)
-    expected = res.iters + math.log2(res.Lambda_final / Lambda0) / 2.0
-    return abs(sj - expected) <= 1e-9
-
-
 # Per-problem run tolerances for the inequality grid.  The Huber/SVM
 # instances certify gradients through function-value comparisons whose
 # floating-point floor sits above 1e-9 at these scales; the tolerances below
 # keep the quadratic/Huber/NMF cells off that floor entirely, while the SVM
 # cells that do bottom out still satisfy every audited inequality row-for-row
-# (the checks are recomputed from the stored trace, not trusted from flags).
+# (harness.verify recomputes the checks from each result, the last step
+# included, instead of trusting flags).
 _GRID = [
     ("quad", lambda s: make_quadratic(s), 1e-9),
     ("huber", lambda s: make_huber(s), 1e-6),
@@ -73,15 +67,10 @@ def test_criterion_01_inequality_suite(capsys):
                     tag = f"{name} seed={seed} p={p_exp} m={m}"
                     if len(res.trace) < 5:
                         failures.append(f"{tag}: only {len(res.trace)} rows")
-                    rep = verify(res.trace)
+                    rep = verify(res)
                     if not rep.passed:
                         bad = [c.name for c in rep.checks.values() if not c.passed]
                         failures.append(f"{tag}: {bad}")
-                    tail = final_transition_violations(res)
-                    if tail:
-                        failures.append(f"{tag} final step: {tail}")
-                    if not _sum_j_ok(res):
-                        failures.append(f"{tag}: trial-count identity")
     wall = time.monotonic() - t0
     ok = not failures and wall < 120.0
     detail = (f"{n_runs} runs, {len(failures)} violations, "
@@ -98,7 +87,7 @@ def test_criterion_01_full_svm_opt_in(capsys):
     failures = []
     for m in (1, 5):
         res = solve(prob, SolverConfig(p=0.5, m=m, grad_tol=1e-6, max_outer=600))
-        rep = verify(res.trace)
+        rep = verify(res)
         if not rep.passed:
             failures.append(f"m={m}: " + str([c.name for c in rep.checks.values()
                                               if not c.passed]))
@@ -220,7 +209,10 @@ def test_criterion_04_superlinear_order(capsys):
 
 
 def test_criterion_05_lazy_accounting(capsys):
-    """hessian_evals == floor(k_last/m) + 1 and the trial-count identity.
+    """hessian_evals == floor(k_last/m) + 1, and verify passes on each result.
+
+    verify covers the trial-count identity through Lambda_final and the
+    refresh schedule row by row.
 
     The SVM cells run against a fixed iteration cap: at this scale the
     certification floor sits above any fixed tolerance the other problems
@@ -246,8 +238,10 @@ def test_criterion_05_lazy_accounting(capsys):
             expect = res.trace[-1].k // m + 1
             if res.hess_evals != expect:
                 failures.append(f"{tag}: hess {res.hess_evals} != {expect}")
-            if not _sum_j_ok(res):
-                failures.append(f"{tag}: trial-count identity")
+            rep = verify(res)
+            if not rep.passed:
+                bad = [c.name for c in rep.checks.values() if not c.passed]
+                failures.append(f"{tag}: {bad}")
     ok = not failures
     line = _report(capsys, 5, "lazy accounting", ok,
                    f"{n_runs} runs over m in (1,2,4,5,10)")

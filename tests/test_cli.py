@@ -105,10 +105,13 @@ def test_compare_command(tmp_path, capsys):
     cfg = tmp_path / "cmp.json"
     base = {"problem": "huber", "grad_tol": 1e-7,
             "problem_kwargs": {"m": 40, "n": 6}}
-    cfg.write_text(json.dumps([dict(base, m=1), dict(base, m=3)]))
+    cfg.write_text(json.dumps([dict(base, m=1), dict(base, m=3),
+                               dict(base, solver="armijo", max_outer=3000)]))
     assert main(["compare", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
-    assert "huber" in out and "converged" in out
+    assert out.startswith("problem")
+    assert "huber" in out and "converged" in out and "armijo" in out
+    assert len(out.splitlines()) == 2 + 3  # header, rule, one line per run
     # a bare dict instead of a list is a config error
     cfg.write_text(json.dumps(base))
     assert main(["compare", "--config", str(cfg)]) == 1

@@ -72,9 +72,6 @@ def test_linop_dense_and_matvec_agree():
     np.testing.assert_array_equal(mv.apply(v), a @ v)
     np.testing.assert_array_equal(mv.to_dense(), a)
     assert dense.is_dense and not mv.is_dense
-    hidden = dense.as_matvec()
-    assert not hidden.is_dense
-    np.testing.assert_array_equal(hidden.apply(v), a @ v)
     with pytest.raises(ValueError):
         LinOp(dense=a, matvec=lambda v: v)
     with pytest.raises(ValueError):
