@@ -1,6 +1,6 @@
 """Globalized lazy adaptive semismooth Newton solver and diagnostics."""
 
-from .baselines import ArmijoConfig, armijo_gd
+from .baselines import armijo_gd
 from .harness import (NotEstimableError, RunConfig, VerifyReport, compare,
                       estimate_order, read_trace, run, verify, write_trace)
 from .linalg import LinOp, MetricB, SolverStallError, sym_part
@@ -14,7 +14,7 @@ from .ssn import (CONVERGED, MAXITER, STALLED, NonFiniteError, SolveResult,
                   trial_lambda, trial_step)
 
 __all__ = [
-    "ArmijoConfig", "armijo_gd",
+    "armijo_gd",
     "NotEstimableError", "RunConfig", "VerifyReport", "compare",
     "estimate_order", "read_trace", "run", "verify", "write_trace",
     "LinOp", "MetricB", "SolverStallError", "sym_part",

@@ -1,49 +1,39 @@
 """Armijo backtracking gradient descent, the comparison baseline.
 
 Smooth problems with the identity metric only (psi must be zero).  Each
-iteration backtracks from t0 until the sufficient-decrease test
+iteration starts from t = 1 (_T0) and halves t (_BACKTRACK) until the
+sufficient-decrease test
 
-    f(x - t g) <= f(x) - c1 * t * ||g||^2
+    f(x - t g) <= f(x) - 1e-4 * t * ||g||^2        (_C1 = 1e-4)
 
-passes; the step size resets to t0 every iteration.  Traces reuse the
-solver's record layout so the same harness tooling applies: j_k holds the
-backtrack count, lambda_k the accepted inverse step size 1/t, Lambda_k is
-fixed at 0.0 (which also marks the trace as a baseline run), and
-hess_evals stays 0.
+passes; after 60 failed tries (_MAX_BACKTRACKS) the run stops as stalled.
+The step size resets to _T0 every iteration.  armijo_gd takes the solver's
+SolverConfig and reads only its stopping rule, grad_tol and max_outer.
+
+Traces reuse the solver's record layout so the same harness tooling
+applies: j_k holds the backtrack count, lambda_k the accepted inverse step
+size 1/t, Lambda_k is fixed at 0.0 (which also marks the trace as a
+baseline run), and hess_evals stays 0.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .oracle import CompositeProblem
-from .ssn import CONVERGED, MAXITER, STALLED, SolveResult, TraceRecord
+from .ssn import CONVERGED, MAXITER, STALLED, SolveResult, SolverConfig, TraceRecord
 
-__all__ = ["ArmijoConfig", "armijo_gd"]
+__all__ = ["armijo_gd"]
 
-
-@dataclass
-class ArmijoConfig:
-    c1: float = 1e-4
-    backtrack: float = 0.5
-    t0: float = 1.0
-    grad_tol: float = 1e-8
-    max_outer: int = 1000
-    max_backtracks: int = 60
-
-    def __post_init__(self):
-        if not 0.0 < self.c1 < 1.0:
-            raise ValueError(f"c1 must lie in (0, 1), got {self.c1}")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError(f"backtrack must lie in (0, 1), got {self.backtrack}")
-        if self.t0 <= 0.0:
-            raise ValueError(f"t0 must be positive, got {self.t0}")
+_C1 = 1e-4
+_BACKTRACK = 0.5
+_T0 = 1.0
+_MAX_BACKTRACKS = 60
 
 
-def armijo_gd(problem: CompositeProblem, config: ArmijoConfig,
+def armijo_gd(problem: CompositeProblem, config: SolverConfig,
               x0: np.ndarray | None = None) -> SolveResult:
     if not problem.psi.is_zero:
         raise ValueError("armijo_gd handles smooth problems only (psi must be zero)")
@@ -70,15 +60,15 @@ def armijo_gd(problem: CompositeProblem, config: ArmijoConfig,
             status = MAXITER
             break
         accepted = None
-        t = config.t0
-        for i in range(config.max_backtracks):
+        t = _T0
+        for i in range(_MAX_BACKTRACKS):
             trials += 1
             x_new = x - t * grad
             f_new = float(problem.smooth.eval_f(x_new))
-            if f_new <= f_val - config.c1 * t * g_norm * g_norm:
+            if f_new <= f_val - _C1 * t * g_norm * g_norm:
                 accepted = (i, t, x_new, f_new)
                 break
-            t *= config.backtrack
+            t *= _BACKTRACK
         if accepted is None:
             status = STALLED
             break

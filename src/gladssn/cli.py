@@ -5,8 +5,14 @@
     gladssn estimate-order TRACE [--tail 6]
     gladssn compare --config runs.json
 
-Exit codes: 0 converged (or check passed), 1 usage/config error, 2 iteration
-budget exhausted, 3 stalled.  GLADSSN_SEED overrides --seed for sweeps.
+run builds one RunConfig: a SolverConfig's fields (p, m, Lambda0, grad_tol,
+max_outer) plus the run's own (problem, solver, seed, out_path, emit,
+problem_kwargs).  Each but problem_kwargs has a flag; --config FILE.json may
+set any of them, and explicit flags override the file.  Nothing is read from
+the environment.
+
+Exit codes: 0 converged (or check passed), 1 usage or config error, or a
+non-finite objective or gradient, 2 iteration budget exhausted, 3 stalled.
 """
 
 from __future__ import annotations
@@ -14,15 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .harness import (ConfigError, NotEstimableError, RunConfig, compare,
                       estimate_order, format_compare_table, run, verify)
-
-_RUN_FLAGS = {
-    "problem": "problem", "solver": "solver", "p": "p", "m": "m",
-    "lambda0": "Lambda0", "tol": "grad_tol", "max_outer": "max_outer",
-    "seed": "seed", "out": "out_path", "emit": "emit",
-}
+from .ssn import NonFiniteError
 
 
 class _UsageError(Exception):
@@ -46,11 +48,14 @@ def _build_parser() -> _Parser:
     run_p.add_argument("--solver", help="gladssn (default) | armijo")
     run_p.add_argument("--p", type=float, help="regularizer exponent in [0, 1]")
     run_p.add_argument("--m", type=int, help="hessian refresh period")
-    run_p.add_argument("--lambda0", type=float, help="initial adaptive coefficient")
-    run_p.add_argument("--tol", type=float, help="dual-norm gradient tolerance")
+    run_p.add_argument("--lambda0", dest="Lambda0", type=float,
+                       help="initial adaptive coefficient")
+    run_p.add_argument("--tol", dest="grad_tol", type=float,
+                       help="dual-norm gradient tolerance")
     run_p.add_argument("--max-outer", dest="max_outer", type=int)
     run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--out", help="trace path (default gladssn-trace.<emit>)")
+    run_p.add_argument("--out", dest="out_path",
+                       help="trace path (default gladssn-trace.<emit>)")
     run_p.add_argument("--emit", choices=["csv", "json"])
     run_p.add_argument("--config", help="JSON file with RunConfig fields; "
                                         "explicit flags override it")
@@ -73,18 +78,18 @@ def _build_parser() -> _Parser:
 
 
 def _run_command(args) -> int:
-    fields: dict = {}
+    values: dict = {}
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config} must hold a single JSON object")
-        fields.update(loaded)
-    for flag, field in _RUN_FLAGS.items():
-        value = getattr(args, flag.replace("-", "_"))
+        values.update(loaded)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)  # problem_kwargs has no flag
         if value is not None:
-            fields[field] = value
-    config = RunConfig.from_dict(fields)
+            values[f.name] = value
+    config = RunConfig.from_dict(values)
     code, result, out_path = run(config)
     print(f"{config.problem}/{config.solver}: {result.status} after {result.iters} "
           f"iterations, g_final={result.g_final:.4e}, trace -> {out_path}")
@@ -107,7 +112,7 @@ def _order_command(args) -> int:
 def _compare_command(args) -> int:
     with open(args.config) as fh:
         loaded = json.load(fh)
-    if not isinstance(loaded, list):
+    if not (isinstance(loaded, list) and all(isinstance(d, dict) for d in loaded)):
         raise ConfigError(f"{args.config} must hold a JSON list of run configs")
     print(format_compare_table(compare([RunConfig.from_dict(d) for d in loaded])))
     return 0
@@ -129,7 +134,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ConfigError, NotEstimableError, OSError, ValueError) as exc:
+    except (ConfigError, NotEstimableError, NonFiniteError, OSError, ValueError) as exc:
         print(f"gladssn: {exc}", file=sys.stderr)
         return 1
 

@@ -31,7 +31,6 @@ envelope uses the largest observed lambda_k as a stand-in for lambda_bar
 from __future__ import annotations
 
 import json
-import os
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -69,7 +68,7 @@ _ABS_SLACK = 1e-12
 
 PROBLEMS = {"nmf": problems.make_nmf, "svm": problems.make_svm,
             "huber": problems.make_huber, "quad": problems.make_quadratic}
-SOLVERS = ("gladssn", "armijo")
+SOLVERS = {"gladssn": ssn.solve, "armijo": baselines.armijo_gd}
 
 
 class ConfigError(ValueError):
@@ -80,26 +79,28 @@ class NotEstimableError(RuntimeError):
     """The trace tail is too short or not decreasing for an order fit."""
 
 
-@dataclass
-class RunConfig:
+@dataclass(kw_only=True)
+class RunConfig(ssn.SolverConfig):
+    """A SolverConfig plus the problem, solver and output of one run."""
+
     problem: str
     solver: str = "gladssn"
-    p: float = 0.5
-    m: int = 1
-    Lambda0: float = 1.0
-    grad_tol: float = 1e-8
-    max_outer: int = 1000
     seed: int = 1
     out_path: str | None = None
     emit: str = "csv"
     problem_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        try:
+            super().__post_init__()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.problem not in PROBLEMS:
             raise ConfigError(f"unknown problem {self.problem!r}; "
                               f"choose from {sorted(PROBLEMS)}")
         if self.solver not in SOLVERS:
-            raise ConfigError(f"unknown solver {self.solver!r}; choose from {SOLVERS}")
+            raise ConfigError(f"unknown solver {self.solver!r}; "
+                              f"choose from {sorted(SOLVERS)}")
         if self.emit not in ("csv", "json"):
             raise ConfigError(f"emit must be 'csv' or 'json', got {self.emit!r}")
 
@@ -113,9 +114,7 @@ class RunConfig:
             raise ConfigError("config needs a 'problem' entry")
         try:
             return cls(**d)
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
+        except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
 
@@ -178,29 +177,13 @@ def _as_records(trace) -> list[TraceRecord]:
 
 # ----------------------------------------------------------------------- run
 
-def _execute(config: RunConfig):
+def _execute(config: RunConfig) -> SolveResult:
     """Build the problem and run the requested solver."""
-    seed = config.seed
-    env_seed = os.environ.get("GLADSSN_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"GLADSSN_SEED must be an integer, got {env_seed!r}")
     try:
-        problem = PROBLEMS[config.problem](seed, **config.problem_kwargs)
+        problem = PROBLEMS[config.problem](config.seed, **config.problem_kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad problem_kwargs for {config.problem}: {exc}") from exc
-    if config.solver == "armijo":
-        result = baselines.armijo_gd(
-            problem, baselines.ArmijoConfig(grad_tol=config.grad_tol,
-                                            max_outer=config.max_outer))
-    else:
-        result = ssn.solve(
-            problem, ssn.SolverConfig(p=config.p, m=config.m, Lambda0=config.Lambda0,
-                                      grad_tol=config.grad_tol,
-                                      max_outer=config.max_outer))
-    return problem, result
+    return SOLVERS[config.solver](problem, config)
 
 
 def run(config: RunConfig):
@@ -209,7 +192,7 @@ def run(config: RunConfig):
     Returns (exit_code, result, out_path); the trace lands at
     config.out_path or gladssn-trace.<emit> in the working directory.
     """
-    _problem, result = _execute(config)
+    result = _execute(config)
     out_path = config.out_path or f"gladssn-trace.{config.emit}"
     write_trace(out_path, result.trace, emit=config.emit)
     return EXIT_CODES[result.status], result, out_path
@@ -443,7 +426,7 @@ def compare(configs: list[RunConfig]) -> list[dict]:
     """Run each config and return one summary per run (see format_compare_table)."""
     summaries = []
     for cfg in configs:
-        _problem, result = _execute(cfg)
+        result = _execute(cfg)
         if cfg.out_path:
             write_trace(cfg.out_path, result.trace, emit=cfg.emit)
         wall_ns = result.trace[-1].wall_ns if result.trace else 0

@@ -17,6 +17,8 @@ accepted when
 
 both hold, after which Lambda_{k+1} = 4^{j_k} Lambda_k / 4.  Rejected
 trials quadruple lambda; a failed inner solve counts as a rejected trial.
+An outer iteration whose 60 trials (_MAX_TRIALS) are all rejected ends the
+run as stalled.
 
 Near the optimum the decrease F(x_k) - F(x_+) falls under the rounding
 error of evaluating F, and its difference of two rounded values would
@@ -66,6 +68,10 @@ CONVERGED = "converged"
 MAXITER = "maxiter"
 STALLED = "stalled"
 
+# Inner trials per outer iteration; the last trial's regularizer is 4^59
+# times the first.
+_MAX_TRIALS = 60
+
 # Inner prox-gradient budget for models with a nonzero psi.
 _PROX_MAX_SWEEPS = 500
 
@@ -105,22 +111,21 @@ class SolverConfig:
     Lambda0: float = 1.0
     grad_tol: float = 1e-8
     max_outer: int = 1000
-    max_inner: int = 60
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if int(self.m) != self.m or self.m < 1:
+        if not float(self.m).is_integer() or self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m}")
         self.m = int(self.m)
         if not (self.Lambda0 > 0.0 and np.isfinite(self.Lambda0)):
             raise ValueError(f"Lambda0 must be positive, got {self.Lambda0}")
-        if self.grad_tol < 0.0:
+        if not self.grad_tol >= 0.0:
             raise ValueError(f"grad_tol must be nonnegative, got {self.grad_tol}")
-        if self.max_outer < 0:
-            raise ValueError(f"max_outer must be nonnegative, got {self.max_outer}")
-        if self.max_inner < 1:
-            raise ValueError(f"max_inner must be at least 1, got {self.max_inner}")
+        if not float(self.max_outer).is_integer() or self.max_outer < 0:
+            raise ValueError(
+                f"max_outer must be a nonnegative integer, got {self.max_outer}")
+        self.max_outer = int(self.max_outer)
 
 
 @dataclass
@@ -334,7 +339,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             hess_evals += 1
 
         accepted = None
-        for j in range(config.max_inner):
+        for j in range(_MAX_TRIALS):
             lam = trial_lambda(Lambda_k, g, config.p, j)
             trials += 1
             try:

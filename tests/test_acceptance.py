@@ -19,7 +19,7 @@ import pytest
 
 from gladssn import (SolverConfig, make_huber, make_nmf, make_quadratic,
                      make_svm, solve)
-from gladssn.baselines import ArmijoConfig, armijo_gd
+from gladssn.baselines import armijo_gd
 from gladssn.harness import estimate_order, verify
 from gladssn.linalg import opnorm_est
 from gladssn.oracle import check_gradient_fd, check_hvp_fd
@@ -412,7 +412,7 @@ def test_criterion_10_baseline_gap(capsys):
     parts = []
     for name, prob, cap in cases:
         rs = solve(prob, SolverConfig(p=0.5, m=1, grad_tol=1e-6, max_outer=600))
-        ra = armijo_gd(prob, ArmijoConfig(grad_tol=1e-6, max_outer=cap))
+        ra = armijo_gd(prob, SolverConfig(grad_tol=1e-6, max_outer=cap))
         ratio = ra.iters / max(rs.iters, 1)
         capped = " (baseline capped, ratio is a lower bound)" \
             if ra.status == "maxiter" else ""

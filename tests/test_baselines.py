@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from gladssn.baselines import ArmijoConfig, armijo_gd
+from gladssn.baselines import armijo_gd
 from gladssn.linalg import LinOp, MetricB
 from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPart
 from gladssn.problems import make_huber, make_quadratic
-from gladssn.ssn import CONVERGED, MAXITER
+from gladssn.ssn import CONVERGED, MAXITER, SolverConfig
 
 
 def test_one_step_on_identity_quadratic():
@@ -15,7 +15,7 @@ def test_one_step_on_identity_quadratic():
                             eval_grad=lambda x: x.copy(),
                             eval_hess=lambda x: LinOp.from_dense(np.eye(3))),
         psi=ZeroPart(), x0=np.array([1.0, -2.0, 3.0]))
-    res = armijo_gd(prob, ArmijoConfig(grad_tol=1e-12))
+    res = armijo_gd(prob, SolverConfig(grad_tol=1e-12))
     assert res.status == CONVERGED
     assert res.iters == 1
     np.testing.assert_array_equal(res.x, np.zeros(3))
@@ -32,7 +32,7 @@ def test_backtracks_on_stiff_curvature():
                             eval_grad=lambda x: 100.0 * x,
                             eval_hess=lambda x: LinOp.from_dense(100.0 * np.eye(1))),
         psi=ZeroPart(), x0=np.ones(1))
-    res = armijo_gd(prob, ArmijoConfig(grad_tol=1e-8, max_outer=2000))
+    res = armijo_gd(prob, SolverConfig(grad_tol=1e-8, max_outer=2000))
     assert res.status == CONVERGED
     assert res.trace[0].j_k >= 1
     assert res.trace[0].lambda_k == 2.0 ** res.trace[0].j_k  # 1/t after halvings
@@ -40,7 +40,7 @@ def test_backtracks_on_stiff_curvature():
 
 def test_converges_on_huber():
     p = make_huber(1, m=60, n=8)
-    res = armijo_gd(p, ArmijoConfig(grad_tol=1e-6, max_outer=5000))
+    res = armijo_gd(p, SolverConfig(grad_tol=1e-6, max_outer=5000))
     assert res.status == CONVERGED
     assert res.g_final <= 1e-6
     f_vals = [row.f_val for row in res.trace] + [res.f_final]
@@ -49,7 +49,7 @@ def test_converges_on_huber():
 
 def test_sufficient_decrease_recomputable_from_trace():
     p = make_quadratic(2, n=10, cond=100.0)
-    res = armijo_gd(p, ArmijoConfig(grad_tol=1e-6, max_outer=5000))
+    res = armijo_gd(p, SolverConfig(grad_tol=1e-6, max_outer=5000))
     assert res.status == CONVERGED
     f_vals = [row.f_val for row in res.trace] + [res.f_final]
     for i, row in enumerate(res.trace):
@@ -60,7 +60,7 @@ def test_sufficient_decrease_recomputable_from_trace():
 
 def test_maxiter_status():
     p = make_quadratic(1, cond=1e4)
-    res = armijo_gd(p, ArmijoConfig(grad_tol=1e-10, max_outer=5))
+    res = armijo_gd(p, SolverConfig(grad_tol=1e-10, max_outer=5))
     assert res.status == MAXITER
     assert res.iters == 5
     assert len(res.trace) == 5
@@ -72,15 +72,9 @@ def test_rejects_composite_and_metric_problems():
                           eval_grad=lambda x: np.zeros(2),
                           eval_hess=lambda x: LinOp.from_dense(np.eye(2)))
     with pytest.raises(ValueError):
-        armijo_gd(CompositeProblem(smooth=smooth, psi=psi), ArmijoConfig())
+        armijo_gd(CompositeProblem(smooth=smooth, psi=psi), SolverConfig())
     with pytest.raises(ValueError):
         armijo_gd(CompositeProblem(smooth=smooth, psi=ZeroPart(),
                                    metric=MetricB(2.0 * np.eye(2))),
-                  ArmijoConfig())
+                  SolverConfig())
 
-
-def test_config_validation():
-    for kw in ({"c1": 0.0}, {"c1": 1.0}, {"backtrack": 0.0},
-               {"backtrack": 1.0}, {"t0": 0.0}):
-        with pytest.raises(ValueError):
-            ArmijoConfig(**kw)

@@ -1,10 +1,13 @@
+import argparse
+import dataclasses
 import json
 
-from gladssn.cli import main
-from gladssn.harness import read_trace
+import pytest
+
+from gladssn.cli import _build_parser, main
+from gladssn.harness import RunConfig, read_trace, write_trace
 
 from helpers import synthetic_trace
-from gladssn.harness import write_trace
 
 
 def test_run_quad(tmp_path, capsys):
@@ -34,7 +37,11 @@ def test_bad_flag_value_is_exit_1(tmp_path, capsys):
     # problems to a plain return of 1
     assert main(["run", "--problem", "quad", "--emit", "xml"]) == 1
     assert main(["run", "--problem", "nosuch"]) == 1
-    capsys.readouterr()
+    # a NaN tolerance is a config error, not a run that stalls at the floor
+    assert main(["run", "--problem", "quad", "--tol", "nan",
+                 "--out", str(tmp_path / "t.csv")]) == 1
+    assert "grad_tol" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_run_maxiter_exit_code(tmp_path):
@@ -58,6 +65,25 @@ def test_run_with_config_file_and_override(tmp_path):
     a = read_trace(tmp_path / "a.csv")
     b = read_trace(tmp_path / "b.csv")
     assert [r.g_k for r in a] != [r.g_k for r in b]  # different seed
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_run_non_finite_problem_is_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "nmf", "out_path": str(tmp_path / "t.csv"),
+                               "problem_kwargs": {"d": 4, "n": 3, "r": 2,
+                                                  "sigma": 1e308}}))
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("gladssn: ")
+
+
+def test_run_flags_cover_run_config_fields():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices["run"]._actions} - {"config", "help"}
+    assert dests == {f.name for f in dataclasses.fields(RunConfig)} - {"problem_kwargs"}
 
 
 def test_run_rejects_unknown_config_key(tmp_path, capsys):
@@ -115,3 +141,10 @@ def test_compare_command(tmp_path, capsys):
     # a bare dict instead of a list is a config error
     cfg.write_text(json.dumps(base))
     assert main(["compare", "--config", str(cfg)]) == 1
+
+
+def test_compare_rejects_non_object_entry(tmp_path, capsys):
+    cfg = tmp_path / "cmp.json"
+    cfg.write_text(json.dumps([{"problem": "quad"}, 1]))
+    assert main(["compare", "--config", str(cfg)]) == 1
+    assert "gladssn:" in capsys.readouterr().err

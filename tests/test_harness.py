@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gladssn.baselines import ArmijoConfig, armijo_gd
+from gladssn.baselines import armijo_gd
 from gladssn.harness import (ConfigError, NotEstimableError, RunConfig,
                              compare, estimate_order, read_trace, run, verify,
                              write_trace)
@@ -113,7 +113,7 @@ def test_verify_empty_trace():
 
 def test_verify_skips_baseline_traces():
     res = armijo_gd(make_quadratic(1, n=10, cond=100.0),
-                    ArmijoConfig(grad_tol=1e-6, max_outer=2000))
+                    SolverConfig(grad_tol=1e-6, max_outer=2000))
     report = verify(res.trace)
     assert report.passed
     assert report.checks == {}
@@ -255,21 +255,6 @@ def test_run_armijo_solver(tmp_path):
     assert code == 0
     assert result.hess_evals == 0
     assert verify(path).passed  # baseline: checks skipped, still a clean report
-
-
-def test_run_seed_env_override(tmp_path, monkeypatch):
-    cfg = dict(problem="huber", grad_tol=1e-8,
-               problem_kwargs={"m": 40, "n": 6})
-    _, r1, _ = run(RunConfig(out_path=str(tmp_path / "a.csv"), seed=1, **cfg))
-    monkeypatch.setenv("GLADSSN_SEED", "2")
-    _, r2, _ = run(RunConfig(out_path=str(tmp_path / "b.csv"), seed=1, **cfg))
-    _, r3, _ = run(RunConfig(out_path=str(tmp_path / "c.csv"), seed=2, **cfg))
-    monkeypatch.delenv("GLADSSN_SEED")
-    assert np.any(r2.x != r1.x)
-    np.testing.assert_array_equal(r2.x, r3.x)
-    monkeypatch.setenv("GLADSSN_SEED", "not-an-int")
-    with pytest.raises(ConfigError):
-        run(RunConfig(out_path=str(tmp_path / "d.csv"), **cfg))
 
 
 def test_run_config_validation():

@@ -6,7 +6,8 @@ import pytest
 from gladssn.linalg import LinOp, MetricB
 from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPart
 from gladssn.problems import make_huber, make_nmf, make_quadratic, make_svm
-from gladssn.harness import verify
+from gladssn import ssn
+from gladssn.harness import ConfigError, RunConfig, verify
 from gladssn.ssn import (CONVERGED, MAXITER, STALLED, NonFiniteError,
                          SolverConfig, acceptance_test, solve, trial_lambda,
                          trial_step)
@@ -220,21 +221,28 @@ def test_failed_inner_solve_counts_as_rejected_trial():
 
 
 def test_stall_when_inner_budget_exhausted():
-    # a wrong-curvature oracle sends the j = 0 step uphill; with
-    # max_inner = 1 there is no second chance
+    # f is constant, so no trial shows the decrease lambda r^2 / 4 > 0 and
+    # the solver stops after its fixed budget of trials
+    flat = CompositeProblem(
+        smooth=SmoothOracle(dim=2, eval_f=lambda x: 1.0,
+                            eval_grad=lambda x: x.copy(),
+                            eval_hess=lambda x: LinOp.from_dense(np.eye(2))),
+        psi=ZeroPart(), x0=np.array([1.0, 0.0]))
+    res = solve(flat, SolverConfig(p=0.0, m=1, Lambda0=1.0))
+    assert res.status == STALLED
+    assert res.iters == 0 and res.trace == []
+    assert res.trials == ssn._MAX_TRIALS
+    # a wrong-curvature oracle sends the j = 0 step uphill; a later trial
+    # recovers
     prob = CompositeProblem(
         smooth=SmoothOracle(dim=2,
                             eval_f=lambda x: 0.5 * float(x @ x),
                             eval_grad=lambda x: x.copy(),
                             eval_hess=lambda x: LinOp.from_dense(-10.0 * np.eye(2))),
         psi=ZeroPart(), x0=np.array([1.0, 0.0]))
-    res = solve(prob, SolverConfig(p=0.0, m=1, Lambda0=1.0, max_inner=1))
-    assert res.status == STALLED
-    assert res.iters == 0 and res.trace == []
-    assert res.trials == 1
-    # with the full inner budget the same oracle recovers
     res2 = solve(prob, SolverConfig(p=0.0, m=1, Lambda0=1.0, grad_tol=1e-8))
     assert res2.status == CONVERGED
+    assert res2.trace[0].j_k >= 1
 
 
 def counting_diff(smooth):
@@ -348,9 +356,14 @@ def test_symmetrize_cleans_skew_part():
 def test_config_validation():
     for kw in ({"p": -0.1}, {"p": 1.5}, {"m": 0}, {"m": 1.5},
                {"Lambda0": 0.0}, {"Lambda0": float("inf")},
-               {"grad_tol": -1.0}, {"max_outer": -1}, {"max_inner": 0}):
+               {"grad_tol": -1.0}, {"grad_tol": float("nan")},
+               {"max_outer": -1}, {"max_outer": 2.5},
+               {"max_outer": float("inf")}):
         with pytest.raises(ValueError):
             SolverConfig(**kw)
+        # a run config validates its solver fields the same way
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({"problem": "quad", **kw})
 
 
 def test_bad_start_shapes():
