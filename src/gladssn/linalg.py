@@ -127,13 +127,16 @@ class LinOp:
 
     A dense operator made with reuse=True expects many regularized solves
     (several lam, several right-hand sides): its first solve computes an
-    eigendecomposition that every later solve reuses.
+    eigendecomposition that every later solve reuses.  A matvec operator may
+    carry a preconditioner factory precond(lam) -> callable; the callable
+    must be symmetric positive definite and approximate (H + lam B)^{-1}.
     """
 
     def __init__(self, dense: np.ndarray | None = None, matvec=None, dim: int | None = None,
-                 reuse: bool = False):
+                 reuse: bool = False, precond=None):
         self._opnorm: float | None = None
         self.reuse = reuse
+        self.precond = precond
         self._eig: tuple | None = None  # (metric matrix, eigenvalues, eigenvectors)
         if (dense is None) == (matvec is None):
             raise ValueError("pass exactly one of dense= or matvec=")
@@ -156,8 +159,8 @@ class LinOp:
         return cls(dense=a, reuse=reuse)
 
     @classmethod
-    def from_matvec(cls, fn, dim: int) -> "LinOp":
-        return cls(matvec=fn, dim=dim)
+    def from_matvec(cls, fn, dim: int, precond=None) -> "LinOp":
+        return cls(matvec=fn, dim=dim, precond=precond)
 
     @property
     def is_dense(self) -> bool:
@@ -167,19 +170,6 @@ class LinOp:
         if self.dense is not None:
             return self.dense @ v
         return np.asarray(self.matvec(v), dtype=np.float64)
-
-    def to_dense(self) -> np.ndarray:
-        """Materialize the operator (applies the matvec to basis vectors)."""
-        if self.dense is not None:
-            return self.dense
-        n = self.dim
-        out = np.empty((n, n))
-        e = np.zeros(n)
-        for i in range(n):
-            e[i] = 1.0
-            out[:, i] = self.apply(e)
-            e[i] = 0.0
-        return out
 
     def opnorm(self) -> float:
         """Power-iteration estimate of the operator norm; cached per handle."""
@@ -198,7 +188,9 @@ class LinOp:
         scale-relative pivot test.  Both direct paths take up to three
         steps of iterative refinement.  Matrix-free operators, and dense
         ones whose direct solve misses the target, go to MINRES capped at
-        10 n iterations.  The accepted residual is
+        10 n iterations, preconditioned by the operator's precond(lam) when
+        it has one (an SPD preconditioner keeps MINRES valid for an
+        indefinite H + lam B).  The accepted residual is
         max(1e-10, 1e-12 * ||rhs||); a solve that cannot reach it raises
         SolverStallError.
         """
@@ -316,24 +308,29 @@ def _minres_solve(h: LinOp, metric: MetricB, lam: float, rhs: np.ndarray,
             return h.apply(v) + lam * (bmat @ v)
 
     op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    precond = None
+    if h.precond is not None:
+        precond = scipy.sparse.linalg.LinearOperator((n, n), matvec=h.precond(lam),
+                                                     dtype=np.float64)
     rhs_norm = float(np.linalg.norm(rhs))
     rtol = max(0.1 * target / rhs_norm, 1e-16)
     s = np.zeros(n)
+    r = rhs - matvec(s)
+    res = float(np.linalg.norm(r))
     best = rhs_norm
     for _ in range(3):
-        r = rhs - matvec(s)
-        res = float(np.linalg.norm(r))
         if res <= target:
             return s
-        d, _info = scipy.sparse.linalg.minres(op, r, rtol=rtol, maxiter=10 * n)
+        d, _info = scipy.sparse.linalg.minres(op, r, rtol=rtol, maxiter=10 * n, M=precond)
         s = s + d
-        best = min(best, float(np.linalg.norm(rhs - matvec(s))))
-    res = float(np.linalg.norm(rhs - matvec(s)))
+        r = rhs - matvec(s)
+        res = float(np.linalg.norm(r))
+        best = min(best, res)
     if res <= target:
         return s
     raise SolverStallError(
-        f"regularized solve stalled at residual {min(res, best):.3e} (target {target:.3e})",
-        best_residual=min(res, best),
+        f"regularized solve stalled at residual {best:.3e} (target {target:.3e})",
+        best_residual=best,
     )
 
 

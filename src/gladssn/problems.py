@@ -6,8 +6,8 @@ generator) and wraps it as a CompositeProblem.  Instances round-trip
 through a plain-text container via save_instance / load_instance, and
 problem_from_instance rebuilds the oracles, so runs replay across machines.
 
-Hessians come back dense up to DENSE_DIM_MAX variables and as matvec
-handles above that.
+Hessians come back dense, except NMF's above DENSE_DIM_MAX variables,
+which is a matvec handle with a block-Jacobi preconditioner.
 """
 
 from __future__ import annotations
@@ -174,14 +174,37 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
             dense[np.arange(dim), np.arange(dim)] += diag
             return LinOp.from_dense(dense)
 
+        # Gram form: the Gauss-Newton part (dU V^T + U dV^T) V, and its
+        # transpose with U, is regrouped around V^T V and U^T U, so one
+        # product with H costs two d x n products (the R terms), not six.
+        gram_u = u.T @ u
+        gram_v = v.T @ v
+        shift_u = 2.0 * alpha + mask_u / beta
+        shift_v = 2.0 * alpha + mask_v / beta
+
         def hvp(p):
             pu, pv = unpack(p)
-            dresid = pu @ v.T + u @ pv.T
-            hu = dresid @ v + resid @ pv + 2.0 * alpha * pu + mask_u * pu / beta
-            hv = dresid.T @ u + resid.T @ pu + 2.0 * alpha * pv + mask_v * pv / beta
+            hu = pu @ gram_v + u @ (pv.T @ v) + resid @ pv + shift_u * pu
+            hv = pv @ gram_u + v @ (pu.T @ u) + resid.T @ pu + shift_v * pv
             return np.concatenate([hu.ravel(), hv.ravel()])
 
-        return LinOp.from_matvec(hvp, dim)
+        def precond(lam):
+            # Block Jacobi: the inverse of the diagonal r x r blocks of
+            # H + lam I, V^T V + diag(shift_u[i] + lam) for row i of U and
+            # U^T U + diag(shift_v[j] + lam) for row j of V.  All d + n are
+            # SPD and inverted in one batched call.
+            blocks = np.empty((d + n, r, r))
+            blocks[:d] = gram_v
+            blocks[d:] = gram_u
+            diag = np.arange(r)
+            blocks[:d, diag, diag] += shift_u + lam
+            blocks[d:, diag, diag] += shift_v + lam
+            inv = np.linalg.inv(blocks)
+            np.add(inv, inv.transpose(0, 2, 1), out=blocks)  # exactly symmetric
+            blocks *= 0.5
+            return lambda q: np.matmul(blocks, q.reshape(d + n, r, 1)).ravel()
+
+        return LinOp.from_matvec(hvp, dim, precond=precond)
 
     return CompositeProblem(
         smooth=SmoothOracle(dim=dim, eval_f=eval_f, eval_grad=eval_grad,
@@ -247,8 +270,6 @@ def _svm_problem(inst: SvmInstance) -> CompositeProblem:
         z_act = z_all[active]
         dense = 2.0 * gamma * (z_act.T @ z_act)
         dense[np.arange(n), np.arange(n)] += 1.0
-        if dim > DENSE_DIM_MAX:
-            return LinOp.from_matvec(lambda v: dense @ v, dim)
         return LinOp.from_dense(dense)
 
     ztz_top = float(np.linalg.eigvalsh(z_all.T @ z_all)[-1])
@@ -301,8 +322,6 @@ def _huber_problem(inst: HuberInstance) -> CompositeProblem:
         a_act = a_mat[quad]
         dense = a_act.T @ a_act
         dense[np.arange(n), np.arange(n)] += ridge
-        if n > DENSE_DIM_MAX:
-            return LinOp.from_matvec(lambda v: dense @ v, n)
         return LinOp.from_dense(dense)
 
     lip = 2.0 * (float(np.linalg.eigvalsh(a_mat.T @ a_mat)[-1]) + ridge)

@@ -35,7 +35,8 @@ When a refresh can expect many solves, that is when k >= 1, m >= 2 and
 m * (trials so far / k) >= 6 (_EIGH_MIN_SOLVES), the refreshed H is instead
 decomposed once, on its first solve (eigh(H), or eigh(H, B) for a general
 metric), and every later trial and lazy iteration solves in that eigenbasis
-in O(n^2) for any lambda (see LinOp.solve).  A matrix-free H goes to MINRES.
+in O(n^2) for any lambda (see LinOp.solve).  A matrix-free H goes to MINRES,
+preconditioned by the operator's own SPD preconditioner when it has one.
 """
 
 from __future__ import annotations

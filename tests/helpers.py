@@ -29,6 +29,11 @@ def synthetic_trace(gs, lam=1.0):
     return rows
 
 
+def columns(op):
+    """Materialize a LinOp by applying it to the basis vectors."""
+    return np.column_stack([op.apply(e) for e in np.eye(op.dim)])
+
+
 def kink_free_points(problem, seed, count, scale=0.3, min_gap=1e-5):
     """Sample `count` points around x0 where the nonsmooth seams are far away.
 

@@ -372,7 +372,7 @@ def test_criterion_08_oracle_correctness(capsys):
             + np.einsum('ib,ja->iajb', u_mat, v_mat).reshape(d * r, n * r))
     h_oracle = np.block([[a_uu, c_uv], [c_uv.T, d_vv]])
     h_op = prob.smooth.eval_hess(x)
-    dense_err = float(np.max(np.abs(h_op.to_dense() - h_oracle)))
+    dense_err = float(np.max(np.abs(h_op.dense - h_oracle)))
     mv_err = max(float(np.max(np.abs(h_op.apply(v) - h_oracle @ v)))
                  for v in rng.standard_normal((20, prob.dim)))
     if dense_err > 1e-10:

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from gladssn import problems
+from gladssn.linalg import LinOp, MetricB, solve_regularized
 from gladssn.problems import (DENSE_DIM_MAX, HuberInstance, NmfInstance,
                               load_instance, make_huber, make_nmf,
                               make_quadratic, make_svm, penalty_violation,
                               problem_from_instance, save_instance)
+
+from helpers import columns
 
 
 def test_same_seed_is_bitwise_identical():
@@ -43,7 +47,7 @@ def test_nmf_hand_values():
     # f = 8 + 0.01*(1+4) + 50*1
     assert p.smooth.eval_f(x) == pytest.approx(58.05, rel=1e-14)
     np.testing.assert_allclose(p.smooth.eval_grad(x), [-108.02, 4.04], rtol=1e-14)
-    h = p.smooth.eval_hess(x).to_dense()
+    h = p.smooth.eval_hess(x).dense
     # d2f/du2 = v^2 + 2a + 1/b, d2f/dudv = 2uv - Y, d2f/dv2 = u^2 + 2a
     np.testing.assert_allclose(h, [[104.02, -6.0], [-6.0, 1.02]], rtol=1e-13)
     assert penalty_violation(x, inst) == pytest.approx(50.0, rel=1e-15)
@@ -86,7 +90,7 @@ def test_nmf_dense_threshold_and_hvp_consistency(monkeypatch):
     rng = np.random.default_rng(0)
     for _ in range(5):
         vv = rng.standard_normal(small.dim)
-        np.testing.assert_allclose(h.to_dense() @ vv, h.apply(vv), rtol=1e-12)
+        np.testing.assert_allclose(h.dense @ vv, h.apply(vv), rtol=1e-12)
     # the closed-form dense Hessian equals the column assembly of the hvp,
     # at a point with negative entries in both U and V (both masks active)
     inst = small.instance
@@ -97,8 +101,64 @@ def test_nmf_dense_threshold_and_hvp_consistency(monkeypatch):
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     by_hvp = small.smooth.eval_hess(x)  # LinOp.from_matvec(hvp, dim)
     assert not by_hvp.is_dense
-    by_columns = by_hvp.to_dense()
+    by_columns = columns(by_hvp)
     assert np.max(np.abs(dense - by_columns)) <= 1e-13 * np.max(np.abs(by_columns))
+
+
+def test_nmf_preconditioner_inverts_gauss_newton_blocks(monkeypatch):
+    p = make_nmf(2, d=6, n=5, r=3)
+    inst = p.instance
+    d, n, r = inst.d, inst.n, inst.r
+    x = p.x0 + 0.1 * np.random.default_rng(1).standard_normal(p.dim)
+    x[:d * r:3] = -0.3  # negative entries in U and in V: both masks active
+    x[d * r::4] = -0.2
+    u = x[:d * r].reshape(d, r)
+    v = x[d * r:].reshape(n, r)
+    monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
+    h = p.smooth.eval_hess(x)
+    assert not h.is_dense and h.precond is not None
+    shift = 2.0 * inst.alpha + np.concatenate([(u < 0).ravel(), (v < 0).ravel()]) / inst.beta
+    gauss_newton = np.zeros((p.dim, p.dim))
+    gauss_newton[:d * r, :d * r] = np.kron(np.eye(d), v.T @ v)
+    gauss_newton[d * r:, d * r:] = np.kron(np.eye(n), u.T @ u)
+    gauss_newton += np.diag(shift)
+    for lam in (1e-3, 0.7, 30.0):
+        m = columns(LinOp.from_matvec(h.precond(lam), p.dim))
+        np.testing.assert_array_equal(m, m.T)
+        assert np.min(np.linalg.eigvalsh(m)) > 0.0
+        err = m @ (gauss_newton + lam * np.eye(p.dim)) - np.eye(p.dim)
+        assert np.max(np.abs(err)) <= 1e-12
+
+
+def test_nmf_preconditioner_cuts_minres_iterations(monkeypatch):
+    p = make_nmf(1)
+    h = p.smooth.eval_hess(p.x0)
+    assert h.precond is not None
+    plain = LinOp.from_matvec(h.matvec, h.dim)
+    rhs = -p.smooth.eval_grad(p.x0)
+    iters = {}
+    minres = scipy.sparse.linalg.minres
+
+    def count(xk):
+        iters[label] += 1
+
+    def counted(*args, **kwargs):
+        return minres(*args, callback=count, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "minres", counted)
+    lam = 1.0
+    for label, op in (("plain", plain), ("preconditioned", h)):
+        iters[label] = 0
+        s = solve_regularized(op, MetricB(), lam, rhs)
+        res = np.linalg.norm(h.apply(s) + lam * s - rhs)
+        assert res <= max(1e-10, 1e-12 * np.linalg.norm(rhs))
+    assert 0 < iters["preconditioned"] < iters["plain"]
+
+
+def test_svm_and_huber_hessians_stay_dense(monkeypatch):
+    monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
+    for p in (make_svm(1, n=8, ell=30), make_huber(1, m=12, n=5)):
+        assert p.smooth.eval_hess(p.x0).is_dense
 
 
 def test_nmf_eval_f_diff_large_step_matches_value_difference():
@@ -124,7 +184,7 @@ def test_nmf_eval_f_diff_resolves_decrease_below_rounding():
     x = p.x0.copy()
     assert p.kink_gap(x) > 1e-3
     g = p.smooth.eval_grad(x)
-    h = p.smooth.eval_hess(x).to_dense()
+    h = p.smooth.eval_hess(x).dense
     w = np.random.default_rng(3).standard_normal(x.size)
     w -= (w @ g) / (g @ g) * g
     x_plus = x + 1e-10 * w / np.linalg.norm(w)
@@ -192,8 +252,8 @@ def test_huber_hand_values():
     # r = 0.3 <= delta: quadratic branch
     assert p.smooth.eval_f(np.array([0.8])) == pytest.approx(0.045, rel=1e-14)
     np.testing.assert_allclose(p.smooth.eval_grad(np.array([0.8])), [0.3])
-    np.testing.assert_allclose(p.smooth.eval_hess(np.array([0.8])).to_dense(), [[1.0]])
-    np.testing.assert_allclose(p.smooth.eval_hess(np.array([2.0])).to_dense(), [[0.0]])
+    np.testing.assert_allclose(p.smooth.eval_hess(np.array([0.8])).dense, [[1.0]])
+    np.testing.assert_allclose(p.smooth.eval_hess(np.array([2.0])).dense, [[0.0]])
     # residual hits |r| = delta at x = 1.5
     assert p.kink_gap(np.array([1.5])) == pytest.approx(0.0, abs=1e-15)
     assert p.kink_gap(np.array([0.8])) == pytest.approx(0.7, rel=1e-14)
@@ -206,7 +266,7 @@ def test_huber_default_instance():
     top = float(np.linalg.eigvalsh(p.instance.A.T @ p.instance.A)[-1])
     assert p.smooth.lipschitz_L == pytest.approx(2.0 * (top + 0.01), rel=1e-12)
     # ridge shows up in the Hessian diagonal
-    h = p.smooth.eval_hess(p.x0).to_dense()
+    h = p.smooth.eval_hess(p.x0).dense
     np.testing.assert_array_equal(h, h.T)
     assert np.all(np.linalg.eigvalsh(h) >= 0.01 - 1e-9)
 
