@@ -306,16 +306,32 @@ def _huber_problem(inst: HuberInstance) -> CompositeProblem:
     a_mat, b_vec, delta, ridge = inst.A, inst.b, inst.delta, inst.ridge
     m, n = a_mat.shape
 
-    def eval_f(x):
-        r = a_mat @ x - b_vec
+    def huber(r):
         absr = np.abs(r)
-        quad = absr <= delta
-        vals = np.where(quad, 0.5 * r * r, delta * (absr - 0.5 * delta))
-        return float(np.sum(vals)) + 0.5 * ridge * float(x @ x)
+        return np.where(absr <= delta, 0.5 * r * r, delta * (absr - 0.5 * delta))
+
+    def eval_f(x):
+        return float(np.sum(huber(a_mat @ x - b_vec))) + 0.5 * ridge * float(x @ x)
 
     def eval_grad(x):
         r = a_mat @ x - b_vec
         return a_mat.T @ np.clip(r, -delta, delta) + ridge * x
+
+    def eval_f_diff(x, s):
+        # f(x) - f(x + s) from the step, with d = A s the change of the
+        # residual r: a row that stays quadratic drops by -d (r + d/2), one
+        # that stays linear on the same side by -delta sign(r) d, and one
+        # that crosses a kink by the plain difference of its two values.
+        r = a_mat @ x - b_vec
+        d = a_mat @ s
+        r_plus = r + d
+        quad = (np.abs(r) <= delta) & (np.abs(r_plus) <= delta)
+        linear = (np.minimum(r, r_plus) > delta) | (np.maximum(r, r_plus) < -delta)
+        cross = ~(quad | linear)
+        drop = (-float(d[quad] @ (r[quad] + 0.5 * d[quad]))
+                - delta * float(np.sign(r[linear]) @ d[linear])
+                + float(np.sum(huber(r[cross]) - huber(r_plus[cross]))))
+        return drop - ridge * float(s @ (x + 0.5 * s))
 
     def eval_hess(x):
         quad = np.abs(a_mat @ x - b_vec) <= delta
@@ -327,7 +343,8 @@ def _huber_problem(inst: HuberInstance) -> CompositeProblem:
     lip = 2.0 * (float(np.linalg.eigvalsh(a_mat.T @ a_mat)[-1]) + ridge)
     return CompositeProblem(
         smooth=SmoothOracle(dim=n, eval_f=eval_f, eval_grad=eval_grad,
-                            eval_hess=eval_hess, lipschitz_L=lip),
+                            eval_hess=eval_hess, lipschitz_L=lip,
+                            eval_f_diff=eval_f_diff),
         psi=ZeroPart(), name="huber",
         kink_gap=lambda x: float(np.min(np.abs(np.abs(a_mat @ x - b_vec) - delta))),
         x0=inst.x0.copy(), instance=inst)
@@ -373,7 +390,8 @@ def _quad_problem(inst: QuadInstance) -> CompositeProblem:
             dim=n, eval_f=eval_f,
             eval_grad=lambda x: a_mat @ x - b_vec,
             eval_hess=lambda x: LinOp.from_dense(a_mat),
-            lipschitz_L=2.0 * float(np.linalg.eigvalsh(a_mat)[-1])),
+            lipschitz_L=2.0 * float(np.linalg.eigvalsh(a_mat)[-1]),
+            eval_f_diff=lambda x, s: -float(s @ (a_mat @ x - b_vec + 0.5 * (a_mat @ s)))),
         psi=ZeroPart(), name="quad",
         known_fstar=-0.5 * float(b_vec @ xstar), known_xstar=xstar,
         kink_gap=lambda x: np.inf,

@@ -20,6 +20,11 @@ trials quadruple lambda; a failed inner solve counts as a rejected trial.
 An outer iteration whose 60 trials (_MAX_TRIALS) are all rejected ends the
 run as stalled.
 
+With psi nonzero the model is solved by FISTA with gradient restart (see
+_prox_model_solve).  Across the trials of one iteration the model changes
+only in lambda, so trial j + 1 starts from the step of the last trial that
+solved its model; the first trial of each iteration starts from x_k.
+
 Near the optimum the decrease F(x_k) - F(x_+) falls under the rounding
 error of evaluating F, and its difference of two rounded values would
 decide the second test on noise.  When psi is zero, the oracle supplies
@@ -215,26 +220,41 @@ def _certified_decrease(problem: CompositeProblem, x: np.ndarray, x_plus: np.nda
 
 
 def _prox_model_solve(h: LinOp, metric: MetricB, lam: float, x: np.ndarray,
-                      f_grad: np.ndarray, psi) -> np.ndarray:
-    """Minimize the regularized model with nonzero psi by proximal gradient.
+                      f_grad: np.ndarray, psi, s0: np.ndarray | None = None) -> np.ndarray:
+    """Minimize the regularized model with nonzero psi by FISTA with restart.
 
-    Runs until the prox-gradient mapping norm drops below
-    min(1e-10, 1e-4 * lam * ||x_+ - x_k||); exhausting the sweep budget
-    raises SolverStallError, which the outer loop treats as a failed trial.
+    Accelerated proximal gradient (Beck & Teboulle 2009) with step
+    1 / (1.05 (||H|| + lam ||B||)), started from x + s0 (x when s0 is None).
+    The momentum restarts, theta = 1 and the extrapolated point z = y_new,
+    whenever the step y_new - y points against the prox-gradient mapping at
+    z (O'Donoghue & Candes 2015).  Runs until that mapping norm drops below
+    min(1e-10, 1e-4 * lam * ||x_+ - x_k||) and returns the prox point x_+;
+    exhausting the sweep budget raises SolverStallError, which the outer
+    loop treats as a failed trial.
     """
     lip = h.opnorm() + lam * metric.opnorm()
     t = 1.0 / (1.05 * lip)
-    y = x.copy()
-    s = np.zeros_like(x)
+    y = x if s0 is None else x + s0
+    z = y
+    theta = 1.0
     resid = np.inf
     for _ in range(_PROX_MAX_SWEEPS):
+        s = z - x
         grad_m = f_grad + h.apply(s) + lam * metric.apply(s)
-        y_new = psi.prox(y - t * grad_m, t)
-        resid = float(np.linalg.norm(y - y_new)) / t
+        y_new = psi.prox(z - t * grad_m, t)
+        gap = z - y_new
+        resid = float(np.linalg.norm(gap)) / t
+        if resid <= min(1e-10, 1e-4 * lam * float(np.linalg.norm(y_new - x))):
+            return y_new
+        step = y_new - y
+        if float(gap @ step) > 0.0:
+            theta = 1.0
+            z = y_new
+        else:
+            theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+            z = y_new + ((theta - 1.0) / theta_new) * step
+            theta = theta_new
         y = y_new
-        s = y - x
-        if resid <= min(1e-10, 1e-4 * lam * float(np.linalg.norm(s))):
-            return y
     raise SolverStallError(
         f"model prox-gradient stalled at mapping norm {resid:.3e}",
         best_residual=resid,
@@ -242,12 +262,13 @@ def _prox_model_solve(h: LinOp, metric: MetricB, lam: float, x: np.ndarray,
 
 
 def trial_step(x: np.ndarray, f_grad: np.ndarray, h: LinOp, lam: float,
-               problem: CompositeProblem) -> TrialResult:
+               problem: CompositeProblem, s0: np.ndarray | None = None) -> TrialResult:
     """Solve the regularized model at x and certify the new gradient.
 
-    f_grad is f'(x) and h the lazy curvature operator H.  The psi
-    subgradient at the trial point always comes from the model optimality
-    identity
+    f_grad is f'(x) and h the lazy curvature operator H.  s0, when given,
+    warm-starts the inner FISTA loop of a nonzero psi at x + s0; the direct
+    solve of a zero psi ignores it.  The psi subgradient at the trial point
+    always comes from the model optimality identity
 
         psi_sub_plus = -f_grad - H (x_+ - x) - lam * B (x_+ - x),
 
@@ -259,7 +280,7 @@ def trial_step(x: np.ndarray, f_grad: np.ndarray, h: LinOp, lam: float,
         s = solve_regularized(h, metric, lam, -f_grad)
         x_plus = x + s
     else:
-        x_plus = _prox_model_solve(h, metric, lam, x, f_grad, problem.psi)
+        x_plus = _prox_model_solve(h, metric, lam, x, f_grad, problem.psi, s0)
         s = x_plus - x
     psi_sub_plus = -f_grad - h.apply(s) - lam * metric.apply(s)
     f_grad_plus = np.asarray(problem.smooth.eval_grad(x_plus), dtype=np.float64)
@@ -340,13 +361,15 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             hess_evals += 1
 
         accepted = None
+        s_prev = None
         for j in range(_MAX_TRIALS):
             lam = trial_lambda(Lambda_k, g, config.p, j)
             trials += 1
             try:
-                trial = trial_step(x, f_grad, h, lam, problem)
+                trial = trial_step(x, f_grad, h, lam, problem, s_prev)
             except SolverStallError:
                 continue
+            s_prev = trial.x_plus - x
             f_plus = float(problem.smooth.eval_f(trial.x_plus))
             F_plus = f_plus + problem.psi.eval_psi(trial.x_plus)
             if not (np.isfinite(F_plus) and np.all(np.isfinite(trial.F_sub_plus))):

@@ -196,6 +196,61 @@ def test_nmf_eval_f_diff_resolves_decrease_below_rounding():
     assert abs(p.smooth.eval_f_diff(x, s) - taylor) <= 1e-8 * abs(taylor)
 
 
+def f_longdouble(p, x):
+    """f(x) of a Huber or quadratic instance, evaluated in np.longdouble."""
+    inst, ld = p.instance, np.longdouble
+    x = np.asarray(x, dtype=ld)
+    a_mat, b_vec = inst.A.astype(ld), inst.b.astype(ld)
+    if isinstance(inst, HuberInstance):
+        r = a_mat @ x - b_vec
+        delta = ld(inst.delta)
+        vals = np.where(np.abs(r) <= delta, r * r / 2, delta * (np.abs(r) - delta / 2))
+        return np.sum(vals) + ld(inst.ridge) / 2 * (x @ x)
+    return x @ (a_mat @ x) / 2 - b_vec @ x
+
+
+DIFF_PROBLEMS = {"huber": lambda: make_huber(2, m=60, n=8, delta=0.5),
+                 "quad": lambda: make_quadratic(2, n=8)}
+
+
+@pytest.mark.parametrize("name", DIFF_PROBLEMS)
+def test_eval_f_diff_large_step_matches_value_difference(name):
+    p = DIFF_PROBLEMS[name]()
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(8)
+    s = 0.5 * rng.standard_normal(8)
+    if name == "huber":
+        # rows that stay quadratic, stay linear, and cross a kink both ways
+        # and from one linear side to the other
+        inst = p.instance
+        r = inst.A @ x - inst.b
+        r_plus = r + inst.A @ s
+        quad, quad_plus = np.abs(r) <= inst.delta, np.abs(r_plus) <= inst.delta
+        flip = ~quad & ~quad_plus & (np.sign(r) != np.sign(r_plus))
+        for rows in (quad & quad_plus, ~quad & ~quad_plus & ~flip,
+                     quad & ~quad_plus, ~quad & quad_plus, flip):
+            assert np.any(rows)
+    f = p.smooth.eval_f
+    plain = f(x) - f(x + s)
+    assert abs(plain) > 1.0
+    assert p.smooth.eval_f_diff(x, s) == pytest.approx(plain, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", DIFF_PROBLEMS)
+def test_eval_f_diff_resolves_small_step(name):
+    # a step of norm 1e-9 down the gradient: the difference of two rounded
+    # values is off by an ulp of f, far more than eval_f_diff is off from
+    # the long-double reference
+    p = DIFF_PROBLEMS[name]()
+    x = np.random.default_rng(0).standard_normal(8)
+    g = p.smooth.eval_grad(x)
+    s = -1e-9 * g / np.linalg.norm(g)
+    ref = f_longdouble(p, x) - f_longdouble(p, x.astype(np.longdouble) + s)
+    f = p.smooth.eval_f
+    assert abs((f(x) - f(x + s)) - ref) > 1e-8 * ref
+    assert abs(p.smooth.eval_f_diff(x, s) - ref) <= 1e-8 * ref
+
+
 def test_nmf_data_model():
     p = make_nmf(2, d=8, n=6, r=2, sigma=0.0)
     inst = p.instance

@@ -203,6 +203,70 @@ def test_lasso_prox_path():
     assert verify(res).passed
 
 
+def counted_l1(weight):
+    """||.||_1 times weight as a SeparableProx, with its prox calls counted."""
+    calls = [0]
+
+    def prox(v, t):
+        calls[0] += 1
+        return np.sign(v) * np.maximum(np.abs(v) - weight * t, 0.0)
+    return SeparableProx(prox, lambda x: weight * float(np.sum(np.abs(x)))), calls
+
+
+def ill_conditioned_l1_model():
+    # diagonal H with eigenvalues 1e-4 .. 1 (condition 1e4) and psi = ||.||_1
+    # at x = 0: the minimizer soft(-g / (h + lam), 1 / (h + lam)) is zero
+    # exactly where |g_i| < 1, which here are the coordinates of curvature
+    # below 1e-2, so its support has condition 100.  The plain
+    # prox-gradient loop needs thousands of sweeps on it.
+    n = 40
+    curv = np.logspace(-4.0, 0.0, n)
+    signs = np.where(np.arange(n) % 2, 1.0, -1.0)
+    f_grad = signs * np.where(curv >= 1e-2, 2.0, 0.5)
+    return LinOp.from_dense(np.diag(curv)), curv, np.zeros(n), f_grad
+
+
+def check_model_solution(y, h, curv, x, f_grad, lam, psi):
+    """The prox-gradient mapping at y meets the stopping bound, and y lies
+    within the distance that bound implies from the closed-form minimizer."""
+    s = y - x
+    t = 1.0 / (1.05 * (h.opnorm() + lam))
+    mapping = np.linalg.norm(y - psi.prox(y - t * (f_grad + curv * s + lam * s), t)) / t
+    tol = min(1e-10, 1e-4 * lam * np.linalg.norm(s))
+    assert mapping <= tol
+    v = x - f_grad / (curv + lam)
+    y_star = np.sign(v) * np.maximum(np.abs(v) - 1.0 / (curv + lam), 0.0)
+    # strong convexity: ||y - y*|| <= 2 * mapping norm / (min curvature + lam)
+    assert np.linalg.norm(y - y_star) <= 2.0 * tol / (curv[0] + lam)
+    assert np.array_equal(y == 0.0, y_star == 0.0)
+
+
+def test_prox_model_solve_meets_target_on_ill_conditioned_l1():
+    h, curv, x, f_grad = ill_conditioned_l1_model()
+    for lam in (1e-6, 1e-3):
+        psi, calls = counted_l1(1.0)
+        y = ssn._prox_model_solve(h, MetricB(), lam, x, f_grad, psi)
+        assert calls[0] <= ssn._PROX_MAX_SWEEPS
+        check_model_solution(y, h, curv, x, f_grad, lam, psi)
+
+
+def test_prox_model_solve_warm_start():
+    # the next trial's model differs only in lam = 4 * lam; started from
+    # the previous trial's step it reaches the cold-start minimizer in fewer
+    # prox calls
+    h, curv, x, f_grad = ill_conditioned_l1_model()
+    lam = 1e-6
+    psi, calls = counted_l1(1.0)
+    s_prev = ssn._prox_model_solve(h, MetricB(), lam, x, f_grad, psi) - x
+    calls[0] = 0
+    cold = ssn._prox_model_solve(h, MetricB(), 4.0 * lam, x, f_grad, psi)
+    cold_calls, calls[0] = calls[0], 0
+    warm = ssn._prox_model_solve(h, MetricB(), 4.0 * lam, x, f_grad, psi, s0=s_prev)
+    assert calls[0] < cold_calls
+    for y in (cold, warm):
+        check_model_solution(y, h, curv, x, f_grad, 4.0 * lam, psi)
+
+
 def test_failed_inner_solve_counts_as_rejected_trial():
     # H = diag(-1, 1) makes the j = 0 system diag(0, 2) s = (1, -1)
     # inconsistent; the solver must burn that trial and accept at j = 1
