@@ -1,5 +1,7 @@
 """Metric-aware linear algebra kernels shared by the solver.
 
+MetricB is the metric B, LinOp an oracle's curvature operator H, and
+Regularized the systems H + lam B of one Hessian refresh, for any lam.
 Vectors are 1-d float64 arrays, dense operators are square float64 arrays.
 Nothing here mutates its inputs.
 """
@@ -18,6 +20,7 @@ __all__ = [
     "sym_part",
     "MetricB",
     "LinOp",
+    "Regularized",
     "opnorm_est",
     "solve_regularized",
 ]
@@ -106,13 +109,6 @@ class MetricB:
             return float(np.linalg.norm(g))
         return float(np.sqrt(max(float(g @ self.solve(g)), 0.0)))
 
-    def dense(self, n: int) -> np.ndarray:
-        if self.matrix is None:
-            return np.eye(n)
-        if self.matrix.shape[0] != n:
-            raise ValueError(f"metric is {self.matrix.shape[0]}-dimensional, asked for {n}")
-        return self.matrix
-
     def opnorm(self) -> float:
         """Largest eigenvalue of B (1 for the identity); cached."""
         if self.matrix is None:
@@ -125,19 +121,14 @@ class MetricB:
 class LinOp:
     """Symmetric linear operator: either a dense array or a matvec callback.
 
-    A dense operator made with reuse=True expects many regularized solves
-    (several lam, several right-hand sides): its first solve computes an
-    eigendecomposition that every later solve reuses.  A matvec operator may
-    carry a preconditioner factory precond(lam) -> callable; the callable
-    must be symmetric positive definite and approximate (H + lam B)^{-1}.
+    A matvec operator may carry a preconditioner factory precond(lam) ->
+    callable; the callable must be symmetric positive definite and
+    approximate (H + lam B)^{-1}.
     """
 
     def __init__(self, dense: np.ndarray | None = None, matvec=None, dim: int | None = None,
-                 reuse: bool = False, precond=None):
-        self._opnorm: float | None = None
-        self.reuse = reuse
+                 precond=None):
         self.precond = precond
-        self._eig: tuple | None = None  # (metric matrix, eigenvalues, eigenvectors)
         if (dense is None) == (matvec is None):
             raise ValueError("pass exactly one of dense= or matvec=")
         if dense is not None:
@@ -155,8 +146,8 @@ class LinOp:
             self.dim = int(dim)
 
     @classmethod
-    def from_dense(cls, a: np.ndarray, reuse: bool = False) -> "LinOp":
-        return cls(dense=a, reuse=reuse)
+    def from_dense(cls, a: np.ndarray) -> "LinOp":
+        return cls(dense=a)
 
     @classmethod
     def from_matvec(cls, fn, dim: int, precond=None) -> "LinOp":
@@ -171,26 +162,54 @@ class LinOp:
             return self.dense @ v
         return np.asarray(self.matvec(v), dtype=np.float64)
 
-    def opnorm(self) -> float:
-        """Power-iteration estimate of the operator norm; cached per handle."""
-        if self._opnorm is None:
-            self._opnorm = opnorm_est(self.apply, self.dim)
-        return self._opnorm
 
-    def solve(self, metric: MetricB, lam: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (H + lam * B) s = rhs to a tight residual target.
+class Regularized:
+    """H + lam B for every lam > 0, built once per Hessian refresh.
 
-        A dense operator is solved directly.  With reuse=True the solve runs
-        in the eigenbasis of the pencil (H, B): eigh(H), or eigh(H, B) for a
-        general metric, computed on the first solve and kept, so each later
-        solve costs O(n^2) for any lam and an indefinite H needs no special
-        case.  Otherwise H + lam B is factored by Cholesky with a
-        scale-relative pivot test.  Both direct paths take up to three
-        steps of iterative refinement.  Matrix-free operators, and dense
-        ones whose direct solve misses the target, go to MINRES capped at
-        10 n iterations, preconditioned by the operator's precond(lam) when
-        it has one (an SPD preconditioner keeps MINRES valid for an
-        indefinite H + lam B).  The accepted residual is
+    A dense H is replaced by its symmetric part (H + H^T) / 2.  decompose=True
+    pays when the refresh expects many dense solves (see solve).
+    """
+
+    def __init__(self, h: LinOp, metric: MetricB, decompose: bool = False):
+        if not isinstance(h, LinOp):
+            raise TypeError(f"eval_hess must return a LinOp, got {type(h).__name__}")
+        self.h = LinOp.from_dense(sym_part(h.dense)) if h.is_dense else h
+        self.metric = metric
+        self.decompose = decompose
+        self._eig: tuple | None = None  # (eigenvalues, eigenvectors)
+        self._hnorm: float | None = None
+
+    @property
+    def is_dense(self) -> bool:
+        return self.h.is_dense
+
+    def apply(self, lam: float, v: np.ndarray) -> np.ndarray:
+        """(H + lam B) v."""
+        return self.h.apply(v) + lam * self.metric.apply(v)
+
+    def model_grad(self, lam: float, f_grad: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Gradient f_grad + H s + lam B s of the regularized model at step s."""
+        return f_grad + self.h.apply(s) + lam * self.metric.apply(s)
+
+    def opnorm(self, lam: float) -> float:
+        """||H|| + lam ||B||, with ||H|| a cached power-iteration estimate."""
+        if self._hnorm is None:
+            self._hnorm = opnorm_est(self.h.apply, self.h.dim)
+        return self._hnorm + lam * self.metric.opnorm()
+
+    def solve(self, lam: float, rhs: np.ndarray) -> np.ndarray:
+        """Solve (H + lam B) s = rhs to a tight residual target.
+
+        A dense H is solved directly.  With decompose=True the solve runs in
+        the eigenbasis of the pencil (H, B), eigh(H) or eigh(H, B), computed
+        on the first solve and kept, so each later solve costs O(n^2) for any
+        lam and an indefinite H needs no special case.  Otherwise H + lam B
+        is factored by Cholesky with a scale-relative pivot test.  Both
+        direct paths take up to three steps of iterative refinement.  A
+        matrix-free H, and a dense one whose direct solve misses the target,
+        goes to MINRES capped at 10 n iterations, preconditioned by the
+        operator's SPD precond(lam) when it has one (which keeps MINRES
+        valid for an indefinite H + lam B).  The accepted residual is
         max(1e-10, 1e-12 * ||rhs||); a solve that cannot reach it raises
         SolverStallError.
         """
@@ -198,38 +217,34 @@ class LinOp:
             raise ValueError(f"regularizer must be positive and finite, got {lam}")
         rhs = np.asarray(rhs, dtype=np.float64)
         n = rhs.shape[0]
-        if self.dim != n:
-            raise ValueError(f"operator dim {self.dim} does not match rhs dim {n}")
+        if self.h.dim != n:
+            raise ValueError(f"operator dim {self.h.dim} does not match rhs dim {n}")
         target = _residual_target(rhs)
         if float(np.linalg.norm(rhs)) == 0.0:
             return np.zeros(n)
 
-        if self.dense is not None:
-            if self.reuse:
-                s = self._eigen_solve(metric, lam, rhs, target)
+        if self.is_dense:
+            if self.decompose:
+                s = self._eigen_solve(lam, rhs, target)
             else:
-                s = _cholesky_solve(self.dense + lam * metric.dense(n), rhs, target)
+                bmat = np.eye(n) if self.metric.is_identity else self.metric.matrix
+                s = _cholesky_solve(self.h.dense + lam * bmat, rhs, target)
             if s is not None:
                 return s
-        return _minres_solve(self, metric, lam, rhs, target)
+        return _minres_solve(self, lam, rhs, target)
 
-    def _eigen_solve(self, metric: MetricB, lam: float, rhs: np.ndarray,
-                     target: float) -> np.ndarray | None:
+    def _eigen_solve(self, lam: float, rhs: np.ndarray, target: float) -> np.ndarray | None:
         """Direct solve in the cached eigenbasis; None if it misses the target."""
-        if self._eig is None or self._eig[0] is not metric.matrix:
-            if metric.is_identity:
-                w, vecs = np.linalg.eigh(self.dense)
-            else:
-                w, vecs = scipy.linalg.eigh(self.dense, metric.matrix)
-            self._eig = (metric.matrix, w, vecs)
-        _, w, vecs = self._eig
+        if self._eig is None:
+            self._eig = (np.linalg.eigh(self.h.dense) if self.metric.is_identity
+                         else scipy.linalg.eigh(self.h.dense, self.metric.matrix))
+        w, vecs = self._eig
         # V^T B V = I and V^T H V = diag(w), so (H + lam B)^{-1} = V diag(1/(w + lam)) V^T.
         shifted = w + lam
         if np.min(np.abs(shifted)) <= _PIVOT_REL * float(np.mean(np.abs(shifted))):
             return None
-        dense = self.dense
         return _refined(lambda r: vecs @ ((vecs.T @ r) / shifted),
-                        lambda v: dense @ v + lam * metric.apply(v), rhs, target)
+                        lambda v: self.apply(lam, v), rhs, target)
 
 
 def opnorm_est(matvec, n: int, iters: int = 50) -> float:
@@ -294,23 +309,18 @@ def _cholesky_solve(m: np.ndarray, rhs: np.ndarray, target: float) -> np.ndarray
                     rhs, target)
 
 
-def _minres_solve(h: LinOp, metric: MetricB, lam: float, rhs: np.ndarray,
+def _minres_solve(reg: Regularized, lam: float, rhs: np.ndarray,
                   target: float) -> np.ndarray:
     """Solve (H + lam B) s = rhs by restarted MINRES; raises SolverStallError."""
     n = rhs.shape[0]
-    if metric.is_identity:
-        def matvec(v):
-            return h.apply(v) + lam * v
-    else:
-        bmat = metric.matrix
 
-        def matvec(v):
-            return h.apply(v) + lam * (bmat @ v)
+    def matvec(v):
+        return reg.apply(lam, v)
 
     op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
     precond = None
-    if h.precond is not None:
-        precond = scipy.sparse.linalg.LinearOperator((n, n), matvec=h.precond(lam),
+    if reg.h.precond is not None:
+        precond = scipy.sparse.linalg.LinearOperator((n, n), matvec=reg.h.precond(lam),
                                                      dtype=np.float64)
     rhs_norm = float(np.linalg.norm(rhs))
     rtol = max(0.1 * target / rhs_norm, 1e-16)
@@ -334,5 +344,5 @@ def _minres_solve(h: LinOp, metric: MetricB, lam: float, rhs: np.ndarray,
     )
 
 
-# The solver's per-trial entry point: the operator's own solve.
-solve_regularized = LinOp.solve
+# The solver's per-trial entry point, a module-level name a tracer can wrap.
+solve_regularized = Regularized.solve

@@ -449,7 +449,7 @@ def save_instance(path, inst) -> None:
 
 
 def load_instance(path):
-    """Read an instance container written by save_instance."""
+    """Read an instance container written by save_instance (ValueError if malformed)."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].split() != ["gladssn-instance", "1"]:
@@ -460,29 +460,32 @@ def load_instance(path):
     cls = _KINDS[head[1]]
     fields = {}
     i = 2
-    while i < len(lines):
-        parts = lines[i].split()
-        i += 1
-        if not parts:
-            continue
-        tag = parts[0]
-        if tag == "end":
-            return cls(**fields)
-        if tag == "int":
-            fields[parts[1]] = int(parts[2])
-        elif tag == "float":
-            fields[parts[1]] = float(parts[2])
-        elif tag == "array":
-            name = parts[1]
-            shape = tuple(int(s) for s in parts[2:])
-            size = int(np.prod(shape))
-            vals: list[float] = []
-            while len(vals) < size and i < len(lines):
-                vals.extend(float(v) for v in lines[i].split())
-                i += 1
-            if len(vals) != size:
-                raise ValueError(f"array {name} in {path} has wrong length")
-            fields[name] = np.array(vals, dtype=np.float64).reshape(shape)
-        else:
-            raise ValueError(f"unknown tag {tag!r} in {path}")
+    try:
+        while i < len(lines):
+            parts = lines[i].split()
+            i += 1
+            if not parts:
+                continue
+            tag = parts[0]
+            if tag == "end":
+                return cls(**fields)
+            if tag == "int":
+                fields[parts[1]] = int(parts[2])
+            elif tag == "float":
+                fields[parts[1]] = float(parts[2])
+            elif tag == "array":
+                name = parts[1]
+                shape = tuple(int(s) for s in parts[2:])
+                size = int(np.prod(shape))
+                vals: list[float] = []
+                while len(vals) < size and i < len(lines):
+                    vals.extend(float(v) for v in lines[i].split())
+                    i += 1
+                if len(vals) != size:
+                    raise ValueError(f"array {name} has wrong length")
+                fields[name] = np.array(vals, dtype=np.float64).reshape(shape)
+            else:
+                raise ValueError(f"unknown tag {tag!r}")
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed instance container {path}: {exc}") from exc
     raise ValueError(f"missing end marker in {path}")

@@ -34,14 +34,11 @@ the decrease is taken from eval_f_diff(x_k, x_+ - x_k) instead.  Outside
 the band, or without eval_f_diff, the rounded values decide, and a run
 whose trials all fail on noise stops as stalled.
 
-A dense H is replaced by its symmetric part (H + H^T) / 2 and solved
-against directly.  By default each trial factors H + lambda B by Cholesky.
-When a refresh can expect many solves, that is when k >= 1, m >= 2 and
-m * (trials so far / k) >= 6 (_EIGH_MIN_SOLVES), the refreshed H is instead
-decomposed once, on its first solve (eigh(H), or eigh(H, B) for a general
-metric), and every later trial and lazy iteration solves in that eigenbasis
-in O(n^2) for any lambda (see LinOp.solve).  A matrix-free H goes to MINRES,
-preconditioned by the operator's own SPD preconditioner when it has one.
+Each Hessian refresh builds one linalg.Regularized, which owns H + lambda B
+for every trial and lazy iteration until the next refresh.  Its dense
+solves decompose H once instead of factoring each trial when the refresh
+can expect many solves: k >= 1, m >= 2 and m * (trials so far / k) >= 6
+(_reuse_pays, _EIGH_MIN_SOLVES).
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import LinOp, MetricB, SolverStallError, solve_regularized, sym_part
+from .linalg import MetricB, Regularized, SolverStallError, solve_regularized
 from .oracle import CompositeProblem
 
 __all__ = [
@@ -219,8 +216,8 @@ def _certified_decrease(problem: CompositeProblem, x: np.ndarray, x_plus: np.nda
     return float(diff(x, s))
 
 
-def _prox_model_solve(h: LinOp, metric: MetricB, lam: float, x: np.ndarray,
-                      f_grad: np.ndarray, psi, s0: np.ndarray | None = None) -> np.ndarray:
+def _prox_model_solve(reg: Regularized, lam: float, x: np.ndarray, f_grad: np.ndarray,
+                      psi, s0: np.ndarray | None = None) -> np.ndarray:
     """Minimize the regularized model with nonzero psi by FISTA with restart.
 
     Accelerated proximal gradient (Beck & Teboulle 2009) with step
@@ -232,15 +229,14 @@ def _prox_model_solve(h: LinOp, metric: MetricB, lam: float, x: np.ndarray,
     exhausting the sweep budget raises SolverStallError, which the outer
     loop treats as a failed trial.
     """
-    lip = h.opnorm() + lam * metric.opnorm()
+    lip = reg.opnorm(lam)
     t = 1.0 / (1.05 * lip)
     y = x if s0 is None else x + s0
     z = y
     theta = 1.0
     resid = np.inf
     for _ in range(_PROX_MAX_SWEEPS):
-        s = z - x
-        grad_m = f_grad + h.apply(s) + lam * metric.apply(s)
+        grad_m = reg.model_grad(lam, f_grad, z - x)
         y_new = psi.prox(z - t * grad_m, t)
         gap = z - y_new
         resid = float(np.linalg.norm(gap)) / t
@@ -261,11 +257,11 @@ def _prox_model_solve(h: LinOp, metric: MetricB, lam: float, x: np.ndarray,
     )
 
 
-def trial_step(x: np.ndarray, f_grad: np.ndarray, h: LinOp, lam: float,
+def trial_step(x: np.ndarray, f_grad: np.ndarray, reg: Regularized, lam: float,
                problem: CompositeProblem, s0: np.ndarray | None = None) -> TrialResult:
     """Solve the regularized model at x and certify the new gradient.
 
-    f_grad is f'(x) and h the lazy curvature operator H.  s0, when given,
+    f_grad is f'(x) and reg holds the lazy H + lam B.  s0, when given,
     warm-starts the inner FISTA loop of a nonzero psi at x + s0; the direct
     solve of a zero psi ignores it.  The psi subgradient at the trial point
     always comes from the model optimality identity
@@ -275,14 +271,13 @@ def trial_step(x: np.ndarray, f_grad: np.ndarray, h: LinOp, lam: float,
     never from a separate subgradient oracle.  Raises SolverStallError when
     the inner solve misses its residual target.
     """
-    metric = problem.metric
     if problem.psi.is_zero:
-        s = solve_regularized(h, metric, lam, -f_grad)
+        s = solve_regularized(reg, lam, -f_grad)
         x_plus = x + s
     else:
-        x_plus = _prox_model_solve(h, metric, lam, x, f_grad, problem.psi, s0)
+        x_plus = _prox_model_solve(reg, lam, x, f_grad, problem.psi, s0)
         s = x_plus - x
-    psi_sub_plus = -f_grad - h.apply(s) - lam * metric.apply(s)
+    psi_sub_plus = -reg.model_grad(lam, f_grad, s)
     f_grad_plus = np.asarray(problem.smooth.eval_grad(x_plus), dtype=np.float64)
     F_sub_plus = f_grad_plus + psi_sub_plus
     return TrialResult(x_plus, psi_sub_plus, F_sub_plus, f_grad_plus)
@@ -297,16 +292,6 @@ def _reuse_pays(k: int, m: int, trials: int) -> bool:
     history yet.
     """
     return k >= 1 and m >= 2 and m * trials / k >= _EIGH_MIN_SOLVES
-
-
-def _prepare_hessian(problem: CompositeProblem, x: np.ndarray, reuse: bool) -> LinOp:
-    """H(x) from the oracle, a dense H replaced by its symmetric part."""
-    h = problem.smooth.eval_hess(x)
-    if not isinstance(h, LinOp):
-        raise TypeError("eval_hess must return a LinOp")
-    if h.is_dense:
-        h = LinOp.from_dense(sym_part(h.dense), reuse=reuse)
-    return h
 
 
 def solve(problem: CompositeProblem, config: SolverConfig,
@@ -340,7 +325,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
         raise NonFiniteError("objective or gradient non-finite at the starting point")
 
     Lambda_k = float(config.Lambda0)
-    h: LinOp | None = None
+    reg: Regularized | None = None
     hess_evals = 0
     trials = 0
     trace: list[TraceRecord] = []
@@ -357,7 +342,8 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             status = MAXITER
             break
         if k % config.m == 0:
-            h = _prepare_hessian(problem, x, _reuse_pays(k, config.m, trials))
+            reg = Regularized(problem.smooth.eval_hess(x), metric,
+                              decompose=_reuse_pays(k, config.m, trials))
             hess_evals += 1
 
         accepted = None
@@ -366,7 +352,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             lam = trial_lambda(Lambda_k, g, config.p, j)
             trials += 1
             try:
-                trial = trial_step(x, f_grad, h, lam, problem, s_prev)
+                trial = trial_step(x, f_grad, reg, lam, problem, s_prev)
             except SolverStallError:
                 continue
             s_prev = trial.x_plus - x

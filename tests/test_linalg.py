@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from gladssn.linalg import (LinOp, MetricB, MetricError, SolverStallError,
-                            opnorm_est, solve_regularized, sym_part)
+from gladssn.linalg import (LinOp, MetricB, MetricError, Regularized, SolverStallError,
+                            opnorm_est, sym_part)
 
 from helpers import columns
 
@@ -26,7 +26,6 @@ def test_identity_metric_is_euclidean():
     assert b.dual_norm(v) == 5.0
     np.testing.assert_array_equal(b.apply(v), v)
     np.testing.assert_array_equal(b.solve(v), v)
-    np.testing.assert_array_equal(b.dense(2), np.eye(2))
     assert b.opnorm() == 1.0
 
 
@@ -86,14 +85,15 @@ def test_opnorm_est_known_spectrum():
     assert 6.999 <= est <= 7.0 + 1e-9
     # deterministic
     assert est == opnorm_est(lambda v: a @ v, 4)
-    assert LinOp.from_dense(a).opnorm() == est
+    assert Regularized(LinOp.from_dense(a), MetricB()).opnorm(0.0) == est
+    assert Regularized(LinOp.from_dense(a), MetricB()).opnorm(2.0) == est + 2.0
     assert opnorm_est(lambda v: 0.0 * v, 4) == 0.0
 
 
 def test_solve_regularized_spd_frozen():
     # (diag(1,3) + 1*I) s = (2,4)  =>  s = (1,1), solved by hand
     h = LinOp.from_dense(np.diag([1.0, 3.0]))
-    s = solve_regularized(h, MetricB(), 1.0, np.array([2.0, 4.0]))
+    s = Regularized(h, MetricB()).solve(1.0, np.array([2.0, 4.0]))
     np.testing.assert_allclose(s, [1.0, 1.0], atol=1e-12)
 
 
@@ -101,20 +101,20 @@ def test_solve_regularized_indefinite_frozen():
     # (diag(1,-3) + 1*I) = diag(2,-2) is indefinite: Cholesky must bail and
     # MINRES take over.  diag(2,-2) s = (2,2)  =>  s = (1,-1), by hand.
     h = LinOp.from_dense(np.diag([1.0, -3.0]))
-    s = solve_regularized(h, MetricB(), 1.0, np.array([2.0, 2.0]))
+    s = Regularized(h, MetricB()).solve(1.0, np.array([2.0, 2.0]))
     np.testing.assert_allclose(s, [1.0, -1.0], atol=1e-9)
 
 
 def test_solve_regularized_random_spd():
     rng = np.random.default_rng(2)
-    for reuse in (False, True):
+    for decompose in (False, True):
         for n in (3, 10, 40):
             for _ in range(10):
                 a = rng.standard_normal((n, n))
-                h = LinOp.from_dense(a @ a.T, reuse=reuse)
+                h = LinOp.from_dense(a @ a.T)
                 lam = 10.0 ** rng.uniform(-4, 2)
                 rhs = rng.standard_normal(n)
-                s = solve_regularized(h, MetricB(), lam, rhs)
+                s = Regularized(h, MetricB(), decompose=decompose).solve(lam, rhs)
                 res = np.linalg.norm(h.apply(s) + lam * s - rhs)
                 assert res <= max(1e-10, 1e-12 * np.linalg.norm(rhs)) * (1 + 1e-9)
 
@@ -125,9 +125,9 @@ def test_solve_regularized_with_metric():
     bmat = np.diag(rng.uniform(0.5, 2.0, size=6))
     metric = MetricB(bmat)
     rhs = rng.standard_normal(6)
-    for reuse in (False, True):
-        h = LinOp.from_dense(a @ a.T, reuse=reuse)
-        s = solve_regularized(h, metric, 0.7, rhs)
+    for decompose in (False, True):
+        h = LinOp.from_dense(a @ a.T)
+        s = Regularized(h, metric, decompose=decompose).solve(0.7, rhs)
         res = np.linalg.norm(h.apply(s) + 0.7 * (bmat @ s) - rhs)
         assert res <= 1e-10 * (1 + 1e-9)
 
@@ -137,9 +137,8 @@ def test_solve_regularized_dense_vs_matvec_route():
     a = rng.standard_normal((8, 8))
     spd = a @ a.T + np.eye(8)
     rhs = rng.standard_normal(8)
-    s_dense = solve_regularized(LinOp.from_dense(spd), MetricB(), 0.3, rhs)
-    s_mv = solve_regularized(LinOp.from_matvec(lambda v: spd @ v, 8),
-                             MetricB(), 0.3, rhs)
+    s_dense = Regularized(LinOp.from_dense(spd), MetricB()).solve(0.3, rhs)
+    s_mv = Regularized(LinOp.from_matvec(lambda v: spd @ v, 8), MetricB()).solve(0.3, rhs)
     np.testing.assert_allclose(s_dense, s_mv, atol=1e-8)
 
 
@@ -177,46 +176,47 @@ def test_preconditioned_minres_meets_the_same_target(monkeypatch):
                    LinOp.from_matvec(lambda v: h_mat @ v, n,
                                      precond=lambda lam: precond(lam, bmat)))
             for op in ops:
-                s = solve_regularized(op, metric, lam, rhs)
+                s = Regularized(op, metric).solve(lam, rhs)
                 assert np.linalg.norm(h_mat @ s + lam * (bmat @ s) - rhs) <= target
     assert applied["precond"] > 0 and applied["with_M"] > 0
 
 
 def test_solve_regularized_zero_rhs():
-    for reuse in (False, True):
-        h = LinOp.from_dense(np.diag([1.0, 2.0]), reuse=reuse)
-        np.testing.assert_array_equal(solve_regularized(h, MetricB(), 1.0, np.zeros(2)),
-                                      np.zeros(2))
+    for decompose in (False, True):
+        reg = Regularized(LinOp.from_dense(np.diag([1.0, 2.0])), MetricB(), decompose)
+        np.testing.assert_array_equal(reg.solve(1.0, np.zeros(2)), np.zeros(2))
 
 
 def test_solve_regularized_inconsistent_system_stalls():
     # diag(-1,1) + I = diag(0,2); rhs (1,0) has no solution.  Both direct
     # paths decline the singular system and MINRES reports the stall.
-    for reuse in (False, True):
-        h = LinOp.from_dense(np.diag([-1.0, 1.0]), reuse=reuse)
+    for decompose in (False, True):
+        reg = Regularized(LinOp.from_dense(np.diag([-1.0, 1.0])), MetricB(), decompose)
         with pytest.raises(SolverStallError) as exc:
-            solve_regularized(h, MetricB(), 1.0, np.array([1.0, 0.0]))
+            reg.solve(1.0, np.array([1.0, 0.0]))
         assert exc.value.best_residual > 0.0
 
 
 def test_solve_regularized_singular_but_consistent():
     # same singular matrix, rhs in the range: any solution is fine
-    for reuse in (False, True):
-        h = LinOp.from_dense(np.diag([-1.0, 1.0]), reuse=reuse)
-        s = solve_regularized(h, MetricB(), 1.0, np.array([0.0, 2.0]))
+    for decompose in (False, True):
+        reg = Regularized(LinOp.from_dense(np.diag([-1.0, 1.0])), MetricB(), decompose)
+        s = reg.solve(1.0, np.array([0.0, 2.0]))
         assert abs(2.0 * s[1] - 2.0) <= 1e-9
 
 
 def test_solve_regularized_argument_errors():
-    h = LinOp.from_dense(np.eye(2))
+    reg = Regularized(LinOp.from_dense(np.eye(2)), MetricB())
     with pytest.raises(ValueError):
-        solve_regularized(h, MetricB(), 0.0, np.ones(2))
+        reg.solve(0.0, np.ones(2))
     with pytest.raises(ValueError):
-        solve_regularized(h, MetricB(), -1.0, np.ones(2))
+        reg.solve(-1.0, np.ones(2))
     with pytest.raises(ValueError):
-        solve_regularized(h, MetricB(), np.inf, np.ones(2))
+        reg.solve(np.inf, np.ones(2))
     with pytest.raises(ValueError):
-        solve_regularized(h, MetricB(), 1.0, np.ones(3))
+        reg.solve(1.0, np.ones(3))
+    with pytest.raises(TypeError):
+        Regularized(np.eye(2), MetricB())
 
 
 def _rotated(eigs, seed):
@@ -230,11 +230,11 @@ def test_reused_operator_matches_cholesky_solve():
     spd = a @ a.T
     c = rng.standard_normal((12, 12))
     for metric in (MetricB(), MetricB(c @ c.T + 12.0 * np.eye(12))):
-        reused = LinOp.from_dense(spd, reuse=True)
+        decomposed = Regularized(LinOp.from_dense(spd), metric, decompose=True)
         for lam in (1e-3, 0.5, 40.0):
             rhs = rng.standard_normal(12)
-            s_eig = solve_regularized(reused, metric, lam, rhs)
-            s_chol = solve_regularized(LinOp.from_dense(spd), metric, lam, rhs)
+            s_eig = decomposed.solve(lam, rhs)
+            s_chol = Regularized(LinOp.from_dense(spd), metric).solve(lam, rhs)
             np.testing.assert_allclose(s_eig, s_chol, rtol=1e-9, atol=1e-12)
             res = np.linalg.norm(spd @ s_eig + lam * metric.apply(s_eig) - rhs)
             assert res <= max(1e-10, 1e-12 * np.linalg.norm(rhs))
@@ -251,11 +251,12 @@ def test_reused_operator_decomposes_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
-    h = LinOp.from_dense(_rotated([5.0, 2.0, 1.0, 0.5, 0.1], 6), reuse=True)
+    reg = Regularized(LinOp.from_dense(_rotated([5.0, 2.0, 1.0, 0.5, 0.1], 6)), MetricB(),
+                      decompose=True)
     assert calls["eigh"] == 0  # decomposed lazily, on the first solve
     rng = np.random.default_rng(6)
     for lam in (0.01, 0.04, 0.16, 0.64):
-        solve_regularized(h, MetricB(), lam, rng.standard_normal(5))
+        reg.solve(lam, rng.standard_normal(5))
     assert calls == {"eigh": 1, "cholesky": 0}
 
 
@@ -272,7 +273,7 @@ def test_reused_operator_solves_indefinite_shift_directly(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "minres", no_minres)
     for lam in (1.5, 3.5):  # indefinite shift, then lam > -w_min
-        s = solve_regularized(LinOp.from_dense(h_mat, reuse=True), MetricB(), lam, rhs)
+        s = Regularized(LinOp.from_dense(h_mat), MetricB(), decompose=True).solve(lam, rhs)
         np.testing.assert_allclose(s, np.linalg.solve(h_mat + lam * np.eye(4), rhs),
                                    rtol=1e-12)
         assert np.linalg.norm(h_mat @ s + lam * s - rhs) <= 1e-10

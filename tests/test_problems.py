@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse.linalg
 
 from gladssn import problems
-from gladssn.linalg import LinOp, MetricB, solve_regularized
+from gladssn.linalg import LinOp, MetricB, Regularized
 from gladssn.problems import (DENSE_DIM_MAX, HuberInstance, NmfInstance,
                               load_instance, make_huber, make_nmf,
                               make_quadratic, make_svm, penalty_violation,
@@ -149,7 +149,7 @@ def test_nmf_preconditioner_cuts_minres_iterations(monkeypatch):
     lam = 1.0
     for label, op in (("plain", plain), ("preconditioned", h)):
         iters[label] = 0
-        s = solve_regularized(op, MetricB(), lam, rhs)
+        s = Regularized(op, MetricB()).solve(lam, rhs)
         res = np.linalg.norm(h.apply(s) + lam * s - rhs)
         assert res <= max(1e-10, 1e-12 * np.linalg.norm(rhs))
     assert 0 < iters["preconditioned"] < iters["plain"]
@@ -389,6 +389,11 @@ def test_load_instance_rejects_garbage(tmp_path):
     bad.write_text("gladssn-instance 1\nkind quad\nint seed 1\n")
     with pytest.raises(ValueError):
         load_instance(bad)
+    # missing fields, an unknown field, a value-less int, a non-numeric int
+    for body in ("", "int bogus 2\n", "int seed\n", "int seed x\n"):
+        bad.write_text(f"gladssn-instance 1\nkind quad\n{body}end\n")
+        with pytest.raises(ValueError, match="bad.inst"):
+            load_instance(bad)
 
 
 def test_save_instance_rejects_foreign_object(tmp_path):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gladssn.linalg import LinOp, MetricB
+from gladssn.linalg import LinOp, MetricB, Regularized
 from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPart
 from gladssn.problems import make_huber, make_nmf, make_quadratic, make_svm
 from gladssn import ssn
@@ -62,7 +62,8 @@ def test_trial_step_quadratic_frozen():
     assert abs(ys[i] - 0.5) < 3e-3 and abs(ys[j]) < 3e-3
 
     # f(x) = 0.5 ||x||^2, exact oracles
-    trial = trial_step(x, x.copy(), LinOp.from_dense(np.eye(2)), 1.0, half_norm_problem(2))
+    trial = trial_step(x, x.copy(), Regularized(LinOp.from_dense(np.eye(2)), MetricB()), 1.0,
+                       half_norm_problem(2))
     np.testing.assert_allclose(trial.x_plus, [0.5, 0.0], atol=1e-12)
     np.testing.assert_allclose(trial.psi_sub_plus, [0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(trial.F_sub_plus, [0.5, 0.0], atol=1e-12)
@@ -80,7 +81,7 @@ def test_trial_step_certifies_model_optimality():
                             eval_grad=lambda z: 2.0 * z,
                             eval_hess=lambda z: h),
         psi=ZeroPart())
-    trial = trial_step(x, 2.0 * x, h, 0.3, prob)
+    trial = trial_step(x, 2.0 * x, Regularized(h, MetricB()), 0.3, prob)
     s = trial.x_plus - x
     np.testing.assert_allclose(trial.psi_sub_plus,
                                -(2.0 * x) - h.apply(s) - 0.3 * s, atol=1e-12)
@@ -99,8 +100,8 @@ def test_trial_step_soft_threshold_frozen():
                             eval_grad=lambda x: np.zeros(1),
                             eval_hess=lambda x: LinOp.from_dense(np.zeros((1, 1)))),
         psi=psi)
-    trial = trial_step(np.array([2.0]), np.zeros(1), LinOp.from_dense(np.zeros((1, 1))),
-                       1.0, prob)
+    trial = trial_step(np.array([2.0]), np.zeros(1),
+                       Regularized(LinOp.from_dense(np.zeros((1, 1))), MetricB()), 1.0, prob)
     assert abs(trial.x_plus[0] - 1.0) <= 1e-8
     # certified subgradient is -lam * (x_+ - x) = 1, which is d|.|(1)
     assert abs(trial.psi_sub_plus[0] - 1.0) <= 1e-8
@@ -145,6 +146,35 @@ def test_lazy_hessian_count():
         # per-row counter is the number of refreshes up to that iteration
         for row in res.trace:
             assert row.hess_evals == row.k // m + 1
+
+
+def test_decomposition_schedule(monkeypatch):
+    # a refresh that expects many solves (_reuse_pays) is eigendecomposed
+    # once; every other refresh factors H + lam B by Cholesky once per trial
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    p = make_nmf(1, d=8, n=6, r=2)
+
+    def run(m):
+        calls.update(eigh=0, cholesky=0)
+        res = solve(p, SolverConfig(m=m, grad_tol=1e-6))
+        assert res.status == CONVERGED
+        return res, dict(calls)
+
+    lazy, lazy_calls = run(5)
+    assert lazy.hess_evals >= 2
+    assert lazy_calls["eigh"] == lazy.hess_evals - 1  # all but the first refresh
+    assert lazy_calls["cholesky"] == lazy.trace[4].trials  # the first refresh's trials
+    eager, eager_calls = run(1)
+    assert eager_calls == {"eigh": 0, "cholesky": eager.trials}
 
 
 def test_lazy_runs_match_eager_on_constant_hessian():
@@ -223,14 +253,14 @@ def ill_conditioned_l1_model():
     curv = np.logspace(-4.0, 0.0, n)
     signs = np.where(np.arange(n) % 2, 1.0, -1.0)
     f_grad = signs * np.where(curv >= 1e-2, 2.0, 0.5)
-    return LinOp.from_dense(np.diag(curv)), curv, np.zeros(n), f_grad
+    return Regularized(LinOp.from_dense(np.diag(curv)), MetricB()), curv, np.zeros(n), f_grad
 
 
-def check_model_solution(y, h, curv, x, f_grad, lam, psi):
+def check_model_solution(y, reg, curv, x, f_grad, lam, psi):
     """The prox-gradient mapping at y meets the stopping bound, and y lies
     within the distance that bound implies from the closed-form minimizer."""
     s = y - x
-    t = 1.0 / (1.05 * (h.opnorm() + lam))
+    t = 1.0 / (1.05 * reg.opnorm(lam))
     mapping = np.linalg.norm(y - psi.prox(y - t * (f_grad + curv * s + lam * s), t)) / t
     tol = min(1e-10, 1e-4 * lam * np.linalg.norm(s))
     assert mapping <= tol
@@ -242,29 +272,29 @@ def check_model_solution(y, h, curv, x, f_grad, lam, psi):
 
 
 def test_prox_model_solve_meets_target_on_ill_conditioned_l1():
-    h, curv, x, f_grad = ill_conditioned_l1_model()
+    reg, curv, x, f_grad = ill_conditioned_l1_model()
     for lam in (1e-6, 1e-3):
         psi, calls = counted_l1(1.0)
-        y = ssn._prox_model_solve(h, MetricB(), lam, x, f_grad, psi)
+        y = ssn._prox_model_solve(reg, lam, x, f_grad, psi)
         assert calls[0] <= ssn._PROX_MAX_SWEEPS
-        check_model_solution(y, h, curv, x, f_grad, lam, psi)
+        check_model_solution(y, reg, curv, x, f_grad, lam, psi)
 
 
 def test_prox_model_solve_warm_start():
     # the next trial's model differs only in lam = 4 * lam; started from
     # the previous trial's step it reaches the cold-start minimizer in fewer
     # prox calls
-    h, curv, x, f_grad = ill_conditioned_l1_model()
+    reg, curv, x, f_grad = ill_conditioned_l1_model()
     lam = 1e-6
     psi, calls = counted_l1(1.0)
-    s_prev = ssn._prox_model_solve(h, MetricB(), lam, x, f_grad, psi) - x
+    s_prev = ssn._prox_model_solve(reg, lam, x, f_grad, psi) - x
     calls[0] = 0
-    cold = ssn._prox_model_solve(h, MetricB(), 4.0 * lam, x, f_grad, psi)
+    cold = ssn._prox_model_solve(reg, 4.0 * lam, x, f_grad, psi)
     cold_calls, calls[0] = calls[0], 0
-    warm = ssn._prox_model_solve(h, MetricB(), 4.0 * lam, x, f_grad, psi, s0=s_prev)
+    warm = ssn._prox_model_solve(reg, 4.0 * lam, x, f_grad, psi, s0=s_prev)
     assert calls[0] < cold_calls
     for y in (cold, warm):
-        check_model_solution(y, h, curv, x, f_grad, 4.0 * lam, psi)
+        check_model_solution(y, reg, curv, x, f_grad, 4.0 * lam, psi)
 
 
 def test_failed_inner_solve_counts_as_rejected_trial():
