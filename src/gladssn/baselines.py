@@ -85,5 +85,5 @@ def armijo_gd(problem: CompositeProblem, config: SolverConfig,
 
     return SolveResult(status=status, x=x, trace=trace, iters=k,
                        g_final=float(np.linalg.norm(grad)), f_final=f_val,
-                       F_final=f_val, f_grad=grad, psi_sub=np.zeros(n),
-                       F_sub=grad, Lambda_final=0.0, hess_evals=0, trials=trials)
+                       F_final=f_val, psi_sub=np.zeros(n), Lambda_final=0.0,
+                       hess_evals=0, trials=trials)

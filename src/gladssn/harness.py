@@ -142,10 +142,13 @@ def write_trace(path, records: list[TraceRecord], emit: str = "csv") -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _record_from_dict(d: dict) -> TraceRecord:
+def _record_from_dict(d: dict, row: int) -> TraceRecord:
     missing = [c for c in COLUMNS if c not in d]
     if missing:
-        raise ValueError(f"trace row is missing columns {missing}")
+        raise ValueError(f"trace row {row} is missing columns {missing}")
+    unknown = [c for c in d if c not in COLUMNS]
+    if unknown:
+        raise ValueError(f"trace row {row} has unknown columns {unknown}")
     vals = {c: (int(d[c]) if c in _INT_COLUMNS else float(d[c])) for c in COLUMNS}
     return TraceRecord(**vals)
 
@@ -155,7 +158,7 @@ def read_trace(path) -> list[TraceRecord]:
     text = Path(path).read_text()
     stripped = text.lstrip()
     if stripped.startswith("[") or stripped.startswith("{"):
-        return [_record_from_dict(d) for d in json.loads(text)]
+        return [_record_from_dict(d, row) for row, d in enumerate(json.loads(text))]
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         return []
@@ -163,9 +166,11 @@ def read_trace(path) -> list[TraceRecord]:
     if header != COLUMNS:
         raise ValueError(f"unexpected trace header {header}")
     out = []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:]):
         toks = ln.split(",")
-        out.append(_record_from_dict(dict(zip(header, toks))))
+        if len(toks) != len(header):
+            raise ValueError(f"trace row {row} has {len(toks)} fields, expected {len(header)}")
+        out.append(_record_from_dict(dict(zip(header, toks)), row))
     return out
 
 

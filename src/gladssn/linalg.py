@@ -64,24 +64,18 @@ class MetricB:
 
     def __init__(self, matrix: np.ndarray | None = None):
         self._opnorm: float | None = None
-        if matrix is None:
-            self.matrix = None
-            self._chol = None
-        else:
+        self.matrix = None
+        if matrix is not None:
             m = np.asarray(matrix, dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise MetricError(f"metric must be square, got shape {m.shape}")
             if not np.allclose(m, m.T, rtol=1e-12, atol=1e-12):
                 raise MetricError("metric must be symmetric")
             m = sym_part(m)
-            try:
-                chol = np.linalg.cholesky(m)
-            except np.linalg.LinAlgError as exc:
-                raise MetricError("metric is not positive definite") from exc
-            if np.min(np.diag(chol)) ** 2 <= _PIVOT_REL * (np.trace(m) / m.shape[0]):
-                raise MetricError("metric is numerically singular")
+            self._inverse = _cholesky_solver(m)
+            if self._inverse is None:
+                raise MetricError("metric is not numerically positive definite")
             self.matrix = m
-            self._chol = chol
 
     @property
     def is_identity(self) -> bool:
@@ -97,7 +91,7 @@ class MetricB:
         """B^{-1} g."""
         if self.matrix is None:
             return np.asarray(g, dtype=np.float64)
-        return scipy.linalg.cho_solve((self._chol, True), g)
+        return self._inverse(g)
 
     def norm(self, v: np.ndarray) -> float:
         if self.matrix is None:
@@ -198,20 +192,20 @@ class Regularized:
         return self._hnorm + lam * self.metric.opnorm()
 
     def solve(self, lam: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (H + lam B) s = rhs to a tight residual target.
+        """Solve (H + lam B) s = rhs to the residual target max(1e-10, 1e-12 ||rhs||).
 
+        Every method runs in one loop: a first solve and up to three
+        corrections, each solving again for the residual rhs - (H + lam B) s.
         A dense H is solved directly.  With decompose=True the solve runs in
         the eigenbasis of the pencil (H, B), eigh(H) or eigh(H, B), computed
         on the first solve and kept, so each later solve costs O(n^2) for any
         lam and an indefinite H needs no special case.  Otherwise H + lam B
-        is factored by Cholesky with a scale-relative pivot test.  Both
-        direct paths take up to three steps of iterative refinement.  A
-        matrix-free H, and a dense one whose direct solve misses the target,
-        goes to MINRES capped at 10 n iterations, preconditioned by the
-        operator's SPD precond(lam) when it has one (which keeps MINRES
-        valid for an indefinite H + lam B).  The accepted residual is
-        max(1e-10, 1e-12 * ||rhs||); a solve that cannot reach it raises
-        SolverStallError.
+        is factored by Cholesky with a scale-relative pivot test.  A
+        matrix-free H, and a dense one that a direct method declines or that
+        misses the target, goes to MINRES capped at 10 n iterations per call,
+        preconditioned by the operator's SPD precond(lam) when it has one
+        (which keeps MINRES valid for an indefinite H + lam B).  A solve that
+        cannot reach the target raises SolverStallError.
         """
         if not (lam > 0.0 and np.isfinite(lam)):
             raise ValueError(f"regularizer must be positive and finite, got {lam}")
@@ -223,18 +217,33 @@ class Regularized:
         if float(np.linalg.norm(rhs)) == 0.0:
             return np.zeros(n)
 
+        def apply(v):
+            return self.apply(lam, v)
+
         if self.is_dense:
             if self.decompose:
-                s = self._eigen_solve(lam, rhs, target)
+                direct, direct_apply = self._eigen_solver(lam), apply
             else:
                 bmat = np.eye(n) if self.metric.is_identity else self.metric.matrix
-                s = _cholesky_solve(self.h.dense + lam * bmat, rhs, target)
-            if s is not None:
-                return s
-        return _minres_solve(self, lam, rhs, target)
+                m = self.h.dense + lam * bmat
+                direct, direct_apply = _cholesky_solver(m), m.__matmul__
+            if direct is not None:
+                s, res = _refined(direct, direct_apply, rhs, target)
+                if res <= target:
+                    return s
+        s, res = _refined(_minres_solver(self, lam, rhs), apply, rhs, target)
+        if res > target:
+            raise SolverStallError(
+                f"regularized solve stalled at residual {res:.3e} (target {target:.3e})",
+                best_residual=res,
+            )
+        return s
 
-    def _eigen_solve(self, lam: float, rhs: np.ndarray, target: float) -> np.ndarray | None:
-        """Direct solve in the cached eigenbasis; None if it misses the target."""
+    def _eigen_solver(self, lam: float):
+        """r -> (H + lam B)^{-1} r in the cached eigenbasis.
+
+        None when a shifted eigenvalue w + lam is numerically zero.
+        """
         if self._eig is None:
             self._eig = (np.linalg.eigh(self.h.dense) if self.metric.is_identity
                          else scipy.linalg.eigh(self.h.dense, self.metric.matrix))
@@ -243,8 +252,7 @@ class Regularized:
         shifted = w + lam
         if np.min(np.abs(shifted)) <= _PIVOT_REL * float(np.mean(np.abs(shifted))):
             return None
-        return _refined(lambda r: vecs @ ((vecs.T @ r) / shifted),
-                        lambda v: self.apply(lam, v), rhs, target)
+        return lambda r: vecs @ ((vecs.T @ r) / shifted)
 
 
 def opnorm_est(matvec, n: int, iters: int = 50) -> float:
@@ -275,73 +283,46 @@ def _residual_target(rhs: np.ndarray) -> float:
     return max(1e-10, 1e-12 * float(np.linalg.norm(rhs)))
 
 
-def _refined(solve_once, apply, rhs: np.ndarray, target: float) -> np.ndarray | None:
-    """solve_once(rhs) plus up to three steps of iterative refinement.
+def _refined(solve_once, apply, rhs: np.ndarray, target: float) -> tuple[np.ndarray, float]:
+    """solve_once(rhs) plus up to three corrections s += solve_once(rhs - apply(s)).
 
-    Returns None when the residual rhs - apply(s) still misses the target.
+    Returns the step and the smallest residual ||rhs - apply(s)|| seen; the
+    step meets the target exactly when that residual does.
     """
     s = solve_once(rhs)
+    r = rhs - apply(s)
+    best = float(np.linalg.norm(r))
     for _ in range(3):
-        r = rhs - apply(s)
-        if float(np.linalg.norm(r)) <= target:
-            return s
+        if best <= target:
+            break
         s = s + solve_once(r)
-    if float(np.linalg.norm(rhs - apply(s))) <= target:
-        return s
-    return None
+        r = rhs - apply(s)
+        best = min(best, float(np.linalg.norm(r)))
+    return s, best
 
 
-def _cholesky_solve(m: np.ndarray, rhs: np.ndarray, target: float) -> np.ndarray | None:
-    """Solve m s = rhs by Cholesky with iterative refinement.
-
-    Returns None when the matrix is (numerically) not positive definite or
-    refinement cannot reach the residual target, so the caller can fall back
-    to an iterative method.
-    """
-    n = m.shape[0]
+def _cholesky_solver(m: np.ndarray):
+    """r -> m^{-1} r by Cholesky; None when m is not numerically positive definite."""
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return None
-    if np.min(np.diag(chol)) ** 2 <= _PIVOT_REL * (np.trace(m) / n):
+    if np.min(np.diag(chol)) ** 2 <= _PIVOT_REL * (np.trace(m) / m.shape[0]):
         return None
-    return _refined(lambda r: scipy.linalg.cho_solve((chol, True), r), m.__matmul__,
-                    rhs, target)
+    return lambda r: scipy.linalg.cho_solve((chol, True), r)
 
 
-def _minres_solve(reg: Regularized, lam: float, rhs: np.ndarray,
-                  target: float) -> np.ndarray:
-    """Solve (H + lam B) s = rhs by restarted MINRES; raises SolverStallError."""
+def _minres_solver(reg: Regularized, lam: float, rhs: np.ndarray):
+    """r -> MINRES solution of (H + lam B) d = r, to a tolerance set by rhs's target."""
     n = rhs.shape[0]
-
-    def matvec(v):
-        return reg.apply(lam, v)
-
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda v: reg.apply(lam, v),
+                                            dtype=np.float64)
     precond = None
     if reg.h.precond is not None:
         precond = scipy.sparse.linalg.LinearOperator((n, n), matvec=reg.h.precond(lam),
                                                      dtype=np.float64)
-    rhs_norm = float(np.linalg.norm(rhs))
-    rtol = max(0.1 * target / rhs_norm, 1e-16)
-    s = np.zeros(n)
-    r = rhs - matvec(s)
-    res = float(np.linalg.norm(r))
-    best = rhs_norm
-    for _ in range(3):
-        if res <= target:
-            return s
-        d, _info = scipy.sparse.linalg.minres(op, r, rtol=rtol, maxiter=10 * n, M=precond)
-        s = s + d
-        r = rhs - matvec(s)
-        res = float(np.linalg.norm(r))
-        best = min(best, res)
-    if res <= target:
-        return s
-    raise SolverStallError(
-        f"regularized solve stalled at residual {best:.3e} (target {target:.3e})",
-        best_residual=best,
-    )
+    rtol = max(0.1 * _residual_target(rhs) / float(np.linalg.norm(rhs)), 1e-16)
+    return lambda r: scipy.sparse.linalg.minres(op, r, rtol=rtol, maxiter=10 * n, M=precond)[0]
 
 
 # The solver's per-trial entry point, a module-level name a tracer can wrap.

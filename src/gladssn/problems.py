@@ -272,11 +272,9 @@ def _svm_problem(inst: SvmInstance) -> CompositeProblem:
         dense[np.arange(n), np.arange(n)] += 1.0
         return LinOp.from_dense(dense)
 
-    ztz_top = float(np.linalg.eigvalsh(z_all.T @ z_all)[-1])
     return CompositeProblem(
         smooth=SmoothOracle(dim=dim, eval_f=eval_f, eval_grad=eval_grad,
-                            eval_hess=eval_hess,
-                            lipschitz_L=2.0 * (1.0 + 2.0 * gamma * ztz_top)),
+                            eval_hess=eval_hess),
         psi=ZeroPart(), name="svm",
         kink_gap=lambda x: float(np.min(np.abs(margins_resid(x)))),
         x0=inst.x0.copy(), instance=inst)
@@ -340,11 +338,9 @@ def _huber_problem(inst: HuberInstance) -> CompositeProblem:
         dense[np.arange(n), np.arange(n)] += ridge
         return LinOp.from_dense(dense)
 
-    lip = 2.0 * (float(np.linalg.eigvalsh(a_mat.T @ a_mat)[-1]) + ridge)
     return CompositeProblem(
         smooth=SmoothOracle(dim=n, eval_f=eval_f, eval_grad=eval_grad,
-                            eval_hess=eval_hess, lipschitz_L=lip,
-                            eval_f_diff=eval_f_diff),
+                            eval_hess=eval_hess, eval_f_diff=eval_f_diff),
         psi=ZeroPart(), name="huber",
         kink_gap=lambda x: float(np.min(np.abs(np.abs(a_mat @ x - b_vec) - delta))),
         x0=inst.x0.copy(), instance=inst)
@@ -390,7 +386,6 @@ def _quad_problem(inst: QuadInstance) -> CompositeProblem:
             dim=n, eval_f=eval_f,
             eval_grad=lambda x: a_mat @ x - b_vec,
             eval_hess=lambda x: LinOp.from_dense(a_mat),
-            lipschitz_L=2.0 * float(np.linalg.eigvalsh(a_mat)[-1]),
             eval_f_diff=lambda x, s: -float(s @ (a_mat @ x - b_vec + 0.5 * (a_mat @ s)))),
         psi=ZeroPart(), name="quad",
         known_fstar=-0.5 * float(b_vec @ xstar), known_xstar=xstar,

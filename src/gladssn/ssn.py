@@ -165,9 +165,7 @@ class SolveResult:
     g_final: float
     f_final: float
     F_final: float
-    f_grad: np.ndarray
     psi_sub: np.ndarray
-    F_sub: np.ndarray
     Lambda_final: float
     hess_evals: int
     trials: int
@@ -390,5 +388,5 @@ def solve(problem: CompositeProblem, config: SolverConfig,
 
     return SolveResult(status=status, x=x, trace=trace, iters=k,
                        g_final=metric.dual_norm(F_sub), f_final=f_val, F_final=F_val,
-                       f_grad=f_grad, psi_sub=psi_sub, F_sub=F_sub,
-                       Lambda_final=Lambda_k, hess_evals=hess_evals, trials=trials)
+                       psi_sub=psi_sub, Lambda_final=Lambda_k, hess_evals=hess_evals,
+                       trials=trials)

@@ -286,7 +286,7 @@ def test_criterion_07_linear_rate(capsys):
     ref = solve(prob, SolverConfig(p=0.5, m=1, grad_tol=1e-13, max_outer=2000))
     fstar = min(min(r.F_val for r in ref.trace), ref.F_final)
     floor = 1e3 * np.finfo(float).eps * max(abs(fstar), 1.0)
-    lip = prob.smooth.lipschitz_L
+    lip = 2.0 * (float(np.linalg.eigvalsh(prob.instance.A.T @ prob.instance.A)[-1]) + mu)
     failures = []
     n_windows = 0
     worst = 0.0

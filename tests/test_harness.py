@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -58,6 +59,20 @@ def test_read_trace_rejects_wrong_header(tmp_path):
     path.write_text('[{"k": 0}]\n')
     with pytest.raises(ValueError):
         read_trace(path)
+    # a well-formed trace with one extra field or key in its second row
+    rows = synthetic_trace([1.0, 0.5, 0.25])
+    write_trace(path, rows)
+    lines = path.read_text().splitlines()
+    lines[2] += ",0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="row 1"):
+        read_trace(path)
+    write_trace(path, rows, emit="json")
+    data = json.loads(path.read_text())
+    data[1]["extra"] = 0
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="row 1"):
+        read_trace(path)
 
 
 def test_read_trace_empty_file(tmp_path):
@@ -68,17 +83,21 @@ def test_read_trace_empty_file(tmp_path):
 
 # -------------------------------------------------------------------- verify
 
+def quad_lipschitz(p):
+    """L = 2 ||A|| for the quadratic, so that ||f''|| <= L / 2."""
+    return 2.0 * float(np.linalg.eigvalsh(p.instance.A)[-1])
+
+
 def test_verify_passes_on_solver_trace(quad_result):
     p = make_quadratic(1)
-    report = verify(quad_result.trace, L=p.smooth.lipschitz_L,
-                    fstar=p.known_fstar)
+    lip = quad_lipschitz(p)
+    report = verify(quad_result.trace, L=lip, fstar=p.known_fstar)
     assert report.passed, report.summary()
     for name in ("pairing", "decrease", "step_grad", "no_overshoot",
                  "value_gain", "lambda_cap", "newton_count", "envelope",
                  "hessian_schedule"):
         assert name in report.checks
-    assert report.lambda_bar == max(4.0 * p.smooth.lipschitz_L,
-                                    quad_result.trace[0].lambda_k)
+    assert report.lambda_bar == max(4.0 * lip, quad_result.trace[0].lambda_k)
     assert "PASS" in report.summary()
 
 
@@ -151,7 +170,7 @@ def test_verify_flags_tampered_lambda(quad_result):
     p = make_quadratic(1)
     rows = [dataclasses.replace(r) for r in quad_result.trace]
     rows[4].lambda_k = 1e12
-    report = verify(rows, L=p.smooth.lipschitz_L)
+    report = verify(rows, L=quad_lipschitz(p))
     assert not report.checks["lambda_cap"].passed
 
 

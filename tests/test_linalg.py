@@ -189,9 +189,13 @@ def test_solve_regularized_zero_rhs():
 
 def test_solve_regularized_inconsistent_system_stalls():
     # diag(-1,1) + I = diag(0,2); rhs (1,0) has no solution.  Both direct
-    # paths decline the singular system and MINRES reports the stall.
-    for decompose in (False, True):
-        reg = Regularized(LinOp.from_dense(np.diag([-1.0, 1.0])), MetricB(), decompose)
+    # paths decline the singular system and MINRES reports the stall, as it
+    # does for the same operator given matrix-free.
+    h = np.diag([-1.0, 1.0])
+    regs = [Regularized(LinOp.from_dense(h), MetricB(), decompose=False),
+            Regularized(LinOp.from_dense(h), MetricB(), decompose=True),
+            Regularized(LinOp.from_matvec(lambda v: h @ v, 2), MetricB())]
+    for reg in regs:
         with pytest.raises(SolverStallError) as exc:
             reg.solve(1.0, np.array([1.0, 0.0]))
         assert exc.value.best_residual > 0.0

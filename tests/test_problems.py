@@ -291,7 +291,6 @@ def test_svm_blob_geometry():
     assert abs(np.mean(inst.X[:half, 0]) - 1.5) < 0.3
     assert abs(np.mean(inst.X[half:, 0]) + 1.5) < 0.3
     np.testing.assert_array_equal(p.x0, np.zeros(21))
-    assert p.smooth.lipschitz_L is not None and p.smooth.lipschitz_L > 0
 
 
 # --------------------------------------------------------------------- huber
@@ -318,8 +317,6 @@ def test_huber_default_instance():
     p = make_huber(1)
     assert p.instance.A.shape == (500, 50)
     np.testing.assert_array_equal(p.x0, np.zeros(50))
-    top = float(np.linalg.eigvalsh(p.instance.A.T @ p.instance.A)[-1])
-    assert p.smooth.lipschitz_L == pytest.approx(2.0 * (top + 0.01), rel=1e-12)
     # ridge shows up in the Hessian diagonal
     h = p.smooth.eval_hess(p.x0).dense
     np.testing.assert_array_equal(h, h.T)
@@ -335,7 +332,6 @@ def test_quadratic_spectrum_and_solution():
     assert eigs[0] == pytest.approx(1.0, rel=1e-9)
     assert eigs[-1] == pytest.approx(1e3, rel=1e-9)
     assert np.all(eigs >= 1.0 - 1e-6) and np.all(eigs <= 1e3 + 1e-6)
-    assert p.smooth.lipschitz_L == pytest.approx(2e3, rel=1e-9)
     g = p.smooth.eval_grad(p.known_xstar)
     assert np.linalg.norm(g) < 1e-9 * np.linalg.norm(p.instance.b)
     assert p.smooth.eval_f(p.known_xstar) == pytest.approx(p.known_fstar, abs=1e-9)
