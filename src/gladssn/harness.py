@@ -10,13 +10,10 @@ The transition out of the final row also needs the terminal state
 checks every accepted step, the last one included; given a path or a list
 of records, it checks every transition but the last.
 
-verify() rechecks, with relative slack 1e-9 and absolute slack 1e-12:
+verify() rechecks, with relative slack 1e-9 and absolute slack 1e-12, the
+solver's own ssn.step_inequalities on every transition (pairing, decrease,
+step_grad, no_overshoot, value_gain), and over the whole trace:
 
-    pairing     <F'(x_{k+1}), x_k - x_{k+1}>  >=  g_{k+1}^2 / (2 lambda_k)
-    decrease    F_k - F_{k+1}  >=  lambda_k / 4 * r_k^2
-    step_grad   g_{k+1}  <=  2 lambda_k r_k
-    no_overshoot g_{k+1} <=  2 g_k
-    value_gain  F_k - F_{k+1}  >=  g_{k+1}^2 / (16 lambda_k)
     lambda_cap  lambda_k  <=  max(4 L, Lambda_0 g_0^p)     [needs L]
     newton_count sum_{i<=k} j_i  ==  (k+1) + log4(Lambda_{k+1} / Lambda_0)
     envelope    min_{i<=k} g_i  <=  4 sqrt(lambda_bar (F_0 - fstar) / k)   [needs fstar]
@@ -31,6 +28,7 @@ envelope uses the largest observed lambda_k as a stand-in for lambda_bar
 from __future__ import annotations
 
 import json
+import numbers
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -101,6 +99,9 @@ class RunConfig(ssn.SolverConfig):
         if self.solver not in SOLVERS:
             raise ConfigError(f"unknown solver {self.solver!r}; "
                               f"choose from {sorted(SOLVERS)}")
+        if not (isinstance(self.seed, numbers.Real) and float(self.seed).is_integer()):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        self.seed = int(self.seed)
         if self.emit not in ("csv", "json"):
             raise ConfigError(f"emit must be 'csv' or 'json', got {self.emit!r}")
 
@@ -143,13 +144,18 @@ def write_trace(path, records: list[TraceRecord], emit: str = "csv") -> None:
 
 
 def _record_from_dict(d: dict, row: int) -> TraceRecord:
+    if not isinstance(d, dict):
+        raise ValueError(f"trace row {row} is not an object of columns")
     missing = [c for c in COLUMNS if c not in d]
     if missing:
         raise ValueError(f"trace row {row} is missing columns {missing}")
     unknown = [c for c in d if c not in COLUMNS]
     if unknown:
         raise ValueError(f"trace row {row} has unknown columns {unknown}")
-    vals = {c: (int(d[c]) if c in _INT_COLUMNS else float(d[c])) for c in COLUMNS}
+    try:
+        vals = {c: (int(d[c]) if c in _INT_COLUMNS else float(d[c])) for c in COLUMNS}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"trace row {row} has a non-numeric value: {exc}") from exc
     return TraceRecord(**vals)
 
 
@@ -301,20 +307,11 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
         g_next = np.append(g_next, terminal.g_final)
         F_next = np.append(F_next, terminal.F_final)
     n_tr = g_next.size
-    lam_tr = lams[:n_tr]
-    r_tr = rs[:n_tr]
     row_ids = ks[:n_tr]
-    checks["pairing"] = _check_ineq("pairing", pair[:n_tr],
-                                    g_next**2 / (2.0 * lam_tr), row_ids)
-    decrease = f_F[:n_tr] - F_next
-    checks["decrease"] = _check_ineq("decrease", decrease,
-                                     0.25 * lam_tr * r_tr**2, row_ids)
-    checks["step_grad"] = _check_ineq("step_grad", 2.0 * lam_tr * r_tr,
-                                      g_next, row_ids)
-    checks["no_overshoot"] = _check_ineq("no_overshoot", 2.0 * gs[:n_tr],
-                                         g_next, row_ids)
-    checks["value_gain"] = _check_ineq("value_gain", decrease,
-                                       g_next**2 / (16.0 * lam_tr), row_ids)
+    ineqs = ssn.step_inequalities(pair[:n_tr], g_next, rs[:n_tr], lams[:n_tr],
+                                  f_F[:n_tr] - F_next, gs[:n_tr])
+    for name, (lhs, rhs) in ineqs.items():
+        checks[name] = _check_ineq(name, lhs, rhs, row_ids)
 
     lam0_seed = lams[0] / 4.0**js[0]  # Lambda_0 * g_0^p, recovered exactly
     lambda_bar = None

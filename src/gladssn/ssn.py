@@ -15,7 +15,8 @@ accepted when
     <F'(x_+), x_k - x_+>  >=  ||F'(x_+)||_*^2 / (2 lambda)
     F(x_k) - F(x_+)       >=  lambda/4 * ||x_+ - x_k||_B^2
 
-both hold, after which Lambda_{k+1} = 4^{j_k} Lambda_k / 4.  Rejected
+both hold (acceptance_test, through step_inequalities), after which
+Lambda_{k+1} = 4^{j_k} Lambda_k / 4.  Rejected
 trials quadruple lambda; a failed inner solve counts as a rejected trial.
 An outer iteration whose 60 trials (_MAX_TRIALS) are all rejected ends the
 run as stalled.
@@ -49,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import MetricB, Regularized, SolverStallError, solve_regularized
+from .linalg import Regularized, SolverStallError, solve_regularized
 from .oracle import CompositeProblem
 
 __all__ = [
@@ -62,6 +63,7 @@ __all__ = [
     "TrialResult",
     "SolveResult",
     "trial_lambda",
+    "step_inequalities",
     "acceptance_test",
     "trial_step",
     "solve",
@@ -176,42 +178,43 @@ def trial_lambda(Lambda_k: float, g_k: float, p: float, j: int) -> float:
     return (4.0**j) * Lambda_k * g_k**p
 
 
-def acceptance_test(F_sub_plus: np.ndarray, x_k: np.ndarray, x_plus: np.ndarray,
-                    lam: float, F_k_val: float, F_plus_val: float,
-                    metric: MetricB, decrease: float | None = None) -> bool:
-    """Both progress inequalities at the trial point.
+def step_inequalities(pairing, g_next, r, lam, decrease, g) -> dict:
+    """The five inequalities of a step x_k -> x_+, each as (lhs, rhs), lhs >= rhs.
 
-    decrease, when given, is an accurate F(x_k) - F(x_+) that replaces the
-    difference of the two rounded values F_k_val - F_plus_val.
+    g and g_next are the gradient norms at x_k and x_+, r = ||x_k - x_+||,
+    pairing = <F'(x_+), x_k - x_+> and decrease = F(x_k) - F(x_+).  The first
+    two are the acceptance test and imply the rest; floats or arrays.
     """
-    step = x_k - x_plus
-    g_plus = metric.dual_norm(F_sub_plus)
-    if float(F_sub_plus @ step) < g_plus * g_plus / (2.0 * lam):
-        return False
-    r = metric.norm(step)
-    if decrease is None:
-        decrease = F_k_val - F_plus_val
-    return decrease >= 0.25 * lam * r * r
+    return {
+        "pairing": (pairing, g_next * g_next / (2.0 * lam)),
+        "decrease": (decrease, 0.25 * lam * r * r),
+        "step_grad": (2.0 * lam * r, g_next),
+        "no_overshoot": (2.0 * g, g_next),
+        "value_gain": (decrease, g_next * g_next / (16.0 * lam)),
+    }
 
 
-def _certified_decrease(problem: CompositeProblem, x: np.ndarray, x_plus: np.ndarray,
-                        lam: float, F_val: float, F_plus: float) -> float | None:
-    """F(x) - F(x_+) from the oracle's eval_f_diff, where rounding needs it.
+def acceptance_test(pairing: float, g_plus: float, r: float, lam: float,
+                    decrease: float, g: float) -> bool:
+    """Whether a trial passes the pairing and decrease inequalities."""
+    ineq = step_inequalities(pairing, g_plus, r, lam, decrease, g)
+    return all(lhs >= rhs for lhs, rhs in (ineq["pairing"], ineq["decrease"]))
 
-    Returns None, so that the rounded values decide, unless psi is zero, the
-    oracle has eval_f_diff and the decrease test lies within the rounding
-    band: |(F_val - F_plus) - lam r^2 / 4| <= _ROUNDING_BAND * eps *
-    (|F_val| + |F_plus|).
+
+def _certified_decrease(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
+                        r: float, lam: float, F_val: float, F_plus: float) -> float:
+    """F(x) - F(x + s) for the decrease test, where r = ||s||.
+
+    eval_f_diff(x, s) when psi is zero, the oracle has it and the test lies
+    within the rounding band |(F_val - F_plus) - lam r^2 / 4| <=
+    _ROUNDING_BAND * eps * (|F_val| + |F_plus|); else F_val - F_plus.
     """
     diff = problem.smooth.eval_f_diff
-    if diff is None or not problem.psi.is_zero:
-        return None
-    s = x_plus - x
-    r = problem.metric.norm(s)
-    band = _ROUNDING_BAND * _EPS * (abs(F_val) + abs(F_plus))
-    if abs((F_val - F_plus) - 0.25 * lam * r * r) > band:
-        return None
-    return float(diff(x, s))
+    if diff is not None and problem.psi.is_zero:
+        band = _ROUNDING_BAND * _EPS * (abs(F_val) + abs(F_plus))
+        if abs((F_val - F_plus) - 0.25 * lam * r * r) <= band:
+            return float(diff(x, s))
+    return F_val - F_plus
 
 
 def _prox_model_solve(reg: Regularized, lam: float, x: np.ndarray, f_grad: np.ndarray,
@@ -321,6 +324,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
     F_val = f_val + problem.psi.eval_psi(x)
     if not (np.isfinite(F_val) and np.all(np.isfinite(F_sub))):
         raise NonFiniteError("objective or gradient non-finite at the starting point")
+    g = metric.dual_norm(F_sub)
 
     Lambda_k = float(config.Lambda0)
     reg: Regularized | None = None
@@ -329,10 +333,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
     trace: list[TraceRecord] = []
     start_ns = time.perf_counter_ns()
     k = 0
-    status = MAXITER
-
     while True:
-        g = metric.dual_norm(F_sub)
         if g <= config.grad_tol:
             status = CONVERGED
             break
@@ -344,7 +345,6 @@ def solve(problem: CompositeProblem, config: SolverConfig,
                               decompose=_reuse_pays(k, config.m, trials))
             hess_evals += 1
 
-        accepted = None
         s_prev = None
         for j in range(_MAX_TRIALS):
             lam = trial_lambda(Lambda_k, g, config.p, j)
@@ -360,33 +360,32 @@ def solve(problem: CompositeProblem, config: SolverConfig,
                 raise NonFiniteError(
                     f"non-finite trial value at outer iteration {k}, trial {j}",
                     k=k, j=j)
-            decrease = _certified_decrease(problem, x, trial.x_plus, lam, F_val, F_plus)
-            if acceptance_test(trial.F_sub_plus, x, trial.x_plus, lam, F_val, F_plus,
-                               metric, decrease=decrease):
-                accepted = (j, lam, trial, f_plus, F_plus)
+            step = x - trial.x_plus
+            r = metric.norm(step)
+            pairing = float(trial.F_sub_plus @ step)
+            g_plus = metric.dual_norm(trial.F_sub_plus)
+            decrease = _certified_decrease(problem, x, s_prev, r, lam, F_val, F_plus)
+            if acceptance_test(pairing, g_plus, r, lam, decrease, g):
                 break
-        if accepted is None:
+        else:
             status = STALLED
             break
 
-        j, lam, trial, f_plus, F_plus = accepted
-        step = x - trial.x_plus
         trace.append(TraceRecord(
             k=k, j_k=j, lambda_k=lam, Lambda_k=Lambda_k,
-            f_val=f_val, F_val=F_val, g_k=g, r_k=metric.norm(step),
-            inner_prod=float(trial.F_sub_plus @ step),
+            f_val=f_val, F_val=F_val, g_k=g, r_k=r, inner_prod=pairing,
             hess_evals=hess_evals, trials=trials,
             wall_ns=time.perf_counter_ns() - start_ns))
         Lambda_k = (4.0**j) * Lambda_k / 4.0
         x = trial.x_plus
         psi_sub = trial.psi_sub_plus
-        F_sub = trial.F_sub_plus
         f_grad = trial.f_grad_plus
         f_val = f_plus
         F_val = F_plus
+        g = g_plus
         k += 1
 
     return SolveResult(status=status, x=x, trace=trace, iters=k,
-                       g_final=metric.dual_norm(F_sub), f_final=f_val, F_final=F_val,
+                       g_final=g, f_final=f_val, F_final=F_val,
                        psi_sub=psi_sub, Lambda_final=Lambda_k, hess_evals=hess_evals,
                        trials=trials)

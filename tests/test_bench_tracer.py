@@ -1,0 +1,71 @@
+"""The benchmark's span tracer still fits the package.
+
+perfbench/spans.py traces a solve from outside the package: it swaps
+wrappers into ssn.trial_step, ssn.solve_regularized and ssn.acceptance_test,
+reads Regularized.is_dense, and rebuilds the SmoothOracle (lipschitz_L
+included) with wrapped callables.  A refactor that renames or reshapes any
+of these breaks `bench.py --trace 1`, whose own tests are not part of this
+suite.  This test loads spans.py as it is and runs two small solves under
+it that stay off the rounding floor, where the tracer's oracle copy (which
+has no eval_f_diff) decides exactly as the original.
+"""
+
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from gladssn import ssn
+from gladssn.oracle import SeparableProx
+from gladssn.problems import make_huber, make_nmf
+from gladssn.ssn import CONVERGED, SolverConfig
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def l1(weight):
+    return SeparableProx(lambda v, t: np.sign(v) * np.maximum(np.abs(v) - weight * t, 0.0),
+                         lambda x: weight * float(np.sum(np.abs(x))))
+
+
+def trajectory(result):
+    rows = [dataclasses.astuple(dataclasses.replace(r, wall_ns=0)) for r in result.trace]
+    return result.status, result.g_final, result.F_final, rows
+
+
+def test_tracer_wraps_the_solver_without_changing_it():
+    spans = load_spans()
+    patched = {name: vars(ssn)[name]
+               for name in ("trial_step", "solve_regularized", "acceptance_test")}
+    cases = {
+        "nmf": (make_nmf(1, d=12, n=8, r=3), SolverConfig(m=2, grad_tol=1e-4),
+                {"ssn.acceptance_test", "ssn.trial_step", "linalg.solve_regularized"}),
+        "huber-l1": (dataclasses.replace(make_huber(1, m=80, n=10), psi=l1(0.5)),
+                     SolverConfig(m=1, grad_tol=1e-8),
+                     {"ssn.acceptance_test", "ssn.trial_step"}),
+    }
+    for name, (problem, config, expected_spans) in cases.items():
+        plain = ssn.solve(problem, config)
+        assert plain.status == CONVERGED, name
+        tracer = spans.Tracer()
+        with tracer.installed():
+            traced = ssn.solve(tracer.traced_problem(problem), config)
+        assert {n: vars(ssn)[n] for n in patched} == patched  # restored on exit
+        calls, _, _ = tracer.totals()
+        assert expected_spans <= set(calls), name
+        assert calls["ssn.trial_step"] == plain.trials, name
+        assert calls["ssn.acceptance_test"] > 0, name
+        assert calls["oracle.eval_hess"] == plain.hess_evals, name
+        if name == "nmf":
+            assert tracer.counts["linalg.dense_solves"] > 0
+        else:
+            assert tracer.counts["ssn.prox.sweeps"] > 0
+        assert trajectory(traced) == trajectory(plain), name

@@ -117,6 +117,13 @@ def test_verify_missing_file(capsys):
     assert "gladssn:" in capsys.readouterr().err
 
 
+def test_verify_malformed_json_trace(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text("[1]")
+    assert main(["verify", str(path)]) == 1
+    assert "row 0" in capsys.readouterr().err
+
+
 def test_estimate_order_command(tmp_path, capsys):
     path = tmp_path / "synt.csv"
     write_trace(path, synthetic_trace([1e-1, 1e-2, 1e-4, 1e-8]))

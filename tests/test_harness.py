@@ -73,6 +73,16 @@ def test_read_trace_rejects_wrong_header(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="row 1"):
         read_trace(path)
+    # a JSON row that is not an object, or holds a null or a list value
+    path.write_text("[1]")
+    with pytest.raises(ValueError, match="row 0"):
+        read_trace(path)
+    for col, value in (("k", None), ("g_k", [1])):
+        data = json.loads(json.dumps([dataclasses.asdict(r) for r in rows]))
+        data[1][col] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="row 1"):
+            read_trace(path)
 
 
 def test_read_trace_empty_file(tmp_path):
@@ -289,8 +299,13 @@ def test_run_config_validation():
         RunConfig.from_dict({"solver": "gladssn"})
     with pytest.raises(ConfigError):
         run(RunConfig(problem="quad", problem_kwargs={"bogus_kw": 3}))
-    cfg = RunConfig.from_dict({"problem": "quad", "p": 0.0, "m": 2})
+    # a seed must be an integer value: not a fraction, a string or null
+    for seed in (1.5, "7", None, float("nan")):
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig.from_dict({"problem": "quad", "seed": seed})
+    cfg = RunConfig.from_dict({"problem": "quad", "p": 0.0, "m": 2, "seed": 7.0})
     assert cfg.p == 0.0 and cfg.m == 2
+    assert cfg.seed == 7 and isinstance(cfg.seed, int)
 
 
 # -------------------------------------------------------------------- compare

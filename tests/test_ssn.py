@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gladssn.linalg import LinOp, MetricB, Regularized
 from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPart
@@ -24,20 +25,55 @@ def test_trial_lambda():
 
 def test_acceptance_boundaries():
     metric = MetricB()
-    x_k = np.array([1.0, 0.0])
-    x_plus = np.array([0.0, 0.0])
-    F_sub = np.array([1.0, 0.0])  # pairing lhs = 1, ||F'||^2 = 1
-    # lam = 0.5: pairing needs 1 >= 1 (boundary), decrease needs drop >= 0.125
-    assert acceptance_test(F_sub, x_k, x_plus, 0.5, 1.0, 0.875, metric)
-    assert not acceptance_test(F_sub, x_k, x_plus, 0.5, 1.0, 0.876, metric)
+    step = np.array([1.0, 0.0])  # x_k - x_+ with x_k = (1, 0), x_+ = 0
+    F_sub = np.array([1.0, 0.0])
+    pairing, g_plus, r = float(F_sub @ step), metric.dual_norm(F_sub), metric.norm(step)
+    # g = 0.1 would fail no_overshoot (2 g >= g_plus); acceptance ignores it
+    g = 0.1
+    # lam = 0.5: pairing needs 1 >= 1 (boundary), decrease needs drop >= 0.125,
+    # given as a difference of two values or as one accurate value
+    assert acceptance_test(pairing, g_plus, r, 0.5, 1.0 - 0.875, g)
+    assert not acceptance_test(pairing, g_plus, r, 0.5, 1.0 - 0.876, g)
+    assert acceptance_test(pairing, g_plus, r, 0.5, 0.125, g)
+    assert not acceptance_test(pairing, g_plus, r, 0.5, 0.124, g)
     # lam = 0.4: pairing needs 1 >= 1.25, fails no matter the decrease
-    assert not acceptance_test(F_sub, x_k, x_plus, 0.4, 1.0, -10.0, metric)
-    # a supplied decrease overrides the difference of the two values, both
-    # ways, and the pairing test still comes first
-    assert acceptance_test(F_sub, x_k, x_plus, 0.5, 1.0, 1.0, metric, decrease=0.125)
-    assert not acceptance_test(F_sub, x_k, x_plus, 0.5, 1.0, 0.0, metric,
-                               decrease=0.124)
-    assert not acceptance_test(F_sub, x_k, x_plus, 0.4, 1.0, 1.0, metric, decrease=10.0)
+    assert not acceptance_test(pairing, g_plus, r, 0.4, 11.0, g)
+    assert not acceptance_test(pairing, g_plus, r, 0.4, 10.0, g)
+
+
+def test_step_inequalities_scalars_and_arrays_agree():
+    pairing = np.array([1.0, 0.3, 2.0])
+    g_next = np.array([1.0, 0.9, 0.1])
+    r = np.array([1.0, 0.2, 3.0])
+    lam = np.array([0.5, 4.0, 0.25])
+    decrease = np.array([0.125, 1e-3, 5.0])
+    g = np.array([2.0, 0.4, 1.0])
+    arrays = ssn.step_inequalities(pairing, g_next, r, lam, decrease, g)
+    assert list(arrays) == ["pairing", "decrease", "step_grad", "no_overshoot",
+                            "value_gain"]
+    for i in range(3):
+        scalars = ssn.step_inequalities(float(pairing[i]), float(g_next[i]), float(r[i]),
+                                        float(lam[i]), float(decrease[i]), float(g[i]))
+        for name, (lhs, rhs) in scalars.items():
+            assert (lhs, rhs) == (arrays[name][0][i], arrays[name][1][i])
+    # row 0 sits on the pairing and decrease boundaries
+    assert arrays["pairing"][0][0] == arrays["pairing"][1][0]
+    assert arrays["decrease"][0][0] == arrays["decrease"][1][0]
+
+
+def test_certified_decrease_inside_and_outside_the_band():
+    # f = 0.5 ||x||^2 with an exact difference oracle that the rounded
+    # values cannot reproduce, so the result shows which one was used
+    base = half_norm_problem(2)
+    exact = dataclasses.replace(
+        base, smooth=dataclasses.replace(base.smooth, eval_f_diff=lambda x, s: 42.0))
+    x, s = np.array([1.0, 0.0]), np.array([-0.5, 0.0])
+    r, lam = 0.5, 1.0
+    on_band = 0.25 * lam * r * r  # rounded decrease exactly at the test's boundary
+    assert ssn._certified_decrease(exact, x, s, r, lam, 1.0, 1.0 - on_band) == 42.0
+    assert ssn._certified_decrease(exact, x, s, r, lam, 1.0, 0.5) == 0.5
+    # without the oracle the rounded difference decides, even inside the band
+    assert ssn._certified_decrease(base, x, s, r, lam, 1.0, 1.0 - on_band) == on_band
 
 
 def half_norm_problem(n):
@@ -209,6 +245,38 @@ def test_accepted_inequalities_on_nonconvex_run():
     res = solve(p, SolverConfig(p=0.5, m=1, grad_tol=1e-8, max_outer=300))
     assert res.status == CONVERGED
     assert verify(res).passed
+
+
+def test_solve_under_a_diagonal_metric(monkeypatch):
+    # B = diag(d) routes every norm, dual norm and regularizer through the
+    # dense metric; each run must converge and pass every audited inequality
+    generalized_eighs = []
+    eigh = scipy.linalg.eigh
+
+    def counted_eigh(a, b=None, *args, **kwargs):
+        if b is not None:
+            generalized_eighs.append(a.shape[0])
+        return eigh(a, b, *args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+
+    l1, _ = counted_l1(0.5)
+    huber = make_huber(1, m=80, n=10)
+    cases = {"quad": make_quadratic(1, n=20, cond=100.0),
+             "huber": huber,
+             "huber-l1": dataclasses.replace(huber, psi=l1)}
+    for name, p in cases.items():
+        metric = MetricB(np.diag(np.linspace(0.5, 2.0, p.dim)))
+        p = dataclasses.replace(p, metric=metric)
+        for m in (1, 5):
+            generalized_eighs.clear()
+            res = solve(p, SolverConfig(m=m, grad_tol=1e-8))
+            assert res.status == CONVERGED, (name, m)
+            assert res.g_final == metric.dual_norm(res.psi_sub + p.smooth.eval_grad(res.x)), (name, m)
+            assert verify(res).passed, (name, m)
+            # only smooth Huber at m = 5 rejects enough trials to decompose
+            # H once per refresh (a convex quadratic accepts every first
+            # trial, and the composite model is solved by FISTA)
+            assert bool(generalized_eighs) == (name == "huber" and m == 5), (name, m)
 
 
 def test_lasso_prox_path():
