@@ -49,7 +49,6 @@ def armijo_gd(problem: CompositeProblem, config: SolverConfig,
     trace: list[TraceRecord] = []
     start_ns = time.perf_counter_ns()
     k = 0
-    status = MAXITER
 
     while True:
         g_norm = float(np.linalg.norm(grad))

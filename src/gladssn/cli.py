@@ -22,8 +22,9 @@ import json
 import sys
 from dataclasses import fields
 
-from .harness import (ConfigError, NotEstimableError, RunConfig, compare,
+from .harness import (SOLVERS, ConfigError, NotEstimableError, RunConfig, compare,
                       estimate_order, format_compare_table, run, verify)
+from .problems import KINDS
 from .ssn import NonFiniteError
 
 
@@ -44,8 +45,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     run_p = sub.add_parser("run", help="solve a built-in problem and write a trace")
-    run_p.add_argument("--problem", help="nmf | svm | huber | quad")
-    run_p.add_argument("--solver", help="gladssn (default) | armijo")
+    run_p.add_argument("--problem", help=" | ".join(KINDS))
+    run_p.add_argument("--solver", help=" | ".join(SOLVERS) + " (default gladssn)")
     run_p.add_argument("--p", type=float, help="regularizer exponent in [0, 1]")
     run_p.add_argument("--m", type=int, help="hessian refresh period")
     run_p.add_argument("--lambda0", dest="Lambda0", type=float,

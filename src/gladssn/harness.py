@@ -64,8 +64,6 @@ EXIT_CODES = {ssn.CONVERGED: 0, ssn.MAXITER: 2, ssn.STALLED: 3}
 _REL_SLACK = 1e-9
 _ABS_SLACK = 1e-12
 
-PROBLEMS = {"nmf": problems.make_nmf, "svm": problems.make_svm,
-            "huber": problems.make_huber, "quad": problems.make_quadratic}
 SOLVERS = {"gladssn": ssn.solve, "armijo": baselines.armijo_gd}
 
 
@@ -93,9 +91,9 @@ class RunConfig(ssn.SolverConfig):
             super().__post_init__()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.problem not in PROBLEMS:
+        if self.problem not in problems.KINDS:
             raise ConfigError(f"unknown problem {self.problem!r}; "
-                              f"choose from {sorted(PROBLEMS)}")
+                              f"choose from {sorted(problems.KINDS)}")
         if self.solver not in SOLVERS:
             raise ConfigError(f"unknown solver {self.solver!r}; "
                               f"choose from {sorted(SOLVERS)}")
@@ -107,12 +105,7 @@ class RunConfig(ssn.SolverConfig):
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "problem" not in d:
-            raise ConfigError("config needs a 'problem' entry")
+        """cls(**d); an unknown or missing key is a ConfigError naming it."""
         try:
             return cls(**d)
         except TypeError as exc:
@@ -121,50 +114,25 @@ class RunConfig(ssn.SolverConfig):
 
 # ------------------------------------------------------------------ trace IO
 
-def _format_value(col: str, value) -> str:
-    if col in _INT_COLUMNS:
-        return str(int(value))
-    return repr(float(value))
-
-
 def write_trace(path, records: list[TraceRecord], emit: str = "csv") -> None:
     """Serialize records; repr() keeps every float round-trip exact."""
-    path = Path(path)
+    rows = [[int(getattr(r, c)) if c in _INT_COLUMNS else float(getattr(r, c))
+             for c in COLUMNS] for r in records]
     if emit == "json":
-        rows = [{c: (int(getattr(r, c)) if c in _INT_COLUMNS else float(getattr(r, c)))
-                 for c in COLUMNS} for r in records]
-        path.write_text(json.dumps(rows, indent=1) + "\n")
-        return
-    if emit != "csv":
+        text = json.dumps([dict(zip(COLUMNS, row)) for row in rows], indent=1)
+    elif emit == "csv":
+        text = "\n".join([",".join(COLUMNS)] + [",".join(map(repr, row)) for row in rows])
+    else:
         raise ConfigError(f"emit must be 'csv' or 'json', got {emit!r}")
-    lines = [",".join(COLUMNS)]
-    for r in records:
-        lines.append(",".join(_format_value(c, getattr(r, c)) for c in COLUMNS))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _record_from_dict(d: dict, row: int) -> TraceRecord:
-    if not isinstance(d, dict):
-        raise ValueError(f"trace row {row} is not an object of columns")
-    missing = [c for c in COLUMNS if c not in d]
-    if missing:
-        raise ValueError(f"trace row {row} is missing columns {missing}")
-    unknown = [c for c in d if c not in COLUMNS]
-    if unknown:
-        raise ValueError(f"trace row {row} has unknown columns {unknown}")
-    try:
-        vals = {c: (int(d[c]) if c in _INT_COLUMNS else float(d[c])) for c in COLUMNS}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"trace row {row} has a non-numeric value: {exc}") from exc
-    return TraceRecord(**vals)
+    Path(path).write_text(text + "\n")
 
 
 def read_trace(path) -> list[TraceRecord]:
     """Read a CSV or JSON trace back into records (format sniffed)."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("[") or stripped.startswith("{"):
-        return [_record_from_dict(d, row) for row, d in enumerate(json.loads(text))]
+    if text.lstrip()[:1] in ("[", "{"):
+        return [problems.dataclass_from_json(TraceRecord, d, f"trace row {row}")
+                for row, d in enumerate(json.loads(text))]
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         return []
@@ -176,7 +144,11 @@ def read_trace(path) -> list[TraceRecord]:
         toks = ln.split(",")
         if len(toks) != len(header):
             raise ValueError(f"trace row {row} has {len(toks)} fields, expected {len(header)}")
-        out.append(_record_from_dict(dict(zip(header, toks)), row))
+        try:
+            vals = [int(t) if c in _INT_COLUMNS else float(t) for c, t in zip(header, toks)]
+        except ValueError as exc:
+            raise ValueError(f"trace row {row} has a non-numeric value: {exc}") from exc
+        out.append(TraceRecord(*vals))
     return out
 
 
@@ -191,7 +163,7 @@ def _as_records(trace) -> list[TraceRecord]:
 def _execute(config: RunConfig) -> SolveResult:
     """Build the problem and run the requested solver."""
     try:
-        problem = PROBLEMS[config.problem](config.seed, **config.problem_kwargs)
+        problem = problems.KINDS[config.problem].make(config.seed, **config.problem_kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad problem_kwargs for {config.problem}: {exc}") from exc
     return SOLVERS[config.solver](problem, config)
@@ -364,17 +336,15 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
     elif len(refresh_rows) >= 2:
         m_hat = int(refresh_rows[1] - refresh_rows[0])
         want = (ks - ks[0]) % m_hat == 0
-        if not np.array_equal(want, incr == 1):
-            sched_bad = 1
-        elif hevals[-1] != (ks[-1] - ks[0]) // m_hat + 1:
+        if (not np.array_equal(want, incr == 1)
+                or hevals[-1] != (ks[-1] - ks[0]) // m_hat + 1):
             sched_bad = 1
         else:
             notes.append(f"hessian schedule consistent with m={m_hat}")
     else:
         notes.append("single hessian refresh: any m > k_last fits")
     checks["hessian_schedule"] = CheckResult("hessian_schedule", n_rows, sched_bad,
-                                             0.0 if not sched_bad else 1.0,
-                                             int(ks[0]))
+                                             float(sched_bad), int(ks[0]))
 
     return VerifyReport(rows=n_rows, checks=checks, lambda_bar=lambda_bar, notes=notes)
 

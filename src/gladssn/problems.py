@@ -1,10 +1,12 @@
 """Built-in benchmark problems.
 
-Every make_* draws a frozen instance record from a seeded stream (see rng
-for the bit-exact recipe; the draw order per kind is documented on its
-generator) and wraps it as a CompositeProblem.  Instances round-trip
-through a plain-text container via save_instance / load_instance, and
-problem_from_instance rebuilds the oracles, so runs replay across machines.
+KINDS maps each problem kind to its frozen instance record, its seeded
+make_* generator (see rng for the bit-exact recipe; each generator documents
+its draw order) and its oracle builder, which problem_from_instance applies.
+save_instance writes an instance as JSON with floats by repr, and
+load_instance reads it back bit for bit, each field checked against its
+declared type and every array against the instance's sizes, so runs replay
+across machines.
 
 Hessians come back dense, except NMF's above DENSE_DIM_MAX variables,
 which is a matvec handle with a block-Jacobi preconditioner.
@@ -12,7 +14,11 @@ which is a matvec handle with a block-Jacobi preconditioner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import json
+import numbers
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -22,6 +28,7 @@ from .rng import Rng
 
 __all__ = [
     "DENSE_DIM_MAX",
+    "KINDS",
     "NmfInstance",
     "SvmInstance",
     "HuberInstance",
@@ -32,6 +39,7 @@ __all__ = [
     "make_quadratic",
     "problem_from_instance",
     "penalty_violation",
+    "dataclass_from_json",
     "save_instance",
     "load_instance",
 ]
@@ -40,6 +48,12 @@ DENSE_DIM_MAX = 1500
 
 
 # ---------------------------------------------------------------- instances
+
+def _check_shapes(inst, **want: tuple) -> None:
+    got = {name: np.shape(getattr(inst, name)) for name in want}
+    if got != want:
+        raise ValueError(f"{type(inst).__name__} arrays have shapes {got}, expected {want}")
+
 
 @dataclass(frozen=True, eq=False)
 class NmfInstance:
@@ -53,6 +67,9 @@ class NmfInstance:
     Y: np.ndarray
     x0: np.ndarray
 
+    def __post_init__(self):
+        _check_shapes(self, Y=(self.d, self.n), x0=((self.d + self.n) * self.r,))
+
 
 @dataclass(frozen=True, eq=False)
 class SvmInstance:
@@ -61,6 +78,10 @@ class SvmInstance:
     X: np.ndarray
     y: np.ndarray
     x0: np.ndarray
+
+    def __post_init__(self):
+        ell, n = np.size(self.y), np.size(self.x0) - 1
+        _check_shapes(self, X=(ell, n), y=(ell,), x0=(n + 1,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +93,10 @@ class HuberInstance:
     b: np.ndarray
     x0: np.ndarray
 
+    def __post_init__(self):
+        m, n = np.size(self.b), np.size(self.x0)
+        _check_shapes(self, A=(m, n), b=(m,), x0=(n,))
+
 
 @dataclass(frozen=True, eq=False)
 class QuadInstance:
@@ -80,6 +105,10 @@ class QuadInstance:
     A: np.ndarray
     b: np.ndarray
     x0: np.ndarray
+
+    def __post_init__(self):
+        n = np.size(self.x0)
+        _check_shapes(self, A=(n, n), b=(n,), x0=(n,))
 
 
 # ----------------------------------------------------------------------- nmf
@@ -209,16 +238,12 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
     return CompositeProblem(
         smooth=SmoothOracle(dim=dim, eval_f=eval_f, eval_grad=eval_grad,
                             eval_hess=eval_hess, eval_f_diff=eval_f_diff),
-        psi=ZeroPart(), name="nmf",
-        kink_gap=lambda x: float(np.min(np.abs(x))),
-        x0=inst.x0.copy(), instance=inst)
+        psi=ZeroPart(), kink_gap=lambda x: float(np.min(np.abs(x))))
 
 
 def penalty_violation(x: np.ndarray, inst: NmfInstance) -> float:
     """Value of the negative-part penalty 1/(2 beta) (||U_-||^2 + ||V_-||^2) at x."""
-    u = x[:inst.d * inst.r]
-    v = x[inst.d * inst.r:]
-    neg = np.minimum(np.concatenate([u, v]), 0.0)
+    neg = np.minimum(x, 0.0)  # x = (vec U, vec V)
     return 0.5 / inst.beta * float(np.sum(neg * neg))
 
 
@@ -275,9 +300,7 @@ def _svm_problem(inst: SvmInstance) -> CompositeProblem:
     return CompositeProblem(
         smooth=SmoothOracle(dim=dim, eval_f=eval_f, eval_grad=eval_grad,
                             eval_hess=eval_hess),
-        psi=ZeroPart(), name="svm",
-        kink_gap=lambda x: float(np.min(np.abs(margins_resid(x)))),
-        x0=inst.x0.copy(), instance=inst)
+        psi=ZeroPart(), kink_gap=lambda x: float(np.min(np.abs(margins_resid(x)))))
 
 
 # --------------------------------------------------------------------- huber
@@ -341,9 +364,8 @@ def _huber_problem(inst: HuberInstance) -> CompositeProblem:
     return CompositeProblem(
         smooth=SmoothOracle(dim=n, eval_f=eval_f, eval_grad=eval_grad,
                             eval_hess=eval_hess, eval_f_diff=eval_f_diff),
-        psi=ZeroPart(), name="huber",
-        kink_gap=lambda x: float(np.min(np.abs(np.abs(a_mat @ x - b_vec) - delta))),
-        x0=inst.x0.copy(), instance=inst)
+        psi=ZeroPart(),
+        kink_gap=lambda x: float(np.min(np.abs(np.abs(a_mat @ x - b_vec) - delta))))
 
 
 # ---------------------------------------------------------------------- quad
@@ -387,100 +409,107 @@ def _quad_problem(inst: QuadInstance) -> CompositeProblem:
             eval_grad=lambda x: a_mat @ x - b_vec,
             eval_hess=lambda x: LinOp.from_dense(a_mat),
             eval_f_diff=lambda x, s: -float(s @ (a_mat @ x - b_vec + 0.5 * (a_mat @ s)))),
-        psi=ZeroPart(), name="quad",
-        known_fstar=-0.5 * float(b_vec @ xstar), known_xstar=xstar,
-        kink_gap=lambda x: np.inf,
-        x0=inst.x0.copy(), instance=inst)
+        psi=ZeroPart(), known_fstar=-0.5 * float(b_vec @ xstar), known_xstar=xstar,
+        kink_gap=lambda x: np.inf)
 
 
-_BUILDERS = {
-    NmfInstance: _nmf_problem,
-    SvmInstance: _svm_problem,
-    HuberInstance: _huber_problem,
-    QuadInstance: _quad_problem,
+# --------------------------------------------------------------------- kinds
+
+class Kind(NamedTuple):
+    """One problem kind: its instance record, seeded generator and oracle builder."""
+
+    instance: type
+    make: Callable[..., CompositeProblem]
+    build: Callable[..., CompositeProblem]
+
+
+KINDS = {
+    "nmf": Kind(NmfInstance, make_nmf, _nmf_problem),
+    "svm": Kind(SvmInstance, make_svm, _svm_problem),
+    "huber": Kind(HuberInstance, make_huber, _huber_problem),
+    "quad": Kind(QuadInstance, make_quadratic, _quad_problem),
 }
+
+
+def _kind_of(inst) -> str:
+    for name, kind in KINDS.items():
+        if type(inst) is kind.instance:
+            return name
+    raise TypeError(f"not a known instance type: {type(inst).__name__}")
 
 
 def problem_from_instance(inst) -> CompositeProblem:
     """Rebuild the CompositeProblem for a (possibly imported) instance."""
-    try:
-        return _BUILDERS[type(inst)](inst)
-    except KeyError:
-        raise TypeError(f"not a known instance type: {type(inst).__name__}") from None
+    name = _kind_of(inst)
+    return replace(KINDS[name].build(inst), name=name, x0=inst.x0.copy(), instance=inst)
 
 
 # ------------------------------------------------------- export / import
 
-_KINDS = {"nmf": NmfInstance, "svm": SvmInstance, "huber": HuberInstance,
-          "quad": QuadInstance}
-_KIND_NAMES = {v: k for k, v in _KINDS.items()}
+_FORMAT = "gladssn-instance 2"
+_hints = functools.cache(get_type_hints)
+
+
+def dataclass_from_json(cls, values, where: str):
+    """cls(**values) for json values, each checked against its field's annotation.
+
+    An int field takes an integer and a float field a float-range number,
+    neither a bool; an np.ndarray field takes a rectangular nested list of
+    numbers, kept as float64.  Anything else raises ValueError naming where.
+    """
+    if not isinstance(values, dict):
+        raise ValueError(f"{where} is not an object of fields")
+    hints = _hints(cls)
+    missing, unknown = hints.keys() - values.keys(), values.keys() - hints.keys()
+    if missing or unknown:
+        raise ValueError(f"{where} has missing fields {sorted(missing)} "
+                         f"and unknown fields {sorted(unknown)}")
+    return cls(**{name: _typed(values[name], hint, f"{where} field {name!r}")
+                  for name, hint in hints.items()})
+
+
+def _typed(value, hint, what: str):
+    if hint is np.ndarray:
+        try:
+            arr = np.array(value)
+        except ValueError:  # ragged
+            arr = None
+        if arr is None or arr.dtype.kind not in "iuf":
+            raise ValueError(f"{what} is not a rectangular array of numbers")
+        return arr.astype(np.float64, copy=False)
+    try:
+        if type(value) is not bool and isinstance(value, int if hint is int else numbers.Real):
+            return hint(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"{what} must be {'an integer' if hint is int else 'a float'}, "
+                     f"got {value!r}")
 
 
 def save_instance(path, inst) -> None:
-    """Write an instance to a plain-text container (%.17g keeps floats exact).
-
-    Layout: a `gladssn-instance 1` header, a `kind` line, one `int`/`float`
-    line per scalar field, `array <name> <shape...>` blocks with six values
-    per line, and a closing `end`.
-    """
-    kind = _KIND_NAMES.get(type(inst))
-    if kind is None:
-        raise TypeError(f"not a known instance type: {type(inst).__name__}")
-    lines = ["gladssn-instance 1", f"kind {kind}"]
-    for name, value in vars(inst).items():
-        if isinstance(value, np.ndarray):
-            shape = " ".join(str(s) for s in value.shape)
-            lines.append(f"array {name} {shape}")
-            flat = value.ravel()
-            for i in range(0, flat.size, 6):
-                lines.append(" ".join("%.17g" % v for v in flat[i:i + 6]))
-        elif isinstance(value, int):
-            lines.append(f"int {name} {value}")
-        else:
-            lines.append("float %s %.17g" % (name, value))
-    lines.append("end")
+    """Write {"format": "gladssn-instance 2", "kind": ..., "fields": {...}} to path."""
+    doc = {"format": _FORMAT, "kind": _kind_of(inst),
+           "fields": {name: value.tolist() if isinstance(value, np.ndarray) else value
+                      for name, value in vars(inst).items()}}
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(json.dumps(doc))
 
 
 def load_instance(path):
-    """Read an instance container written by save_instance (ValueError if malformed)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].split() != ["gladssn-instance", "1"]:
-        raise ValueError(f"{path} is not a gladssn instance container")
-    head = lines[1].split() if len(lines) > 1 else []
-    if len(head) != 2 or head[0] != "kind" or head[1] not in _KINDS:
-        raise ValueError(f"unknown instance kind in {path}")
-    cls = _KINDS[head[1]]
-    fields = {}
-    i = 2
+    """Read an instance file written by save_instance.
+
+    Raises ValueError naming path for text that is not JSON, a wrong format
+    tag or kind, or a field that is missing, unknown, not of its declared
+    type (see dataclass_from_json) or of the wrong shape.
+    """
     try:
-        while i < len(lines):
-            parts = lines[i].split()
-            i += 1
-            if not parts:
-                continue
-            tag = parts[0]
-            if tag == "end":
-                return cls(**fields)
-            if tag == "int":
-                fields[parts[1]] = int(parts[2])
-            elif tag == "float":
-                fields[parts[1]] = float(parts[2])
-            elif tag == "array":
-                name = parts[1]
-                shape = tuple(int(s) for s in parts[2:])
-                size = int(np.prod(shape))
-                vals: list[float] = []
-                while len(vals) < size and i < len(lines):
-                    vals.extend(float(v) for v in lines[i].split())
-                    i += 1
-                if len(vals) != size:
-                    raise ValueError(f"array {name} has wrong length")
-                fields[name] = np.array(vals, dtype=np.float64).reshape(shape)
-            else:
-                raise ValueError(f"unknown tag {tag!r}")
-    except (IndexError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed instance container {path}: {exc}") from exc
-    raise ValueError(f"missing end marker in {path}")
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
+            raise ValueError(f"not a {_FORMAT!r} file")
+        kind = doc.get("kind")
+        if not isinstance(kind, str) or kind not in KINDS:
+            raise ValueError(f"unknown instance kind {kind!r}")
+        return dataclass_from_json(KINDS[kind].instance, doc.get("fields"), "instance")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -73,11 +73,14 @@ def test_read_trace_rejects_wrong_header(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="row 1"):
         read_trace(path)
-    # a JSON row that is not an object, or holds a null or a list value
+    # a JSON row that is not an object, or holds a null or a list value; an
+    # integer column that holds a fraction, an integral float or a bool, and a
+    # float column that holds a bool or a string
     path.write_text("[1]")
     with pytest.raises(ValueError, match="row 0"):
         read_trace(path)
-    for col, value in (("k", None), ("g_k", [1])):
+    for col, value in (("k", None), ("g_k", [1]), ("k", 0.7), ("k", 1.0),
+                       ("hess_evals", True), ("g_k", True), ("g_k", "0.5")):
         data = json.loads(json.dumps([dataclasses.asdict(r) for r in rows]))
         data[1][col] = value
         path.write_text(json.dumps(data))
@@ -192,6 +195,27 @@ def test_verify_hessian_schedule_inference(huber_lazy_result):
     for r in rows[7:]:
         r.hess_evals += 1  # an extra, off-schedule refresh
     assert not verify(rows).checks["hessian_schedule"].passed
+
+
+def test_verify_hessian_schedule_rejects_counter_jumps(huber_lazy_result):
+    # m = 5 over k = 0..11: the counter reads 1, 2, 3 from k = 0, 5, 10
+    rows = [dataclasses.replace(r) for r in huber_lazy_result.trace]
+    for r in rows[5:]:
+        r.hess_evals += 1  # the refresh at k = 5 steps the counter by 2
+    report = verify(rows)
+    assert not report.checks["hessian_schedule"].passed
+    assert not any("consistent" in n for n in report.notes)
+    # the one refresh of rows k = 0..4 steps the counter by 2
+    rows = [dataclasses.replace(r, hess_evals=2) for r in huber_lazy_result.trace[:5]]
+    assert not verify(rows).checks["hessian_schedule"].passed
+    # every step of the counter sits on the m = 5 schedule, but the last row
+    # jumps to k = 16, where the counter should read 4 and reads 3
+    rows = [dataclasses.replace(r) for r in huber_lazy_result.trace]
+    assert [r.hess_evals for r in rows[-2:]] == [3, 3]
+    rows[-1].k = 16
+    report = verify(rows)
+    assert not report.checks["hessian_schedule"].passed
+    assert not any("consistent" in n for n in report.notes)
 
 
 def test_verify_envelope_uses_observed_lambda_without_L(quad_result):

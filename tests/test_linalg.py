@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from gladssn import linalg
 from gladssn.linalg import (LinOp, MetricB, MetricError, Regularized, SolverStallError,
                             opnorm_est, sym_part)
 
@@ -179,6 +180,28 @@ def test_preconditioned_minres_meets_the_same_target(monkeypatch):
                 s = Regularized(op, metric).solve(lam, rhs)
                 assert np.linalg.norm(h_mat @ s + lam * (bmat @ s) - rhs) <= target
     assert applied["precond"] > 0 and applied["with_M"] > 0
+
+
+def test_cholesky_pivot_test_declines_a_tiny_pivot(monkeypatch):
+    # H + lam I = diag(1.5, 1.1e-16): LAPACK factors it, but the last pivot
+    # squared lies below 1e-14 of the mean diagonal, so the Cholesky path
+    # declines and one MINRES call returns the solution (2, 0)
+    h_mat, lam, rhs = np.diag([1.0, -0.5 + 1e-16]), 0.5, np.array([3.0, 0.0])
+    shifted = h_mat + lam * np.eye(2)
+    assert np.all(np.diag(np.linalg.cholesky(shifted)) > 0.0)
+    assert linalg._cholesky_solver(shifted) is None
+    calls = []
+    real_minres = scipy.sparse.linalg.minres
+
+    def seen_minres(*args, **kwargs):
+        calls.append(1)
+        return real_minres(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "minres", seen_minres)
+    s = Regularized(LinOp.from_dense(h_mat), MetricB()).solve(lam, rhs)
+    assert len(calls) == 1
+    np.testing.assert_allclose(s, [2.0, 0.0], rtol=1e-15, atol=1e-15)
+    assert np.linalg.norm(shifted @ s - rhs) <= max(1e-10, 1e-12 * np.linalg.norm(rhs))
 
 
 def test_solve_regularized_zero_rhs():

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -5,7 +8,7 @@ import scipy.sparse.linalg
 from gladssn import problems
 from gladssn.linalg import LinOp, MetricB, Regularized
 from gladssn.problems import (DENSE_DIM_MAX, HuberInstance, NmfInstance,
-                              load_instance, make_huber, make_nmf,
+                              QuadInstance, SvmInstance, load_instance, make_huber, make_nmf,
                               make_quadratic, make_svm, penalty_violation,
                               problem_from_instance, save_instance)
 
@@ -369,27 +372,77 @@ def test_instance_round_trip(tmp_path):
 
 
 def test_load_instance_rejects_garbage(tmp_path):
+    good = {"quad": tmp_path / "quad.inst", "nmf": tmp_path / "nmf.inst"}
+    save_instance(good["quad"], make_quadratic(1, n=2).instance)
+    save_instance(good["nmf"], make_nmf(1, d=4, n=3, r=2).instance)
+    assert list(json.loads(good["nmf"].read_text())) == ["format", "kind", "fields"]
     bad = tmp_path / "bad.inst"
-    bad.write_text("not a container\n")
-    with pytest.raises(ValueError):
-        load_instance(bad)
-    bad.write_text("gladssn-instance 1\nkind nosuch\nend\n")
-    with pytest.raises(ValueError):
-        load_instance(bad)
-    bad.write_text("gladssn-instance 1\nkind quad\nweird tag\nend\n")
-    with pytest.raises(ValueError):
-        load_instance(bad)
-    bad.write_text("gladssn-instance 1\nkind quad\narray A 2 2\n1 2 3\nend\n")
-    with pytest.raises(ValueError):
-        load_instance(bad)
-    bad.write_text("gladssn-instance 1\nkind quad\nint seed 1\n")
-    with pytest.raises(ValueError):
-        load_instance(bad)
-    # missing fields, an unknown field, a value-less int, a non-numeric int
-    for body in ("", "int bogus 2\n", "int seed\n", "int seed x\n"):
-        bad.write_text(f"gladssn-instance 1\nkind quad\n{body}end\n")
-        with pytest.raises(ValueError, match="bad.inst"):
+
+    def rejected(text, match):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=match) as info:
             load_instance(bad)
+        assert "bad.inst" in str(info.value)
+
+    def rejected_edit(edit, match, kind="quad"):
+        doc = json.loads(good[kind].read_text())
+        edit(doc)
+        rejected(json.dumps(doc), match)
+
+    # text that is not JSON: garbage, a version-1 text file, a truncated file
+    rejected("not a container\n", "Expecting value")
+    rejected("gladssn-instance 1\nkind quad\nint seed 1\nend\n", "Expecting value")
+    rejected(good["quad"].read_text()[:-1], "Expecting")
+    rejected("[1, 2]", "not a 'gladssn-instance 2' file")
+    # a wrong format tag or an unknown kind
+    rejected_edit(lambda d: d.update(format="gladssn-instance 1"),
+                  "not a 'gladssn-instance 2'")
+    rejected_edit(lambda d: d.update(kind="nosuch"), "unknown instance kind 'nosuch'")
+    rejected_edit(lambda d: d.update(kind=["quad"]), "unknown instance kind")
+    # a missing field, an unknown field, or fields that are not an object
+    rejected_edit(lambda d: d["fields"].pop("seed"), r"missing fields \['seed'\]")
+    rejected_edit(lambda d: d["fields"].update(bogus=2), r"unknown fields \['bogus'\]")
+    rejected_edit(lambda d: d.update(fields=[1]), "not an object")
+    # scalars of the wrong type: int fields take no float, bool or null,
+    # float fields no string, bool or integer beyond the float range
+    for name, value in (("seed", 1.0), ("seed", True), ("seed", None), ("seed", "x"),
+                        ("cond", "1e4"), ("cond", False), ("cond", 10**400)):
+        rejected_edit(lambda d: d["fields"].update({name: value}),
+                      f"field '{name}' must be")
+    # "d": 4.0 once loaded as a float and broke the slicing in eval_f
+    rejected_edit(lambda d: d["fields"].update(d=4.0), "field 'd' must be an integer", "nmf")
+    # arrays that are ragged, hold a string or a null, or have the wrong shape
+    for value in ([[1.0, 2.0], [3.0]], [[1.0, "2"], [3.0, 4.0]], [[1.0, None], [3.0, 4.0]],
+                  "A"):
+        rejected_edit(lambda d: d["fields"].update(A=value),
+                      "field 'A' is not a rectangular array of numbers")
+    rejected_edit(lambda d: d["fields"].update(A=[1.0, 2.0, 3.0, 4.0]),
+                  r"arrays have shapes \{'A': \(4,\)")
+    rejected_edit(lambda d: d["fields"].update(x0=[1.0]), r"'x0': \(1,\)\}, expected")
+
+
+def test_instances_check_array_shapes():
+    # A is 3 x 3 where the other arrays have 3 entries: a flat A of 9 once
+    # loaded and failed only later, in problem_from_instance
+    quad = make_quadratic(1, n=3).instance
+    for a_mat in (np.zeros(9), np.zeros((3, 2)), np.zeros((3, 3, 1))):
+        with pytest.raises(ValueError, match=r"QuadInstance arrays have shapes .*'A': \("):
+            QuadInstance(seed=1, cond=10.0, A=a_mat, b=quad.b, x0=quad.x0)
+    wrong = [  # each edit puts one array off its instance's sizes
+        (make_nmf(1, d=4, n=3, r=2), ({"Y": np.zeros((3, 3))}, {"Y": np.zeros(12)},
+                                      {"x0": np.zeros(13)})),
+        (make_svm(1, n=4, ell=6), ({"X": np.zeros(24)}, {"X": np.zeros((6, 5))},
+                                   {"y": np.zeros((6, 1))}, {"x0": np.zeros((5, 1))})),
+        (make_huber(1, m=6, n=4), ({"A": np.zeros((4, 6))}, {"b": np.zeros(5)},
+                                   {"x0": np.zeros(5)})),
+        (make_quadratic(1, n=3), ({"b": np.zeros(2)}, {"x0": np.zeros((3, 1))})),
+    ]
+    for problem, edits in wrong:
+        inst = problem.instance
+        dataclasses.replace(inst)  # the generator's own instance passes
+        for edit in edits:
+            with pytest.raises(ValueError, match=f"{type(inst).__name__} arrays have shapes"):
+                dataclasses.replace(inst, **edit)
 
 
 def test_save_instance_rejects_foreign_object(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gladssn.linalg import LinOp, MetricB, Regularized
+from gladssn.linalg import LinOp, MetricB, Regularized, SolverStallError
 from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPart
 from gladssn.problems import make_huber, make_nmf, make_quadratic, make_svm
 from gladssn import ssn
@@ -363,6 +363,17 @@ def test_prox_model_solve_warm_start():
     assert calls[0] < cold_calls
     for y in (cold, warm):
         check_model_solution(y, reg, curv, x, f_grad, 4.0 * lam, psi)
+
+
+def test_prox_model_solve_stalls_when_its_sweep_budget_runs_out():
+    # curvatures over eight decades at lam = 1e-6: the step 1 / ||H|| is so
+    # short that FISTA cannot meet the mapping target in its sweep budget
+    reg = Regularized(LinOp.from_dense(np.diag(np.logspace(0.0, 8.0, 50))), MetricB())
+    psi, calls = counted_l1(0.1)
+    with pytest.raises(SolverStallError, match="model prox-gradient stalled") as info:
+        ssn._prox_model_solve(reg, 1e-6, np.zeros(50), 10.0 * np.linspace(-1.0, 1.0, 50), psi)
+    assert calls[0] == ssn._PROX_MAX_SWEEPS
+    assert info.value.best_residual > 1.0
 
 
 def test_failed_inner_solve_counts_as_rejected_trial():
