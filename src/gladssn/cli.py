@@ -6,7 +6,7 @@
     gladssn compare --config runs.json
 
 run builds one RunConfig: a SolverConfig's fields (p, m, Lambda0, grad_tol,
-max_outer) plus the run's own (problem, solver, seed, out_path, emit,
+max_outer) plus the run's own (problem, solver, seed, out_path,
 problem_kwargs).  Each but problem_kwargs has a flag; --config FILE.json may
 set any of them, and explicit flags override the file.  Nothing is read from
 the environment.
@@ -56,8 +56,7 @@ def _build_parser() -> _Parser:
     run_p.add_argument("--max-outer", dest="max_outer", type=int)
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--out", dest="out_path",
-                       help="trace path (default gladssn-trace.<emit>)")
-    run_p.add_argument("--emit", choices=["csv", "json"])
+                       help="CSV trace path (default gladssn-trace.csv)")
     run_p.add_argument("--config", help="JSON file with RunConfig fields; "
                                         "explicit flags override it")
 

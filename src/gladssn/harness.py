@@ -1,8 +1,8 @@
 """Run, persist, and audit solver traces.
 
 A trace is one record per accepted outer iteration, whose columns are the
-fields of ssn.TraceRecord, serialized as CSV (default) or JSON with full
-round-trip precision.  Row k stores the pre-step state (F_val, g_k) plus the
+fields of ssn.TraceRecord, serialized as CSV with full round-trip
+precision.  Row k stores the pre-step state (F_val, g_k) plus the
 accepted trial's lambda_k, step length r_k and duality pairing inner_prod,
 so consecutive rows carry everything the progress inequalities mention.
 The transition out of the final row also needs the terminal state
@@ -14,6 +14,7 @@ verify() rechecks, with relative slack 1e-9 and absolute slack 1e-12, the
 solver's own ssn.step_inequalities on every transition (pairing, decrease,
 step_grad, no_overshoot, value_gain), and over the whole trace:
 
+    finite      every value of every row is finite   [a baseline trace's only check]
     lambda_cap  lambda_k  <=  max(4 L, Lambda_0 g_0^p)     [needs L]
     newton_count sum_{i<=k} j_i  ==  (k+1) + log4(Lambda_{k+1} / Lambda_0)
     envelope    min_{i<=k} g_i  <=  4 sqrt(lambda_bar (F_0 - fstar) / k)   [needs fstar]
@@ -23,6 +24,7 @@ step_grad, no_overshoot, value_gain), and over the whole trace:
 Lambda_0 g_0^p is recovered from row 0 as lambda_0 / 4^{j_0}; without L the
 envelope uses the largest observed lambda_k as a stand-in for lambda_bar
 (valid because only accepted regularizers enter the telescoped decrease).
+A check fails wherever one side of its inequality is not finite.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ class RunConfig(ssn.SolverConfig):
     solver: str = "gladssn"
     seed: int = 1
     out_path: str | None = None
-    emit: str = "csv"
     problem_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -100,8 +101,6 @@ class RunConfig(ssn.SolverConfig):
         if not (isinstance(self.seed, numbers.Real) and float(self.seed).is_integer()):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         self.seed = int(self.seed)
-        if self.emit not in ("csv", "json"):
-            raise ConfigError(f"emit must be 'csv' or 'json', got {self.emit!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -114,26 +113,18 @@ class RunConfig(ssn.SolverConfig):
 
 # ------------------------------------------------------------------ trace IO
 
-def write_trace(path, records: list[TraceRecord], emit: str = "csv") -> None:
-    """Serialize records; repr() keeps every float round-trip exact."""
+def write_trace(path, records: list[TraceRecord]) -> None:
+    """Write records as CSV; repr() keeps every float round-trip exact."""
     rows = [[int(getattr(r, c)) if c in _INT_COLUMNS else float(getattr(r, c))
              for c in COLUMNS] for r in records]
-    if emit == "json":
-        text = json.dumps([dict(zip(COLUMNS, row)) for row in rows], indent=1)
-    elif emit == "csv":
-        text = "\n".join([",".join(COLUMNS)] + [",".join(map(repr, row)) for row in rows])
-    else:
-        raise ConfigError(f"emit must be 'csv' or 'json', got {emit!r}")
+    text = "\n".join([",".join(COLUMNS)] + [",".join(map(repr, row)) for row in rows])
     Path(path).write_text(text + "\n")
 
 
 def read_trace(path) -> list[TraceRecord]:
-    """Read a CSV or JSON trace back into records (format sniffed)."""
-    text = Path(path).read_text()
-    if text.lstrip()[:1] in ("[", "{"):
-        return [problems.dataclass_from_json(TraceRecord, d, f"trace row {row}")
-                for row, d in enumerate(json.loads(text))]
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Read a CSV trace back into records: each row is parsed as JSON numbers
+    and typed by problems.dataclass_from_json, the rule of instance files."""
+    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
         return []
     header = lines[0].split(",")
@@ -141,14 +132,12 @@ def read_trace(path) -> list[TraceRecord]:
         raise ValueError(f"unexpected trace header {header}")
     out = []
     for row, ln in enumerate(lines[1:]):
-        toks = ln.split(",")
-        if len(toks) != len(header):
-            raise ValueError(f"trace row {row} has {len(toks)} fields, expected {len(header)}")
-        try:
-            vals = [int(t) if c in _INT_COLUMNS else float(t) for c, t in zip(header, toks)]
+        try:  # a token that is not JSON, or a wrong field count
+            values = dict(zip(COLUMNS, json.loads(f"[{ln}]"), strict=True))
         except ValueError as exc:
-            raise ValueError(f"trace row {row} has a non-numeric value: {exc}") from exc
-        out.append(TraceRecord(*vals))
+            raise ValueError(f"trace row {row} is not {len(COLUMNS)} JSON numbers: "
+                             f"{exc}") from exc
+        out.append(problems.dataclass_from_json(TraceRecord, values, f"trace row {row}"))
     return out
 
 
@@ -173,11 +162,11 @@ def run(config: RunConfig):
     """Run one solve and write its trace.
 
     Returns (exit_code, result, out_path); the trace lands at
-    config.out_path or gladssn-trace.<emit> in the working directory.
+    config.out_path or gladssn-trace.csv in the working directory.
     """
     result = _execute(config)
-    out_path = config.out_path or f"gladssn-trace.{config.emit}"
-    write_trace(out_path, result.trace, emit=config.emit)
+    out_path = config.out_path or "gladssn-trace.csv"
+    write_trace(out_path, result.trace)
     return EXIT_CODES[result.status], result, out_path
 
 
@@ -226,19 +215,21 @@ class VerifyReport:
 
 def _check_ineq(name: str, lhs: np.ndarray, rhs: np.ndarray,
                 rows: np.ndarray) -> CheckResult:
-    """lhs >= rhs with relative + absolute slack; slack = rhs - lhs."""
+    """lhs >= rhs with relative + absolute slack; slack = rhs - lhs, or NaN
+    (a violation) where a side is not finite."""
     lhs = np.asarray(lhs, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
     if lhs.size == 0:
         return CheckResult(name, 0, 0, 0.0, -1)
-    slack = rhs - lhs
+    slack = np.where(np.isfinite(lhs) & np.isfinite(rhs), rhs - lhs, np.nan)
     tol = _REL_SLACK * np.maximum(np.abs(lhs), np.abs(rhs)) + _ABS_SLACK
-    bad = slack > tol
-    worst = int(np.argmax(slack))
+    bad = ~(slack <= tol)
+    worst = int(np.argmax(slack))  # the first NaN, if any
     return CheckResult(name, int(lhs.size), int(np.count_nonzero(bad)),
                        float(slack[worst]), int(rows[worst]))
 
 
+@np.errstate(all="ignore")  # non-finite values are counted as violations instead
 def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyReport:
     """Recheck every inequality a trace is supposed to satisfy.
 
@@ -258,6 +249,10 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
         return VerifyReport(rows=0, checks=checks, lambda_bar=None, notes=notes)
 
     ks = np.array([r.k for r in records])
+    # |value| >= |value| fails only where a value is not finite, also in the
+    # columns no later check reads and in a baseline trace
+    mag = np.abs([[getattr(r, c) for c in COLUMNS] for r in records]).max(axis=1)
+    checks["finite"] = _check_ineq("finite", mag, mag, ks)
     js = np.array([r.j_k for r in records])
     lams = np.array([r.lambda_k for r in records])
     caps = np.array([r.Lambda_k for r in records])
@@ -300,12 +295,11 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
         lam_next = np.append(caps[1:], terminal.Lambda_final)
     else:
         lam_next = np.append(caps[1:], 4.0**js[-1] * caps[-1] / 4.0)
-    with np.errstate(divide="ignore"):
-        expected = (ks - ks[0] + 1) + np.log(lam_next / caps[0]) / np.log(4.0)
+    expected = (ks - ks[0] + 1) + np.log(lam_next / caps[0]) / np.log(4.0)
     sum_j = np.cumsum(js)
     resid = np.abs(sum_j - expected)
     tol = _REL_SLACK * np.maximum(1.0, np.abs(sum_j))
-    bad = resid > tol
+    bad = ~(resid <= tol)  # a NaN residual is a violation
     worst = int(np.argmax(resid - tol))
     checks["newton_count"] = CheckResult("newton_count", n_rows,
                                          int(np.count_nonzero(bad)),
@@ -400,7 +394,7 @@ def compare(configs: list[RunConfig]) -> list[dict]:
     for cfg in configs:
         result = _execute(cfg)
         if cfg.out_path:
-            write_trace(cfg.out_path, result.trace, emit=cfg.emit)
+            write_trace(cfg.out_path, result.trace)
         wall_ns = result.trace[-1].wall_ns if result.trace else 0
         summaries.append({
             "problem": cfg.problem, "solver": cfg.solver, "p": cfg.p, "m": cfg.m,

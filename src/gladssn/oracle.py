@@ -30,9 +30,9 @@ __all__ = [
 class SmoothOracle:
     """Twice-differentiable part of the objective.
 
-    eval_hess returns a LinOp (dense array or matvec handle).  When
-    lipschitz_L is set it bounds the gradient's Lipschitz modulus by L/2,
-    i.e. the Hessian operator norm never exceeds L/2.
+    eval_hess returns a LinOp (dense array or matvec handle).  Nothing in
+    this package reads lipschitz_L, an optional bound L/2 on the Hessian
+    operator norm: the solver adapts its regularizer instead.
 
     eval_f_diff(x, s), when set, returns the decrease f(x) - f(x + s)
     computed from the step itself, so that it stays accurate when the

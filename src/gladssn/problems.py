@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, get_type_hints
@@ -130,7 +131,7 @@ def make_nmf(seed: int, d: int = 200, n: int = 100, r: int = 12,
     v_true = rng.uniform((n, r))
     noise = rng.normal((d, n))
     x0 = 0.5 * rng.normal(d * r + n * r)
-    inst = NmfInstance(seed=int(seed), d=d, n=n, r=r, alpha=float(alpha),
+    inst = NmfInstance(seed=int(seed), d=int(d), n=int(n), r=int(r), alpha=float(alpha),
                        beta=float(beta), sigma=float(sigma),
                        Y=u_true @ v_true.T + sigma * noise, x0=x0)
     return problem_from_instance(inst)
@@ -453,8 +454,8 @@ _hints = functools.cache(get_type_hints)
 def dataclass_from_json(cls, values, where: str):
     """cls(**values) for json values, each checked against its field's annotation.
 
-    An int field takes an integer and a float field a float-range number,
-    neither a bool; an np.ndarray field takes a rectangular nested list of
+    An int field takes an integer and a float field a finite number, neither
+    a bool; an np.ndarray field takes a rectangular nested list of finite
     numbers, kept as float64.  Anything else raises ValueError naming where.
     """
     if not isinstance(values, dict):
@@ -476,13 +477,16 @@ def _typed(value, hint, what: str):
             arr = None
         if arr is None or arr.dtype.kind not in "iuf":
             raise ValueError(f"{what} is not a rectangular array of numbers")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{what} holds a number that is not finite")
         return arr.astype(np.float64, copy=False)
     try:
         if type(value) is not bool and isinstance(value, int if hint is int else numbers.Real):
-            return hint(value)
+            if hint is int or math.isfinite(value):
+                return hint(value)
     except OverflowError:  # an integer beyond the float range
         pass
-    raise ValueError(f"{what} must be {'an integer' if hint is int else 'a float'}, "
+    raise ValueError(f"{what} must be {'an integer' if hint is int else 'a finite float'}, "
                      f"got {value!r}")
 
 

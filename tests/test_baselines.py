@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from gladssn.baselines import armijo_gd
 from gladssn.linalg import LinOp, MetricB
 from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPart
 from gladssn.problems import make_huber, make_quadratic
-from gladssn.ssn import CONVERGED, MAXITER, SolverConfig
+from gladssn.ssn import CONVERGED, MAXITER, STALLED, SolverConfig
 
 
 def test_one_step_on_identity_quadratic():
@@ -36,6 +38,14 @@ def test_backtracks_on_stiff_curvature():
     assert res.status == CONVERGED
     assert res.trace[0].j_k >= 1
     assert res.trace[0].lambda_k == 2.0 ** res.trace[0].j_k  # 1/t after halvings
+    # a gradient of the wrong sign makes every step an ascent: the run
+    # stops as stalled after 60 halvings of its first step
+    uphill = CompositeProblem(
+        smooth=dataclasses.replace(prob.smooth, eval_grad=lambda x: -100.0 * x),
+        psi=ZeroPart(), x0=np.ones(1))
+    res = armijo_gd(uphill, SolverConfig(grad_tol=1e-8, max_outer=2000))
+    assert res.status == STALLED
+    assert (res.iters, res.trials, res.trace) == (0, 60, [])
 
 
 def test_converges_on_huber():

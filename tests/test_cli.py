@@ -1,6 +1,8 @@
 import argparse
 import dataclasses
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +37,7 @@ def test_no_subcommand_is_usage_error(capsys):
 def test_bad_flag_value_is_exit_1(tmp_path, capsys):
     # argparse normally exits the process with 2; the wrapper maps usage
     # problems to a plain return of 1
-    assert main(["run", "--problem", "quad", "--emit", "xml"]) == 1
+    assert main(["run", "--problem", "quad", "--m", "two"]) == 1
     assert main(["run", "--problem", "nosuch"]) == 1
     # a NaN tolerance is a config error, not a run that stalls at the floor
     assert main(["run", "--problem", "quad", "--tol", "nan",
@@ -91,6 +93,10 @@ def test_run_rejects_unknown_config_key(tmp_path, capsys):
     cfg.write_text(json.dumps({"problem": "quad", "bogus": 1}))
     assert main(["run", "--config", str(cfg)]) == 1
     assert "bogus" in capsys.readouterr().err
+    # a list of configs is for compare, not run
+    cfg.write_text(json.dumps([{"problem": "quad"}]))
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "single JSON object" in capsys.readouterr().err
 
 
 def test_verify_command(tmp_path, capsys):
@@ -117,11 +123,29 @@ def test_verify_missing_file(capsys):
     assert "gladssn:" in capsys.readouterr().err
 
 
-def test_verify_malformed_json_trace(tmp_path, capsys):
-    path = tmp_path / "t.json"
-    path.write_text("[1]")
-    assert main(["verify", str(path)]) == 1
-    assert "row 0" in capsys.readouterr().err
+def test_verify_malformed_csv_trace(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    write_trace(path, synthetic_trace([1e-1, 1e-2]))
+    head, row0, row1 = path.read_text().splitlines()
+    cols = head.split(",")
+    # a row of one field, and a row whose g_k is not finite
+    for bad in ("1", ",".join("NaN" if c == "g_k" else t
+                              for c, t in zip(cols, row0.split(",")))):
+        path.write_text("\n".join([head, bad, row1]) + "\n")
+        assert main(["verify", str(path)]) == 1
+        assert "row 0" in capsys.readouterr().err
+
+
+def test_readme_cli_quick_start(tmp_path, monkeypatch, capsys):
+    # the run, verify and estimate-order lines of README's CLI quick start
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start (CLI)")[1].split("```sh\n")[1].split("```")[0]
+    lines = [shlex.split(ln, comments=True) for ln in block.splitlines()]
+    commands = [ln[1:] for ln in lines if ln[1:2] in (["run"], ["verify"], ["estimate-order"])]
+    assert [c[0] for c in commands] == ["run", "verify", "estimate-order"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr())
 
 
 def test_estimate_order_command(tmp_path, capsys):

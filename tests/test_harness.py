@@ -1,12 +1,11 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
 import pytest
 
 from gladssn.baselines import armijo_gd
-from gladssn.harness import (ConfigError, NotEstimableError, RunConfig,
+from gladssn.harness import (COLUMNS, ConfigError, NotEstimableError, RunConfig,
                              compare, estimate_order, read_trace, run, verify,
                              write_trace)
 from gladssn.problems import make_huber, make_quadratic
@@ -27,17 +26,16 @@ def huber_lazy_result():
 
 # ------------------------------------------------------------------ trace IO
 
-def test_trace_round_trip_csv_and_json(tmp_path, quad_result):
-    for emit in ("csv", "json"):
-        path = tmp_path / f"trace.{emit}"
-        write_trace(path, quad_result.trace, emit=emit)
-        back = read_trace(path)
-        assert len(back) == len(quad_result.trace)
-        for a, b in zip(quad_result.trace, back):
-            for col in dataclasses.asdict(a):
-                va, vb = getattr(a, col), getattr(b, col)
-                assert va == vb, f"{emit}:{col}"
-                assert type(vb) is type(va)
+def test_trace_round_trip_csv(tmp_path, quad_result):
+    path = tmp_path / "trace.csv"
+    write_trace(path, quad_result.trace)
+    back = read_trace(path)
+    assert len(back) == len(quad_result.trace)
+    for a, b in zip(quad_result.trace, back):
+        for col in dataclasses.asdict(a):
+            va, vb = getattr(a, col), getattr(b, col)
+            assert va == vb, col
+            assert type(vb) is type(va)
 
 
 def test_trace_round_trip_extreme_values(tmp_path):
@@ -53,37 +51,26 @@ def test_trace_round_trip_extreme_values(tmp_path):
 
 def test_read_trace_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        read_trace(path)
-    path.write_text('[{"k": 0}]\n')
-    with pytest.raises(ValueError):
-        read_trace(path)
-    # a well-formed trace with one extra field or key in its second row
-    rows = synthetic_trace([1.0, 0.5, 0.25])
-    write_trace(path, rows)
-    lines = path.read_text().splitlines()
-    lines[2] += ",0"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="row 1"):
-        read_trace(path)
-    write_trace(path, rows, emit="json")
-    data = json.loads(path.read_text())
-    data[1]["extra"] = 0
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="row 1"):
-        read_trace(path)
-    # a JSON row that is not an object, or holds a null or a list value; an
-    # integer column that holds a fraction, an integral float or a bool, and a
-    # float column that holds a bool or a string
-    path.write_text("[1]")
-    with pytest.raises(ValueError, match="row 0"):
-        read_trace(path)
-    for col, value in (("k", None), ("g_k", [1]), ("k", 0.7), ("k", 1.0),
-                       ("hess_evals", True), ("g_k", True), ("g_k", "0.5")):
-        data = json.loads(json.dumps([dataclasses.asdict(r) for r in rows]))
-        data[1][col] = value
-        path.write_text(json.dumps(data))
+    for text in ("a,b,c\n1,2,3\n", '[{"k": 0}]\n'):  # a JSON trace is no trace
+        path.write_text(text)
+        with pytest.raises(ValueError, match="header"):
+            read_trace(path)
+    # a well-formed trace with its second row changed: one field too many or
+    # too few; an integer column holding a fraction, an integral float, a
+    # bool or a Python-only literal; a float column holding a bool, a
+    # string, a null, a list or a number that is not finite
+    write_trace(path, synthetic_trace([1.0, 0.5, 0.25]))
+    head, row0, row1, row2 = path.read_text().splitlines()
+    toks = row1.split(",")
+    edits = [toks + ["0"], toks[:-1]]
+    for col, token in [("k", t) for t in ("0.7", "1.0", "true", "null", "1_0")] + \
+            [("hess_evals", "true")] + \
+            [("g_k", t) for t in ("true", '"0.5"', "null", "[1]", "nan", "NaN",
+                                  "inf", "Infinity", "-Infinity", "1e400")]:
+        edits.append(toks.copy())
+        edits[-1][COLUMNS.index(col)] = token
+    for edit in edits:
+        path.write_text("\n".join([head, row0, ",".join(edit), row2]) + "\n")
         with pytest.raises(ValueError, match="row 1"):
             read_trace(path)
 
@@ -125,8 +112,13 @@ def test_verify_checks_last_transition_of_a_result(quad_result):
     miscounted = dataclasses.replace(quad_result,
                                      Lambda_final=4.0 * quad_result.Lambda_final)
     assert not verify(miscounted).checks["newton_count"].passed
-    # a bare trace has no terminal state, so neither change shows in it
-    for tampered in (overshoot, miscounted):
+    # a terminal state that is not finite fails the check that reads it
+    unbounded = dataclasses.replace(quad_result, g_final=math.inf)
+    assert not verify(unbounded).checks["no_overshoot"].passed
+    uncounted = dataclasses.replace(quad_result, Lambda_final=math.nan)
+    assert not verify(uncounted).checks["newton_count"].passed
+    # a bare trace has no terminal state, so none of these changes shows in it
+    for tampered in (overshoot, miscounted, unbounded, uncounted):
         assert verify(tampered.trace).passed
 
 
@@ -148,8 +140,10 @@ def test_verify_skips_baseline_traces():
                     SolverConfig(grad_tol=1e-6, max_outer=2000))
     report = verify(res.trace)
     assert report.passed
-    assert report.checks == {}
+    assert list(report.checks) == ["finite"]
     assert any("baseline" in n for n in report.notes)
+    res.trace[3].f_val = math.nan
+    assert not verify(res.trace).checks["finite"].passed
 
 
 def test_verify_flags_increased_objective(quad_result):
@@ -185,6 +179,24 @@ def test_verify_flags_tampered_lambda(quad_result):
     rows[4].lambda_k = 1e12
     report = verify(rows, L=quad_lipschitz(p))
     assert not report.checks["lambda_cap"].passed
+
+
+@pytest.mark.parametrize("col, value, check", [
+    ("inner_prod", math.nan, "pairing"), ("lambda_k", math.nan, "pairing"),
+    ("g_k", math.nan, "pairing"), ("g_k", math.inf, "pairing"),
+    ("F_val", math.nan, "decrease"), ("r_k", math.nan, "decrease"),
+    ("Lambda_k", math.nan, "newton_count"), ("f_val", math.nan, "finite"),
+    ("r_k", 1e300, "decrease"),  # finite, but lambda r^2 / 4 overflows
+])
+def test_verify_fails_on_non_finite_values(quad_result, col, value, check):
+    rows = [dataclasses.replace(r) for r in quad_result.trace]
+    setattr(rows[1], col, value)
+    report = verify(rows)
+    assert not report.passed
+    assert not report.checks[check].passed
+    finite = report.checks["finite"]
+    assert finite.passed == math.isfinite(value)
+    assert finite.worst_row == (0 if finite.passed else 1)
 
 
 def test_verify_hessian_schedule_inference(huber_lazy_result):
@@ -223,6 +235,10 @@ def test_verify_envelope_uses_observed_lambda_without_L(quad_result):
     report = verify(quad_result.trace, fstar=p.known_fstar)
     assert report.checks["envelope"].passed
     assert any("max observed" in n for n in report.notes)
+    # an fstar above F_0 leaves no gap to bound
+    report = verify(quad_result.trace, fstar=quad_result.trace[0].F_val + 1.0)
+    assert "envelope" not in report.checks
+    assert "F_0 < fstar: envelope skipped" in report.notes
 
 
 # -------------------------------------------------------------- estimate_order
@@ -285,10 +301,9 @@ def test_run_quadratic_writes_short_trace(tmp_path):
 
 def test_run_default_out_path(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    code, _result, path = run(RunConfig(problem="huber", grad_tol=1e-8,
-                                        emit="json"))
+    code, _result, path = run(RunConfig(problem="huber", grad_tol=1e-8))
     assert code == 0
-    assert path == "gladssn-trace.json"
+    assert path == "gladssn-trace.csv"
     assert (tmp_path / path).exists()
     assert len(read_trace(path)) >= 1
 
@@ -315,10 +330,9 @@ def test_run_config_validation():
         RunConfig(problem="nosuch")
     with pytest.raises(ConfigError):
         RunConfig(problem="quad", solver="bfgs")
-    with pytest.raises(ConfigError):
-        RunConfig(problem="quad", emit="xml")
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict({"problem": "quad", "lambda_zero": 1.0})
+    for unknown in ("lambda_zero", "emit"):  # emit: traces are CSV only
+        with pytest.raises(ConfigError, match=unknown):
+            RunConfig.from_dict({"problem": "quad", unknown: "csv"})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"solver": "gladssn"})
     with pytest.raises(ConfigError):
@@ -334,11 +348,12 @@ def test_run_config_validation():
 
 # -------------------------------------------------------------------- compare
 
-def test_compare_runs_each_config(capsys):
+def test_compare_runs_each_config(tmp_path, capsys):
     # compare only returns the summaries; the CLI prints the table
     base = dict(problem="huber", grad_tol=1e-8,
                 problem_kwargs={"m": 80, "n": 10})
-    summaries = compare([RunConfig(m=1, **base), RunConfig(m=4, **base),
+    out = tmp_path / "m1.csv"
+    summaries = compare([RunConfig(m=1, out_path=str(out), **base), RunConfig(m=4, **base),
                          RunConfig(solver="armijo", max_outer=3000, **base)])
     assert len(summaries) == 3
     assert summaries[0]["status"] == "converged"
@@ -347,6 +362,7 @@ def test_compare_runs_each_config(capsys):
     assert summaries[1]["hess_evals"] <= summaries[0]["hess_evals"]
     assert summaries[2]["hess_evals"] == 0
     assert capsys.readouterr().out == ""
+    assert len(read_trace(out)) == summaries[0]["iters"]  # the one out_path set
     for s in summaries:
         assert set(s) == {"problem", "solver", "p", "m", "seed", "status",
                           "iters", "trials", "hess_evals", "g_final", "wall_s"}

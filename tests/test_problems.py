@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -352,7 +353,8 @@ def test_quadratic_spectrum_and_solution():
 
 def test_instance_round_trip(tmp_path):
     cases = [make_nmf(7, d=5, n=4, r=2), make_svm(7, n=6, ell=20),
-             make_huber(7, m=9, n=4), make_quadratic(7, n=5)]
+             make_huber(7, m=9, n=4), make_quadratic(7, n=5),
+             make_nmf(8, d=np.int64(4), n=np.int64(3), r=np.int64(2))]
     for p in cases:
         path = tmp_path / f"{p.name}.inst"
         save_instance(path, p.instance)
@@ -364,6 +366,7 @@ def test_instance_round_trip(tmp_path):
                                               err_msg=f"{p.name}.{name}")
             else:
                 assert getattr(back, name) == value, f"{p.name}.{name}"
+                assert type(value) is type(getattr(back, name)), f"{p.name}.{name}"
         # the rebuilt problem computes the same objective
         q = problem_from_instance(back)
         x = p.x0 + 0.25
@@ -404,9 +407,11 @@ def test_load_instance_rejects_garbage(tmp_path):
     rejected_edit(lambda d: d["fields"].update(bogus=2), r"unknown fields \['bogus'\]")
     rejected_edit(lambda d: d.update(fields=[1]), "not an object")
     # scalars of the wrong type: int fields take no float, bool or null,
-    # float fields no string, bool or integer beyond the float range
+    # float fields no string, bool, integer beyond the float range, NaN or
+    # infinity
     for name, value in (("seed", 1.0), ("seed", True), ("seed", None), ("seed", "x"),
-                        ("cond", "1e4"), ("cond", False), ("cond", 10**400)):
+                        ("cond", "1e4"), ("cond", False), ("cond", 10**400),
+                        ("cond", math.nan), ("cond", -math.inf)):
         rejected_edit(lambda d: d["fields"].update({name: value}),
                       f"field '{name}' must be")
     # "d": 4.0 once loaded as a float and broke the slicing in eval_f
@@ -416,6 +421,9 @@ def test_load_instance_rejects_garbage(tmp_path):
                   "A"):
         rejected_edit(lambda d: d["fields"].update(A=value),
                       "field 'A' is not a rectangular array of numbers")
+    for value in (math.nan, math.inf):  # json writes these as NaN and Infinity
+        rejected_edit(lambda d: d["fields"]["b"].__setitem__(1, value),
+                      "field 'b' holds a number that is not finite")
     rejected_edit(lambda d: d["fields"].update(A=[1.0, 2.0, 3.0, 4.0]),
                   r"arrays have shapes \{'A': \(4,\)")
     rejected_edit(lambda d: d["fields"].update(x0=[1.0]), r"'x0': \(1,\)\}, expected")
