@@ -30,6 +30,9 @@ __all__ = [
 class SmoothOracle:
     """Twice-differentiable part of the objective.
 
+    The callables must be pure functions of x, because the solver may call
+    them in any order: it evaluates f at a trial point before its gradient,
+    and the gradient only for a trial that passes the decrease test.
     eval_hess returns a LinOp (dense array or matvec handle).  Nothing in
     this package reads lipschitz_L, an optional bound L/2 on the Hessian
     operator norm: the solver adapts its regularizer instead.

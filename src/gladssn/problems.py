@@ -112,6 +112,26 @@ class QuadInstance:
         _check_shapes(self, A=(n, n), b=(n,), x0=(n,))
 
 
+def _last_point(fn):
+    """fn(x) cached for the last point x, which is compared by value.
+
+    The solver asks for the value, gradient and Hessian at one point in
+    turn, and each needs the same residual.  The cache holds its own copy of
+    x, so a caller that changes its array in place cannot get a stale
+    result, and the cached array is read-only.
+    """
+    last_x, last_out = None, None
+
+    def cached(x):
+        nonlocal last_x, last_out
+        if last_x is None or not np.array_equal(x, last_x):
+            out = fn(x)
+            out.setflags(write=False)
+            last_x, last_out = np.array(x, dtype=np.float64), out
+        return last_out
+    return cached
+
+
 # ----------------------------------------------------------------------- nmf
 
 def make_nmf(seed: int, d: int = 200, n: int = 100, r: int = 12,
@@ -277,6 +297,7 @@ def _svm_problem(inst: SvmInstance) -> CompositeProblem:
     # z_i = y_i * (x_i, 1); the Hessian is I_n (+) 0 plus 2 gamma Z_act^T Z_act.
     z_all = np.hstack([labels[:, None] * feats, labels[:, None]])
 
+    @_last_point
     def margins_resid(x):
         return 1.0 - labels * (feats @ x[:n] + x[n])
 
@@ -332,12 +353,15 @@ def _huber_problem(inst: HuberInstance) -> CompositeProblem:
         absr = np.abs(r)
         return np.where(absr <= delta, 0.5 * r * r, delta * (absr - 0.5 * delta))
 
+    @_last_point
+    def resid(x):
+        return a_mat @ x - b_vec
+
     def eval_f(x):
-        return float(np.sum(huber(a_mat @ x - b_vec))) + 0.5 * ridge * float(x @ x)
+        return float(np.sum(huber(resid(x)))) + 0.5 * ridge * float(x @ x)
 
     def eval_grad(x):
-        r = a_mat @ x - b_vec
-        return a_mat.T @ np.clip(r, -delta, delta) + ridge * x
+        return a_mat.T @ np.clip(resid(x), -delta, delta) + ridge * x
 
     def eval_f_diff(x, s):
         # f(x) - f(x + s) from the step, with d = A s the change of the
@@ -356,7 +380,7 @@ def _huber_problem(inst: HuberInstance) -> CompositeProblem:
         return drop - ridge * float(s @ (x + 0.5 * s))
 
     def eval_hess(x):
-        quad = np.abs(a_mat @ x - b_vec) <= delta
+        quad = np.abs(resid(x)) <= delta
         a_act = a_mat[quad]
         dense = a_act.T @ a_act
         dense[np.arange(n), np.arange(n)] += ridge
@@ -366,7 +390,7 @@ def _huber_problem(inst: HuberInstance) -> CompositeProblem:
         smooth=SmoothOracle(dim=n, eval_f=eval_f, eval_grad=eval_grad,
                             eval_hess=eval_hess, eval_f_diff=eval_f_diff),
         psi=ZeroPart(),
-        kink_gap=lambda x: float(np.min(np.abs(np.abs(a_mat @ x - b_vec) - delta))))
+        kink_gap=lambda x: float(np.min(np.abs(np.abs(resid(x)) - delta))))
 
 
 # ---------------------------------------------------------------------- quad

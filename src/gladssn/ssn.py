@@ -16,10 +16,13 @@ accepted when
     F(x_k) - F(x_+)       >=  lambda/4 * ||x_+ - x_k||_B^2
 
 both hold (acceptance_test, through step_inequalities), after which
-Lambda_{k+1} = 4^{j_k} Lambda_k / 4.  Rejected
-trials quadruple lambda; a failed inner solve counts as a rejected trial.
-An outer iteration whose 60 trials (_MAX_TRIALS) are all rejected ends the
-run as stalled.
+Lambda_{k+1} = 4^{j_k} Lambda_k / 4.  A trial is scored value first:
+F(x_+), then the decrease inequality, and only for a trial that passes it
+the gradient f'(x_+), F'(x_+) and the pairing.  A trial rejected on the
+decrease never evaluates its gradient, so it cannot raise NonFiniteError
+on that gradient.  Rejected trials quadruple lambda; a failed inner solve
+counts as a rejected trial.  An outer iteration whose 60 trials
+(_MAX_TRIALS) are all rejected ends the run as stalled.
 
 With psi nonzero the model is solved by FISTA with gradient restart (see
 _prox_model_solve).  Across the trials of one iteration the model changes
@@ -154,8 +157,6 @@ class TraceRecord:
 class TrialResult(NamedTuple):
     x_plus: np.ndarray
     psi_sub_plus: np.ndarray
-    F_sub_plus: np.ndarray
-    f_grad_plus: np.ndarray
 
 
 @dataclass
@@ -202,17 +203,17 @@ def acceptance_test(pairing: float, g_plus: float, r: float, lam: float,
 
 
 def _certified_decrease(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
-                        r: float, lam: float, F_val: float, F_plus: float) -> float:
-    """F(x) - F(x + s) for the decrease test, where r = ||s||.
+                        floor: float, F_val: float, F_plus: float) -> float:
+    """F(x) - F(x + s) for the decrease test, whose right side is floor.
 
     eval_f_diff(x, s) when psi is zero, the oracle has it and the test lies
-    within the rounding band |(F_val - F_plus) - lam r^2 / 4| <=
+    within the rounding band |(F_val - F_plus) - floor| <=
     _ROUNDING_BAND * eps * (|F_val| + |F_plus|); else F_val - F_plus.
     """
     diff = problem.smooth.eval_f_diff
     if diff is not None and problem.psi.is_zero:
         band = _ROUNDING_BAND * _EPS * (abs(F_val) + abs(F_plus))
-        if abs((F_val - F_plus) - 0.25 * lam * r * r) <= band:
+        if abs((F_val - F_plus) - floor) <= band:
             return float(diff(x, s))
     return F_val - F_plus
 
@@ -260,7 +261,7 @@ def _prox_model_solve(reg: Regularized, lam: float, x: np.ndarray, f_grad: np.nd
 
 def trial_step(x: np.ndarray, f_grad: np.ndarray, reg: Regularized, lam: float,
                problem: CompositeProblem, s0: np.ndarray | None = None) -> TrialResult:
-    """Solve the regularized model at x and certify the new gradient.
+    """Solve the regularized model at x and certify a psi subgradient at x_+.
 
     f_grad is f'(x) and reg holds the lazy H + lam B.  s0, when given,
     warm-starts the inner FISTA loop of a nonzero psi at x + s0; the direct
@@ -269,8 +270,10 @@ def trial_step(x: np.ndarray, f_grad: np.ndarray, reg: Regularized, lam: float,
 
         psi_sub_plus = -f_grad - H (x_+ - x) - lam * B (x_+ - x),
 
-    never from a separate subgradient oracle.  Raises SolverStallError when
-    the inner solve misses its residual target.
+    never from a separate subgradient oracle.  No oracle of f is called:
+    the caller evaluates f'(x_+) only once the trial passes the decrease
+    test.  Raises SolverStallError when the inner solve misses its residual
+    target.
     """
     if problem.psi.is_zero:
         s = solve_regularized(reg, lam, -f_grad)
@@ -278,10 +281,7 @@ def trial_step(x: np.ndarray, f_grad: np.ndarray, reg: Regularized, lam: float,
     else:
         x_plus = _prox_model_solve(reg, lam, x, f_grad, problem.psi, s0)
         s = x_plus - x
-    psi_sub_plus = -reg.model_grad(lam, f_grad, s)
-    f_grad_plus = np.asarray(problem.smooth.eval_grad(x_plus), dtype=np.float64)
-    F_sub_plus = f_grad_plus + psi_sub_plus
-    return TrialResult(x_plus, psi_sub_plus, F_sub_plus, f_grad_plus)
+    return TrialResult(x_plus, -reg.model_grad(lam, f_grad, s))
 
 
 def _reuse_pays(k: int, m: int, trials: int) -> bool:
@@ -353,18 +353,29 @@ def solve(problem: CompositeProblem, config: SolverConfig,
                 trial = trial_step(x, f_grad, reg, lam, problem, s_prev)
             except SolverStallError:
                 continue
-            s_prev = trial.x_plus - x
-            f_plus = float(problem.smooth.eval_f(trial.x_plus))
-            F_plus = f_plus + problem.psi.eval_psi(trial.x_plus)
-            if not (np.isfinite(F_plus) and np.all(np.isfinite(trial.F_sub_plus))):
+            x_plus = trial.x_plus
+            s_prev = x_plus - x
+            f_plus = float(problem.smooth.eval_f(x_plus))
+            F_plus = f_plus + problem.psi.eval_psi(x_plus)
+            if not np.isfinite(F_plus):
                 raise NonFiniteError(
                     f"non-finite trial value at outer iteration {k}, trial {j}",
                     k=k, j=j)
-            step = x - trial.x_plus
+            step = x - x_plus
             r = metric.norm(step)
-            pairing = float(trial.F_sub_plus @ step)
-            g_plus = metric.dual_norm(trial.F_sub_plus)
-            decrease = _certified_decrease(problem, x, s_prev, r, lam, F_val, F_plus)
+            # Only the right side of the decrease test is known before the gradient.
+            _, floor = step_inequalities(np.nan, np.nan, r, lam, np.nan, g)["decrease"]
+            decrease = _certified_decrease(problem, x, s_prev, floor, F_val, F_plus)
+            if not decrease >= floor:
+                continue
+            f_grad_plus = np.asarray(problem.smooth.eval_grad(x_plus), dtype=np.float64)
+            F_sub_plus = f_grad_plus + trial.psi_sub_plus
+            if not np.all(np.isfinite(F_sub_plus)):
+                raise NonFiniteError(
+                    f"non-finite trial gradient at outer iteration {k}, trial {j}",
+                    k=k, j=j)
+            pairing = float(F_sub_plus @ step)
+            g_plus = metric.dual_norm(F_sub_plus)
             if acceptance_test(pairing, g_plus, r, lam, decrease, g):
                 break
         else:
@@ -377,9 +388,9 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             hess_evals=hess_evals, trials=trials,
             wall_ns=time.perf_counter_ns() - start_ns))
         Lambda_k = (4.0**j) * Lambda_k / 4.0
-        x = trial.x_plus
+        x = x_plus
         psi_sub = trial.psi_sub_plus
-        f_grad = trial.f_grad_plus
+        f_grad = f_grad_plus
         f_val = f_plus
         F_val = F_plus
         g = g_plus

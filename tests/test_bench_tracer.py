@@ -5,9 +5,12 @@ wrappers into ssn.trial_step, ssn.solve_regularized and ssn.acceptance_test,
 reads Regularized.is_dense, and rebuilds the SmoothOracle (lipschitz_L
 included) with wrapped callables.  A refactor that renames or reshapes any
 of these breaks `bench.py --trace 1`, whose own tests are not part of this
-suite.  This test loads spans.py as it is and runs two small solves under
+suite.  This test loads spans.py as it is and runs three small solves under
 it that stay off the rounding floor, where the tracer's oracle copy (which
-has no eval_f_diff) decides exactly as the original.
+has no eval_f_diff) decides exactly as the original.  The SVM solve also
+shows that its residual cache, reached through the tracer's wrapped
+callables, leaves the trajectory alone, and that trials rejected on the
+decrease evaluate no gradient.
 """
 
 import dataclasses
@@ -18,7 +21,7 @@ import numpy as np
 
 from gladssn import ssn
 from gladssn.oracle import SeparableProx
-from gladssn.problems import make_huber, make_nmf
+from gladssn.problems import make_huber, make_nmf, make_svm
 from gladssn.ssn import CONVERGED, SolverConfig
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -51,6 +54,8 @@ def test_tracer_wraps_the_solver_without_changing_it():
         "huber-l1": (dataclasses.replace(make_huber(1, m=80, n=10), psi=l1(0.5)),
                      SolverConfig(m=1, grad_tol=1e-8),
                      {"ssn.acceptance_test", "ssn.trial_step"}),
+        "svm": (make_svm(2, n=10, ell=200), SolverConfig(m=1, grad_tol=1e-6),
+                {"ssn.acceptance_test", "ssn.trial_step", "linalg.solve_regularized"}),
     }
     for name, (problem, config, expected_spans) in cases.items():
         plain = ssn.solve(problem, config)
@@ -64,8 +69,10 @@ def test_tracer_wraps_the_solver_without_changing_it():
         assert calls["ssn.trial_step"] == plain.trials, name
         assert calls["ssn.acceptance_test"] > 0, name
         assert calls["oracle.eval_hess"] == plain.hess_evals, name
-        if name == "nmf":
-            assert tracer.counts["linalg.dense_solves"] > 0
-        else:
+        if name == "huber-l1":
             assert tracer.counts["ssn.prox.sweeps"] > 0
+        else:
+            assert tracer.counts["linalg.dense_solves"] > 0
+        if name == "svm":
+            assert calls["oracle.eval_grad"] < calls["oracle.eval_f"] == 1 + plain.trials
         assert trajectory(traced) == trajectory(plain), name

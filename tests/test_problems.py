@@ -327,6 +327,39 @@ def test_huber_default_instance():
     assert np.all(np.linalg.eigvalsh(h) >= 0.01 - 1e-9)
 
 
+# ------------------------------------------------------- residual cache
+
+def oracle_outputs(problem, x):
+    smooth = problem.smooth
+    return (smooth.eval_f(x), smooth.eval_grad(x), smooth.eval_hess(x).dense,
+            problem.kink_gap(x))
+
+
+def assert_bitwise_equal(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("make, kw", [(make_svm, {"n": 6, "ell": 40}),
+                                      (make_huber, {"m": 30, "n": 6})])
+def test_residual_cache_matches_fresh_oracles(make, kw):
+    # SVM's margins and Huber's A x - b are computed once per point and
+    # shared by f, the gradient, the Hessian and kink_gap.  Every result
+    # must equal a fresh oracle's at that point, also after the caller
+    # changes the array it passed in place.
+    problem = make(3, **kw)
+    inst = problem.instance
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((2, problem.dim))
+    caller = a.copy()
+    for x in (a, b, caller):
+        assert_bitwise_equal(oracle_outputs(problem, x),
+                             oracle_outputs(problem_from_instance(inst), x.copy()))
+    caller[: problem.dim // 2] *= -2.0
+    assert_bitwise_equal(oracle_outputs(problem, caller),
+                         oracle_outputs(problem_from_instance(inst), caller.copy()))
+
+
 # ---------------------------------------------------------------------- quad
 
 def test_quadratic_spectrum_and_solution():

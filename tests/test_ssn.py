@@ -70,10 +70,10 @@ def test_certified_decrease_inside_and_outside_the_band():
     x, s = np.array([1.0, 0.0]), np.array([-0.5, 0.0])
     r, lam = 0.5, 1.0
     on_band = 0.25 * lam * r * r  # rounded decrease exactly at the test's boundary
-    assert ssn._certified_decrease(exact, x, s, r, lam, 1.0, 1.0 - on_band) == 42.0
-    assert ssn._certified_decrease(exact, x, s, r, lam, 1.0, 0.5) == 0.5
+    assert ssn._certified_decrease(exact, x, s, on_band, 1.0, 1.0 - on_band) == 42.0
+    assert ssn._certified_decrease(exact, x, s, on_band, 1.0, 0.5) == 0.5
     # without the oracle the rounded difference decides, even inside the band
-    assert ssn._certified_decrease(base, x, s, r, lam, 1.0, 1.0 - on_band) == on_band
+    assert ssn._certified_decrease(base, x, s, on_band, 1.0, 1.0 - on_band) == on_band
 
 
 def half_norm_problem(n):
@@ -97,13 +97,15 @@ def test_trial_step_quadratic_frozen():
     i, j = np.unravel_index(np.argmin(model), model.shape)
     assert abs(ys[i] - 0.5) < 3e-3 and abs(ys[j]) < 3e-3
 
-    # f(x) = 0.5 ||x||^2, exact oracles
+    # f(x) = 0.5 ||x||^2, exact oracles; trial_step leaves f'(x_+) to the caller
+    prob = half_norm_problem(2)
     trial = trial_step(x, x.copy(), Regularized(LinOp.from_dense(np.eye(2)), MetricB()), 1.0,
-                       half_norm_problem(2))
+                       prob)
+    f_grad_plus = prob.smooth.eval_grad(trial.x_plus)
     np.testing.assert_allclose(trial.x_plus, [0.5, 0.0], atol=1e-12)
     np.testing.assert_allclose(trial.psi_sub_plus, [0.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(trial.F_sub_plus, [0.5, 0.0], atol=1e-12)
-    np.testing.assert_allclose(trial.f_grad_plus, trial.x_plus)
+    np.testing.assert_allclose(f_grad_plus + trial.psi_sub_plus, [0.5, 0.0], atol=1e-12)
+    np.testing.assert_allclose(f_grad_plus, trial.x_plus)
 
 
 def test_trial_step_certifies_model_optimality():
@@ -121,8 +123,10 @@ def test_trial_step_certifies_model_optimality():
     s = trial.x_plus - x
     np.testing.assert_allclose(trial.psi_sub_plus,
                                -(2.0 * x) - h.apply(s) - 0.3 * s, atol=1e-12)
-    np.testing.assert_allclose(trial.F_sub_plus,
-                               trial.f_grad_plus + trial.psi_sub_plus)
+    # so the composite gradient is f'(x_+) - f'(x) - H s - lam s
+    f_grad_plus = prob.smooth.eval_grad(trial.x_plus)
+    np.testing.assert_allclose(f_grad_plus + trial.psi_sub_plus,
+                               f_grad_plus - 2.0 * x - h.apply(s) - 0.3 * s)
 
 
 def test_trial_step_soft_threshold_frozen():
@@ -141,7 +145,8 @@ def test_trial_step_soft_threshold_frozen():
     assert abs(trial.x_plus[0] - 1.0) <= 1e-8
     # certified subgradient is -lam * (x_+ - x) = 1, which is d|.|(1)
     assert abs(trial.psi_sub_plus[0] - 1.0) <= 1e-8
-    assert abs(trial.F_sub_plus[0] - 1.0) <= 1e-8
+    f_grad_plus = prob.smooth.eval_grad(trial.x_plus)
+    assert abs(f_grad_plus[0] + trial.psi_sub_plus[0] - 1.0) <= 1e-8
 
 
 def test_solve_stationary_start():
@@ -494,6 +499,52 @@ def test_non_finite_trial_raises_with_location():
     with pytest.raises(NonFiniteError) as exc:
         solve(prob, SolverConfig())
     assert exc.value.k == 0 and exc.value.j == 0
+
+    # f = 0.5 x^2 with a NaN gradient away from x0 and H = -10 I: trials
+    # j = 0, 1 (lam = 1, 4) step uphill and fail the decrease without
+    # evaluating their gradient; j = 2 (lam = 16) passes it and raises there
+    def grad(x):
+        return x.copy() if x[0] == 1.0 else np.full(1, np.nan)
+
+    prob = CompositeProblem(
+        smooth=SmoothOracle(dim=1, eval_f=lambda x: 0.5 * float(x @ x), eval_grad=grad,
+                            eval_hess=lambda x: LinOp.from_dense(-10.0 * np.eye(1))),
+        psi=ZeroPart(), x0=np.array([1.0]))
+    with pytest.raises(NonFiniteError, match="gradient") as exc:
+        solve(prob, SolverConfig(p=0.0, m=1, Lambda0=1.0))
+    assert exc.value.k == 0 and exc.value.j == 2
+
+
+def test_gradient_skipped_only_on_decrease_rejections(monkeypatch):
+    # the gradient at a trial point is evaluated once the trial passes the
+    # decrease, and the value once its model is solved, plus one each at x0
+    base = make_svm(2, n=10, ell=200)
+    counts = {"f": 0, "grad": 0}
+
+    def counted(name, fn):
+        def wrapped(x):
+            counts[name] += 1
+            return fn(x)
+        return wrapped
+
+    prob = dataclasses.replace(base, smooth=dataclasses.replace(
+        base.smooth, eval_f=counted("f", base.smooth.eval_f),
+        eval_grad=counted("grad", base.smooth.eval_grad)))
+    decreases = []
+    certified = ssn._certified_decrease
+
+    def record(problem, x, s, floor, F_val, F_plus):
+        decreases.append((certified(problem, x, s, floor, F_val, F_plus), floor))
+        return decreases[-1][0]
+
+    monkeypatch.setattr(ssn, "_certified_decrease", record)
+    res = solve(prob, SolverConfig(m=1, grad_tol=1e-6))
+    assert res.status == CONVERGED
+    passed = sum(dec >= floor for dec, floor in decreases)
+    assert 0 < len(decreases) - passed  # some trials fail on the decrease
+    assert res.iters < passed  # and some pass it, yet fail the pairing
+    assert counts["grad"] == 1 + passed
+    assert counts["f"] == 1 + len(decreases)
 
 
 def test_matvec_hessian_converges_to_same_point():
