@@ -196,16 +196,15 @@ class Regularized:
 
         Every method runs in one loop: a first solve and up to three
         corrections, each solving again for the residual rhs - (H + lam B) s.
-        A dense H is solved directly.  With decompose=True the solve runs in
-        the eigenbasis of the pencil (H, B), eigh(H) or eigh(H, B), computed
-        on the first solve and kept, so each later solve costs O(n^2) for any
-        lam and an indefinite H needs no special case.  Otherwise H + lam B
-        is factored by Cholesky with a scale-relative pivot test.  A
-        matrix-free H, and a dense one that a direct method declines or that
-        misses the target, goes to MINRES capped at 10 n iterations per call,
+        A dense H is solved only directly: H + lam B by Cholesky with a
+        scale-relative pivot test, unless decompose=True or the refresh holds
+        its eigenbasis.  That basis of the pencil (H, B) is computed once, on
+        the first solve with decompose=True or the first Cholesky decline,
+        and serves every later solve at O(n^2) for any lam and any sign of H.
+        A matrix-free H goes to MINRES capped at 10 n iterations per call,
         preconditioned by the operator's SPD precond(lam) when it has one
-        (which keeps MINRES valid for an indefinite H + lam B).  A solve that
-        cannot reach the target raises SolverStallError.
+        (which keeps MINRES valid for an indefinite H + lam B).  A residual
+        not within the target, NaN included, raises SolverStallError.
         """
         if not (lam > 0.0 and np.isfinite(lam)):
             raise ValueError(f"regularizer must be positive and finite, got {lam}")
@@ -220,19 +219,19 @@ class Regularized:
         def apply(v):
             return self.apply(lam, v)
 
-        if self.is_dense:
-            if self.decompose:
-                direct, direct_apply = self._eigen_solver(lam), apply
-            else:
-                bmat = np.eye(n) if self.metric.is_identity else self.metric.matrix
-                m = self.h.dense + lam * bmat
-                direct, direct_apply = _cholesky_solver(m), m.__matmul__
-            if direct is not None:
-                s, res = _refined(direct, direct_apply, rhs, target)
-                if res <= target:
-                    return s
-        s, res = _refined(_minres_solver(self, lam, rhs), apply, rhs, target)
-        if res > target:
+        once = None
+        if not self.is_dense:
+            once = _minres_solver(self, lam, rhs)
+        elif not self.decompose and self._eig is None:
+            bmat = np.eye(n) if self.metric.is_identity else self.metric.matrix
+            m = self.h.dense + lam * bmat
+            once = _cholesky_solver(m)
+            if once is not None:
+                apply = m.__matmul__
+        if once is None:  # decompose=True, a kept eigenbasis or a Cholesky decline
+            once = self._eigen_solver(lam)
+        s, res = _refined(once, apply, rhs, target)
+        if not res <= target:
             raise SolverStallError(
                 f"regularized solve stalled at residual {res:.3e} (target {target:.3e})",
                 best_residual=res,
@@ -240,9 +239,10 @@ class Regularized:
         return s
 
     def _eigen_solver(self, lam: float):
-        """r -> (H + lam B)^{-1} r in the cached eigenbasis.
+        """r -> (H + lam B)^+ r in the eigenbasis, computed on first use and kept.
 
-        None when a shifted eigenvalue w + lam is numerically zero.
+        A pseudo-inverse: it drops each component whose shift w + lam fails
+        the pivot test, so it never declines a singular H + lam B.
         """
         if self._eig is None:
             self._eig = (np.linalg.eigh(self.h.dense) if self.metric.is_identity
@@ -250,9 +250,8 @@ class Regularized:
         w, vecs = self._eig
         # V^T B V = I and V^T H V = diag(w), so (H + lam B)^{-1} = V diag(1/(w + lam)) V^T.
         shifted = w + lam
-        if np.min(np.abs(shifted)) <= _PIVOT_REL * float(np.mean(np.abs(shifted))):
-            return None
-        return lambda r: vecs @ ((vecs.T @ r) / shifted)
+        keep = np.abs(shifted) > _PIVOT_REL * float(np.mean(np.abs(shifted)))
+        return lambda r: vecs @ np.divide(vecs.T @ r, shifted, out=np.zeros(len(w)), where=keep)
 
 
 def opnorm_est(matvec, n: int, iters: int = 50) -> float:
@@ -302,12 +301,12 @@ def _refined(solve_once, apply, rhs: np.ndarray, target: float) -> tuple[np.ndar
 
 
 def _cholesky_solver(m: np.ndarray):
-    """r -> m^{-1} r by Cholesky; None when m is not numerically positive definite."""
+    """r -> m^{-1} r by Cholesky; None when a pivot is not finite or fails the test."""
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return None
-    if np.min(np.diag(chol)) ** 2 <= _PIVOT_REL * (np.trace(m) / m.shape[0]):
+    if not np.min(np.diag(chol)) ** 2 > _PIVOT_REL * (np.trace(m) / m.shape[0]):
         return None
     return lambda r: scipy.linalg.cho_solve((chol, True), r)
 

@@ -42,13 +42,14 @@ Each Hessian refresh builds one linalg.Regularized, which owns H + lambda B
 for every trial and lazy iteration until the next refresh.  Its dense
 solves decompose H once instead of factoring each trial when the refresh
 can expect many solves: k >= 1, m >= 2 and m * (trials so far / k) >= 6
-(_reuse_pays, _EIGH_MIN_SOLVES).
+(_reuse_pays, _EIGH_MIN_SOLVES).  A refreshed dense H that is not finite
+raises NonFiniteError; a matrix-free one fails its trials' inner solves.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -100,10 +101,10 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 class NonFiniteError(RuntimeError):
-    """A function value or gradient came back non-finite.
+    """A function value, gradient or dense Hessian came back non-finite.
 
-    k and j locate the outer iteration and inner trial (j is None when the
-    starting point itself is bad).
+    k and j locate the outer iteration and inner trial (j is None for a
+    Hessian, and both are None when the starting point itself is bad).
     """
 
     def __init__(self, message: str, k: int | None = None, j: int | None = None):
@@ -121,6 +122,9 @@ class SolverConfig:
     max_outer: int = 1000
 
     def __post_init__(self):
+        for f in fields(self):  # a subclass's fields too
+            if isinstance(getattr(self, f.name), bool):
+                raise ValueError(f"{f.name} must not be a bool")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
         if not float(self.m).is_integer() or self.m < 1:
@@ -232,6 +236,8 @@ def _prox_model_solve(reg: Regularized, lam: float, x: np.ndarray, f_grad: np.nd
     loop treats as a failed trial.
     """
     lip = reg.opnorm(lam)
+    if not np.isfinite(lip):  # say, a matrix-free H whose products are not finite
+        raise SolverStallError(f"model operator norm is {lip}", best_residual=np.inf)
     t = 1.0 / (1.05 * lip)
     y = x if s0 is None else x + s0
     z = y
@@ -344,6 +350,8 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             reg = Regularized(problem.smooth.eval_hess(x), metric,
                               decompose=_reuse_pays(k, config.m, trials))
             hess_evals += 1
+            if reg.is_dense and not np.all(np.isfinite(reg.h.dense)):
+                raise NonFiniteError(f"non-finite Hessian at outer iteration {k}", k=k)
 
         s_prev = None
         for j in range(_MAX_TRIALS):

@@ -148,6 +148,17 @@ def test_readme_cli_quick_start(tmp_path, monkeypatch, capsys):
         assert main(argv) == 0, (argv, capsys.readouterr())
 
 
+def test_readme_library_quick_start(capsys):
+    # README's library quick start converges and its run passes verify
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start (library)")[1].split("```python\n")[1].split("```")[0]
+    scope = {}
+    exec(block, scope)
+    assert scope["res"].status == "converged"
+    assert scope["verify"](scope["res"]).passed
+    assert capsys.readouterr().out.startswith("converged")
+
+
 def test_estimate_order_command(tmp_path, capsys):
     path = tmp_path / "synt.csv"
     write_trace(path, synthetic_trace([1e-1, 1e-2, 1e-4, 1e-8]))

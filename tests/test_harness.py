@@ -337,8 +337,8 @@ def test_run_config_validation():
         RunConfig.from_dict({"solver": "gladssn"})
     with pytest.raises(ConfigError):
         run(RunConfig(problem="quad", problem_kwargs={"bogus_kw": 3}))
-    # a seed must be an integer value: not a fraction, a string or null
-    for seed in (1.5, "7", None, float("nan")):
+    # a seed must be an integer value: not a fraction, a string, null or a bool
+    for seed in (1.5, "7", None, float("nan"), True):
         with pytest.raises(ConfigError, match="seed"):
             RunConfig.from_dict({"problem": "quad", "seed": seed})
     cfg = RunConfig.from_dict({"problem": "quad", "p": 0.0, "m": 2, "seed": 7.0})

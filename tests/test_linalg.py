@@ -100,7 +100,7 @@ def test_solve_regularized_spd_frozen():
 
 def test_solve_regularized_indefinite_frozen():
     # (diag(1,-3) + 1*I) = diag(2,-2) is indefinite: Cholesky must bail and
-    # MINRES take over.  diag(2,-2) s = (2,2)  =>  s = (1,-1), by hand.
+    # the eigenbasis take over.  diag(2,-2) s = (2,2)  =>  s = (1,-1), by hand.
     h = LinOp.from_dense(np.diag([1.0, -3.0]))
     s = Regularized(h, MetricB()).solve(1.0, np.array([2.0, 2.0]))
     np.testing.assert_allclose(s, [1.0, -1.0], atol=1e-9)
@@ -182,26 +182,47 @@ def test_preconditioned_minres_meets_the_same_target(monkeypatch):
     assert applied["precond"] > 0 and applied["with_M"] > 0
 
 
+def _count_calls(monkeypatch) -> dict:
+    """Count eigh, Cholesky and MINRES calls from here on."""
+    calls = {"eigh": 0, "cholesky": 0, "minres": 0}
+    for mod, name in ((np.linalg, "eigh"), (np.linalg, "cholesky"),
+                      (scipy.sparse.linalg, "minres")):
+        def wrapper(*args, _name=name, _fn=getattr(mod, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
 def test_cholesky_pivot_test_declines_a_tiny_pivot(monkeypatch):
     # H + lam I = diag(1.5, 1.1e-16): LAPACK factors it, but the last pivot
     # squared lies below 1e-14 of the mean diagonal, so the Cholesky path
-    # declines and one MINRES call returns the solution (2, 0)
+    # declines; the eigenbasis drops that shift and returns the solution (2, 0)
     h_mat, lam, rhs = np.diag([1.0, -0.5 + 1e-16]), 0.5, np.array([3.0, 0.0])
     shifted = h_mat + lam * np.eye(2)
     assert np.all(np.diag(np.linalg.cholesky(shifted)) > 0.0)
     assert linalg._cholesky_solver(shifted) is None
-    calls = []
-    real_minres = scipy.sparse.linalg.minres
-
-    def seen_minres(*args, **kwargs):
-        calls.append(1)
-        return real_minres(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "minres", seen_minres)
+    calls = _count_calls(monkeypatch)
     s = Regularized(LinOp.from_dense(h_mat), MetricB()).solve(lam, rhs)
-    assert len(calls) == 1
+    assert calls == {"eigh": 1, "cholesky": 1, "minres": 0}
     np.testing.assert_allclose(s, [2.0, 0.0], rtol=1e-15, atol=1e-15)
     assert np.linalg.norm(shifted @ s - rhs) <= max(1e-10, 1e-12 * np.linalg.norm(rhs))
+
+
+def test_declined_cholesky_keeps_the_eigenbasis_for_the_refresh(monkeypatch):
+    # eigenvalues of H are (3, -1, -2, -3): the first Cholesky declines the
+    # indefinite shift, and the eigenbasis it leads to solves every later lam
+    # of the refresh, the positive definite lam = 3.5 and 10 included
+    h_mat = _rotated([3.0, -1.0, -2.0, -3.0], 9)
+    rhs = np.array([1.0, -2.0, 0.5, 3.0])
+    calls = _count_calls(monkeypatch)
+    reg = Regularized(LinOp.from_dense(h_mat), MetricB())
+    for lam in (1.5, 2.5, 3.5, 10.0):
+        s = reg.solve(lam, rhs)
+        np.testing.assert_allclose(s, np.linalg.solve(h_mat + lam * np.eye(4), rhs),
+                                   rtol=1e-12)
+        assert np.linalg.norm(h_mat @ s + lam * s - rhs) <= 1e-10
+    assert calls == {"eigh": 1, "cholesky": 1, "minres": 0}
 
 
 def test_solve_regularized_zero_rhs():
@@ -211,9 +232,10 @@ def test_solve_regularized_zero_rhs():
 
 
 def test_solve_regularized_inconsistent_system_stalls():
-    # diag(-1,1) + I = diag(0,2); rhs (1,0) has no solution.  Both direct
-    # paths decline the singular system and MINRES reports the stall, as it
-    # does for the same operator given matrix-free.
+    # diag(-1,1) + I = diag(0,2); rhs (1,0) has no solution.  Cholesky
+    # declines the singular system, the eigenbasis drops its zero shift and
+    # misses the target, and both report the stall, as MINRES does for the
+    # same operator given matrix-free.
     h = np.diag([-1.0, 1.0])
     regs = [Regularized(LinOp.from_dense(h), MetricB(), decompose=False),
             Regularized(LinOp.from_dense(h), MetricB(), decompose=True),
@@ -268,23 +290,14 @@ def test_reused_operator_matches_cholesky_solve():
 
 
 def test_reused_operator_decomposes_once(monkeypatch):
-    calls = {"eigh": 0, "cholesky": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+    calls = _count_calls(monkeypatch)
     reg = Regularized(LinOp.from_dense(_rotated([5.0, 2.0, 1.0, 0.5, 0.1], 6)), MetricB(),
                       decompose=True)
     assert calls["eigh"] == 0  # decomposed lazily, on the first solve
     rng = np.random.default_rng(6)
     for lam in (0.01, 0.04, 0.16, 0.64):
         reg.solve(lam, rng.standard_normal(5))
-    assert calls == {"eigh": 1, "cholesky": 0}
+    assert calls == {"eigh": 1, "cholesky": 0, "minres": 0}
 
 
 def test_reused_operator_solves_indefinite_shift_directly(monkeypatch):

@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
+from gladssn import linalg
 from gladssn.linalg import LinOp, MetricB, Regularized, SolverStallError
 from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPart
 from gladssn.problems import make_huber, make_nmf, make_quadratic, make_svm
@@ -515,6 +517,59 @@ def test_non_finite_trial_raises_with_location():
     assert exc.value.k == 0 and exc.value.j == 2
 
 
+def test_non_finite_hessian_raises_or_fails_the_trial():
+    # a dense H refreshed with a NaN at k = 1 stops the run with its location
+    p = make_quadratic(1, n=5)
+    refreshes = []
+
+    def eval_hess(x):
+        refreshes.append(x)
+        return (p.smooth.eval_hess(x) if len(refreshes) == 1
+                else LinOp.from_dense(np.full((5, 5), np.nan)))
+
+    prob = dataclasses.replace(p, smooth=dataclasses.replace(p.smooth, eval_hess=eval_hess))
+    with pytest.raises(NonFiniteError, match="Hessian") as exc:
+        solve(prob, SolverConfig(m=1, grad_tol=1e-10))
+    assert exc.value.k == 1 and exc.value.j is None
+    # a matrix-free H whose product is NaN fails every inner solve, MINRES
+    # and FISTA alike, so each trial is rejected and the run stalls in place
+    nan_hvp = dataclasses.replace(p.smooth, eval_hess=lambda x: LinOp.from_matvec(
+        lambda v: np.full(5, np.nan), 5))
+    for psi in (p.psi, counted_l1(1.0)[0]):
+        res = solve(dataclasses.replace(p, smooth=nan_hvp, psi=psi), SolverConfig(m=1))
+        assert (res.status, res.iters, res.trials) == (STALLED, 0, ssn._MAX_TRIALS)
+
+
+def test_dense_run_declining_cholesky_never_reaches_minres(monkeypatch):
+    # the first refresh of this nonconvex NMF model at m = 5 is indefinite:
+    # Cholesky declines it and the refresh's eigenbasis solves the rest
+    declines = []
+    cholesky = linalg._cholesky_solver
+
+    def seen_cholesky(m):
+        chol = cholesky(m)
+        declines.append(chol is None)
+        return chol
+
+    def no_minres(*args, **kwargs):
+        raise AssertionError("a dense system reached MINRES")
+
+    monkeypatch.setattr(linalg, "_cholesky_solver", seen_cholesky)
+    monkeypatch.setattr(scipy.sparse.linalg, "minres", no_minres)
+    p = make_nmf(3, d=8, n=6, r=2)
+    refreshes = []  # Cholesky calls made before each Hessian refresh
+
+    def eval_hess(x):
+        refreshes.append(len(declines))
+        return p.smooth.eval_hess(x)
+
+    prob = dataclasses.replace(p, smooth=dataclasses.replace(p.smooth, eval_hess=eval_hess))
+    res = solve(prob, SolverConfig(m=5, grad_tol=1e-8))
+    assert res.status == CONVERGED and res.hess_evals >= 2
+    assert any(declines[:refreshes[1]])  # the first refresh declined
+    assert verify(res).passed
+
+
 def test_gradient_skipped_only_on_decrease_rejections(monkeypatch):
     # the gradient at a trial point is evaluated once the trial passes the
     # decrease, and the value once its model is solved, plus one each at x0
@@ -582,7 +637,10 @@ def test_config_validation():
                {"Lambda0": 0.0}, {"Lambda0": float("inf")},
                {"grad_tol": -1.0}, {"grad_tol": float("nan")},
                {"max_outer": -1}, {"max_outer": 2.5},
-               {"max_outer": float("inf")}):
+               {"max_outer": float("inf")},
+               # a bool is not a number in any field
+               {"p": True}, {"m": True}, {"Lambda0": True}, {"grad_tol": False},
+               {"max_outer": True}):
         with pytest.raises(ValueError):
             SolverConfig(**kw)
         # a run config validates its solver fields the same way
