@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import time
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -149,13 +150,12 @@ def _as_records(trace) -> list[TraceRecord]:
 
 # ----------------------------------------------------------------------- run
 
-def _execute(config: RunConfig) -> SolveResult:
-    """Build the problem and run the requested solver."""
+def _make_problem(config: RunConfig):
+    """The seeded problem config names; bad problem_kwargs are a ConfigError."""
     try:
-        problem = problems.KINDS[config.problem].make(config.seed, **config.problem_kwargs)
+        return problems.KINDS[config.problem].make(config.seed, **config.problem_kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad problem_kwargs for {config.problem}: {exc}") from exc
-    return SOLVERS[config.solver](problem, config)
 
 
 def run(config: RunConfig):
@@ -164,7 +164,7 @@ def run(config: RunConfig):
     Returns (exit_code, result, out_path); the trace lands at
     config.out_path or gladssn-trace.csv in the working directory.
     """
-    result = _execute(config)
+    result = SOLVERS[config.solver](_make_problem(config), config)
     out_path = config.out_path or "gladssn-trace.csv"
     write_trace(out_path, result.trace)
     return EXIT_CODES[result.status], result, out_path
@@ -389,13 +389,19 @@ def estimate_order(trace, tail: int = 6) -> OrderEstimate:
 # ------------------------------------------------------------------- compare
 
 def compare(configs: list[RunConfig]) -> list[dict]:
-    """Run each config and return one summary per run (see format_compare_table)."""
+    """Run each config and return one summary per run (see format_compare_table).
+
+    wall_s times the whole solver call, rejected trials included, and leaves
+    out building the problem.
+    """
     summaries = []
     for cfg in configs:
-        result = _execute(cfg)
+        problem = _make_problem(cfg)
+        start_ns = time.perf_counter_ns()
+        result = SOLVERS[cfg.solver](problem, cfg)
+        wall_ns = time.perf_counter_ns() - start_ns
         if cfg.out_path:
             write_trace(cfg.out_path, result.trace)
-        wall_ns = result.trace[-1].wall_ns if result.trace else 0
         summaries.append({
             "problem": cfg.problem, "solver": cfg.solver, "p": cfg.p, "m": cfg.m,
             "seed": cfg.seed, "status": result.status, "iters": result.iters,

@@ -1,9 +1,9 @@
 """Metric-aware linear algebra kernels shared by the solver.
 
-MetricB is the metric B, LinOp an oracle's curvature operator H, and
-Regularized the systems H + lam B of one Hessian refresh, for any lam.
-Vectors are 1-d float64 arrays, dense operators are square float64 arrays.
-Nothing here mutates its inputs.
+MetricB is the metric B, and Regularized the systems H + lam B of one
+Hessian refresh, for any lam.  An oracle's curvature operator H is either a
+dense square array or a matrix-free LinOp; both are applied as H @ v.
+Vectors are 1-d float64 arrays.  Nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -113,61 +113,38 @@ class MetricB:
 
 
 class LinOp:
-    """Symmetric linear operator: either a dense array or a matvec callback.
+    """Matrix-free symmetric operator H of size dim, given by its matvec.
 
-    A matvec operator may carry a preconditioner factory precond(lam) ->
-    callable; the callable must be symmetric positive definite and
-    approximate (H + lam B)^{-1}.
+    It exposes shape and @ the way a dense array does, so the solver applies
+    either kind of Hessian alike.  precond, when set, is a factory
+    precond(lam) -> callable; the callable must be symmetric positive
+    definite and approximate (H + lam B)^{-1}.
     """
 
-    def __init__(self, dense: np.ndarray | None = None, matvec=None, dim: int | None = None,
-                 precond=None):
+    def __init__(self, matvec, dim: int, precond=None):
+        self.matvec = matvec
+        self.shape = (int(dim), int(dim))
         self.precond = precond
-        if (dense is None) == (matvec is None):
-            raise ValueError("pass exactly one of dense= or matvec=")
-        if dense is not None:
-            dense = np.asarray(dense, dtype=np.float64)
-            if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-                raise ValueError(f"expected a square matrix, got shape {dense.shape}")
-            self.dense = dense
-            self.matvec = None
-            self.dim = dense.shape[0]
-        else:
-            if dim is None:
-                raise ValueError("matvec operators need an explicit dim=")
-            self.dense = None
-            self.matvec = matvec
-            self.dim = int(dim)
 
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "LinOp":
-        return cls(dense=a)
-
-    @classmethod
-    def from_matvec(cls, fn, dim: int, precond=None) -> "LinOp":
-        return cls(matvec=fn, dim=dim, precond=precond)
-
-    @property
-    def is_dense(self) -> bool:
-        return self.dense is not None
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense @ v
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(self.matvec(v), dtype=np.float64)
 
 
 class Regularized:
     """H + lam B for every lam > 0, built once per Hessian refresh.
 
-    A dense H is replaced by its symmetric part (H + H^T) / 2.  decompose=True
-    pays when the refresh expects many dense solves (see solve).
+    H is a dense array, which is replaced by its symmetric part (H + H^T) / 2
+    (a new array; the caller's is never written), or a matrix-free LinOp.
+    decompose=True pays when the refresh expects many dense solves (see solve).
     """
 
-    def __init__(self, h: LinOp, metric: MetricB, decompose: bool = False):
-        if not isinstance(h, LinOp):
-            raise TypeError(f"eval_hess must return a LinOp, got {type(h).__name__}")
-        self.h = LinOp.from_dense(sym_part(h.dense)) if h.is_dense else h
+    def __init__(self, h: np.ndarray | LinOp, metric: MetricB, decompose: bool = False):
+        if isinstance(h, np.ndarray):
+            h = sym_part(h)
+        elif not isinstance(h, LinOp):
+            raise TypeError(f"eval_hess must return an ndarray or a LinOp, "
+                            f"got {type(h).__name__}")
+        self.h = h
         self.metric = metric
         self.decompose = decompose
         self._eig: tuple | None = None  # (eigenvalues, eigenvectors)
@@ -175,20 +152,20 @@ class Regularized:
 
     @property
     def is_dense(self) -> bool:
-        return self.h.is_dense
+        return not isinstance(self.h, LinOp)
 
     def apply(self, lam: float, v: np.ndarray) -> np.ndarray:
         """(H + lam B) v."""
-        return self.h.apply(v) + lam * self.metric.apply(v)
+        return self.h @ v + lam * self.metric.apply(v)
 
     def model_grad(self, lam: float, f_grad: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Gradient f_grad + H s + lam B s of the regularized model at step s."""
-        return f_grad + self.h.apply(s) + lam * self.metric.apply(s)
+        return f_grad + self.h @ s + lam * self.metric.apply(s)
 
     def opnorm(self, lam: float) -> float:
         """||H|| + lam ||B||, with ||H|| a cached power-iteration estimate."""
         if self._hnorm is None:
-            self._hnorm = opnorm_est(self.h.apply, self.h.dim)
+            self._hnorm = opnorm_est(self.h.__matmul__, self.h.shape[0])
         return self._hnorm + lam * self.metric.opnorm()
 
     def solve(self, lam: float, rhs: np.ndarray) -> np.ndarray:
@@ -210,8 +187,8 @@ class Regularized:
             raise ValueError(f"regularizer must be positive and finite, got {lam}")
         rhs = np.asarray(rhs, dtype=np.float64)
         n = rhs.shape[0]
-        if self.h.dim != n:
-            raise ValueError(f"operator dim {self.h.dim} does not match rhs dim {n}")
+        if self.h.shape[0] != n:
+            raise ValueError(f"operator dim {self.h.shape[0]} does not match rhs dim {n}")
         target = _residual_target(rhs)
         if float(np.linalg.norm(rhs)) == 0.0:
             return np.zeros(n)
@@ -224,7 +201,7 @@ class Regularized:
             once = _minres_solver(self, lam, rhs)
         elif not self.decompose and self._eig is None:
             bmat = np.eye(n) if self.metric.is_identity else self.metric.matrix
-            m = self.h.dense + lam * bmat
+            m = self.h + lam * bmat
             once = _cholesky_solver(m)
             if once is not None:
                 apply = m.__matmul__
@@ -245,8 +222,8 @@ class Regularized:
         the pivot test, so it never declines a singular H + lam B.
         """
         if self._eig is None:
-            self._eig = (np.linalg.eigh(self.h.dense) if self.metric.is_identity
-                         else scipy.linalg.eigh(self.h.dense, self.metric.matrix))
+            self._eig = (np.linalg.eigh(self.h) if self.metric.is_identity
+                         else scipy.linalg.eigh(self.h, self.metric.matrix))
         w, vecs = self._eig
         # V^T B V = I and V^T H V = diag(w), so (H + lam B)^{-1} = V diag(1/(w + lam)) V^T.
         shifted = w + lam

@@ -33,9 +33,11 @@ class SmoothOracle:
     The callables must be pure functions of x, because the solver may call
     them in any order: it evaluates f at a trial point before its gradient,
     and the gradient only for a trial that passes the decrease test.
-    eval_hess returns a LinOp (dense array or matvec handle).  Nothing in
-    this package reads lipschitz_L, an optional bound L/2 on the Hessian
-    operator norm: the solver adapts its regularizer instead.
+    eval_hess returns the Hessian as a dense square ndarray, or as a
+    matrix-free LinOp when it is too large to assemble.  The solver never
+    writes into a returned array, so an oracle may return one it keeps.
+    Nothing in this package reads lipschitz_L, an optional bound L/2 on the
+    Hessian operator norm: the solver adapts its regularizer instead.
 
     eval_f_diff(x, s), when set, returns the decrease f(x) - f(x + s)
     computed from the step itself, so that it stays accurate when the
@@ -47,7 +49,7 @@ class SmoothOracle:
     dim: int
     eval_f: Callable[[np.ndarray], float]
     eval_grad: Callable[[np.ndarray], np.ndarray]
-    eval_hess: Callable[[np.ndarray], LinOp]
+    eval_hess: Callable[[np.ndarray], np.ndarray | LinOp]
     lipschitz_L: float | None = None
     eval_f_diff: Callable[[np.ndarray, np.ndarray], float] | None = None
 
@@ -142,7 +144,7 @@ def check_hvp_fd(problem: CompositeProblem, x: np.ndarray, v: np.ndarray,
     """
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    hv = problem.smooth.eval_hess(x).apply(v)
+    hv = problem.smooth.eval_hess(x) @ v
     fd = (np.asarray(problem.smooth.eval_grad(x + h * v), dtype=np.float64)
           - np.asarray(problem.smooth.eval_grad(x - h * v), dtype=np.float64)) / (2.0 * h)
     return float(np.linalg.norm(hv - fd) / max(1.0, np.linalg.norm(hv)))

@@ -222,7 +222,7 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
             dense[du:, :du] = dense[:du, du:].T
             diag = np.concatenate([mask_u.ravel(), mask_v.ravel()]) / beta + 2.0 * alpha
             dense[np.arange(dim), np.arange(dim)] += diag
-            return LinOp.from_dense(dense)
+            return dense
 
         # Gram form: the Gauss-Newton part (dU V^T + U dV^T) V, and its
         # transpose with U, is regrouped around V^T V and U^T U, so one
@@ -254,7 +254,7 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
             blocks *= 0.5
             return lambda q: np.matmul(blocks, q.reshape(d + n, r, 1)).ravel()
 
-        return LinOp.from_matvec(hvp, dim, precond=precond)
+        return LinOp(hvp, dim, precond=precond)
 
     return CompositeProblem(
         smooth=SmoothOracle(dim=dim, eval_f=eval_f, eval_grad=eval_grad,
@@ -317,7 +317,7 @@ def _svm_problem(inst: SvmInstance) -> CompositeProblem:
         z_act = z_all[active]
         dense = 2.0 * gamma * (z_act.T @ z_act)
         dense[np.arange(n), np.arange(n)] += 1.0
-        return LinOp.from_dense(dense)
+        return dense
 
     return CompositeProblem(
         smooth=SmoothOracle(dim=dim, eval_f=eval_f, eval_grad=eval_grad,
@@ -384,7 +384,7 @@ def _huber_problem(inst: HuberInstance) -> CompositeProblem:
         a_act = a_mat[quad]
         dense = a_act.T @ a_act
         dense[np.arange(n), np.arange(n)] += ridge
-        return LinOp.from_dense(dense)
+        return dense
 
     return CompositeProblem(
         smooth=SmoothOracle(dim=n, eval_f=eval_f, eval_grad=eval_grad,
@@ -432,7 +432,7 @@ def _quad_problem(inst: QuadInstance) -> CompositeProblem:
         smooth=SmoothOracle(
             dim=n, eval_f=eval_f,
             eval_grad=lambda x: a_mat @ x - b_vec,
-            eval_hess=lambda x: LinOp.from_dense(a_mat),
+            eval_hess=lambda x: a_mat,
             eval_f_diff=lambda x, s: -float(s @ (a_mat @ x - b_vec + 0.5 * (a_mat @ s)))),
         psi=ZeroPart(), known_fstar=-0.5 * float(b_vec @ xstar), known_xstar=xstar,
         kink_gap=lambda x: np.inf)

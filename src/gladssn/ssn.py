@@ -350,7 +350,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             reg = Regularized(problem.smooth.eval_hess(x), metric,
                               decompose=_reuse_pays(k, config.m, trials))
             hess_evals += 1
-            if reg.is_dense and not np.all(np.isfinite(reg.h.dense)):
+            if reg.is_dense and not np.all(np.isfinite(reg.h)):
                 raise NonFiniteError(f"non-finite Hessian at outer iteration {k}", k=k)
 
         s_prev = None

@@ -4,18 +4,6 @@ import numpy as np
 
 from gladssn.ssn import TraceRecord
 
-REL_SLACK = 1e-9
-ABS_SLACK = 1e-12
-
-
-def slack_ok(lhs, rhs):
-    """lhs >= rhs up to the harness slack model (slack = rhs - lhs)."""
-    lhs = float(lhs)
-    rhs = float(rhs)
-    tol = REL_SLACK * max(abs(lhs), abs(rhs)) + ABS_SLACK
-    return rhs - lhs <= tol
-
-
 def synthetic_trace(gs, lam=1.0):
     """Minimal trace whose g_k column follows the given sequence."""
     rows = []
@@ -31,7 +19,7 @@ def synthetic_trace(gs, lam=1.0):
 
 def columns(op):
     """Materialize a LinOp by applying it to the basis vectors."""
-    return np.column_stack([op.apply(e) for e in np.eye(op.dim)])
+    return np.column_stack([op @ e for e in np.eye(op.shape[0])])
 
 
 def kink_free_points(problem, seed, count, scale=0.3, min_gap=1e-5):

@@ -111,7 +111,7 @@ def test_criterion_02_lambda_cap(capsys):
     for seed in (1, 2, 3):
         quad = make_quadratic(seed)
         h_op = quad.smooth.eval_hess(quad.x0)
-        cases = [("quad", quad, 2.0 * opnorm_est(h_op.apply, quad.dim), 1e-9)]
+        cases = [("quad", quad, 2.0 * opnorm_est(h_op.__matmul__, quad.dim), 1e-9)]
         hub = make_huber(seed)
         a_mat, ridge = hub.instance.A, hub.instance.ridge
         l_hub = 2.0 * opnorm_est(lambda v: a_mat.T @ (a_mat @ v) + ridge * v,
@@ -372,8 +372,8 @@ def test_criterion_08_oracle_correctness(capsys):
             + np.einsum('ib,ja->iajb', u_mat, v_mat).reshape(d * r, n * r))
     h_oracle = np.block([[a_uu, c_uv], [c_uv.T, d_vv]])
     h_op = prob.smooth.eval_hess(x)
-    dense_err = float(np.max(np.abs(h_op.dense - h_oracle)))
-    mv_err = max(float(np.max(np.abs(h_op.apply(v) - h_oracle @ v)))
+    dense_err = float(np.max(np.abs(h_op - h_oracle)))
+    mv_err = max(float(np.max(np.abs(h_op @ v - h_oracle @ v)))
                  for v in rng.standard_normal((20, prob.dim)))
     if dense_err > 1e-10:
         failures.append(f"nmf dense hessian {dense_err:.2e}")

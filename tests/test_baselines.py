@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gladssn.baselines import armijo_gd
-from gladssn.linalg import LinOp, MetricB
+from gladssn.linalg import MetricB
 from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPart
 from gladssn.problems import make_huber, make_quadratic
 from gladssn.ssn import CONVERGED, MAXITER, STALLED, SolverConfig
@@ -15,7 +15,7 @@ def test_one_step_on_identity_quadratic():
     prob = CompositeProblem(
         smooth=SmoothOracle(dim=3, eval_f=lambda x: 0.5 * float(x @ x),
                             eval_grad=lambda x: x.copy(),
-                            eval_hess=lambda x: LinOp.from_dense(np.eye(3))),
+                            eval_hess=lambda x: np.eye(3)),
         psi=ZeroPart(), x0=np.array([1.0, -2.0, 3.0]))
     res = armijo_gd(prob, SolverConfig(grad_tol=1e-12))
     assert res.status == CONVERGED
@@ -32,7 +32,7 @@ def test_backtracks_on_stiff_curvature():
     prob = CompositeProblem(
         smooth=SmoothOracle(dim=1, eval_f=lambda x: 50.0 * float(x @ x),
                             eval_grad=lambda x: 100.0 * x,
-                            eval_hess=lambda x: LinOp.from_dense(100.0 * np.eye(1))),
+                            eval_hess=lambda x: 100.0 * np.eye(1)),
         psi=ZeroPart(), x0=np.ones(1))
     res = armijo_gd(prob, SolverConfig(grad_tol=1e-8, max_outer=2000))
     assert res.status == CONVERGED
@@ -80,7 +80,7 @@ def test_rejects_composite_and_metric_problems():
     psi = SeparableProx(lambda v, t: v, lambda x: 0.0)
     smooth = SmoothOracle(dim=2, eval_f=lambda x: 0.0,
                           eval_grad=lambda x: np.zeros(2),
-                          eval_hess=lambda x: LinOp.from_dense(np.eye(2)))
+                          eval_hess=lambda x: np.eye(2))
     with pytest.raises(ValueError):
         armijo_gd(CompositeProblem(smooth=smooth, psi=psi), SolverConfig())
     with pytest.raises(ValueError):

@@ -366,3 +366,18 @@ def test_compare_runs_each_config(tmp_path, capsys):
     for s in summaries:
         assert set(s) == {"problem", "solver", "p", "m", "seed", "status",
                           "iters", "trials", "hess_evals", "g_final", "wall_s"}
+
+
+def test_compare_wall_time_covers_rejected_trials(tmp_path):
+    # this run stalls after 88 trials, 60 of them past its last accepted
+    # step, so the last trace row's wall_ns covers only part of the solve
+    out = tmp_path / "svm.csv"
+    [stalled] = compare([RunConfig(problem="svm", seed=3, grad_tol=1e-12,
+                                   out_path=str(out),
+                                   problem_kwargs={"n": 50, "ell": 2000})])
+    last = read_trace(out)[-1]
+    assert stalled["status"] == "stalled" and stalled["trials"] > last.trials
+    assert stalled["wall_s"] > last.wall_ns / 1e9
+    # a run with no accepted step still reports the time of its solver call
+    [idle] = compare([RunConfig(problem="quad", max_outer=0)])
+    assert idle["iters"] == 0 and idle["wall_s"] > 0.0

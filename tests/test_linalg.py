@@ -66,18 +66,19 @@ def test_metric_rejects_bad_matrices():
 
 
 def test_linop_dense_and_matvec_agree():
+    # a matrix-free LinOp is applied like the dense array it stands for
     a = np.array([[2.0, 1.0], [1.0, 3.0]])
-    dense = LinOp.from_dense(a)
-    mv = LinOp.from_matvec(lambda v: a @ v, dim=2)
+    mv = LinOp(lambda v: a @ v, 2)
     v = np.array([1.0, -2.0])
-    np.testing.assert_array_equal(dense.apply(v), a @ v)
-    np.testing.assert_array_equal(mv.apply(v), a @ v)
+    assert mv.shape == a.shape
+    np.testing.assert_array_equal(mv @ v, a @ v)
     np.testing.assert_array_equal(columns(mv), a)
-    assert dense.is_dense and not mv.is_dense
-    with pytest.raises(ValueError):
-        LinOp(dense=a, matvec=lambda v: v)
-    with pytest.raises(ValueError):
-        LinOp.from_matvec(lambda v: v, dim=None)
+    out = LinOp(lambda v: [1, 2], 2) @ v  # the product is always a float64 array
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64
+    assert Regularized(a, MetricB()).is_dense
+    assert not Regularized(mv, MetricB()).is_dense
+    with pytest.raises(TypeError):
+        LinOp(lambda v: v, None)
 
 
 def test_opnorm_est_known_spectrum():
@@ -86,14 +87,14 @@ def test_opnorm_est_known_spectrum():
     assert 6.999 <= est <= 7.0 + 1e-9
     # deterministic
     assert est == opnorm_est(lambda v: a @ v, 4)
-    assert Regularized(LinOp.from_dense(a), MetricB()).opnorm(0.0) == est
-    assert Regularized(LinOp.from_dense(a), MetricB()).opnorm(2.0) == est + 2.0
+    assert Regularized(a, MetricB()).opnorm(0.0) == est
+    assert Regularized(a, MetricB()).opnorm(2.0) == est + 2.0
     assert opnorm_est(lambda v: 0.0 * v, 4) == 0.0
 
 
 def test_solve_regularized_spd_frozen():
     # (diag(1,3) + 1*I) s = (2,4)  =>  s = (1,1), solved by hand
-    h = LinOp.from_dense(np.diag([1.0, 3.0]))
+    h = np.diag([1.0, 3.0])
     s = Regularized(h, MetricB()).solve(1.0, np.array([2.0, 4.0]))
     np.testing.assert_allclose(s, [1.0, 1.0], atol=1e-12)
 
@@ -101,7 +102,7 @@ def test_solve_regularized_spd_frozen():
 def test_solve_regularized_indefinite_frozen():
     # (diag(1,-3) + 1*I) = diag(2,-2) is indefinite: Cholesky must bail and
     # the eigenbasis take over.  diag(2,-2) s = (2,2)  =>  s = (1,-1), by hand.
-    h = LinOp.from_dense(np.diag([1.0, -3.0]))
+    h = np.diag([1.0, -3.0])
     s = Regularized(h, MetricB()).solve(1.0, np.array([2.0, 2.0]))
     np.testing.assert_allclose(s, [1.0, -1.0], atol=1e-9)
 
@@ -112,11 +113,11 @@ def test_solve_regularized_random_spd():
         for n in (3, 10, 40):
             for _ in range(10):
                 a = rng.standard_normal((n, n))
-                h = LinOp.from_dense(a @ a.T)
+                h = a @ a.T
                 lam = 10.0 ** rng.uniform(-4, 2)
                 rhs = rng.standard_normal(n)
                 s = Regularized(h, MetricB(), decompose=decompose).solve(lam, rhs)
-                res = np.linalg.norm(h.apply(s) + lam * s - rhs)
+                res = np.linalg.norm(h @ s + lam * s - rhs)
                 assert res <= max(1e-10, 1e-12 * np.linalg.norm(rhs)) * (1 + 1e-9)
 
 
@@ -127,10 +128,26 @@ def test_solve_regularized_with_metric():
     metric = MetricB(bmat)
     rhs = rng.standard_normal(6)
     for decompose in (False, True):
-        h = LinOp.from_dense(a @ a.T)
+        h = a @ a.T
         s = Regularized(h, metric, decompose=decompose).solve(0.7, rhs)
-        res = np.linalg.norm(h.apply(s) + 0.7 * (bmat @ s) - rhs)
+        res = np.linalg.norm(h @ s + 0.7 * (bmat @ s) - rhs)
         assert res <= 1e-10 * (1 + 1e-9)
+
+
+def test_solve_regularized_never_writes_into_h():
+    # an asymmetric H, so the symmetric part differs from the caller's array
+    rng = np.random.default_rng(6)
+    h = rng.standard_normal((7, 7))
+    h = h @ h.T + np.eye(7) + np.triu(np.ones((7, 7)), 1)
+    h_before = h.copy()
+    rhs = rng.standard_normal(7)
+    for metric in (MetricB(), MetricB(np.diag(np.linspace(0.5, 2.0, 7)))):
+        for decompose in (False, True):  # Cholesky, eigenbasis
+            reg = Regularized(h, metric, decompose)
+            for lam in (0.1, 3.0):
+                reg.solve(lam, rhs)
+            assert reg.h is not h
+            np.testing.assert_array_equal(h, h_before)
 
 
 def test_solve_regularized_dense_vs_matvec_route():
@@ -138,8 +155,8 @@ def test_solve_regularized_dense_vs_matvec_route():
     a = rng.standard_normal((8, 8))
     spd = a @ a.T + np.eye(8)
     rhs = rng.standard_normal(8)
-    s_dense = Regularized(LinOp.from_dense(spd), MetricB()).solve(0.3, rhs)
-    s_mv = Regularized(LinOp.from_matvec(lambda v: spd @ v, 8), MetricB()).solve(0.3, rhs)
+    s_dense = Regularized(spd, MetricB()).solve(0.3, rhs)
+    s_mv = Regularized(LinOp(lambda v: spd @ v, 8), MetricB()).solve(0.3, rhs)
     np.testing.assert_allclose(s_dense, s_mv, atol=1e-8)
 
 
@@ -173,8 +190,8 @@ def test_preconditioned_minres_meets_the_same_target(monkeypatch):
             assert np.min(np.linalg.eigvalsh(h_mat + lam * bmat)) < 0.0
             rhs = rng.standard_normal(n)
             target = max(1e-10, 1e-12 * np.linalg.norm(rhs))
-            ops = (LinOp.from_matvec(lambda v: h_mat @ v, n),
-                   LinOp.from_matvec(lambda v: h_mat @ v, n,
+            ops = (LinOp(lambda v: h_mat @ v, n),
+                   LinOp(lambda v: h_mat @ v, n,
                                      precond=lambda lam: precond(lam, bmat)))
             for op in ops:
                 s = Regularized(op, metric).solve(lam, rhs)
@@ -203,7 +220,7 @@ def test_cholesky_pivot_test_declines_a_tiny_pivot(monkeypatch):
     assert np.all(np.diag(np.linalg.cholesky(shifted)) > 0.0)
     assert linalg._cholesky_solver(shifted) is None
     calls = _count_calls(monkeypatch)
-    s = Regularized(LinOp.from_dense(h_mat), MetricB()).solve(lam, rhs)
+    s = Regularized(h_mat, MetricB()).solve(lam, rhs)
     assert calls == {"eigh": 1, "cholesky": 1, "minres": 0}
     np.testing.assert_allclose(s, [2.0, 0.0], rtol=1e-15, atol=1e-15)
     assert np.linalg.norm(shifted @ s - rhs) <= max(1e-10, 1e-12 * np.linalg.norm(rhs))
@@ -216,7 +233,7 @@ def test_declined_cholesky_keeps_the_eigenbasis_for_the_refresh(monkeypatch):
     h_mat = _rotated([3.0, -1.0, -2.0, -3.0], 9)
     rhs = np.array([1.0, -2.0, 0.5, 3.0])
     calls = _count_calls(monkeypatch)
-    reg = Regularized(LinOp.from_dense(h_mat), MetricB())
+    reg = Regularized(h_mat, MetricB())
     for lam in (1.5, 2.5, 3.5, 10.0):
         s = reg.solve(lam, rhs)
         np.testing.assert_allclose(s, np.linalg.solve(h_mat + lam * np.eye(4), rhs),
@@ -227,7 +244,7 @@ def test_declined_cholesky_keeps_the_eigenbasis_for_the_refresh(monkeypatch):
 
 def test_solve_regularized_zero_rhs():
     for decompose in (False, True):
-        reg = Regularized(LinOp.from_dense(np.diag([1.0, 2.0])), MetricB(), decompose)
+        reg = Regularized(np.diag([1.0, 2.0]), MetricB(), decompose)
         np.testing.assert_array_equal(reg.solve(1.0, np.zeros(2)), np.zeros(2))
 
 
@@ -237,9 +254,9 @@ def test_solve_regularized_inconsistent_system_stalls():
     # misses the target, and both report the stall, as MINRES does for the
     # same operator given matrix-free.
     h = np.diag([-1.0, 1.0])
-    regs = [Regularized(LinOp.from_dense(h), MetricB(), decompose=False),
-            Regularized(LinOp.from_dense(h), MetricB(), decompose=True),
-            Regularized(LinOp.from_matvec(lambda v: h @ v, 2), MetricB())]
+    regs = [Regularized(h, MetricB(), decompose=False),
+            Regularized(h, MetricB(), decompose=True),
+            Regularized(LinOp(lambda v: h @ v, 2), MetricB())]
     for reg in regs:
         with pytest.raises(SolverStallError) as exc:
             reg.solve(1.0, np.array([1.0, 0.0]))
@@ -249,13 +266,13 @@ def test_solve_regularized_inconsistent_system_stalls():
 def test_solve_regularized_singular_but_consistent():
     # same singular matrix, rhs in the range: any solution is fine
     for decompose in (False, True):
-        reg = Regularized(LinOp.from_dense(np.diag([-1.0, 1.0])), MetricB(), decompose)
+        reg = Regularized(np.diag([-1.0, 1.0]), MetricB(), decompose)
         s = reg.solve(1.0, np.array([0.0, 2.0]))
         assert abs(2.0 * s[1] - 2.0) <= 1e-9
 
 
 def test_solve_regularized_argument_errors():
-    reg = Regularized(LinOp.from_dense(np.eye(2)), MetricB())
+    reg = Regularized(np.eye(2), MetricB())
     with pytest.raises(ValueError):
         reg.solve(0.0, np.ones(2))
     with pytest.raises(ValueError):
@@ -265,7 +282,7 @@ def test_solve_regularized_argument_errors():
     with pytest.raises(ValueError):
         reg.solve(1.0, np.ones(3))
     with pytest.raises(TypeError):
-        Regularized(np.eye(2), MetricB())
+        Regularized([[1.0, 0.0], [0.0, 1.0]], MetricB())
 
 
 def _rotated(eigs, seed):
@@ -279,11 +296,11 @@ def test_reused_operator_matches_cholesky_solve():
     spd = a @ a.T
     c = rng.standard_normal((12, 12))
     for metric in (MetricB(), MetricB(c @ c.T + 12.0 * np.eye(12))):
-        decomposed = Regularized(LinOp.from_dense(spd), metric, decompose=True)
+        decomposed = Regularized(spd, metric, decompose=True)
         for lam in (1e-3, 0.5, 40.0):
             rhs = rng.standard_normal(12)
             s_eig = decomposed.solve(lam, rhs)
-            s_chol = Regularized(LinOp.from_dense(spd), metric).solve(lam, rhs)
+            s_chol = Regularized(spd, metric).solve(lam, rhs)
             np.testing.assert_allclose(s_eig, s_chol, rtol=1e-9, atol=1e-12)
             res = np.linalg.norm(spd @ s_eig + lam * metric.apply(s_eig) - rhs)
             assert res <= max(1e-10, 1e-12 * np.linalg.norm(rhs))
@@ -291,7 +308,7 @@ def test_reused_operator_matches_cholesky_solve():
 
 def test_reused_operator_decomposes_once(monkeypatch):
     calls = _count_calls(monkeypatch)
-    reg = Regularized(LinOp.from_dense(_rotated([5.0, 2.0, 1.0, 0.5, 0.1], 6)), MetricB(),
+    reg = Regularized(_rotated([5.0, 2.0, 1.0, 0.5, 0.1], 6), MetricB(),
                       decompose=True)
     assert calls["eigh"] == 0  # decomposed lazily, on the first solve
     rng = np.random.default_rng(6)
@@ -313,7 +330,7 @@ def test_reused_operator_solves_indefinite_shift_directly(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "minres", no_minres)
     for lam in (1.5, 3.5):  # indefinite shift, then lam > -w_min
-        s = Regularized(LinOp.from_dense(h_mat), MetricB(), decompose=True).solve(lam, rhs)
+        s = Regularized(h_mat, MetricB(), decompose=True).solve(lam, rhs)
         np.testing.assert_allclose(s, np.linalg.solve(h_mat + lam * np.eye(4), rhs),
                                    rtol=1e-12)
         assert np.linalg.norm(h_mat @ s + lam * s - rhs) <= 1e-10

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gladssn.linalg import LinOp, MetricB
+from gladssn.linalg import MetricB
 from gladssn.oracle import (CompositeProblem, SeparableProx, SmoothOracle,
                             ZeroPart, check_gradient_fd, check_hvp_fd)
 
@@ -15,7 +15,7 @@ def quad_problem(a, b):
             dim=b.shape[0],
             eval_f=lambda x: float(x @ (a @ x) - b @ x),
             eval_grad=lambda x: 2.0 * (a @ x) - b,
-            eval_hess=lambda x: LinOp.from_dense(2.0 * a),
+            eval_hess=lambda x: 2.0 * a,
         ),
         psi=ZeroPart(),
         name="testquad",
@@ -91,7 +91,7 @@ def test_check_hvp_fd_flags_wrong_oracle():
         smooth=SmoothOracle(dim=3,
                             eval_f=p.smooth.eval_f,
                             eval_grad=p.smooth.eval_grad,
-                            eval_hess=lambda x: LinOp.from_dense(2.5 * np.eye(3))),
+                            eval_hess=lambda x: 2.5 * np.eye(3)),
         psi=ZeroPart())
     assert check_hvp_fd(broken, np.ones(3), np.ones(3)) > 1e-2
 

@@ -51,7 +51,7 @@ def test_nmf_hand_values():
     # f = 8 + 0.01*(1+4) + 50*1
     assert p.smooth.eval_f(x) == pytest.approx(58.05, rel=1e-14)
     np.testing.assert_allclose(p.smooth.eval_grad(x), [-108.02, 4.04], rtol=1e-14)
-    h = p.smooth.eval_hess(x).dense
+    h = p.smooth.eval_hess(x)
     # d2f/du2 = v^2 + 2a + 1/b, d2f/dudv = 2uv - Y, d2f/dv2 = u^2 + 2a
     np.testing.assert_allclose(h, [[104.02, -6.0], [-6.0, 1.02]], rtol=1e-13)
     assert penalty_violation(x, inst) == pytest.approx(50.0, rel=1e-15)
@@ -86,25 +86,21 @@ def test_nmf_gradient_matches_loop_oracle():
 
 def test_nmf_dense_threshold_and_hvp_consistency(monkeypatch):
     small = make_nmf(1, d=6, n=5, r=2)
-    assert small.smooth.eval_hess(small.x0).is_dense
+    assert isinstance(small.smooth.eval_hess(small.x0), np.ndarray)
     big = make_nmf(1)  # (200 + 100) * 12 = 3600 > DENSE_DIM_MAX
     assert big.dim > DENSE_DIM_MAX
-    assert not big.smooth.eval_hess(big.x0).is_dense
-    h = small.smooth.eval_hess(small.x0)
+    assert isinstance(big.smooth.eval_hess(big.x0), LinOp)
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        vv = rng.standard_normal(small.dim)
-        np.testing.assert_allclose(h.dense @ vv, h.apply(vv), rtol=1e-12)
     # the closed-form dense Hessian equals the column assembly of the hvp,
     # at a point with negative entries in both U and V (both masks active)
     inst = small.instance
     x = small.x0 + 0.1 * rng.standard_normal(small.dim)
     x[:inst.d * inst.r:3] = -0.3
     x[inst.d * inst.r::4] = -0.2
-    dense = small.smooth.eval_hess(x).dense
+    dense = small.smooth.eval_hess(x)
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
-    by_hvp = small.smooth.eval_hess(x)  # LinOp.from_matvec(hvp, dim)
-    assert not by_hvp.is_dense
+    by_hvp = small.smooth.eval_hess(x)
+    assert isinstance(by_hvp, LinOp)
     by_columns = columns(by_hvp)
     assert np.max(np.abs(dense - by_columns)) <= 1e-13 * np.max(np.abs(by_columns))
 
@@ -120,14 +116,14 @@ def test_nmf_preconditioner_inverts_gauss_newton_blocks(monkeypatch):
     v = x[d * r:].reshape(n, r)
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     h = p.smooth.eval_hess(x)
-    assert not h.is_dense and h.precond is not None
+    assert isinstance(h, LinOp) and h.precond is not None
     shift = 2.0 * inst.alpha + np.concatenate([(u < 0).ravel(), (v < 0).ravel()]) / inst.beta
     gauss_newton = np.zeros((p.dim, p.dim))
     gauss_newton[:d * r, :d * r] = np.kron(np.eye(d), v.T @ v)
     gauss_newton[d * r:, d * r:] = np.kron(np.eye(n), u.T @ u)
     gauss_newton += np.diag(shift)
     for lam in (1e-3, 0.7, 30.0):
-        m = columns(LinOp.from_matvec(h.precond(lam), p.dim))
+        m = columns(LinOp(h.precond(lam), p.dim))
         np.testing.assert_array_equal(m, m.T)
         assert np.min(np.linalg.eigvalsh(m)) > 0.0
         err = m @ (gauss_newton + lam * np.eye(p.dim)) - np.eye(p.dim)
@@ -138,7 +134,7 @@ def test_nmf_preconditioner_cuts_minres_iterations(monkeypatch):
     p = make_nmf(1)
     h = p.smooth.eval_hess(p.x0)
     assert h.precond is not None
-    plain = LinOp.from_matvec(h.matvec, h.dim)
+    plain = LinOp(h.matvec, h.shape[0])
     rhs = -p.smooth.eval_grad(p.x0)
     iters = {}
     minres = scipy.sparse.linalg.minres
@@ -154,7 +150,7 @@ def test_nmf_preconditioner_cuts_minres_iterations(monkeypatch):
     for label, op in (("plain", plain), ("preconditioned", h)):
         iters[label] = 0
         s = Regularized(op, MetricB()).solve(lam, rhs)
-        res = np.linalg.norm(h.apply(s) + lam * s - rhs)
+        res = np.linalg.norm(h @ s + lam * s - rhs)
         assert res <= max(1e-10, 1e-12 * np.linalg.norm(rhs))
     assert 0 < iters["preconditioned"] < iters["plain"]
 
@@ -162,7 +158,7 @@ def test_nmf_preconditioner_cuts_minres_iterations(monkeypatch):
 def test_svm_and_huber_hessians_stay_dense(monkeypatch):
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     for p in (make_svm(1, n=8, ell=30), make_huber(1, m=12, n=5)):
-        assert p.smooth.eval_hess(p.x0).is_dense
+        assert isinstance(p.smooth.eval_hess(p.x0), np.ndarray)
 
 
 def test_nmf_eval_f_diff_large_step_matches_value_difference():
@@ -188,7 +184,7 @@ def test_nmf_eval_f_diff_resolves_decrease_below_rounding():
     x = p.x0.copy()
     assert p.kink_gap(x) > 1e-3
     g = p.smooth.eval_grad(x)
-    h = p.smooth.eval_hess(x).dense
+    h = p.smooth.eval_hess(x)
     w = np.random.default_rng(3).standard_normal(x.size)
     w -= (w @ g) / (g @ g) * g
     x_plus = x + 1e-10 * w / np.linalg.norm(w)
@@ -310,8 +306,8 @@ def test_huber_hand_values():
     # r = 0.3 <= delta: quadratic branch
     assert p.smooth.eval_f(np.array([0.8])) == pytest.approx(0.045, rel=1e-14)
     np.testing.assert_allclose(p.smooth.eval_grad(np.array([0.8])), [0.3])
-    np.testing.assert_allclose(p.smooth.eval_hess(np.array([0.8])).dense, [[1.0]])
-    np.testing.assert_allclose(p.smooth.eval_hess(np.array([2.0])).dense, [[0.0]])
+    np.testing.assert_allclose(p.smooth.eval_hess(np.array([0.8])), [[1.0]])
+    np.testing.assert_allclose(p.smooth.eval_hess(np.array([2.0])), [[0.0]])
     # residual hits |r| = delta at x = 1.5
     assert p.kink_gap(np.array([1.5])) == pytest.approx(0.0, abs=1e-15)
     assert p.kink_gap(np.array([0.8])) == pytest.approx(0.7, rel=1e-14)
@@ -322,7 +318,7 @@ def test_huber_default_instance():
     assert p.instance.A.shape == (500, 50)
     np.testing.assert_array_equal(p.x0, np.zeros(50))
     # ridge shows up in the Hessian diagonal
-    h = p.smooth.eval_hess(p.x0).dense
+    h = p.smooth.eval_hess(p.x0)
     np.testing.assert_array_equal(h, h.T)
     assert np.all(np.linalg.eigvalsh(h) >= 0.01 - 1e-9)
 
@@ -331,7 +327,7 @@ def test_huber_default_instance():
 
 def oracle_outputs(problem, x):
     smooth = problem.smooth
-    return (smooth.eval_f(x), smooth.eval_grad(x), smooth.eval_hess(x).dense,
+    return (smooth.eval_f(x), smooth.eval_grad(x), smooth.eval_hess(x),
             problem.kink_gap(x))
 
 
