@@ -8,9 +8,9 @@ the certified composite gradient, and solve the regularized model
     min_y  <f'(x_k), y - x_k> + 1/2 <H (y - x_k), y - x_k>
            + lambda/2 ||y - x_k||_B^2 + psi(y).
 
-The model's optimality condition certifies a subgradient of psi at the
-trial point, hence a composite gradient F'(x_+) there; the trial is
-accepted when
+Each trial certifies a subgradient v of psi at its point x_+ = x_k + s,
+hence a composite gradient F'(x_+) = f'(x_+) + v in dF(x_+) (trial_step),
+even where the model is solved inexactly; the trial is accepted when
 
     <F'(x_+), x_k - x_+>  >=  ||F'(x_+)||_*^2 / (2 lambda)
     F(x_k) - F(x_+)       >=  lambda/4 * ||x_+ - x_k||_B^2
@@ -24,10 +24,32 @@ on that gradient.  Rejected trials quadruple lambda; a failed inner solve
 counts as a rejected trial.  An outer iteration whose 60 trials
 (_MAX_TRIALS) are all rejected ends the run as stalled.
 
-With psi nonzero the model is solved by FISTA with gradient restart (see
-_prox_model_solve).  Across the trials of one iteration the model changes
-only in lambda, so trial j + 1 starts from the step of the last trial that
-solved its model; the first trial of each iteration starts from x_k.
+A dense H with psi zero is solved directly to a tight residual target
+(linalg.Regularized.solve), and v = -f'(x_k) - (H + lambda B) s is read off
+the model's optimality identity, zero up to that residual.  The iterative
+inner solves stop early, and their v is exact: MINRES for a matrix-free H
+with psi zero (v = 0), and FISTA with gradient restart for psi nonzero
+(_prox_model_solve; v from its last prox step).  Both stop once the model
+residual rho = f'(x_k) + (H + lambda B) s + v meets the forcing rule
+
+    ||rho||_*  <=  THETA lambda ||s||_B,        THETA = 0.1 (linalg.THETA),
+
+a forcing term tied to the regularizer, as in inexact Newton (Dembo,
+Eisenstat & Steihaug 1982) and proximal Newton with an adaptive
+subproblem stop (Lee, Sun & Saunders 2014).  Acceptance is still checked
+after the fact, so an inexact step is never accepted on trust; the rule
+only keeps a large enough lambda passing.  For f quadratic and B = I,
+F'(x_+) = f'(x_k) + H s + v = rho - lambda s, so with r = ||s||
+
+    <F'(x_+), x_k - x_+>  =  lambda r^2 - <rho, s>  >=  (1 - THETA) lambda r^2,
+    ||F'(x_+)||           <=  ||rho|| + lambda r    <=  (1 + THETA) lambda r,
+
+and the pairing test holds once 2 (1 - THETA) >= (1 + THETA)^2, that is
+for every THETA <= sqrt(5) - 2 (about 0.236).  The forcing term shrinks
+with lambda, like g_k^p, so the local order 1 + p survives (see
+tests/test_ssn.py for the orders observed).  Across the trials of one iteration the model changes only in lambda, so
+FISTA's trial j + 1 starts from the step of the last trial that solved its
+model; the first trial of each iteration starts from x_k.
 
 Near the optimum the decrease F(x_k) - F(x_+) falls under the rounding
 error of evaluating F, and its difference of two rounded values would
@@ -54,7 +76,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import Regularized, SolverStallError, solve_regularized
+from .linalg import THETA, Regularized, SolverStallError, solve_regularized
 from .oracle import CompositeProblem
 
 __all__ = [
@@ -223,44 +245,57 @@ def _certified_decrease(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
 
 
 def _prox_model_solve(reg: Regularized, lam: float, x: np.ndarray, f_grad: np.ndarray,
-                      psi, s0: np.ndarray | None = None) -> np.ndarray:
-    """Minimize the regularized model with nonzero psi by FISTA with restart.
+                      psi, s0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize the regularized model with nonzero psi inexactly, by FISTA with restart.
 
     Accelerated proximal gradient (Beck & Teboulle 2009) with step
-    1 / (1.05 (||H|| + lam ||B||)), started from x + s0 (x when s0 is None).
-    The momentum restarts, theta = 1 and the extrapolated point z = y_new,
-    whenever the step y_new - y points against the prox-gradient mapping at
-    z (O'Donoghue & Candes 2015).  Runs until that mapping norm drops below
-    min(1e-10, 1e-4 * lam * ||x_+ - x_k||) and returns the prox point x_+;
-    exhausting the sweep budget raises SolverStallError, which the outer
+    t = 1 / (1.05 (||H|| + lam ||B||)), started from x + s0 (x when s0 is
+    None).  Each sweep takes the prox step y = prox_{t psi}(z - t grad m(z))
+    from the extrapolated point z, whose optimality condition makes
+    v = (z - y) / t - grad m(z) an exact subgradient of psi at y.  The
+    momentum restarts, theta = 1 and z = y, whenever the step from the
+    previous y points against the prox-gradient mapping z - y
+    (O'Donoghue & Candes 2015).
+
+    Returns (y, v) once the model residual rho = grad m(y) + v =
+    f'(x) + (H + lam B)(y - x) + v meets ||rho||_* <= THETA lam ||y - x||_B,
+    the forcing rule of the matrix-free linear solves (see the module
+    docstring).  grad m is affine, so grad m(z) is combined from the
+    gradients at the last two prox points and a sweep applies H once.
+    Exhausting the sweep budget raises SolverStallError, which the outer
     loop treats as a failed trial.
     """
     lip = reg.opnorm(lam)
     if not np.isfinite(lip):  # say, a matrix-free H whose products are not finite
         raise SolverStallError(f"model operator norm is {lip}", best_residual=np.inf)
+    metric = reg.metric
     t = 1.0 / (1.05 * lip)
     y = x if s0 is None else x + s0
-    z = y
+    z, grad_y = y, reg.model_grad(lam, f_grad, y - x)
+    grad_z = grad_y
     theta = 1.0
     resid = np.inf
     for _ in range(_PROX_MAX_SWEEPS):
-        grad_m = reg.model_grad(lam, f_grad, z - x)
-        y_new = psi.prox(z - t * grad_m, t)
+        y_new = psi.prox(z - t * grad_z, t)
         gap = z - y_new
-        resid = float(np.linalg.norm(gap)) / t
-        if resid <= min(1e-10, 1e-4 * lam * float(np.linalg.norm(y_new - x))):
-            return y_new
+        v = gap / t - grad_z
+        grad_new = reg.model_grad(lam, f_grad, y_new - x)
+        resid = metric.dual_norm(grad_new + v)
+        if resid <= THETA * lam * metric.norm(y_new - x):
+            return y_new, v
         step = y_new - y
         if float(gap @ step) > 0.0:
             theta = 1.0
-            z = y_new
+            z, grad_z = y_new, grad_new
         else:
             theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
-            z = y_new + ((theta - 1.0) / theta_new) * step
+            beta = (theta - 1.0) / theta_new
+            z = y_new + beta * step
+            grad_z = grad_new + beta * (grad_new - grad_y)
             theta = theta_new
-        y = y_new
+        y, grad_y = y_new, grad_new
     raise SolverStallError(
-        f"model prox-gradient stalled at mapping norm {resid:.3e}",
+        f"model prox-gradient stalled at model residual {resid:.3e}",
         best_residual=resid,
     )
 
@@ -270,24 +305,26 @@ def trial_step(x: np.ndarray, f_grad: np.ndarray, reg: Regularized, lam: float,
     """Solve the regularized model at x and certify a psi subgradient at x_+.
 
     f_grad is f'(x) and reg holds the lazy H + lam B.  s0, when given,
-    warm-starts the inner FISTA loop of a nonzero psi at x + s0; the direct
+    warm-starts the inner FISTA loop of a nonzero psi at x + s0; the linear
     solve of a zero psi ignores it.  The psi subgradient at the trial point
-    always comes from the model optimality identity
+    makes f'(x_+) + psi_sub_plus an element of dF(x_+):
 
-        psi_sub_plus = -f_grad - H (x_+ - x) - lam * B (x_+ - x),
+    - nonzero psi: the v of FISTA's last prox step (_prox_model_solve);
+    - zero psi, matrix-free H: zero, whatever the MINRES residual;
+    - zero psi, dense H: -f_grad - H s - lam B s, the model optimality
+      identity, zero up to the tight residual target of the direct solve.
 
-    never from a separate subgradient oracle.  No oracle of f is called:
-    the caller evaluates f'(x_+) only once the trial passes the decrease
-    test.  Raises SolverStallError when the inner solve misses its residual
-    target.
+    No oracle of f is called: the caller evaluates f'(x_+) only once the
+    trial passes the decrease test.  Raises SolverStallError when the inner
+    solve misses its target.
     """
     if problem.psi.is_zero:
         s = solve_regularized(reg, lam, -f_grad)
         x_plus = x + s
-    else:
-        x_plus = _prox_model_solve(reg, lam, x, f_grad, problem.psi, s0)
-        s = x_plus - x
-    return TrialResult(x_plus, -reg.model_grad(lam, f_grad, s))
+        if not reg.is_dense:
+            return TrialResult(x_plus, np.zeros_like(s))
+        return TrialResult(x_plus, -reg.model_grad(lam, f_grad, s))
+    return TrialResult(*_prox_model_solve(reg, lam, x, f_grad, problem.psi, s0))
 
 
 def _reuse_pays(k: int, m: int, trials: int) -> bool:

@@ -151,18 +151,27 @@ def test_solve_regularized_never_writes_into_h():
 
 
 def test_solve_regularized_dense_vs_matvec_route():
+    # the dense route solves to the tight target; the matrix-free one stops
+    # at the forcing rule ||rho|| <= THETA lam ||s||, which puts its step
+    # within ||rho|| / lambda_min(H + lam I) of the dense one
     rng = np.random.default_rng(4)
     a = rng.standard_normal((8, 8))
     spd = a @ a.T + np.eye(8)
     rhs = rng.standard_normal(8)
-    s_dense = Regularized(spd, MetricB()).solve(0.3, rhs)
-    s_mv = Regularized(LinOp(lambda v: spd @ v, 8), MetricB()).solve(0.3, rhs)
-    np.testing.assert_allclose(s_dense, s_mv, atol=1e-8)
+    lam = 0.3
+    s_dense = Regularized(spd, MetricB()).solve(lam, rhs)
+    s_mv = Regularized(LinOp(lambda v: spd @ v, 8), MetricB()).solve(lam, rhs)
+    m = spd + lam * np.eye(8)
+    assert np.linalg.norm(m @ s_dense - rhs) <= max(1e-10, 1e-12 * np.linalg.norm(rhs))
+    rho = np.linalg.norm(m @ s_mv - rhs)
+    assert rho <= linalg.THETA * lam * np.linalg.norm(s_mv)
+    assert np.linalg.norm(s_mv - s_dense) <= 1.01 * rho / np.linalg.eigvalsh(m)[0]
 
 
 def test_preconditioned_minres_meets_the_same_target(monkeypatch):
     # H + lam B is indefinite; an SPD diagonal preconditioner keeps MINRES
-    # valid, and with or without it the solve meets the same residual target
+    # valid, and with or without it the solve meets the same forcing rule
+    # ||rho||_* <= THETA lam ||s||_B, in the metric's own norms
     rng = np.random.default_rng(8)
     n = 40
     h_mat = _rotated(np.linspace(-6.0, 5.0, n), 8)
@@ -189,13 +198,14 @@ def test_preconditioned_minres_meets_the_same_target(monkeypatch):
         for lam in (0.5, 2.0):
             assert np.min(np.linalg.eigvalsh(h_mat + lam * bmat)) < 0.0
             rhs = rng.standard_normal(n)
-            target = max(1e-10, 1e-12 * np.linalg.norm(rhs))
             ops = (LinOp(lambda v: h_mat @ v, n),
                    LinOp(lambda v: h_mat @ v, n,
                                      precond=lambda lam: precond(lam, bmat)))
             for op in ops:
                 s = Regularized(op, metric).solve(lam, rhs)
-                assert np.linalg.norm(h_mat @ s + lam * (bmat @ s) - rhs) <= target
+                rho = h_mat @ s + lam * (bmat @ s) - rhs
+                assert metric.dual_norm(rho) <= linalg.THETA * lam * metric.norm(s)
+                assert metric.norm(s) > 0.0
     assert applied["precond"] > 0 and applied["with_M"] > 0
 
 
@@ -261,6 +271,24 @@ def test_solve_regularized_inconsistent_system_stalls():
         with pytest.raises(SolverStallError) as exc:
             reg.solve(1.0, np.array([1.0, 0.0]))
         assert exc.value.best_residual > 0.0
+
+
+def test_refinement_decides_on_the_step_it_returns():
+    # with a step-dependent target, a correction that raises the residual
+    # must not pass on an earlier, smaller one: s = 2 misses (residual 2,
+    # target 1.2); s = -4 misses its own target 2.4 with residual 8, though
+    # the smallest residual so far is below 2.4; the exact correction passes
+    steps = iter([np.array([2.0]), np.array([-6.0])])
+
+    def once(r):
+        return next(steps, r)
+    s = linalg._refined(once, lambda v: v, np.array([4.0]), np.linalg.norm,
+                        lambda s: 0.6 * np.linalg.norm(s))
+    np.testing.assert_array_equal(s, [4.0])
+    with pytest.raises(SolverStallError) as exc:
+        linalg._refined(lambda r: np.zeros(1), lambda v: v, np.array([4.0]),
+                        np.linalg.norm, lambda s: 1.0)
+    assert exc.value.best_residual == 4.0
 
 
 def test_solve_regularized_singular_but_consistent():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from gladssn import problems
+from gladssn import linalg, problems
 from gladssn.linalg import LinOp, MetricB, Regularized
 from gladssn.problems import (DENSE_DIM_MAX, HuberInstance, NmfInstance,
                               QuadInstance, SvmInstance, load_instance, make_huber, make_nmf,
@@ -150,8 +150,9 @@ def test_nmf_preconditioner_cuts_minres_iterations(monkeypatch):
     for label, op in (("plain", plain), ("preconditioned", h)):
         iters[label] = 0
         s = Regularized(op, MetricB()).solve(lam, rhs)
+        # both stop at the forcing rule ||rho|| <= THETA lam ||s||
         res = np.linalg.norm(h @ s + lam * s - rhs)
-        assert res <= max(1e-10, 1e-12 * np.linalg.norm(rhs))
+        assert res <= linalg.THETA * lam * np.linalg.norm(s)
     assert 0 < iters["preconditioned"] < iters["plain"]
 
 
