@@ -134,7 +134,8 @@ class LinOp:
     It exposes shape and @ the way a dense array does, so the solver applies
     either kind of Hessian alike.  precond, when set, is a factory
     precond(lam) -> callable; the callable must be symmetric positive
-    definite and approximate (H + lam B)^{-1}.
+    definite and approximate (H + lam B)^{-1}.  Regularized calls it once per
+    refresh, at its first solve's lam, and reuses the callable for every lam.
     """
 
     def __init__(self, matvec, dim: int, precond=None):
@@ -152,6 +153,8 @@ class Regularized:
     H is a dense array, which is replaced by its symmetric part (H + H^T) / 2
     (a new array; the caller's is never written), or a matrix-free LinOp.
     decompose=True pays when the refresh expects many dense solves (see solve).
+    Like the eigenbasis and ||H||, a LinOp's preconditioner is per-refresh
+    state: built once, at the first solve's lam, and reused for every lam.
     """
 
     def __init__(self, h: np.ndarray | LinOp, metric: MetricB, decompose: bool = False):
@@ -165,6 +168,7 @@ class Regularized:
         self.decompose = decompose
         self._eig: tuple | None = None  # (eigenvalues, eigenvectors)
         self._hnorm: float | None = None
+        self._precond = None  # h.precond(lam) at the first matrix-free solve, as a LinearOperator
 
     @property
     def is_dense(self) -> bool:
@@ -198,8 +202,11 @@ class Regularized:
         and any sign of H.
 
         A matrix-free H goes to MINRES capped at 10 n iterations per call,
-        preconditioned by the operator's SPD precond(lam) when it has one
-        (which keeps MINRES valid for an indefinite H + lam B).  Its solve is
+        preconditioned by the operator's SPD precond when it has one (which
+        keeps MINRES valid for an indefinite H + lam B).  The preconditioner
+        is built once per refresh, at its first solve's lam, and reused for
+        every lam: a stale one can only change MINRES's iteration count, as
+        every returned step is checked against the rule below.  Its solve is
         inexact: it stops once the residual rho = (H + lam B) s - rhs meets
         ||rho||_* <= THETA lam ||s||_B, the forcing rule the FISTA model solve
         of ssn shares.  With rhs = -f'(x) and psi = 0, rho is the model
@@ -322,13 +329,12 @@ def _minres_solver(reg: Regularized, lam: float):
     n = reg.h.shape[0]
     op = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda v: reg.apply(lam, v),
                                             dtype=np.float64)
-    precond = None
-    if reg.h.precond is not None:
-        precond = scipy.sparse.linalg.LinearOperator((n, n), matvec=reg.h.precond(lam),
-                                                     dtype=np.float64)
+    if reg._precond is None and reg.h.precond is not None:  # the refresh's first solve
+        reg._precond = scipy.sparse.linalg.LinearOperator((n, n), matvec=reg.h.precond(lam),
+                                                          dtype=np.float64)
     calls = itertools.count(1)
     return lambda r: scipy.sparse.linalg.minres(op, r, rtol=_MINRES_RTOL ** next(calls),
-                                                maxiter=10 * n, M=precond)[0]
+                                                maxiter=10 * n, M=reg._precond)[0]
 
 
 # The solver's per-trial entry point, a module-level name a tracer can wrap.

@@ -242,7 +242,9 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
             # Block Jacobi: the inverse of the diagonal r x r blocks of
             # H + lam I, V^T V + diag(shift_u[i] + lam) for row i of U and
             # U^T U + diag(shift_v[j] + lam) for row j of V.  All d + n are
-            # SPD and inverted in one batched call.
+            # SPD and inverted in one batched call.  linalg.Regularized
+            # builds it once per refresh, at its first solve's lam, and
+            # reuses it for every lam.
             blocks = np.empty((d + n, r, r))
             blocks[:d] = gram_v
             blocks[d:] = gram_u

@@ -11,11 +11,9 @@ regardless.
 """
 
 import math
-import os
 import time
 
 import numpy as np
-import pytest
 
 from gladssn import (SolverConfig, make_huber, make_nmf, make_quadratic,
                      make_svm, problems, solve)
@@ -80,9 +78,7 @@ def test_criterion_01_inequality_suite(capsys):
     assert ok, line + "; " + "; ".join(failures[:5])
 
 
-@pytest.mark.skipif(not os.environ.get("GLADSSN_RUN_SLOW"),
-                    reason="full-size SVM grid; set GLADSSN_RUN_SLOW=1 to enable")
-def test_criterion_01_full_svm_opt_in(capsys):
+def test_criterion_01_full_svm(capsys):
     prob = make_svm(1)  # full 10^4-row instance
     failures = []
     for m in (1, 5):

@@ -5,9 +5,11 @@ wrappers into ssn.trial_step, ssn.solve_regularized and ssn.acceptance_test,
 reads Regularized.is_dense, and rebuilds the SmoothOracle (lipschitz_L
 included) with wrapped callables.  A refactor that renames or reshapes any
 of these breaks `bench.py --trace 1`, whose own tests are not part of this
-suite.  This test loads spans.py as it is and runs three small solves under
-it that stay off the rounding floor, where the tracer's oracle copy (which
-has no eval_f_diff) decides exactly as the original.  The SVM solve also
+suite.  The tracer also counts MINRES calls and iterations by patching
+scipy.sparse.linalg.minres, so linalg must resolve that name at call time.
+This test loads spans.py as it is and runs four small solves under it that
+stay off the rounding floor, where the tracer's oracle copy (which has no
+eval_f_diff) decides exactly as the original.  The SVM solve also
 shows that its residual cache, reached through the tracer's wrapped
 callables, leaves the trajectory alone, and that trials rejected on the
 decrease evaluate no gradient.
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gladssn import ssn
+from gladssn import problems, ssn
 from gladssn.oracle import SeparableProx
 from gladssn.problems import make_huber, make_nmf, make_svm
 from gladssn.ssn import CONVERGED, SolverConfig
@@ -44,13 +46,17 @@ def trajectory(result):
     return result.status, result.g_final, result.F_final, rows
 
 
-def test_tracer_wraps_the_solver_without_changing_it():
+def test_tracer_wraps_the_solver_without_changing_it(monkeypatch):
     spans = load_spans()
+    dense_dim_max = problems.DENSE_DIM_MAX
     patched = {name: vars(ssn)[name]
                for name in ("trial_step", "solve_regularized", "acceptance_test")}
     cases = {
         "nmf": (make_nmf(1, d=12, n=8, r=3), SolverConfig(m=2, grad_tol=1e-4),
                 {"ssn.acceptance_test", "ssn.trial_step", "linalg.solve_regularized"}),
+        "nmf-matfree": (make_nmf(2, d=20, n=10, r=3), SolverConfig(m=1, grad_tol=1e-4),
+                        {"ssn.acceptance_test", "ssn.trial_step", "linalg.solve_regularized",
+                         "linalg.minres"}),
         "huber-l1": (dataclasses.replace(make_huber(1, m=80, n=10), psi=l1(0.5)),
                      SolverConfig(m=1, grad_tol=1e-8),
                      {"ssn.acceptance_test", "ssn.trial_step"}),
@@ -58,6 +64,8 @@ def test_tracer_wraps_the_solver_without_changing_it():
                 {"ssn.acceptance_test", "ssn.trial_step", "linalg.solve_regularized"}),
     }
     for name, (problem, config, expected_spans) in cases.items():
+        monkeypatch.setattr(problems, "DENSE_DIM_MAX",
+                            0 if name == "nmf-matfree" else dense_dim_max)
         plain = ssn.solve(problem, config)
         assert plain.status == CONVERGED, name
         tracer = spans.Tracer()
@@ -71,6 +79,8 @@ def test_tracer_wraps_the_solver_without_changing_it():
         assert calls["oracle.eval_hess"] == plain.hess_evals, name
         if name == "huber-l1":
             assert tracer.counts["ssn.prox.sweeps"] > 0
+        elif name == "nmf-matfree":
+            assert tracer.counts["linalg.minres.iters"] > tracer.counts["linalg.minres.calls"] > 0
         else:
             assert tracer.counts["linalg.dense_solves"] > 0
         if name == "svm":

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from gladssn import linalg
+from gladssn import linalg, problems
 from gladssn.linalg import (LinOp, MetricB, MetricError, Regularized, SolverStallError,
                             opnorm_est, sym_part)
+from gladssn.problems import make_nmf
 
 from helpers import columns
 
@@ -207,6 +208,33 @@ def test_preconditioned_minres_meets_the_same_target(monkeypatch):
                 assert metric.dual_norm(rho) <= linalg.THETA * lam * metric.norm(s)
                 assert metric.norm(s) > 0.0
     assert applied["precond"] > 0 and applied["with_M"] > 0
+
+
+def test_matrix_free_preconditioner_is_built_once_per_refresh(monkeypatch):
+    # one Regularized calls the factory at its first solve's lam and reuses
+    # the callable at 16 lam0 and lam0 / 16; every step still meets the
+    # forcing rule, on the matrix-free NMF Hessian and on an indefinite H
+    monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
+    nmf = make_nmf(2, d=20, n=10, r=3)
+    nmf_h = nmf.smooth.eval_hess(nmf.x0)
+    h_mat = _rotated(np.linspace(-6.0, 5.0, 30), 9)
+    diagonal = LinOp(lambda v: h_mat @ v, 30,
+                     precond=lambda lam: lambda v: v / (np.abs(np.diag(h_mat)) + lam))
+    rng = np.random.default_rng(10)
+    for h, lam0 in ((nmf_h, 1.0), (diagonal, 0.5)):
+        built = []
+
+        def factory(lam, build=h.precond):
+            built.append(lam)
+            return build(lam)
+
+        reg = Regularized(LinOp(h.matvec, h.shape[0], precond=factory), MetricB())
+        for lam in (lam0, 16.0 * lam0, lam0 / 16.0):
+            rhs = rng.standard_normal(h.shape[0])
+            s = reg.solve(lam, rhs)
+            rho = np.linalg.norm(reg.apply(lam, s) - rhs)
+            assert 0.0 < rho <= linalg.THETA * lam * np.linalg.norm(s)
+        assert built == [lam0]
 
 
 def _count_calls(monkeypatch) -> dict:

@@ -682,6 +682,30 @@ def test_gradient_skipped_only_on_decrease_rejections(monkeypatch):
     assert counts["f"] == 1 + len(decreases)
 
 
+def test_matrix_free_run_builds_one_preconditioner_per_refresh(monkeypatch):
+    # the block-Jacobi preconditioner is built at a refresh's first solve
+    # and serves its other trials and, at m > 1, its lazy iterations
+    monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
+    base = make_nmf(2, d=20, n=10, r=3)
+    for m in (1, 3):
+        builds = []
+
+        def eval_hess(x):
+            h = base.smooth.eval_hess(x)
+
+            def factory(lam, build=h.precond):
+                builds.append(lam)
+                return build(lam)
+            return LinOp(h.matvec, h.shape[0], precond=factory)
+
+        prob = dataclasses.replace(base, smooth=dataclasses.replace(base.smooth,
+                                                                    eval_hess=eval_hess))
+        res = solve(prob, SolverConfig(m=m, grad_tol=1e-6))
+        assert res.status == CONVERGED, m
+        assert verify(res).passed, m
+        assert len(builds) == res.hess_evals < res.trials, m
+
+
 def test_matvec_hessian_converges_to_same_point():
     # a matvec oracle of the same quadratic goes through MINRES, which
     # certifies less deeply (its residuals bound the reachable gradient
