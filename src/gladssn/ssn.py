@@ -21,8 +21,13 @@ F(x_+), then the decrease inequality, and only for a trial that passes it
 the gradient f'(x_+), F'(x_+) and the pairing.  A trial rejected on the
 decrease never evaluates its gradient, so it cannot raise NonFiniteError
 on that gradient.  Rejected trials quadruple lambda; a failed inner solve
-counts as a rejected trial.  An outer iteration whose 60 trials
-(_MAX_TRIALS) are all rejected ends the run as stalled.
+counts as a rejected trial.  An outer iteration ends the run as stalled at
+the first trial whose point rounds to x_k (psi zero), or after 60 rejected
+trials (_MAX_TRIALS).  A point x_+ == x_k has pairing 0 against a
+positive ||F'(x_+)||^2 / (2 lambda), since F'(x_+) is f'(x_k) up to the
+model residual, so it is rejected; every later trial has a larger lambda
+and a step no longer in the B-norm.  With psi nonzero a null prox step
+can pass both tests with F'(x_+) = 0, so there the exit is not taken.
 
 A dense H with psi zero is solved directly to a tight residual target
 (linalg.Regularized.solve), and v = -f'(x_k) - (H + lambda B) s is read off
@@ -100,7 +105,9 @@ MAXITER = "maxiter"
 STALLED = "stalled"
 
 # Inner trials per outer iteration; the last trial's regularizer is 4^59
-# times the first.
+# times the first.  With psi zero an iteration stops earlier, at the first
+# trial whose point rounds to x_k; this budget bounds runs whose inner solves
+# fail or whose points never round to x_k.
 _MAX_TRIALS = 60
 
 # Inner prox-gradient budget for models with a nonzero psi.
@@ -391,6 +398,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
                 raise NonFiniteError(f"non-finite Hessian at outer iteration {k}", k=k)
 
         s_prev = None
+        accepted = False
         for j in range(_MAX_TRIALS):
             lam = trial_lambda(Lambda_k, g, config.p, j)
             trials += 1
@@ -399,6 +407,8 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             except SolverStallError:
                 continue
             x_plus = trial.x_plus
+            if problem.psi.is_zero and np.array_equal(x_plus, x):
+                break  # x + s rounds to x, now and at every larger lam
             s_prev = x_plus - x
             f_plus = float(problem.smooth.eval_f(x_plus))
             F_plus = f_plus + problem.psi.eval_psi(x_plus)
@@ -421,9 +431,10 @@ def solve(problem: CompositeProblem, config: SolverConfig,
                     k=k, j=j)
             pairing = float(F_sub_plus @ step)
             g_plus = metric.dual_norm(F_sub_plus)
-            if acceptance_test(pairing, g_plus, r, lam, decrease, g):
+            accepted = acceptance_test(pairing, g_plus, r, lam, decrease, g)
+            if accepted:
                 break
-        else:
+        if not accepted:
             status = STALLED
             break
 

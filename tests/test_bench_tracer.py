@@ -7,12 +7,14 @@ included) with wrapped callables.  A refactor that renames or reshapes any
 of these breaks `bench.py --trace 1`, whose own tests are not part of this
 suite.  The tracer also counts MINRES calls and iterations by patching
 scipy.sparse.linalg.minres, so linalg must resolve that name at call time.
-This test loads spans.py as it is and runs four small solves under it that
-stay off the rounding floor, where the tracer's oracle copy (which has no
-eval_f_diff) decides exactly as the original.  The SVM solve also
-shows that its residual cache, reached through the tracer's wrapped
-callables, leaves the trajectory alone, and that trials rejected on the
-decrease evaluate no gradient.
+This test loads spans.py as it is and runs five small solves under it.
+Four converge off the rounding floor, where the tracer's oracle copy (which
+has no eval_f_diff) decides exactly as the original.  The fifth is an SVM
+run that stalls at the floor, where SVM decides on rounded values either
+way; its last iteration ends at the trial whose step rounds to x_k, which
+evaluates nothing.  The SVM solves also show that the residual cache,
+reached through the tracer's wrapped callables, leaves the trajectory
+alone, and that trials rejected on the decrease evaluate no gradient.
 """
 
 import dataclasses
@@ -24,7 +26,7 @@ import numpy as np
 from gladssn import problems, ssn
 from gladssn.oracle import SeparableProx
 from gladssn.problems import make_huber, make_nmf, make_svm
-from gladssn.ssn import CONVERGED, SolverConfig
+from gladssn.ssn import CONVERGED, STALLED, SolverConfig
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -62,12 +64,15 @@ def test_tracer_wraps_the_solver_without_changing_it(monkeypatch):
                      {"ssn.acceptance_test", "ssn.trial_step"}),
         "svm": (make_svm(2, n=10, ell=200), SolverConfig(m=1, grad_tol=1e-6),
                 {"ssn.acceptance_test", "ssn.trial_step", "linalg.solve_regularized"}),
+        "svm-stalled": (make_svm(3, n=50, ell=2000), SolverConfig(m=1, grad_tol=1e-12),
+                        {"ssn.acceptance_test", "ssn.trial_step",
+                         "linalg.solve_regularized"}),
     }
     for name, (problem, config, expected_spans) in cases.items():
         monkeypatch.setattr(problems, "DENSE_DIM_MAX",
                             0 if name == "nmf-matfree" else dense_dim_max)
         plain = ssn.solve(problem, config)
-        assert plain.status == CONVERGED, name
+        assert plain.status == (STALLED if name == "svm-stalled" else CONVERGED), name
         tracer = spans.Tracer()
         with tracer.installed():
             traced = ssn.solve(tracer.traced_problem(problem), config)
@@ -85,4 +90,6 @@ def test_tracer_wraps_the_solver_without_changing_it(monkeypatch):
             assert tracer.counts["linalg.dense_solves"] > 0
         if name == "svm":
             assert calls["oracle.eval_grad"] < calls["oracle.eval_f"] == 1 + plain.trials
+        elif name == "svm-stalled":
+            assert calls["oracle.eval_grad"] < calls["oracle.eval_f"] == plain.trials
         assert trajectory(traced) == trajectory(plain), name

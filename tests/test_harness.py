@@ -369,8 +369,9 @@ def test_compare_runs_each_config(tmp_path, capsys):
 
 
 def test_compare_wall_time_covers_rejected_trials(tmp_path):
-    # this run stalls after 88 trials, 60 of them past its last accepted
-    # step, so the last trace row's wall_ns covers only part of the solve
+    # this run stalls after 52 trials, 24 of them past its last accepted
+    # step (the last rounds to x_k), so the last trace row's wall_ns covers
+    # only part of the solve
     out = tmp_path / "svm.csv"
     [stalled] = compare([RunConfig(problem="svm", seed=3, grad_tol=1e-12,
                                    out_path=str(out),

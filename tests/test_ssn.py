@@ -480,18 +480,39 @@ def test_failed_inner_solve_counts_as_rejected_trial():
     assert res.trace[0].trials == 2
 
 
-def test_stall_when_inner_budget_exhausted():
-    # f is constant, so no trial shows the decrease lambda r^2 / 4 > 0 and
-    # the solver stops after its fixed budget of trials
+def test_stall_when_inner_budget_exhausted(monkeypatch):
+    # f is constant, so no trial shows the decrease lambda r^2 / 4 > 0; the
+    # solver stops at the first trial whose step rounds back to x0
     flat = CompositeProblem(
         smooth=SmoothOracle(dim=2, eval_f=lambda x: 1.0,
                             eval_grad=lambda x: x.copy(),
                             eval_hess=lambda x: np.eye(2)),
         psi=ZeroPart(), x0=np.array([1.0, 0.0]))
+    points = []
+    step = ssn.trial_step
+
+    def recorded(*args, **kwargs):
+        trial = step(*args, **kwargs)
+        points.append(trial.x_plus)
+        return trial
+
+    monkeypatch.setattr(ssn, "trial_step", recorded)
     res = solve(flat, SolverConfig(p=0.0, m=1, Lambda0=1.0))
     assert res.status == STALLED
     assert res.iters == 0 and res.trace == []
-    assert res.trials == ssn._MAX_TRIALS
+    assert res.trials == len(points) < ssn._MAX_TRIALS
+    assert np.array_equal(points[-1], flat.x0)
+    assert not any(np.array_equal(x_plus, flat.x0) for x_plus in points[:-1])
+    # with psi nonzero the exit never fires: the trial whose prox step
+    # rounds to x0 is scored, and its null step passes both tests with
+    # g = 0 (the composite false convergence that certifying the composite
+    # decrease is to remove)
+    points.clear()
+    res = solve(dataclasses.replace(flat, psi=counted_l1(1e-3)[0]),
+                SolverConfig(p=0.0, m=1, Lambda0=1.0))
+    assert np.array_equal(points[-1], flat.x0)
+    assert (res.status, res.iters, res.trials, res.g_final) == (
+        CONVERGED, 1, len(points), 0.0)
     # a wrong-curvature oracle sends the j = 0 step uphill; a later trial
     # recovers
     prob = CompositeProblem(
@@ -503,6 +524,23 @@ def test_stall_when_inner_budget_exhausted():
     res2 = solve(prob, SolverConfig(p=0.0, m=1, Lambda0=1.0, grad_tol=1e-8))
     assert res2.status == CONVERGED
     assert res2.trace[0].j_k >= 1
+
+
+def test_stall_exit_skips_only_trials_that_round_to_x():
+    # this SVM run stalls at the rounding floor: its last iteration stops
+    # at trial j*, whose step rounds to x_k bit for bit.  Replaying every
+    # trial the exit skipped, at its larger lambda, lands on x_k as well.
+    problem = make_svm(3, n=50, ell=2000)
+    config = SolverConfig(m=1, grad_tol=1e-12)
+    res = solve(problem, config)
+    assert (res.status, res.iters, res.trials) == (STALLED, 13, 52)
+    j_star = res.trials - res.trace[-1].trials - 1
+    x = res.x
+    reg = Regularized(problem.smooth.eval_hess(x), problem.metric)
+    f_grad = problem.smooth.eval_grad(x)
+    for j in range(j_star, ssn._MAX_TRIALS):
+        lam = trial_lambda(res.Lambda_final, res.g_final, config.p, j)
+        assert np.array_equal(trial_step(x, f_grad, reg, lam, problem).x_plus, x), j
 
 
 def counting_diff(smooth):
