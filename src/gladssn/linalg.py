@@ -1,9 +1,10 @@
 """Metric-aware linear algebra kernels shared by the solver.
 
 MetricB is the metric B, and Regularized the systems H + lam B of one
-Hessian refresh, for any lam.  An oracle's curvature operator H is either a
-dense square array or a matrix-free LinOp; both are applied as H @ v.
-Vectors are 1-d float64 arrays.  Nothing here mutates its inputs.
+Hessian refresh, for any lam.  An oracle's curvature operator H is a dense
+square array, a matrix-free LinOp, or an ActiveGram that Regularized
+assembles; all three are applied as H @ v.  Vectors are 1-d float64 arrays.
+Nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "sym_part",
     "MetricB",
     "LinOp",
+    "ActiveGram",
     "Regularized",
     "opnorm_est",
     "solve_regularized",
@@ -147,28 +149,90 @@ class LinOp:
         return np.asarray(self.matvec(v), dtype=np.float64)
 
 
+class ActiveGram:
+    """The Gram rows[mask]^T rows[mask] + shift I, unassembled.
+
+    The generalized Hessian of a piecewise-quadratic loss has this form and
+    depends on x only through the boolean mask of rows on their quadratic
+    piece.  It exposes shape and @ the way LinOp does; Regularized assembles
+    it once per refresh, from the previous refresh's Gram when the masks are
+    close.
+    """
+
+    def __init__(self, rows: np.ndarray, mask: np.ndarray, shift: float = 0.0):
+        self.rows = rows
+        self.mask = np.asarray(mask, dtype=bool)
+        self.shift = float(shift)
+        self.shape = (rows.shape[1], rows.shape[1])
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.rows.T @ np.where(self.mask, self.rows @ v, 0.0) + self.shift * v
+
+    def assemble(self) -> np.ndarray:
+        """The dense Gram, exactly symmetric (numpy forms act^T act by syrk)."""
+        act = self.rows[self.mask]
+        dense = act.T @ act
+        dense[np.diag_indices_from(dense)] += self.shift
+        return dense
+
+
 class Regularized:
     """H + lam B for every lam > 0, built once per Hessian refresh.
 
     H is a dense array, which is replaced by its symmetric part (H + H^T) / 2
-    (a new array; the caller's is never written), or a matrix-free LinOp.
-    decompose=True pays when the refresh expects many dense solves (see solve).
-    Like the eigenbasis and ||H||, a LinOp's preconditioner is per-refresh
-    state: built once, at the first solve's lam, and reused for every lam.
+    (a new array; the caller's is never written), a matrix-free LinOp, or an
+    ActiveGram, which is assembled here (see _assemble).  decompose=True pays
+    when the refresh expects many dense solves (see solve).  Like the
+    eigenbasis and ||H||, a LinOp's preconditioner is per-refresh state:
+    built once, at the first solve's lam, and reused for every lam.  prev is
+    the previous refresh's Regularized, from which an ActiveGram is built;
+    it is not kept.
     """
 
-    def __init__(self, h: np.ndarray | LinOp, metric: MetricB, decompose: bool = False):
-        if isinstance(h, np.ndarray):
-            h = sym_part(h)
-        elif not isinstance(h, LinOp):
-            raise TypeError(f"eval_hess must return an ndarray or a LinOp, "
-                            f"got {type(h).__name__}")
-        self.h = h
+    def __init__(self, h: np.ndarray | LinOp | ActiveGram, metric: MetricB,
+                 decompose: bool = False, prev: Regularized | None = None):
         self.metric = metric
         self.decompose = decompose
         self._eig: tuple | None = None  # (eigenvalues, eigenvectors)
         self._hnorm: float | None = None
         self._precond = None  # h.precond(lam) at the first matrix-free solve, as a LinearOperator
+        self.gram = h if isinstance(h, ActiveGram) else None
+        if self.gram is not None:
+            h = self._assemble(prev)
+        elif isinstance(h, np.ndarray):
+            h = sym_part(h)
+        elif not isinstance(h, LinOp):
+            raise TypeError(f"eval_hess must return an ndarray, a LinOp or an ActiveGram, "
+                            f"got {type(h).__name__}")
+        self.h = h
+
+    def _assemble(self, prev: Regularized | None) -> np.ndarray:
+        """The dense H of self.gram, from prev's when both share rows and shift.
+
+        An unchanged mask keeps prev's array, ||H|| estimate and (for the same
+        metric) eigenbasis.  A churn of at most half the active rows copies
+        prev's array, adds A_add^T A_add and subtracts A_rem^T A_rem, which
+        keeps it exactly symmetric; a larger one, which would let the
+        rounding of the updates build up, assembles in full.
+        """
+        gram = self.gram
+        old = prev.gram if prev is not None else None
+        if old is None or old.rows is not gram.rows or old.shift != gram.shift:
+            return gram.assemble()
+        changed = gram.mask != old.mask
+        churn = np.count_nonzero(changed)
+        if churn == 0:
+            self._hnorm = prev._hnorm
+            if prev.metric is self.metric:
+                self._eig = prev._eig
+            return prev.h
+        if churn > 0.5 * np.count_nonzero(gram.mask):
+            return gram.assemble()
+        added = gram.rows[changed & gram.mask]
+        removed = gram.rows[changed & old.mask]
+        h = prev.h + added.T @ added
+        h -= removed.T @ removed
+        return h
 
     @property
     def is_dense(self) -> bool:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import LinOp, MetricB
+from .linalg import ActiveGram, LinOp, MetricB
 
 __all__ = [
     "SmoothOracle",
@@ -33,9 +33,12 @@ class SmoothOracle:
     The callables must be pure functions of x, because the solver may call
     them in any order: it evaluates f at a trial point before its gradient,
     and the gradient only for a trial that passes the decrease test.
-    eval_hess returns the Hessian as a dense square ndarray, or as a
-    matrix-free LinOp when it is too large to assemble.  The solver never
-    writes into a returned array, so an oracle may return one it keeps.
+    eval_hess returns the Hessian as a dense square ndarray, as a
+    matrix-free LinOp when it is too large to assemble, or as an ActiveGram
+    rows[mask]^T rows[mask] + shift I, which the solver assembles from the
+    previous refresh of the same solve (linalg.Regularized).  The solver
+    never writes into a returned array, so an oracle may return one it
+    keeps.
     Nothing in this package reads lipschitz_L, an optional bound L/2 on the
     Hessian operator norm: the solver adapts its regularizer instead.
 
@@ -49,7 +52,7 @@ class SmoothOracle:
     dim: int
     eval_f: Callable[[np.ndarray], float]
     eval_grad: Callable[[np.ndarray], np.ndarray]
-    eval_hess: Callable[[np.ndarray], np.ndarray | LinOp]
+    eval_hess: Callable[[np.ndarray], np.ndarray | LinOp | ActiveGram]
     lipschitz_L: float | None = None
     eval_f_diff: Callable[[np.ndarray, np.ndarray], float] | None = None
 

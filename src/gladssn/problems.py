@@ -8,8 +8,10 @@ load_instance reads it back bit for bit, each field checked against its
 declared type and every array against the instance's sizes, so runs replay
 across machines.
 
-Hessians come back dense, except NMF's above DENSE_DIM_MAX variables,
-which is a matvec handle with a block-Jacobi preconditioner.
+Hessians come back dense, except two.  NMF's above DENSE_DIM_MAX
+variables is a matvec handle with a block-Jacobi preconditioner.  Huber's
+is an ActiveGram, its rows on the quadratic piece, which the solver
+assembles from the previous refresh's Hessian.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .linalg import LinOp
+from .linalg import ActiveGram, LinOp
 from .oracle import CompositeProblem, SmoothOracle, ZeroPart
 from .rng import Rng
 
@@ -349,7 +351,7 @@ def make_huber(seed: int, m: int = 500, n: int = 50, delta: float = 1.0,
 
 def _huber_problem(inst: HuberInstance) -> CompositeProblem:
     a_mat, b_vec, delta, ridge = inst.A, inst.b, inst.delta, inst.ridge
-    m, n = a_mat.shape
+    n = a_mat.shape[1]
 
     def huber(r):
         absr = np.abs(r)
@@ -382,11 +384,7 @@ def _huber_problem(inst: HuberInstance) -> CompositeProblem:
         return drop - ridge * float(s @ (x + 0.5 * s))
 
     def eval_hess(x):
-        quad = np.abs(resid(x)) <= delta
-        a_act = a_mat[quad]
-        dense = a_act.T @ a_act
-        dense[np.arange(n), np.arange(n)] += ridge
-        return dense
+        return ActiveGram(a_mat, np.abs(resid(x)) <= delta, shift=ridge)
 
     return CompositeProblem(
         smooth=SmoothOracle(dim=n, eval_f=eval_f, eval_grad=eval_grad,

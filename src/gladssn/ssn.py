@@ -66,10 +66,14 @@ the band, or without eval_f_diff, the rounded values decide, and a run
 whose trials all fail on noise stops as stalled.
 
 Each Hessian refresh builds one linalg.Regularized, which owns H + lambda B
-for every trial and lazy iteration until the next refresh.  Its dense
-solves decompose H once instead of factoring each trial when the refresh
-can expect many solves: k >= 1, m >= 2 and m * (trials so far / k) >= 6
-(_reuse_pays, _EIGH_MIN_SOLVES).  A refreshed dense H that is not finite
+for every trial and lazy iteration until the next refresh.  It is built
+with the previous refresh's as prev, so an ActiveGram H whose mask did not
+change keeps the previous array, ||H|| estimate and eigenbasis, and one
+whose mask changed a little is updated by the rows that changed.  That
+state lives in this call, not in the oracle.  Its dense solves decompose H
+once instead of factoring each trial when the refresh can expect many
+solves: k >= 1, m >= 2 and m * (trials so far / k) >= 6 (_reuse_pays,
+_EIGH_MIN_SOLVES).  A refreshed dense H that is not finite
 raises NonFiniteError; a matrix-free one fails its trials' inner solves.
 """
 
@@ -392,7 +396,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             break
         if k % config.m == 0:
             reg = Regularized(problem.smooth.eval_hess(x), metric,
-                              decompose=_reuse_pays(k, config.m, trials))
+                              decompose=_reuse_pays(k, config.m, trials), prev=reg)
             hess_evals += 1
             if reg.is_dense and not np.all(np.isfinite(reg.h)):
                 raise NonFiniteError(f"non-finite Hessian at outer iteration {k}", k=k)

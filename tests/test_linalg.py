@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse.linalg
 
 from gladssn import linalg, problems
-from gladssn.linalg import (LinOp, MetricB, MetricError, Regularized, SolverStallError,
-                            opnorm_est, sym_part)
+from gladssn.linalg import (ActiveGram, LinOp, MetricB, MetricError, Regularized,
+                            SolverStallError, opnorm_est, sym_part)
 from gladssn.problems import make_nmf
 
 from helpers import columns
@@ -80,6 +80,92 @@ def test_linop_dense_and_matvec_agree():
     assert not Regularized(mv, MetricB()).is_dense
     with pytest.raises(TypeError):
         LinOp(lambda v: v, None)
+
+
+def active_gram(seed, mask_seed, rows=None, m=60, n=8, frac=0.5):
+    rows = np.random.default_rng(seed).standard_normal((m, n)) if rows is None else rows
+    mask = np.random.default_rng(mask_seed).random(rows.shape[0]) < frac
+    return ActiveGram(rows, mask, shift=0.3)
+
+
+def test_active_gram_matvec_equals_dense_product():
+    gram = active_gram(0, 1)
+    act = gram.rows[gram.mask]
+    dense = act.T @ act + 0.3 * np.eye(8)
+    assert gram.shape == dense.shape
+    v = np.random.default_rng(2).standard_normal(8)
+    np.testing.assert_allclose(gram @ v, dense @ v, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(columns(gram), dense, rtol=1e-14, atol=1e-14)
+    h = gram.assemble()
+    np.testing.assert_array_equal(h, h.T)
+    np.testing.assert_allclose(h, dense, rtol=1e-14, atol=1e-14)
+    reg = Regularized(gram, MetricB())
+    assert reg.is_dense and reg.gram is gram
+    np.testing.assert_array_equal(reg.h, h)  # assembled as is, no symmetric part taken
+
+
+def test_unchanged_mask_keeps_the_previous_refresh(monkeypatch):
+    # the same active set gives the same H: the new refresh keeps the
+    # previous array, its ||H|| estimate and its eigenbasis
+    power_iterations = []
+    est = linalg.opnorm_est
+
+    def counted(*args, **kwargs):
+        power_iterations.append(args)
+        return est(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "opnorm_est", counted)
+    metric = MetricB()
+    first = Regularized(active_gram(0, 1), metric, decompose=True)
+    norm = first.opnorm(1.0)
+    rhs = np.ones(8)
+    step = first.solve(1.0, rhs)
+    again = active_gram(0, 1, rows=first.gram.rows)
+    assert again.mask is not first.gram.mask
+    second = Regularized(again, metric, prev=first)
+    assert second.h is first.h
+    assert second._eig is first._eig
+    assert second.opnorm(1.0) == norm
+    assert len(power_iterations) == 1
+    np.testing.assert_array_equal(second.solve(1.0, rhs), step)
+    # another metric keeps the array and ||H||, but not the pencil's eigenbasis
+    third = Regularized(again, MetricB(np.diag(np.linspace(1.0, 2.0, 8))), prev=first)
+    assert third.h is first.h and third._eig is None
+
+
+def test_refresh_updates_a_small_churn_and_assembles_otherwise(monkeypatch):
+    assembled = []
+    assemble = ActiveGram.assemble
+
+    def counted(gram):
+        assembled.append(gram)
+        return assemble(gram)
+
+    monkeypatch.setattr(ActiveGram, "assemble", counted)
+    rows = np.random.default_rng(0).standard_normal((60, 8))
+    first = Regularized(active_gram(0, 1, rows=rows), MetricB())
+    mask = first.gram.mask.copy()
+    mask[np.flatnonzero(mask)[:3]] = False  # 3 rows leave the active set
+    mask[np.flatnonzero(~mask)[-2:]] = True  # and 2 join it
+    near = ActiveGram(rows, mask, shift=0.3)
+    assembled.clear()
+    updated = Regularized(near, MetricB(), prev=first)
+    assert assembled == []  # built from first.h
+    full = near.assemble()
+    np.testing.assert_array_equal(updated.h, updated.h.T)
+    assert np.max(np.abs(updated.h - full)) <= 1e-14 * np.max(np.abs(full))
+    np.testing.assert_array_equal(first.h, first.gram.assemble())  # prev is not written
+    # rows that are not prev's array (even equal ones), another shift, or a
+    # churn above half the active rows: assembled in full, bit for bit
+    far = ActiveGram(rows, ~first.gram.mask, shift=0.3)
+    assert np.count_nonzero(far.mask != first.gram.mask) > 0.5 * np.count_nonzero(far.mask)
+    for gram in (ActiveGram(rows.copy(), mask, shift=0.3), ActiveGram(rows, mask, shift=0.2),
+                 far):
+        np.testing.assert_array_equal(Regularized(gram, MetricB(), prev=first).h,
+                                      gram.assemble())
+    # a prev without a Gram, or none at all, also assembles in full
+    for prev in (Regularized(np.eye(8), MetricB()), None):
+        np.testing.assert_array_equal(Regularized(near, MetricB(), prev=prev).h, full)
 
 
 def test_opnorm_est_known_spectrum():

@@ -159,7 +159,7 @@ def test_nmf_preconditioner_cuts_minres_iterations(monkeypatch):
 def test_svm_and_huber_hessians_stay_dense(monkeypatch):
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     for p in (make_svm(1, n=8, ell=30), make_huber(1, m=12, n=5)):
-        assert isinstance(p.smooth.eval_hess(p.x0), np.ndarray)
+        assert Regularized(p.smooth.eval_hess(p.x0), MetricB()).is_dense
 
 
 def test_nmf_eval_f_diff_large_step_matches_value_difference():
@@ -307,8 +307,9 @@ def test_huber_hand_values():
     # r = 0.3 <= delta: quadratic branch
     assert p.smooth.eval_f(np.array([0.8])) == pytest.approx(0.045, rel=1e-14)
     np.testing.assert_allclose(p.smooth.eval_grad(np.array([0.8])), [0.3])
-    np.testing.assert_allclose(p.smooth.eval_hess(np.array([0.8])), [[1.0]])
-    np.testing.assert_allclose(p.smooth.eval_hess(np.array([2.0])), [[0.0]])
+    for x, want in ((0.8, [[1.0]]), (2.0, [[0.0]])):
+        np.testing.assert_allclose(Regularized(p.smooth.eval_hess(np.array([x])), MetricB()).h,
+                                   want)
     # residual hits |r| = delta at x = 1.5
     assert p.kink_gap(np.array([1.5])) == pytest.approx(0.0, abs=1e-15)
     assert p.kink_gap(np.array([0.8])) == pytest.approx(0.7, rel=1e-14)
@@ -319,7 +320,7 @@ def test_huber_default_instance():
     assert p.instance.A.shape == (500, 50)
     np.testing.assert_array_equal(p.x0, np.zeros(50))
     # ridge shows up in the Hessian diagonal
-    h = p.smooth.eval_hess(p.x0)
+    h = Regularized(p.smooth.eval_hess(p.x0), MetricB()).h
     np.testing.assert_array_equal(h, h.T)
     assert np.all(np.linalg.eigvalsh(h) >= 0.01 - 1e-9)
 
@@ -328,8 +329,8 @@ def test_huber_default_instance():
 
 def oracle_outputs(problem, x):
     smooth = problem.smooth
-    return (smooth.eval_f(x), smooth.eval_grad(x), smooth.eval_hess(x),
-            problem.kink_gap(x))
+    return (smooth.eval_f(x), smooth.eval_grad(x),
+            Regularized(smooth.eval_hess(x), MetricB()).h, problem.kink_gap(x))
 
 
 def assert_bitwise_equal(got, want):

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from gladssn import linalg, problems
-from gladssn.linalg import LinOp, MetricB, Regularized, SolverStallError
+from gladssn.linalg import ActiveGram, LinOp, MetricB, Regularized, SolverStallError
 from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPart
 from gladssn.problems import make_huber, make_nmf, make_quadratic, make_svm
 from gladssn import ssn
@@ -381,6 +381,59 @@ def test_local_order_survives_inexact_solves(monkeypatch):
     np.testing.assert_allclose(res.psi_sub[support], weight * np.sign(res.x[support]),
                                rtol=0.0, atol=1e-12)
     assert np.all(np.abs(res.psi_sub[~support]) <= weight + 1e-12)
+
+
+def test_huber_refreshes_match_full_assembly_over_a_run(monkeypatch):
+    # the benchmark's huber-l1 size: each refresh builds H from the last
+    # one's, by keeping it, by a rank update or in full, and every H stays
+    # within 1e-12 of the Gram assembled afresh at its mask
+    full = []
+    assemble = ActiveGram.assemble
+
+    def counted(gram):
+        full.append(gram)
+        return assemble(gram)
+
+    regs = []
+    init = Regularized.__init__
+
+    def recorded(reg, *args, **kwargs):
+        init(reg, *args, **kwargs)
+        regs.append(reg)
+
+    monkeypatch.setattr(ActiveGram, "assemble", counted)
+    monkeypatch.setattr(Regularized, "__init__", recorded)
+    prob = l1_huber(1, 5.0, m=2000, n=400, delta=0.3)
+    res = solve(prob, SolverConfig(p=0.5, m=1, grad_tol=1e-8))
+    assert res.status == CONVERGED and verify(res).passed
+    assert len(regs) == res.hess_evals
+    kept = sum(b.h is a.h for a, b in zip(regs, regs[1:]))
+    assert kept >= 1 and res.hess_evals - kept - len(full) >= 1  # some kept, some updated
+    for reg in regs:
+        fresh = assemble(reg.gram)
+        np.testing.assert_array_equal(reg.h, reg.h.T)
+        assert np.max(np.abs(reg.h - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+
+
+def test_same_problem_solved_twice_gives_the_same_trajectory():
+    # a refresh builds on the previous refresh of its own solve only, so the
+    # oracle keeps no state between solves.  The runs from near the solution
+    # start where the last active set of one solve is close to the first of
+    # the next, so state kept across solves would change their H
+    weight = 1.0
+    for prob in (make_huber(2, m=300, n=40, delta=0.3),
+                 l1_huber(2, weight, m=300, n=40, delta=0.3)):
+        x_star = solve(prob, SolverConfig(p=0.5, m=1, grad_tol=1e-9)).x
+        near = x_star + 1e-2 * np.random.default_rng(0).standard_normal(prob.dim)
+        psi_sub = None if prob.psi.is_zero else weight * np.sign(near)
+        for x0, psi_sub0 in ((None, None), (near, psi_sub)):
+            for m in (1, 3):
+                first, second = (solve(prob, SolverConfig(p=0.5, m=m, grad_tol=1e-9),
+                                       x0=x0, psi_sub0=psi_sub0) for _ in range(2))
+                assert first.status == CONVERGED and first.hess_evals >= 2
+                assert ([dataclasses.replace(r, wall_ns=0) for r in first.trace]
+                        == [dataclasses.replace(r, wall_ns=0) for r in second.trace])
+                assert np.array_equal(first.x, second.x) and first.F_final == second.F_final
 
 
 def counted_l1(weight):
