@@ -29,32 +29,11 @@ model residual, so it is rejected; every later trial has a larger lambda
 and a step no longer in the B-norm.  With psi nonzero a null prox step
 can pass both tests with F'(x_+) = 0, so there the exit is not taken.
 
-A dense H with psi zero is solved directly to a tight residual target
-(linalg.Regularized.solve), and v = -f'(x_k) - (H + lambda B) s is read off
-the model's optimality identity, zero up to that residual.  The iterative
-inner solves stop early, and their v is exact: MINRES for a matrix-free H
-with psi zero (v = 0), and FISTA with gradient restart for psi nonzero
-(_prox_model_solve; v from its last prox step).  Both stop once the model
-residual rho = f'(x_k) + (H + lambda B) s + v meets the forcing rule
-
-    ||rho||_*  <=  THETA lambda ||s||_B,        THETA = 0.1 (linalg.THETA),
-
-a forcing term tied to the regularizer, as in inexact Newton (Dembo,
-Eisenstat & Steihaug 1982) and proximal Newton with an adaptive
-subproblem stop (Lee, Sun & Saunders 2014).  Acceptance is still checked
-after the fact, so an inexact step is never accepted on trust; the rule
-only keeps a large enough lambda passing.  For f quadratic and B = I,
-F'(x_+) = f'(x_k) + H s + v = rho - lambda s, so with r = ||s||
-
-    <F'(x_+), x_k - x_+>  =  lambda r^2 - <rho, s>  >=  (1 - THETA) lambda r^2,
-    ||F'(x_+)||           <=  ||rho|| + lambda r    <=  (1 + THETA) lambda r,
-
-and the pairing test holds once 2 (1 - THETA) >= (1 + THETA)^2, that is
-for every THETA <= sqrt(5) - 2 (about 0.236).  The forcing term shrinks
-with lambda, like g_k^p, so the local order 1 + p survives (see
-tests/test_ssn.py for the orders observed).  Across the trials of one iteration the model changes only in lambda, so
-FISTA's trial j + 1 starts from the step of the last trial that solved its
-model; the first trial of each iteration starts from x_k.
+Each trial's model is solved by linalg.Regularized (below), inexactly
+under the forcing rule documented at linalg.THETA.  Across the trials of
+one iteration the model changes only in lambda, so FISTA's trial j + 1
+starts from the step of the last trial that solved its model; the first
+trial of each iteration starts from x_k.
 
 Near the optimum the decrease F(x_k) - F(x_+) falls under the rounding
 error of evaluating F, and its difference of two rounded values would
@@ -81,11 +60,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import THETA, Regularized, SolverStallError, solve_regularized
+from .linalg import Regularized, SolverStallError
 from .oracle import CompositeProblem
 
 __all__ = [
@@ -95,7 +73,6 @@ __all__ = [
     "NonFiniteError",
     "SolverConfig",
     "TraceRecord",
-    "TrialResult",
     "SolveResult",
     "trial_lambda",
     "step_inequalities",
@@ -113,9 +90,6 @@ STALLED = "stalled"
 # trial whose point rounds to x_k; this budget bounds runs whose inner solves
 # fail or whose points never round to x_k.
 _MAX_TRIALS = 60
-
-# Inner prox-gradient budget for models with a nonzero psi.
-_PROX_MAX_SWEEPS = 500
 
 # Solves per Hessian refresh from which one eigendecomposition of a dense H
 # beats a Cholesky factorization per solve: at n = 240 on one OpenBLAS thread
@@ -191,11 +165,6 @@ class TraceRecord:
     wall_ns: int
 
 
-class TrialResult(NamedTuple):
-    x_plus: np.ndarray
-    psi_sub_plus: np.ndarray
-
-
 @dataclass
 class SolveResult:
     status: str
@@ -255,87 +224,27 @@ def _certified_decrease(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
     return F_val - F_plus
 
 
-def _prox_model_solve(reg: Regularized, lam: float, x: np.ndarray, f_grad: np.ndarray,
-                      psi, s0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize the regularized model with nonzero psi inexactly, by FISTA with restart.
-
-    Accelerated proximal gradient (Beck & Teboulle 2009) with step
-    t = 1 / (1.05 (||H|| + lam ||B||)), started from x + s0 (x when s0 is
-    None).  Each sweep takes the prox step y = prox_{t psi}(z - t grad m(z))
-    from the extrapolated point z, whose optimality condition makes
-    v = (z - y) / t - grad m(z) an exact subgradient of psi at y.  The
-    momentum restarts, theta = 1 and z = y, whenever the step from the
-    previous y points against the prox-gradient mapping z - y
-    (O'Donoghue & Candes 2015).
-
-    Returns (y, v) once the model residual rho = grad m(y) + v =
-    f'(x) + (H + lam B)(y - x) + v meets ||rho||_* <= THETA lam ||y - x||_B,
-    the forcing rule of the matrix-free linear solves (see the module
-    docstring).  grad m is affine, so grad m(z) is combined from the
-    gradients at the last two prox points and a sweep applies H once.
-    Exhausting the sweep budget raises SolverStallError, which the outer
-    loop treats as a failed trial.
-    """
-    lip = reg.opnorm(lam)
-    if not np.isfinite(lip):  # say, a matrix-free H whose products are not finite
-        raise SolverStallError(f"model operator norm is {lip}", best_residual=np.inf)
-    metric = reg.metric
-    t = 1.0 / (1.05 * lip)
-    y = x if s0 is None else x + s0
-    z, grad_y = y, reg.model_grad(lam, f_grad, y - x)
-    grad_z = grad_y
-    theta = 1.0
-    resid = np.inf
-    for _ in range(_PROX_MAX_SWEEPS):
-        y_new = psi.prox(z - t * grad_z, t)
-        gap = z - y_new
-        v = gap / t - grad_z
-        grad_new = reg.model_grad(lam, f_grad, y_new - x)
-        resid = metric.dual_norm(grad_new + v)
-        if resid <= THETA * lam * metric.norm(y_new - x):
-            return y_new, v
-        step = y_new - y
-        if float(gap @ step) > 0.0:
-            theta = 1.0
-            z, grad_z = y_new, grad_new
-        else:
-            theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
-            beta = (theta - 1.0) / theta_new
-            z = y_new + beta * step
-            grad_z = grad_new + beta * (grad_new - grad_y)
-            theta = theta_new
-        y, grad_y = y_new, grad_new
-    raise SolverStallError(
-        f"model prox-gradient stalled at model residual {resid:.3e}",
-        best_residual=resid,
-    )
+# The per-trial linear solve, a module-level name a tracer can wrap.
+solve_regularized = Regularized.solve
 
 
 def trial_step(x: np.ndarray, f_grad: np.ndarray, reg: Regularized, lam: float,
-               problem: CompositeProblem, s0: np.ndarray | None = None) -> TrialResult:
-    """Solve the regularized model at x and certify a psi subgradient at x_+.
+               problem: CompositeProblem,
+               s0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the regularized model at x; return x_+ and a psi subgradient v at x_+.
 
     f_grad is f'(x) and reg holds the lazy H + lam B.  s0, when given,
     warm-starts the inner FISTA loop of a nonzero psi at x + s0; the linear
-    solve of a zero psi ignores it.  The psi subgradient at the trial point
-    makes f'(x_+) + psi_sub_plus an element of dF(x_+):
-
-    - nonzero psi: the v of FISTA's last prox step (_prox_model_solve);
-    - zero psi, matrix-free H: zero, whatever the MINRES residual;
-    - zero psi, dense H: -f_grad - H s - lam B s, the model optimality
-      identity, zero up to the tight residual target of the direct solve.
-
-    No oracle of f is called: the caller evaluates f'(x_+) only once the
-    trial passes the decrease test.  Raises SolverStallError when the inner
-    solve misses its target.
+    solve of a zero psi ignores it.  v makes f'(x_+) + v an element of
+    dF(x_+): reg.prox_solve's for a nonzero psi, reg.zero_psi_sub's for a
+    zero one.  No oracle of f is called: the caller evaluates f'(x_+) only
+    once the trial passes the decrease test.  Raises SolverStallError when
+    the inner solve misses its target.
     """
     if problem.psi.is_zero:
         s = solve_regularized(reg, lam, -f_grad)
-        x_plus = x + s
-        if not reg.is_dense:
-            return TrialResult(x_plus, np.zeros_like(s))
-        return TrialResult(x_plus, -reg.model_grad(lam, f_grad, s))
-    return TrialResult(*_prox_model_solve(reg, lam, x, f_grad, problem.psi, s0))
+        return x + s, reg.zero_psi_sub(lam, f_grad, s)
+    return reg.prox_solve(lam, x, f_grad, problem.psi, s0)
 
 
 def _reuse_pays(k: int, m: int, trials: int) -> bool:
@@ -407,10 +316,9 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             lam = trial_lambda(Lambda_k, g, config.p, j)
             trials += 1
             try:
-                trial = trial_step(x, f_grad, reg, lam, problem, s_prev)
+                x_plus, psi_sub_plus = trial_step(x, f_grad, reg, lam, problem, s_prev)
             except SolverStallError:
                 continue
-            x_plus = trial.x_plus
             if problem.psi.is_zero and np.array_equal(x_plus, x):
                 break  # x + s rounds to x, now and at every larger lam
             s_prev = x_plus - x
@@ -428,7 +336,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             if not decrease >= floor:
                 continue
             f_grad_plus = np.asarray(problem.smooth.eval_grad(x_plus), dtype=np.float64)
-            F_sub_plus = f_grad_plus + trial.psi_sub_plus
+            F_sub_plus = f_grad_plus + psi_sub_plus
             if not np.all(np.isfinite(F_sub_plus)):
                 raise NonFiniteError(
                     f"non-finite trial gradient at outer iteration {k}, trial {j}",
@@ -449,7 +357,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             wall_ns=time.perf_counter_ns() - start_ns))
         Lambda_k = (4.0**j) * Lambda_k / 4.0
         x = x_plus
-        psi_sub = trial.psi_sub_plus
+        psi_sub = psi_sub_plus
         f_grad = f_grad_plus
         f_val = f_plus
         F_val = F_plus

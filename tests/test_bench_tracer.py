@@ -7,14 +7,18 @@ included) with wrapped callables.  A refactor that renames or reshapes any
 of these breaks `bench.py --trace 1`, whose own tests are not part of this
 suite.  The tracer also counts MINRES calls and iterations by patching
 scipy.sparse.linalg.minres, so linalg must resolve that name at call time.
-This test loads spans.py as it is and runs five small solves under it.
-Four converge off the rounding floor, where the tracer's oracle copy (which
-has no eval_f_diff) decides exactly as the original.  The fifth is an SVM
-run that stalls at the floor, where SVM decides on rounded values either
-way; its last iteration ends at the trial whose step rounds to x_k, which
-evaluates nothing.  The SVM solves also show that the residual cache,
-reached through the tracer's wrapped callables, leaves the trajectory
-alone, and that trials rejected on the decrease evaluate no gradient.
+This test loads spans.py as it is and runs six solves under it.  Four
+converge off the rounding floor, where the tracer's oracle copy (which has
+no eval_f_diff) decides exactly as the original.  Two end at the floor,
+where their problems decide on rounded values either way.  One is an SVM
+run that stalls there; its last iteration ends at the trial whose step
+rounds to x_k, which evaluates nothing.  The other is the benchmark's
+huber-l1 instance at seed 2, a composite run that converges at the floor
+(psi != 0 is never decided by eval_f_diff); a change that lets composite
+decisions read eval_f_diff makes its traced run differ from the plain one.
+The SVM solves also show that the residual cache, reached through the
+tracer's wrapped callables, leaves the trajectory alone, and that trials
+rejected on the decrease evaluate no gradient.
 """
 
 import dataclasses
@@ -48,6 +52,15 @@ def trajectory(result):
     return result.status, result.g_final, result.F_final, rows
 
 
+def solve_plain_and_traced(spans, problem, config):
+    """The plain solve of problem, its solve under a Tracer, and the Tracer."""
+    plain = ssn.solve(problem, config)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        traced = ssn.solve(tracer.traced_problem(problem), config)
+    return plain, traced, tracer
+
+
 def test_tracer_wraps_the_solver_without_changing_it(monkeypatch):
     spans = load_spans()
     dense_dim_max = problems.DENSE_DIM_MAX
@@ -71,11 +84,8 @@ def test_tracer_wraps_the_solver_without_changing_it(monkeypatch):
     for name, (problem, config, expected_spans) in cases.items():
         monkeypatch.setattr(problems, "DENSE_DIM_MAX",
                             0 if name == "nmf-matfree" else dense_dim_max)
-        plain = ssn.solve(problem, config)
+        plain, traced, tracer = solve_plain_and_traced(spans, problem, config)
         assert plain.status == (STALLED if name == "svm-stalled" else CONVERGED), name
-        tracer = spans.Tracer()
-        with tracer.installed():
-            traced = ssn.solve(tracer.traced_problem(problem), config)
         assert {n: vars(ssn)[n] for n in patched} == patched  # restored on exit
         calls, _, _ = tracer.totals()
         assert expected_spans <= set(calls), name
@@ -93,3 +103,16 @@ def test_tracer_wraps_the_solver_without_changing_it(monkeypatch):
         elif name == "svm-stalled":
             assert calls["oracle.eval_grad"] < calls["oracle.eval_f"] == plain.trials
         assert trajectory(traced) == trajectory(plain), name
+
+
+def test_tracer_leaves_a_composite_run_at_the_rounding_floor_alone():
+    # the benchmark's huber-l1 instance at seed 2 converges at the floor
+    spans = load_spans()
+    problem = dataclasses.replace(make_huber(2, m=2000, n=400, delta=0.3), psi=l1(5.0))
+    plain, traced, tracer = solve_plain_and_traced(spans, problem,
+                                                   SolverConfig(m=1, grad_tol=1e-8))
+    assert plain.status == CONVERGED
+    calls, _, _ = tracer.totals()
+    assert calls["ssn.trial_step"] == plain.trials
+    assert tracer.counts["ssn.prox.sweeps"] > 0
+    assert trajectory(traced) == trajectory(plain)

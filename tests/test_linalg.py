@@ -5,6 +5,7 @@ import scipy.sparse.linalg
 from gladssn import linalg, problems
 from gladssn.linalg import (ActiveGram, LinOp, MetricB, MetricError, Regularized,
                             SolverStallError, opnorm_est, sym_part)
+from gladssn.oracle import SeparableProx
 from gladssn.problems import make_nmf
 
 from helpers import columns
@@ -104,6 +105,16 @@ def test_active_gram_matvec_equals_dense_product():
     np.testing.assert_array_equal(reg.h, h)  # assembled as is, no symmetric part taken
 
 
+def step_recorder():
+    """A zero psi as a SeparableProx whose prox records the step t of each call."""
+    steps = []
+
+    def prox(v, t):
+        steps.append(t)
+        return v
+    return SeparableProx(prox, lambda x: 0.0), steps
+
+
 def test_unchanged_mask_keeps_the_previous_refresh(monkeypatch):
     # the same active set gives the same H: the new refresh keeps the
     # previous array, its ||H|| estimate and its eigenbasis
@@ -117,7 +128,9 @@ def test_unchanged_mask_keeps_the_previous_refresh(monkeypatch):
     monkeypatch.setattr(linalg, "opnorm_est", counted)
     metric = MetricB()
     first = Regularized(active_gram(0, 1), metric, decompose=True)
-    norm = first.opnorm(1.0)
+    # at f_grad = 0 FISTA stops after one prox call, at t = 1 / (1.05 (||H|| + lam))
+    psi, steps = step_recorder()
+    first.prox_solve(1.0, np.zeros(8), np.zeros(8), psi)
     rhs = np.ones(8)
     step = first.solve(1.0, rhs)
     again = active_gram(0, 1, rows=first.gram.rows)
@@ -125,7 +138,8 @@ def test_unchanged_mask_keeps_the_previous_refresh(monkeypatch):
     second = Regularized(again, metric, prev=first)
     assert second.h is first.h
     assert second._eig is first._eig
-    assert second.opnorm(1.0) == norm
+    second.prox_solve(1.0, np.zeros(8), np.zeros(8), psi)
+    assert steps[1] == steps[0]
     assert len(power_iterations) == 1
     np.testing.assert_array_equal(second.solve(1.0, rhs), step)
     # another metric keeps the array and ||H||, but not the pencil's eigenbasis
@@ -174,8 +188,12 @@ def test_opnorm_est_known_spectrum():
     assert 6.999 <= est <= 7.0 + 1e-9
     # deterministic
     assert est == opnorm_est(lambda v: a @ v, 4)
-    assert Regularized(a, MetricB()).opnorm(0.0) == est
-    assert Regularized(a, MetricB()).opnorm(2.0) == est + 2.0
+    # prox_solve steps by 1 / (1.05 (||H|| + lam ||B||)) with ||H|| this
+    # estimate; at f_grad = 0 it stops after one prox call
+    psi, steps = step_recorder()
+    for lam in (0.0, 2.0):
+        Regularized(a, MetricB()).prox_solve(lam, np.zeros(4), np.zeros(4), psi)
+    assert steps == [1.0 / (1.05 * est), 1.0 / (1.05 * (est + 2.0))]
     assert opnorm_est(lambda v: 0.0 * v, 4) == 0.0
 
 

@@ -99,17 +99,16 @@ def test_trial_step_quadratic_frozen():
 
     # f(x) = 0.5 ||x||^2, exact oracles; trial_step leaves f'(x_+) to the caller
     prob = half_norm_problem(2)
-    trial = trial_step(x, x.copy(), Regularized(np.eye(2), MetricB()), 1.0,
-                       prob)
-    f_grad_plus = prob.smooth.eval_grad(trial.x_plus)
-    np.testing.assert_allclose(trial.x_plus, [0.5, 0.0], atol=1e-12)
-    np.testing.assert_allclose(trial.psi_sub_plus, [0.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(f_grad_plus + trial.psi_sub_plus, [0.5, 0.0], atol=1e-12)
-    np.testing.assert_allclose(f_grad_plus, trial.x_plus)
+    x_plus, v = trial_step(x, x.copy(), Regularized(np.eye(2), MetricB()), 1.0, prob)
+    f_grad_plus = prob.smooth.eval_grad(x_plus)
+    np.testing.assert_allclose(x_plus, [0.5, 0.0], atol=1e-12)
+    np.testing.assert_allclose(v, [0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(f_grad_plus + v, [0.5, 0.0], atol=1e-12)
+    np.testing.assert_allclose(f_grad_plus, x_plus)
 
 
 def test_trial_step_certifies_model_optimality():
-    # psi_sub_plus must equal -f_grad - H s - lam B s identically
+    # the certified v must equal -f_grad - H s - lam B s identically
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 4))
     h = a @ a.T
@@ -119,13 +118,12 @@ def test_trial_step_certifies_model_optimality():
                             eval_grad=lambda z: 2.0 * z,
                             eval_hess=lambda z: h),
         psi=ZeroPart())
-    trial = trial_step(x, 2.0 * x, Regularized(h, MetricB()), 0.3, prob)
-    s = trial.x_plus - x
-    np.testing.assert_allclose(trial.psi_sub_plus,
-                               -(2.0 * x) - h @ s - 0.3 * s, atol=1e-12)
+    x_plus, v = trial_step(x, 2.0 * x, Regularized(h, MetricB()), 0.3, prob)
+    s = x_plus - x
+    np.testing.assert_allclose(v, -(2.0 * x) - h @ s - 0.3 * s, atol=1e-12)
     # so the composite gradient is f'(x_+) - f'(x) - H s - lam s
-    f_grad_plus = prob.smooth.eval_grad(trial.x_plus)
-    np.testing.assert_allclose(f_grad_plus + trial.psi_sub_plus,
+    f_grad_plus = prob.smooth.eval_grad(x_plus)
+    np.testing.assert_allclose(f_grad_plus + v,
                                f_grad_plus - 2.0 * x - h @ s - 0.3 * s)
 
 
@@ -143,16 +141,16 @@ def test_trial_step_soft_threshold_frozen():
                             eval_hess=lambda x: np.zeros((1, 1))),
         psi=psi)
     lam = 1.0
-    trial = trial_step(np.array([2.0]), np.zeros(1),
-                       Regularized(np.zeros((1, 1)), MetricB()), lam, prob)
-    s = trial.x_plus[0] - 2.0
-    rho = lam * s + trial.psi_sub_plus[0]
+    x_plus, v = trial_step(np.array([2.0]), np.zeros(1),
+                           Regularized(np.zeros((1, 1)), MetricB()), lam, prob)
+    s = x_plus[0] - 2.0
+    rho = lam * s + v[0]
     assert abs(rho) <= linalg.THETA * lam * abs(s)
-    assert abs(trial.x_plus[0] - 1.0) <= abs(rho) / lam
+    assert abs(x_plus[0] - 1.0) <= abs(rho) / lam
     # x_+ > 0, so the certified subgradient is d|.|(x_+) = 1 itself
-    assert abs(trial.psi_sub_plus[0] - 1.0) <= 1e-12
-    f_grad_plus = prob.smooth.eval_grad(trial.x_plus)
-    assert abs(f_grad_plus[0] + trial.psi_sub_plus[0] - 1.0) <= 1e-12
+    assert abs(v[0] - 1.0) <= 1e-12
+    f_grad_plus = prob.smooth.eval_grad(x_plus)
+    assert abs(f_grad_plus[0] + v[0] - 1.0) <= 1e-12
 
 
 def test_solve_stationary_start():
@@ -330,14 +328,14 @@ def test_inexact_trial_certificates_are_exact(monkeypatch):
     f_grad = prob.smooth.eval_grad(x)
     reg = Regularized(prob.smooth.eval_hess(x), MetricB())
     for lam in (0.1, 1.0, 10.0):
-        trial = trial_step(x, f_grad, reg, lam, prob)
-        s, v = trial.x_plus - x, trial.psi_sub_plus
-        rho = np.linalg.norm(reg.model_grad(lam, f_grad, s) + v)
+        x_plus, v = trial_step(x, f_grad, reg, lam, prob)
+        s = x_plus - x
+        rho = np.linalg.norm(f_grad + reg.h @ s + lam * s + v)
         # short of the minimizer by far more than rounding, within the rule
         assert 1e-3 * lam * np.linalg.norm(s) < rho <= linalg.THETA * lam * np.linalg.norm(s)
-        support = trial.x_plus != 0.0
+        support = x_plus != 0.0
         assert 0 < np.count_nonzero(support) < prob.dim
-        np.testing.assert_allclose(v[support], weight * np.sign(trial.x_plus[support]),
+        np.testing.assert_allclose(v[support], weight * np.sign(x_plus[support]),
                                    rtol=0.0, atol=1e-12)
         assert np.all(np.abs(v[~support]) <= weight + 1e-12)
 
@@ -347,10 +345,10 @@ def test_inexact_trial_certificates_are_exact(monkeypatch):
     reg = Regularized(nmf.smooth.eval_hess(nmf.x0), MetricB())
     assert not reg.is_dense
     lam = 1.0
-    trial = trial_step(nmf.x0, f_grad, reg, lam, nmf)
-    assert np.array_equal(trial.psi_sub_plus, np.zeros(nmf.dim))
-    s = trial.x_plus - nmf.x0
-    rho = np.linalg.norm(reg.model_grad(lam, f_grad, s))
+    x_plus, v = trial_step(nmf.x0, f_grad, reg, lam, nmf)
+    assert np.array_equal(v, np.zeros(nmf.dim))
+    s = x_plus - nmf.x0
+    rho = np.linalg.norm(f_grad + reg.h @ s + lam * s)
     assert 0.0 < rho <= linalg.THETA * lam * np.linalg.norm(s)
 
 
@@ -483,8 +481,8 @@ def test_prox_model_solve_meets_target_on_ill_conditioned_l1():
     reg, curv, x, f_grad = ill_conditioned_l1_model()
     for lam in (1e-6, 1e-3):
         psi, calls = counted_l1(1.0)
-        y, v = ssn._prox_model_solve(reg, lam, x, f_grad, psi)
-        assert calls[0] <= ssn._PROX_MAX_SWEEPS
+        y, v = reg.prox_solve(lam, x, f_grad, psi)
+        assert calls[0] <= linalg._PROX_MAX_SWEEPS
         check_model_solution(y, v, curv, x, f_grad, lam, 1.0)
 
 
@@ -495,11 +493,11 @@ def test_prox_model_solve_warm_start():
     reg, curv, x, f_grad = ill_conditioned_l1_model()
     lam = 1e-6
     psi, calls = counted_l1(1.0)
-    s_prev = ssn._prox_model_solve(reg, lam, x, f_grad, psi)[0] - x
+    s_prev = reg.prox_solve(lam, x, f_grad, psi)[0] - x
     calls[0] = 0
-    cold = ssn._prox_model_solve(reg, 4.0 * lam, x, f_grad, psi)
+    cold = reg.prox_solve(4.0 * lam, x, f_grad, psi)
     cold_calls, calls[0] = calls[0], 0
-    warm = ssn._prox_model_solve(reg, 4.0 * lam, x, f_grad, psi, s0=s_prev)
+    warm = reg.prox_solve(4.0 * lam, x, f_grad, psi, s0=s_prev)
     assert calls[0] < cold_calls
     for y, v in (cold, warm):
         check_model_solution(y, v, curv, x, f_grad, 4.0 * lam, 1.0)
@@ -511,8 +509,8 @@ def test_prox_model_solve_stalls_when_its_sweep_budget_runs_out():
     reg = Regularized(np.diag(np.logspace(0.0, 8.0, 50)), MetricB())
     psi, calls = counted_l1(0.1)
     with pytest.raises(SolverStallError, match="model prox-gradient stalled") as info:
-        ssn._prox_model_solve(reg, 1e-6, np.zeros(50), 10.0 * np.linspace(-1.0, 1.0, 50), psi)
-    assert calls[0] == ssn._PROX_MAX_SWEEPS
+        reg.prox_solve(1e-6, np.zeros(50), 10.0 * np.linspace(-1.0, 1.0, 50), psi)
+    assert calls[0] == linalg._PROX_MAX_SWEEPS
     assert info.value.best_residual > 1.0
 
 
@@ -546,7 +544,7 @@ def test_stall_when_inner_budget_exhausted(monkeypatch):
 
     def recorded(*args, **kwargs):
         trial = step(*args, **kwargs)
-        points.append(trial.x_plus)
+        points.append(trial[0])
         return trial
 
     monkeypatch.setattr(ssn, "trial_step", recorded)
@@ -593,7 +591,7 @@ def test_stall_exit_skips_only_trials_that_round_to_x():
     f_grad = problem.smooth.eval_grad(x)
     for j in range(j_star, ssn._MAX_TRIALS):
         lam = trial_lambda(res.Lambda_final, res.g_final, config.p, j)
-        assert np.array_equal(trial_step(x, f_grad, reg, lam, problem).x_plus, x), j
+        assert np.array_equal(trial_step(x, f_grad, reg, lam, problem)[0], x), j
 
 
 def counting_diff(smooth):
