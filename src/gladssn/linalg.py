@@ -73,6 +73,12 @@ _MINRES_RTOL = THETA**3
 # FISTA sweeps per composite model solve (Regularized.prox_solve).
 _PROX_MAX_SWEEPS = 500
 
+# Solves per Hessian refresh from which one eigendecomposition of a dense H
+# beats a Cholesky factorization per solve: at n = 240 on one OpenBLAS thread
+# of a Xeon core, eigh costs 6-8 ms and one Cholesky solve with refinement
+# about 1.1 ms.
+_EIGH_MIN_SOLVES = 6.0
+
 
 class SolverStallError(RuntimeError):
     """An inner solve missed its residual target.
@@ -207,18 +213,19 @@ class Regularized:
 
     H is a dense array, which is replaced by its symmetric part (H + H^T) / 2
     (a new array; the caller's is never written), a matrix-free LinOp, or an
-    ActiveGram, which is assembled here (see _assemble).  decompose=True pays
-    when the refresh expects many dense solves (see solve).  Like the
-    eigenbasis and ||H||, a LinOp's preconditioner is per-refresh state:
-    built once, at the first solve's lam, and reused for every lam.  prev is
-    the previous refresh's Regularized, from which an ActiveGram is built;
-    it is not kept.
+    ActiveGram, which is assembled here (see _assemble).  solves is the
+    number of solves the caller expects against this refresh; from
+    _EIGH_MIN_SOLVES on, a dense H is eigendecomposed once instead of
+    factored per solve (see solve).  Like the eigenbasis and ||H||, a
+    LinOp's preconditioner is per-refresh state: built once, at the first
+    solve's lam, and reused for every lam.  prev is the previous refresh's
+    Regularized, from which an ActiveGram is built; it is not kept.
     """
 
     def __init__(self, h: np.ndarray | LinOp | ActiveGram, metric: MetricB,
-                 decompose: bool = False, prev: Regularized | None = None):
+                 solves: float = 0.0, prev: Regularized | None = None):
         self.metric = metric
-        self.decompose = decompose
+        self._eigh_pays = solves >= _EIGH_MIN_SOLVES
         self._eig: tuple | None = None  # (eigenvalues, eigenvectors)
         self._hnorm: float | None = None
         self._precond = None  # h.precond(lam) at the first matrix-free solve, as a LinearOperator
@@ -346,13 +353,14 @@ class Regularized:
 
         Every method runs in one loop: a first solve and up to three
         corrections, each solving again for the residual rhs - (H + lam B) s,
-        until the residual meets its target.  A dense H is solved only
-        directly, to the residual target max(1e-10, 1e-12 ||rhs||): H + lam B
-        by Cholesky with a scale-relative pivot test, unless decompose=True or
-        the refresh holds its eigenbasis.  That basis of the pencil (H, B) is
-        computed once, on the first solve with decompose=True or the first
-        Cholesky decline, and serves every later solve at O(n^2) for any lam
-        and any sign of H.
+        until the residual meets its target; every residual is measured in
+        the dual norm.  A dense H is solved only directly, to the residual
+        target max(1e-10, 1e-12 ||rhs||): H + lam B by Cholesky with a
+        scale-relative pivot test, unless the refresh expects
+        _EIGH_MIN_SOLVES solves or holds its eigenbasis.  That basis of the
+        pencil (H, B) is computed once, on the first solve of such a refresh
+        or the first Cholesky decline, and serves every later solve at
+        O(n^2) for any lam and any sign of H.
 
         A matrix-free H goes to MINRES capped at 10 n iterations per call,
         preconditioned by the operator's SPD precond when it has one (which
@@ -379,19 +387,18 @@ class Regularized:
             return self.apply(lam, v)
 
         if not self.is_dense:
-            return _refined(_minres_solver(self, lam), apply, rhs, self.metric.dual_norm,
-                            lambda s: self._forcing(lam, s))
-        once = None
-        if not self.decompose and self._eig is None:
-            bmat = np.eye(n) if self.metric.is_identity else self.metric.matrix
-            m = self.h + lam * bmat
-            once = _cholesky_solver(m)
-            if once is not None:
-                apply = m.__matmul__
-        if once is None:  # decompose=True, a kept eigenbasis or a Cholesky decline
-            once = self._eigen_solver(lam)
-        target = _residual_target(rhs)
-        return _refined(once, apply, rhs, np.linalg.norm, lambda s: target)
+            once, target = _minres_solver(self, lam), lambda s: self._forcing(lam, s)
+        else:
+            tight = _residual_target(rhs)
+            once, target = None, lambda s: tight
+            if not self._eigh_pays and self._eig is None:
+                m = self.h + lam * (np.eye(n) if self.metric.is_identity else self.metric.matrix)
+                once = _cholesky_solver(m)
+                if once is not None:
+                    apply = m.__matmul__
+            if once is None:  # many solves expected, a kept eigenbasis or a Cholesky decline
+                once = self._eigen_solver(lam)
+        return _refined(once, apply, rhs, self.metric.dual_norm, target)
 
     def _eigen_solver(self, lam: float):
         """r -> (H + lam B)^+ r in the eigenbasis, computed on first use and kept.

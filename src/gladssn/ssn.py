@@ -49,11 +49,10 @@ for every trial and lazy iteration until the next refresh.  It is built
 with the previous refresh's as prev, so an ActiveGram H whose mask did not
 change keeps the previous array, ||H|| estimate and eigenbasis, and one
 whose mask changed a little is updated by the rows that changed.  That
-state lives in this call, not in the oracle.  Its dense solves decompose H
-once instead of factoring each trial when the refresh can expect many
-solves: k >= 1, m >= 2 and m * (trials so far / k) >= 6 (_reuse_pays,
-_EIGH_MIN_SOLVES).  A refreshed dense H that is not finite
-raises NonFiniteError; a matrix-free one fails its trials' inner solves.
+state lives in this call, not in the oracle.  linalg picks a dense H's
+solver from the number of solves the refresh can expect, passed from here.
+A refreshed dense H that is not finite raises NonFiniteError; a
+matrix-free one fails its trials' inner solves.
 """
 
 from __future__ import annotations
@@ -90,12 +89,6 @@ STALLED = "stalled"
 # trial whose point rounds to x_k; this budget bounds runs whose inner solves
 # fail or whose points never round to x_k.
 _MAX_TRIALS = 60
-
-# Solves per Hessian refresh from which one eigendecomposition of a dense H
-# beats a Cholesky factorization per solve: at n = 240 on one OpenBLAS thread
-# of a Xeon core, eigh costs 6-8 ms and one Cholesky solve with refinement
-# about 1.1 ms.
-_EIGH_MIN_SOLVES = 6.0
 
 # Rounding band of the decrease test, in units of eps * |F| per evaluation.
 # F_k - F_+ carries the evaluation errors of both values, and outside this
@@ -247,17 +240,6 @@ def trial_step(x: np.ndarray, f_grad: np.ndarray, reg: Regularized, lam: float,
     return reg.prox_solve(lam, x, f_grad, problem.psi, s0)
 
 
-def _reuse_pays(k: int, m: int, trials: int) -> bool:
-    """Whether the H refreshed at iteration k should be decomposed once.
-
-    The expected number of solves against it is m times the trials per
-    iteration so far.  A single iteration's trial count is not predictable,
-    so m = 1 never decomposes; neither does the first refresh, which has no
-    history yet.
-    """
-    return k >= 1 and m >= 2 and m * trials / k >= _EIGH_MIN_SOLVES
-
-
 def solve(problem: CompositeProblem, config: SolverConfig,
           x0: np.ndarray | None = None,
           psi_sub0: np.ndarray | None = None) -> SolveResult:
@@ -304,8 +286,11 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             status = MAXITER
             break
         if k % config.m == 0:
-            reg = Regularized(problem.smooth.eval_hess(x), metric,
-                              decompose=_reuse_pays(k, config.m, trials), prev=reg)
+            # m times the trials per iteration so far.  A single iteration's
+            # count is not predictable, so m = 1 expects none; neither does
+            # the first refresh, which has no history yet.
+            solves = config.m * trials / k if k >= 1 and config.m >= 2 else 0.0
+            reg = Regularized(problem.smooth.eval_hess(x), metric, solves, prev=reg)
             hess_evals += 1
             if reg.is_dense and not np.all(np.isfinite(reg.h)):
                 raise NonFiniteError(f"non-finite Hessian at outer iteration {k}", k=k)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -127,7 +129,7 @@ def test_unchanged_mask_keeps_the_previous_refresh(monkeypatch):
 
     monkeypatch.setattr(linalg, "opnorm_est", counted)
     metric = MetricB()
-    first = Regularized(active_gram(0, 1), metric, decompose=True)
+    first = Regularized(active_gram(0, 1), metric, solves=math.inf)
     # at f_grad = 0 FISTA stops after one prox call, at t = 1 / (1.05 (||H|| + lam))
     psi, steps = step_recorder()
     first.prox_solve(1.0, np.zeros(8), np.zeros(8), psi)
@@ -214,14 +216,14 @@ def test_solve_regularized_indefinite_frozen():
 
 def test_solve_regularized_random_spd():
     rng = np.random.default_rng(2)
-    for decompose in (False, True):
+    for solves in (0.0, math.inf):  # Cholesky, eigenbasis
         for n in (3, 10, 40):
             for _ in range(10):
                 a = rng.standard_normal((n, n))
                 h = a @ a.T
                 lam = 10.0 ** rng.uniform(-4, 2)
                 rhs = rng.standard_normal(n)
-                s = Regularized(h, MetricB(), decompose=decompose).solve(lam, rhs)
+                s = Regularized(h, MetricB(), solves).solve(lam, rhs)
                 res = np.linalg.norm(h @ s + lam * s - rhs)
                 assert res <= max(1e-10, 1e-12 * np.linalg.norm(rhs)) * (1 + 1e-9)
 
@@ -232,9 +234,9 @@ def test_solve_regularized_with_metric():
     bmat = np.diag(rng.uniform(0.5, 2.0, size=6))
     metric = MetricB(bmat)
     rhs = rng.standard_normal(6)
-    for decompose in (False, True):
+    for solves in (0.0, math.inf):
         h = a @ a.T
-        s = Regularized(h, metric, decompose=decompose).solve(0.7, rhs)
+        s = Regularized(h, metric, solves).solve(0.7, rhs)
         res = np.linalg.norm(h @ s + 0.7 * (bmat @ s) - rhs)
         assert res <= 1e-10 * (1 + 1e-9)
 
@@ -247,8 +249,8 @@ def test_solve_regularized_never_writes_into_h():
     h_before = h.copy()
     rhs = rng.standard_normal(7)
     for metric in (MetricB(), MetricB(np.diag(np.linspace(0.5, 2.0, 7)))):
-        for decompose in (False, True):  # Cholesky, eigenbasis
-            reg = Regularized(h, metric, decompose)
+        for solves in (0.0, math.inf):  # Cholesky, eigenbasis
+            reg = Regularized(h, metric, solves)
             for lam in (0.1, 3.0):
                 reg.solve(lam, rhs)
             assert reg.h is not h
@@ -385,8 +387,8 @@ def test_declined_cholesky_keeps_the_eigenbasis_for_the_refresh(monkeypatch):
 
 
 def test_solve_regularized_zero_rhs():
-    for decompose in (False, True):
-        reg = Regularized(np.diag([1.0, 2.0]), MetricB(), decompose)
+    for solves in (0.0, math.inf):
+        reg = Regularized(np.diag([1.0, 2.0]), MetricB(), solves)
         np.testing.assert_array_equal(reg.solve(1.0, np.zeros(2)), np.zeros(2))
 
 
@@ -396,8 +398,8 @@ def test_solve_regularized_inconsistent_system_stalls():
     # misses the target, and both report the stall, as MINRES does for the
     # same operator given matrix-free.
     h = np.diag([-1.0, 1.0])
-    regs = [Regularized(h, MetricB(), decompose=False),
-            Regularized(h, MetricB(), decompose=True),
+    regs = [Regularized(h, MetricB(), solves=0.0),
+            Regularized(h, MetricB(), solves=math.inf),
             Regularized(LinOp(lambda v: h @ v, 2), MetricB())]
     for reg in regs:
         with pytest.raises(SolverStallError) as exc:
@@ -425,8 +427,8 @@ def test_refinement_decides_on_the_step_it_returns():
 
 def test_solve_regularized_singular_but_consistent():
     # same singular matrix, rhs in the range: any solution is fine
-    for decompose in (False, True):
-        reg = Regularized(np.diag([-1.0, 1.0]), MetricB(), decompose)
+    for solves in (0.0, math.inf):
+        reg = Regularized(np.diag([-1.0, 1.0]), MetricB(), solves)
         s = reg.solve(1.0, np.array([0.0, 2.0]))
         assert abs(2.0 * s[1] - 2.0) <= 1e-9
 
@@ -456,7 +458,7 @@ def test_reused_operator_matches_cholesky_solve():
     spd = a @ a.T
     c = rng.standard_normal((12, 12))
     for metric in (MetricB(), MetricB(c @ c.T + 12.0 * np.eye(12))):
-        decomposed = Regularized(spd, metric, decompose=True)
+        decomposed = Regularized(spd, metric, solves=math.inf)
         for lam in (1e-3, 0.5, 40.0):
             rhs = rng.standard_normal(12)
             s_eig = decomposed.solve(lam, rhs)
@@ -468,13 +470,28 @@ def test_reused_operator_matches_cholesky_solve():
 
 def test_reused_operator_decomposes_once(monkeypatch):
     calls = _count_calls(monkeypatch)
-    reg = Regularized(_rotated([5.0, 2.0, 1.0, 0.5, 0.1], 6), MetricB(),
-                      decompose=True)
+    reg = Regularized(_rotated([5.0, 2.0, 1.0, 0.5, 0.1], 6), MetricB(), solves=math.inf)
     assert calls["eigh"] == 0  # decomposed lazily, on the first solve
     rng = np.random.default_rng(6)
     for lam in (0.01, 0.04, 0.16, 0.64):
         reg.solve(lam, rng.standard_normal(5))
     assert calls == {"eigh": 1, "cholesky": 0, "minres": 0}
+
+
+def test_expected_solves_pick_the_dense_solver(monkeypatch):
+    # below _EIGH_MIN_SOLVES expected solves each solve factors H + lam I by
+    # Cholesky; from it on, the first solve eigendecomposes H for them all
+    h_mat = _rotated([5.0, 2.0, 1.0, 0.5, 0.1], 8)
+    rhs = np.random.default_rng(8).standard_normal(5)
+    calls = _count_calls(monkeypatch)
+    counts = []
+    for solves in (np.nextafter(linalg._EIGH_MIN_SOLVES, 0.0), linalg._EIGH_MIN_SOLVES):
+        calls.update(eigh=0, cholesky=0)
+        reg = Regularized(h_mat, MetricB(), solves)
+        for lam in (0.1, 0.4):
+            reg.solve(lam, rhs)
+        counts.append((calls["cholesky"], calls["eigh"]))
+    assert counts == [(2, 0), (0, 1)]
 
 
 def test_reused_operator_solves_indefinite_shift_directly(monkeypatch):
@@ -490,7 +507,7 @@ def test_reused_operator_solves_indefinite_shift_directly(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "minres", no_minres)
     for lam in (1.5, 3.5):  # indefinite shift, then lam > -w_min
-        s = Regularized(h_mat, MetricB(), decompose=True).solve(lam, rhs)
+        s = Regularized(h_mat, MetricB(), solves=math.inf).solve(lam, rhs)
         np.testing.assert_allclose(s, np.linalg.solve(h_mat + lam * np.eye(4), rhs),
                                    rtol=1e-12)
         assert np.linalg.norm(h_mat @ s + lam * s - rhs) <= 1e-10

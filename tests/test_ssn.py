@@ -194,8 +194,9 @@ def test_lazy_hessian_count():
 
 
 def test_decomposition_schedule(monkeypatch):
-    # a refresh that expects many solves (_reuse_pays) is eigendecomposed
-    # once; every other refresh factors H + lam B by Cholesky once per trial
+    # a refresh that expects many solves (linalg._EIGH_MIN_SOLVES) is
+    # eigendecomposed once; every other refresh factors H + lam B by Cholesky
+    # once per trial
     calls = {}
 
     def counted(name, fn):
