@@ -16,8 +16,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .rng import mix64
-
 __all__ = [
     "THETA",
     "SolverStallError",
@@ -27,7 +25,6 @@ __all__ = [
     "LinOp",
     "ActiveGram",
     "Regularized",
-    "opnorm_est",
 ]
 
 # Non-PD detection for the Cholesky path: a pivot this small relative to the
@@ -113,7 +110,6 @@ class MetricB:
     """
 
     def __init__(self, matrix: np.ndarray | None = None):
-        self._opnorm: float | None = None
         self.matrix = None
         if matrix is not None:
             m = np.asarray(matrix, dtype=np.float64)
@@ -152,14 +148,6 @@ class MetricB:
         if self.matrix is None:
             return float(np.linalg.norm(g))
         return float(np.sqrt(max(float(g @ self.solve(g)), 0.0)))
-
-    def opnorm(self) -> float:
-        """Largest eigenvalue of B (1 for the identity); cached."""
-        if self.matrix is None:
-            return 1.0
-        if self._opnorm is None:
-            self._opnorm = float(np.linalg.eigvalsh(self.matrix)[-1])
-        return self._opnorm
 
 
 class LinOp:
@@ -216,10 +204,11 @@ class Regularized:
     ActiveGram, which is assembled here (see _assemble).  solves is the
     number of solves the caller expects against this refresh; from
     _EIGH_MIN_SOLVES on, a dense H is eigendecomposed once instead of
-    factored per solve (see solve).  Like the eigenbasis and ||H||, a
-    LinOp's preconditioner is per-refresh state: built once, at the first
-    solve's lam, and reused for every lam.  prev is the previous refresh's
-    Regularized, from which an ActiveGram is built; it is not kept.
+    factored per solve (see solve).  Like the eigenbasis, a LinOp's
+    preconditioner is per-refresh state: built once, at the first solve's
+    lam, and reused for every lam.  prev is the previous refresh's
+    Regularized, from which an ActiveGram is built and FISTA's step starts
+    (see prox_solve); it is not kept.
     """
 
     def __init__(self, h: np.ndarray | LinOp | ActiveGram, metric: MetricB,
@@ -227,7 +216,7 @@ class Regularized:
         self.metric = metric
         self._eigh_pays = solves >= _EIGH_MIN_SOLVES
         self._eig: tuple | None = None  # (eigenvalues, eigenvectors)
-        self._hnorm: float | None = None
+        self._t = prev._t if prev is not None else None  # FISTA's last accepted step
         self._precond = None  # h.precond(lam) at the first matrix-free solve, as a LinearOperator
         self.gram = h if isinstance(h, ActiveGram) else None
         if self.gram is not None:
@@ -242,8 +231,8 @@ class Regularized:
     def _assemble(self, prev: Regularized | None) -> np.ndarray:
         """The dense H of self.gram, from prev's when both share rows and shift.
 
-        An unchanged mask keeps prev's array, ||H|| estimate and (for the same
-        metric) eigenbasis.  A churn of at most half the active rows copies
+        An unchanged mask keeps prev's array and (for the same metric)
+        eigenbasis.  A churn of at most half the active rows copies
         prev's array, adds A_add^T A_add and subtracts A_rem^T A_rem, which
         keeps it exactly symmetric; a larger one, which would let the
         rounding of the updates build up, assembles in full.
@@ -255,7 +244,6 @@ class Regularized:
         changed = gram.mask != old.mask
         churn = np.count_nonzero(changed)
         if churn == 0:
-            self._hnorm = prev._hnorm
             if prev.metric is self.metric:
                 self._eig = prev._eig
             return prev.h
@@ -296,15 +284,20 @@ class Regularized:
                    s0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Minimize the regularized model with nonzero psi inexactly, by FISTA with restart.
 
-        Accelerated proximal gradient (Beck & Teboulle 2009) with step
-        t = 1 / (1.05 (||H|| + lam ||B||)), ||H|| a power-iteration estimate
-        cached for the refresh, started from x + s0 (x when s0 is None).
-        Each sweep takes the prox step y = prox_{t psi}(z - t grad m(z)) from
-        the extrapolated point z, whose optimality condition makes
-        v = (z - y) / t - grad m(z) an exact subgradient of psi at y.  The
-        momentum restarts, theta = 1 and z = y, whenever the step from the
-        previous y points against the prox-gradient mapping z - y
-        (O'Donoghue & Candes 2015).
+        Accelerated proximal gradient (Beck & Teboulle 2009) from x + s0 (x
+        when s0 is None).  Each sweep takes the prox step
+        y = prox_{t psi}(z - t grad m(z)) from the extrapolated point z, whose
+        optimality condition makes v = (z - y) / t - grad m(z) an exact
+        subgradient of psi at y.  The momentum restarts, theta = 1 and z = y,
+        whenever the step from the previous y points against the
+        prox-gradient mapping z - y (O'Donoghue & Candes 2015).  The model is
+        quadratic, so grad m(y) - grad m(z) = (H + lam B)(y - z) is its exact
+        curvature, on which t backtracks (Beck & Teboulle 2009, sec. 4): a
+        sweep with <grad m(y) - grad m(z), z - y> < -||z - y||^2 / t halves t
+        and takes the prox again from z, a try that counts as a sweep.  A
+        call starts at twice the last step accepted on this refresh or the
+        previous one, else at 1 / lam; a curvature that is not finite (say, a
+        matrix-free H whose products are not) raises SolverStallError at once.
 
         Returns (y, v) once the model residual rho = grad m(y) + v =
         f'(x) + (H + lam B)(y - x) + v meets the forcing rule
@@ -312,13 +305,8 @@ class Regularized:
         combined from the gradients at the last two prox points and a sweep
         applies H once.  Exhausting the sweep budget raises SolverStallError.
         """
-        if self._hnorm is None:
-            self._hnorm = opnorm_est(self.h.__matmul__, self.h.shape[0])
-        lip = self._hnorm + lam * self.metric.opnorm()
-        if not np.isfinite(lip):  # say, a matrix-free H whose products are not finite
-            raise SolverStallError(f"model operator norm is {lip}", best_residual=np.inf)
-        metric = self.metric
-        t = 1.0 / (1.05 * lip)
+        _check_lam(lam)
+        t = 1.0 / lam if self._t is None else 2.0 * self._t
         y = x if s0 is None else x + s0
         z, grad_y = y, self._model_grad(lam, f_grad, y - x)
         grad_z = grad_y
@@ -327,9 +315,16 @@ class Regularized:
         for _ in range(_PROX_MAX_SWEEPS):
             y_new = psi.prox(z - t * grad_z, t)
             gap = z - y_new
-            v = gap / t - grad_z
             grad_new = self._model_grad(lam, f_grad, y_new - x)
-            resid = metric.dual_norm(grad_new + v)
+            curv = float((grad_new - grad_z) @ gap)
+            if not np.isfinite(curv):
+                raise SolverStallError(f"model curvature is {curv}", best_residual=np.inf)
+            if curv < -float(gap @ gap) / t:
+                t *= 0.5
+                continue
+            self._t = t
+            v = gap / t - grad_z
+            resid = self.metric.dual_norm(grad_new + v)
             if resid <= self._forcing(lam, y_new - x):
                 return y_new, v
             step = y_new - y
@@ -374,8 +369,7 @@ class Regularized:
         f'(x) + (H + lam B) s.  A residual not within its target, NaN
         included, raises SolverStallError.
         """
-        if not (lam > 0.0 and np.isfinite(lam)):
-            raise ValueError(f"regularizer must be positive and finite, got {lam}")
+        _check_lam(lam)
         rhs = np.asarray(rhs, dtype=np.float64)
         n = rhs.shape[0]
         if self.h.shape[0] != n:
@@ -416,28 +410,9 @@ class Regularized:
         return lambda r: vecs @ np.divide(vecs.T @ r, shifted, out=np.zeros(len(w)), where=keep)
 
 
-def opnorm_est(matvec, n: int, iters: int = 50) -> float:
-    """Power-iteration estimate of the operator norm of a symmetric matvec.
-
-    Deterministic: the start vector is derived from a fixed integer hash, so
-    repeated calls agree bitwise.  The estimate is a lower bound on the true
-    norm; callers that need an upper bound should add their own headroom.
-    """
-    z = mix64(np.arange(1, n + 1, dtype=np.uint64))
-    v = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53 - 0.5
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0
-    v /= nv
-    est = 0.0
-    for _ in range(iters):
-        w = np.asarray(matvec(v), dtype=np.float64)
-        nw = np.linalg.norm(w)
-        if nw == 0.0 or not np.isfinite(nw):
-            return float(nw) if np.isfinite(nw) else float("inf")
-        est = max(est, nw)
-        v = w / nw
-    return float(est)
+def _check_lam(lam: float) -> None:
+    if not (lam > 0.0 and np.isfinite(lam)):
+        raise ValueError(f"regularizer must be positive and finite, got {lam}")
 
 
 def _residual_target(rhs: np.ndarray) -> float:

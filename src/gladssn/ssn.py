@@ -47,12 +47,12 @@ whose trials all fail on noise stops as stalled.
 Each Hessian refresh builds one linalg.Regularized, which owns H + lambda B
 for every trial and lazy iteration until the next refresh.  It is built
 with the previous refresh's as prev, so an ActiveGram H whose mask did not
-change keeps the previous array, ||H|| estimate and eigenbasis, and one
-whose mask changed a little is updated by the rows that changed.  That
-state lives in this call, not in the oracle.  linalg picks a dense H's
-solver from the number of solves the refresh can expect, passed from here.
-A refreshed dense H that is not finite raises NonFiniteError; a
-matrix-free one fails its trials' inner solves.
+change keeps the previous array and eigenbasis, one whose mask changed a
+little is updated by the rows that changed, and FISTA starts from the last
+step it accepted.  That state lives in this call, not in the oracle.
+linalg picks a dense H's solver from the number of solves the refresh can
+expect, passed from here.  A refreshed dense H that is not finite raises
+NonFiniteError; a matrix-free one fails its trials' inner solves.
 """
 
 from __future__ import annotations

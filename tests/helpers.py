@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from gladssn.rng import mix64
 from gladssn.ssn import TraceRecord
 
 def synthetic_trace(gs, lam=1.0):
@@ -39,3 +40,27 @@ def kink_free_points(problem, seed, count, scale=0.3, min_gap=1e-5):
         if problem.kink_gap(x) > min_gap:
             pts.append(x)
     return pts
+
+
+def opnorm_est(matvec, n: int, iters: int = 50) -> float:
+    """Power-iteration estimate of the operator norm of a symmetric matvec.
+
+    Deterministic: the start vector is derived from a fixed integer hash, so
+    repeated calls agree bitwise.  The estimate is a lower bound on the true
+    norm; callers that need an upper bound should add their own headroom.
+    """
+    z = mix64(np.arange(1, n + 1, dtype=np.uint64))
+    v = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53 - 0.5
+    nv = np.linalg.norm(v)
+    if nv == 0.0:
+        return 0.0
+    v /= nv
+    est = 0.0
+    for _ in range(iters):
+        w = np.asarray(matvec(v), dtype=np.float64)
+        nw = np.linalg.norm(w)
+        if nw == 0.0 or not np.isfinite(nw):
+            return float(nw) if np.isfinite(nw) else float("inf")
+        est = max(est, nw)
+        v = w / nw
+    return float(est)

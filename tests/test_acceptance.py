@@ -19,11 +19,11 @@ from gladssn import (SolverConfig, make_huber, make_nmf, make_quadratic,
                      make_svm, problems, solve)
 from gladssn.baselines import armijo_gd
 from gladssn.harness import estimate_order, verify
-from gladssn.linalg import LinOp, opnorm_est
+from gladssn.linalg import LinOp
 from gladssn.oracle import check_gradient_fd, check_hvp_fd
 from gladssn.problems import penalty_violation
 
-from helpers import kink_free_points
+from helpers import kink_free_points, opnorm_est
 
 
 def _report(capsys, num, slug, ok, detail):

@@ -128,6 +128,22 @@ def test_verify_from_file(tmp_path, quad_result):
     assert verify(path).passed
 
 
+def test_verify_one_row_trace_from_file(tmp_path, quad_result):
+    # a bare one-row trace holds no transition: each transition check
+    # reports checked 0 and passes, while the per-row checks still run
+    path = tmp_path / "t.csv"
+    write_trace(path, quad_result.trace[:1])
+    report = verify(path)
+    assert report.passed and report.rows == 1
+    for name in ("pairing", "decrease", "step_grad", "no_overshoot", "value_gain"):
+        check = report.checks[name]
+        assert (check.checked, check.violations) == (0, 0)
+        line = next(ln for ln in report.summary().splitlines() if ln.split()[0] == name)
+        assert line.split() == [name, "pass", "checked", "0", "violations", "0"]
+    for name in ("finite", "newton_count", "hessian_schedule"):
+        assert report.checks[name].checked == 1
+
+
 def test_verify_empty_trace():
     report = verify([])
     assert report.passed

@@ -6,7 +6,7 @@ import scipy.sparse.linalg
 
 from gladssn import linalg, problems
 from gladssn.linalg import (ActiveGram, LinOp, MetricB, MetricError, Regularized,
-                            SolverStallError, opnorm_est, sym_part)
+                            SolverStallError, sym_part)
 from gladssn.oracle import SeparableProx
 from gladssn.problems import make_nmf
 
@@ -31,7 +31,6 @@ def test_identity_metric_is_euclidean():
     assert b.dual_norm(v) == 5.0
     np.testing.assert_array_equal(b.apply(v), v)
     np.testing.assert_array_equal(b.solve(v), v)
-    assert b.opnorm() == 1.0
 
 
 def test_dense_metric_norms():
@@ -40,7 +39,6 @@ def test_dense_metric_norms():
     # v^T B v = 5, v^T B^{-1} v = 1.25
     assert b.norm(v) == pytest.approx(np.sqrt(5.0), rel=1e-15)
     assert b.dual_norm(v) == pytest.approx(np.sqrt(1.25), rel=1e-15)
-    assert b.opnorm() == pytest.approx(4.0, rel=1e-12)
     np.testing.assert_allclose(b.solve(b.apply(v)), v, atol=1e-14)
 
 
@@ -117,22 +115,16 @@ def step_recorder():
     return SeparableProx(prox, lambda x: 0.0), steps
 
 
-def test_unchanged_mask_keeps_the_previous_refresh(monkeypatch):
+def test_unchanged_mask_keeps_the_previous_refresh():
     # the same active set gives the same H: the new refresh keeps the
-    # previous array, its ||H|| estimate and its eigenbasis
-    power_iterations = []
-    est = linalg.opnorm_est
-
-    def counted(*args, **kwargs):
-        power_iterations.append(args)
-        return est(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "opnorm_est", counted)
+    # previous array and its eigenbasis, and starts FISTA from its step
     metric = MetricB()
     first = Regularized(active_gram(0, 1), metric, solves=math.inf)
-    # at f_grad = 0 FISTA stops after one prox call, at t = 1 / (1.05 (||H|| + lam))
+    # at f_grad = 0 FISTA stops after one prox call, which it accepts at
+    # the first composite trial's t = 1 / lam
     psi, steps = step_recorder()
     first.prox_solve(1.0, np.zeros(8), np.zeros(8), psi)
+    assert steps == [1.0] and first._t == 1.0
     rhs = np.ones(8)
     step = first.solve(1.0, rhs)
     again = active_gram(0, 1, rows=first.gram.rows)
@@ -141,12 +133,15 @@ def test_unchanged_mask_keeps_the_previous_refresh(monkeypatch):
     assert second.h is first.h
     assert second._eig is first._eig
     second.prox_solve(1.0, np.zeros(8), np.zeros(8), psi)
-    assert steps[1] == steps[0]
-    assert len(power_iterations) == 1
+    assert steps[1] == 2.0 * steps[0]  # twice the previous refresh's step
     np.testing.assert_array_equal(second.solve(1.0, rhs), step)
-    # another metric keeps the array and ||H||, but not the pencil's eigenbasis
+    # another metric keeps the array, but not the pencil's eigenbasis
     third = Regularized(again, MetricB(np.diag(np.linspace(1.0, 2.0, 8))), prev=first)
     assert third.h is first.h and third._eig is None
+    # the step is carried through every kind of H, and only from prev
+    for h in (again, np.eye(8), LinOp(lambda v: v, 8)):
+        assert Regularized(h, metric, prev=second)._t == second._t == 2.0
+    assert Regularized(again, metric)._t is None
 
 
 def test_refresh_updates_a_small_churn_and_assembles_otherwise(monkeypatch):
@@ -184,19 +179,41 @@ def test_refresh_updates_a_small_churn_and_assembles_otherwise(monkeypatch):
         np.testing.assert_array_equal(Regularized(near, MetricB(), prev=prev).h, full)
 
 
-def test_opnorm_est_known_spectrum():
-    a = np.diag([7.0, 1.0, 0.5, 0.1])
-    est = opnorm_est(lambda v: a @ v, 4)
-    assert 6.999 <= est <= 7.0 + 1e-9
-    # deterministic
-    assert est == opnorm_est(lambda v: a @ v, 4)
-    # prox_solve steps by 1 / (1.05 (||H|| + lam ||B||)) with ||H|| this
-    # estimate; at f_grad = 0 it stops after one prox call
-    psi, steps = step_recorder()
-    for lam in (0.0, 2.0):
-        Regularized(a, MetricB()).prox_solve(lam, np.zeros(4), np.zeros(4), psi)
-    assert steps == [1.0 / (1.05 * est), 1.0 / (1.05 * (est + 2.0))]
-    assert opnorm_est(lambda v: 0.0 * v, 4) == 0.0
+def test_prox_step_backtracks_on_the_model_curvature():
+    # the model m(y) = <f_grad, y> + y^T diag(curv + lam) y / 2 + 0.1 ||y||_1
+    # at x = 0.  Each prox call gets u = z - t grad m(z) = (1 - t d) z - t f_grad
+    # for d = curv + lam, from which the test recovers the sweep's z and so
+    # its gap z - y and exact curvature gap^T diag(d) gap
+    curv, lam = np.array([7.0, 1.0, 0.5, 0.1]), 2.0
+    d = curv + lam
+    f_grad = np.array([3.0, -2.0, 1.0, -0.5])
+    sweeps = []
+
+    def prox(u, t):
+        y = np.sign(u) * np.maximum(np.abs(u) - 0.1 * t, 0.0)
+        sweeps.append((u, t, y))
+        return y
+    psi = SeparableProx(prox, lambda y: 0.1 * float(np.sum(np.abs(y))))
+    reg = Regularized(np.diag(curv), MetricB())
+    reg.prox_solve(lam, np.zeros(4), f_grad, psi)
+    calls = [list(sweeps)]
+    reg.prox_solve(lam, np.zeros(4), f_grad, psi)
+    calls.append(sweeps[len(calls[0]):])
+    first, second = [[t for _, t, _ in call] for call in calls]
+    assert first[0] == 1.0 / lam  # the first composite trial
+    assert second[0] == 2.0 * first[-1]  # twice the last accepted step
+    rejected = 0
+    for call in calls:
+        for i, (u, t, y) in enumerate(call):
+            # a sweep keeps its t or halves it for the next try from the same
+            # z; the last one returned, so it was accepted
+            kept = i + 1 == len(call) or call[i + 1][1] == t
+            assert kept or call[i + 1][1] == 0.5 * t
+            rejected += not kept
+            gap = (u + t * f_grad) / (1.0 - t * d) - y
+            ratio = float(gap @ (d * gap)) * t / float(gap @ gap)
+            assert ratio <= 1.0 + 1e-9 if kept else ratio > 1.0 - 1e-9
+    assert rejected >= 2  # from 1 / lam = 0.5 against a curvature of 9
 
 
 def test_solve_regularized_spd_frozen():
@@ -445,6 +462,16 @@ def test_solve_regularized_argument_errors():
         reg.solve(1.0, np.ones(3))
     with pytest.raises(TypeError):
         Regularized([[1.0, 0.0], [0.0, 1.0]], MetricB())
+
+
+def test_prox_solve_rejects_a_bad_lam():
+    # as solve does; a first composite trial would start FISTA at t = 1 / lam
+    reg = Regularized(np.eye(2), MetricB())
+    psi, steps = step_recorder()
+    for lam in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="regularizer"):
+            reg.prox_solve(lam, np.zeros(2), np.ones(2), psi)
+    assert steps == [] and reg._t is None
 
 
 def _rotated(eigs, seed):

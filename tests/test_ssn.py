@@ -130,8 +130,9 @@ def test_trial_step_certifies_model_optimality():
 def test_trial_step_soft_threshold_frozen():
     # f = 0, H = 0, psi = |.|: model(y) = lam/2 (y - 2)^2 + |y| is minimized
     # at the soft threshold soft(2, 1/lam) = 1 for lam = 1.  FISTA's first
-    # prox step from 2 already meets the forcing rule, so the trial stops at
-    # y = 2 - t with t = 1 / 1.05, within |rho| / lam of the minimizer.
+    # prox step from 2, at the first trial's t = 1 / lam, already meets the
+    # forcing rule, so the trial stops at y = 2 - t, within |rho| / lam of
+    # the minimizer.
     psi = SeparableProx(
         prox=lambda v, t: np.sign(v) * np.maximum(np.abs(v) - t, 0.0),
         eval_psi=lambda x: float(np.sum(np.abs(x))))
@@ -702,12 +703,15 @@ def test_non_finite_hessian_raises_or_fails_the_trial():
         solve(prob, SolverConfig(m=1, grad_tol=1e-10))
     assert exc.value.k == 1 and exc.value.j is None
     # a matrix-free H whose product is NaN fails every inner solve, MINRES
-    # and FISTA alike, so each trial is rejected and the run stalls in place
+    # and FISTA alike, so each trial is rejected and the run stalls in place;
+    # FISTA stops at its first sweep's curvature, one prox call per trial
     nan_hvp = dataclasses.replace(p.smooth, eval_hess=lambda x: LinOp(
         lambda v: np.full(5, np.nan), 5))
-    for psi in (p.psi, counted_l1(1.0)[0]):
+    l1, prox_calls = counted_l1(1.0)
+    for psi in (p.psi, l1):
         res = solve(dataclasses.replace(p, smooth=nan_hvp, psi=psi), SolverConfig(m=1))
         assert (res.status, res.iters, res.trials) == (STALLED, 0, ssn._MAX_TRIALS)
+    assert prox_calls[0] == ssn._MAX_TRIALS
 
 
 def test_dense_run_declining_cholesky_never_reaches_minres(monkeypatch):
