@@ -23,7 +23,8 @@ import time
 import numpy as np
 
 from .oracle import CompositeProblem
-from .ssn import CONVERGED, MAXITER, STALLED, SolveResult, SolverConfig, TraceRecord
+from .ssn import (CONVERGED, MAXITER, STALLED, SolveResult, SolverConfig, TraceRecord,
+                  _start_point)
 
 __all__ = ["armijo_gd"]
 
@@ -40,9 +41,7 @@ def armijo_gd(problem: CompositeProblem, config: SolverConfig,
     if not problem.metric.is_identity:
         raise ValueError("armijo_gd works in the Euclidean metric only")
     n = problem.dim
-    if x0 is None:
-        x0 = problem.x0 if problem.x0 is not None else np.zeros(n)
-    x = np.array(x0, dtype=np.float64)
+    x = _start_point(problem, x0)
     grad = np.asarray(problem.smooth.eval_grad(x), dtype=np.float64)
     f_val = float(problem.smooth.eval_f(x))
     trials = 0

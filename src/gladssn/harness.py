@@ -18,8 +18,9 @@ step_grad, no_overshoot, value_gain), and over the whole trace:
     lambda_cap  lambda_k  <=  max(4 L, Lambda_0 g_0^p)     [needs L]
     newton_count sum_{i<=k} j_i  ==  (k+1) + log4(Lambda_{k+1} / Lambda_0)
     envelope    min_{i<=k} g_i  <=  4 sqrt(lambda_bar (F_0 - fstar) / k)   [needs fstar]
-    hessian_schedule  refreshes at k = 0, m, 2m, ... and the eval counter
-                      ends at floor(k_last / m) + 1
+    hessian_schedule  row k refreshes iff m divides k - k_0, and hess_evals ==
+                      (k - k_0) // m + 1  [m off the first two refreshes, inf
+                      for one; a row's slack counts its failed identities]
 
 Lambda_0 g_0^p is recovered from row 0 as lambda_0 / 4^{j_0}; without L the
 envelope uses the largest observed lambda_k as a stand-in for lambda_bar
@@ -142,10 +143,11 @@ def read_trace(path) -> list[TraceRecord]:
     return out
 
 
-def _as_records(trace) -> list[TraceRecord]:
-    if isinstance(trace, (str, Path)):
-        return read_trace(trace)
-    return list(trace)
+def _records(trace) -> tuple[list[TraceRecord], SolveResult | None]:
+    """A trace's rows and terminal state: a SolveResult's own, else None."""
+    if isinstance(trace, SolveResult):
+        return trace.trace, trace
+    return (read_trace(trace) if isinstance(trace, (str, Path)) else list(trace)), None
 
 
 # ----------------------------------------------------------------------- run
@@ -239,8 +241,7 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
     last prefix of the trial-count identity.  L enables the lambda cap
     check and fstar the gradient-envelope check.
     """
-    terminal = trace if isinstance(trace, SolveResult) else None
-    records = trace.trace if terminal is not None else _as_records(trace)
+    records, terminal = _records(trace)
     n_rows = len(records)
     checks: dict[str, CheckResult] = {}
     notes: list[str] = []
@@ -248,35 +249,27 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
         notes.append("empty trace: nothing to check")
         return VerifyReport(rows=0, checks=checks, lambda_bar=None, notes=notes)
 
-    ks = np.array([r.k for r in records])
+    col = {c: np.array([getattr(r, c) for r in records]) for c in COLUMNS}
+    ks, js, lams, caps, f_F, gs = (col[c] for c in ("k", "j_k", "lambda_k", "Lambda_k",
+                                                    "F_val", "g_k"))
     # |value| >= |value| fails only where a value is not finite, also in the
     # columns no later check reads and in a baseline trace
-    mag = np.abs([[getattr(r, c) for c in COLUMNS] for r in records]).max(axis=1)
+    mag = np.abs(np.array(list(col.values()), dtype=np.float64)).max(axis=0)
     checks["finite"] = _check_ineq("finite", mag, mag, ks)
-    js = np.array([r.j_k for r in records])
-    lams = np.array([r.lambda_k for r in records])
-    caps = np.array([r.Lambda_k for r in records])
-    f_F = np.array([r.F_val for r in records])
-    gs = np.array([r.g_k for r in records])
-    rs = np.array([r.r_k for r in records])
-    pair = np.array([r.inner_prod for r in records])
-    hevals = np.array([r.hess_evals for r in records])
 
     if np.any(caps <= 0.0):
         notes.append("Lambda_k <= 0: baseline trace, adaptive checks skipped")
         return VerifyReport(rows=n_rows, checks=checks, lambda_bar=None, notes=notes)
 
-    # transition k runs from row k to the next row, or for the last row of a
-    # SolveResult to its terminal state
-    g_next = gs[1:]
-    F_next = f_F[1:]
-    if terminal is not None:
-        g_next = np.append(g_next, terminal.g_final)
-        F_next = np.append(F_next, terminal.F_final)
+    # the state after the last row is a SolveResult's terminal state; else the
+    # last transition goes unchecked, and the update rule gives Lambda_{k+1}
+    last = ([], [], 4.0**js[-1] * caps[-1] / 4.0) if terminal is None else \
+        ([terminal.g_final], [terminal.F_final], terminal.Lambda_final)
+    g_next, F_next, lam_next = (np.append(c[1:], t) for c, t in zip((gs, f_F, caps), last))
     n_tr = g_next.size
     row_ids = ks[:n_tr]
-    ineqs = ssn.step_inequalities(pair[:n_tr], g_next, rs[:n_tr], lams[:n_tr],
-                                  f_F[:n_tr] - F_next, gs[:n_tr])
+    ineqs = ssn.step_inequalities(col["inner_prod"][:n_tr], g_next, col["r_k"][:n_tr],
+                                  lams[:n_tr], f_F[:n_tr] - F_next, gs[:n_tr])
     for name, (lhs, rhs) in ineqs.items():
         checks[name] = _check_ineq(name, lhs, rhs, row_ids)
 
@@ -284,25 +277,18 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
     lambda_bar = None
     if L is not None:
         lambda_bar = max(4.0 * L, lam0_seed)
-        checks["lambda_cap"] = _check_ineq("lambda_cap",
-                                           np.full(n_rows, lambda_bar), lams, ks)
+        checks["lambda_cap"] = _check_ineq("lambda_cap", np.full(n_rows, lambda_bar), lams, ks)
     else:
         notes.append("no L given: lambda_cap skipped")
 
-    # counting identity at every prefix; Lambda_{k+1} for the last row is
-    # Lambda_final of a SolveResult, else it comes from the update rule
-    if terminal is not None:
-        lam_next = np.append(caps[1:], terminal.Lambda_final)
-    else:
-        lam_next = np.append(caps[1:], 4.0**js[-1] * caps[-1] / 4.0)
+    # counting identity at every prefix, to a tolerance with no absolute term
     expected = (ks - ks[0] + 1) + np.log(lam_next / caps[0]) / np.log(4.0)
     sum_j = np.cumsum(js)
     resid = np.abs(sum_j - expected)
     tol = _REL_SLACK * np.maximum(1.0, np.abs(sum_j))
     bad = ~(resid <= tol)  # a NaN residual is a violation
     worst = int(np.argmax(resid - tol))
-    checks["newton_count"] = CheckResult("newton_count", n_rows,
-                                         int(np.count_nonzero(bad)),
+    checks["newton_count"] = CheckResult("newton_count", n_rows, int(np.count_nonzero(bad)),
                                          float(resid[worst]), int(ks[worst]))
 
     if fstar is not None:
@@ -313,32 +299,25 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
         if gap0 < 0.0:
             notes.append("F_0 < fstar: envelope skipped")
         elif n_tr >= 1:
-            steps = np.arange(1, n_tr + 1)
-            best_g = np.minimum.accumulate(g_next)
-            bound = 4.0 * np.sqrt(env_bar * gap0 / steps)
-            checks["envelope"] = _check_ineq("envelope", bound, best_g, row_ids + 1)
+            bound = 4.0 * np.sqrt(env_bar * gap0 / np.arange(1, n_tr + 1))
+            checks["envelope"] = _check_ineq("envelope", bound, np.minimum.accumulate(g_next),
+                                             row_ids + 1)
     else:
         notes.append("no fstar given: envelope skipped")
 
-    # Hessian refresh schedule: increments of the cumulative counter must sit
-    # at k = 0, m, 2m, ... for a single inferred m
-    incr = np.diff(np.concatenate([[0], hevals]))
-    refresh_rows = ks[incr > 0]
-    sched_bad = 0
-    if np.any((incr != 0) & (incr != 1)) or len(refresh_rows) == 0 or refresh_rows[0] != ks[0]:
-        sched_bad = 1
-    elif len(refresh_rows) >= 2:
-        m_hat = int(refresh_rows[1] - refresh_rows[0])
-        want = (ks - ks[0]) % m_hat == 0
-        if (not np.array_equal(want, incr == 1)
-                or hevals[-1] != (ks[-1] - ks[0]) // m_hat + 1):
-            sched_bad = 1
-        else:
-            notes.append(f"hessian schedule consistent with m={m_hat}")
-    else:
-        notes.append("single hessian refresh: any m > k_last fits")
-    checks["hessian_schedule"] = CheckResult("hessian_schedule", n_rows, sched_bad,
-                                             float(sched_bad), int(ks[0]))
+    # Hessian refresh schedule, with m read off the first two refreshes (inf
+    # for one): row k refreshes exactly when m divides k - k_0, and its
+    # counter reads (k - k_0) // m + 1; a row's slack is its mismatch count
+    hevals = col["hess_evals"]
+    refreshed = np.diff(hevals, prepend=0) > 0
+    dk = ks - ks[0]
+    starts = dk[refreshed]
+    m_hat = float(starts[1] - starts[0]) if starts.size >= 2 else np.inf
+    mismatch = ((dk % m_hat == 0) != refreshed).astype(int) + (hevals != dk // m_hat + 1)
+    checks["hessian_schedule"] = _check_ineq("hessian_schedule", np.zeros(n_rows), mismatch, ks)
+    if checks["hessian_schedule"].passed:
+        notes.append(f"hessian schedule consistent with m={int(m_hat)}" if starts.size >= 2
+                     else "single hessian refresh: any m > k_last fits")
 
     return VerifyReport(rows=n_rows, checks=checks, lambda_bar=lambda_bar, notes=notes)
 
@@ -355,14 +334,15 @@ class OrderEstimate:
 def estimate_order(trace, tail: int = 6) -> OrderEstimate:
     """Least-squares convergence order from the trace tail.
 
-    Fits log10 g_{k+1} = a + q log10 g_k over the last `tail`
+    trace may be a path, a list of records or a SolveResult, whose rows
+    alone are fitted: log10 g_{k+1} = a + q log10 g_k over the last `tail`
     consecutive-row transitions, after dropping rows with g_k below
     100 eps g_0 (floor noise).  The slope q is base-invariant;
     fit_residual is the RMS residual of the fit in base-10 logs.
     Raises NotEstimableError when fewer than `tail` clean transitions
     remain or the tail is not strictly decreasing.
     """
-    records = _as_records(trace)
+    records, _ = _records(trace)
     if tail < 2:
         raise ValueError(f"tail must be at least 2, got {tail}")
     gs = np.array([r.g_k for r in records])

@@ -217,6 +217,18 @@ def _certified_decrease(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
     return F_val - F_plus
 
 
+def _start_point(problem: CompositeProblem, x0: np.ndarray | None) -> np.ndarray:
+    """A float copy of x0, by default the problem's x0 or else zero, checked
+    to have the problem's shape; every solver starts from it."""
+    n = problem.dim
+    if x0 is None:
+        x0 = problem.x0 if problem.x0 is not None else np.zeros(n)
+    x = np.array(x0, dtype=np.float64)
+    if x.shape != (n,):
+        raise ValueError(f"x0 must have shape ({n},), got {x.shape}")
+    return x
+
+
 # The per-trial linear solve, a module-level name a tracer can wrap.
 solve_regularized = Regularized.solve
 
@@ -254,11 +266,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
     """
     metric = problem.metric
     n = problem.dim
-    if x0 is None:
-        x0 = problem.x0 if problem.x0 is not None else np.zeros(n)
-    x = np.array(x0, dtype=np.float64)
-    if x.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},), got {x.shape}")
+    x = _start_point(problem, x0)
     psi_sub = np.zeros(n) if psi_sub0 is None else np.array(psi_sub0, dtype=np.float64)
     if psi_sub.shape != (n,):
         raise ValueError(f"psi_sub0 must have shape ({n},), got {psi_sub.shape}")

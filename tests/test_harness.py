@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gladssn.baselines import armijo_gd
-from gladssn.harness import (COLUMNS, ConfigError, NotEstimableError, RunConfig,
+from gladssn.harness import (COLUMNS, SOLVERS, ConfigError, NotEstimableError, RunConfig,
                              compare, estimate_order, read_trace, run, verify,
                              write_trace)
 from gladssn.problems import make_huber, make_quadratic
@@ -246,6 +246,23 @@ def test_verify_hessian_schedule_rejects_counter_jumps(huber_lazy_result):
     assert not any("consistent" in n for n in report.notes)
 
 
+def test_verify_hessian_schedule_counts_off_schedule_rows(huber_lazy_result):
+    # every counter from the refresh at k = 5 on reads one too many
+    rows = [dataclasses.replace(r) for r in huber_lazy_result.trace]
+    for r in rows[5:]:
+        r.hess_evals += 1
+    sched = verify(rows).checks["hessian_schedule"]
+    assert (sched.checked, sched.violations, sched.worst_slack, sched.worst_row) == \
+           (12, 7, 1.0, 5)
+    # k = 0..9, 11, 12, 13 with refreshes at k = 0, 5 and 11: every counter
+    # reads (k - k_0) // 5 + 1, but the refresh at k = 11 is off the schedule
+    ks = list(range(10)) + [11, 12, 13]
+    rows = [dataclasses.replace(r, k=k, hess_evals=1 + (k >= 5) + (k >= 11))
+            for r, k in zip(synthetic_trace([0.5**i for i in range(13)]), ks)]
+    sched = verify(rows).checks["hessian_schedule"]
+    assert (sched.violations, sched.worst_slack, sched.worst_row) == (1, 1.0, 11)
+
+
 def test_verify_envelope_uses_observed_lambda_without_L(quad_result):
     p = make_quadratic(1)
     report = verify(quad_result.trace, fstar=p.known_fstar)
@@ -301,6 +318,11 @@ def test_estimate_order_rejects_non_decreasing_tail():
                        tail=3)
 
 
+def test_estimate_order_takes_a_result(quad_result):
+    # like verify, it takes a SolveResult; only the rows are fitted
+    assert estimate_order(quad_result, tail=4) == estimate_order(quad_result.trace, tail=4)
+
+
 # ----------------------------------------------------------------------- run
 
 def test_run_quadratic_writes_short_trace(tmp_path):
@@ -339,6 +361,12 @@ def test_run_armijo_solver(tmp_path):
     assert code == 0
     assert result.hess_evals == 0
     assert verify(path).passed  # baseline: checks skipped, still a clean report
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_solvers_check_the_shape_of_x0(solver):
+    with pytest.raises(ValueError, match=r"x0 must have shape \(50,\), got \(3,\)"):
+        SOLVERS[solver](make_quadratic(1), SolverConfig(), x0=np.zeros(3))
 
 
 def test_run_config_validation():

@@ -606,13 +606,13 @@ def counting_diff(smooth):
     return dataclasses.replace(smooth, eval_f_diff=diff), calls
 
 
-def offset_quadratic(with_diff):
-    # f = 1e3 + 0.5 x^T A x - b^T x: near the minimizer the decrease of a
-    # step falls far below eps * |f| ~ 2e-13
+def offset_quadratic(with_diff, offset=1e3):
+    # f = offset + 0.5 x^T A x - b^T x: near the minimizer the decrease of a
+    # step falls far below eps * |f| ~ 2e-13 (at the default offset)
     a = np.diag([1.0, 10.0, 100.0])
     b = np.array([1.0, -2.0, 3.0])
     smooth = SmoothOracle(
-        dim=3, eval_f=lambda x: 1e3 + 0.5 * float(x @ (a @ x)) - float(b @ x),
+        dim=3, eval_f=lambda x: offset + 0.5 * float(x @ (a @ x)) - float(b @ x),
         eval_grad=lambda x: a @ x - b, eval_hess=lambda x: a,
         eval_f_diff=(lambda x, s: -float(s @ (a @ x - b + 0.5 * (a @ s))))
         if with_diff else None)
@@ -635,6 +635,20 @@ def test_rounding_floor_certified_by_eval_f_diff():
                (b.j_k, b.lambda_k, b.F_val, b.g_k, b.r_k, b.trials)
     assert calls and all(np.array_equal(x, plain.x) for x in calls)
     assert verify(res).passed
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="verify rechecks the decrease from the rounded F values; the "
+                          "trace's decrease column of ROADMAP item 2 will certify it")
+def test_verify_accepts_a_decrease_certified_at_the_floor():
+    # README's known limitation: at f ~ 1e4 the last step's decrease is
+    # certified by eval_f_diff, but F_6 - F_7 of the rounded values misses
+    # its bound by 1.8e-12, beyond verify's slack (offsets 1e3, 4e3 and 1e5
+    # happen to pass)
+    res = solve(offset_quadratic(True, offset=1e4), SolverConfig(p=1.0, m=1, grad_tol=1e-13))
+    assert res.status == CONVERGED and verify(res.trace).passed
+    failed = [c for c in verify(res).checks.values() if not c.passed]
+    assert not failed, failed
 
 
 def test_off_floor_nmf_never_consults_eval_f_diff():
