@@ -103,6 +103,8 @@ class RunConfig(ssn.SolverConfig):
         if not (isinstance(self.seed, numbers.Real) and float(self.seed).is_integer()):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         self.seed = int(self.seed)
+        if not (self.out_path is None or isinstance(self.out_path, str)):
+            raise ConfigError(f"out_path must be a string, got {self.out_path!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -239,8 +241,13 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
     also ends the last transition at its terminal state: g_final and F_final
     stand in for the row after the last one, and Lambda_final closes the
     last prefix of the trial-count identity.  L enables the lambda cap
-    check and fstar the gradient-envelope check.
+    check and fstar the gradient-envelope check; an L that is negative or
+    not finite, or an fstar that is not finite, raises ValueError.
     """
+    if L is not None and not 0.0 <= L < np.inf:
+        raise ValueError(f"L must be nonnegative and finite, got {L}")
+    if fstar is not None and not np.isfinite(fstar):
+        raise ValueError(f"fstar must be finite, got {fstar}")
     records, terminal = _records(trace)
     n_rows = len(records)
     checks: dict[str, CheckResult] = {}

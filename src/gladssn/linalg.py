@@ -105,7 +105,8 @@ class MetricB:
     """Inner-product metric: identity by default, or a dense SPD matrix.
 
     The primal norm is ||v|| = sqrt(v^T B v) and the dual norm of a gradient
-    is ||g||_* = sqrt(g^T B^{-1} g); duality pairings stay plain dot
+    is ||g||_* = sqrt(g^T B^{-1} g), one formula for either metric (for the
+    identity, the ddot np.linalg.norm runs); duality pairings stay plain dot
     products.  A dense metric is validated by Cholesky at construction.
     """
 
@@ -140,13 +141,9 @@ class MetricB:
         return self._inverse(g)
 
     def norm(self, v: np.ndarray) -> float:
-        if self.matrix is None:
-            return float(np.linalg.norm(v))
-        return float(np.sqrt(max(float(v @ (self.matrix @ v)), 0.0)))
+        return float(np.sqrt(max(float(v @ self.apply(v)), 0.0)))
 
     def dual_norm(self, g: np.ndarray) -> float:
-        if self.matrix is None:
-            return float(np.linalg.norm(g))
         return float(np.sqrt(max(float(g @ self.solve(g)), 0.0)))
 
 
@@ -347,11 +344,11 @@ class Regularized:
         """Solve (H + lam B) s = rhs: directly for a dense H, inexactly by MINRES otherwise.
 
         Every method runs in one loop: a first solve and up to three
-        corrections, each solving again for the residual rhs - (H + lam B) s,
-        until the residual meets its target; every residual is measured in
-        the dual norm.  A dense H is solved only directly, to the residual
-        target max(1e-10, 1e-12 ||rhs||): H + lam B by Cholesky with a
-        scale-relative pivot test, unless the refresh expects
+        corrections, each solving again for the residual rhs - (H + lam B) s
+        (through apply, for every method), until the residual meets its
+        target in the dual norm.  A dense H is solved only directly, to the
+        residual target max(1e-10, 1e-12 ||rhs||): H + lam B by Cholesky with
+        a scale-relative pivot test, unless the refresh expects
         _EIGH_MIN_SOLVES solves or holds its eigenbasis.  That basis of the
         pencil (H, B) is computed once, on the first solve of such a refresh
         or the first Cholesky decline, and serves every later solve at
@@ -363,9 +360,9 @@ class Regularized:
         is built once per refresh, at its first solve's lam, and reused for
         every lam: a stale one can only change MINRES's iteration count, as
         every returned step is checked against the rule below.  Its solve is
-        inexact: it stops once the residual rho = (H + lam B) s - rhs meets
+        inexact: it stops once the residual rho = rhs - (H + lam B) s meets
         ||rho||_* <= THETA lam ||s||_B, the forcing rule prox_solve shares.
-        With rhs = -f'(x) and psi = 0, rho is the model residual
+        With rhs = -f'(x) and psi = 0, -rho is the model residual
         f'(x) + (H + lam B) s.  A residual not within its target, NaN
         included, raises SolverStallError.
         """
@@ -374,25 +371,36 @@ class Regularized:
         n = rhs.shape[0]
         if self.h.shape[0] != n:
             raise ValueError(f"operator dim {self.h.shape[0]} does not match rhs dim {n}")
-        if float(np.linalg.norm(rhs)) == 0.0:
+        if (rhs_norm := float(np.linalg.norm(rhs))) == 0.0:
             return np.zeros(n)
-
-        def apply(v):
-            return self.apply(lam, v)
-
         if not self.is_dense:
-            once, target = _minres_solver(self, lam), lambda s: self._forcing(lam, s)
+            once, target = self._minres_solver(lam), lambda s: self._forcing(lam, s)
         else:
-            tight = _residual_target(rhs)
-            once, target = None, lambda s: tight
+            once, target = None, lambda s: max(1e-10, 1e-12 * rhs_norm)
             if not self._eigh_pays and self._eig is None:
-                m = self.h + lam * (np.eye(n) if self.metric.is_identity else self.metric.matrix)
-                once = _cholesky_solver(m)
-                if once is not None:
-                    apply = m.__matmul__
+                once = _cholesky_solver(self.h + lam * (np.eye(n) if self.metric.is_identity
+                                                        else self.metric.matrix))
             if once is None:  # many solves expected, a kept eigenbasis or a Cholesky decline
                 once = self._eigen_solver(lam)
-        return _refined(once, apply, rhs, self.metric.dual_norm, target)
+        return _refined(once, lambda v: self.apply(lam, v), rhs, self.metric.dual_norm, target)
+
+    def _minres_solver(self, lam: float):
+        """r -> MINRES solution of (H + lam B) d = r, one call of a solve's refinement loop.
+
+        The first call runs to scipy's rtol _MINRES_RTOL, and each correction
+        tightens it by that factor again, so a step that misses the forcing rule
+        (an ill-scaled operator, whose ||H|| dwarfs lam) is corrected more
+        tightly each time.
+        """
+        n = self.h.shape[0]
+        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda v: self.apply(lam, v),
+                                                dtype=np.float64)
+        if self._precond is None and self.h.precond is not None:  # the refresh's first solve
+            self._precond = scipy.sparse.linalg.LinearOperator(
+                (n, n), matvec=self.h.precond(lam), dtype=np.float64)
+        calls = itertools.count(1)
+        return lambda r: scipy.sparse.linalg.minres(op, r, rtol=_MINRES_RTOL ** next(calls),
+                                                    maxiter=10 * n, M=self._precond)[0]
 
     def _eigen_solver(self, lam: float):
         """r -> (H + lam B)^+ r in the eigenbasis, computed on first use and kept.
@@ -413,10 +421,6 @@ class Regularized:
 def _check_lam(lam: float) -> None:
     if not (lam > 0.0 and np.isfinite(lam)):
         raise ValueError(f"regularizer must be positive and finite, got {lam}")
-
-
-def _residual_target(rhs: np.ndarray) -> float:
-    return max(1e-10, 1e-12 * float(np.linalg.norm(rhs)))
 
 
 def _refined(solve_once, apply, rhs: np.ndarray, norm, target) -> np.ndarray:
@@ -450,22 +454,3 @@ def _cholesky_solver(m: np.ndarray):
     if not np.min(np.diag(chol)) ** 2 > _PIVOT_REL * (np.trace(m) / m.shape[0]):
         return None
     return lambda r: scipy.linalg.cho_solve((chol, True), r)
-
-
-def _minres_solver(reg: Regularized, lam: float):
-    """r -> MINRES solution of (H + lam B) d = r, one call of a solve's refinement loop.
-
-    The first call runs to scipy's rtol _MINRES_RTOL, and each correction
-    tightens it by that factor again, so a step that misses the forcing rule
-    (an ill-scaled operator, whose ||H|| dwarfs lam) is corrected more
-    tightly each time.
-    """
-    n = reg.h.shape[0]
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda v: reg.apply(lam, v),
-                                            dtype=np.float64)
-    if reg._precond is None and reg.h.precond is not None:  # the refresh's first solve
-        reg._precond = scipy.sparse.linalg.LinearOperator((n, n), matvec=reg.h.precond(lam),
-                                                          dtype=np.float64)
-    calls = itertools.count(1)
-    return lambda r: scipy.sparse.linalg.minres(op, r, rtol=_MINRES_RTOL ** next(calls),
-                                                maxiter=10 * n, M=reg._precond)[0]

@@ -65,9 +65,6 @@ class ZeroPart:
     def eval_psi(self, x: np.ndarray) -> float:
         return 0.0
 
-    def prox(self, v: np.ndarray, t: float) -> np.ndarray:
-        return np.asarray(v, dtype=np.float64)
-
 
 class SeparableProx:
     """Separable convex psi given by value and proximal map.
@@ -114,9 +111,6 @@ class CompositeProblem:
     @property
     def dim(self) -> int:
         return self.smooth.dim
-
-    def eval_F(self, x: np.ndarray) -> float:
-        return float(self.smooth.eval_f(x)) + self.psi.eval_psi(x)
 
 
 def check_gradient_fd(problem: CompositeProblem, x: np.ndarray, h: float = 1e-6) -> float:

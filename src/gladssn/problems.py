@@ -167,20 +167,25 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
     def unpack(x):
         return x[:d * r].reshape(d, r), x[d * r:].reshape(n, r)
 
+    @_last_point
+    def resid(x):
+        u, v = unpack(x)
+        return u @ v.T - y_obs
+
     def eval_f(x):
         u, v = unpack(x)
-        resid = u @ v.T - y_obs
+        res = resid(x)
         neg_u = np.minimum(u, 0.0)
         neg_v = np.minimum(v, 0.0)
-        return (0.5 * float(np.sum(resid * resid))
+        return (0.5 * float(np.sum(res * res))
                 + alpha * (float(np.sum(u * u)) + float(np.sum(v * v)))
                 + 0.5 / beta * (float(np.sum(neg_u * neg_u)) + float(np.sum(neg_v * neg_v))))
 
     def eval_grad(x):
         u, v = unpack(x)
-        resid = u @ v.T - y_obs
-        gu = resid @ v + 2.0 * alpha * u + np.minimum(u, 0.0) / beta
-        gv = resid.T @ u + 2.0 * alpha * v + np.minimum(v, 0.0) / beta
+        res = resid(x)
+        gu = res @ v + 2.0 * alpha * u + np.minimum(u, 0.0) / beta
+        gv = res.T @ u + 2.0 * alpha * v + np.minimum(v, 0.0) / beta
         return np.concatenate([gu.ravel(), gv.ravel()])
 
     def eval_f_diff(x, s):
@@ -190,9 +195,8 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
         # negative part by dU wherever it stays negative.
         u, v = unpack(x)
         du, dv = unpack(s)
-        resid = u @ v.T - y_obs
         dresid = du @ v.T + u @ dv.T + du @ dv.T
-        rise = float(np.sum(dresid * (resid + 0.5 * dresid)))
+        rise = float(np.sum(dresid * (resid(x) + 0.5 * dresid)))
         for a, b in ((u, du), (v, dv)):
             neg = np.minimum(a, 0.0)
             a_plus = a + b
@@ -203,9 +207,9 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
 
     def eval_hess(x):
         u, v = unpack(x)
-        resid = u @ v.T - y_obs
-        mask_u = (u < 0.0).astype(np.float64)
-        mask_v = (v < 0.0).astype(np.float64)
+        res = resid(x)
+        gram_u, gram_v = u.T @ u, v.T @ v
+        shift_u, shift_v = (2.0 * alpha + (a < 0.0) / beta for a in (u, v))
         if dim <= DENSE_DIM_MAX:
             # Closed form, rows and columns ordered (row, factor):
             #   H_UU = I_d (x) V^T V,  H_VV = I_n (x) U^T U,
@@ -217,27 +221,21 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
             h_uu = dense[:du, :du].reshape(d, r, d, r)
             h_uv = dense[:du, du:].reshape(d, r, n, r)
             h_vv = dense[du:, du:].reshape(n, r, n, r)
-            h_uu[np.arange(d), :, np.arange(d), :] = v.T @ v
-            h_vv[np.arange(n), :, np.arange(n), :] = u.T @ u
+            h_uu[np.arange(d), :, np.arange(d), :] = gram_v
+            h_vv[np.arange(n), :, np.arange(n), :] = gram_u
             h_uv[...] = u[:, None, None, :] * v.T[None, :, :, None]
-            h_uv[:, np.arange(r), :, np.arange(r)] += resid
+            h_uv[:, np.arange(r), :, np.arange(r)] += res
             dense[du:, :du] = dense[:du, du:].T
-            diag = np.concatenate([mask_u.ravel(), mask_v.ravel()]) / beta + 2.0 * alpha
-            dense[np.arange(dim), np.arange(dim)] += diag
+            dense[np.arange(dim), np.arange(dim)] += np.concatenate([shift_u, shift_v], axis=None)
             return dense
 
         # Gram form: the Gauss-Newton part (dU V^T + U dV^T) V, and its
         # transpose with U, is regrouped around V^T V and U^T U, so one
         # product with H costs two d x n products (the R terms), not six.
-        gram_u = u.T @ u
-        gram_v = v.T @ v
-        shift_u = 2.0 * alpha + mask_u / beta
-        shift_v = 2.0 * alpha + mask_v / beta
-
         def hvp(p):
             pu, pv = unpack(p)
-            hu = pu @ gram_v + u @ (pv.T @ v) + resid @ pv + shift_u * pu
-            hv = pv @ gram_u + v @ (pu.T @ u) + resid.T @ pu + shift_v * pv
+            hu = pu @ gram_v + u @ (pv.T @ v) + res @ pv + shift_u * pu
+            hv = pv @ gram_u + v @ (pu.T @ u) + res.T @ pu + shift_v * pv
             return np.concatenate([hu.ravel(), hv.ravel()])
 
         def precond(lam):
@@ -372,7 +370,7 @@ def _huber_problem(inst: HuberInstance) -> CompositeProblem:
         # residual r: a row that stays quadratic drops by -d (r + d/2), one
         # that stays linear on the same side by -delta sign(r) d, and one
         # that crosses a kink by the plain difference of its two values.
-        r = a_mat @ x - b_vec
+        r = resid(x)
         d = a_mat @ s
         r_plus = r + d
         quad = (np.abs(r) <= delta) & (np.abs(r_plus) <= delta)
@@ -428,12 +426,13 @@ def _quad_problem(inst: QuadInstance) -> CompositeProblem:
     def eval_f(x):
         return 0.5 * float(x @ (a_mat @ x)) - float(b_vec @ x)
 
+    def eval_grad(x):
+        return a_mat @ x - b_vec
+
     return CompositeProblem(
         smooth=SmoothOracle(
-            dim=n, eval_f=eval_f,
-            eval_grad=lambda x: a_mat @ x - b_vec,
-            eval_hess=lambda x: a_mat,
-            eval_f_diff=lambda x, s: -float(s @ (a_mat @ x - b_vec + 0.5 * (a_mat @ s)))),
+            dim=n, eval_f=eval_f, eval_grad=eval_grad, eval_hess=lambda x: a_mat,
+            eval_f_diff=lambda x, s: -float(s @ (eval_grad(x) + 0.5 * (a_mat @ s)))),
         psi=ZeroPart(), known_fstar=-0.5 * float(b_vec @ xstar), known_xstar=xstar,
         kink_gap=lambda x: np.inf)
 

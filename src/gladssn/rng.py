@@ -57,15 +57,17 @@ class Rng:
         self._seed = np.uint64(int(seed) % 2**64)
         self._count = 0
 
-    def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+    def _u53(self, n: int) -> np.ndarray:
+        """The next n uniforms ((z >> 11) + 1) * 2**-53 of the stream."""
         self._count += n
-        return mix64(self._seed + idx * _GAMMA)
+        # the index array stays unnamed: held to the end, it adds 8n bytes to the peak
+        z = mix64(self._seed + np.arange(self._count - n + 1, self._count + 1,
+                                         dtype=np.uint64) * _GAMMA) >> np.uint64(11)
+        return (z.astype(np.float64) + 1.0) * _U53
 
     def uniform(self, size=None) -> np.ndarray | float:
         """Uniform draws in (0, 1]."""
-        n = 1 if size is None else int(np.prod(size))
-        u = ((self._raw(n) >> np.uint64(11)).astype(np.float64) + 1.0) * _U53
+        u = self._u53(1 if size is None else int(np.prod(size)))
         if size is None:
             return float(u[0])
         return u.reshape(size)
@@ -74,7 +76,7 @@ class Rng:
         """Standard normal draws."""
         q = 1 if size is None else int(np.prod(size))
         pairs = (q + 1) // 2
-        u = ((self._raw(2 * pairs) >> np.uint64(11)).astype(np.float64) + 1.0) * _U53
+        u = self._u53(2 * pairs)
         radius = np.sqrt(-2.0 * np.log(u[0::2]))
         angle = 2.0 * np.pi * u[1::2]
         out = np.empty(2 * pairs)

@@ -391,7 +391,7 @@ def test_criterion_08_oracle_correctness(capsys, monkeypatch):
 def test_criterion_09_penalty_behaviour(capsys):
     prob = make_nmf(1, d=40, n=20, r=4)
     res = solve(prob, SolverConfig(p=0.5, m=1, grad_tol=1e-7, max_outer=600))
-    f0 = prob.eval_F(prob.x0)
+    f0 = float(prob.smooth.eval_f(prob.x0))
     pv = penalty_violation(res.x, prob.instance)
     ok = res.status == "converged" and pv <= 1e-3 * f0
     line = _report(capsys, 9, "penalty behaviour", ok,

@@ -118,6 +118,32 @@ def test_verify_command(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_rejects_an_option_it_cannot_use(tmp_path, capsys):
+    # the README's quad seed-7 trace passes verify with no options
+    out = tmp_path / "t.csv"
+    assert main(["run", "--problem", "quad", "--seed", "7", "--tol", "1e-10",
+                 "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    capsys.readouterr()
+    for flag, value in (("--L", "-5"), ("--L", "inf"), ("--L", "nan"),
+                        ("--fstar", "inf"), ("--fstar", "nan")):
+        assert main(["verify", str(out), flag, value]) == 1
+        captured = capsys.readouterr()
+        assert f"gladssn: {flag[2:]} must be" in captured.err, (flag, value)
+        assert "verify:" not in captured.out
+
+
+def test_run_and_compare_reject_a_non_string_out_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "quad", "out_path": 5}))
+    assert main(["run", "--config", str(cfg)]) == 1
+    cfg.write_text(json.dumps([{"problem": "quad", "out_path": ["a"]}]))
+    assert main(["compare", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.count("gladssn: out_path must be a string") == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]  # no trace written
+
+
 def test_verify_missing_file(capsys):
     assert main(["verify", "/nonexistent/trace.csv"]) == 1
     assert "gladssn:" in capsys.readouterr().err

@@ -274,6 +274,15 @@ def test_verify_envelope_uses_observed_lambda_without_L(quad_result):
     assert "F_0 < fstar: envelope skipped" in report.notes
 
 
+@pytest.mark.parametrize("option, value", [("L", -5.0), ("L", math.inf), ("L", math.nan),
+                                           ("fstar", math.inf), ("fstar", -math.inf),
+                                           ("fstar", math.nan)])
+def test_verify_rejects_an_option_it_cannot_use(quad_result, option, value):
+    # a bad L or fstar would otherwise fail (or skip) a check of a valid trace
+    with pytest.raises(ValueError, match=f"{option} must be"):
+        verify(quad_result, **{option: value})
+
+
 # -------------------------------------------------------------- estimate_order
 
 def test_estimate_order_quadratic_decay():
@@ -385,6 +394,10 @@ def test_run_config_validation():
     for seed in (1.5, "7", None, float("nan"), True):
         with pytest.raises(ConfigError, match="seed"):
             RunConfig.from_dict({"problem": "quad", "seed": seed})
+    # out_path is None or a string, checked before any run
+    for out_path in (5, ["a"], b"t.csv"):
+        with pytest.raises(ConfigError, match="out_path"):
+            RunConfig.from_dict({"problem": "quad", "out_path": out_path})
     cfg = RunConfig.from_dict({"problem": "quad", "p": 0.0, "m": 2, "seed": 7.0})
     assert cfg.p == 0.0 and cfg.m == 2
     assert cfg.seed == 7 and isinstance(cfg.seed, int)

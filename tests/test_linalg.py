@@ -31,6 +31,10 @@ def test_identity_metric_is_euclidean():
     assert b.dual_norm(v) == 5.0
     np.testing.assert_array_equal(b.apply(v), v)
     np.testing.assert_array_equal(b.solve(v), v)
+    # one formula for every metric, bit for bit np.linalg.norm's here
+    scales = np.logspace(-150, 150, 20)[:, None]
+    for w in np.random.default_rng(0).standard_normal((20, 37)) * scales:
+        assert b.norm(w) == b.dual_norm(w) == float(np.linalg.norm(w))
 
 
 def test_dense_metric_norms():

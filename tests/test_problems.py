@@ -329,8 +329,13 @@ def test_huber_default_instance():
 
 def oracle_outputs(problem, x):
     smooth = problem.smooth
-    return (smooth.eval_f(x), smooth.eval_grad(x),
-            Regularized(smooth.eval_hess(x), MetricB()).h, problem.kink_gap(x))
+    h = Regularized(smooth.eval_hess(x), MetricB()).h
+    if isinstance(h, LinOp):  # matrix-free: compared through H @ v
+        h = h @ np.linspace(-1.0, 1.0, problem.dim)
+    out = [smooth.eval_f(x), smooth.eval_grad(x), h, problem.kink_gap(x)]
+    if smooth.eval_f_diff is not None:
+        out.append(smooth.eval_f_diff(x, np.full(problem.dim, 1e-3)))
+    return out
 
 
 def assert_bitwise_equal(got, want):
@@ -338,14 +343,20 @@ def assert_bitwise_equal(got, want):
         assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("make, kw", [(make_svm, {"n": 6, "ell": 40}),
-                                      (make_huber, {"m": 30, "n": 6})])
-def test_residual_cache_matches_fresh_oracles(make, kw):
-    # SVM's margins and Huber's A x - b are computed once per point and
-    # shared by f, the gradient, the Hessian and kink_gap.  Every result
-    # must equal a fresh oracle's at that point, also after the caller
-    # changes the array it passed in place.
+@pytest.mark.parametrize("make, kw, dense_max", [
+    (make_svm, {"n": 6, "ell": 40}, DENSE_DIM_MAX),
+    (make_huber, {"m": 30, "n": 6}, DENSE_DIM_MAX),
+    (make_nmf, {"d": 7, "n": 5, "r": 3}, DENSE_DIM_MAX),
+    (make_nmf, {"d": 7, "n": 5, "r": 3}, 0),
+], ids=["make_svm-kw0", "make_huber-kw1", "make_nmf-dense", "make_nmf-matrix-free"])
+def test_residual_cache_matches_fresh_oracles(make, kw, dense_max, monkeypatch):
+    # SVM's margins and Huber's and NMF's residuals are computed once per
+    # point and shared by f, the gradient, the Hessian, kink_gap and the
+    # step's decrease.  Every result must equal a fresh oracle's at that
+    # point, also after the caller changes the array it passed in place.
+    monkeypatch.setattr(problems, "DENSE_DIM_MAX", dense_max)
     problem = make(3, **kw)
+    assert isinstance(problem.smooth.eval_hess(problem.x0), LinOp) == (dense_max == 0)
     inst = problem.instance
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal((2, problem.dim))
