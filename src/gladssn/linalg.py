@@ -3,9 +3,10 @@
 MetricB is the metric B, and Regularized the regularized models of one
 Hessian refresh, for any lam: the linear systems H + lam B of a zero psi
 and the composite model solve of a nonzero one.  An oracle's curvature
-operator H is a dense square array, a matrix-free LinOp, or an ActiveGram
-that Regularized assembles; all three are applied as H @ v.  Vectors are
-1-d float64 arrays.  Nothing here mutates its inputs.
+operator H is a dense square array, a matrix-free LinOp, an ActiveGram
+that Regularized assembles, or a BorderedBlocks that Regularized solves by
+eliminating its diagonal blocks; all four are applied as H @ v.  Vectors
+are 1-d float64 arrays.  Nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "MetricB",
     "LinOp",
     "ActiveGram",
+    "BorderedBlocks",
     "Regularized",
 ]
 
@@ -70,10 +72,12 @@ _MINRES_RTOL = THETA**3
 # FISTA sweeps per composite model solve (Regularized.prox_solve).
 _PROX_MAX_SWEEPS = 500
 
-# Solves per Hessian refresh from which one eigendecomposition of a dense H
-# beats a Cholesky factorization per solve: at n = 240 on one OpenBLAS thread
-# of a Xeon core, eigh costs 6-8 ms and one Cholesky solve with refinement
-# about 1.1 ms.
+# Solves per Hessian refresh from which one eigendecomposition of a dense
+# array H beats a Cholesky factorization per solve.  Measured on a 240 x 240
+# H (reduced NMF's, assembled) on one OpenBLAS thread of a Xeon core: eigh
+# costs 6-8 ms and one Cholesky solve with refinement about 1.1 ms.  A
+# BorderedBlocks H, NMF's own form, takes neither path: it is eliminated
+# per solve, whatever the count.
 _EIGH_MIN_SOLVES = 6.0
 
 
@@ -193,22 +197,58 @@ class ActiveGram:
         return dense
 
 
+class BorderedBlocks:
+    """The symmetric [[blockdiag(blocks), coupling], [coupling^T, tail]], unassembled.
+
+    blocks is a (k, b, b) stack of symmetric diagonal blocks, coupling a
+    (k b, m) array and tail a symmetric (m, m) array.  A Hessian that is
+    block diagonal in one group of variables has this form.  It exposes
+    shape and @ the way LinOp does; Regularized eliminates the blocks per
+    solve (see solve), and assemble() is the dense array.
+    """
+
+    def __init__(self, blocks: np.ndarray, coupling: np.ndarray, tail: np.ndarray):
+        self.blocks = blocks
+        self.coupling = coupling
+        self.tail = tail
+        self.shape = (coupling.shape[0] + tail.shape[0],) * 2
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        k, b, _ = self.blocks.shape
+        head, rest = v[:k * b], v[k * b:]
+        return np.concatenate([
+            np.matmul(self.blocks, head.reshape(k, b, 1)).ravel() + self.coupling @ rest,
+            self.coupling.T @ head + self.tail @ rest])
+
+    def assemble(self) -> np.ndarray:
+        """The dense array, exactly symmetric when blocks and tail are."""
+        k, b, _ = self.blocks.shape
+        kb = k * b
+        dense = np.zeros(self.shape)
+        dense[:kb, :kb].reshape(k, b, k, b)[np.arange(k), :, np.arange(k), :] = self.blocks
+        dense[:kb, kb:] = self.coupling
+        dense[kb:, :kb] = self.coupling.T
+        dense[kb:, kb:] = self.tail
+        return dense
+
+
 class Regularized:
     """H + lam B for every lam > 0, built once per Hessian refresh.
 
     H is a dense array, which is replaced by its symmetric part (H + H^T) / 2
-    (a new array; the caller's is never written), a matrix-free LinOp, or an
-    ActiveGram, which is assembled here (see _assemble).  solves is the
-    number of solves the caller expects against this refresh; from
-    _EIGH_MIN_SOLVES on, a dense H is eigendecomposed once instead of
-    factored per solve (see solve).  Like the eigenbasis, a LinOp's
-    preconditioner is per-refresh state: built once, at the first solve's
-    lam, and reused for every lam.  prev is the previous refresh's
-    Regularized, from which an ActiveGram is built and FISTA's step starts
-    (see prox_solve); it is not kept.
+    (a new array; the caller's is never written), a matrix-free LinOp, an
+    ActiveGram, which is assembled here (see _assemble), or a
+    BorderedBlocks, which is kept unassembled for an identity metric and
+    assembled for any other.  solves is the number of solves the caller
+    expects against this refresh; from _EIGH_MIN_SOLVES on, a dense array
+    is eigendecomposed once instead of factored per solve (see solve).
+    Like the eigenbasis, a LinOp's preconditioner is per-refresh state:
+    built once, at the first solve's lam, and reused for every lam.  prev
+    is the previous refresh's Regularized, from which an ActiveGram is built
+    and FISTA's step starts (see prox_solve); it is not kept.
     """
 
-    def __init__(self, h: np.ndarray | LinOp | ActiveGram, metric: MetricB,
+    def __init__(self, h: np.ndarray | LinOp | ActiveGram | BorderedBlocks, metric: MetricB,
                  solves: float = 0.0, prev: Regularized | None = None):
         self.metric = metric
         self._eigh_pays = solves >= _EIGH_MIN_SOLVES
@@ -216,13 +256,15 @@ class Regularized:
         self._t = prev._t if prev is not None else None  # FISTA's last accepted step
         self._precond = None  # h.precond(lam) at the first matrix-free solve, as a LinearOperator
         self.gram = h if isinstance(h, ActiveGram) else None
+        if isinstance(h, BorderedBlocks) and not metric.is_identity:
+            h = h.assemble()  # its blocks are not blocks of the pencil (H, B)
         if self.gram is not None:
             h = self._assemble(prev)
         elif isinstance(h, np.ndarray):
             h = sym_part(h)
-        elif not isinstance(h, LinOp):
-            raise TypeError(f"eval_hess must return an ndarray, a LinOp or an ActiveGram, "
-                            f"got {type(h).__name__}")
+        elif not isinstance(h, (LinOp, BorderedBlocks)):
+            raise TypeError(f"eval_hess must return an ndarray, a LinOp, an ActiveGram or "
+                            f"a BorderedBlocks, got {type(h).__name__}")
         self.h = h
 
     def _assemble(self, prev: Regularized | None) -> np.ndarray:
@@ -255,6 +297,14 @@ class Regularized:
     @property
     def is_dense(self) -> bool:
         return not isinstance(self.h, LinOp)
+
+    @property
+    def is_finite(self) -> bool:
+        """Whether every entry of a dense H is finite; a LinOp's are not read."""
+        h = self.h
+        parts = ((h.blocks, h.coupling, h.tail) if isinstance(h, BorderedBlocks)
+                 else () if isinstance(h, LinOp) else (h,))
+        return all(np.all(np.isfinite(part)) for part in parts)
 
     def apply(self, lam: float, v: np.ndarray) -> np.ndarray:
         """(H + lam B) v."""
@@ -347,8 +397,11 @@ class Regularized:
         corrections, each solving again for the residual rhs - (H + lam B) s
         (through apply, for every method), until the residual meets its
         target in the dual norm.  A dense H is solved only directly, to the
-        residual target max(1e-10, 1e-12 ||rhs||): H + lam B by Cholesky with
-        a scale-relative pivot test, unless the refresh expects
+        residual target max(1e-10, 1e-12 ||rhs||).  A BorderedBlocks H
+        (whose metric is the identity, see __init__) is solved per lam by
+        eliminating its blocks (_elimination_solver), and never assembled.
+        A dense array H + lam B is factored by Cholesky with a
+        scale-relative pivot test, unless the refresh expects
         _EIGH_MIN_SOLVES solves or holds its eigenbasis.  That basis of the
         pencil (H, B) is computed once, on the first solve of such a refresh
         or the first Cholesky decline, and serves every later solve at
@@ -377,12 +430,48 @@ class Regularized:
             once, target = self._minres_solver(lam), lambda s: self._forcing(lam, s)
         else:
             once, target = None, lambda s: max(1e-10, 1e-12 * rhs_norm)
-            if not self._eigh_pays and self._eig is None:
+            if isinstance(self.h, BorderedBlocks):
+                once = self._elimination_solver(lam)
+            elif not self._eigh_pays and self._eig is None:
                 once = _cholesky_solver(self.h + lam * (np.eye(n) if self.metric.is_identity
                                                         else self.metric.matrix))
             if once is None:  # many solves expected, a kept eigenbasis or a Cholesky decline
                 once = self._eigen_solver(lam)
         return _refined(once, lambda v: self.apply(lam, v), rhs, self.metric.dual_norm, target)
+
+    def _elimination_solver(self, lam: float):
+        """r -> (H + lam I)^{-1} r for a BorderedBlocks H, by block elimination.
+
+        With A = blockdiag(blocks) + lam I and C the coupling, the Schur
+        complement S = tail + lam I - C^T A^{-1} C carries all of the
+        coupling (Golub & Van Loan, Matrix Computations, secs. 3.2 and 4.2):
+        s_2 = S^{-1} (r_2 - C^T A^{-1} r_1) and s_1 = A^{-1} r_1 - A^{-1} C s_2.
+        The blocks are inverted in one batched call, and S is factored by
+        Cholesky, or by LU when Cholesky declines it (H + lam I is then
+        indefinite, as A is positive definite for positive definite blocks).
+        An S that LU finds singular raises SolverStallError.
+        """
+        h = self.h
+        k, b, _ = h.blocks.shape
+        kb = k * b
+        shifted = h.blocks.copy()
+        shifted.reshape(k, b * b)[:, ::b + 1] += lam  # the diagonal of each block
+        inv = np.linalg.inv(shifted)
+        inv_c = np.matmul(inv, h.coupling.reshape(k, b, -1)).reshape(kb, -1)
+        schur = h.tail - h.coupling.T @ inv_c
+        schur.flat[::schur.shape[0] + 1] += lam
+        schur_solve = _cholesky_solver(schur)
+        if schur_solve is None:
+            schur_solve = _lu_solver(schur)
+        if schur_solve is None:
+            raise SolverStallError(f"Schur complement of H + {lam:.3e} I is singular",
+                                   best_residual=np.inf)
+
+        def once(r):
+            head = np.matmul(inv, r[:kb].reshape(k, b, 1)).ravel()
+            rest = schur_solve(r[kb:] - h.coupling.T @ head)
+            return np.concatenate([head - inv_c @ rest, rest])
+        return once
 
     def _minres_solver(self, lam: float):
         """r -> MINRES solution of (H + lam B) d = r, one call of a solve's refinement loop.
@@ -445,6 +534,16 @@ def _refined(solve_once, apply, rhs: np.ndarray, norm, target) -> np.ndarray:
     )
 
 
+def _lu_solver(m: np.ndarray):
+    """r -> m^{-1} r by LU with partial pivoting; None when a pivot is not
+    finite or is below _PIVOT_REL times the mean pivot size."""
+    lu, piv, _ = scipy.linalg.lapack.dgetrf(m)
+    pivots = np.abs(np.diag(lu))
+    if not np.min(pivots) > _PIVOT_REL * np.mean(pivots):
+        return None
+    return lambda r: scipy.linalg.lapack.dgetrs(lu, piv, r)[0]
+
+
 def _cholesky_solver(m: np.ndarray):
     """r -> m^{-1} r by Cholesky; None when a pivot is not finite or fails the test."""
     try:
@@ -453,4 +552,7 @@ def _cholesky_solver(m: np.ndarray):
         return None
     if not np.min(np.diag(chol)) ** 2 > _PIVOT_REL * (np.trace(m) / m.shape[0]):
         return None
-    return lambda r: scipy.linalg.cho_solve((chol, True), r)
+    # LAPACK's potrs, which scipy.linalg.cho_solve calls, on a Fortran-ordered
+    # copy made once here rather than on every solve
+    chol = np.asfortranarray(chol)
+    return lambda r: scipy.linalg.lapack.dpotrs(chol, r, lower=1)[0]

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import ActiveGram, LinOp, MetricB
+from .linalg import ActiveGram, BorderedBlocks, LinOp, MetricB
 
 __all__ = [
     "SmoothOracle",
@@ -34,27 +34,21 @@ class SmoothOracle:
     them in any order: it evaluates f at a trial point before its gradient,
     and the gradient only for a trial that passes the decrease test.
     eval_hess returns the Hessian as a dense square ndarray, as a
-    matrix-free LinOp when it is too large to assemble, or as an ActiveGram
+    matrix-free LinOp when it is too large to assemble, as an ActiveGram
     rows[mask]^T rows[mask] + shift I, which the solver assembles from the
-    previous refresh of the same solve (linalg.Regularized).  The solver
-    never writes into a returned array, so an oracle may return one it
-    keeps.
+    previous refresh of the same solve, or as a BorderedBlocks, block
+    diagonal in its leading variables, which the solver solves by
+    eliminating the blocks (linalg.Regularized).  The solver never writes
+    into a returned array, so an oracle may return one it keeps.
     Nothing in this package reads lipschitz_L, an optional bound L/2 on the
     Hessian operator norm: the solver adapts its regularizer instead.
-
-    eval_f_diff(x, s), when set, returns the decrease f(x) - f(x + s)
-    computed from the step itself, so that it stays accurate when the
-    decrease is far below the rounding error eps * |f| of eval_f.  The
-    solver consults it only where the decrease test would otherwise be
-    decided by that rounding (see ssn); without it such a run stalls.
     """
 
     dim: int
     eval_f: Callable[[np.ndarray], float]
     eval_grad: Callable[[np.ndarray], np.ndarray]
-    eval_hess: Callable[[np.ndarray], np.ndarray | LinOp | ActiveGram]
+    eval_hess: Callable[[np.ndarray], np.ndarray | LinOp | ActiveGram | BorderedBlocks]
     lipschitz_L: float | None = None
-    eval_f_diff: Callable[[np.ndarray, np.ndarray], float] | None = None
 
 
 class ZeroPart:
@@ -93,9 +87,16 @@ class CompositeProblem:
 
     kink_gap, when provided, maps a point to its distance from the nearest
     nondifferentiability of the Hessian field (used to pick safe
-    finite-difference test points).  x0 is the canonical starting point for
-    harness runs, and instance keeps the generator record so the problem can
-    be exported and replayed elsewhere.
+    finite-difference test points).  eval_f_diff(x, s), when provided,
+    returns the decrease f(x) - f(x + s) of the smooth part computed from
+    the step itself, so that it stays accurate when the decrease is far
+    below the rounding error eps * |f| of eval_f.  The solver consults it
+    only where the decrease test would otherwise be decided by that
+    rounding (see ssn); without it the rounding decides.  Both are
+    functions of f's data: a caller who replaces smooth with another f must
+    replace them too, or the problem keeps the old ones.  x0 is the
+    canonical starting point for harness runs, and instance keeps the
+    generator record so the problem can be exported and replayed elsewhere.
     """
 
     smooth: SmoothOracle
@@ -105,6 +106,7 @@ class CompositeProblem:
     known_xstar: np.ndarray | None = None
     name: str = ""
     kink_gap: Callable[[np.ndarray], float] | None = None
+    eval_f_diff: Callable[[np.ndarray, np.ndarray], float] | None = None
     x0: np.ndarray | None = None
     instance: object | None = None
 

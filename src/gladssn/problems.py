@@ -8,10 +8,12 @@ load_instance reads it back bit for bit, each field checked against its
 declared type and every array against the instance's sizes, so runs replay
 across machines.
 
-Hessians come back dense, except two.  NMF's above DENSE_DIM_MAX
-variables is a matvec handle with a block-Jacobi preconditioner.  Huber's
-is an ActiveGram, its rows on the quadratic piece, which the solver
-assembles from the previous refresh's Hessian.
+Hessians come back as dense arrays for SVM and the quadratic.  NMF's is a
+BorderedBlocks up to DENSE_DIM_MAX variables, which the solver solves by
+eliminating the diagonal blocks of U, and above it a matvec handle with a
+block-Jacobi preconditioner.  Huber's is an ActiveGram, its rows on the
+quadratic piece, which the solver assembles from the previous refresh's
+Hessian.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .linalg import ActiveGram, LinOp
+from .linalg import ActiveGram, BorderedBlocks, LinOp
 from .oracle import CompositeProblem, SmoothOracle, ZeroPart
 from .rng import Rng
 
@@ -214,20 +216,18 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
             # Closed form, rows and columns ordered (row, factor):
             #   H_UU = I_d (x) V^T V,  H_VV = I_n (x) U^T U,
             #   H_UV[(i,a),(j,b)] = U[i,b] V[j,a] + R[i,j] delta_ab,
-            # plus the diagonal 2 alpha + mask / beta.  The blocks are
-            # written through 4-d views of the one dense array.
-            du = d * r
-            dense = np.zeros((dim, dim))
-            h_uu = dense[:du, :du].reshape(d, r, d, r)
-            h_uv = dense[:du, du:].reshape(d, r, n, r)
-            h_vv = dense[du:, du:].reshape(n, r, n, r)
-            h_uu[np.arange(d), :, np.arange(d), :] = gram_v
-            h_vv[np.arange(n), :, np.arange(n), :] = gram_u
-            h_uv[...] = u[:, None, None, :] * v.T[None, :, :, None]
-            h_uv[:, np.arange(r), :, np.arange(r)] += res
-            dense[du:, :du] = dense[:du, du:].T
-            dense[np.arange(dim), np.arange(dim)] += np.concatenate([shift_u, shift_v], axis=None)
-            return dense
+            # plus the diagonal 2 alpha + mask / beta.  H_UU is kept as its
+            # d diagonal r x r blocks, which the solver eliminates; H_UV is
+            # built with 4-d indices and H_VV written through a 4-d view.
+            diag = np.arange(r)
+            blocks = np.repeat(gram_v[None], d, axis=0)
+            blocks[:, diag, diag] += shift_u
+            h_uv = u[:, None, None, :] * v.T[None, :, :, None]
+            h_uv[:, diag, :, diag] += res
+            h_vv = np.zeros((n * r, n * r))
+            h_vv.reshape(n, r, n, r)[np.arange(n), :, np.arange(n), :] = gram_u
+            h_vv[np.diag_indices(n * r)] += shift_v.ravel()
+            return BorderedBlocks(blocks, h_uv.reshape(d * r, n * r), h_vv)
 
         # Gram form: the Gauss-Newton part (dU V^T + U dV^T) V, and its
         # transpose with U, is regrouped around V^T V and U^T U, so one
@@ -260,8 +260,9 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
 
     return CompositeProblem(
         smooth=SmoothOracle(dim=dim, eval_f=eval_f, eval_grad=eval_grad,
-                            eval_hess=eval_hess, eval_f_diff=eval_f_diff),
-        psi=ZeroPart(), kink_gap=lambda x: float(np.min(np.abs(x))))
+                            eval_hess=eval_hess),
+        psi=ZeroPart(), kink_gap=lambda x: float(np.min(np.abs(x))),
+        eval_f_diff=eval_f_diff)
 
 
 def penalty_violation(x: np.ndarray, inst: NmfInstance) -> float:
@@ -386,9 +387,10 @@ def _huber_problem(inst: HuberInstance) -> CompositeProblem:
 
     return CompositeProblem(
         smooth=SmoothOracle(dim=n, eval_f=eval_f, eval_grad=eval_grad,
-                            eval_hess=eval_hess, eval_f_diff=eval_f_diff),
+                            eval_hess=eval_hess),
         psi=ZeroPart(),
-        kink_gap=lambda x: float(np.min(np.abs(np.abs(resid(x)) - delta))))
+        kink_gap=lambda x: float(np.min(np.abs(np.abs(resid(x)) - delta))),
+        eval_f_diff=eval_f_diff)
 
 
 # ---------------------------------------------------------------------- quad
@@ -430,11 +432,11 @@ def _quad_problem(inst: QuadInstance) -> CompositeProblem:
         return a_mat @ x - b_vec
 
     return CompositeProblem(
-        smooth=SmoothOracle(
-            dim=n, eval_f=eval_f, eval_grad=eval_grad, eval_hess=lambda x: a_mat,
-            eval_f_diff=lambda x, s: -float(s @ (eval_grad(x) + 0.5 * (a_mat @ s)))),
+        smooth=SmoothOracle(dim=n, eval_f=eval_f, eval_grad=eval_grad,
+                            eval_hess=lambda x: a_mat),
         psi=ZeroPart(), known_fstar=-0.5 * float(b_vec @ xstar), known_xstar=xstar,
-        kink_gap=lambda x: np.inf)
+        kink_gap=lambda x: np.inf,
+        eval_f_diff=lambda x, s: -float(s @ (eval_grad(x) + 0.5 * (a_mat @ s))))
 
 
 # --------------------------------------------------------------------- kinds

@@ -36,6 +36,10 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
+# Uniforms per block of a gaussian draw: even, so each block holds whole
+# Box-Muller pairs and the values do not depend on the blocking.  Drawing
+# by blocks bounds the temporaries of a large draw to a few blocks.
+_NORMAL_BLOCK = 2**16
 
 
 def mix64(z):
@@ -75,13 +79,14 @@ class Rng:
     def normal(self, size=None) -> np.ndarray | float:
         """Standard normal draws."""
         q = 1 if size is None else int(np.prod(size))
-        pairs = (q + 1) // 2
-        u = self._u53(2 * pairs)
-        radius = np.sqrt(-2.0 * np.log(u[0::2]))
-        angle = 2.0 * np.pi * u[1::2]
-        out = np.empty(2 * pairs)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
+        out = np.empty(2 * ((q + 1) // 2))
+        for start in range(0, out.size, _NORMAL_BLOCK):
+            u = self._u53(min(_NORMAL_BLOCK, out.size - start))
+            radius = np.sqrt(-2.0 * np.log(u[0::2]))
+            angle = 2.0 * np.pi * u[1::2]
+            block = out[start:start + u.size]
+            block[0::2] = radius * np.cos(angle)
+            block[1::2] = radius * np.sin(angle)
         if size is None:
             return float(out[0])
         return out[:q].reshape(size)

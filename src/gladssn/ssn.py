@@ -37,12 +37,15 @@ trial of each iteration starts from x_k.
 
 Near the optimum the decrease F(x_k) - F(x_+) falls under the rounding
 error of evaluating F, and its difference of two rounded values would
-decide the second test on noise.  When psi is zero, the oracle supplies
-eval_f_diff and the test lies within the rounding band
+decide the second test on noise.  When the problem supplies eval_f_diff
+and the test lies within the rounding band
 |(F_k - F_+) - lambda r^2/4| <= 8 eps (|F_k| + |F_+|) (_ROUNDING_BAND),
-the decrease is taken from eval_f_diff(x_k, x_+ - x_k) instead.  Outside
-the band, or without eval_f_diff, the rounded values decide, and a run
-whose trials all fail on noise stops as stalled.
+the decrease is taken from the step s = x_+ - x_k instead:
+eval_f_diff(x_k, s) when psi is zero, and the lower bound
+eval_f_diff(x_k, s) - <v, s> on F(x_k) - F(x_+) when it is not, with v the
+trial's subgradient of psi at x_+.  Outside the band, or without
+eval_f_diff, the rounded values decide, and a run whose trials all fail on
+noise stops as stalled.
 
 Each Hessian refresh builds one linalg.Regularized, which owns H + lambda B
 for every trial and lazy iteration until the next refresh.  It is built
@@ -202,18 +205,24 @@ def acceptance_test(pairing: float, g_plus: float, r: float, lam: float,
 
 
 def _certified_decrease(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
-                        floor: float, F_val: float, F_plus: float) -> float:
+                        v_plus: np.ndarray, floor: float, F_val: float,
+                        F_plus: float) -> float:
     """F(x) - F(x + s) for the decrease test, whose right side is floor.
 
-    eval_f_diff(x, s) when psi is zero, the oracle has it and the test lies
-    within the rounding band |(F_val - F_plus) - floor| <=
-    _ROUNDING_BAND * eps * (|F_val| + |F_plus|); else F_val - F_plus.
+    When the problem has eval_f_diff and the test lies within the rounding
+    band |(F_val - F_plus) - floor| <= _ROUNDING_BAND * eps * (|F_val| +
+    |F_plus|), the decrease of f is eval_f_diff(x, s).  With psi zero that
+    is the result.  With psi nonzero, v_plus is a subgradient of psi at
+    x + s, so convexity gives psi(x) - psi(x + s) >= -<v_plus, s>, and the
+    result eval_f_diff(x, s) - <v_plus, s> is a lower bound on the decrease:
+    no step passes that the exact test rejects.  Else F_val - F_plus.
     """
-    diff = problem.smooth.eval_f_diff
-    if diff is not None and problem.psi.is_zero:
+    diff = problem.eval_f_diff
+    if diff is not None:
         band = _ROUNDING_BAND * _EPS * (abs(F_val) + abs(F_plus))
         if abs((F_val - F_plus) - floor) <= band:
-            return float(diff(x, s))
+            decrease = float(diff(x, s))
+            return decrease if problem.psi.is_zero else decrease - float(v_plus @ s)
     return F_val - F_plus
 
 
@@ -300,7 +309,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             solves = config.m * trials / k if k >= 1 and config.m >= 2 else 0.0
             reg = Regularized(problem.smooth.eval_hess(x), metric, solves, prev=reg)
             hess_evals += 1
-            if reg.is_dense and not np.all(np.isfinite(reg.h)):
+            if not reg.is_finite:
                 raise NonFiniteError(f"non-finite Hessian at outer iteration {k}", k=k)
 
         s_prev = None
@@ -325,7 +334,8 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             r = metric.norm(step)
             # Only the right side of the decrease test is known before the gradient.
             _, floor = step_inequalities(np.nan, np.nan, r, lam, np.nan, g)["decrease"]
-            decrease = _certified_decrease(problem, x, s_prev, floor, F_val, F_plus)
+            decrease = _certified_decrease(problem, x, s_prev, psi_sub_plus, floor,
+                                           F_val, F_plus)
             if not decrease >= floor:
                 continue
             f_grad_plus = np.asarray(problem.smooth.eval_grad(x_plus), dtype=np.float64)

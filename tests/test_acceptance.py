@@ -367,7 +367,7 @@ def test_criterion_08_oracle_correctness(capsys, monkeypatch):
     c_uv = (np.kron(resid, np.eye(r))
             + np.einsum('ib,ja->iajb', u_mat, v_mat).reshape(d * r, n * r))
     h_oracle = np.block([[a_uu, c_uv], [c_uv.T, d_vv]])
-    h_dense = prob.smooth.eval_hess(x)
+    h_dense = prob.smooth.eval_hess(x).assemble()
     dense_err = float(np.max(np.abs(h_dense - h_oracle)))
     # the same oracle above the dense threshold: its matrix-free hvp, the
     # one MINRES applies, against the independent Hessian

@@ -7,15 +7,17 @@ included) with wrapped callables.  A refactor that renames or reshapes any
 of these breaks `bench.py --trace 1`, whose own tests are not part of this
 suite.  The tracer also counts MINRES calls and iterations by patching
 scipy.sparse.linalg.minres, so linalg must resolve that name at call time.
-This test loads spans.py as it is and runs six solves under it.  Four
-converge off the rounding floor, where the tracer's oracle copy (which has
-no eval_f_diff) decides exactly as the original.  Two end at the floor,
-where their problems decide on rounded values either way.  One is an SVM
-run that stalls there; its last iteration ends at the trial whose step
-rounds to x_k, which evaluates nothing.  The other is the benchmark's
-huber-l1 instance at seed 2, a composite run that converges at the floor
-(psi != 0 is never decided by eval_f_diff); a change that lets composite
-decisions read eval_f_diff makes its traced run differ from the plain one.
+This test loads spans.py as it is and runs six solves under it.  The
+tracer's oracle copy keeps only SmoothOracle's fields, while the problem's
+eval_f_diff, which certifies decreases at the rounding floor, lives on
+CompositeProblem, which the tracer copies whole.  Four solves converge off
+the floor.  Two end at it.  One is an SVM run that stalls there, deciding
+on rounded values (SVM has no eval_f_diff); its last iteration ends at the
+trial whose step rounds to x_k, which evaluates nothing.  The other is the
+benchmark's huber-l1 instance at seed 2, a composite run whose trials
+inside the rounding band are decided by eval_f_diff(x, s) - <v, s>; a
+tracer copy that dropped the certificate would make its traced run differ
+from the plain one.
 The SVM solves also show that the residual cache, reached through the
 tracer's wrapped callables, leaves the trajectory alone, and that trials
 rejected on the decrease evaluate no gradient.

@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse.linalg
 
 from gladssn import linalg, problems
-from gladssn.linalg import (ActiveGram, LinOp, MetricB, MetricError, Regularized,
-                            SolverStallError, sym_part)
+from gladssn.linalg import (ActiveGram, BorderedBlocks, LinOp, MetricB, MetricError,
+                            Regularized, SolverStallError, sym_part)
 from gladssn.oracle import SeparableProx
 from gladssn.problems import make_nmf
 
@@ -405,6 +405,76 @@ def test_declined_cholesky_keeps_the_eigenbasis_for_the_refresh(monkeypatch):
                                    rtol=1e-12)
         assert np.linalg.norm(h_mat @ s + lam * s - rhs) <= 1e-10
     assert calls == {"eigh": 1, "cholesky": 1, "minres": 0}
+
+
+def nmf_bordered_hessian():
+    """NMF's BorderedBlocks Hessian at an indefinite point, and its dense array."""
+    p = make_nmf(4, d=9, n=5, r=3)
+    inst = p.instance
+    x = p.x0 + 0.1 * np.random.default_rng(12).standard_normal(p.dim)
+    x[:inst.d * inst.r:4] = -0.3  # negative entries in U and V: both masks active
+    x[inst.d * inst.r::3] = -0.2
+    h = p.smooth.eval_hess(x)
+    assert isinstance(h, BorderedBlocks)
+    return h, h.assemble()
+
+
+def test_bordered_blocks_matvec_equals_the_assembled_product():
+    h, dense = nmf_bordered_hessian()
+    assert h.shape == dense.shape == (42, 42)
+    np.testing.assert_array_equal(dense, dense.T)
+    np.testing.assert_array_equal(dense[:27, 27:], h.coupling)
+    np.testing.assert_array_equal(dense[27:, 27:], h.tail)
+    np.testing.assert_array_equal(dense[3:6, 3:6], h.blocks[1])
+    assert not np.any(dense[:3, 3:27])  # off the diagonal blocks
+    for v in np.random.default_rng(13).standard_normal((5, 42)):
+        np.testing.assert_allclose(h @ v, dense @ v, rtol=1e-14, atol=1e-14)
+
+
+def test_bordered_blocks_solve_matches_a_dense_solve(monkeypatch):
+    # an identity metric eliminates the blocks: Cholesky of the Schur
+    # complement for lam above -lambda_min(H), LU below it, never eigh;
+    # a non-identity metric assembles H and takes the dense array's path
+    h, dense = nmf_bordered_hessian()
+    lam_min = np.linalg.eigvalsh(dense)[0]
+    assert lam_min < -0.5
+    lus = []
+    lu_solver = linalg._lu_solver
+
+    def seen_lu(m):
+        lus.append(m.shape)
+        return lu_solver(m)
+
+    monkeypatch.setattr(linalg, "_lu_solver", seen_lu)
+    calls = _count_calls(monkeypatch)
+    rhs = np.random.default_rng(14).standard_normal(42)
+    reg = Regularized(h, MetricB())
+    assert reg.h is h and reg.is_dense and reg.is_finite
+    for lam, indefinite in ((2.0 - lam_min, False), (10.0, False), (0.1, True),
+                            (-0.5 * lam_min, True)):
+        lus.clear()
+        s = reg.solve(lam, rhs)
+        assert lus == ([(15, 15)] if indefinite else []), lam
+        want = np.linalg.solve(dense + lam * np.eye(42), rhs)
+        np.testing.assert_allclose(s, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+    assert calls == {"eigh": 0, "cholesky": 4, "minres": 0}
+    bmat = np.diag(np.linspace(0.5, 2.0, 42))
+    reg = Regularized(h, MetricB(bmat))
+    assert isinstance(reg.h, np.ndarray)
+    np.testing.assert_array_equal(reg.h, dense)
+    for lam in (0.1, 10.0):
+        s = reg.solve(lam, rhs)
+        np.testing.assert_allclose(s, np.linalg.solve(dense + lam * bmat, rhs), rtol=1e-10)
+
+
+def test_bordered_blocks_with_a_singular_schur_complement_stall():
+    # blocks 0 and coupling 0 leave S = tail + lam I, zero for tail = -lam I:
+    # Cholesky and LU both decline it, and the solve fails typed
+    h = BorderedBlocks(np.zeros((2, 2, 2)), np.zeros((4, 3)), -np.eye(3))
+    with pytest.raises(SolverStallError, match="Schur complement"):
+        Regularized(h, MetricB()).solve(1.0, np.ones(7))
+    h.tail[0, 0] = np.nan
+    assert not Regularized(h, MetricB()).is_finite
 
 
 def test_solve_regularized_zero_rhs():

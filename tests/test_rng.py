@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 
+from gladssn import rng
 from gladssn.rng import Rng, mix64
 
 MASK = (1 << 64) - 1
@@ -97,3 +98,29 @@ def test_seed_wraps_mod_2_64():
     big = 2**64 + 123
     np.testing.assert_array_equal(Rng(big).uniform(size=4),
                                   Rng(123).uniform(size=4))
+
+
+def normal_unblocked(seed, skip, q):
+    # the recipe in one piece: q gaussians from the pairs of uniforms that
+    # follow the first skip uniforms of the stream
+    u = Rng(seed).uniform(size=skip + 2 * ((q + 1) // 2))[skip:]
+    radius = np.sqrt(-2.0 * np.log(u[0::2]))
+    angle = 2.0 * np.pi * u[1::2]
+    out = np.empty(u.size)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:q]
+
+
+def test_blocked_normal_draw_equals_the_unblocked_recipe():
+    # normal() draws by blocks of rng._NORMAL_BLOCK uniforms; a draw that
+    # spans block boundaries equals the recipe computed in one piece bit
+    # for bit, for an odd count too, and the stream continues after it
+    block = rng._NORMAL_BLOCK
+    assert block % 2 == 0
+    r = Rng(21)
+    skip = 0
+    for q in (2 * block + 1, block - 1, block, 3):
+        np.testing.assert_array_equal(r.normal(size=q), normal_unblocked(21, skip, q))
+        skip += 2 * ((q + 1) // 2)
+    assert r.uniform() == uniform_py(21, skip)

@@ -65,15 +65,19 @@ def test_certified_decrease_inside_and_outside_the_band():
     # f = 0.5 ||x||^2 with an exact difference oracle that the rounded
     # values cannot reproduce, so the result shows which one was used
     base = half_norm_problem(2)
-    exact = dataclasses.replace(
-        base, smooth=dataclasses.replace(base.smooth, eval_f_diff=lambda x, s: 42.0))
-    x, s = np.array([1.0, 0.0]), np.array([-0.5, 0.0])
+    exact = dataclasses.replace(base, eval_f_diff=lambda x, s: 42.0)
+    x, s, v = np.array([1.0, 0.0]), np.array([-0.5, 0.0]), np.array([2.0, 0.0])
     r, lam = 0.5, 1.0
     on_band = 0.25 * lam * r * r  # rounded decrease exactly at the test's boundary
-    assert ssn._certified_decrease(exact, x, s, on_band, 1.0, 1.0 - on_band) == 42.0
-    assert ssn._certified_decrease(exact, x, s, on_band, 1.0, 0.5) == 0.5
+    assert ssn._certified_decrease(exact, x, s, v, on_band, 1.0, 1.0 - on_band) == 42.0
+    assert ssn._certified_decrease(exact, x, s, v, on_band, 1.0, 0.5) == 0.5
     # without the oracle the rounded difference decides, even inside the band
-    assert ssn._certified_decrease(base, x, s, on_band, 1.0, 1.0 - on_band) == on_band
+    assert ssn._certified_decrease(base, x, s, v, on_band, 1.0, 1.0 - on_band) == on_band
+    # a nonzero psi subtracts <v, s> from the oracle's decrease inside the band
+    l1, _ = counted_l1(2.0)  # v is a subgradient of 2 ||.||_1 at x + s
+    composite = dataclasses.replace(exact, psi=l1)
+    assert ssn._certified_decrease(composite, x, s, v, on_band, 1.0, 1.0 - on_band) == 43.0
+    assert ssn._certified_decrease(composite, x, s, v, on_band, 1.0, 0.5) == 0.5
 
 
 def half_norm_problem(n):
@@ -194,10 +198,19 @@ def test_lazy_hessian_count():
             assert row.hess_evals == row.k // m + 1
 
 
+def assembled(problem):
+    """problem with its BorderedBlocks Hessian handed over as the dense array."""
+    hess = problem.smooth.eval_hess
+    return dataclasses.replace(problem, smooth=dataclasses.replace(
+        problem.smooth, eval_hess=lambda x: hess(x).assemble()))
+
+
 def test_decomposition_schedule(monkeypatch):
-    # a refresh that expects many solves (linalg._EIGH_MIN_SOLVES) is
-    # eigendecomposed once; every other refresh factors H + lam B by Cholesky
-    # once per trial
+    # on a dense array H, a refresh that expects many solves
+    # (linalg._EIGH_MIN_SOLVES) is eigendecomposed once, and every other
+    # refresh factors H + lam B by Cholesky once per trial; NMF's own
+    # BorderedBlocks H is never eigendecomposed, at any m: each trial
+    # factors its Schur complement by Cholesky (or LU, once that declines)
     calls = {}
 
     def counted(name, fn):
@@ -210,18 +223,21 @@ def test_decomposition_schedule(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     p = make_nmf(1, d=8, n=6, r=2)
 
-    def run(m):
+    def run(prob, m):
         calls.update(eigh=0, cholesky=0)
-        res = solve(p, SolverConfig(m=m, grad_tol=1e-6))
+        res = solve(prob, SolverConfig(m=m, grad_tol=1e-6))
         assert res.status == CONVERGED
         return res, dict(calls)
 
-    lazy, lazy_calls = run(5)
+    lazy, lazy_calls = run(assembled(p), 5)
     assert lazy.hess_evals >= 2
     assert lazy_calls["eigh"] == lazy.hess_evals - 1  # all but the first refresh
     assert lazy_calls["cholesky"] == lazy.trace[4].trials  # the first refresh's trials
-    eager, eager_calls = run(1)
+    eager, eager_calls = run(assembled(p), 1)
     assert eager_calls == {"eigh": 0, "cholesky": eager.trials}
+    for m in (1, 5):
+        bordered, bordered_calls = run(p, m)
+        assert bordered_calls == {"eigh": 0, "cholesky": bordered.trials}, m
 
 
 def test_lazy_runs_match_eager_on_constant_hessian():
@@ -596,14 +612,14 @@ def test_stall_exit_skips_only_trials_that_round_to_x():
         assert np.array_equal(trial_step(x, f_grad, reg, lam, problem)[0], x), j
 
 
-def counting_diff(smooth):
-    """smooth with eval_f_diff wrapped to record each call's x."""
+def counting_diff(problem):
+    """problem with eval_f_diff wrapped to record each call's x."""
     calls = []
 
     def diff(x, s):
         calls.append(x.copy())
-        return smooth.eval_f_diff(x, s)
-    return dataclasses.replace(smooth, eval_f_diff=diff), calls
+        return problem.eval_f_diff(x, s)
+    return dataclasses.replace(problem, eval_f_diff=diff), calls
 
 
 def offset_quadratic(with_diff, offset=1e3):
@@ -613,19 +629,19 @@ def offset_quadratic(with_diff, offset=1e3):
     b = np.array([1.0, -2.0, 3.0])
     smooth = SmoothOracle(
         dim=3, eval_f=lambda x: offset + 0.5 * float(x @ (a @ x)) - float(b @ x),
-        eval_grad=lambda x: a @ x - b, eval_hess=lambda x: a,
+        eval_grad=lambda x: a @ x - b, eval_hess=lambda x: a)
+    return CompositeProblem(
+        smooth=smooth, psi=ZeroPart(), x0=np.full(3, 5.0),
         eval_f_diff=(lambda x, s: -float(s @ (a @ x - b + 0.5 * (a @ s))))
         if with_diff else None)
-    return CompositeProblem(smooth=smooth, psi=ZeroPart(), x0=np.full(3, 5.0))
 
 
 def test_rounding_floor_certified_by_eval_f_diff():
     cfg = SolverConfig(p=1.0, m=1, grad_tol=1e-13)
     plain = solve(offset_quadratic(False), cfg)
     assert plain.status == STALLED and plain.g_final > 1e-8
-    prob = offset_quadratic(True)
-    smooth, calls = counting_diff(prob.smooth)
-    res = solve(dataclasses.replace(prob, smooth=smooth), cfg)
+    prob, calls = counting_diff(offset_quadratic(True))
+    res = solve(prob, cfg)
     assert res.status == CONVERGED and res.g_final <= 1e-13
     assert res.iters == plain.iters + 1
     # up to the floor both runs are the same, and eval_f_diff was only
@@ -635,6 +651,29 @@ def test_rounding_floor_certified_by_eval_f_diff():
                (b.j_k, b.lambda_k, b.F_val, b.g_k, b.r_k, b.trials)
     assert calls and all(np.array_equal(x, plain.x) for x in calls)
     assert verify(res).passed
+
+
+def test_composite_run_at_the_rounding_floor_reports_a_true_gradient():
+    # Huber plus 5 ||x||_1 at m = 2000, n = 400 reaches the rounding floor
+    # at seeds 2, 4 and 6.  Inside the rounding band a trial's decrease is
+    # the lower bound eval_f_diff(x, s) - <v, s>, so the run either
+    # converges with a positive g_final that is the norm of f'(x) + v for a
+    # true subgradient v of psi at x, or stops as stalled.  Deciding such
+    # trials on rounded values instead lets lam grow until the prox step
+    # returns x itself, with v = -f'(x) and a false g_final = 0.
+    weight = 5.0
+    for seed in (2, 4, 6):
+        prob = l1_huber(seed, weight, m=2000, n=400, delta=0.3)
+        res = solve(prob, SolverConfig(m=1, grad_tol=1e-8))
+        assert res.status in (CONVERGED, STALLED), seed
+        if res.status == STALLED:
+            continue
+        assert 0.0 < res.g_final == np.linalg.norm(prob.smooth.eval_grad(res.x) + res.psi_sub)
+        support = res.x != 0.0
+        np.testing.assert_allclose(res.psi_sub[support], weight * np.sign(res.x[support]),
+                                   rtol=0.0, atol=1e-12)
+        assert np.all(np.abs(res.psi_sub[~support]) <= weight + 1e-12), seed
+        assert verify(res).passed, seed
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -653,13 +692,12 @@ def test_verify_accepts_a_decrease_certified_at_the_floor():
 
 def test_off_floor_nmf_never_consults_eval_f_diff():
     base = make_nmf(1, d=40, n=20, r=4)
-    smooth, calls = counting_diff(base.smooth)
+    prob, calls = counting_diff(base)
     cfg = SolverConfig(p=0.5, m=5, grad_tol=1e-2)
-    res = solve(dataclasses.replace(base, smooth=smooth), cfg)
+    res = solve(prob, cfg)
     assert res.status == CONVERGED
     assert calls == []
-    plain = solve(dataclasses.replace(
-        base, smooth=dataclasses.replace(base.smooth, eval_f_diff=None)), cfg)
+    plain = solve(dataclasses.replace(base, eval_f_diff=None), cfg)
     assert plain.trials == res.trials
     np.testing.assert_array_equal(plain.x, res.x)
 
@@ -716,6 +754,18 @@ def test_non_finite_hessian_raises_or_fails_the_trial():
     with pytest.raises(NonFiniteError, match="Hessian") as exc:
         solve(prob, SolverConfig(m=1, grad_tol=1e-10))
     assert exc.value.k == 1 and exc.value.j is None
+    # so does a BorderedBlocks H with a NaN in any of its parts
+    nmf = make_nmf(1, d=4, n=3, r=2)
+    for part in ("blocks", "coupling", "tail"):
+        def eval_hess(x, part=part):
+            h = nmf.smooth.eval_hess(x)
+            getattr(h, part).flat[1] = np.nan
+            return h
+
+        with pytest.raises(NonFiniteError, match="Hessian") as exc:
+            solve(dataclasses.replace(nmf, smooth=dataclasses.replace(
+                nmf.smooth, eval_hess=eval_hess)), SolverConfig(m=1))
+        assert exc.value.k == 0, part
     # a matrix-free H whose product is NaN fails every inner solve, MINRES
     # and FISTA alike, so each trial is rejected and the run stalls in place;
     # FISTA stops at its first sweep's curvature, one prox call per trial
@@ -729,8 +779,9 @@ def test_non_finite_hessian_raises_or_fails_the_trial():
 
 
 def test_dense_run_declining_cholesky_never_reaches_minres(monkeypatch):
-    # the first refresh of this nonconvex NMF model at m = 5 is indefinite:
-    # Cholesky declines it and the refresh's eigenbasis solves the rest
+    # the first refresh of this nonconvex NMF model at m = 5, handed over as
+    # a dense array, is indefinite: Cholesky declines it and the refresh's
+    # eigenbasis solves the rest
     declines = []
     cholesky = linalg._cholesky_solver
 
@@ -744,7 +795,7 @@ def test_dense_run_declining_cholesky_never_reaches_minres(monkeypatch):
 
     monkeypatch.setattr(linalg, "_cholesky_solver", seen_cholesky)
     monkeypatch.setattr(scipy.sparse.linalg, "minres", no_minres)
-    p = make_nmf(3, d=8, n=6, r=2)
+    p = assembled(make_nmf(3, d=8, n=6, r=2))
     refreshes = []  # Cholesky calls made before each Hessian refresh
 
     def eval_hess(x):
@@ -776,8 +827,8 @@ def test_gradient_skipped_only_on_decrease_rejections(monkeypatch):
     decreases = []
     certified = ssn._certified_decrease
 
-    def record(problem, x, s, floor, F_val, F_plus):
-        decreases.append((certified(problem, x, s, floor, F_val, F_plus), floor))
+    def record(problem, x, s, v_plus, floor, F_val, F_plus):
+        decreases.append((certified(problem, x, s, v_plus, floor, F_val, F_plus), floor))
         return decreases[-1][0]
 
     monkeypatch.setattr(ssn, "_certified_decrease", record)
