@@ -155,10 +155,14 @@ def _records(trace) -> tuple[list[TraceRecord], SolveResult | None]:
 # ----------------------------------------------------------------------- run
 
 def _make_problem(config: RunConfig):
-    """The seeded problem config names; bad problem_kwargs are a ConfigError."""
+    """The seeded problem config names; bad problem_kwargs are a ConfigError.
+
+    A generator rejects an unknown keyword with TypeError and a bad value,
+    such as a size below 1, with ValueError.
+    """
     try:
         return problems.KINDS[config.problem].make(config.seed, **config.problem_kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad problem_kwargs for {config.problem}: {exc}") from exc
 
 

@@ -11,9 +11,9 @@ across machines.
 Hessians come back as dense arrays for SVM and the quadratic.  NMF's is a
 BorderedBlocks up to DENSE_DIM_MAX variables, which the solver solves by
 eliminating the diagonal blocks of U, and above it a matvec handle with a
-block-Jacobi preconditioner.  Huber's is an ActiveGram, its rows on the
-quadratic piece, which the solver assembles from the previous refresh's
-Hessian.
+block-Jacobi preconditioner that inverts each distinct diagonal block once.
+Huber's is an ActiveGram, its rows on the quadratic piece, which the solver
+assembles from the previous refresh's Hessian.
 """
 
 from __future__ import annotations
@@ -60,6 +60,12 @@ def _check_shapes(inst, **want: tuple) -> None:
         raise ValueError(f"{type(inst).__name__} arrays have shapes {got}, expected {want}")
 
 
+def _check_sizes(where: str, **sizes: int) -> None:
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{where}: {name} must be at least 1, got {size}")
+
+
 @dataclass(frozen=True, eq=False)
 class NmfInstance:
     seed: int
@@ -73,6 +79,7 @@ class NmfInstance:
     x0: np.ndarray
 
     def __post_init__(self):
+        _check_sizes(type(self).__name__, d=self.d, n=self.n, r=self.r)
         _check_shapes(self, Y=(self.d, self.n), x0=((self.d + self.n) * self.r,))
 
 
@@ -86,6 +93,7 @@ class SvmInstance:
 
     def __post_init__(self):
         ell, n = np.size(self.y), np.size(self.x0) - 1
+        _check_sizes(type(self).__name__, n=n, ell=ell)
         _check_shapes(self, X=(ell, n), y=(ell,), x0=(n + 1,))
 
 
@@ -100,6 +108,7 @@ class HuberInstance:
 
     def __post_init__(self):
         m, n = np.size(self.b), np.size(self.x0)
+        _check_sizes(type(self).__name__, m=m, n=n)
         _check_shapes(self, A=(m, n), b=(m,), x0=(n,))
 
 
@@ -150,6 +159,7 @@ def make_nmf(seed: int, d: int = 200, n: int = 100, r: int = 12,
         0.5 ||U V^T - Y||_F^2 + alpha (||U||_F^2 + ||V||_F^2)
         + 1/(2 beta) (||min(U, 0)||_F^2 + ||min(V, 0)||_F^2)
     """
+    _check_sizes("make_nmf", d=d, n=n, r=r)
     rng = Rng(seed)
     u_true = rng.uniform((d, r))
     v_true = rng.uniform((n, r))
@@ -242,18 +252,24 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
             # Block Jacobi: the inverse of the diagonal r x r blocks of
             # H + lam I, V^T V + diag(shift_u[i] + lam) for row i of U and
             # U^T U + diag(shift_v[j] + lam) for row j of V.  All d + n are
-            # SPD and inverted in one batched call.  linalg.Regularized
-            # builds it once per refresh, at its first solve's lam, and
-            # reuses it for every lam.
-            blocks = np.empty((d + n, r, r))
-            blocks[:d] = gram_v
-            blocks[d:] = gram_u
+            # SPD, and two rows of one factor with the same sign pattern
+            # have the same block, so each distinct (factor, pattern) block
+            # is inverted once, in one batched call, and gathered back to
+            # the d + n rows.  Keys are deduplicated as packed bytes, since
+            # np.unique(axis=0) costs about as much as it saves.
+            # linalg.Regularized builds it once per refresh, at its first
+            # solve's lam, and reuses it for every lam.
+            keys = np.column_stack([np.arange(d + n) >= d, np.concatenate([u, v]) < 0.0])
+            packed = np.packbits(keys, axis=1)
+            _, first, which = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
+                                        return_index=True, return_inverse=True)
+            blocks = np.stack([gram_v, gram_u])[(first >= d).astype(np.intp)]
             diag = np.arange(r)
-            blocks[:d, diag, diag] += shift_u + lam
-            blocks[d:, diag, diag] += shift_v + lam
+            blocks[:, diag, diag] += np.concatenate([shift_u, shift_v])[first] + lam
             inv = np.linalg.inv(blocks)
             np.add(inv, inv.transpose(0, 2, 1), out=blocks)  # exactly symmetric
             blocks *= 0.5
+            blocks = blocks[which]
             return lambda q: np.matmul(blocks, q.reshape(d + n, r, 1)).ravel()
 
         return LinOp(hvp, dim, precond=precond)
@@ -283,6 +299,7 @@ def make_svm(seed: int, n: int = 200, ell: int = 10000,
 
         0.5 ||omega||^2 + gamma * sum_i max(0, 1 - y_i (omega^T x_i + b))^2
     """
+    _check_sizes("make_svm", n=n, ell=ell)
     rng = Rng(seed)
     feats = rng.normal((ell, n))
     labels = np.ones(ell)
@@ -340,6 +357,7 @@ def make_huber(seed: int, m: int = 500, n: int = 50, delta: float = 1.0,
 
     with huber_delta(t) = t^2/2 for |t| <= delta, else delta (|t| - delta/2).
     """
+    _check_sizes("make_huber", m=m, n=n)
     rng = Rng(seed)
     a_mat = rng.normal((m, n))
     b_vec = rng.normal(m)

@@ -80,6 +80,21 @@ def test_run_non_finite_problem_is_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("gladssn: ")
 
 
+@pytest.mark.parametrize("problem, kwargs", [
+    ("nmf", {"d": -1}), ("nmf", {"d": 0}), ("svm", {"n": 0}), ("huber", {"m": 0})])
+def test_run_with_a_size_below_one_is_exit_1(tmp_path, capsys, problem, kwargs):
+    # these once ended in an OverflowError, an IndexError or a reshape
+    # error at the first trial, each with a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": problem, "problem_kwargs": kwargs,
+                               "out_path": str(tmp_path / "t.csv")}))
+    assert main(["run", "--config", str(cfg)]) == 1
+    (name, size), = kwargs.items()
+    assert capsys.readouterr().err == (f"gladssn: bad problem_kwargs for {problem}: "
+                                       f"make_{problem}: {name} must be at least 1, got {size}\n")
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_run_flags_cover_run_config_fields():
     parser = _build_parser()
     sub = next(a for a in parser._actions

@@ -12,6 +12,7 @@ from gladssn.problems import (DENSE_DIM_MAX, HuberInstance, NmfInstance,
                               QuadInstance, SvmInstance, load_instance, make_huber, make_nmf,
                               make_quadratic, make_svm, penalty_violation,
                               problem_from_instance, save_instance)
+from gladssn.ssn import CONVERGED, SolverConfig, solve
 
 from helpers import columns
 
@@ -154,6 +155,97 @@ def test_nmf_preconditioner_cuts_minres_iterations(monkeypatch):
         res = np.linalg.norm(h @ s + lam * s - rhs)
         assert res <= linalg.THETA * lam * np.linalg.norm(s)
     assert 0 < iters["preconditioned"] < iters["plain"]
+
+
+UNPATCHED_INV = np.linalg.inv  # the reference build's, uncounted when a test patches inv
+
+
+def inv_batch_sizes(monkeypatch):
+    """Patch np.linalg.inv to record how many matrices each call inverts."""
+    sizes = []
+
+    def counted(a):
+        sizes.append(a.shape[0])
+        return UNPATCHED_INV(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return sizes
+
+
+def per_row_precond(inst, x):
+    """The block-Jacobi factory built row by row: one inverse per row of U and of V."""
+    d, n, r = inst.d, inst.n, inst.r
+    u, v = x[:d * r].reshape(d, r), x[d * r:].reshape(n, r)
+    gram_u, gram_v = u.T @ u, v.T @ v
+    shift_u, shift_v = (2.0 * inst.alpha + (a < 0.0) / inst.beta for a in (u, v))
+
+    def precond(lam):
+        blocks = np.empty((d + n, r, r))
+        blocks[:d] = gram_v
+        blocks[d:] = gram_u
+        diag = np.arange(r)
+        blocks[:d, diag, diag] += shift_u + lam
+        blocks[d:, diag, diag] += shift_v + lam
+        inv = UNPATCHED_INV(blocks)
+        np.add(inv, inv.transpose(0, 2, 1), out=blocks)
+        blocks *= 0.5
+        return lambda q: np.matmul(blocks, q.reshape(d + n, r, 1)).ravel()
+    return precond
+
+
+def test_nmf_preconditioner_inverts_each_distinct_block_once(monkeypatch):
+    p = make_nmf(3, d=6, n=5, r=4)
+    inst = p.instance
+    d, n, r = inst.d, inst.n, inst.r
+    magnitude = 0.1 + np.abs(np.random.default_rng(2).standard_normal(p.dim))
+    bits = 2 ** np.arange(r)
+
+    def point(u_patterns, v_patterns):
+        # row i of U is negative where pattern u_patterns[i] has a bit set
+        masks = np.concatenate([u_patterns, v_patterns])[:, None] & bits > 0
+        return np.where(masks.ravel(), -magnitude, magnitude)
+
+    points = {
+        "repeated": point(np.arange(d) % 2, np.arange(n) % 3),
+        "all distinct": point(np.arange(d), d + np.arange(n)),
+        "U and V share a mask": point(np.full(d, 5), np.full(n, 5)),
+    }
+    monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
+    sizes = inv_batch_sizes(monkeypatch)
+    for label, x in points.items():
+        masks = x.reshape(d + n, r) < 0.0
+        keys = {(i >= d, *masks[i]) for i in range(d + n)}
+        assert len(keys) == {"repeated": 5, "all distinct": d + n,
+                             "U and V share a mask": 2}[label]
+        h = p.smooth.eval_hess(x)
+        for lam in (1e-3, 0.7, 30.0):
+            sizes.clear()
+            got = columns(LinOp(h.precond(lam), p.dim))
+            assert sizes == [len(keys)], label
+            want = columns(LinOp(per_row_precond(inst, x)(lam), p.dim))
+            np.testing.assert_array_equal(got, want, err_msg=label)
+
+
+def test_nmf_matfree_trace_unchanged_by_the_deduplicated_preconditioner(monkeypatch):
+    # the same solve with the per-row build swapped in accepts the same
+    # iterates bit for bit, while the library's build inverts fewer blocks
+    monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
+    p = make_nmf(3, d=20, n=12, r=3)
+    reference = dataclasses.replace(p, smooth=dataclasses.replace(
+        p.smooth, eval_hess=lambda x: LinOp(p.smooth.eval_hess(x).matvec, p.dim,
+                                            precond=per_row_precond(p.instance, x))))
+    sizes = inv_batch_sizes(monkeypatch)
+    for m in (1, 3):
+        config = SolverConfig(p=0.5, m=m, grad_tol=1e-4)
+        want = solve(reference, config)
+        assert sizes == []
+        got = solve(p, config)
+        assert got.status == want.status == CONVERGED and got.iters >= 10
+        assert len(sizes) == got.hess_evals and min(sizes) < 20 + 12
+        sizes.clear()
+        assert ([dataclasses.replace(rec, wall_ns=0) for rec in got.trace]
+                == [dataclasses.replace(rec, wall_ns=0) for rec in want.trace])
+        assert np.array_equal(got.x, want.x) and got.F_final == want.F_final
 
 
 def test_svm_and_huber_hessians_stay_dense(monkeypatch):
@@ -495,6 +587,47 @@ def test_instances_check_array_shapes():
         for edit in edits:
             with pytest.raises(ValueError, match=f"{type(inst).__name__} arrays have shapes"):
                 dataclasses.replace(inst, **edit)
+
+
+@pytest.mark.parametrize("make, kw", [
+    (make_nmf, {"d": -1}), (make_nmf, {"d": 0}), (make_nmf, {"n": 0}), (make_nmf, {"r": 0}),
+    (make_svm, {"n": 0}), (make_svm, {"ell": -5}),
+    (make_huber, {"m": 0}), (make_huber, {"n": 0}),
+])
+def test_generators_reject_sizes_below_one(make, kw, monkeypatch):
+    # rejected before the first draw: Rng is never built
+    monkeypatch.setattr(problems, "Rng", None)
+    (name, size), = kw.items()
+    with pytest.raises(ValueError, match=f"^{make.__name__}: {name} must be at least 1, got {size}$"):
+        make(1, **kw)
+
+
+def test_instances_reject_sizes_below_one(tmp_path):
+    cases = [
+        (NmfInstance, "d", dict(seed=1, d=0, n=2, r=1, alpha=0.1, beta=0.1, sigma=0.0,
+                                Y=np.zeros((0, 2)), x0=np.zeros(2))),
+        (NmfInstance, "r", dict(seed=1, d=2, n=2, r=0, alpha=0.1, beta=0.1, sigma=0.0,
+                                Y=np.zeros((2, 2)), x0=np.zeros(0))),
+        (SvmInstance, "n", dict(seed=1, gamma=1.0, X=np.zeros((3, 0)), y=np.ones(3),
+                                x0=np.zeros(1))),
+        (SvmInstance, "ell", dict(seed=1, gamma=1.0, X=np.zeros((0, 2)), y=np.ones(0),
+                                  x0=np.zeros(3))),
+        (HuberInstance, "m", dict(seed=1, delta=1.0, ridge=0.1, A=np.zeros((0, 2)),
+                                  b=np.zeros(0), x0=np.zeros(2))),
+        (HuberInstance, "n", dict(seed=1, delta=1.0, ridge=0.1, A=np.zeros((3, 0)),
+                                  b=np.zeros(3), x0=np.zeros(0))),
+    ]
+    for cls, name, fields in cases:
+        with pytest.raises(ValueError, match=f"^{cls.__name__}: {name} must be at least 1"):
+            cls(**fields)
+    # a file whose sizes are consistent but empty loads no instance either
+    path = tmp_path / "empty.inst"
+    save_instance(path, make_nmf(1, d=2, n=3, r=2).instance)
+    doc = json.loads(path.read_text())
+    doc["fields"].update(d=0, Y=[], x0=[0.0] * 6)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="empty.inst: NmfInstance: d must be at least 1, got 0"):
+        load_instance(path)
 
 
 def test_save_instance_rejects_foreign_object(tmp_path):
