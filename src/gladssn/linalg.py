@@ -72,15 +72,6 @@ _MINRES_RTOL = THETA**3
 # FISTA sweeps per composite model solve (Regularized.prox_solve).
 _PROX_MAX_SWEEPS = 500
 
-# Solves per Hessian refresh from which one eigendecomposition of a dense
-# array H beats a Cholesky factorization per solve.  Measured on a 240 x 240
-# H (reduced NMF's, assembled) on one OpenBLAS thread of a Xeon core: eigh
-# costs 6-8 ms and one Cholesky solve with refinement about 1.1 ms.  A
-# BorderedBlocks H, NMF's own form, takes neither path: it is eliminated
-# per solve, whatever the count.
-_EIGH_MIN_SOLVES = 6.0
-
-
 class SolverStallError(RuntimeError):
     """An inner solve missed its residual target.
 
@@ -239,20 +230,15 @@ class Regularized:
     (a new array; the caller's is never written), a matrix-free LinOp, an
     ActiveGram, which is assembled here (see _assemble), or a
     BorderedBlocks, which is kept unassembled for an identity metric and
-    assembled for any other.  solves is the number of solves the caller
-    expects against this refresh; from _EIGH_MIN_SOLVES on, a dense array
-    is eigendecomposed once instead of factored per solve (see solve).
-    Like the eigenbasis, a LinOp's preconditioner is per-refresh state:
-    built once, at the first solve's lam, and reused for every lam.  prev
-    is the previous refresh's Regularized, from which an ActiveGram is built
-    and FISTA's step starts (see prox_solve); it is not kept.
+    assembled for any other.  A LinOp's preconditioner is per-refresh
+    state: built once, at the first solve's lam, and reused for every lam.
+    prev is the previous refresh's Regularized, from which an ActiveGram is
+    built and FISTA's step starts (see prox_solve); it is not kept.
     """
 
     def __init__(self, h: np.ndarray | LinOp | ActiveGram | BorderedBlocks, metric: MetricB,
-                 solves: float = 0.0, prev: Regularized | None = None):
+                 prev: Regularized | None = None):
         self.metric = metric
-        self._eigh_pays = solves >= _EIGH_MIN_SOLVES
-        self._eig: tuple | None = None  # (eigenvalues, eigenvectors)
         self._t = prev._t if prev is not None else None  # FISTA's last accepted step
         self._precond = None  # h.precond(lam) at the first matrix-free solve, as a LinearOperator
         self.gram = h if isinstance(h, ActiveGram) else None
@@ -270,11 +256,10 @@ class Regularized:
     def _assemble(self, prev: Regularized | None) -> np.ndarray:
         """The dense H of self.gram, from prev's when both share rows and shift.
 
-        An unchanged mask keeps prev's array and (for the same metric)
-        eigenbasis.  A churn of at most half the active rows copies
-        prev's array, adds A_add^T A_add and subtracts A_rem^T A_rem, which
-        keeps it exactly symmetric; a larger one, which would let the
-        rounding of the updates build up, assembles in full.
+        An unchanged mask keeps prev's array.  A churn of at most half the
+        active rows copies prev's array, adds A_add^T A_add and subtracts
+        A_rem^T A_rem, which keeps it exactly symmetric; a larger one, which
+        would let the rounding of the updates build up, assembles in full.
         """
         gram = self.gram
         old = prev.gram if prev is not None else None
@@ -283,8 +268,6 @@ class Regularized:
         changed = gram.mask != old.mask
         churn = np.count_nonzero(changed)
         if churn == 0:
-            if prev.metric is self.metric:
-                self._eig = prev._eig
             return prev.h
         if churn > 0.5 * np.count_nonzero(gram.mask):
             return gram.assemble()
@@ -399,13 +382,10 @@ class Regularized:
         target in the dual norm.  A dense H is solved only directly, to the
         residual target max(1e-10, 1e-12 ||rhs||).  A BorderedBlocks H
         (whose metric is the identity, see __init__) is solved per lam by
-        eliminating its blocks (_elimination_solver), and never assembled.
-        A dense array H + lam B is factored by Cholesky with a
-        scale-relative pivot test, unless the refresh expects
-        _EIGH_MIN_SOLVES solves or holds its eigenbasis.  That basis of the
-        pencil (H, B) is computed once, on the first solve of such a refresh
-        or the first Cholesky decline, and serves every later solve at
-        O(n^2) for any lam and any sign of H.
+        eliminating its blocks (_elimination_solver), and never assembled;
+        a dense array H + lam B is factored whole.  Either way the one
+        matrix factored goes through _direct_solver: Cholesky, then LU, and
+        a singular one raises SolverStallError.
 
         A matrix-free H goes to MINRES capped at 10 n iterations per call,
         preconditioned by the operator's SPD precond when it has one (which
@@ -429,14 +409,12 @@ class Regularized:
         if not self.is_dense:
             once, target = self._minres_solver(lam), lambda s: self._forcing(lam, s)
         else:
-            once, target = None, lambda s: max(1e-10, 1e-12 * rhs_norm)
+            target = lambda s: max(1e-10, 1e-12 * rhs_norm)
             if isinstance(self.h, BorderedBlocks):
                 once = self._elimination_solver(lam)
-            elif not self._eigh_pays and self._eig is None:
-                once = _cholesky_solver(self.h + lam * (np.eye(n) if self.metric.is_identity
-                                                        else self.metric.matrix))
-            if once is None:  # many solves expected, a kept eigenbasis or a Cholesky decline
-                once = self._eigen_solver(lam)
+            else:
+                shift = np.eye(n) if self.metric.is_identity else self.metric.matrix
+                once = _direct_solver(self.h + lam * shift, f"H + {lam:.3e} B")
         return _refined(once, lambda v: self.apply(lam, v), rhs, self.metric.dual_norm, target)
 
     def _elimination_solver(self, lam: float):
@@ -447,9 +425,9 @@ class Regularized:
         coupling (Golub & Van Loan, Matrix Computations, secs. 3.2 and 4.2):
         s_2 = S^{-1} (r_2 - C^T A^{-1} r_1) and s_1 = A^{-1} r_1 - A^{-1} C s_2.
         The blocks are inverted in one batched call, and S is factored by
-        Cholesky, or by LU when Cholesky declines it (H + lam I is then
-        indefinite, as A is positive definite for positive definite blocks).
-        An S that LU finds singular raises SolverStallError.
+        _direct_solver: Cholesky, or LU when Cholesky declines it (H + lam I
+        is then indefinite, as A is positive definite for positive definite
+        blocks), and a singular S raises SolverStallError.
         """
         h = self.h
         k, b, _ = h.blocks.shape
@@ -460,12 +438,7 @@ class Regularized:
         inv_c = np.matmul(inv, h.coupling.reshape(k, b, -1)).reshape(kb, -1)
         schur = h.tail - h.coupling.T @ inv_c
         schur.flat[::schur.shape[0] + 1] += lam
-        schur_solve = _cholesky_solver(schur)
-        if schur_solve is None:
-            schur_solve = _lu_solver(schur)
-        if schur_solve is None:
-            raise SolverStallError(f"Schur complement of H + {lam:.3e} I is singular",
-                                   best_residual=np.inf)
+        schur_solve = _direct_solver(schur, f"Schur complement of H + {lam:.3e} I")
 
         def once(r):
             head = np.matmul(inv, r[:kb].reshape(k, b, 1)).ravel()
@@ -490,21 +463,6 @@ class Regularized:
         calls = itertools.count(1)
         return lambda r: scipy.sparse.linalg.minres(op, r, rtol=_MINRES_RTOL ** next(calls),
                                                     maxiter=10 * n, M=self._precond)[0]
-
-    def _eigen_solver(self, lam: float):
-        """r -> (H + lam B)^+ r in the eigenbasis, computed on first use and kept.
-
-        A pseudo-inverse: it drops each component whose shift w + lam fails
-        the pivot test, so it never declines a singular H + lam B.
-        """
-        if self._eig is None:
-            self._eig = (np.linalg.eigh(self.h) if self.metric.is_identity
-                         else scipy.linalg.eigh(self.h, self.metric.matrix))
-        w, vecs = self._eig
-        # V^T B V = I and V^T H V = diag(w), so (H + lam B)^{-1} = V diag(1/(w + lam)) V^T.
-        shifted = w + lam
-        keep = np.abs(shifted) > _PIVOT_REL * float(np.mean(np.abs(shifted)))
-        return lambda r: vecs @ np.divide(vecs.T @ r, shifted, out=np.zeros(len(w)), where=keep)
 
 
 def _check_lam(lam: float) -> None:
@@ -532,6 +490,18 @@ def _refined(solve_once, apply, rhs: np.ndarray, norm, target) -> np.ndarray:
         f"regularized solve stalled at residual {best:.3e} (target {goal:.3e})",
         best_residual=best,
     )
+
+
+def _direct_solver(m: np.ndarray, name: str):
+    """r -> m^{-1} r for a dense symmetric m, by Cholesky, or by LU when
+    Cholesky declines m (it is then indefinite or near singular).  Raises
+    SolverStallError, naming m, when LU declines it too."""
+    once = _cholesky_solver(m)
+    if once is None:
+        once = _lu_solver(m)
+    if once is None:
+        raise SolverStallError(f"{name} is singular", best_residual=np.inf)
+    return once
 
 
 def _lu_solver(m: np.ndarray):

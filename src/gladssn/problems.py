@@ -6,7 +6,8 @@ its draw order) and its oracle builder, which problem_from_instance applies.
 save_instance writes an instance as JSON with floats by repr, and
 load_instance reads it back bit for bit, each field checked against its
 declared type and every array against the instance's sizes, so runs replay
-across machines.
+across machines.  Generators and instance records alike reject a size or
+parameter outside its domain (_DOMAIN).
 
 Hessians come back as dense arrays for SVM and the quadratic.  NMF's is a
 BorderedBlocks up to DENSE_DIM_MAX variables, which the solver solves by
@@ -60,10 +61,22 @@ def _check_shapes(inst, **want: tuple) -> None:
         raise ValueError(f"{type(inst).__name__} arrays have shapes {got}, expected {want}")
 
 
-def _check_sizes(where: str, **sizes: int) -> None:
-    for name, size in sizes.items():
-        if size < 1:
-            raise ValueError(f"{where}: {name} must be at least 1, got {size}")
+# The lower bound of each size and parameter that has one, and whether the
+# bound itself is allowed.  Outside it a problem is empty, divides by zero
+# (beta), is unbounded below (alpha, gamma, ridge), or is degenerate: a zero
+# loss (gamma, delta) or no condition number (cond).
+_DOMAIN = {**dict.fromkeys(("d", "n", "r", "ell", "m", "cond"), (1, True)),
+           **dict.fromkeys(("alpha", "sigma", "ridge"), (0, True)),
+           **dict.fromkeys(("beta", "gamma", "delta"), (0, False))}
+
+
+def _check_domain(where: str, **values) -> None:
+    """Raise ValueError naming the first value outside its domain; NaN is in none."""
+    for name, value in values.items():
+        low, closed = _DOMAIN[name]
+        if not (value >= low if closed else value > low):
+            raise ValueError(f"{where}: {name} must be {'at least' if closed else 'above'} "
+                             f"{low}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +92,8 @@ class NmfInstance:
     x0: np.ndarray
 
     def __post_init__(self):
-        _check_sizes(type(self).__name__, d=self.d, n=self.n, r=self.r)
+        _check_domain(type(self).__name__, d=self.d, n=self.n, r=self.r, alpha=self.alpha,
+                      beta=self.beta, sigma=self.sigma)
         _check_shapes(self, Y=(self.d, self.n), x0=((self.d + self.n) * self.r,))
 
 
@@ -93,7 +107,7 @@ class SvmInstance:
 
     def __post_init__(self):
         ell, n = np.size(self.y), np.size(self.x0) - 1
-        _check_sizes(type(self).__name__, n=n, ell=ell)
+        _check_domain(type(self).__name__, n=n, ell=ell, gamma=self.gamma)
         _check_shapes(self, X=(ell, n), y=(ell,), x0=(n + 1,))
 
 
@@ -108,7 +122,7 @@ class HuberInstance:
 
     def __post_init__(self):
         m, n = np.size(self.b), np.size(self.x0)
-        _check_sizes(type(self).__name__, m=m, n=n)
+        _check_domain(type(self).__name__, m=m, n=n, delta=self.delta, ridge=self.ridge)
         _check_shapes(self, A=(m, n), b=(m,), x0=(n,))
 
 
@@ -122,6 +136,7 @@ class QuadInstance:
 
     def __post_init__(self):
         n = np.size(self.x0)
+        _check_domain(type(self).__name__, cond=self.cond)
         _check_shapes(self, A=(n, n), b=(n,), x0=(n,))
 
 
@@ -159,7 +174,7 @@ def make_nmf(seed: int, d: int = 200, n: int = 100, r: int = 12,
         0.5 ||U V^T - Y||_F^2 + alpha (||U||_F^2 + ||V||_F^2)
         + 1/(2 beta) (||min(U, 0)||_F^2 + ||min(V, 0)||_F^2)
     """
-    _check_sizes("make_nmf", d=d, n=n, r=r)
+    _check_domain("make_nmf", d=d, n=n, r=r, alpha=alpha, beta=beta, sigma=sigma)
     rng = Rng(seed)
     u_true = rng.uniform((d, r))
     v_true = rng.uniform((n, r))
@@ -299,7 +314,7 @@ def make_svm(seed: int, n: int = 200, ell: int = 10000,
 
         0.5 ||omega||^2 + gamma * sum_i max(0, 1 - y_i (omega^T x_i + b))^2
     """
-    _check_sizes("make_svm", n=n, ell=ell)
+    _check_domain("make_svm", n=n, ell=ell, gamma=gamma)
     rng = Rng(seed)
     feats = rng.normal((ell, n))
     labels = np.ones(ell)
@@ -357,7 +372,7 @@ def make_huber(seed: int, m: int = 500, n: int = 50, delta: float = 1.0,
 
     with huber_delta(t) = t^2/2 for |t| <= delta, else delta (|t| - delta/2).
     """
-    _check_sizes("make_huber", m=m, n=n)
+    _check_domain("make_huber", m=m, n=n, delta=delta, ridge=ridge)
     rng = Rng(seed)
     a_mat = rng.normal((m, n))
     b_vec = rng.normal(m)
@@ -422,6 +437,7 @@ def make_quadratic(seed: int, n: int = 50, cond: float = 1e4) -> CompositeProble
     """
     if n < 2:
         raise ValueError("need n >= 2 to pin both ends of the spectrum")
+    _check_domain("make_quadratic", cond=cond)
     rng = Rng(seed)
     gauss = rng.normal((n, n))
     q, rr = np.linalg.qr(gauss)

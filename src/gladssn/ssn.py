@@ -50,12 +50,11 @@ noise stops as stalled.
 Each Hessian refresh builds one linalg.Regularized, which owns H + lambda B
 for every trial and lazy iteration until the next refresh.  It is built
 with the previous refresh's as prev, so an ActiveGram H whose mask did not
-change keeps the previous array and eigenbasis, one whose mask changed a
-little is updated by the rows that changed, and FISTA starts from the last
-step it accepted.  That state lives in this call, not in the oracle.
-linalg picks a dense H's solver from the number of solves the refresh can
-expect, passed from here.  A refreshed dense H that is not finite raises
-NonFiniteError; a matrix-free one fails its trials' inner solves.
+change keeps the previous array, one whose mask changed a little is updated
+by the rows that changed, and FISTA starts from the last step it accepted.
+That state lives in this call, not in the oracle.  A refreshed dense H that
+is not finite raises NonFiniteError; a matrix-free one fails its trials'
+inner solves.
 """
 
 from __future__ import annotations
@@ -303,11 +302,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             status = MAXITER
             break
         if k % config.m == 0:
-            # m times the trials per iteration so far.  A single iteration's
-            # count is not predictable, so m = 1 expects none; neither does
-            # the first refresh, which has no history yet.
-            solves = config.m * trials / k if k >= 1 and config.m >= 2 else 0.0
-            reg = Regularized(problem.smooth.eval_hess(x), metric, solves, prev=reg)
+            reg = Regularized(problem.smooth.eval_hess(x), metric, prev=reg)
             hess_evals += 1
             if not reg.is_finite:
                 raise NonFiniteError(f"non-finite Hessian at outer iteration {k}", k=k)

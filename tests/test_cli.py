@@ -95,6 +95,28 @@ def test_run_with_a_size_below_one_is_exit_1(tmp_path, capsys, problem, kwargs):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("problem, kwargs", [
+    ("nmf", {"beta": 0}), ("nmf", {"alpha": -1}), ("nmf", {"sigma": -1}),
+    ("svm", {"gamma": 0}), ("svm", {"gamma": -1}),
+    ("huber", {"delta": 0}), ("huber", {"ridge": -1}),
+    ("quad", {"cond": 0}), ("quad", {"cond": -1})])
+def test_run_with_a_parameter_outside_its_domain_is_exit_1(tmp_path, capsys, problem, kwargs):
+    # these once ended in a ZeroDivisionError traceback, ran to maxiter on an
+    # objective unbounded below, or "converged" on a degenerate loss
+    sizes = {"nmf": {"d": 4, "n": 3, "r": 2}, "svm": {"n": 3, "ell": 8},
+             "huber": {"m": 6, "n": 3}, "quad": {"n": 4}}[problem]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": problem, "problem_kwargs": {**sizes, **kwargs},
+                               "out_path": str(tmp_path / "t.csv")}))
+    assert main(["run", "--config", str(cfg)]) == 1
+    (name, value), = kwargs.items()
+    err = capsys.readouterr().err
+    assert err.startswith(f"gladssn: bad problem_kwargs for {problem}: make_")
+    assert f": {name} must be " in err and err.endswith(f", got {value}\n")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_run_flags_cover_run_config_fields():
     parser = _build_parser()
     sub = next(a for a in parser._actions

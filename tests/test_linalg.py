@@ -1,7 +1,6 @@
-import math
-
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from gladssn import linalg, problems
@@ -121,9 +120,9 @@ def step_recorder():
 
 def test_unchanged_mask_keeps_the_previous_refresh():
     # the same active set gives the same H: the new refresh keeps the
-    # previous array and its eigenbasis, and starts FISTA from its step
+    # previous array, and starts FISTA from its step
     metric = MetricB()
-    first = Regularized(active_gram(0, 1), metric, solves=math.inf)
+    first = Regularized(active_gram(0, 1), metric)
     # at f_grad = 0 FISTA stops after one prox call, which it accepts at
     # the first composite trial's t = 1 / lam
     psi, steps = step_recorder()
@@ -135,13 +134,12 @@ def test_unchanged_mask_keeps_the_previous_refresh():
     assert again.mask is not first.gram.mask
     second = Regularized(again, metric, prev=first)
     assert second.h is first.h
-    assert second._eig is first._eig
     second.prox_solve(1.0, np.zeros(8), np.zeros(8), psi)
     assert steps[1] == 2.0 * steps[0]  # twice the previous refresh's step
     np.testing.assert_array_equal(second.solve(1.0, rhs), step)
-    # another metric keeps the array, but not the pencil's eigenbasis
+    # another metric keeps the array too
     third = Regularized(again, MetricB(np.diag(np.linspace(1.0, 2.0, 8))), prev=first)
-    assert third.h is first.h and third._eig is None
+    assert third.h is first.h
     # the step is carried through every kind of H, and only from prev
     for h in (again, np.eye(8), LinOp(lambda v: v, 8)):
         assert Regularized(h, metric, prev=second)._t == second._t == 2.0
@@ -229,7 +227,7 @@ def test_solve_regularized_spd_frozen():
 
 def test_solve_regularized_indefinite_frozen():
     # (diag(1,-3) + 1*I) = diag(2,-2) is indefinite: Cholesky must bail and
-    # the eigenbasis take over.  diag(2,-2) s = (2,2)  =>  s = (1,-1), by hand.
+    # LU take over.  diag(2,-2) s = (2,2)  =>  s = (1,-1), by hand.
     h = np.diag([1.0, -3.0])
     s = Regularized(h, MetricB()).solve(1.0, np.array([2.0, 2.0]))
     np.testing.assert_allclose(s, [1.0, -1.0], atol=1e-9)
@@ -237,16 +235,15 @@ def test_solve_regularized_indefinite_frozen():
 
 def test_solve_regularized_random_spd():
     rng = np.random.default_rng(2)
-    for solves in (0.0, math.inf):  # Cholesky, eigenbasis
-        for n in (3, 10, 40):
-            for _ in range(10):
-                a = rng.standard_normal((n, n))
-                h = a @ a.T
-                lam = 10.0 ** rng.uniform(-4, 2)
-                rhs = rng.standard_normal(n)
-                s = Regularized(h, MetricB(), solves).solve(lam, rhs)
-                res = np.linalg.norm(h @ s + lam * s - rhs)
-                assert res <= max(1e-10, 1e-12 * np.linalg.norm(rhs)) * (1 + 1e-9)
+    for n in (3, 10, 40):
+        for _ in range(10):
+            a = rng.standard_normal((n, n))
+            h = a @ a.T
+            lam = 10.0 ** rng.uniform(-4, 2)
+            rhs = rng.standard_normal(n)
+            s = Regularized(h, MetricB()).solve(lam, rhs)
+            res = np.linalg.norm(h @ s + lam * s - rhs)
+            assert res <= max(1e-10, 1e-12 * np.linalg.norm(rhs)) * (1 + 1e-9)
 
 
 def test_solve_regularized_with_metric():
@@ -255,11 +252,10 @@ def test_solve_regularized_with_metric():
     bmat = np.diag(rng.uniform(0.5, 2.0, size=6))
     metric = MetricB(bmat)
     rhs = rng.standard_normal(6)
-    for solves in (0.0, math.inf):
-        h = a @ a.T
-        s = Regularized(h, metric, solves).solve(0.7, rhs)
-        res = np.linalg.norm(h @ s + 0.7 * (bmat @ s) - rhs)
-        assert res <= 1e-10 * (1 + 1e-9)
+    h = a @ a.T
+    s = Regularized(h, metric).solve(0.7, rhs)
+    res = np.linalg.norm(h @ s + 0.7 * (bmat @ s) - rhs)
+    assert res <= 1e-10 * (1 + 1e-9)
 
 
 def test_solve_regularized_never_writes_into_h():
@@ -270,12 +266,11 @@ def test_solve_regularized_never_writes_into_h():
     h_before = h.copy()
     rhs = rng.standard_normal(7)
     for metric in (MetricB(), MetricB(np.diag(np.linspace(0.5, 2.0, 7)))):
-        for solves in (0.0, math.inf):  # Cholesky, eigenbasis
-            reg = Regularized(h, metric, solves)
-            for lam in (0.1, 3.0):
-                reg.solve(lam, rhs)
-            assert reg.h is not h
-            np.testing.assert_array_equal(h, h_before)
+        reg = Regularized(h, metric)
+        for lam in (0.1, 3.0):
+            reg.solve(lam, rhs)
+        assert reg.h is not h
+        np.testing.assert_array_equal(h, h_before)
 
 
 def test_solve_regularized_dense_vs_matvec_route():
@@ -365,46 +360,51 @@ def test_matrix_free_preconditioner_is_built_once_per_refresh(monkeypatch):
 
 
 def _count_calls(monkeypatch) -> dict:
-    """Count eigh, Cholesky and MINRES calls from here on."""
+    """Count eigh (numpy's and scipy's), Cholesky and MINRES calls from here on."""
     calls = {"eigh": 0, "cholesky": 0, "minres": 0}
-    for mod, name in ((np.linalg, "eigh"), (np.linalg, "cholesky"),
-                      (scipy.sparse.linalg, "minres")):
-        def wrapper(*args, _name=name, _fn=getattr(mod, name), **kwargs):
-            calls[_name] += 1
+    for mod, name, key in ((np.linalg, "eigh", "eigh"), (scipy.linalg, "eigh", "eigh"),
+                           (np.linalg, "cholesky", "cholesky"),
+                           (scipy.sparse.linalg, "minres", "minres")):
+        def wrapper(*args, _key=key, _fn=getattr(mod, name), **kwargs):
+            calls[_key] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(mod, name, wrapper)
     return calls
 
 
+def _count_lu(monkeypatch) -> list:
+    """The shape of every matrix handed to linalg._lu_solver from here on."""
+    shapes = []
+    lu_solver = linalg._lu_solver
+
+    def seen_lu(m):
+        shapes.append(m.shape)
+        return lu_solver(m)
+
+    monkeypatch.setattr(linalg, "_lu_solver", seen_lu)
+    return shapes
+
+
 def test_cholesky_pivot_test_declines_a_tiny_pivot(monkeypatch):
     # H + lam I = diag(1.5, 1.1e-16): LAPACK factors it, but the last pivot
     # squared lies below 1e-14 of the mean diagonal, so the Cholesky path
-    # declines; the eigenbasis drops that shift and returns the solution (2, 0)
+    # declines; LU's pivot test declines it too, so the trial fails typed,
+    # and a 4x larger lam (the solver's next trial) factors by Cholesky
     h_mat, lam, rhs = np.diag([1.0, -0.5 + 1e-16]), 0.5, np.array([3.0, 0.0])
     shifted = h_mat + lam * np.eye(2)
     assert np.all(np.diag(np.linalg.cholesky(shifted)) > 0.0)
     assert linalg._cholesky_solver(shifted) is None
+    assert linalg._lu_solver(shifted) is None
     calls = _count_calls(monkeypatch)
-    s = Regularized(h_mat, MetricB()).solve(lam, rhs)
-    assert calls == {"eigh": 1, "cholesky": 1, "minres": 0}
-    np.testing.assert_allclose(s, [2.0, 0.0], rtol=1e-15, atol=1e-15)
-    assert np.linalg.norm(shifted @ s - rhs) <= max(1e-10, 1e-12 * np.linalg.norm(rhs))
-
-
-def test_declined_cholesky_keeps_the_eigenbasis_for_the_refresh(monkeypatch):
-    # eigenvalues of H are (3, -1, -2, -3): the first Cholesky declines the
-    # indefinite shift, and the eigenbasis it leads to solves every later lam
-    # of the refresh, the positive definite lam = 3.5 and 10 included
-    h_mat = _rotated([3.0, -1.0, -2.0, -3.0], 9)
-    rhs = np.array([1.0, -2.0, 0.5, 3.0])
-    calls = _count_calls(monkeypatch)
+    lus = _count_lu(monkeypatch)
     reg = Regularized(h_mat, MetricB())
-    for lam in (1.5, 2.5, 3.5, 10.0):
-        s = reg.solve(lam, rhs)
-        np.testing.assert_allclose(s, np.linalg.solve(h_mat + lam * np.eye(4), rhs),
-                                   rtol=1e-12)
-        assert np.linalg.norm(h_mat @ s + lam * s - rhs) <= 1e-10
-    assert calls == {"eigh": 1, "cholesky": 1, "minres": 0}
+    with pytest.raises(SolverStallError, match="is singular") as exc:
+        reg.solve(lam, rhs)
+    assert exc.value.best_residual == np.inf
+    assert calls == {"eigh": 0, "cholesky": 1, "minres": 0} and lus == [(2, 2)]
+    s = reg.solve(4.0 * lam, rhs)
+    np.testing.assert_allclose(s, [1.0, 0.0], rtol=1e-15, atol=1e-15)
+    assert calls == {"eigh": 0, "cholesky": 2, "minres": 0} and lus == [(2, 2)]
 
 
 def nmf_bordered_hessian():
@@ -438,14 +438,7 @@ def test_bordered_blocks_solve_matches_a_dense_solve(monkeypatch):
     h, dense = nmf_bordered_hessian()
     lam_min = np.linalg.eigvalsh(dense)[0]
     assert lam_min < -0.5
-    lus = []
-    lu_solver = linalg._lu_solver
-
-    def seen_lu(m):
-        lus.append(m.shape)
-        return lu_solver(m)
-
-    monkeypatch.setattr(linalg, "_lu_solver", seen_lu)
+    lus = _count_lu(monkeypatch)
     calls = _count_calls(monkeypatch)
     rhs = np.random.default_rng(14).standard_normal(42)
     reg = Regularized(h, MetricB())
@@ -467,6 +460,35 @@ def test_bordered_blocks_solve_matches_a_dense_solve(monkeypatch):
         np.testing.assert_allclose(s, np.linalg.solve(dense + lam * bmat, rhs), rtol=1e-10)
 
 
+def test_both_dense_forms_take_one_cholesky_then_lu_order(monkeypatch):
+    # the assembled array and the BorderedBlocks form of one Hessian go
+    # through the same fallback: Cholesky of the one matrix each factors
+    # (H + lam I, or its Schur complement), then LU where Cholesky declines,
+    # at the same lam, and never eigh; both solve to the tight dense target
+    h, dense = nmf_bordered_hessian()
+    lam_min = np.linalg.eigvalsh(dense)[0]
+    rhs = np.random.default_rng(15).standard_normal(42)
+    lus = _count_lu(monkeypatch)
+    calls = _count_calls(monkeypatch)
+    steps, orders = {}, {}
+    for form in (h, dense):
+        reg = Regularized(form, MetricB())
+        order = []
+        for lam in (2.0 - lam_min, -0.5 * lam_min):  # SPD, then indefinite
+            before = (calls["cholesky"], len(lus))
+            steps[form is h, lam] = reg.solve(lam, rhs)
+            order.append((calls["cholesky"] - before[0], len(lus) - before[1]))
+        orders[form is h] = order
+    assert orders[True] == orders[False] == [(1, 0), (1, 1)]
+    assert lus == [(15, 15), (42, 42)]
+    assert calls == {"eigh": 0, "cholesky": 4, "minres": 0}
+    for lam in (2.0 - lam_min, -0.5 * lam_min):
+        want = np.linalg.solve(dense + lam * np.eye(42), rhs)
+        for bordered in (True, False):
+            np.testing.assert_allclose(steps[bordered, lam], want, rtol=1e-10,
+                                       atol=1e-12 * np.max(np.abs(want)))
+
+
 def test_bordered_blocks_with_a_singular_schur_complement_stall():
     # blocks 0 and coupling 0 leave S = tail + lam I, zero for tail = -lam I:
     # Cholesky and LU both decline it, and the solve fails typed
@@ -477,22 +499,22 @@ def test_bordered_blocks_with_a_singular_schur_complement_stall():
     assert not Regularized(h, MetricB()).is_finite
 
 
-def test_solve_regularized_zero_rhs():
-    for solves in (0.0, math.inf):
-        reg = Regularized(np.diag([1.0, 2.0]), MetricB(), solves)
+def test_solve_regularized_zero_rhs(monkeypatch):
+    # a zero right-hand side returns the zero step without factoring, even
+    # for a singular H + lam I
+    calls = _count_calls(monkeypatch)
+    for h in (np.diag([1.0, 2.0]), np.diag([-1.0, 1.0])):
+        reg = Regularized(h, MetricB())
         np.testing.assert_array_equal(reg.solve(1.0, np.zeros(2)), np.zeros(2))
+    assert calls == {"eigh": 0, "cholesky": 0, "minres": 0}
 
 
 def test_solve_regularized_inconsistent_system_stalls():
-    # diag(-1,1) + I = diag(0,2); rhs (1,0) has no solution.  Cholesky
-    # declines the singular system, the eigenbasis drops its zero shift and
-    # misses the target, and both report the stall, as MINRES does for the
-    # same operator given matrix-free.
+    # diag(-1,1) + I = diag(0,2); rhs (1,0) has no solution.  Cholesky and
+    # LU both decline the singular system, and the dense solve reports the
+    # stall, as MINRES does for the same operator given matrix-free.
     h = np.diag([-1.0, 1.0])
-    regs = [Regularized(h, MetricB(), solves=0.0),
-            Regularized(h, MetricB(), solves=math.inf),
-            Regularized(LinOp(lambda v: h @ v, 2), MetricB())]
-    for reg in regs:
+    for reg in (Regularized(h, MetricB()), Regularized(LinOp(lambda v: h @ v, 2), MetricB())):
         with pytest.raises(SolverStallError) as exc:
             reg.solve(1.0, np.array([1.0, 0.0]))
         assert exc.value.best_residual > 0.0
@@ -517,11 +539,18 @@ def test_refinement_decides_on_the_step_it_returns():
 
 
 def test_solve_regularized_singular_but_consistent():
-    # same singular matrix, rhs in the range: any solution is fine
-    for solves in (0.0, math.inf):
-        reg = Regularized(np.diag([-1.0, 1.0]), MetricB(), solves)
-        s = reg.solve(1.0, np.array([0.0, 2.0]))
-        assert abs(2.0 * s[1] - 2.0) <= 1e-9
+    # same singular matrix, rhs in its range.  A direct solve declines the
+    # singular system whether the array is dense or a BorderedBlocks (the
+    # solver's next trial takes a larger lam); MINRES, matrix-free, solves it
+    h = np.diag([-1.0, 1.0])
+    rhs = np.array([0.0, 2.0])
+    # the same matrix with its coordinates swapped, its zero in the Schur complement
+    bordered = BorderedBlocks(np.ones((1, 1, 1)), np.zeros((1, 1)), -np.eye(1))
+    for dense, b in ((h, rhs), (bordered, rhs[::-1])):
+        with pytest.raises(SolverStallError, match="is singular"):
+            Regularized(dense, MetricB()).solve(1.0, b)
+    s = Regularized(LinOp(lambda v: h @ v, 2), MetricB()).solve(1.0, rhs)
+    assert abs(2.0 * s[1] - 2.0) <= linalg.THETA * np.linalg.norm(s)
 
 
 def test_solve_regularized_argument_errors():
@@ -553,62 +582,22 @@ def _rotated(eigs, seed):
     return (q * np.asarray(eigs, dtype=np.float64)) @ q.T
 
 
-def test_reused_operator_matches_cholesky_solve():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((12, 12))
-    spd = a @ a.T
-    c = rng.standard_normal((12, 12))
-    for metric in (MetricB(), MetricB(c @ c.T + 12.0 * np.eye(12))):
-        decomposed = Regularized(spd, metric, solves=math.inf)
-        for lam in (1e-3, 0.5, 40.0):
-            rhs = rng.standard_normal(12)
-            s_eig = decomposed.solve(lam, rhs)
-            s_chol = Regularized(spd, metric).solve(lam, rhs)
-            np.testing.assert_allclose(s_eig, s_chol, rtol=1e-9, atol=1e-12)
-            res = np.linalg.norm(spd @ s_eig + lam * metric.apply(s_eig) - rhs)
-            assert res <= max(1e-10, 1e-12 * np.linalg.norm(rhs))
-
-
-def test_reused_operator_decomposes_once(monkeypatch):
-    calls = _count_calls(monkeypatch)
-    reg = Regularized(_rotated([5.0, 2.0, 1.0, 0.5, 0.1], 6), MetricB(), solves=math.inf)
-    assert calls["eigh"] == 0  # decomposed lazily, on the first solve
-    rng = np.random.default_rng(6)
-    for lam in (0.01, 0.04, 0.16, 0.64):
-        reg.solve(lam, rng.standard_normal(5))
-    assert calls == {"eigh": 1, "cholesky": 0, "minres": 0}
-
-
-def test_expected_solves_pick_the_dense_solver(monkeypatch):
-    # below _EIGH_MIN_SOLVES expected solves each solve factors H + lam I by
-    # Cholesky; from it on, the first solve eigendecomposes H for them all
-    h_mat = _rotated([5.0, 2.0, 1.0, 0.5, 0.1], 8)
-    rhs = np.random.default_rng(8).standard_normal(5)
-    calls = _count_calls(monkeypatch)
-    counts = []
-    for solves in (np.nextafter(linalg._EIGH_MIN_SOLVES, 0.0), linalg._EIGH_MIN_SOLVES):
-        calls.update(eigh=0, cholesky=0)
-        reg = Regularized(h_mat, MetricB(), solves)
-        for lam in (0.1, 0.4):
-            reg.solve(lam, rhs)
-        counts.append((calls["cholesky"], calls["eigh"]))
-    assert counts == [(2, 0), (0, 1)]
-
-
 def test_reused_operator_solves_indefinite_shift_directly(monkeypatch):
-    # eigenvalues of H + 1.5 I are (4.5, 0.5, -0.5, -1.5): Cholesky rejects
-    # the system, the eigenbasis solves it without the MINRES fallback.
+    # eigenvalues of H are (3, -1, -2, -3).  One Regularized serves every
+    # lam of a refresh, and each solve factors H + lam I afresh: Cholesky
+    # declines the indefinite shifts lam = 1.5 and 2.5, which LU solves
+    # without MINRES or eigh, and factors the positive definite 3.5 and 10
     h_mat = _rotated([3.0, -1.0, -2.0, -3.0], 7)
     rhs = np.array([1.0, -2.0, 0.5, 3.0])
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(h_mat + 1.5 * np.eye(4))
-
-    def no_minres(*args, **kwargs):
-        raise AssertionError("MINRES fallback was used")
-
-    monkeypatch.setattr(scipy.sparse.linalg, "minres", no_minres)
-    for lam in (1.5, 3.5):  # indefinite shift, then lam > -w_min
-        s = Regularized(h_mat, MetricB(), solves=math.inf).solve(lam, rhs)
+    calls = _count_calls(monkeypatch)
+    lus = _count_lu(monkeypatch)
+    reg = Regularized(h_mat, MetricB())
+    for lam, lu in ((1.5, 1), (2.5, 2), (3.5, 2), (10.0, 2)):
+        s = reg.solve(lam, rhs)
         np.testing.assert_allclose(s, np.linalg.solve(h_mat + lam * np.eye(4), rhs),
                                    rtol=1e-12)
         assert np.linalg.norm(h_mat @ s + lam * s - rhs) <= 1e-10
+        assert len(lus) == lu, lam
+    assert calls == {"eigh": 0, "cholesky": 4, "minres": 0}

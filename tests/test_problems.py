@@ -630,6 +630,46 @@ def test_instances_reject_sizes_below_one(tmp_path):
         load_instance(path)
 
 
+SMALL = {make_nmf: {"d": 4, "n": 3, "r": 2}, make_svm: {"n": 3, "ell": 8},
+         make_huber: {"m": 6, "n": 3}, make_quadratic: {"n": 4}}
+OUT_OF_DOMAIN = [
+    (make_nmf, "alpha", -1.0), (make_nmf, "beta", 0.0), (make_nmf, "beta", -0.5),
+    (make_nmf, "sigma", -0.02), (make_nmf, "alpha", math.nan),
+    (make_svm, "gamma", 0.0), (make_svm, "gamma", -1.0), (make_svm, "gamma", math.nan),
+    (make_huber, "delta", 0.0), (make_huber, "ridge", -1.0), (make_huber, "delta", math.nan),
+    (make_quadratic, "cond", 0.0), (make_quadratic, "cond", -1.0),
+    (make_quadratic, "cond", 0.5), (make_quadratic, "cond", math.nan),
+]
+
+
+@pytest.mark.parametrize("make, name, value", OUT_OF_DOMAIN)
+def test_generators_reject_parameters_outside_their_domain(make, name, value, monkeypatch):
+    # these once ran to a ZeroDivisionError, an objective unbounded below,
+    # or a "converged" run on a degenerate loss; rejected before the first
+    # draw, so Rng is never built, and NaN with them
+    monkeypatch.setattr(problems, "Rng", None)
+    with pytest.raises(ValueError, match=rf"^{make.__name__}: {name} must be (at least|above) "
+                                         rf"[01], got {value}$"):
+        make(1, **SMALL[make], **{name: value})
+
+
+@pytest.mark.parametrize("make, name, value", OUT_OF_DOMAIN)
+def test_instances_reject_parameters_outside_their_domain(make, name, value, tmp_path):
+    inst = make(1, **SMALL[make]).instance
+    cls = type(inst).__name__
+    with pytest.raises(ValueError, match=f"^{cls}: {name} must be"):
+        dataclasses.replace(inst, **{name: value})
+    if math.isnan(value):
+        return  # a NaN in a file fails its type check first (test_load_instance_rejects_garbage)
+    path = tmp_path / "bad.inst"
+    save_instance(path, inst)
+    doc = json.loads(path.read_text())
+    doc["fields"][name] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"bad.inst: {cls}: {name} must be"):
+        load_instance(path)
+
+
 def test_save_instance_rejects_foreign_object(tmp_path):
     with pytest.raises(TypeError):
         save_instance(tmp_path / "x.inst", object())
