@@ -5,8 +5,9 @@ Hessian refresh, for any lam: the linear systems H + lam B of a zero psi
 and the composite model solve of a nonzero one.  An oracle's curvature
 operator H is a dense square array, a matrix-free LinOp, an ActiveGram
 that Regularized assembles, or a BorderedBlocks that Regularized solves by
-eliminating its diagonal blocks; all four are applied as H @ v.  Vectors
-are 1-d float64 arrays.  Nothing here mutates its inputs.
+eliminating its diagonal blocks: directly when it is dense, by MINRES on the
+Schur complement when it is matrix-free.  All four are applied as H @ v.
+Vectors are 1-d float64 arrays.  Nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -63,10 +64,11 @@ THETA = 0.1
 
 # rtol of a solve's first MINRES call.  scipy stops once its residual
 # estimate is within rtol ||A|| ||s||, not THETA lam ||s||, so the step is
-# then checked against the rule itself.  On the matrix-free NMF Hessian,
-# THETA**2 misses the rule on the first call in about 30 % of solves and
-# moves one of make_nmf seeds 1-17 to another stationary point; THETA**3
-# meets it in 99 %, at a median ||rho|| / (lam ||s||) of about 0.003.
+# then checked against the rule itself.  On the Schur complement of the
+# matrix-free NMF Hessian (make_nmf seeds 1-17 at the benchmark's config),
+# THETA**2 misses the rule on the first call in 501 of 1331 solves; THETA**3
+# in 53 of 1346, each met by one correction, at a median first-call
+# ||rho|| / (lam ||s||) of 0.006.
 _MINRES_RTOL = THETA**3
 
 # FISTA sweeps per composite model solve (Regularized.prox_solve).
@@ -146,16 +148,12 @@ class LinOp:
     """Matrix-free symmetric operator H of size dim, given by its matvec.
 
     It exposes shape and @ the way a dense array does, so the solver applies
-    either kind of Hessian alike.  precond, when set, is a factory
-    precond(lam) -> callable; the callable must be symmetric positive
-    definite and approximate (H + lam B)^{-1}.  Regularized calls it once per
-    refresh, at its first solve's lam, and reuses the callable for every lam.
+    either kind of Hessian alike.
     """
 
-    def __init__(self, matvec, dim: int, precond=None):
+    def __init__(self, matvec, dim: int):
         self.matvec = matvec
         self.shape = (int(dim), int(dim))
-        self.precond = precond
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(self.matvec(v), dtype=np.float64)
@@ -191,36 +189,63 @@ class ActiveGram:
 class BorderedBlocks:
     """The symmetric [[blockdiag(blocks), coupling], [coupling^T, tail]], unassembled.
 
-    blocks is a (k, b, b) stack of symmetric diagonal blocks, coupling a
-    (k b, m) array and tail a symmetric (m, m) array.  A Hessian that is
-    block diagonal in one group of variables has this form.  It exposes
-    shape and @ the way LinOp does; Regularized eliminates the blocks per
-    solve (see solve), and assemble() is the dense array.
+    blocks is a (k, b, b) stack of symmetric diagonal blocks.  In the dense
+    form coupling is a (k b, m) array and tail a symmetric (m, m) array.  In
+    the matrix-free form coupling is a scipy LinearOperator of that shape
+    whose rmatvec applies coupling^T, and tail is a (j, c, c) stack of the
+    symmetric positive semidefinite diagonal blocks of a block-diagonal tail
+    (j c = m).  A Hessian that is block diagonal in one group of variables
+    has this form.  It exposes shape and @ the way LinOp does; Regularized
+    eliminates the blocks per solve (see solve), and assemble() is the
+    dense array.
     """
 
-    def __init__(self, blocks: np.ndarray, coupling: np.ndarray, tail: np.ndarray):
+    def __init__(self, blocks: np.ndarray, coupling, tail: np.ndarray):
+        if isinstance(coupling, np.ndarray) != (tail.ndim == 2):
+            raise ValueError("a coupling array takes an (m, m) tail, a LinearOperator "
+                             "a (j, c, c) stack of tail blocks")
         self.blocks = blocks
         self.coupling = coupling
         self.tail = tail
-        self.shape = (coupling.shape[0] + tail.shape[0],) * 2
+        self.shape = (coupling.shape[0] + coupling.shape[1],) * 2
+
+    @property
+    def is_dense(self) -> bool:
+        return isinstance(self.coupling, np.ndarray)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        k, b, _ = self.blocks.shape
-        head, rest = v[:k * b], v[k * b:]
-        return np.concatenate([
-            np.matmul(self.blocks, head.reshape(k, b, 1)).ravel() + self.coupling @ rest,
-            self.coupling.T @ head + self.tail @ rest])
+        kb = self.coupling.shape[0]
+        head, rest = v[:kb], v[kb:]
+        return np.concatenate([_block_apply(self.blocks, head) + self.coupling @ rest,
+                               self.coupling.T @ head + _block_apply(self.tail, rest)])
 
     def assemble(self) -> np.ndarray:
         """The dense array, exactly symmetric when blocks and tail are."""
-        k, b, _ = self.blocks.shape
-        kb = k * b
+        kb, m = self.coupling.shape
         dense = np.zeros(self.shape)
-        dense[:kb, :kb].reshape(k, b, k, b)[np.arange(k), :, np.arange(k), :] = self.blocks
-        dense[:kb, kb:] = self.coupling
-        dense[kb:, :kb] = self.coupling.T
-        dense[kb:, kb:] = self.tail
+        _block_diagonal(dense[:kb, :kb], self.blocks)
+        if self.is_dense:
+            dense[:kb, kb:] = self.coupling
+            dense[kb:, kb:] = self.tail
+        else:
+            dense[:kb, kb:] = self.coupling @ np.eye(m)
+            _block_diagonal(dense[kb:, kb:], self.tail)
+        dense[kb:, :kb] = dense[:kb, kb:].T
         return dense
+
+
+def _block_apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for a 2-d array a, or blockdiag(a) @ v for a (k, b, b) stack."""
+    if a.ndim == 2:
+        return a @ v
+    k, b, _ = a.shape
+    return np.matmul(a, v.reshape(k, b, 1)).ravel()
+
+
+def _block_diagonal(out: np.ndarray, blocks: np.ndarray) -> None:
+    """Write the (k, b, b) stack blocks along the diagonal of the zero (k b, k b) out."""
+    k, b, _ = blocks.shape
+    out.reshape(k, b, k, b)[np.arange(k), :, np.arange(k), :] = blocks
 
 
 class Regularized:
@@ -229,9 +254,10 @@ class Regularized:
     H is a dense array, which is replaced by its symmetric part (H + H^T) / 2
     (a new array; the caller's is never written), a matrix-free LinOp, an
     ActiveGram, which is assembled here (see _assemble), or a
-    BorderedBlocks, which is kept unassembled for an identity metric and
-    assembled for any other.  A LinOp's preconditioner is per-refresh
-    state: built once, at the first solve's lam, and reused for every lam.
+    BorderedBlocks.  A dense BorderedBlocks is kept unassembled for an
+    identity metric and assembled for any other; a matrix-free one is never
+    assembled.  The distinct blocks of a BorderedBlocks and the Schur
+    complement's preconditioner are per-refresh state (see _schur_solver).
     prev is the previous refresh's Regularized, from which an ActiveGram is
     built and FISTA's step starts (see prox_solve); it is not kept.
     """
@@ -240,9 +266,10 @@ class Regularized:
                  prev: Regularized | None = None):
         self.metric = metric
         self._t = prev._t if prev is not None else None  # FISTA's last accepted step
-        self._precond = None  # h.precond(lam) at the first matrix-free solve, as a LinearOperator
+        self._blocks = None  # _distinct(h.blocks) of a BorderedBlocks, at its first solve
+        self._precond = None  # the Schur complement's, at the first matrix-free solve's lam
         self.gram = h if isinstance(h, ActiveGram) else None
-        if isinstance(h, BorderedBlocks) and not metric.is_identity:
+        if isinstance(h, BorderedBlocks) and h.is_dense and not metric.is_identity:
             h = h.assemble()  # its blocks are not blocks of the pencil (H, B)
         if self.gram is not None:
             h = self._assemble(prev)
@@ -279,14 +306,16 @@ class Regularized:
 
     @property
     def is_dense(self) -> bool:
-        return not isinstance(self.h, LinOp)
+        h = self.h
+        return not isinstance(h, LinOp) and (not isinstance(h, BorderedBlocks) or h.is_dense)
 
     @property
     def is_finite(self) -> bool:
-        """Whether every entry of a dense H is finite; a LinOp's are not read."""
+        """Whether every stored entry of H is finite; matrix-free parts are not read."""
         h = self.h
-        parts = ((h.blocks, h.coupling, h.tail) if isinstance(h, BorderedBlocks)
-                 else () if isinstance(h, LinOp) else (h,))
+        parts = (() if isinstance(h, LinOp)
+                 else (h.blocks, h.tail) + ((h.coupling,) if h.is_dense else ())
+                 if isinstance(h, BorderedBlocks) else (h,))
         return all(np.all(np.isfinite(part)) for part in parts)
 
     def apply(self, lam: float, v: np.ndarray) -> np.ndarray:
@@ -380,20 +409,18 @@ class Regularized:
         corrections, each solving again for the residual rhs - (H + lam B) s
         (through apply, for every method), until the residual meets its
         target in the dual norm.  A dense H is solved only directly, to the
-        residual target max(1e-10, 1e-12 ||rhs||).  A BorderedBlocks H
-        (whose metric is the identity, see __init__) is solved per lam by
-        eliminating its blocks (_elimination_solver), and never assembled;
-        a dense array H + lam B is factored whole.  Either way the one
-        matrix factored goes through _direct_solver: Cholesky, then LU, and
-        a singular one raises SolverStallError.
+        residual target max(1e-10, 1e-12 ||rhs||).  A dense array H + lam B
+        is factored whole; a dense BorderedBlocks H (whose metric is the
+        identity, see __init__) is never assembled, and its blocks are
+        eliminated per lam (_elimination_solver).  Either way the one matrix
+        factored goes through _direct_solver: Cholesky, then LU, and a
+        singular one raises SolverStallError.
 
-        A matrix-free H goes to MINRES capped at 10 n iterations per call,
-        preconditioned by the operator's SPD precond when it has one (which
-        keeps MINRES valid for an indefinite H + lam B).  The preconditioner
-        is built once per refresh, at its first solve's lam, and reused for
-        every lam: a stale one can only change MINRES's iteration count, as
-        every returned step is checked against the rule below.  Its solve is
-        inexact: it stops once the residual rho = rhs - (H + lam B) s meets
+        A matrix-free H goes to MINRES, capped at 10 n iterations per call:
+        a matrix-free BorderedBlocks with the identity metric on its Schur
+        complement (_schur_solver), anything else on H + lam B itself,
+        unpreconditioned.  Its solve is inexact: it stops once the residual
+        rho = rhs - (H + lam B) s of the whole system meets
         ||rho||_* <= THETA lam ||s||_B, the forcing rule prox_solve shares.
         With rhs = -f'(x) and psi = 0, -rho is the model residual
         f'(x) + (H + lam B) s.  A residual not within its target, NaN
@@ -407,7 +434,11 @@ class Regularized:
         if (rhs_norm := float(np.linalg.norm(rhs))) == 0.0:
             return np.zeros(n)
         if not self.is_dense:
-            once, target = self._minres_solver(lam), lambda s: self._forcing(lam, s)
+            target = lambda s: self._forcing(lam, s)
+            if isinstance(self.h, BorderedBlocks) and self.metric.is_identity:
+                once = self._schur_solver(lam)
+            else:
+                once = _minres_solver(lambda v: self.apply(lam, v), n, None)
         else:
             target = lambda s: max(1e-10, 1e-12 * rhs_norm)
             if isinstance(self.h, BorderedBlocks):
@@ -417,52 +448,133 @@ class Regularized:
                 once = _direct_solver(self.h + lam * shift, f"H + {lam:.3e} B")
         return _refined(once, lambda v: self.apply(lam, v), rhs, self.metric.dual_norm, target)
 
+    def _block_inverse(self, lam: float) -> np.ndarray:
+        """(blockdiag(blocks) + lam I)^{-1} of a BorderedBlocks H, as a (k, b, b) stack.
+
+        Exact for this lam: a stale inverse would leave a residual in the
+        rows of the blocks.  The distinct blocks are found once per refresh,
+        and each is inverted once per lam (_inverse).
+        """
+        if self._blocks is None:
+            self._blocks = _distinct(self.h.blocks)
+        blocks, which = self._blocks
+        return _inverse(blocks, lam, "a diagonal block of H + lam I")[which]
+
     def _elimination_solver(self, lam: float):
-        """r -> (H + lam I)^{-1} r for a BorderedBlocks H, by block elimination.
+        """r -> (H + lam I)^{-1} r for a dense BorderedBlocks H, by block elimination.
 
         With A = blockdiag(blocks) + lam I and C the coupling, the Schur
         complement S = tail + lam I - C^T A^{-1} C carries all of the
         coupling (Golub & Van Loan, Matrix Computations, secs. 3.2 and 4.2):
         s_2 = S^{-1} (r_2 - C^T A^{-1} r_1) and s_1 = A^{-1} r_1 - A^{-1} C s_2.
-        The blocks are inverted in one batched call, and S is factored by
-        _direct_solver: Cholesky, or LU when Cholesky declines it (H + lam I
-        is then indefinite, as A is positive definite for positive definite
-        blocks), and a singular S raises SolverStallError.
+        S is factored by _direct_solver: Cholesky, or LU when Cholesky
+        declines it (H + lam I is then indefinite, as A is positive definite
+        for positive definite blocks), and a singular S raises
+        SolverStallError.
         """
         h = self.h
         k, b, _ = h.blocks.shape
         kb = k * b
-        shifted = h.blocks.copy()
-        shifted.reshape(k, b * b)[:, ::b + 1] += lam  # the diagonal of each block
-        inv = np.linalg.inv(shifted)
+        inv = self._block_inverse(lam)
         inv_c = np.matmul(inv, h.coupling.reshape(k, b, -1)).reshape(kb, -1)
         schur = h.tail - h.coupling.T @ inv_c
         schur.flat[::schur.shape[0] + 1] += lam
         schur_solve = _direct_solver(schur, f"Schur complement of H + {lam:.3e} I")
 
         def once(r):
-            head = np.matmul(inv, r[:kb].reshape(k, b, 1)).ravel()
+            head = _block_apply(inv, r[:kb])
             rest = schur_solve(r[kb:] - h.coupling.T @ head)
             return np.concatenate([head - inv_c @ rest, rest])
         return once
 
-    def _minres_solver(self, lam: float):
-        """r -> MINRES solution of (H + lam B) d = r, one call of a solve's refinement loop.
+    def _schur_solver(self, lam: float):
+        """r -> MINRES step for (H + lam I) s = r, H a matrix-free BorderedBlocks.
 
-        The first call runs to scipy's rtol _MINRES_RTOL, and each correction
-        tightens it by that factor again, so a step that misses the forcing rule
-        (an ill-scaled operator, whose ||H|| dwarfs lam) is corrected more
-        tightly each time.
+        With A, C and S as in _elimination_solver, MINRES solves
+        S s_2 = r_2 - C^T A^{-1} r_1 over the tail's variables only, with
+        S p = (tail + lam I) p - C^T A^{-1} C p applied matrix-free, and
+        s_1 = A^{-1} (r_1 - C s_2) is back-substituted.  A^{-1} is exact, so
+        the residual of the whole system is S's, in the tail rows, and the
+        forcing rule reads it there.  S is preconditioned by block Jacobi,
+        the inverse of blockdiag(tail) + lam I, which is symmetric positive
+        definite (so MINRES stays valid for an indefinite S) and inverts
+        each distinct tail block once.  It is built once per refresh, at its
+        first solve's lam, and reused for every lam: a stale one can change
+        only MINRES's iteration count, as every step is checked against the
+        forcing rule.
         """
-        n = self.h.shape[0]
-        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda v: self.apply(lam, v),
-                                                dtype=np.float64)
-        if self._precond is None and self.h.precond is not None:  # the refresh's first solve
+        h = self.h
+        kb, m = h.coupling.shape
+        inv = self._block_inverse(lam)
+        matvec, rmatvec = h.coupling.matvec, h.coupling.rmatvec
+        if self._precond is None:  # the refresh's first solve
+            blocks, which = _distinct(h.tail)
+            tail_inv = _inverse(blocks, lam, "a tail block of H + lam I")
+            tail_inv = (0.5 * (tail_inv + tail_inv.transpose(0, 2, 1)))[which]  # exactly symmetric
             self._precond = scipy.sparse.linalg.LinearOperator(
-                (n, n), matvec=self.h.precond(lam), dtype=np.float64)
-        calls = itertools.count(1)
-        return lambda r: scipy.sparse.linalg.minres(op, r, rtol=_MINRES_RTOL ** next(calls),
-                                                    maxiter=10 * n, M=self._precond)[0]
+                (m, m), matvec=lambda q: _block_apply(tail_inv, q), dtype=np.float64)
+        minres = _minres_solver(
+            lambda p: _block_apply(h.tail, p) + lam * p - rmatvec(_block_apply(inv, matvec(p))),
+            m, self._precond)
+
+        def once(r):
+            head = r[:kb]
+            rest = minres(r[kb:] - rmatvec(_block_apply(inv, head)))
+            return np.concatenate([_block_apply(inv, head - matvec(rest)), rest])
+        return once
+
+
+def _distinct(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, which) for a (k, b, b) stack: its distinct blocks, compared
+    bit for bit, and the index of each block among them.
+
+    The blocks are sorted as byte strings, and each run of equal neighbours
+    is one distinct block; np.unique on the same byte strings takes about
+    four times as long (0.34 against 0.09 ms for NMF's 200 blocks of 12 x 12).
+    """
+    k = blocks.shape[0]
+    blocks = np.ascontiguousarray(blocks, dtype=np.float64)
+    bits = blocks.reshape(k, -1).view(np.int64)
+    order = np.argsort(bits.view(f"V{bits.shape[1] * 8}").ravel(), kind="stable")
+    ordered = bits[order]
+    starts = np.ones(k, dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    which = np.empty(k, dtype=np.intp)
+    which[order] = np.cumsum(starts) - 1
+    return blocks[order[starts]], which
+
+
+def _inverse(blocks: np.ndarray, lam: float, name: str) -> np.ndarray:
+    """(blocks + lam I)^{-1}, block by block, for a (k, b, b) stack.
+
+    One batched call; raises SolverStallError, naming the blocks, when one
+    of them is singular or an inverse is not finite.
+    """
+    k, b, _ = blocks.shape
+    shifted = blocks.copy()
+    shifted.reshape(k, b * b)[:, ::b + 1] += lam  # the diagonal of each block
+    try:
+        inv = np.linalg.inv(shifted)
+    except np.linalg.LinAlgError:
+        inv = None
+    if inv is None or not np.all(np.isfinite(inv)):
+        raise SolverStallError(f"{name} is singular", best_residual=np.inf)
+    return inv
+
+
+def _minres_solver(matvec, n: int, precond):
+    """r -> MINRES solution of the n x n system whose product is matvec.
+
+    One call of a solve's refinement loop.  The first call runs to scipy's
+    rtol _MINRES_RTOL, and each correction tightens it by that factor again,
+    so a step that misses the forcing rule (an ill-scaled operator, whose
+    ||H|| dwarfs lam) is corrected more tightly each time.  precond, an SPD
+    LinearOperator or None, is MINRES's M.
+    """
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    calls = itertools.count(1)
+    return lambda r: scipy.sparse.linalg.minres(op, r, rtol=_MINRES_RTOL ** next(calls),
+                                                maxiter=10 * n, M=precond)[0]
 
 
 def _check_lam(lam: float) -> None:

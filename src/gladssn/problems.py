@@ -10,11 +10,12 @@ across machines.  Generators and instance records alike reject a size or
 parameter outside its domain (_DOMAIN).
 
 Hessians come back as dense arrays for SVM and the quadratic.  NMF's is a
-BorderedBlocks up to DENSE_DIM_MAX variables, which the solver solves by
-eliminating the diagonal blocks of U, and above it a matvec handle with a
-block-Jacobi preconditioner that inverts each distinct diagonal block once.
-Huber's is an ActiveGram, its rows on the quadratic piece, which the solver
-assembles from the previous refresh's Hessian.
+BorderedBlocks whose diagonal blocks, one per row of U, the solver
+eliminates: dense up to DENSE_DIM_MAX variables, and above it matrix-free,
+with the coupling of U and V applied by products with the factors and V's
+part kept as its diagonal blocks, one per row of V.  Huber's is an
+ActiveGram, its rows on the quadratic piece, which the solver assembles
+from the previous refresh's Hessian.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator
 
-from .linalg import ActiveGram, BorderedBlocks, LinOp
+from .linalg import ActiveGram, BorderedBlocks
 from .oracle import CompositeProblem, SmoothOracle, ZeroPart
 from .rng import Rng
 
@@ -68,12 +70,14 @@ def _check_shapes(inst, **want: tuple) -> None:
 _DOMAIN = {**dict.fromkeys(("d", "n", "r", "ell", "m", "cond"), (1, True)),
            **dict.fromkeys(("alpha", "sigma", "ridge"), (0, True)),
            **dict.fromkeys(("beta", "gamma", "delta"), (0, False))}
+# The quadratic pins both ends of its spectrum, so it needs two variables.
+_QUAD_DOMAIN = {**_DOMAIN, "n": (2, True)}
 
 
-def _check_domain(where: str, **values) -> None:
+def _check_domain(where: str, domain: dict = _DOMAIN, /, **values) -> None:
     """Raise ValueError naming the first value outside its domain; NaN is in none."""
     for name, value in values.items():
-        low, closed = _DOMAIN[name]
+        low, closed = domain[name]
         if not (value >= low if closed else value > low):
             raise ValueError(f"{where}: {name} must be {'at least' if closed else 'above'} "
                              f"{low}, got {value}")
@@ -135,8 +139,8 @@ class QuadInstance:
     x0: np.ndarray
 
     def __post_init__(self):
-        n = np.size(self.x0)
-        _check_domain(type(self).__name__, cond=self.cond)
+        n = np.size(self.b)
+        _check_domain(type(self).__name__, _QUAD_DOMAIN, n=n, cond=self.cond)
         _check_shapes(self, A=(n, n), b=(n,), x0=(n,))
 
 
@@ -233,20 +237,20 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
         return -rise
 
     def eval_hess(x):
+        # Rows and columns ordered (row, factor):
+        #   H_UU = I_d (x) V^T V,  H_VV = I_n (x) U^T U,
+        #   H_UV[(i,a),(j,b)] = U[i,b] V[j,a] + R[i,j] delta_ab,
+        # plus the diagonal 2 alpha + mask / beta.  H_UU is kept as its d
+        # diagonal r x r blocks, which the solver eliminates.
         u, v = unpack(x)
         res = resid(x)
         gram_u, gram_v = u.T @ u, v.T @ v
         shift_u, shift_v = (2.0 * alpha + (a < 0.0) / beta for a in (u, v))
+        diag = np.arange(r)
+        blocks = np.repeat(gram_v[None], d, axis=0)
+        blocks[:, diag, diag] += shift_u
         if dim <= DENSE_DIM_MAX:
-            # Closed form, rows and columns ordered (row, factor):
-            #   H_UU = I_d (x) V^T V,  H_VV = I_n (x) U^T U,
-            #   H_UV[(i,a),(j,b)] = U[i,b] V[j,a] + R[i,j] delta_ab,
-            # plus the diagonal 2 alpha + mask / beta.  H_UU is kept as its
-            # d diagonal r x r blocks, which the solver eliminates; H_UV is
-            # built with 4-d indices and H_VV written through a 4-d view.
-            diag = np.arange(r)
-            blocks = np.repeat(gram_v[None], d, axis=0)
-            blocks[:, diag, diag] += shift_u
+            # H_UV is built with 4-d indices and H_VV written through a 4-d view.
             h_uv = u[:, None, None, :] * v.T[None, :, :, None]
             h_uv[:, diag, :, diag] += res
             h_vv = np.zeros((n * r, n * r))
@@ -254,40 +258,22 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
             h_vv[np.diag_indices(n * r)] += shift_v.ravel()
             return BorderedBlocks(blocks, h_uv.reshape(d * r, n * r), h_vv)
 
-        # Gram form: the Gauss-Newton part (dU V^T + U dV^T) V, and its
-        # transpose with U, is regrouped around V^T V and U^T U, so one
-        # product with H costs two d x n products (the R terms), not six.
-        def hvp(p):
-            pu, pv = unpack(p)
-            hu = pu @ gram_v + u @ (pv.T @ v) + res @ pv + shift_u * pu
-            hv = pv @ gram_u + v @ (pu.T @ u) + res.T @ pu + shift_v * pv
-            return np.concatenate([hu.ravel(), hv.ravel()])
+        # Matrix-free: H_VV is kept as its n diagonal blocks, and H_UV is
+        # applied as C pV = U (pV^T V) + R pV and C^T pU = V (pU^T U) + R^T pU,
+        # one d x n product (the R term) per product with C or C^T.
+        tail = np.repeat(gram_u[None], n, axis=0)
+        tail[:, diag, diag] += shift_v
 
-        def precond(lam):
-            # Block Jacobi: the inverse of the diagonal r x r blocks of
-            # H + lam I, V^T V + diag(shift_u[i] + lam) for row i of U and
-            # U^T U + diag(shift_v[j] + lam) for row j of V.  All d + n are
-            # SPD, and two rows of one factor with the same sign pattern
-            # have the same block, so each distinct (factor, pattern) block
-            # is inverted once, in one batched call, and gathered back to
-            # the d + n rows.  Keys are deduplicated as packed bytes, since
-            # np.unique(axis=0) costs about as much as it saves.
-            # linalg.Regularized builds it once per refresh, at its first
-            # solve's lam, and reuses it for every lam.
-            keys = np.column_stack([np.arange(d + n) >= d, np.concatenate([u, v]) < 0.0])
-            packed = np.packbits(keys, axis=1)
-            _, first, which = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
-                                        return_index=True, return_inverse=True)
-            blocks = np.stack([gram_v, gram_u])[(first >= d).astype(np.intp)]
-            diag = np.arange(r)
-            blocks[:, diag, diag] += np.concatenate([shift_u, shift_v])[first] + lam
-            inv = np.linalg.inv(blocks)
-            np.add(inv, inv.transpose(0, 2, 1), out=blocks)  # exactly symmetric
-            blocks *= 0.5
-            blocks = blocks[which]
-            return lambda q: np.matmul(blocks, q.reshape(d + n, r, 1)).ravel()
+        def coupling(pv):
+            pv = pv.reshape(n, r)
+            return (u @ (pv.T @ v) + res @ pv).ravel()
 
-        return LinOp(hvp, dim, precond=precond)
+        def coupling_t(pu):
+            pu = pu.reshape(d, r)
+            return (v @ (pu.T @ u) + res.T @ pu).ravel()
+
+        return BorderedBlocks(blocks, LinearOperator((d * r, n * r), matvec=coupling,
+                                                     rmatvec=coupling_t, dtype=np.float64), tail)
 
     return CompositeProblem(
         smooth=SmoothOracle(dim=dim, eval_f=eval_f, eval_grad=eval_grad,
@@ -435,9 +421,7 @@ def make_quadratic(seed: int, n: int = 50, cond: float = 1e4) -> CompositeProble
     the eigenbasis, then n - 2 log-uniform interior eigenvalues (endpoints
     pinned to 1 and cond), then b (normal), then x0 (normal).
     """
-    if n < 2:
-        raise ValueError("need n >= 2 to pin both ends of the spectrum")
-    _check_domain("make_quadratic", cond=cond)
+    _check_domain("make_quadratic", _QUAD_DOMAIN, n=n, cond=cond)
     rng = Rng(seed)
     gauss = rng.normal((n, n))
     q, rr = np.linalg.qr(gauss)

@@ -19,7 +19,7 @@ from gladssn import (SolverConfig, make_huber, make_nmf, make_quadratic,
                      make_svm, problems, solve)
 from gladssn.baselines import armijo_gd
 from gladssn.harness import estimate_order, verify
-from gladssn.linalg import LinOp
+from gladssn.linalg import BorderedBlocks
 from gladssn.oracle import check_gradient_fd, check_hvp_fd
 from gladssn.problems import penalty_violation
 
@@ -369,12 +369,14 @@ def test_criterion_08_oracle_correctness(capsys, monkeypatch):
     h_oracle = np.block([[a_uu, c_uv], [c_uv.T, d_vv]])
     h_dense = prob.smooth.eval_hess(x).assemble()
     dense_err = float(np.max(np.abs(h_dense - h_oracle)))
-    # the same oracle above the dense threshold: its matrix-free hvp, the
-    # one MINRES applies, against the independent Hessian
+    # the same oracle above the dense threshold: its matrix-free product,
+    # built from the parts the Schur-complement MINRES applies, against the
+    # independent Hessian
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     h_op = prob.smooth.eval_hess(x)
-    if not isinstance(h_op, LinOp):
-        failures.append(f"nmf hessian above DENSE_DIM_MAX is {type(h_op).__name__}")
+    if not (isinstance(h_op, BorderedBlocks) and not h_op.is_dense):
+        failures.append(f"nmf hessian above DENSE_DIM_MAX is not a matrix-free "
+                        f"BorderedBlocks: {type(h_op).__name__}")
     mv_err = max(float(np.max(np.abs(h_op @ v - h_oracle @ v)))
                  for v in rng.standard_normal((20, prob.dim)))
     if dense_err > 1e-10:

@@ -291,72 +291,139 @@ def test_solve_regularized_dense_vs_matvec_route():
     assert np.linalg.norm(s_mv - s_dense) <= 1.01 * rho / np.linalg.eigvalsh(m)[0]
 
 
+def matrix_free_bordered(seed, k=6, b=3, j=4, c=3):
+    """A matrix-free BorderedBlocks with indefinite blocks, and its dense array.
+
+    The blocks have eigenvalues in [-6, 5], away from -0.5 and -2; the tail
+    blocks are positive semidefinite Gram blocks, and the coupling is random.
+    """
+    rng = np.random.default_rng(seed)
+    eigs = rng.choice([-6.0, -3.1, -1.2, 0.3, 1.7, 4.4], size=(k, b))
+    blocks = np.stack([_rotated(e, seed + i) for i, e in enumerate(eigs)])
+    blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+    g = rng.standard_normal((j, c, c))
+    tail = g @ g.transpose(0, 2, 1)
+    coupling = rng.standard_normal((k * b, j * c))
+    h = BorderedBlocks(blocks, scipy.sparse.linalg.aslinearoperator(coupling), tail)
+    assert not h.is_dense
+    return h, BorderedBlocks(blocks, coupling, scipy.linalg.block_diag(*tail)).assemble()
+
+
 def test_preconditioned_minres_meets_the_same_target(monkeypatch):
-    # H + lam B is indefinite; an SPD diagonal preconditioner keeps MINRES
-    # valid, and with or without it the solve meets the same forcing rule
-    # ||rho||_* <= THETA lam ||s||_B, in the metric's own norms
-    rng = np.random.default_rng(8)
-    n = 40
-    h_mat = _rotated(np.linspace(-6.0, 5.0, n), 8)
-    c = rng.standard_normal((n, n))
-    applied = {"precond": 0, "with_M": 0}
-
-    def precond(lam, bmat):
-        scale = np.abs(np.diag(h_mat)) + lam * np.diag(bmat)
-
-        def apply(v):
-            applied["precond"] += 1
-            return v / scale
-        return apply
-
+    # H + lam B is indefinite.  With the identity metric MINRES runs on the
+    # Schur complement, preconditioned by the SPD inverse of the tail
+    # blocks plus lam I, which keeps it valid; with another metric it runs
+    # on H + lam B unpreconditioned.  Either way the solve meets the same
+    # forcing rule ||rho||_* <= THETA lam ||s||_B on the whole system
+    h, dense = matrix_free_bordered(8)
+    n = dense.shape[0]
+    np.testing.assert_allclose(h.assemble(), dense, rtol=1e-15, atol=1e-15)
+    with_m = []
     minres = scipy.sparse.linalg.minres
 
     def seen_minres(*args, M=None, **kwargs):
-        applied["with_M"] += M is not None
+        with_m.append(M is not None)
         return minres(*args, M=M, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "minres", seen_minres)
+    rng = np.random.default_rng(9)
+    c = rng.standard_normal((n, n))
     spd = c @ c.T / (4 * n) + 0.5 * np.eye(n)
     for metric, bmat in ((MetricB(), np.eye(n)), (MetricB(spd), spd)):
+        reg = Regularized(h, metric)
+        assert reg.h is h and not reg.is_dense and reg.is_finite
+        with_m.clear()
         for lam in (0.5, 2.0):
-            assert np.min(np.linalg.eigvalsh(h_mat + lam * bmat)) < 0.0
+            assert np.min(np.linalg.eigvalsh(dense + lam * bmat)) < 0.0
             rhs = rng.standard_normal(n)
-            ops = (LinOp(lambda v: h_mat @ v, n),
-                   LinOp(lambda v: h_mat @ v, n,
-                                     precond=lambda lam: precond(lam, bmat)))
-            for op in ops:
-                s = Regularized(op, metric).solve(lam, rhs)
-                rho = h_mat @ s + lam * (bmat @ s) - rhs
-                assert metric.dual_norm(rho) <= linalg.THETA * lam * metric.norm(s)
-                assert metric.norm(s) > 0.0
-    assert applied["precond"] > 0 and applied["with_M"] > 0
+            s = reg.solve(lam, rhs)
+            rho = dense @ s + lam * (bmat @ s) - rhs
+            assert metric.dual_norm(rho) <= linalg.THETA * lam * metric.norm(s)
+            assert metric.norm(s) > 0.0
+        assert with_m and set(with_m) == {metric.is_identity}
+
+
+def test_schur_minres_step_solves_the_block_rows_to_rounding():
+    # the matrix-free NMF Hessian: MINRES runs over the V variables only, and
+    # s_U = A^{-1} (r_U - C s_V) is back-substituted with the exact A^{-1},
+    # so the U rows A s_U + C s_V = r_U hold to rounding while the whole
+    # residual, which the forcing rule reads, lies in the V rows
+    p = make_nmf(2, d=20, n=10, r=3)
+    x = p.x0 + 0.1 * np.random.default_rng(16).standard_normal(p.dim)
+    x[:60:4] = -0.3  # negative entries in U and V: both masks active
+    x[60::3] = -0.2
+    dense = p.smooth.eval_hess(x).assemble()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problems, "DENSE_DIM_MAX", 0)
+        h = p.smooth.eval_hess(x)
+    assert not h.is_dense
+    rhs = -p.smooth.eval_grad(x)
+    reg = Regularized(h, MetricB())
+    for lam in (0.05, 1.0, 20.0):
+        s = reg.solve(lam, rhs)
+        a_rows = (dense @ s + lam * s - rhs)[:60]
+        rho = reg.apply(lam, s) - rhs
+        assert np.linalg.norm(a_rows) <= 1e-13 * (np.linalg.norm(rhs) + lam * np.linalg.norm(s)
+                                                  + np.linalg.norm(dense @ s))
+        assert 0.0 < np.linalg.norm(rho) <= linalg.THETA * lam * np.linalg.norm(s)
+        np.testing.assert_allclose(rho, dense @ s + lam * s - rhs,
+                                   atol=1e-12 * np.linalg.norm(rhs))
 
 
 def test_matrix_free_preconditioner_is_built_once_per_refresh(monkeypatch):
-    # one Regularized calls the factory at its first solve's lam and reuses
-    # the callable at 16 lam0 and lam0 / 16; every step still meets the
-    # forcing rule, on the matrix-free NMF Hessian and on an indefinite H
+    # one Regularized inverts the tail blocks plus lam0 I at its first
+    # solve's lam and reuses them at 16 lam0 and lam0 / 16, while it
+    # inverts the diagonal blocks afresh at every lam; every step still
+    # meets the forcing rule, on the matrix-free NMF Hessian and on an
+    # indefinite H
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     nmf = make_nmf(2, d=20, n=10, r=3)
-    nmf_h = nmf.smooth.eval_hess(nmf.x0)
-    h_mat = _rotated(np.linspace(-6.0, 5.0, 30), 9)
-    diagonal = LinOp(lambda v: h_mat @ v, 30,
-                     precond=lambda lam: lambda v: v / (np.abs(np.diag(h_mat)) + lam))
+    inverse = linalg._inverse
+    calls = []
+
+    def counted(blocks, lam, name):
+        calls.append((name.split()[1], lam))
+        return inverse(blocks, lam, name)
+
+    monkeypatch.setattr(linalg, "_inverse", counted)
     rng = np.random.default_rng(10)
-    for h, lam0 in ((nmf_h, 1.0), (diagonal, 0.5)):
-        built = []
-
-        def factory(lam, build=h.precond):
-            built.append(lam)
-            return build(lam)
-
-        reg = Regularized(LinOp(h.matvec, h.shape[0], precond=factory), MetricB())
-        for lam in (lam0, 16.0 * lam0, lam0 / 16.0):
+    for h, lam0 in ((nmf.smooth.eval_hess(nmf.x0), 1.0), (matrix_free_bordered(11)[0], 0.5)):
+        calls.clear()
+        reg = Regularized(h, MetricB())
+        lams = (lam0, 16.0 * lam0, lam0 / 16.0)
+        for lam in lams:
             rhs = rng.standard_normal(h.shape[0])
             s = reg.solve(lam, rhs)
             rho = np.linalg.norm(reg.apply(lam, s) - rhs)
             assert 0.0 < rho <= linalg.THETA * lam * np.linalg.norm(s)
-        assert built == [lam0]
+        assert [lam for name, lam in calls if name == "tail"] == [lam0]
+        assert [lam for name, lam in calls if name == "diagonal"] == list(lams)
+
+
+def test_singular_or_overflowing_block_inverse_stalls():
+    # a diagonal block plus lam I that is singular, or whose inverse is not
+    # finite, fails the solve typed at any size, and a larger lam solves it
+    singular = BorderedBlocks(np.full((1, 1, 1), -1.0), np.zeros((1, 1)), np.eye(1))
+    tiny = BorderedBlocks(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.eye(1))
+    for h, lam in ((singular, 1.0), (tiny, 5e-324)):
+        matrix_free = BorderedBlocks(h.blocks, scipy.sparse.linalg.aslinearoperator(h.coupling),
+                                     h.tail[None])
+        for form in (h, matrix_free):
+            reg = Regularized(form, MetricB())
+            with pytest.raises(SolverStallError, match="diagonal block of H") as exc:
+                reg.solve(lam, np.ones(2))
+            assert exc.value.best_residual == np.inf
+            s = reg.solve(4.0, np.ones(2))
+            np.testing.assert_allclose(reg.apply(4.0, s), np.ones(2), rtol=0.1)
+
+
+def test_bordered_blocks_forms_do_not_mix():
+    # a coupling array takes a dense tail, a LinearOperator a stack of blocks
+    blocks, coupling = np.ones((2, 1, 1)), np.zeros((2, 2))
+    with pytest.raises(ValueError, match="tail"):
+        BorderedBlocks(blocks, coupling, np.ones((2, 1, 1)))
+    with pytest.raises(ValueError, match="tail"):
+        BorderedBlocks(blocks, scipy.sparse.linalg.aslinearoperator(coupling), np.eye(2))
 
 
 def _count_calls(monkeypatch) -> dict:

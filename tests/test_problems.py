@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from gladssn import linalg, problems
@@ -85,79 +86,112 @@ def test_nmf_gradient_matches_loop_oracle():
                                rtol=1e-12, atol=1e-12)
 
 
+def nmf_point(p, seed):
+    """A point near p.x0 with negative entries in U and V: both masks active."""
+    inst = p.instance
+    x = p.x0 + 0.1 * np.random.default_rng(seed).standard_normal(p.dim)
+    x[:inst.d * inst.r:3] = -0.3
+    x[inst.d * inst.r::4] = -0.2
+    return x
+
+
+def nmf_hessians(p, x, monkeypatch):
+    """NMF's dense BorderedBlocks Hessian at x, and its matrix-free one."""
+    dense = p.smooth.eval_hess(x)
+    with monkeypatch.context() as mp:
+        mp.setattr(problems, "DENSE_DIM_MAX", 0)
+        matrix_free = p.smooth.eval_hess(x)
+    assert dense.is_dense and not matrix_free.is_dense
+    return dense, matrix_free
+
+
 def test_nmf_dense_threshold_and_hvp_consistency(monkeypatch):
     small = make_nmf(1, d=6, n=5, r=2)
     assert isinstance(small.smooth.eval_hess(small.x0), BorderedBlocks)
     big = make_nmf(1)  # (200 + 100) * 12 = 3600 > DENSE_DIM_MAX
     assert big.dim > DENSE_DIM_MAX
-    assert isinstance(big.smooth.eval_hess(big.x0), LinOp)
-    rng = np.random.default_rng(0)
-    # the closed-form dense Hessian equals the column assembly of the hvp,
-    # at a point with negative entries in both U and V (both masks active)
-    inst = small.instance
-    x = small.x0 + 0.1 * rng.standard_normal(small.dim)
-    x[:inst.d * inst.r:3] = -0.3
-    x[inst.d * inst.r::4] = -0.2
-    dense = small.smooth.eval_hess(x).assemble()
-    monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
-    by_hvp = small.smooth.eval_hess(x)
-    assert isinstance(by_hvp, LinOp)
-    by_columns = columns(by_hvp)
-    assert np.max(np.abs(dense - by_columns)) <= 1e-13 * np.max(np.abs(by_columns))
+    h_big = big.smooth.eval_hess(big.x0)
+    assert isinstance(h_big, BorderedBlocks) and not h_big.is_dense
+    assert h_big.blocks.shape == (200, 12, 12) and h_big.tail.shape == (100, 12, 12)
+    # the matrix-free product, built from the blocks, the coupling and its
+    # transpose applied matrix-free, and the tail blocks, equals the dense
+    # form's at a point with negative entries in both U and V
+    x = nmf_point(small, 0)
+    dense, matrix_free = nmf_hessians(small, x, monkeypatch)
+    np.testing.assert_array_equal(matrix_free.blocks, dense.blocks)
+    for v in np.random.default_rng(1).standard_normal((5, small.dim)):
+        np.testing.assert_allclose(matrix_free @ v, dense @ v, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(dense @ v)))
+    by_columns = columns(matrix_free)
+    assert np.max(np.abs(dense.assemble() - by_columns)) <= 1e-13 * np.max(np.abs(by_columns))
+    np.testing.assert_array_equal(matrix_free.assemble(), dense.assemble())
 
 
 def test_nmf_preconditioner_inverts_gauss_newton_blocks(monkeypatch):
+    # the Schur complement's preconditioner is the inverse of the V rows'
+    # Gauss-Newton blocks U^T U + diag(2 alpha + [V_j < 0] / beta) plus
+    # lam I, exactly symmetric and positive definite, and the eliminated
+    # U blocks are V^T V + diag(2 alpha + [U_i < 0] / beta), inverted at lam
     p = make_nmf(2, d=6, n=5, r=3)
     inst = p.instance
     d, n, r = inst.d, inst.n, inst.r
-    x = p.x0 + 0.1 * np.random.default_rng(1).standard_normal(p.dim)
-    x[:d * r:3] = -0.3  # negative entries in U and in V: both masks active
-    x[d * r::4] = -0.2
-    u = x[:d * r].reshape(d, r)
-    v = x[d * r:].reshape(n, r)
-    monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
-    h = p.smooth.eval_hess(x)
-    assert isinstance(h, LinOp) and h.precond is not None
-    shift = 2.0 * inst.alpha + np.concatenate([(u < 0).ravel(), (v < 0).ravel()]) / inst.beta
-    gauss_newton = np.zeros((p.dim, p.dim))
-    gauss_newton[:d * r, :d * r] = np.kron(np.eye(d), v.T @ v)
-    gauss_newton[d * r:, d * r:] = np.kron(np.eye(n), u.T @ u)
-    gauss_newton += np.diag(shift)
+    x = nmf_point(p, 1)
+    u, v = x[:d * r].reshape(d, r), x[d * r:].reshape(n, r)
+    _, h = nmf_hessians(p, x, monkeypatch)
+    shift_u, shift_v = (2.0 * inst.alpha + (a < 0).ravel() / inst.beta for a in (u, v))
+    block_u = np.kron(np.eye(d), v.T @ v) + np.diag(shift_u)
+    block_v = np.kron(np.eye(n), u.T @ u) + np.diag(shift_v)
+    rhs = -p.smooth.eval_grad(x)
     for lam in (1e-3, 0.7, 30.0):
-        m = columns(LinOp(h.precond(lam), p.dim))
+        reg = Regularized(h, MetricB())
+        reg.solve(lam, rhs)
+        m = columns(LinOp(reg._precond.matvec, n * r))
         np.testing.assert_array_equal(m, m.T)
         assert np.min(np.linalg.eigvalsh(m)) > 0.0
-        err = m @ (gauss_newton + lam * np.eye(p.dim)) - np.eye(p.dim)
+        err = m @ (block_v + lam * np.eye(n * r)) - np.eye(n * r)
+        assert np.max(np.abs(err)) <= 1e-12
+        a_inv = scipy.linalg.block_diag(*reg._block_inverse(lam))
+        err = a_inv @ (block_u + lam * np.eye(d * r)) - np.eye(d * r)
         assert np.max(np.abs(err)) <= 1e-12
 
 
-def test_nmf_preconditioner_cuts_minres_iterations(monkeypatch):
-    p = make_nmf(1)
-    h = p.smooth.eval_hess(p.x0)
-    assert h.precond is not None
-    plain = LinOp(h.matvec, h.shape[0])
-    rhs = -p.smooth.eval_grad(p.x0)
-    iters = {}
+def minres_iterations(monkeypatch) -> list:
+    """Patch scipy's MINRES to count its iterations, one entry per call."""
+    iters = []
     minres = scipy.sparse.linalg.minres
 
-    def count(xk):
-        iters[label] += 1
-
     def counted(*args, **kwargs):
+        iters.append(0)
+
+        def count(xk):
+            iters[-1] += 1
         return minres(*args, callback=count, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "minres", counted)
+    return iters
+
+
+def test_nmf_preconditioner_cuts_minres_iterations(monkeypatch):
+    # the preconditioned Schur complement takes fewer MINRES iterations than
+    # the whole system unpreconditioned, each over a third of the variables
+    p = make_nmf(1)
+    h = p.smooth.eval_hess(p.x0)
+    plain = LinOp(lambda v: h @ v, h.shape[0])
+    rhs = -p.smooth.eval_grad(p.x0)
+    iters = minres_iterations(monkeypatch)
     lam = 1.0
-    for label, op in (("plain", plain), ("preconditioned", h)):
-        iters[label] = 0
+    totals = {}
+    for label, op in (("plain", plain), ("schur", h)):
+        iters.clear()
         s = Regularized(op, MetricB()).solve(lam, rhs)
         # both stop at the forcing rule ||rho|| <= THETA lam ||s||
         res = np.linalg.norm(h @ s + lam * s - rhs)
         assert res <= linalg.THETA * lam * np.linalg.norm(s)
-    assert 0 < iters["preconditioned"] < iters["plain"]
+        totals[label] = sum(iters)
+    assert 0 < totals["schur"] < totals["plain"]
 
 
-UNPATCHED_INV = np.linalg.inv  # the reference build's, uncounted when a test patches inv
+UNPATCHED_INV = np.linalg.inv  # the reference inverses', uncounted when a test patches inv
 
 
 def inv_batch_sizes(monkeypatch):
@@ -172,28 +206,16 @@ def inv_batch_sizes(monkeypatch):
     return sizes
 
 
-def per_row_precond(inst, x):
-    """The block-Jacobi factory built row by row: one inverse per row of U and of V."""
-    d, n, r = inst.d, inst.n, inst.r
-    u, v = x[:d * r].reshape(d, r), x[d * r:].reshape(n, r)
-    gram_u, gram_v = u.T @ u, v.T @ v
-    shift_u, shift_v = (2.0 * inst.alpha + (a < 0.0) / inst.beta for a in (u, v))
-
-    def precond(lam):
-        blocks = np.empty((d + n, r, r))
-        blocks[:d] = gram_v
-        blocks[d:] = gram_u
-        diag = np.arange(r)
-        blocks[:d, diag, diag] += shift_u + lam
-        blocks[d:, diag, diag] += shift_v + lam
-        inv = UNPATCHED_INV(blocks)
-        np.add(inv, inv.transpose(0, 2, 1), out=blocks)
-        blocks *= 0.5
-        return lambda q: np.matmul(blocks, q.reshape(d + n, r, 1)).ravel()
-    return precond
+def per_row_inverses(blocks, lam):
+    """The inverse of every block plus lam I, one row at a time."""
+    return np.stack([UNPATCHED_INV(blk + lam * np.eye(len(blk))) for blk in blocks])
 
 
 def test_nmf_preconditioner_inverts_each_distinct_block_once(monkeypatch):
+    # per solve, the U blocks plus lam I are inverted once for each distinct
+    # sign pattern of a U row, and at a refresh's first solve the V blocks
+    # once for each distinct pattern of a V row; each inverse is bit for
+    # bit the one of its block inverted alone
     p = make_nmf(3, d=6, n=5, r=4)
     inst = p.instance
     d, n, r = inst.d, inst.n, inst.r
@@ -206,42 +228,45 @@ def test_nmf_preconditioner_inverts_each_distinct_block_once(monkeypatch):
         return np.where(masks.ravel(), -magnitude, magnitude)
 
     points = {
-        "repeated": point(np.arange(d) % 2, np.arange(n) % 3),
-        "all distinct": point(np.arange(d), d + np.arange(n)),
-        "U and V share a mask": point(np.full(d, 5), np.full(n, 5)),
+        "repeated": (point(np.arange(d) % 2, np.arange(n) % 3), 2, 3),
+        "all distinct": (point(np.arange(d), d + np.arange(n)), d, n),
+        "U and V share a mask": (point(np.full(d, 5), np.full(n, 5)), 1, 1),
     }
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     sizes = inv_batch_sizes(monkeypatch)
-    for label, x in points.items():
-        masks = x.reshape(d + n, r) < 0.0
-        keys = {(i >= d, *masks[i]) for i in range(d + n)}
-        assert len(keys) == {"repeated": 5, "all distinct": d + n,
-                             "U and V share a mask": 2}[label]
+    for label, (x, distinct_u, distinct_v) in points.items():
         h = p.smooth.eval_hess(x)
-        for lam in (1e-3, 0.7, 30.0):
+        reg = Regularized(h, MetricB())
+        rhs = -p.smooth.eval_grad(x)
+        for i, lam in enumerate((1e-3, 0.7, 30.0)):
             sizes.clear()
-            got = columns(LinOp(h.precond(lam), p.dim))
-            assert sizes == [len(keys)], label
-            want = columns(LinOp(per_row_precond(inst, x)(lam), p.dim))
-            np.testing.assert_array_equal(got, want, err_msg=label)
+            reg.solve(lam, rhs)
+            assert sizes == [distinct_u] + ([distinct_v] if i == 0 else []), label
+            np.testing.assert_array_equal(reg._block_inverse(lam),
+                                          per_row_inverses(h.blocks, lam), err_msg=label)
+        want = per_row_inverses(h.tail, 1e-3)
+        want = 0.5 * (want + want.transpose(0, 2, 1))
+        np.testing.assert_array_equal(columns(LinOp(reg._precond.matvec, n * r)),
+                                      scipy.linalg.block_diag(*want), err_msg=label)
 
 
 def test_nmf_matfree_trace_unchanged_by_the_deduplicated_preconditioner(monkeypatch):
-    # the same solve with the per-row build swapped in accepts the same
+    # the same solve with every block taken as distinct accepts the same
     # iterates bit for bit, while the library's build inverts fewer blocks
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     p = make_nmf(3, d=20, n=12, r=3)
-    reference = dataclasses.replace(p, smooth=dataclasses.replace(
-        p.smooth, eval_hess=lambda x: LinOp(p.smooth.eval_hess(x).matvec, p.dim,
-                                            precond=per_row_precond(p.instance, x))))
+    distinct = linalg._distinct
     sizes = inv_batch_sizes(monkeypatch)
     for m in (1, 3):
         config = SolverConfig(p=0.5, m=m, grad_tol=1e-4)
-        want = solve(reference, config)
-        assert sizes == []
+        monkeypatch.setattr(linalg, "_distinct", lambda blocks: (blocks, np.arange(len(blocks))))
+        want = solve(p, config)
+        assert sizes and set(sizes) == {20, 12}
+        sizes.clear()
+        monkeypatch.setattr(linalg, "_distinct", distinct)
         got = solve(p, config)
         assert got.status == want.status == CONVERGED and got.iters >= 10
-        assert len(sizes) == got.hess_evals and min(sizes) < 20 + 12
+        assert len(sizes) == got.trials + got.hess_evals and min(sizes) < 12
         sizes.clear()
         assert ([dataclasses.replace(rec, wall_ns=0) for rec in got.trace]
                 == [dataclasses.replace(rec, wall_ns=0) for rec in want.trace])
@@ -422,9 +447,9 @@ def test_huber_default_instance():
 def oracle_outputs(problem, x):
     smooth = problem.smooth
     h = Regularized(smooth.eval_hess(x), MetricB()).h
-    if isinstance(h, BorderedBlocks):
+    if isinstance(h, BorderedBlocks) and h.is_dense:
         h = h.assemble()
-    if isinstance(h, LinOp):  # matrix-free: compared through H @ v
+    elif not isinstance(h, np.ndarray):  # matrix-free: compared through H @ v
         h = h @ np.linspace(-1.0, 1.0, problem.dim)
     out = [smooth.eval_f(x), smooth.eval_grad(x), h, problem.kink_gap(x)]
     if problem.eval_f_diff is not None:
@@ -450,7 +475,8 @@ def test_residual_cache_matches_fresh_oracles(make, kw, dense_max, monkeypatch):
     # point, also after the caller changes the array it passed in place.
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", dense_max)
     problem = make(3, **kw)
-    assert isinstance(problem.smooth.eval_hess(problem.x0), LinOp) == (dense_max == 0)
+    assert (not Regularized(problem.smooth.eval_hess(problem.x0), MetricB()).is_dense) == (
+        dense_max == 0)
     inst = problem.instance
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal((2, problem.dim))
@@ -481,8 +507,6 @@ def test_quadratic_spectrum_and_solution():
         assert p.smooth.eval_f(p.known_xstar + 0.1 * rng.standard_normal(12)) \
             > p.known_fstar
     assert p.kink_gap(p.x0) == np.inf
-    with pytest.raises(ValueError):
-        make_quadratic(1, n=1)
 
 
 # -------------------------------------------------------- export / import
@@ -593,12 +617,16 @@ def test_instances_check_array_shapes():
     (make_nmf, {"d": -1}), (make_nmf, {"d": 0}), (make_nmf, {"n": 0}), (make_nmf, {"r": 0}),
     (make_svm, {"n": 0}), (make_svm, {"ell": -5}),
     (make_huber, {"m": 0}), (make_huber, {"n": 0}),
+    (make_quadratic, {"n": 1}), (make_quadratic, {"n": 0}),
 ])
 def test_generators_reject_sizes_below_one(make, kw, monkeypatch):
-    # rejected before the first draw: Rng is never built
+    # rejected before the first draw: Rng is never built; the quadratic
+    # pins both ends of its spectrum, so it needs n >= 2
     monkeypatch.setattr(problems, "Rng", None)
     (name, size), = kw.items()
-    with pytest.raises(ValueError, match=f"^{make.__name__}: {name} must be at least 1, got {size}$"):
+    low = 2 if make is make_quadratic else 1
+    with pytest.raises(ValueError,
+                       match=f"^{make.__name__}: {name} must be at least {low}, got {size}$"):
         make(1, **kw)
 
 
@@ -620,6 +648,11 @@ def test_instances_reject_sizes_below_one(tmp_path):
     for cls, name, fields in cases:
         with pytest.raises(ValueError, match=f"^{cls.__name__}: {name} must be at least 1"):
             cls(**fields)
+    # the quadratic's record needs n >= 2, as make_quadratic does; the empty
+    # one once built a problem that solve reported as converged
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=f"^QuadInstance: n must be at least 2, got {n}$"):
+            QuadInstance(seed=1, cond=1.0, A=np.zeros((n, n)), b=np.zeros(n), x0=np.zeros(n))
     # a file whose sizes are consistent but empty loads no instance either
     path = tmp_path / "empty.inst"
     save_instance(path, make_nmf(1, d=2, n=3, r=2).instance)
@@ -627,6 +660,12 @@ def test_instances_reject_sizes_below_one(tmp_path):
     doc["fields"].update(d=0, Y=[], x0=[0.0] * 6)
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="empty.inst: NmfInstance: d must be at least 1, got 0"):
+        load_instance(path)
+    save_instance(path, make_quadratic(1, n=3).instance)
+    doc = json.loads(path.read_text())
+    doc["fields"].update(A=[], b=[], x0=[])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="empty.inst: QuadInstance: n must be at least 2, got 0"):
         load_instance(path)
 
 

@@ -42,3 +42,36 @@ def test_same_trajectories_lists_every_seed_that_moved(tmp_path):
         f"seed 3: iters 37 -> 38; digest '{3:064x}' -> '{'ab' * 32}'",
         "seed 5: solved only in the change",
     ]
+
+
+def test_same_trajectories_tolerance_mode_fails_only_on_status_seed_or_value(tmp_path):
+    parent = report(tmp_path / "parent.json", [solve_record(s) for s in (1, 2, 3)])
+    # other iterates, digests and counts, and F_final within 1e-6: passes
+    moved = report(tmp_path / "moved.json", [
+        solve_record(1, iters=38, trials=77, digest="ab" * 32, g_final=0.5),
+        solve_record(2, F_final=88563.5686572787 * (1 + 5e-7), iters=35, trials=71),
+        solve_record(3)])
+    out = same_trajectories("--rel-tol", "1e-6", parent, moved)
+    assert (out.returncode, out.stdout.splitlines()) == (0, [
+        "seed 1: converged; iters +1, trials +2; F_final rel diff 0.00e+00",
+        "seed 2: converged; iters -2, trials -4; F_final rel diff 5.00e-07",
+        "seed 3: converged; iters +0, trials +0; F_final rel diff 0.00e+00",
+        "3 solves in both: iters 111 -> 110, trials 225 -> 223; "
+        "all within F_final rel-tol 1e-06 with the same status"])
+    # bit for bit stays the default
+    assert same_trajectories(parent, moved).returncode == 1
+    # a status change, an F_final beyond the tolerance and a seed that only
+    # the change solved each fail
+    failing = report(tmp_path / "failing.json", [
+        solve_record(1, status="stalled"), solve_record(2, F_final=9e4), solve_record(3),
+        solve_record(4)])
+    out = same_trajectories("--rel-tol", "1e-6", parent, failing)
+    assert (out.returncode, out.stdout.splitlines()) == (1, [
+        "seed 1: converged -> stalled; iters +0, trials +0; F_final rel diff 0.00e+00 "
+        "(status changed)",
+        "seed 2: converged; iters +0, trials +0; F_final rel diff 1.62e-02 "
+        "(F_final beyond 1e-06)",
+        "seed 3: converged; iters +0, trials +0; F_final rel diff 0.00e+00",
+        "seed 4: solved only in the change",
+        "3 solves in both: iters 111 -> 111, trials 225 -> 225; "
+        "not all within F_final rel-tol 1e-06 with the same status"])

@@ -6,7 +6,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from gladssn import linalg, problems
-from gladssn.linalg import ActiveGram, LinOp, MetricB, Regularized, SolverStallError
+from gladssn.linalg import (ActiveGram, BorderedBlocks, LinOp, MetricB, Regularized,
+                            SolverStallError)
 from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPart
 from gladssn.problems import make_huber, make_nmf, make_quadratic, make_svm
 from gladssn import ssn
@@ -364,8 +365,9 @@ def test_inexact_trial_certificates_are_exact(monkeypatch):
 
 def test_local_order_survives_inexact_solves(monkeypatch):
     # the forcing term shrinks with lam ~ g^p, so the fitted local order
-    # stays superlinear (observed: q = 1.56 on the matrix-free NMF run and
-    # 1.81 on the composite one); the final certificate is exact, so
+    # stays superlinear (observed: q = 1.54 on the matrix-free NMF run, whose
+    # MINRES runs on the Schur complement, and 1.81 on the composite one);
+    # the final certificate is exact, so
     # g_final is the true dual norm of an element of dF(x)
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     weight = 1.0
@@ -376,7 +378,8 @@ def test_local_order_survives_inexact_solves(monkeypatch):
          SolverConfig(p=0.5, m=1, Lambda0=10.0, grad_tol=1e-11, max_outer=200)),
     ]
     for name, prob, cfg in runs:
-        assert isinstance(prob.smooth.eval_hess(prob.x0), LinOp) == (name == "nmf matrix-free")
+        assert (not Regularized(prob.smooth.eval_hess(prob.x0), MetricB()).is_dense) == (
+            name == "nmf matrix-free")
         res = solve(prob, cfg)
         assert res.status == CONVERGED, name
         assert verify(res).passed, name
@@ -834,27 +837,56 @@ def test_gradient_skipped_only_on_decrease_rejections(monkeypatch):
 
 
 def test_matrix_free_run_builds_one_preconditioner_per_refresh(monkeypatch):
-    # the block-Jacobi preconditioner is built at a refresh's first solve
-    # and serves its other trials and, at m > 1, its lazy iterations
+    # the Schur complement's block-Jacobi preconditioner (the inverse of the
+    # tail blocks plus lam I) is built at a refresh's first solve and serves
+    # its other trials and, at m > 1, its lazy iterations; the U blocks are
+    # inverted afresh at every solve's lam
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
-    base = make_nmf(2, d=20, n=10, r=3)
+    p = make_nmf(2, d=20, n=10, r=3)
+    inverse = linalg._inverse
     for m in (1, 3):
-        builds = []
+        calls = {"tail": [], "diagonal": []}
 
-        def eval_hess(x):
-            h = base.smooth.eval_hess(x)
+        def counted(blocks, lam, name):
+            calls[name.split()[1]].append(lam)
+            return inverse(blocks, lam, name)
 
-            def factory(lam, build=h.precond):
-                builds.append(lam)
-                return build(lam)
-            return LinOp(h.matvec, h.shape[0], precond=factory)
-
-        prob = dataclasses.replace(base, smooth=dataclasses.replace(base.smooth,
-                                                                    eval_hess=eval_hess))
-        res = solve(prob, SolverConfig(m=m, grad_tol=1e-6))
+        monkeypatch.setattr(linalg, "_inverse", counted)
+        res = solve(p, SolverConfig(m=m, grad_tol=1e-6))
         assert res.status == CONVERGED, m
         assert verify(res).passed, m
-        assert len(builds) == res.hess_evals < res.trials, m
+        assert len(calls["tail"]) == res.hess_evals < res.trials, m
+        assert len(calls["diagonal"]) == res.trials, m
+        assert len(set(calls["diagonal"])) > len(calls["tail"]), m
+
+
+def test_singular_diagonal_block_fails_its_trial(monkeypatch):
+    # f = ||x||^2 / 2 with an oracle Hessian whose block -1 is singular at
+    # lam = 1 (the first trial: Lambda0 = 1, p = 1, ||F'(x0)|| = 1): that
+    # trial fails typed, and the next one, at 4 lam, takes the step
+    h = BorderedBlocks(np.full((1, 1, 1), -1.0), np.zeros((1, 1)), np.eye(1))
+    prob = CompositeProblem(
+        smooth=SmoothOracle(dim=2, eval_f=lambda x: 0.5 * float(x @ x),
+                            eval_grad=lambda x: x.copy(), eval_hess=lambda x: h),
+        psi=ZeroPart(), x0=np.array([0.6, 0.8]))
+    outcomes = []
+    solve_regularized = ssn.solve_regularized
+
+    def seen(reg, lam, rhs):
+        try:
+            s = solve_regularized(reg, lam, rhs)
+        except SolverStallError as exc:
+            outcomes.append((lam, str(exc)))
+            raise
+        outcomes.append((lam, "solved"))
+        return s
+
+    monkeypatch.setattr(ssn, "solve_regularized", seen)
+    res = solve(prob, SolverConfig(p=1.0, m=1, max_outer=1))
+    assert outcomes[:2] == [(1.0, "a diagonal block of H + lam I is singular"),
+                            (4.0, "solved")]
+    assert res.iters == 1 and res.trials == 2
+    assert verify(res).passed
 
 
 def test_matvec_hessian_converges_to_same_point():
