@@ -14,7 +14,8 @@ With --rel-tol, for a change that moves the trajectories on purpose,
 prints for each seed its status, the change's iteration and trial deltas
 and the relative difference |F_change - F_parent| / |F_parent| of F_final,
 then the totals.  It exits 1 only when a status changed, a seed was solved
-by one report alone, or an F_final differs by more than REL.
+by one report alone, or an F_final differs by more than REL.  REL must be
+a number at least 0; anything else is a usage error (exit 2).
 """
 
 import argparse
@@ -77,11 +78,19 @@ def within_tolerance(parent, change, rel_tol):
     return lines, ok
 
 
+def tolerance(text):
+    """A --rel-tol value: a float at least 0, so neither negative nor NaN."""
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--rel-tol", type=float, default=None, metavar="REL",
+    ap.add_argument("--rel-tol", type=tolerance, default=None, metavar="REL",
                     help="compare status and F_final within REL instead of bit for bit")
     args = ap.parse_args(argv)
     parent, change = solves(args.parent), solves(args.change)

@@ -6,7 +6,8 @@ and the composite model solve of a nonzero one.  An oracle's curvature
 operator H is a dense square array, a matrix-free LinOp, an ActiveGram
 that Regularized assembles, or a BorderedBlocks that Regularized solves by
 eliminating its diagonal blocks: directly when it is dense, by MINRES on the
-Schur complement when it is matrix-free.  All four are applied as H @ v.
+Schur complement when it is matrix-free, where each group of blocks is one
+shared base plus a diagonal per block.  All four are applied as H @ v.
 Vectors are 1-d float64 arrays.  Nothing here mutates its inputs.
 """
 
@@ -187,59 +188,129 @@ class ActiveGram:
 
 
 class BorderedBlocks:
-    """The symmetric [[blockdiag(blocks), coupling], [coupling^T, tail]], unassembled.
+    """The symmetric [[blockdiag(A_i), C], [C^T, T]], unassembled.
 
-    blocks is a (k, b, b) stack of symmetric diagonal blocks.  In the dense
-    form coupling is a (k b, m) array and tail a symmetric (m, m) array.  In
-    the matrix-free form coupling is a scipy LinearOperator of that shape
-    whose rmatvec applies coupling^T, and tail is a (j, c, c) stack of the
-    symmetric positive semidefinite diagonal blocks of a block-diagonal tail
-    (j c = m).  A Hessian that is block diagonal in one group of variables
-    has this form.  It exposes shape and @ the way LinOp does; Regularized
+    A Hessian that is block diagonal in one group of variables has this
+    form, in one of two.  In the dense form blocks is a (k, b, b) stack of
+    the symmetric A_i, coupling the (k b, m) array C and tail the symmetric
+    (m, m) array T.  In the matrix-free form each block group is one shared
+    symmetric base plus one diagonal per block: blocks is a pair
+    (base, diags) of a (b, b) base and a (k, b) array, with
+    A_i = base + diag(diags[i]), and tail a pair of the same kind for the
+    blocks of a block-diagonal T; coupling is the pair (matvec, rmatvec) of
+    callables p -> C p and q -> C^T q.  The parts are checked for sizes
+    that fit and for symmetric bases here; split = k b is the first row of
+    the tail.  It exposes shape and @ the way LinOp does; Regularized
     eliminates the blocks per solve (see solve), and assemble() is the
     dense array.
     """
 
-    def __init__(self, blocks: np.ndarray, coupling, tail: np.ndarray):
-        if isinstance(coupling, np.ndarray) != (tail.ndim == 2):
-            raise ValueError("a coupling array takes an (m, m) tail, a LinearOperator "
-                             "a (j, c, c) stack of tail blocks")
+    def __init__(self, blocks, coupling, tail):
+        if isinstance(coupling, np.ndarray):
+            if not (isinstance(blocks, np.ndarray) and blocks.ndim == 3
+                    and blocks.shape[1] == blocks.shape[2]):
+                raise ValueError(f"a coupling array takes a (k, b, b) stack of blocks, "
+                                 f"got {_shape(blocks)}")
+            k, b, _ = blocks.shape
+            if coupling.ndim != 2 or coupling.shape[0] != k * b:
+                raise ValueError(f"{k} blocks of size {b} take {k * b} coupling rows, "
+                                 f"got a coupling of shape {coupling.shape}")
+            m = coupling.shape[1]
+            if _shape(tail) != (m, m):
+                raise ValueError(f"a coupling of {m} columns takes a tail of shape ({m}, {m}), "
+                                 f"got {_shape(tail)}")
+            self.split = k * b
+        else:
+            if not (isinstance(coupling, tuple) and len(coupling) == 2
+                    and all(map(callable, coupling))):
+                raise ValueError("coupling is an array or a (matvec, rmatvec) pair, "
+                                 f"got {type(coupling).__name__}")
+            self.split = _shifted_size("blocks", blocks)
+            m = _shifted_size("tail", tail)
         self.blocks = blocks
         self.coupling = coupling
         self.tail = tail
-        self.shape = (coupling.shape[0] + coupling.shape[1],) * 2
+        self.shape = (self.split + m,) * 2
 
     @property
     def is_dense(self) -> bool:
         return isinstance(self.coupling, np.ndarray)
 
+    @property
+    def arrays(self) -> tuple:
+        """Every stored array: the matrix-free coupling is not one."""
+        if self.is_dense:
+            return self.blocks, self.coupling, self.tail
+        return self.blocks + self.tail
+
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        kb = self.coupling.shape[0]
-        head, rest = v[:kb], v[kb:]
-        return np.concatenate([_block_apply(self.blocks, head) + self.coupling @ rest,
-                               self.coupling.T @ head + _block_apply(self.tail, rest)])
+        head, rest = v[:self.split], v[self.split:]
+        if self.is_dense:
+            return np.concatenate([_block_apply(self.blocks, head) + self.coupling @ rest,
+                                   self.coupling.T @ head + self.tail @ rest])
+        matvec, rmatvec = self.coupling
+        return np.concatenate([_shifted_apply(self.blocks, head) + matvec(rest),
+                               rmatvec(head) + _shifted_apply(self.tail, rest)])
 
     def assemble(self) -> np.ndarray:
         """The dense array, exactly symmetric when blocks and tail are."""
-        kb, m = self.coupling.shape
+        kb = self.split
         dense = np.zeros(self.shape)
-        _block_diagonal(dense[:kb, :kb], self.blocks)
         if self.is_dense:
+            _block_diagonal(dense[:kb, :kb], self.blocks)
             dense[:kb, kb:] = self.coupling
             dense[kb:, kb:] = self.tail
         else:
-            dense[:kb, kb:] = self.coupling @ np.eye(m)
-            _block_diagonal(dense[kb:, kb:], self.tail)
+            _block_diagonal(dense[:kb, :kb], _shifted_blocks(*self.blocks))
+            dense[:kb, kb:] = np.stack([self.coupling[0](e) for e in np.eye(self.shape[0] - kb)],
+                                       axis=1)
+            _block_diagonal(dense[kb:, kb:], _shifted_blocks(*self.tail))
         dense[kb:, :kb] = dense[:kb, kb:].T
         return dense
 
 
-def _block_apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v for a 2-d array a, or blockdiag(a) @ v for a (k, b, b) stack."""
-    if a.ndim == 2:
-        return a @ v
-    k, b, _ = a.shape
-    return np.matmul(a, v.reshape(k, b, 1)).ravel()
+def _shape(a):
+    """a.shape for an array, else the name of a's type, for error messages."""
+    return a.shape if isinstance(a, np.ndarray) else type(a).__name__
+
+
+def _shifted_size(name: str, group) -> int:
+    """The rows k b of a matrix-free block group (base, diags), checked."""
+    if not (isinstance(group, tuple) and len(group) == 2):
+        raise ValueError(f"a matrix-free {name} group is a (base, diags) pair, "
+                         f"got {type(group).__name__}")
+    base, diags = group
+    if not (isinstance(base, np.ndarray) and base.ndim == 2 and base.shape[0] == base.shape[1]):
+        raise ValueError(f"the {name} base must be square, got shape {_shape(base)}")
+    if not np.array_equal(base, base.T, equal_nan=True):
+        raise ValueError(f"the {name} base must be symmetric")
+    if not (isinstance(diags, np.ndarray) and diags.ndim == 2
+            and diags.shape[1] == base.shape[0]):
+        raise ValueError(f"the {name} diagonals must be rows of width {base.shape[0]}, "
+                         f"got shape {_shape(diags)}")
+    return diags.size
+
+
+def _block_apply(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """blockdiag(blocks) @ v for a (k, b, b) stack."""
+    k, b, _ = blocks.shape
+    return np.matmul(blocks, v.reshape(k, b, 1)).ravel()
+
+
+def _shifted_apply(group: tuple, v: np.ndarray) -> np.ndarray:
+    """blockdiag(base + diag(diags[i])) @ v for a pair (base, diags), by one
+    gemm on the (k, b) view Q of v: Q base + diags * Q, as base is symmetric."""
+    base, diags = group
+    q = v.reshape(diags.shape)
+    return (q @ base + diags * q).ravel()
+
+
+def _shifted_blocks(base: np.ndarray, diags: np.ndarray) -> np.ndarray:
+    """The (k, b, b) stack of base + diag(diags[i]), one block per row of diags."""
+    k, b = diags.shape
+    blocks = np.repeat(base[None], k, axis=0)
+    blocks.reshape(k, b * b)[:, ::b + 1] += diags
+    return blocks
 
 
 def _block_diagonal(out: np.ndarray, blocks: np.ndarray) -> None:
@@ -313,9 +384,8 @@ class Regularized:
     def is_finite(self) -> bool:
         """Whether every stored entry of H is finite; matrix-free parts are not read."""
         h = self.h
-        parts = (() if isinstance(h, LinOp)
-                 else (h.blocks, h.tail) + ((h.coupling,) if h.is_dense else ())
-                 if isinstance(h, BorderedBlocks) else (h,))
+        parts = (() if isinstance(h, LinOp) else h.arrays if isinstance(h, BorderedBlocks)
+                 else (h,))
         return all(np.all(np.isfinite(part)) for part in parts)
 
     def apply(self, lam: float, v: np.ndarray) -> np.ndarray:
@@ -452,11 +522,11 @@ class Regularized:
         """(blockdiag(blocks) + lam I)^{-1} of a BorderedBlocks H, as a (k, b, b) stack.
 
         Exact for this lam: a stale inverse would leave a residual in the
-        rows of the blocks.  The distinct blocks are found once per refresh,
-        and each is inverted once per lam (_inverse).
+        rows of the blocks.  The distinct blocks are found once per refresh
+        (_distinct_blocks), and each is inverted once per lam (_inverse).
         """
         if self._blocks is None:
-            self._blocks = _distinct(self.h.blocks)
+            self._blocks = _distinct_blocks(self.h.blocks)
         blocks, which = self._blocks
         return _inverse(blocks, lam, "a diagonal block of H + lam I")[which]
 
@@ -495,26 +565,30 @@ class Regularized:
         S p = (tail + lam I) p - C^T A^{-1} C p applied matrix-free, and
         s_1 = A^{-1} (r_1 - C s_2) is back-substituted.  A^{-1} is exact, so
         the residual of the whole system is S's, in the tail rows, and the
-        forcing rule reads it there.  S is preconditioned by block Jacobi,
-        the inverse of blockdiag(tail) + lam I, which is symmetric positive
-        definite (so MINRES stays valid for an indefinite S) and inverts
-        each distinct tail block once.  It is built once per refresh, at its
+        forcing rule reads it there.  Each product applies tail + lam I by
+        one gemm (_shifted_apply) and calls C and C^T directly.  S is
+        preconditioned by block Jacobi, the inverse of blockdiag(tail) + lam I,
+        which is symmetric positive definite (so MINRES stays valid for an
+        indefinite S) and inverts each distinct tail block once, found by its
+        diagonal (_distinct_blocks).  It is built once per refresh, at its
         first solve's lam, and reused for every lam: a stale one can change
         only MINRES's iteration count, as every step is checked against the
         forcing rule.
         """
         h = self.h
-        kb, m = h.coupling.shape
+        kb, m = h.split, h.shape[0] - h.split
         inv = self._block_inverse(lam)
-        matvec, rmatvec = h.coupling.matvec, h.coupling.rmatvec
+        matvec, rmatvec = h.coupling
         if self._precond is None:  # the refresh's first solve
-            blocks, which = _distinct(h.tail)
+            blocks, which = _distinct_blocks(h.tail)
             tail_inv = _inverse(blocks, lam, "a tail block of H + lam I")
             tail_inv = (0.5 * (tail_inv + tail_inv.transpose(0, 2, 1)))[which]  # exactly symmetric
             self._precond = scipy.sparse.linalg.LinearOperator(
                 (m, m), matvec=lambda q: _block_apply(tail_inv, q), dtype=np.float64)
+        base, diags = h.tail
+        shifted_tail = (base, diags + lam)  # tail + lam I
         minres = _minres_solver(
-            lambda p: _block_apply(h.tail, p) + lam * p - rmatvec(_block_apply(inv, matvec(p))),
+            lambda p: _shifted_apply(shifted_tail, p) - rmatvec(_block_apply(inv, matvec(p))),
             m, self._precond)
 
         def once(r):
@@ -524,24 +598,40 @@ class Regularized:
         return once
 
 
-def _distinct(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct, which) for a (k, b, b) stack: its distinct blocks, compared
-    bit for bit, and the index of each block among them.
+def _distinct_blocks(group) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, which) for a block group: its distinct blocks as a stack,
+    and the index of each block among them.
 
-    The blocks are sorted as byte strings, and each run of equal neighbours
-    is one distinct block; np.unique on the same byte strings takes about
-    four times as long (0.34 against 0.09 ms for NMF's 200 blocks of 12 x 12).
+    A dense group, a (k, b, b) stack, is compared block by block.  A
+    matrix-free one, (base, diags), is compared by its (k, b) diagonals
+    alone, and only its distinct blocks are built (_shifted_blocks).
     """
-    k = blocks.shape[0]
-    blocks = np.ascontiguousarray(blocks, dtype=np.float64)
-    bits = blocks.reshape(k, -1).view(np.int64)
+    if isinstance(group, np.ndarray):
+        return _distinct(group)
+    base, diags = group
+    distinct, which = _distinct(diags)
+    return _shifted_blocks(base, distinct), which
+
+
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, which) for an array of k rows (of any shape after the
+    first axis): its distinct rows, compared bit for bit, and the index of
+    each row among them.
+
+    The rows are sorted as byte strings, and each run of equal neighbours
+    is one distinct row; np.unique on the same byte strings takes about
+    four times as long (0.34 against 0.09 ms for 200 blocks of 12 x 12).
+    """
+    k = rows.shape[0]
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    bits = rows.reshape(k, -1).view(np.int64)
     order = np.argsort(bits.view(f"V{bits.shape[1] * 8}").ravel(), kind="stable")
     ordered = bits[order]
     starts = np.ones(k, dtype=bool)
     starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
     which = np.empty(k, dtype=np.intp)
     which[order] = np.cumsum(starts) - 1
-    return blocks[order[starts]], which
+    return rows[order[starts]], which
 
 
 def _inverse(blocks: np.ndarray, lam: float, name: str) -> np.ndarray:

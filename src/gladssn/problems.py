@@ -12,8 +12,9 @@ parameter outside its domain (_DOMAIN).
 Hessians come back as dense arrays for SVM and the quadratic.  NMF's is a
 BorderedBlocks whose diagonal blocks, one per row of U, the solver
 eliminates: dense up to DENSE_DIM_MAX variables, and above it matrix-free,
-with the coupling of U and V applied by products with the factors and V's
-part kept as its diagonal blocks, one per row of V.  Huber's is an
+with each group of blocks given as one Gram plus a diagonal per row
+(V^T V for the rows of U, U^T U for those of V) and the coupling of U and
+V applied by products with the factors.  Huber's is an
 ActiveGram, its rows on the quadratic piece, which the solver assembles
 from the previous refresh's Hessian.
 """
@@ -28,7 +29,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from .linalg import ActiveGram, BorderedBlocks
 from .oracle import CompositeProblem, SmoothOracle, ZeroPart
@@ -246,11 +246,11 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
         res = resid(x)
         gram_u, gram_v = u.T @ u, v.T @ v
         shift_u, shift_v = (2.0 * alpha + (a < 0.0) / beta for a in (u, v))
-        diag = np.arange(r)
-        blocks = np.repeat(gram_v[None], d, axis=0)
-        blocks[:, diag, diag] += shift_u
         if dim <= DENSE_DIM_MAX:
             # H_UV is built with 4-d indices and H_VV written through a 4-d view.
+            diag = np.arange(r)
+            blocks = np.repeat(gram_v[None], d, axis=0)
+            blocks[:, diag, diag] += shift_u
             h_uv = u[:, None, None, :] * v.T[None, :, :, None]
             h_uv[:, diag, :, diag] += res
             h_vv = np.zeros((n * r, n * r))
@@ -258,12 +258,10 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
             h_vv[np.diag_indices(n * r)] += shift_v.ravel()
             return BorderedBlocks(blocks, h_uv.reshape(d * r, n * r), h_vv)
 
-        # Matrix-free: H_VV is kept as its n diagonal blocks, and H_UV is
-        # applied as C pV = U (pV^T V) + R pV and C^T pU = V (pU^T U) + R^T pU,
-        # one d x n product (the R term) per product with C or C^T.
-        tail = np.repeat(gram_u[None], n, axis=0)
-        tail[:, diag, diag] += shift_v
-
+        # Matrix-free: each block group is its Gram plus one diagonal per
+        # row, (V^T V, shift_u) for the U rows and (U^T U, shift_v) for the
+        # V rows, and H_UV is applied as C pV = U (pV^T V) + R pV and
+        # C^T pU = V (pU^T U) + R^T pU, one d x n product (the R term) each.
         def coupling(pv):
             pv = pv.reshape(n, r)
             return (u @ (pv.T @ v) + res @ pv).ravel()
@@ -272,8 +270,7 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
             pu = pu.reshape(d, r)
             return (v @ (pu.T @ u) + res.T @ pu).ravel()
 
-        return BorderedBlocks(blocks, LinearOperator((d * r, n * r), matvec=coupling,
-                                                     rmatvec=coupling_t, dtype=np.float64), tail)
+        return BorderedBlocks((gram_v, shift_u), (coupling, coupling_t), (gram_u, shift_v))
 
     return CompositeProblem(
         smooth=SmoothOracle(dim=dim, eval_f=eval_f, eval_grad=eval_grad,

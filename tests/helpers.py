@@ -18,6 +18,12 @@ def synthetic_trace(gs, lam=1.0):
     return rows
 
 
+def block_stack(group):
+    """The blocks base + diag(row) of a matrix-free block group (base, diags), stacked."""
+    base, diags = group
+    return np.stack([base + np.diag(row) for row in diags])
+
+
 def columns(op):
     """Materialize a LinOp by applying it to the basis vectors."""
     return np.column_stack([op @ e for e in np.eye(op.shape[0])])

@@ -9,7 +9,7 @@ from gladssn.linalg import (ActiveGram, BorderedBlocks, LinOp, MetricB, MetricEr
 from gladssn.oracle import SeparableProx
 from gladssn.problems import make_nmf
 
-from helpers import columns
+from helpers import block_stack, columns
 
 
 def test_sym_part():
@@ -294,19 +294,24 @@ def test_solve_regularized_dense_vs_matvec_route():
 def matrix_free_bordered(seed, k=6, b=3, j=4, c=3):
     """A matrix-free BorderedBlocks with indefinite blocks, and its dense array.
 
-    The blocks have eigenvalues in [-6, 5], away from -0.5 and -2; the tail
-    blocks are positive semidefinite Gram blocks, and the coupling is random.
+    The blocks share a base with eigenvalues -6, -3.1 and 4.4, and each
+    adds one of three diagonals with entries in [-0.4, 0.9], so blocks
+    repeat and (by Weyl's inequality) every eigenvalue stays in [-6.4, -5.1],
+    [-3.5, -2.2] or [4, 5.3], away from -lam at every lam solved here.  The
+    tail blocks are a positive semidefinite Gram plus nonnegative
+    diagonals, and the coupling is random.
     """
     rng = np.random.default_rng(seed)
-    eigs = rng.choice([-6.0, -3.1, -1.2, 0.3, 1.7, 4.4], size=(k, b))
-    blocks = np.stack([_rotated(e, seed + i) for i, e in enumerate(eigs)])
-    blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
-    g = rng.standard_normal((j, c, c))
-    tail = g @ g.transpose(0, 2, 1)
+    base = _rotated([-6.0, -3.1, 4.4], seed)
+    base = 0.5 * (base + base.T)
+    diags = rng.choice([-0.4, 0.0, 0.9], size=(3, b))[rng.integers(0, 3, size=k)]
+    g = rng.standard_normal((c, c))
+    tail = (0.5 * (g @ g.T + (g @ g.T).T), rng.uniform(0.0, 1.0, size=(j, c)))
     coupling = rng.standard_normal((k * b, j * c))
-    h = BorderedBlocks(blocks, scipy.sparse.linalg.aslinearoperator(coupling), tail)
+    h = BorderedBlocks((base, diags), (lambda p: coupling @ p, lambda q: coupling.T @ q), tail)
     assert not h.is_dense
-    return h, BorderedBlocks(blocks, coupling, scipy.linalg.block_diag(*tail)).assemble()
+    return h, BorderedBlocks(block_stack(h.blocks), coupling,
+                             scipy.linalg.block_diag(*block_stack(tail))).assemble()
 
 
 def test_preconditioned_minres_meets_the_same_target(monkeypatch):
@@ -405,9 +410,10 @@ def test_singular_or_overflowing_block_inverse_stalls():
     # finite, fails the solve typed at any size, and a larger lam solves it
     singular = BorderedBlocks(np.full((1, 1, 1), -1.0), np.zeros((1, 1)), np.eye(1))
     tiny = BorderedBlocks(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.eye(1))
+    products = (lambda p: np.zeros(1), lambda q: np.zeros(1))
     for h, lam in ((singular, 1.0), (tiny, 5e-324)):
-        matrix_free = BorderedBlocks(h.blocks, scipy.sparse.linalg.aslinearoperator(h.coupling),
-                                     h.tail[None])
+        matrix_free = BorderedBlocks((h.blocks[0], np.zeros((1, 1))), products,
+                                     (h.tail, np.zeros((1, 1))))
         for form in (h, matrix_free):
             reg = Regularized(form, MetricB())
             with pytest.raises(SolverStallError, match="diagonal block of H") as exc:
@@ -418,12 +424,43 @@ def test_singular_or_overflowing_block_inverse_stalls():
 
 
 def test_bordered_blocks_forms_do_not_mix():
-    # a coupling array takes a dense tail, a LinearOperator a stack of blocks
-    blocks, coupling = np.ones((2, 1, 1)), np.zeros((2, 2))
-    with pytest.raises(ValueError, match="tail"):
-        BorderedBlocks(blocks, coupling, np.ones((2, 1, 1)))
-    with pytest.raises(ValueError, match="tail"):
-        BorderedBlocks(blocks, scipy.sparse.linalg.aslinearoperator(coupling), np.eye(2))
+    # a coupling array takes a stack of blocks and a dense tail, a pair of
+    # products (base, diags) pairs for both block groups
+    stack, coupling, group = np.ones((2, 1, 1)), np.zeros((2, 2)), (np.ones((1, 1)), np.ones((2, 1)))
+    products = (lambda p: coupling @ p, lambda q: coupling.T @ q)
+    assert BorderedBlocks(group, products, group).shape == (4, 4)
+    with pytest.raises(ValueError, match="tail of shape"):
+        BorderedBlocks(stack, coupling, np.ones((2, 1, 1)))
+    with pytest.raises(ValueError, match="stack of blocks"):
+        BorderedBlocks(group, coupling, np.eye(2))
+    with pytest.raises(ValueError, match="tail group is a"):
+        BorderedBlocks(group, products, np.eye(2))
+    with pytest.raises(ValueError, match="blocks group is a"):
+        BorderedBlocks(stack, products, group)
+    with pytest.raises(ValueError, match="coupling is an array or"):
+        BorderedBlocks(group, scipy.sparse.linalg.aslinearoperator(coupling), group)
+
+
+def test_bordered_blocks_rejects_parts_that_do_not_fit():
+    # each form checks its parts when it is built and names the mismatch,
+    # rather than failing inside a solve
+    with pytest.raises(ValueError, match=r"2 blocks of size 2 take 4 coupling rows, "
+                                         r"got a coupling of shape \(5, 3\)"):
+        BorderedBlocks(np.zeros((2, 2, 2)), np.zeros((5, 3)), np.eye(3))
+    with pytest.raises(ValueError, match=r"coupling of 3 columns takes a tail of shape "
+                                         r"\(3, 3\), got \(2, 2\)"):
+        BorderedBlocks(np.zeros((2, 2, 2)), np.zeros((4, 3)), np.eye(2))
+    products = (lambda p: p, lambda q: q)
+    group = (np.eye(2), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=r"blocks base must be square, got shape \(2, 3\)"):
+        BorderedBlocks((np.zeros((2, 3)), np.zeros((3, 2))), products, group)
+    with pytest.raises(ValueError, match="tail base must be symmetric"):
+        BorderedBlocks(group, products, (np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros((3, 2))))
+    with pytest.raises(ValueError, match=r"tail diagonals must be rows of width 2, "
+                                         r"got shape \(3, 3\)"):
+        BorderedBlocks(group, products, (np.eye(2), np.zeros((3, 3))))
+    with pytest.raises(ValueError, match="blocks diagonals must be rows of width 2"):
+        BorderedBlocks((np.eye(2), np.zeros(2)), products, group)
 
 
 def _count_calls(monkeypatch) -> dict:
@@ -474,16 +511,23 @@ def test_cholesky_pivot_test_declines_a_tiny_pivot(monkeypatch):
     assert calls == {"eigh": 0, "cholesky": 2, "minres": 0} and lus == [(2, 2)]
 
 
-def nmf_bordered_hessian():
-    """NMF's BorderedBlocks Hessian at an indefinite point, and its dense array."""
+def nmf_bordered_hessian(dense_dim_max=problems.DENSE_DIM_MAX):
+    """NMF's BorderedBlocks Hessian at an indefinite point, and its dense array.
+
+    The Hessian is dense, or matrix-free for dense_dim_max 0; the array is
+    always the dense form's.
+    """
     p = make_nmf(4, d=9, n=5, r=3)
     inst = p.instance
     x = p.x0 + 0.1 * np.random.default_rng(12).standard_normal(p.dim)
     x[:inst.d * inst.r:4] = -0.3  # negative entries in U and V: both masks active
     x[inst.d * inst.r::3] = -0.2
-    h = p.smooth.eval_hess(x)
-    assert isinstance(h, BorderedBlocks)
-    return h, h.assemble()
+    dense = p.smooth.eval_hess(x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problems, "DENSE_DIM_MAX", dense_dim_max)
+        h = p.smooth.eval_hess(x)
+    assert isinstance(h, BorderedBlocks) and dense.is_dense
+    return h, dense.assemble()
 
 
 def test_bordered_blocks_matvec_equals_the_assembled_product():
@@ -496,6 +540,34 @@ def test_bordered_blocks_matvec_equals_the_assembled_product():
     assert not np.any(dense[:3, 3:27])  # off the diagonal blocks
     for v in np.random.default_rng(13).standard_normal((5, 42)):
         np.testing.assert_allclose(h @ v, dense @ v, rtol=1e-14, atol=1e-14)
+
+
+def test_matrix_free_products_match_the_assembled_array(monkeypatch):
+    # at an indefinite NMF point, the matrix-free H @ v (each block group by
+    # one gemm, the coupling by its two products) and the Schur complement
+    # product S p that MINRES applies match the dense form's array
+    h, dense = nmf_bordered_hessian(dense_dim_max=0)
+    assert not h.is_dense and np.linalg.eigvalsh(dense)[0] < -0.5
+    rng = np.random.default_rng(17)
+    for v in rng.standard_normal((5, 42)):
+        want = dense @ v
+        assert np.linalg.norm(h @ v - want) <= 1e-12 * np.linalg.norm(want)
+    np.testing.assert_allclose(h.assemble(), dense, rtol=1e-15, atol=1e-14)
+    ops = []
+    minres = scipy.sparse.linalg.minres
+
+    def seen_minres(op, *args, **kwargs):
+        ops.append(op)
+        return minres(op, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "minres", seen_minres)
+    a, c = dense[:27, :27], dense[:27, 27:]
+    for lam in (0.1, 3.0):
+        Regularized(h, MetricB()).solve(lam, rng.standard_normal(42))
+        schur = dense[27:, 27:] + lam * np.eye(15) - c.T @ np.linalg.solve(a + lam * np.eye(27), c)
+        for p in rng.standard_normal((3, 15)):
+            want = schur @ p
+            assert np.linalg.norm(ops[-1].matvec(p) - want) <= 1e-12 * np.linalg.norm(want), lam
 
 
 def test_bordered_blocks_solve_matches_a_dense_solve(monkeypatch):

@@ -15,7 +15,7 @@ from gladssn.problems import (DENSE_DIM_MAX, HuberInstance, NmfInstance,
                               problem_from_instance, save_instance)
 from gladssn.ssn import CONVERGED, SolverConfig, solve
 
-from helpers import columns
+from helpers import block_stack, columns
 
 
 def test_same_seed_is_bitwise_identical():
@@ -112,13 +112,15 @@ def test_nmf_dense_threshold_and_hvp_consistency(monkeypatch):
     assert big.dim > DENSE_DIM_MAX
     h_big = big.smooth.eval_hess(big.x0)
     assert isinstance(h_big, BorderedBlocks) and not h_big.is_dense
-    assert h_big.blocks.shape == (200, 12, 12) and h_big.tail.shape == (100, 12, 12)
-    # the matrix-free product, built from the blocks, the coupling and its
-    # transpose applied matrix-free, and the tail blocks, equals the dense
-    # form's at a point with negative entries in both U and V
+    # each block group is one r x r Gram and one diagonal per row
+    assert [a.shape for a in h_big.blocks] == [(12, 12), (200, 12)]
+    assert [a.shape for a in h_big.tail] == [(12, 12), (100, 12)]
+    # the matrix-free product, built from the two block groups, each applied
+    # by one gemm, and the coupling's two products, equals the dense form's
+    # at a point with negative entries in both U and V
     x = nmf_point(small, 0)
     dense, matrix_free = nmf_hessians(small, x, monkeypatch)
-    np.testing.assert_array_equal(matrix_free.blocks, dense.blocks)
+    np.testing.assert_array_equal(block_stack(matrix_free.blocks), dense.blocks)
     for v in np.random.default_rng(1).standard_normal((5, small.dim)):
         np.testing.assert_allclose(matrix_free @ v, dense @ v, rtol=0.0,
                                    atol=1e-12 * np.max(np.abs(dense @ v)))
@@ -215,7 +217,8 @@ def test_nmf_preconditioner_inverts_each_distinct_block_once(monkeypatch):
     # per solve, the U blocks plus lam I are inverted once for each distinct
     # sign pattern of a U row, and at a refresh's first solve the V blocks
     # once for each distinct pattern of a V row; each inverse is bit for
-    # bit the one of its block inverted alone
+    # bit the one of its block, the Gram plus its row's diagonal, inverted
+    # alone
     p = make_nmf(3, d=6, n=5, r=4)
     inst = p.instance
     d, n, r = inst.d, inst.n, inst.r
@@ -243,8 +246,9 @@ def test_nmf_preconditioner_inverts_each_distinct_block_once(monkeypatch):
             reg.solve(lam, rhs)
             assert sizes == [distinct_u] + ([distinct_v] if i == 0 else []), label
             np.testing.assert_array_equal(reg._block_inverse(lam),
-                                          per_row_inverses(h.blocks, lam), err_msg=label)
-        want = per_row_inverses(h.tail, 1e-3)
+                                          per_row_inverses(block_stack(h.blocks), lam),
+                                          err_msg=label)
+        want = per_row_inverses(block_stack(h.tail), 1e-3)
         want = 0.5 * (want + want.transpose(0, 2, 1))
         np.testing.assert_array_equal(columns(LinOp(reg._precond.matvec, n * r)),
                                       scipy.linalg.block_diag(*want), err_msg=label)
@@ -259,7 +263,7 @@ def test_nmf_matfree_trace_unchanged_by_the_deduplicated_preconditioner(monkeypa
     sizes = inv_batch_sizes(monkeypatch)
     for m in (1, 3):
         config = SolverConfig(p=0.5, m=m, grad_tol=1e-4)
-        monkeypatch.setattr(linalg, "_distinct", lambda blocks: (blocks, np.arange(len(blocks))))
+        monkeypatch.setattr(linalg, "_distinct", lambda rows: (rows, np.arange(len(rows))))
         want = solve(p, config)
         assert sizes and set(sizes) == {20, 12}
         sizes.clear()

@@ -75,3 +75,14 @@ def test_same_trajectories_tolerance_mode_fails_only_on_status_seed_or_value(tmp
         "seed 4: solved only in the change",
         "3 solves in both: iters 111 -> 111, trials 225 -> 225; "
         "not all within F_final rel-tol 1e-06 with the same status"])
+
+
+def test_same_trajectories_rejects_a_negative_or_nan_tolerance(tmp_path):
+    # a tolerance no difference can meet is a usage error, even for two
+    # identical reports, and so is one that is not a number
+    parent = report(tmp_path / "parent.json", [solve_record(s) for s in (1, 2)])
+    for rel in ("-1", "nan", "-0.5e-6", "x"):
+        out = same_trajectories("--rel-tol", rel, parent, parent)
+        assert out.returncode == 2 and out.stdout == "", rel
+        assert "argument --rel-tol" in out.stderr, rel
+    assert same_trajectories("--rel-tol", "0", parent, parent).returncode == 0

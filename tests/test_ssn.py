@@ -749,18 +749,27 @@ def test_non_finite_hessian_raises_or_fails_the_trial():
     with pytest.raises(NonFiniteError, match="Hessian") as exc:
         solve(prob, SolverConfig(m=1, grad_tol=1e-10))
     assert exc.value.k == 1 and exc.value.j is None
-    # so does a BorderedBlocks H with a NaN in any of its parts
+    # so does a BorderedBlocks H with a NaN in any of its parts: each array
+    # of the dense form, and a base or a diagonal row of the matrix-free one
     nmf = make_nmf(1, d=4, n=3, r=2)
-    for part in ("blocks", "coupling", "tail"):
-        def eval_hess(x, part=part):
-            h = nmf.smooth.eval_hess(x)
-            getattr(h, part).flat[1] = np.nan
+    parts = {"blocks": (problems.DENSE_DIM_MAX, lambda h: h.blocks),
+             "coupling": (problems.DENSE_DIM_MAX, lambda h: h.coupling),
+             "tail": (problems.DENSE_DIM_MAX, lambda h: h.tail),
+             "blocks base": (0, lambda h: h.blocks[0]),
+             "tail diagonals": (0, lambda h: h.tail[1])}
+    for name, (dense_dim_max, part) in parts.items():
+        def eval_hess(x, dense_dim_max=dense_dim_max, part=part):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(problems, "DENSE_DIM_MAX", dense_dim_max)
+                h = nmf.smooth.eval_hess(x)
+            assert h.is_dense == (dense_dim_max > 0)
+            part(h).flat[1] = np.nan
             return h
 
         with pytest.raises(NonFiniteError, match="Hessian") as exc:
             solve(dataclasses.replace(nmf, smooth=dataclasses.replace(
                 nmf.smooth, eval_hess=eval_hess)), SolverConfig(m=1))
-        assert exc.value.k == 0, part
+        assert exc.value.k == 0, name
     # a matrix-free H whose product is NaN fails every inner solve, MINRES
     # and FISTA alike, so each trial is rejected and the run stalls in place;
     # FISTA stops at its first sweep's curvature, one prox call per trial
