@@ -9,6 +9,12 @@ declared type and every array against the instance's sizes, so runs replay
 across machines.  Generators and instance records alike reject a size or
 parameter outside its domain (_DOMAIN).
 
+An SVM instance keeps its features once: X is the first n columns of one
+C-contiguous (ell, n+1) array whose last column is ones, which make_svm
+draws into and any other X is copied into.  The SVM Hessian is the Gram of
+that store's active rows, which needs labels of +-1; the instance rejects
+any other.
+
 Hessians come back as dense arrays for SVM and the quadratic.  NMF's is a
 BorderedBlocks whose diagonal blocks, one per row of U, the solver
 eliminates: dense up to DENSE_DIM_MAX variables, and above it matrix-free,
@@ -113,6 +119,13 @@ class SvmInstance:
         ell, n = np.size(self.y), np.size(self.x0) - 1
         _check_domain(type(self).__name__, n=n, ell=ell, gamma=self.gamma)
         _check_shapes(self, X=(ell, n), y=(ell,), x0=(n + 1,))
+        # The Hessian drops y_i^2 (see _svm_problem), which holds only for labels of +-1.
+        labels = np.asarray(self.y)
+        bad = labels[(labels != 1.0) & (labels != -1.0)]
+        if bad.size:
+            raise ValueError(f"{type(self).__name__}: labels y must be -1.0 or +1.0, "
+                             f"got {float(bad[0])!r}")
+        object.__setattr__(self, "X", _bordered_store(self.X)[:, :n])
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,23 +300,55 @@ def penalty_violation(x: np.ndarray, inst: NmfInstance) -> float:
 
 # ----------------------------------------------------------------------- svm
 
+# Values per Rng.normal call when make_svm fills its feature store, rounded
+# down to an even number of rows: every call then takes whole Box-Muller
+# pairs, so the values equal one draw of the whole matrix, and the draw's
+# temporaries stay small against the store.
+_SVM_DRAW_VALUES = 2**13
+
+
+def _bordered_store(feats) -> np.ndarray:
+    """The C-contiguous (ell, n+1) store whose first n columns are feats and last ones.
+
+    feats that is already the first n columns of such a store gives that
+    store back; anything else is copied into a new one.
+    """
+    ell, n = np.shape(feats)
+    store = getattr(feats, "base", None)
+    if (isinstance(store, np.ndarray) and store.shape == (ell, n + 1)
+            and store.dtype == np.float64 and store.flags.c_contiguous
+            and feats.strides == store.strides and feats.ctypes.data == store.ctypes.data
+            and np.all(store[:, n] == 1.0)):
+        return store
+    store = np.empty((ell, n + 1))
+    store[:, :n] = feats
+    store[:, n] = 1.0
+    return store
+
+
 def make_svm(seed: int, n: int = 200, ell: int = 10000,
              gamma: float = 1e4) -> CompositeProblem:
     """L2-hinge SVM on two gaussian blobs separated along the first axis.
 
-    Draw order from Rng(seed): features G (ell x n, normal).  Labels are +1
-    for the first ceil(ell/2) rows and -1 for the rest; the first feature is
-    shifted by 1.5 * label.  Variables x = (omega, b):
+    Draw order from Rng(seed): features G (ell x n, normal), drawn row block
+    by row block into the instance's bordered store with the values of one
+    draw.  Labels are +1 for the first ceil(ell/2) rows and -1 for the rest;
+    the first feature is shifted by 1.5 * label.  Variables x = (omega, b):
 
         0.5 ||omega||^2 + gamma * sum_i max(0, 1 - y_i (omega^T x_i + b))^2
     """
     _check_domain("make_svm", n=n, ell=ell, gamma=gamma)
     rng = Rng(seed)
-    feats = rng.normal((ell, n))
+    store = np.empty((ell, n + 1))
+    rows = max(2, _SVM_DRAW_VALUES // n // 2 * 2)
+    for start in range(0, ell, rows):
+        stop = min(start + rows, ell)
+        store[start:stop, :n] = rng.normal((stop - start, n))
+    store[:, n] = 1.0
     labels = np.ones(ell)
     labels[(ell + 1) // 2:] = -1.0
-    feats[:, 0] += 1.5 * labels
-    inst = SvmInstance(seed=int(seed), gamma=float(gamma), X=feats, y=labels,
+    store[:, 0] += 1.5 * labels
+    inst = SvmInstance(seed=int(seed), gamma=float(gamma), X=store[:, :n], y=labels,
                        x0=np.zeros(n + 1))
     return problem_from_instance(inst)
 
@@ -312,8 +357,10 @@ def _svm_problem(inst: SvmInstance) -> CompositeProblem:
     feats, labels, gamma = inst.X, inst.y, inst.gamma
     ell, n = feats.shape
     dim = n + 1
-    # z_i = y_i * (x_i, 1); the Hessian is I_n (+) 0 plus 2 gamma Z_act^T Z_act.
-    z_all = np.hstack([labels[:, None] * feats, labels[:, None]])
+    # With z_i = y_i (x_i, 1) the Hessian is I_n (+) 0 plus 2 gamma Z_act^T Z_act.
+    # As y_i = +-1, Z_act^T Z_act is the Gram of the rows (x_i, 1) themselves,
+    # bit for bit, so it is taken from the bordered store that inst.X views.
+    store = feats.base
 
     @_last_point
     def margins_resid(x):
@@ -332,7 +379,7 @@ def _svm_problem(inst: SvmInstance) -> CompositeProblem:
 
     def eval_hess(x):
         active = margins_resid(x) > 0.0
-        z_act = z_all[active]
+        z_act = store if active.all() else store[active]
         dense = 2.0 * gamma * (z_act.T @ z_act)
         dense[np.arange(n), np.arange(n)] += 1.0
         return dense

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gladssn.problems import (DENSE_DIM_MAX, HuberInstance, NmfInstance,
                               QuadInstance, SvmInstance, load_instance, make_huber, make_nmf,
                               make_quadratic, make_svm, penalty_violation,
                               problem_from_instance, save_instance)
+from gladssn.rng import Rng
 from gladssn.ssn import CONVERGED, SolverConfig, solve
 
 from helpers import block_stack, columns
@@ -415,6 +417,82 @@ def test_svm_blob_geometry():
     np.testing.assert_array_equal(p.x0, np.zeros(21))
 
 
+def test_svm_hessian_is_the_labelled_gram():
+    # the oracle drops y_i^2 = 1 and takes the Gram of the rows (x_i, 1);
+    # Z = y (X, 1) gives the same bits, with every row active at x0 = 0 and
+    # some of them at x
+    p = make_svm(4, n=6, ell=300, gamma=10.0)
+    inst = p.instance
+    n = 6
+    z = inst.y[:, None] * np.hstack([inst.X, np.ones((300, 1))])
+    x = np.zeros(7)
+    x[0] = 1.0
+    for point in (p.x0, x):
+        active = 1.0 - inst.y * (inst.X @ point[:n] + point[n]) > 0.0
+        z_act = z[active]
+        want = 2.0 * inst.gamma * (z_act.T @ z_act)
+        want[np.arange(n), np.arange(n)] += 1.0
+        np.testing.assert_array_equal(p.smooth.eval_hess(point), want)
+    assert 0 < np.count_nonzero(active) < 300
+
+
+def test_make_svm_draws_whole_pairs_into_one_store():
+    # an odd n that fits an odd number of rows in one draw, and an ell over
+    # several draws, the last one of an odd count: the features equal one
+    # draw of the whole matrix
+    n = 17
+    assert problems._SVM_DRAW_VALUES // n % 2 == 1
+    rows = problems._SVM_DRAW_VALUES // n // 2 * 2
+    ell = 2 * rows + rows // 2 + 1
+    inst = make_svm(5, n=n, ell=ell).instance
+    want = Rng(5).normal((ell, n))
+    want[:, 0] += 1.5 * inst.y
+    np.testing.assert_array_equal(inst.X, want)
+    # X is the first n columns of a C-contiguous store whose last column is ones
+    store = inst.X.base
+    assert store.shape == (ell, n + 1) and store.flags.c_contiguous
+    assert np.all(store[:, n] == 1.0)
+    # an instance given a plain X keeps a copy in a store of its own
+    plain = dataclasses.replace(inst, X=want)
+    assert plain.X.base.shape == (ell, n + 1) and not np.shares_memory(plain.X, want)
+    np.testing.assert_array_equal(plain.X, want)
+
+
+def test_svm_memory_holds_one_feature_matrix():
+    # set-up holds the store and one small draw at a time, and the Hessian
+    # at x0, where every row is active, copies no rows
+    tracemalloc.start()
+    try:
+        p = make_svm(1, n=50, ell=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+        feats_bytes = p.instance.X.nbytes
+        assert peak < 1.5 * feats_bytes
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        p.smooth.eval_hess(p.x0)
+        assert tracemalloc.get_traced_memory()[1] - before < 0.1 * feats_bytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_svm_labels_must_be_plus_or_minus_one(tmp_path):
+    # the Hessian takes y_i^2 = 1, so any other label would make it wrong
+    inst = make_svm(1, n=3, ell=8).instance
+    for bad in (0.0, 0.5, 2.0, -3.0):
+        y = inst.y.copy()
+        y[3] = bad
+        with pytest.raises(ValueError, match=f"^SvmInstance: labels y must be -1.0 or "
+                                             f"\\+1.0, got {bad}$"):
+            dataclasses.replace(inst, y=y)
+    path = tmp_path / "labels.inst"
+    save_instance(path, inst)
+    doc = json.loads(path.read_text())
+    doc["fields"]["y"][5] = 0.25
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="labels.inst: SvmInstance: labels y must be"):
+        load_instance(path)
+
+
 # --------------------------------------------------------------------- huber
 
 def test_huber_hand_values():
@@ -536,6 +614,10 @@ def test_instance_round_trip(tmp_path):
         x = p.x0 + 0.25
         assert q.smooth.eval_f(x) == p.smooth.eval_f(x)
         np.testing.assert_array_equal(q.smooth.eval_grad(x), p.smooth.eval_grad(x))
+        if p.name == "svm":  # the loaded X is copied into a store of its own
+            for point in (p.x0, x):
+                np.testing.assert_array_equal(q.smooth.eval_hess(point),
+                                              p.smooth.eval_hess(point))
 
 
 def test_load_instance_rejects_garbage(tmp_path):

@@ -1,9 +1,12 @@
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SAME_TRAJECTORIES = Path(__file__).resolve().parents[1] / "scripts" / "same_trajectories.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SAME_TRAJECTORIES = SCRIPTS / "same_trajectories.py"
 
 
 def report(path, solves):
@@ -86,3 +89,20 @@ def test_same_trajectories_rejects_a_negative_or_nan_tolerance(tmp_path):
         assert out.returncode == 2 and out.stdout == "", rel
         assert "argument --rel-tol" in out.stderr, rel
     assert same_trajectories("--rel-tol", "0", parent, parent).returncode == 0
+
+
+def test_lazy_sweep_prints_the_cost_ratio():
+    # one seed of the smallest workload keeps the run short
+    out = subprocess.run([sys.executable, str(SCRIPTS / "lazy_sweep.py"),
+                          "--workload", "nmf-dense-lazy", "--seeds", "1"],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    header, _, *rows = out.stdout.splitlines()
+    assert header.endswith("| failed | cost ratio (ms per refresh / per trial) |")
+    assert [row.split(" | ")[:2] for row in rows] == [["| `nmf-dense-lazy` (1-1)", "1"],
+                                                      ["| `nmf-dense-lazy` (1-1)", "5"]]
+    for row in rows:
+        ratio, refresh, trial = map(float, re.fullmatch(
+            r".* \| (\S+) \((\S+) / (\S+)\) \|", row).groups())
+        assert refresh > 0.0 and trial > 0.0
+        assert math.isclose(ratio, refresh / trial, rel_tol=0.02), row
