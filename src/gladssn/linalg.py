@@ -4,10 +4,11 @@ MetricB is the metric B, and Regularized the regularized models of one
 Hessian refresh, for any lam: the linear systems H + lam B of a zero psi
 and the composite model solve of a nonzero one.  An oracle's curvature
 operator H is a dense square array, a matrix-free LinOp, an ActiveGram
-that Regularized assembles, or a BorderedBlocks that Regularized solves by
-eliminating its diagonal blocks: directly when it is dense, by MINRES on the
-Schur complement when it is matrix-free, where each group of blocks is one
-shared base plus a diagonal per block.  All four are applied as H @ v.
+that Regularized assembles, or a BorderedBlocks, whose groups of blocks are
+each one shared base plus a diagonal per block, and which Regularized
+solves by eliminating its diagonal blocks; its Schur complement is then
+factored when the coupling is an array, and solved by MINRES when it is a
+pair of products.  All four are applied as H @ v.
 Vectors are 1-d float64 arrays.  Nothing here mutates its inputs.
 """
 
@@ -191,46 +192,34 @@ class BorderedBlocks:
     """The symmetric [[blockdiag(A_i), C], [C^T, T]], unassembled.
 
     A Hessian that is block diagonal in one group of variables has this
-    form, in one of two.  In the dense form blocks is a (k, b, b) stack of
-    the symmetric A_i, coupling the (k b, m) array C and tail the symmetric
-    (m, m) array T.  In the matrix-free form each block group is one shared
-    symmetric base plus one diagonal per block: blocks is a pair
-    (base, diags) of a (b, b) base and a (k, b) array, with
-    A_i = base + diag(diags[i]), and tail a pair of the same kind for the
-    blocks of a block-diagonal T; coupling is the pair (matvec, rmatvec) of
-    callables p -> C p and q -> C^T q.  The parts are checked for sizes
-    that fit and for symmetric bases here; split = k b is the first row of
-    the tail.  It exposes shape and @ the way LinOp does; Regularized
-    eliminates the blocks per solve (see solve), and assemble() is the
-    dense array.
+    form.  Each block group is one shared symmetric base plus one diagonal
+    per block: blocks is a pair (base, diags) of a (b, b) base and a (k, b)
+    array, with A_i = base + diag(diags[i]), and tail a pair of the same
+    kind for the blocks of a block-diagonal T.  The coupling C is either the
+    (k b, m) array (the dense form) or the pair (matvec, rmatvec) of
+    callables p -> C p and q -> C^T q (the matrix-free form); nothing else
+    differs between the forms.  The parts are checked for sizes that fit and
+    for symmetric bases here; split = k b is the first row of the tail.  It
+    exposes shape and @ the way LinOp does; Regularized eliminates the
+    blocks per solve (see solve), and assemble() is the dense array.
     """
 
     def __init__(self, blocks, coupling, tail):
+        self.split = _shifted_size("blocks", blocks)
+        m = _shifted_size("tail", tail)
         if isinstance(coupling, np.ndarray):
-            if not (isinstance(blocks, np.ndarray) and blocks.ndim == 3
-                    and blocks.shape[1] == blocks.shape[2]):
-                raise ValueError(f"a coupling array takes a (k, b, b) stack of blocks, "
-                                 f"got {_shape(blocks)}")
-            k, b, _ = blocks.shape
-            if coupling.ndim != 2 or coupling.shape[0] != k * b:
-                raise ValueError(f"{k} blocks of size {b} take {k * b} coupling rows, "
-                                 f"got a coupling of shape {coupling.shape}")
-            m = coupling.shape[1]
-            if _shape(tail) != (m, m):
-                raise ValueError(f"a coupling of {m} columns takes a tail of shape ({m}, {m}), "
-                                 f"got {_shape(tail)}")
-            self.split = k * b
-        else:
-            if not (isinstance(coupling, tuple) and len(coupling) == 2
-                    and all(map(callable, coupling))):
-                raise ValueError("coupling is an array or a (matvec, rmatvec) pair, "
-                                 f"got {type(coupling).__name__}")
-            self.split = _shifted_size("blocks", blocks)
-            m = _shifted_size("tail", tail)
+            if coupling.shape != (self.split, m):
+                raise ValueError(f"block groups of {self.split} and {m} rows take a coupling "
+                                 f"of shape ({self.split}, {m}), got {coupling.shape}")
+        elif not (isinstance(coupling, tuple) and len(coupling) == 2
+                  and all(map(callable, coupling))):
+            raise ValueError("coupling is an array or a (matvec, rmatvec) pair, "
+                             f"got {type(coupling).__name__}")
         self.blocks = blocks
         self.coupling = coupling
         self.tail = tail
         self.shape = (self.split + m,) * 2
+        self._dense = None  # the dense form's (block stack, tail array), at first use
 
     @property
     def is_dense(self) -> bool:
@@ -239,32 +228,41 @@ class BorderedBlocks:
     @property
     def arrays(self) -> tuple:
         """Every stored array: the matrix-free coupling is not one."""
-        if self.is_dense:
-            return self.blocks, self.coupling, self.tail
-        return self.blocks + self.tail
+        return self.blocks + self.tail + ((self.coupling,) if self.is_dense else ())
+
+    def _dense_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dense form's (k, b, b) block stack and (m, m) tail array.
+
+        Built from the pairs at first use and kept, one build per refresh.
+        H @ v multiplies them (np.matmul on the stack, one dense product with
+        the tail), and the Schur complement starts from the tail array.
+        """
+        if self._dense is None:
+            m = self.shape[0] - self.split
+            tail = np.zeros((m, m))
+            _block_diagonal(tail, _shifted_blocks(*self.tail))
+            self._dense = _shifted_blocks(*self.blocks), tail
+        return self._dense
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         head, rest = v[:self.split], v[self.split:]
         if self.is_dense:
-            return np.concatenate([_block_apply(self.blocks, head) + self.coupling @ rest,
-                                   self.coupling.T @ head + self.tail @ rest])
+            stack, tail = self._dense_parts()
+            return np.concatenate([_block_apply(stack, head) + self.coupling @ rest,
+                                   self.coupling.T @ head + tail @ rest])
         matvec, rmatvec = self.coupling
         return np.concatenate([_shifted_apply(self.blocks, head) + matvec(rest),
                                rmatvec(head) + _shifted_apply(self.tail, rest)])
 
     def assemble(self) -> np.ndarray:
-        """The dense array, exactly symmetric when blocks and tail are."""
+        """The dense array, exactly symmetric (the bases are)."""
         kb = self.split
         dense = np.zeros(self.shape)
-        if self.is_dense:
-            _block_diagonal(dense[:kb, :kb], self.blocks)
-            dense[:kb, kb:] = self.coupling
-            dense[kb:, kb:] = self.tail
-        else:
-            _block_diagonal(dense[:kb, :kb], _shifted_blocks(*self.blocks))
-            dense[:kb, kb:] = np.stack([self.coupling[0](e) for e in np.eye(self.shape[0] - kb)],
-                                       axis=1)
-            _block_diagonal(dense[kb:, kb:], _shifted_blocks(*self.tail))
+        _block_diagonal(dense[:kb, :kb], _shifted_blocks(*self.blocks))
+        _block_diagonal(dense[kb:, kb:], _shifted_blocks(*self.tail))
+        dense[:kb, kb:] = (self.coupling if self.is_dense else
+                           np.stack([self.coupling[0](e) for e in np.eye(self.shape[0] - kb)],
+                                    axis=1))
         dense[kb:, :kb] = dense[:kb, kb:].T
         return dense
 
@@ -275,9 +273,9 @@ def _shape(a):
 
 
 def _shifted_size(name: str, group) -> int:
-    """The rows k b of a matrix-free block group (base, diags), checked."""
+    """The rows k b of a block group (base, diags), checked."""
     if not (isinstance(group, tuple) and len(group) == 2):
-        raise ValueError(f"a matrix-free {name} group is a (base, diags) pair, "
+        raise ValueError(f"a {name} group is a (base, diags) pair, "
                          f"got {type(group).__name__}")
     base, diags = group
     if not (isinstance(base, np.ndarray) and base.ndim == 2 and base.shape[0] == base.shape[1]):
@@ -328,7 +326,8 @@ class Regularized:
     BorderedBlocks.  A dense BorderedBlocks is kept unassembled for an
     identity metric and assembled for any other; a matrix-free one is never
     assembled.  The distinct blocks of a BorderedBlocks and the Schur
-    complement's preconditioner are per-refresh state (see _schur_solver).
+    complement's preconditioner are per-refresh state (see _block_inverse
+    and _schur_minres).
     prev is the previous refresh's Regularized, from which an ActiveGram is
     built and FISTA's step starts (see prox_solve); it is not kept.
     """
@@ -337,7 +336,7 @@ class Regularized:
                  prev: Regularized | None = None):
         self.metric = metric
         self._t = prev._t if prev is not None else None  # FISTA's last accepted step
-        self._blocks = None  # _distinct(h.blocks) of a BorderedBlocks, at its first solve
+        self._blocks = None  # _distinct_blocks(h.blocks) of a BorderedBlocks, at its first solve
         self._precond = None  # the Schur complement's, at the first matrix-free solve's lam
         self.gram = h if isinstance(h, ActiveGram) else None
         if isinstance(h, BorderedBlocks) and h.is_dense and not metric.is_identity:
@@ -478,18 +477,19 @@ class Regularized:
         Every method runs in one loop: a first solve and up to three
         corrections, each solving again for the residual rhs - (H + lam B) s
         (through apply, for every method), until the residual meets its
-        target in the dual norm.  A dense H is solved only directly, to the
-        residual target max(1e-10, 1e-12 ||rhs||).  A dense array H + lam B
-        is factored whole; a dense BorderedBlocks H (whose metric is the
-        identity, see __init__) is never assembled, and its blocks are
-        eliminated per lam (_elimination_solver).  Either way the one matrix
-        factored goes through _direct_solver: Cholesky, then LU, and a
-        singular one raises SolverStallError.
+        target in the dual norm.  A BorderedBlocks H with the identity
+        metric (see __init__) is never assembled: its blocks are eliminated
+        per lam (_elimination_solver).
+
+        A dense H is solved only directly, to the residual target
+        max(1e-10, 1e-12 ||rhs||): the one matrix factored, H + lam B or a
+        Schur complement, goes through _direct_solver (Cholesky, then LU),
+        and a singular one raises SolverStallError.
 
         A matrix-free H goes to MINRES, capped at 10 n iterations per call:
-        a matrix-free BorderedBlocks with the identity metric on its Schur
-        complement (_schur_solver), anything else on H + lam B itself,
-        unpreconditioned.  Its solve is inexact: it stops once the residual
+        on the Schur complement of a BorderedBlocks with the identity metric
+        (_schur_minres), on H + lam B itself otherwise, unpreconditioned.
+        Its solve is inexact: it stops once the residual
         rho = rhs - (H + lam B) s of the whole system meets
         ||rho||_* <= THETA lam ||s||_B, the forcing rule prox_solve shares.
         With rhs = -f'(x) and psi = 0, -rho is the model residual
@@ -503,19 +503,15 @@ class Regularized:
             raise ValueError(f"operator dim {self.h.shape[0]} does not match rhs dim {n}")
         if (rhs_norm := float(np.linalg.norm(rhs))) == 0.0:
             return np.zeros(n)
-        if not self.is_dense:
-            target = lambda s: self._forcing(lam, s)
-            if isinstance(self.h, BorderedBlocks) and self.metric.is_identity:
-                once = self._schur_solver(lam)
-            else:
-                once = _minres_solver(lambda v: self.apply(lam, v), n, None)
+        target = ((lambda s: max(1e-10, 1e-12 * rhs_norm)) if self.is_dense
+                  else (lambda s: self._forcing(lam, s)))
+        if isinstance(self.h, BorderedBlocks) and self.metric.is_identity:
+            once = self._elimination_solver(lam)
+        elif self.is_dense:
+            shift = np.eye(n) if self.metric.is_identity else self.metric.matrix
+            once = _direct_solver(self.h + lam * shift, f"H + {lam:.3e} B")
         else:
-            target = lambda s: max(1e-10, 1e-12 * rhs_norm)
-            if isinstance(self.h, BorderedBlocks):
-                once = self._elimination_solver(lam)
-            else:
-                shift = np.eye(n) if self.metric.is_identity else self.metric.matrix
-                once = _direct_solver(self.h + lam * shift, f"H + {lam:.3e} B")
+            once = _minres_solver(lambda v: self.apply(lam, v), n, None)
         return _refined(once, lambda v: self.apply(lam, v), rhs, self.metric.dual_norm, target)
 
     def _block_inverse(self, lam: float) -> np.ndarray:
@@ -531,54 +527,55 @@ class Regularized:
         return _inverse(blocks, lam, "a diagonal block of H + lam I")[which]
 
     def _elimination_solver(self, lam: float):
-        """r -> (H + lam I)^{-1} r for a dense BorderedBlocks H, by block elimination.
+        """r -> a step for (H + lam I) s = r, H a BorderedBlocks, by block elimination.
 
         With A = blockdiag(blocks) + lam I and C the coupling, the Schur
         complement S = tail + lam I - C^T A^{-1} C carries all of the
         coupling (Golub & Van Loan, Matrix Computations, secs. 3.2 and 4.2):
-        s_2 = S^{-1} (r_2 - C^T A^{-1} r_1) and s_1 = A^{-1} r_1 - A^{-1} C s_2.
-        S is factored by _direct_solver: Cholesky, or LU when Cholesky
-        declines it (H + lam I is then indefinite, as A is positive definite
-        for positive definite blocks), and a singular S raises
-        SolverStallError.
+        S s_2 = r_2 - C^T A^{-1} r_1, and s_1 = A^{-1} r_1 - A^{-1} C s_2.
+        A^{-1} is exact, so the whole residual lies in the tail rows.  The
+        forms differ only in how S is solved: the dense form forms and
+        factors it (_direct_solver; LU means H + lam I is indefinite, as A
+        is positive definite for positive definite blocks), and the
+        matrix-free form runs MINRES on it (_schur_minres).
         """
         h = self.h
-        k, b, _ = h.blocks.shape
-        kb = k * b
+        kb = h.split
         inv = self._block_inverse(lam)
-        inv_c = np.matmul(inv, h.coupling.reshape(k, b, -1)).reshape(kb, -1)
-        schur = h.tail - h.coupling.T @ inv_c
-        schur.flat[::schur.shape[0] + 1] += lam
-        schur_solve = _direct_solver(schur, f"Schur complement of H + {lam:.3e} I")
+        if h.is_dense:
+            inv_c = np.matmul(inv, h.coupling.reshape(*inv.shape[:2], -1)).reshape(kb, -1)
+            schur = h._dense_parts()[1] - h.coupling.T @ inv_c
+            schur.flat[::schur.shape[0] + 1] += lam
+            schur_solve = _direct_solver(schur, f"Schur complement of H + {lam:.3e} I")
+            rmatvec, inv_c_apply = h.coupling.T.__matmul__, inv_c.__matmul__
+        else:
+            matvec, rmatvec = h.coupling
+            inv_c_apply = lambda q: _block_apply(inv, matvec(q))
+            schur_solve = self._schur_minres(lam, inv_c_apply)
 
         def once(r):
             head = _block_apply(inv, r[:kb])
-            rest = schur_solve(r[kb:] - h.coupling.T @ head)
-            return np.concatenate([head - inv_c @ rest, rest])
+            rest = schur_solve(r[kb:] - rmatvec(head))
+            return np.concatenate([head - inv_c_apply(rest), rest])
         return once
 
-    def _schur_solver(self, lam: float):
-        """r -> MINRES step for (H + lam I) s = r, H a matrix-free BorderedBlocks.
+    def _schur_minres(self, lam: float, inv_c):
+        """q -> MINRES solution of S s_2 = q, S the Schur complement of a
+        matrix-free BorderedBlocks H + lam I and inv_c the product p -> A^{-1} C p.
 
-        With A, C and S as in _elimination_solver, MINRES solves
-        S s_2 = r_2 - C^T A^{-1} r_1 over the tail's variables only, with
-        S p = (tail + lam I) p - C^T A^{-1} C p applied matrix-free, and
-        s_1 = A^{-1} (r_1 - C s_2) is back-substituted.  A^{-1} is exact, so
-        the residual of the whole system is S's, in the tail rows, and the
-        forcing rule reads it there.  Each product applies tail + lam I by
-        one gemm (_shifted_apply) and calls C and C^T directly.  S is
-        preconditioned by block Jacobi, the inverse of blockdiag(tail) + lam I,
-        which is symmetric positive definite (so MINRES stays valid for an
-        indefinite S) and inverts each distinct tail block once, found by its
-        diagonal (_distinct_blocks).  It is built once per refresh, at its
-        first solve's lam, and reused for every lam: a stale one can change
-        only MINRES's iteration count, as every step is checked against the
+        S p = (tail + lam I) p - C^T A^{-1} C p is applied matrix-free, tail
+        + lam I by one gemm (_shifted_apply).  S is preconditioned by block
+        Jacobi, the inverse of blockdiag(tail) + lam I, which is symmetric
+        positive definite (so MINRES stays valid for an indefinite S) and
+        inverts each distinct tail block once, found by its diagonal
+        (_distinct_blocks).  It is built once per refresh, at its first
+        solve's lam, and reused for every lam: a stale one can change only
+        MINRES's iteration count, as every step is checked against the
         forcing rule.
         """
         h = self.h
-        kb, m = h.split, h.shape[0] - h.split
-        inv = self._block_inverse(lam)
-        matvec, rmatvec = h.coupling
+        m = h.shape[0] - h.split
+        _, rmatvec = h.coupling
         if self._precond is None:  # the refresh's first solve
             blocks, which = _distinct_blocks(h.tail)
             tail_inv = _inverse(blocks, lam, "a tail block of H + lam I")
@@ -587,36 +584,25 @@ class Regularized:
                 (m, m), matvec=lambda q: _block_apply(tail_inv, q), dtype=np.float64)
         base, diags = h.tail
         shifted_tail = (base, diags + lam)  # tail + lam I
-        minres = _minres_solver(
-            lambda p: _shifted_apply(shifted_tail, p) - rmatvec(_block_apply(inv, matvec(p))),
-            m, self._precond)
-
-        def once(r):
-            head = r[:kb]
-            rest = minres(r[kb:] - rmatvec(_block_apply(inv, head)))
-            return np.concatenate([_block_apply(inv, head - matvec(rest)), rest])
-        return once
+        return _minres_solver(lambda p: _shifted_apply(shifted_tail, p) - rmatvec(inv_c(p)),
+                              m, self._precond)
 
 
 def _distinct_blocks(group) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct, which) for a block group: its distinct blocks as a stack,
-    and the index of each block among them.
+    """(distinct, which) for a block group (base, diags): its distinct
+    blocks as a stack, and the index of each block among them.
 
-    A dense group, a (k, b, b) stack, is compared block by block.  A
-    matrix-free one, (base, diags), is compared by its (k, b) diagonals
-    alone, and only its distinct blocks are built (_shifted_blocks).
+    Blocks are compared by their (k, b) diagonals alone, and only the
+    distinct ones are built (_shifted_blocks).
     """
-    if isinstance(group, np.ndarray):
-        return _distinct(group)
     base, diags = group
     distinct, which = _distinct(diags)
     return _shifted_blocks(base, distinct), which
 
 
 def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct, which) for an array of k rows (of any shape after the
-    first axis): its distinct rows, compared bit for bit, and the index of
-    each row among them.
+    """(distinct, which) for a (k, b) array: its distinct rows, compared
+    bit for bit, and the index of each row among them.
 
     The rows are sorted as byte strings, and each run of equal neighbours
     is one distinct row; np.unique on the same byte strings takes about
@@ -624,7 +610,7 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     k = rows.shape[0]
     rows = np.ascontiguousarray(rows, dtype=np.float64)
-    bits = rows.reshape(k, -1).view(np.int64)
+    bits = rows.view(np.int64)
     order = np.argsort(bits.view(f"V{bits.shape[1] * 8}").ravel(), kind="stable")
     ordered = bits[order]
     starts = np.ones(k, dtype=bool)

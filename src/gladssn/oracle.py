@@ -37,11 +37,11 @@ class SmoothOracle:
     matrix-free LinOp when it is too large to assemble, as an ActiveGram
     rows[mask]^T rows[mask] + shift I, which the solver assembles from the
     previous refresh of the same solve, or as a BorderedBlocks, block
-    diagonal in its leading variables (dense, or matrix-free: a shared base
-    plus a diagonal per block, and the coupling as its two products), which
-    the solver solves by eliminating the blocks (linalg.Regularized).  The
-    solver never writes into a returned array, so an oracle may return one
-    it keeps.
+    diagonal in its leading variables (each group of blocks a shared base
+    plus a diagonal per block, and the coupling an array or its two
+    products), which the solver solves by eliminating the blocks
+    (linalg.Regularized).  The solver never writes into a returned array,
+    so an oracle may return one it keeps.
     Nothing in this package reads lipschitz_L, an optional bound L/2 on the
     Hessian operator norm: the solver adapts its regularizer instead.
     """

@@ -17,10 +17,10 @@ any other.
 
 Hessians come back as dense arrays for SVM and the quadratic.  NMF's is a
 BorderedBlocks whose diagonal blocks, one per row of U, the solver
-eliminates: dense up to DENSE_DIM_MAX variables, and above it matrix-free,
-with each group of blocks given as one Gram plus a diagonal per row
-(V^T V for the rows of U, U^T U for those of V) and the coupling of U and
-V applied by products with the factors.  Huber's is an
+eliminates.  Each group of blocks is one Gram plus a diagonal per row
+(V^T V for the rows of U, U^T U for those of V).  The coupling of U and V
+is an array up to DENSE_DIM_MAX variables, and above it is applied by
+products with the factors.  Huber's is an
 ActiveGram, its rows on the quadratic piece, which the solver assembles
 from the previous refresh's Hessian.
 """
@@ -253,37 +253,31 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
         # Rows and columns ordered (row, factor):
         #   H_UU = I_d (x) V^T V,  H_VV = I_n (x) U^T U,
         #   H_UV[(i,a),(j,b)] = U[i,b] V[j,a] + R[i,j] delta_ab,
-        # plus the diagonal 2 alpha + mask / beta.  H_UU is kept as its d
-        # diagonal r x r blocks, which the solver eliminates.
+        # plus the diagonal 2 alpha + mask / beta.  Each block group is its
+        # Gram plus one diagonal per row: (V^T V, shift_u) for the U rows,
+        # whose d blocks the solver eliminates, and (U^T U, shift_v) for the
+        # V rows.  Only the coupling H_UV depends on the size.
         u, v = unpack(x)
         res = resid(x)
         gram_u, gram_v = u.T @ u, v.T @ v
         shift_u, shift_v = (2.0 * alpha + (a < 0.0) / beta for a in (u, v))
-        if dim <= DENSE_DIM_MAX:
-            # H_UV is built with 4-d indices and H_VV written through a 4-d view.
+        if dim <= DENSE_DIM_MAX:  # the array H_UV, built with 4-d indices
             diag = np.arange(r)
-            blocks = np.repeat(gram_v[None], d, axis=0)
-            blocks[:, diag, diag] += shift_u
             h_uv = u[:, None, None, :] * v.T[None, :, :, None]
             h_uv[:, diag, :, diag] += res
-            h_vv = np.zeros((n * r, n * r))
-            h_vv.reshape(n, r, n, r)[np.arange(n), :, np.arange(n), :] = gram_u
-            h_vv[np.diag_indices(n * r)] += shift_v.ravel()
-            return BorderedBlocks(blocks, h_uv.reshape(d * r, n * r), h_vv)
+            coupling = h_uv.reshape(d * r, n * r)
+        else:
+            # H_UV applied as C pV = U (pV^T V) + R pV and
+            # C^T pU = V (pU^T U) + R^T pU, one d x n product (the R term) each
+            def matvec(pv):
+                pv = pv.reshape(n, r)
+                return (u @ (pv.T @ v) + res @ pv).ravel()
 
-        # Matrix-free: each block group is its Gram plus one diagonal per
-        # row, (V^T V, shift_u) for the U rows and (U^T U, shift_v) for the
-        # V rows, and H_UV is applied as C pV = U (pV^T V) + R pV and
-        # C^T pU = V (pU^T U) + R^T pU, one d x n product (the R term) each.
-        def coupling(pv):
-            pv = pv.reshape(n, r)
-            return (u @ (pv.T @ v) + res @ pv).ravel()
-
-        def coupling_t(pu):
-            pu = pu.reshape(d, r)
-            return (v @ (pu.T @ u) + res.T @ pu).ravel()
-
-        return BorderedBlocks((gram_v, shift_u), (coupling, coupling_t), (gram_u, shift_v))
+            def rmatvec(pu):
+                pu = pu.reshape(d, r)
+                return (v @ (pu.T @ u) + res.T @ pu).ravel()
+            coupling = (matvec, rmatvec)
+        return BorderedBlocks((gram_v, shift_u), coupling, (gram_u, shift_v))
 
     return CompositeProblem(
         smooth=SmoothOracle(dim=dim, eval_f=eval_f, eval_grad=eval_grad,

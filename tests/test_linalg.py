@@ -310,8 +310,10 @@ def matrix_free_bordered(seed, k=6, b=3, j=4, c=3):
     coupling = rng.standard_normal((k * b, j * c))
     h = BorderedBlocks((base, diags), (lambda p: coupling @ p, lambda q: coupling.T @ q), tail)
     assert not h.is_dense
-    return h, BorderedBlocks(block_stack(h.blocks), coupling,
-                             scipy.linalg.block_diag(*block_stack(tail))).assemble()
+    dense = scipy.linalg.block_diag(*block_stack(h.blocks), *block_stack(tail))
+    dense[:k * b, k * b:] = coupling
+    dense[k * b:, :k * b] = coupling.T
+    return h, dense
 
 
 def test_preconditioned_minres_meets_the_same_target(monkeypatch):
@@ -408,13 +410,12 @@ def test_matrix_free_preconditioner_is_built_once_per_refresh(monkeypatch):
 def test_singular_or_overflowing_block_inverse_stalls():
     # a diagonal block plus lam I that is singular, or whose inverse is not
     # finite, fails the solve typed at any size, and a larger lam solves it
-    singular = BorderedBlocks(np.full((1, 1, 1), -1.0), np.zeros((1, 1)), np.eye(1))
-    tiny = BorderedBlocks(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.eye(1))
+    tail = (np.eye(1), np.zeros((1, 1)))
     products = (lambda p: np.zeros(1), lambda q: np.zeros(1))
-    for h, lam in ((singular, 1.0), (tiny, 5e-324)):
-        matrix_free = BorderedBlocks((h.blocks[0], np.zeros((1, 1))), products,
-                                     (h.tail, np.zeros((1, 1))))
-        for form in (h, matrix_free):
+    for block, lam in ((-1.0, 1.0), (0.0, 5e-324)):
+        blocks = (np.full((1, 1), block), np.zeros((1, 1)))
+        for form in (BorderedBlocks(blocks, np.zeros((1, 1)), tail),
+                     BorderedBlocks(blocks, products, tail)):
             reg = Regularized(form, MetricB())
             with pytest.raises(SolverStallError, match="diagonal block of H") as exc:
                 reg.solve(lam, np.ones(2))
@@ -424,19 +425,18 @@ def test_singular_or_overflowing_block_inverse_stalls():
 
 
 def test_bordered_blocks_forms_do_not_mix():
-    # a coupling array takes a stack of blocks and a dense tail, a pair of
-    # products (base, diags) pairs for both block groups
+    # both forms, a coupling array and a pair of products, take (base, diags)
+    # pairs for both block groups, and neither takes a stack of blocks or a
+    # dense tail; the coupling is an array or a pair of products, nothing else
     stack, coupling, group = np.ones((2, 1, 1)), np.zeros((2, 2)), (np.ones((1, 1)), np.ones((2, 1)))
     products = (lambda p: coupling @ p, lambda q: coupling.T @ q)
-    assert BorderedBlocks(group, products, group).shape == (4, 4)
-    with pytest.raises(ValueError, match="tail of shape"):
-        BorderedBlocks(stack, coupling, np.ones((2, 1, 1)))
-    with pytest.raises(ValueError, match="stack of blocks"):
-        BorderedBlocks(group, coupling, np.eye(2))
-    with pytest.raises(ValueError, match="tail group is a"):
-        BorderedBlocks(group, products, np.eye(2))
-    with pytest.raises(ValueError, match="blocks group is a"):
-        BorderedBlocks(stack, products, group)
+    for form in (coupling, products):
+        h = BorderedBlocks(group, form, group)
+        assert h.shape == (4, 4) and h.is_dense == (form is coupling)
+        with pytest.raises(ValueError, match="tail group is a"):
+            BorderedBlocks(group, form, np.eye(2))
+        with pytest.raises(ValueError, match="blocks group is a"):
+            BorderedBlocks(stack, form, group)
     with pytest.raises(ValueError, match="coupling is an array or"):
         BorderedBlocks(group, scipy.sparse.linalg.aslinearoperator(coupling), group)
 
@@ -444,12 +444,13 @@ def test_bordered_blocks_forms_do_not_mix():
 def test_bordered_blocks_rejects_parts_that_do_not_fit():
     # each form checks its parts when it is built and names the mismatch,
     # rather than failing inside a solve
-    with pytest.raises(ValueError, match=r"2 blocks of size 2 take 4 coupling rows, "
-                                         r"got a coupling of shape \(5, 3\)"):
-        BorderedBlocks(np.zeros((2, 2, 2)), np.zeros((5, 3)), np.eye(3))
-    with pytest.raises(ValueError, match=r"coupling of 3 columns takes a tail of shape "
-                                         r"\(3, 3\), got \(2, 2\)"):
-        BorderedBlocks(np.zeros((2, 2, 2)), np.zeros((4, 3)), np.eye(2))
+    blocks, tail = (np.zeros((2, 2)), np.zeros((2, 2))), (np.eye(1), np.zeros((3, 1)))
+    with pytest.raises(ValueError, match=r"block groups of 4 and 3 rows take a coupling of "
+                                         r"shape \(4, 3\), got \(5, 3\)"):
+        BorderedBlocks(blocks, np.zeros((5, 3)), tail)
+    with pytest.raises(ValueError, match=r"block groups of 4 and 3 rows take a coupling of "
+                                         r"shape \(4, 3\), got \(4, 2\)"):
+        BorderedBlocks(blocks, np.zeros((4, 2)), tail)
     products = (lambda p: p, lambda q: q)
     group = (np.eye(2), np.zeros((3, 2)))
     with pytest.raises(ValueError, match=r"blocks base must be square, got shape \(2, 3\)"):
@@ -531,15 +532,23 @@ def nmf_bordered_hessian(dense_dim_max=problems.DENSE_DIM_MAX):
 
 
 def test_bordered_blocks_matvec_equals_the_assembled_product():
+    # the dense form's H @ v multiplies the stack of its blocks, the
+    # coupling and the block-diagonal tail array bit for bit as an
+    # assembled Hessian's parts would be multiplied
     h, dense = nmf_bordered_hessian()
     assert h.shape == dense.shape == (42, 42)
+    stack, tail = block_stack(h.blocks), scipy.linalg.block_diag(*block_stack(h.tail))
     np.testing.assert_array_equal(dense, dense.T)
     np.testing.assert_array_equal(dense[:27, 27:], h.coupling)
-    np.testing.assert_array_equal(dense[27:, 27:], h.tail)
-    np.testing.assert_array_equal(dense[3:6, 3:6], h.blocks[1])
+    np.testing.assert_array_equal(dense[27:, 27:], tail)
+    np.testing.assert_array_equal(dense[3:6, 3:6], stack[1])
     assert not np.any(dense[:3, 3:27])  # off the diagonal blocks
     for v in np.random.default_rng(13).standard_normal((5, 42)):
         np.testing.assert_allclose(h @ v, dense @ v, rtol=1e-14, atol=1e-14)
+        head, rest = v[:27], v[27:]
+        np.testing.assert_array_equal(h @ v, np.concatenate([
+            np.matmul(stack, head.reshape(9, 3, 1)).ravel() + h.coupling @ rest,
+            h.coupling.T @ head + tail @ rest]))
 
 
 def test_matrix_free_products_match_the_assembled_array(monkeypatch):
@@ -631,10 +640,11 @@ def test_both_dense_forms_take_one_cholesky_then_lu_order(monkeypatch):
 def test_bordered_blocks_with_a_singular_schur_complement_stall():
     # blocks 0 and coupling 0 leave S = tail + lam I, zero for tail = -lam I:
     # Cholesky and LU both decline it, and the solve fails typed
-    h = BorderedBlocks(np.zeros((2, 2, 2)), np.zeros((4, 3)), -np.eye(3))
+    h = BorderedBlocks((np.zeros((2, 2)), np.zeros((2, 2))), np.zeros((4, 3)),
+                       (-np.eye(3), np.zeros((1, 3))))
     with pytest.raises(SolverStallError, match="Schur complement"):
         Regularized(h, MetricB()).solve(1.0, np.ones(7))
-    h.tail[0, 0] = np.nan
+    h.tail[0][0, 0] = np.nan
     assert not Regularized(h, MetricB()).is_finite
 
 
@@ -684,7 +694,8 @@ def test_solve_regularized_singular_but_consistent():
     h = np.diag([-1.0, 1.0])
     rhs = np.array([0.0, 2.0])
     # the same matrix with its coordinates swapped, its zero in the Schur complement
-    bordered = BorderedBlocks(np.ones((1, 1, 1)), np.zeros((1, 1)), -np.eye(1))
+    bordered = BorderedBlocks((np.ones((1, 1)), np.zeros((1, 1))), np.zeros((1, 1)),
+                              (-np.eye(1), np.zeros((1, 1))))
     for dense, b in ((h, rhs), (bordered, rhs[::-1])):
         with pytest.raises(SolverStallError, match="is singular"):
             Regularized(dense, MetricB()).solve(1.0, b)

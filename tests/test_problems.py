@@ -122,7 +122,13 @@ def test_nmf_dense_threshold_and_hvp_consistency(monkeypatch):
     # at a point with negative entries in both U and V
     x = nmf_point(small, 0)
     dense, matrix_free = nmf_hessians(small, x, monkeypatch)
-    np.testing.assert_array_equal(block_stack(matrix_free.blocks), dense.blocks)
+    # both sizes hold the same (base, diags) groups bit for bit, and differ
+    # only in the coupling, an array or a pair of products
+    assert [a.shape for a in dense.blocks + dense.tail] == [(2, 2), (6, 2), (2, 2), (5, 2)]
+    for got, want in zip(dense.blocks + dense.tail, matrix_free.blocks + matrix_free.tail,
+                         strict=True):
+        np.testing.assert_array_equal(got, want)
+    assert dense.coupling.shape == (12, 10) and callable(matrix_free.coupling[0])
     for v in np.random.default_rng(1).standard_normal((5, small.dim)):
         np.testing.assert_allclose(matrix_free @ v, dense @ v, rtol=0.0,
                                    atol=1e-12 * np.max(np.abs(dense @ v)))
