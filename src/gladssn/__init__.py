@@ -3,8 +3,8 @@
 from .baselines import armijo_gd
 from .harness import (NotEstimableError, RunConfig, VerifyReport, compare,
                       estimate_order, read_trace, run, verify, write_trace)
-from .linalg import (ActiveGram, BorderedBlocks, LinOp, MetricB, Regularized,
-                     SolverStallError, sym_part)
+from .linalg import (ActiveGram, BorderedBlocks, MetricB, Regularized, SolverStallError,
+                     sym_part)
 from .oracle import (CompositeProblem, SeparableProx, SmoothOracle, ZeroPart,
                      check_gradient_fd, check_hvp_fd)
 from .problems import (load_instance, make_huber, make_nmf, make_quadratic,
@@ -18,7 +18,7 @@ __all__ = [
     "armijo_gd",
     "NotEstimableError", "RunConfig", "VerifyReport", "compare",
     "estimate_order", "read_trace", "run", "verify", "write_trace",
-    "ActiveGram", "BorderedBlocks", "LinOp", "MetricB", "Regularized", "SolverStallError",
+    "ActiveGram", "BorderedBlocks", "MetricB", "Regularized", "SolverStallError",
     "sym_part",
     "CompositeProblem", "SeparableProx", "SmoothOracle", "ZeroPart",
     "check_gradient_fd", "check_hvp_fd",

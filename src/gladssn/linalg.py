@@ -3,12 +3,12 @@
 MetricB is the metric B, and Regularized the regularized models of one
 Hessian refresh, for any lam: the linear systems H + lam B of a zero psi
 and the composite model solve of a nonzero one.  An oracle's curvature
-operator H is a dense square array, a matrix-free LinOp, an ActiveGram
-that Regularized assembles, or a BorderedBlocks, whose groups of blocks are
-each one shared base plus a diagonal per block, and which Regularized
-solves by eliminating its diagonal blocks; its Schur complement is then
-factored when the coupling is an array, and solved by MINRES when it is a
-pair of products.  All four are applied as H @ v.
+operator H is a dense square array, a matrix-free scipy LinearOperator,
+an ActiveGram that Regularized assembles, or a BorderedBlocks, whose
+groups of blocks are each one shared base plus a diagonal per block, and
+which Regularized solves by eliminating its diagonal blocks; its Schur
+complement is then factored when the coupling is an array, and solved by
+MINRES when it is a pair of products.  All four are applied as H @ v.
 Vectors are 1-d float64 arrays.  Nothing here mutates its inputs.
 """
 
@@ -19,6 +19,7 @@ import itertools
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.sparse.linalg import LinearOperator
 
 __all__ = [
     "THETA",
@@ -26,7 +27,6 @@ __all__ = [
     "MetricError",
     "sym_part",
     "MetricB",
-    "LinOp",
     "ActiveGram",
     "BorderedBlocks",
     "Regularized",
@@ -146,29 +146,14 @@ class MetricB:
         return float(np.sqrt(max(float(g @ self.solve(g)), 0.0)))
 
 
-class LinOp:
-    """Matrix-free symmetric operator H of size dim, given by its matvec.
-
-    It exposes shape and @ the way a dense array does, so the solver applies
-    either kind of Hessian alike.
-    """
-
-    def __init__(self, matvec, dim: int):
-        self.matvec = matvec
-        self.shape = (int(dim), int(dim))
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(self.matvec(v), dtype=np.float64)
-
-
 class ActiveGram:
     """The Gram rows[mask]^T rows[mask] + shift I, unassembled.
 
     The generalized Hessian of a piecewise-quadratic loss has this form and
     depends on x only through the boolean mask of rows on their quadratic
-    piece.  It exposes shape and @ the way LinOp does; Regularized assembles
-    it once per refresh, from the previous refresh's Gram when the masks are
-    close.
+    piece.  It exposes shape and @ the way an array does; Regularized
+    assembles it once per refresh, from the previous refresh's Gram when the
+    masks are close.
     """
 
     def __init__(self, rows: np.ndarray, mask: np.ndarray, shift: float = 0.0):
@@ -200,7 +185,7 @@ class BorderedBlocks:
     callables p -> C p and q -> C^T q (the matrix-free form); nothing else
     differs between the forms.  The parts are checked for sizes that fit and
     for symmetric bases here; split = k b is the first row of the tail.  It
-    exposes shape and @ the way LinOp does; Regularized eliminates the
+    exposes shape and @ the way an array does; Regularized eliminates the
     blocks per solve (see solve), and assemble() is the dense array.
     """
 
@@ -321,9 +306,9 @@ class Regularized:
     """H + lam B for every lam > 0, built once per Hessian refresh.
 
     H is a dense array, which is replaced by its symmetric part (H + H^T) / 2
-    (a new array; the caller's is never written), a matrix-free LinOp, an
-    ActiveGram, which is assembled here (see _assemble), or a
-    BorderedBlocks.  A dense BorderedBlocks is kept unassembled for an
+    (a new array; the caller's is never written), a matrix-free scipy
+    LinearOperator, an ActiveGram, which is assembled here (see _assemble),
+    or a BorderedBlocks.  A dense BorderedBlocks is kept unassembled for an
     identity metric and assembled for any other; a matrix-free one is never
     assembled.  The distinct blocks of a BorderedBlocks and the Schur
     complement's preconditioner are per-refresh state (see _block_inverse
@@ -332,8 +317,8 @@ class Regularized:
     built and FISTA's step starts (see prox_solve); it is not kept.
     """
 
-    def __init__(self, h: np.ndarray | LinOp | ActiveGram | BorderedBlocks, metric: MetricB,
-                 prev: Regularized | None = None):
+    def __init__(self, h: np.ndarray | LinearOperator | ActiveGram | BorderedBlocks,
+                 metric: MetricB, prev: Regularized | None = None):
         self.metric = metric
         self._t = prev._t if prev is not None else None  # FISTA's last accepted step
         self._blocks = None  # _distinct_blocks(h.blocks) of a BorderedBlocks, at its first solve
@@ -345,9 +330,9 @@ class Regularized:
             h = self._assemble(prev)
         elif isinstance(h, np.ndarray):
             h = sym_part(h)
-        elif not isinstance(h, (LinOp, BorderedBlocks)):
-            raise TypeError(f"eval_hess must return an ndarray, a LinOp, an ActiveGram or "
-                            f"a BorderedBlocks, got {type(h).__name__}")
+        elif not isinstance(h, (LinearOperator, BorderedBlocks)):
+            raise TypeError(f"eval_hess must return an ndarray, a LinearOperator, an "
+                            f"ActiveGram or a BorderedBlocks, got {type(h).__name__}")
         self.h = h
 
     def _assemble(self, prev: Regularized | None) -> np.ndarray:
@@ -377,14 +362,14 @@ class Regularized:
     @property
     def is_dense(self) -> bool:
         h = self.h
-        return not isinstance(h, LinOp) and (not isinstance(h, BorderedBlocks) or h.is_dense)
+        return isinstance(h, np.ndarray) or (isinstance(h, BorderedBlocks) and h.is_dense)
 
     @property
     def is_finite(self) -> bool:
         """Whether every stored entry of H is finite; matrix-free parts are not read."""
         h = self.h
-        parts = (() if isinstance(h, LinOp) else h.arrays if isinstance(h, BorderedBlocks)
-                 else (h,))
+        parts = ((h,) if isinstance(h, np.ndarray) else h.arrays if isinstance(h, BorderedBlocks)
+                 else ())
         return all(np.all(np.isfinite(part)) for part in parts)
 
     def apply(self, lam: float, v: np.ndarray) -> np.ndarray:
@@ -580,7 +565,7 @@ class Regularized:
             blocks, which = _distinct_blocks(h.tail)
             tail_inv = _inverse(blocks, lam, "a tail block of H + lam I")
             tail_inv = (0.5 * (tail_inv + tail_inv.transpose(0, 2, 1)))[which]  # exactly symmetric
-            self._precond = scipy.sparse.linalg.LinearOperator(
+            self._precond = LinearOperator(
                 (m, m), matvec=lambda q: _block_apply(tail_inv, q), dtype=np.float64)
         base, diags = h.tail
         shifted_tail = (base, diags + lam)  # tail + lam I
@@ -647,7 +632,7 @@ def _minres_solver(matvec, n: int, precond):
     ||H|| dwarfs lam) is corrected more tightly each time.  precond, an SPD
     LinearOperator or None, is MINRES's M.
     """
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
     calls = itertools.count(1)
     return lambda r: scipy.sparse.linalg.minres(op, r, rtol=_MINRES_RTOL ** next(calls),
                                                 maxiter=10 * n, M=precond)[0]

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator
 
-from .linalg import ActiveGram, BorderedBlocks, LinOp, MetricB
+from .linalg import ActiveGram, BorderedBlocks, MetricB
 
 __all__ = [
     "SmoothOracle",
@@ -34,7 +35,8 @@ class SmoothOracle:
     them in any order: it evaluates f at a trial point before its gradient,
     and the gradient only for a trial that passes the decrease test.
     eval_hess returns the Hessian as a dense square ndarray, as a
-    matrix-free LinOp when it is too large to assemble, as an ActiveGram
+    matrix-free scipy LinearOperator of shape (dim, dim) and matvec
+    v -> H v when it is too large to assemble, as an ActiveGram
     rows[mask]^T rows[mask] + shift I, which the solver assembles from the
     previous refresh of the same solve, or as a BorderedBlocks, block
     diagonal in its leading variables (each group of blocks a shared base
@@ -49,7 +51,8 @@ class SmoothOracle:
     dim: int
     eval_f: Callable[[np.ndarray], float]
     eval_grad: Callable[[np.ndarray], np.ndarray]
-    eval_hess: Callable[[np.ndarray], np.ndarray | LinOp | ActiveGram | BorderedBlocks]
+    eval_hess: Callable[[np.ndarray],
+                        np.ndarray | LinearOperator | ActiveGram | BorderedBlocks]
     lipschitz_L: float | None = None
 
 

@@ -325,8 +325,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
                 raise NonFiniteError(
                     f"non-finite trial value at outer iteration {k}, trial {j}",
                     k=k, j=j)
-            step = x - x_plus
-            r = metric.norm(step)
+            r = metric.norm(s_prev)
             # Only the right side of the decrease test is known before the gradient.
             _, floor = step_inequalities(np.nan, np.nan, r, lam, np.nan, g)["decrease"]
             decrease = _certified_decrease(problem, x, s_prev, psi_sub_plus, floor,
@@ -339,7 +338,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
                 raise NonFiniteError(
                     f"non-finite trial gradient at outer iteration {k}, trial {j}",
                     k=k, j=j)
-            pairing = float(F_sub_plus @ step)
+            pairing = -float(F_sub_plus @ s_prev)  # <F'(x_+), x_k - x_+>
             g_plus = metric.dual_norm(F_sub_plus)
             accepted = acceptance_test(pairing, g_plus, r, lam, decrease, g)
             if accepted:

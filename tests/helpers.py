@@ -25,7 +25,7 @@ def block_stack(group):
 
 
 def columns(op):
-    """Materialize a LinOp by applying it to the basis vectors."""
+    """Materialize an operator with shape and @ by applying it to the basis vectors."""
     return np.column_stack([op @ e for e in np.eye(op.shape[0])])
 
 

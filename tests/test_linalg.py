@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.sparse.linalg import LinearOperator
 
 from gladssn import linalg, problems
-from gladssn.linalg import (ActiveGram, BorderedBlocks, LinOp, MetricB, MetricError,
-                            Regularized, SolverStallError, sym_part)
+from gladssn.linalg import (ActiveGram, BorderedBlocks, MetricB, MetricError, Regularized,
+                            SolverStallError, sym_part)
 from gladssn.oracle import SeparableProx
 from gladssn.problems import make_nmf
 
@@ -71,19 +72,15 @@ def test_metric_rejects_bad_matrices():
 
 
 def test_linop_dense_and_matvec_agree():
-    # a matrix-free LinOp is applied like the dense array it stands for
+    # a matrix-free LinearOperator is applied like the dense array it stands for
     a = np.array([[2.0, 1.0], [1.0, 3.0]])
-    mv = LinOp(lambda v: a @ v, 2)
+    mv = LinearOperator((2, 2), matvec=lambda v: a @ v, dtype=np.float64)
     v = np.array([1.0, -2.0])
     assert mv.shape == a.shape
     np.testing.assert_array_equal(mv @ v, a @ v)
     np.testing.assert_array_equal(columns(mv), a)
-    out = LinOp(lambda v: [1, 2], 2) @ v  # the product is always a float64 array
-    assert isinstance(out, np.ndarray) and out.dtype == np.float64
     assert Regularized(a, MetricB()).is_dense
     assert not Regularized(mv, MetricB()).is_dense
-    with pytest.raises(TypeError):
-        LinOp(lambda v: v, None)
 
 
 def active_gram(seed, mask_seed, rows=None, m=60, n=8, frac=0.5):
@@ -141,7 +138,7 @@ def test_unchanged_mask_keeps_the_previous_refresh():
     third = Regularized(again, MetricB(np.diag(np.linspace(1.0, 2.0, 8))), prev=first)
     assert third.h is first.h
     # the step is carried through every kind of H, and only from prev
-    for h in (again, np.eye(8), LinOp(lambda v: v, 8)):
+    for h in (again, np.eye(8), LinearOperator((8, 8), matvec=lambda v: v, dtype=np.float64)):
         assert Regularized(h, metric, prev=second)._t == second._t == 2.0
     assert Regularized(again, metric)._t is None
 
@@ -283,7 +280,8 @@ def test_solve_regularized_dense_vs_matvec_route():
     rhs = rng.standard_normal(8)
     lam = 0.3
     s_dense = Regularized(spd, MetricB()).solve(lam, rhs)
-    s_mv = Regularized(LinOp(lambda v: spd @ v, 8), MetricB()).solve(lam, rhs)
+    matvec = LinearOperator((8, 8), matvec=lambda v: spd @ v, dtype=np.float64)
+    s_mv = Regularized(matvec, MetricB()).solve(lam, rhs)
     m = spd + lam * np.eye(8)
     assert np.linalg.norm(m @ s_dense - rhs) <= max(1e-10, 1e-12 * np.linalg.norm(rhs))
     rho = np.linalg.norm(m @ s_mv - rhs)
@@ -663,7 +661,8 @@ def test_solve_regularized_inconsistent_system_stalls():
     # LU both decline the singular system, and the dense solve reports the
     # stall, as MINRES does for the same operator given matrix-free.
     h = np.diag([-1.0, 1.0])
-    for reg in (Regularized(h, MetricB()), Regularized(LinOp(lambda v: h @ v, 2), MetricB())):
+    matvec = LinearOperator((2, 2), matvec=lambda v: h @ v, dtype=np.float64)
+    for reg in (Regularized(h, MetricB()), Regularized(matvec, MetricB())):
         with pytest.raises(SolverStallError) as exc:
             reg.solve(1.0, np.array([1.0, 0.0]))
         assert exc.value.best_residual > 0.0
@@ -699,7 +698,8 @@ def test_solve_regularized_singular_but_consistent():
     for dense, b in ((h, rhs), (bordered, rhs[::-1])):
         with pytest.raises(SolverStallError, match="is singular"):
             Regularized(dense, MetricB()).solve(1.0, b)
-    s = Regularized(LinOp(lambda v: h @ v, 2), MetricB()).solve(1.0, rhs)
+    matvec = LinearOperator((2, 2), matvec=lambda v: h @ v, dtype=np.float64)
+    s = Regularized(matvec, MetricB()).solve(1.0, rhs)
     assert abs(2.0 * s[1] - 2.0) <= linalg.THETA * np.linalg.norm(s)
 
 
@@ -713,8 +713,12 @@ def test_solve_regularized_argument_errors():
         reg.solve(np.inf, np.ones(2))
     with pytest.raises(ValueError):
         reg.solve(1.0, np.ones(3))
-    with pytest.raises(TypeError):
-        Regularized([[1.0, 0.0], [0.0, 1.0]], MetricB())
+    # H is one of four kinds: a nested list is none of them, and neither is a
+    # bare callable v -> H v until a LinearOperator wraps it
+    kinds = "an ndarray, a LinearOperator, an ActiveGram or a BorderedBlocks"
+    for h in ([[1.0, 0.0], [0.0, 1.0]], lambda v: v):
+        with pytest.raises(TypeError, match=kinds):
+            Regularized(h, MetricB())
 
 
 def test_prox_solve_rejects_a_bad_lam():

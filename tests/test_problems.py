@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from gladssn import linalg, problems
-from gladssn.linalg import BorderedBlocks, LinOp, MetricB, Regularized
+from gladssn.linalg import BorderedBlocks, MetricB, Regularized
 from gladssn.problems import (DENSE_DIM_MAX, HuberInstance, NmfInstance,
                               QuadInstance, SvmInstance, load_instance, make_huber, make_nmf,
                               make_quadratic, make_svm, penalty_violation,
@@ -155,7 +155,7 @@ def test_nmf_preconditioner_inverts_gauss_newton_blocks(monkeypatch):
     for lam in (1e-3, 0.7, 30.0):
         reg = Regularized(h, MetricB())
         reg.solve(lam, rhs)
-        m = columns(LinOp(reg._precond.matvec, n * r))
+        m = columns(reg._precond)
         np.testing.assert_array_equal(m, m.T)
         assert np.min(np.linalg.eigvalsh(m)) > 0.0
         err = m @ (block_v + lam * np.eye(n * r)) - np.eye(n * r)
@@ -186,7 +186,7 @@ def test_nmf_preconditioner_cuts_minres_iterations(monkeypatch):
     # the whole system unpreconditioned, each over a third of the variables
     p = make_nmf(1)
     h = p.smooth.eval_hess(p.x0)
-    plain = LinOp(lambda v: h @ v, h.shape[0])
+    plain = scipy.sparse.linalg.LinearOperator(h.shape, matvec=h.__matmul__, dtype=np.float64)
     rhs = -p.smooth.eval_grad(p.x0)
     iters = minres_iterations(monkeypatch)
     lam = 1.0
@@ -258,7 +258,7 @@ def test_nmf_preconditioner_inverts_each_distinct_block_once(monkeypatch):
                                           err_msg=label)
         want = per_row_inverses(block_stack(h.tail), 1e-3)
         want = 0.5 * (want + want.transpose(0, 2, 1))
-        np.testing.assert_array_equal(columns(LinOp(reg._precond.matvec, n * r)),
+        np.testing.assert_array_equal(columns(reg._precond),
                                       scipy.linalg.block_diag(*want), err_msg=label)
 
 

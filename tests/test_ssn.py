@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.sparse.linalg import LinearOperator
 
 from gladssn import linalg, problems
-from gladssn.linalg import (ActiveGram, BorderedBlocks, LinOp, MetricB, Regularized,
-                            SolverStallError)
+from gladssn.linalg import ActiveGram, BorderedBlocks, MetricB, Regularized, SolverStallError
 from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPart
 from gladssn.problems import make_huber, make_nmf, make_quadratic, make_svm
 from gladssn import ssn
@@ -795,8 +795,8 @@ def test_non_finite_hessian_raises_or_fails_the_trial():
     # a matrix-free H whose product is NaN fails every inner solve, MINRES
     # and FISTA alike, so each trial is rejected and the run stalls in place;
     # FISTA stops at its first sweep's curvature, one prox call per trial
-    nan_hvp = dataclasses.replace(p.smooth, eval_hess=lambda x: LinOp(
-        lambda v: np.full(5, np.nan), 5))
+    nan_hvp = dataclasses.replace(p.smooth, eval_hess=lambda x: LinearOperator(
+        (5, 5), matvec=lambda v: np.full(5, np.nan), dtype=np.float64))
     l1, prox_calls = counted_l1(1.0)
     for psi in (p.psi, l1):
         res = solve(dataclasses.replace(p, smooth=nan_hvp, psi=psi), SolverConfig(m=1))
@@ -929,7 +929,8 @@ def test_matvec_hessian_converges_to_same_point():
     a = p.instance.A
     mv_oracle = SmoothOracle(dim=10, eval_f=p.smooth.eval_f,
                              eval_grad=p.smooth.eval_grad,
-                             eval_hess=lambda x: LinOp(lambda v: a @ v, 10))
+                             eval_hess=lambda x: LinearOperator(
+                                 (10, 10), matvec=lambda v: a @ v, dtype=np.float64))
     mv_prob = CompositeProblem(smooth=mv_oracle, psi=ZeroPart(), x0=p.x0)
     r_dense = solve(p, SolverConfig(grad_tol=1e-6))
     r_mf = solve(mv_prob, SolverConfig(grad_tol=1e-6))
