@@ -13,9 +13,10 @@ for bit.
 With --rel-tol, for a change that moves the trajectories on purpose,
 prints for each seed its status, the change's iteration and trial deltas
 and the relative difference |F_change - F_parent| / |F_parent| of F_final,
-then the totals.  It exits 1 only when a status changed, a seed was solved
-by one report alone, or an F_final differs by more than REL.  REL must be
-a number at least 0; anything else is a usage error (exit 2).
+then the totals, ending with the largest of those differences and its
+seed.  It exits 1 only when a status changed, a seed was solved by one
+report alone, or an F_final differs by more than REL.  REL must be a
+number at least 0; anything else is a usage error (exit 2).
 """
 
 import argparse
@@ -51,6 +52,7 @@ def within_tolerance(parent, change, rel_tol):
     within rel_tol of the parent's."""
     lines, ok = [], True
     totals = {"iters": [0, 0], "trials": [0, 0]}
+    largest = None  # (rel, seed) of the largest F_final relative difference
     for seed in sorted(parent.keys() | change.keys()):
         if seed not in change or seed not in parent:
             lines.append(f"seed {seed}: solved only in the {'parent' if seed in parent else 'change'}")
@@ -65,6 +67,8 @@ def within_tolerance(parent, change, rel_tol):
                                          (f"F_final beyond {rel_tol:g}", not rel <= rel_tol))
                if failed]
         ok = ok and not bad
+        if largest is None or rel > largest[0]:
+            largest = rel, seed
         for name, pair in totals.items():
             pair[0] += was[name]
             pair[1] += now[name]
@@ -74,7 +78,9 @@ def within_tolerance(parent, change, rel_tol):
     lines.append(f"{len(parent.keys() & change.keys())} solves in both: "
                  + ", ".join(f"{name} {was} -> {now}" for name, (was, now) in totals.items())
                  + f"; {'all' if ok else 'not all'} within F_final rel-tol {rel_tol:g} "
-                   f"with the same status")
+                   f"with the same status"
+                 + (f"; largest F_final rel diff {largest[0]:.2e} at seed {largest[1]}"
+                    if largest else ""))
     return lines, ok
 
 

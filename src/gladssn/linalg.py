@@ -153,12 +153,20 @@ class ActiveGram:
     depends on x only through the boolean mask of rows on their quadratic
     piece.  It exposes shape and @ the way an array does; Regularized
     assembles it once per refresh, from the previous refresh's Gram when the
-    masks are close.
+    masks are close.  rows must be a 2-d array and mask a 1-d boolean array
+    with one entry per row, checked here.
     """
 
     def __init__(self, rows: np.ndarray, mask: np.ndarray, shift: float = 0.0):
+        if not (isinstance(rows, np.ndarray) and rows.ndim == 2):
+            raise ValueError(f"rows must be a 2-d array, got shape {_shape(rows)}")
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool
+                and mask.shape == rows.shape[:1]):
+            got = f"{mask.dtype} {mask.shape}" if isinstance(mask, np.ndarray) else _shape(mask)
+            raise ValueError(f"mask must be a boolean array of shape ({rows.shape[0]},), "
+                             f"one entry per row, got {got}")
         self.rows = rows
-        self.mask = np.asarray(mask, dtype=bool)
+        self.mask = mask
         self.shift = float(shift)
         self.shape = (rows.shape[1], rows.shape[1])
 
@@ -310,9 +318,9 @@ class Regularized:
     LinearOperator, an ActiveGram, which is assembled here (see _assemble),
     or a BorderedBlocks.  A dense BorderedBlocks is kept unassembled for an
     identity metric and assembled for any other; a matrix-free one is never
-    assembled.  The distinct blocks of a BorderedBlocks and the Schur
-    complement's preconditioner are per-refresh state (see _block_inverse
-    and _schur_minres).
+    assembled.  The distinct blocks of each block group of a BorderedBlocks
+    are per-refresh state (see _block_inverse); solve keeps nothing that
+    depends on lam, so its step does not depend on an earlier solve.
     prev is the previous refresh's Regularized, from which an ActiveGram is
     built and FISTA's step starts (see prox_solve); it is not kept.
     """
@@ -321,8 +329,7 @@ class Regularized:
                  metric: MetricB, prev: Regularized | None = None):
         self.metric = metric
         self._t = prev._t if prev is not None else None  # FISTA's last accepted step
-        self._blocks = None  # _distinct_blocks(h.blocks) of a BorderedBlocks, at its first solve
-        self._precond = None  # the Schur complement's, at the first matrix-free solve's lam
+        self._groups = {}  # a BorderedBlocks group's (distinct blocks, which), at first use
         self.gram = h if isinstance(h, ActiveGram) else None
         if isinstance(h, BorderedBlocks) and h.is_dense and not metric.is_identity:
             h = h.assemble()  # its blocks are not blocks of the pencil (H, B)
@@ -499,17 +506,23 @@ class Regularized:
             once = _minres_solver(lambda v: self.apply(lam, v), n, None)
         return _refined(once, lambda v: self.apply(lam, v), rhs, self.metric.dual_norm, target)
 
-    def _block_inverse(self, lam: float) -> np.ndarray:
-        """(blockdiag(blocks) + lam I)^{-1} of a BorderedBlocks H, as a (k, b, b) stack.
+    def _block_inverse(self, group: str, lam: float) -> np.ndarray:
+        """(blockdiag(group) + lam I)^{-1} of a BorderedBlocks H, as a (k, b, b) stack.
 
-        Exact for this lam: a stale inverse would leave a residual in the
-        rows of the blocks.  The distinct blocks are found once per refresh
-        (_distinct_blocks), and each is inverted once per lam (_inverse).
+        group is "blocks" or "tail", and one rule serves both: the distinct
+        blocks of a group (base, diags) are found once per refresh, compared
+        by their (k, b) diagonals alone (_distinct), and only they are built
+        (_shifted_blocks); each is inverted at every solve's lam (_inverse).
+        The inverse is exact for that lam: a stale one would leave a residual
+        in the rows of the blocks.
         """
-        if self._blocks is None:
-            self._blocks = _distinct_blocks(self.h.blocks)
-        blocks, which = self._blocks
-        return _inverse(blocks, lam, "a diagonal block of H + lam I")[which]
+        if group not in self._groups:
+            base, diags = getattr(self.h, group)
+            distinct, which = _distinct(diags)
+            self._groups[group] = _shifted_blocks(base, distinct), which
+        blocks, which = self._groups[group]
+        name = "a diagonal block" if group == "blocks" else "a tail block"
+        return _inverse(blocks, lam, f"{name} of H + lam I")[which]
 
     def _elimination_solver(self, lam: float):
         """r -> a step for (H + lam I) s = r, H a BorderedBlocks, by block elimination.
@@ -526,7 +539,7 @@ class Regularized:
         """
         h = self.h
         kb = h.split
-        inv = self._block_inverse(lam)
+        inv = self._block_inverse("blocks", lam)
         if h.is_dense:
             inv_c = np.matmul(inv, h.coupling.reshape(*inv.shape[:2], -1)).reshape(kb, -1)
             schur = h._dense_parts()[1] - h.coupling.T @ inv_c
@@ -550,39 +563,21 @@ class Regularized:
 
         S p = (tail + lam I) p - C^T A^{-1} C p is applied matrix-free, tail
         + lam I by one gemm (_shifted_apply).  S is preconditioned by block
-        Jacobi, the inverse of blockdiag(tail) + lam I, which is symmetric
-        positive definite (so MINRES stays valid for an indefinite S) and
-        inverts each distinct tail block once, found by its diagonal
-        (_distinct_blocks).  It is built once per refresh, at its first
-        solve's lam, and reused for every lam: a stale one can change only
-        MINRES's iteration count, as every step is checked against the
-        forcing rule.
+        Jacobi, the inverse of blockdiag(tail) + lam I at this solve's lam
+        (_block_inverse), made exactly symmetric, which is positive definite
+        (so MINRES stays valid for an indefinite S).
         """
         h = self.h
         m = h.shape[0] - h.split
         _, rmatvec = h.coupling
-        if self._precond is None:  # the refresh's first solve
-            blocks, which = _distinct_blocks(h.tail)
-            tail_inv = _inverse(blocks, lam, "a tail block of H + lam I")
-            tail_inv = (0.5 * (tail_inv + tail_inv.transpose(0, 2, 1)))[which]  # exactly symmetric
-            self._precond = LinearOperator(
-                (m, m), matvec=lambda q: _block_apply(tail_inv, q), dtype=np.float64)
+        tail_inv = self._block_inverse("tail", lam)
+        tail_inv = 0.5 * (tail_inv + tail_inv.transpose(0, 2, 1))
+        precond = LinearOperator((m, m), matvec=lambda q: _block_apply(tail_inv, q),
+                                 dtype=np.float64)
         base, diags = h.tail
         shifted_tail = (base, diags + lam)  # tail + lam I
         return _minres_solver(lambda p: _shifted_apply(shifted_tail, p) - rmatvec(inv_c(p)),
-                              m, self._precond)
-
-
-def _distinct_blocks(group) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct, which) for a block group (base, diags): its distinct
-    blocks as a stack, and the index of each block among them.
-
-    Blocks are compared by their (k, b) diagonals alone, and only the
-    distinct ones are built (_shifted_blocks).
-    """
-    base, diags = group
-    distinct, which = _distinct(diags)
-    return _shifted_blocks(base, distinct), which
+                              m, precond)
 
 
 def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -105,6 +105,25 @@ def test_active_gram_matvec_equals_dense_product():
     np.testing.assert_array_equal(reg.h, h)  # assembled as is, no symmetric part taken
 
 
+def test_active_gram_rejects_parts_that_do_not_fit():
+    # the parts are checked when the Gram is built, and the mismatch named:
+    # row indices in place of a mask would be read as booleans and drop
+    # row 0, and a 1-entry mask would broadcast in @
+    rows = np.arange(12.0).reshape(4, 3)
+    for mask, got in ((np.arange(4, dtype=np.int64), r"int64 \(4,\)"),
+                      (np.array([True]), r"bool \(1,\)"),
+                      (np.ones((4, 1), dtype=bool), r"bool \(4, 1\)"),
+                      ([True] * 4, "list")):
+        with pytest.raises(ValueError, match=r"mask must be a boolean array of shape \(4,\), "
+                                             r"one entry per row, got " + got):
+            ActiveGram(rows, mask)
+    for bad, got in ((rows.ravel(), r"\(12,\)"), (rows.tolist(), "list")):
+        with pytest.raises(ValueError, match=r"rows must be a 2-d array, got shape " + got):
+            ActiveGram(bad, np.ones(4, dtype=bool))
+    gram = ActiveGram(rows, np.ones(4, dtype=bool))
+    np.testing.assert_array_equal(gram @ np.ones(3), rows.T @ (rows @ np.ones(3)))
+
+
 def step_recorder():
     """A zero psi as a SeparableProx whose prox records the step t of each call."""
     steps = []
@@ -375,25 +394,31 @@ def test_schur_minres_step_solves_the_block_rows_to_rounding():
                                    atol=1e-12 * np.linalg.norm(rhs))
 
 
-def test_matrix_free_preconditioner_is_built_once_per_refresh(monkeypatch):
-    # one Regularized inverts the tail blocks plus lam0 I at its first
-    # solve's lam and reuses them at 16 lam0 and lam0 / 16, while it
-    # inverts the diagonal blocks afresh at every lam; every step still
-    # meets the forcing rule, on the matrix-free NMF Hessian and on an
-    # indefinite H
+def test_both_block_groups_are_inverted_at_every_solves_lam(monkeypatch):
+    # one rule for both block groups: a Regularized finds each group's
+    # distinct blocks once, and inverts the diagonal blocks and the tail
+    # blocks (the Schur complement's preconditioner) plus lam I at every
+    # solve's lam; every step meets the forcing rule, on the matrix-free
+    # NMF Hessian and on an indefinite H
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     nmf = make_nmf(2, d=20, n=10, r=3)
-    inverse = linalg._inverse
-    calls = []
+    inverse, distinct = linalg._inverse, linalg._distinct
+    calls, found = [], []
 
     def counted(blocks, lam, name):
         calls.append((name.split()[1], lam))
         return inverse(blocks, lam, name)
 
+    def counted_distinct(rows):
+        found.append(rows.shape)
+        return distinct(rows)
+
     monkeypatch.setattr(linalg, "_inverse", counted)
+    monkeypatch.setattr(linalg, "_distinct", counted_distinct)
     rng = np.random.default_rng(10)
     for h, lam0 in ((nmf.smooth.eval_hess(nmf.x0), 1.0), (matrix_free_bordered(11)[0], 0.5)):
         calls.clear()
+        found.clear()
         reg = Regularized(h, MetricB())
         lams = (lam0, 16.0 * lam0, lam0 / 16.0)
         for lam in lams:
@@ -401,8 +426,22 @@ def test_matrix_free_preconditioner_is_built_once_per_refresh(monkeypatch):
             s = reg.solve(lam, rhs)
             rho = np.linalg.norm(reg.apply(lam, s) - rhs)
             assert 0.0 < rho <= linalg.THETA * lam * np.linalg.norm(s)
-        assert [lam for name, lam in calls if name == "tail"] == [lam0]
-        assert [lam for name, lam in calls if name == "diagonal"] == list(lams)
+        assert calls == [(name, lam) for lam in lams for name in ("diagonal", "tail")]
+        assert found == [h.blocks[1].shape, h.tail[1].shape]
+
+
+def test_a_solve_does_not_depend_on_an_earlier_one(monkeypatch):
+    # two Regularized on one matrix-free NMF Hessian, one of which first
+    # solves at 16 lam, return the same step at lam bit for bit: nothing
+    # that depends on lam is kept between solves
+    monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
+    p = make_nmf(2, d=20, n=10, r=3)
+    h = p.smooth.eval_hess(p.x0)
+    assert not h.is_dense
+    rhs = -p.smooth.eval_grad(p.x0)
+    fresh, used = Regularized(h, MetricB()), Regularized(h, MetricB())
+    used.solve(16.0, rhs)
+    np.testing.assert_array_equal(used.solve(1.0, rhs), fresh.solve(1.0, rhs))
 
 
 def test_singular_or_overflowing_block_inverse_stalls():

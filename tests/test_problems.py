@@ -138,10 +138,11 @@ def test_nmf_dense_threshold_and_hvp_consistency(monkeypatch):
 
 
 def test_nmf_preconditioner_inverts_gauss_newton_blocks(monkeypatch):
-    # the Schur complement's preconditioner is the inverse of the V rows'
-    # Gauss-Newton blocks U^T U + diag(2 alpha + [V_j < 0] / beta) plus
-    # lam I, exactly symmetric and positive definite, and the eliminated
-    # U blocks are V^T V + diag(2 alpha + [U_i < 0] / beta), inverted at lam
+    # at every solve's lam, the Schur complement's preconditioner is the
+    # inverse of the V rows' Gauss-Newton blocks
+    # U^T U + diag(2 alpha + [V_j < 0] / beta) plus lam I, exactly symmetric
+    # and positive definite, and the eliminated U blocks are
+    # V^T V + diag(2 alpha + [U_i < 0] / beta), inverted at lam
     p = make_nmf(2, d=6, n=5, r=3)
     inst = p.instance
     d, n, r = inst.d, inst.n, inst.r
@@ -152,17 +153,32 @@ def test_nmf_preconditioner_inverts_gauss_newton_blocks(monkeypatch):
     block_u = np.kron(np.eye(d), v.T @ v) + np.diag(shift_u)
     block_v = np.kron(np.eye(n), u.T @ u) + np.diag(shift_v)
     rhs = -p.smooth.eval_grad(x)
+    preconditioners = minres_preconditioners(monkeypatch)
+    reg = Regularized(h, MetricB())
     for lam in (1e-3, 0.7, 30.0):
-        reg = Regularized(h, MetricB())
+        preconditioners.clear()
         reg.solve(lam, rhs)
-        m = columns(reg._precond)
+        m = columns(preconditioners[0])
         np.testing.assert_array_equal(m, m.T)
         assert np.min(np.linalg.eigvalsh(m)) > 0.0
         err = m @ (block_v + lam * np.eye(n * r)) - np.eye(n * r)
         assert np.max(np.abs(err)) <= 1e-12
-        a_inv = scipy.linalg.block_diag(*reg._block_inverse(lam))
+        a_inv = scipy.linalg.block_diag(*reg._block_inverse("blocks", lam))
         err = a_inv @ (block_u + lam * np.eye(d * r)) - np.eye(d * r)
         assert np.max(np.abs(err)) <= 1e-12
+
+
+def minres_preconditioners(monkeypatch) -> list:
+    """Patch scipy's MINRES to record the preconditioner M of each call."""
+    seen = []
+    minres = scipy.sparse.linalg.minres
+
+    def recorded(*args, M=None, **kwargs):
+        seen.append(M)
+        return minres(*args, M=M, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "minres", recorded)
+    return seen
 
 
 def minres_iterations(monkeypatch) -> list:
@@ -223,10 +239,10 @@ def per_row_inverses(blocks, lam):
 
 def test_nmf_preconditioner_inverts_each_distinct_block_once(monkeypatch):
     # per solve, the U blocks plus lam I are inverted once for each distinct
-    # sign pattern of a U row, and at a refresh's first solve the V blocks
-    # once for each distinct pattern of a V row; each inverse is bit for
-    # bit the one of its block, the Gram plus its row's diagonal, inverted
-    # alone
+    # sign pattern of a U row, and the V blocks, the Schur complement's
+    # preconditioner, once for each distinct pattern of a V row; each
+    # inverse is bit for bit the one of its block, the Gram plus its row's
+    # diagonal, inverted alone
     p = make_nmf(3, d=6, n=5, r=4)
     inst = p.instance
     d, n, r = inst.d, inst.n, inst.r
@@ -245,21 +261,24 @@ def test_nmf_preconditioner_inverts_each_distinct_block_once(monkeypatch):
     }
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     sizes = inv_batch_sizes(monkeypatch)
+    preconditioners = minres_preconditioners(monkeypatch)
     for label, (x, distinct_u, distinct_v) in points.items():
         h = p.smooth.eval_hess(x)
         reg = Regularized(h, MetricB())
         rhs = -p.smooth.eval_grad(x)
-        for i, lam in enumerate((1e-3, 0.7, 30.0)):
+        for lam in (1e-3, 0.7, 30.0):
             sizes.clear()
+            preconditioners.clear()
             reg.solve(lam, rhs)
-            assert sizes == [distinct_u] + ([distinct_v] if i == 0 else []), label
-            np.testing.assert_array_equal(reg._block_inverse(lam),
-                                          per_row_inverses(block_stack(h.blocks), lam),
-                                          err_msg=label)
-        want = per_row_inverses(block_stack(h.tail), 1e-3)
-        want = 0.5 * (want + want.transpose(0, 2, 1))
-        np.testing.assert_array_equal(columns(reg._precond),
-                                      scipy.linalg.block_diag(*want), err_msg=label)
+            assert sizes == [distinct_u, distinct_v], label
+            for group in ("blocks", "tail"):
+                np.testing.assert_array_equal(reg._block_inverse(group, lam),
+                                              per_row_inverses(block_stack(getattr(h, group)), lam),
+                                              err_msg=label)
+            want = per_row_inverses(block_stack(h.tail), lam)
+            want = 0.5 * (want + want.transpose(0, 2, 1))
+            np.testing.assert_array_equal(columns(preconditioners[0]),
+                                          scipy.linalg.block_diag(*want), err_msg=label)
 
 
 def test_nmf_matfree_trace_unchanged_by_the_deduplicated_preconditioner(monkeypatch):
@@ -278,7 +297,7 @@ def test_nmf_matfree_trace_unchanged_by_the_deduplicated_preconditioner(monkeypa
         monkeypatch.setattr(linalg, "_distinct", distinct)
         got = solve(p, config)
         assert got.status == want.status == CONVERGED and got.iters >= 10
-        assert len(sizes) == got.trials + got.hess_evals and min(sizes) < 12
+        assert len(sizes) == 2 * got.trials and min(sizes) < 12
         sizes.clear()
         assert ([dataclasses.replace(rec, wall_ns=0) for rec in got.trace]
                 == [dataclasses.replace(rec, wall_ns=0) for rec in want.trace])

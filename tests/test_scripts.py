@@ -60,7 +60,8 @@ def test_same_trajectories_tolerance_mode_fails_only_on_status_seed_or_value(tmp
         "seed 2: converged; iters -2, trials -4; F_final rel diff 5.00e-07",
         "seed 3: converged; iters +0, trials +0; F_final rel diff 0.00e+00",
         "3 solves in both: iters 111 -> 110, trials 225 -> 223; "
-        "all within F_final rel-tol 1e-06 with the same status"])
+        "all within F_final rel-tol 1e-06 with the same status; "
+        "largest F_final rel diff 5.00e-07 at seed 2"])
     # bit for bit stays the default
     assert same_trajectories(parent, moved).returncode == 1
     # a status change, an F_final beyond the tolerance and a seed that only
@@ -77,7 +78,8 @@ def test_same_trajectories_tolerance_mode_fails_only_on_status_seed_or_value(tmp
         "seed 3: converged; iters +0, trials +0; F_final rel diff 0.00e+00",
         "seed 4: solved only in the change",
         "3 solves in both: iters 111 -> 111, trials 225 -> 225; "
-        "not all within F_final rel-tol 1e-06 with the same status"])
+        "not all within F_final rel-tol 1e-06 with the same status; "
+        "largest F_final rel diff 1.62e-02 at seed 2"])
 
 
 def test_same_trajectories_rejects_a_negative_or_nan_tolerance(tmp_path):

@@ -867,28 +867,34 @@ def test_gradient_skipped_only_on_decrease_rejections(monkeypatch):
     assert counts["f"] == 1 + len(decreases)
 
 
-def test_matrix_free_run_builds_one_preconditioner_per_refresh(monkeypatch):
-    # the Schur complement's block-Jacobi preconditioner (the inverse of the
-    # tail blocks plus lam I) is built at a refresh's first solve and serves
-    # its other trials and, at m > 1, its lazy iterations; the U blocks are
-    # inverted afresh at every solve's lam
+def test_matrix_free_run_inverts_both_block_groups_at_every_trial(monkeypatch):
+    # the U blocks and the tail blocks (the Schur complement's block-Jacobi
+    # preconditioner) plus lam I are both inverted at every trial's lam, in
+    # its refresh's trials and, at m > 1, its lazy iterations; each
+    # group's distinct blocks are found once per refresh
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     p = make_nmf(2, d=20, n=10, r=3)
-    inverse = linalg._inverse
+    inverse, distinct = linalg._inverse, linalg._distinct
     for m in (1, 3):
         calls = {"tail": [], "diagonal": []}
+        found = []
 
         def counted(blocks, lam, name):
             calls[name.split()[1]].append(lam)
             return inverse(blocks, lam, name)
 
+        def counted_distinct(rows):
+            found.append(rows.shape)
+            return distinct(rows)
+
         monkeypatch.setattr(linalg, "_inverse", counted)
+        monkeypatch.setattr(linalg, "_distinct", counted_distinct)
         res = solve(p, SolverConfig(m=m, grad_tol=1e-6))
         assert res.status == CONVERGED, m
         assert verify(res).passed, m
-        assert len(calls["tail"]) == res.hess_evals < res.trials, m
-        assert len(calls["diagonal"]) == res.trials, m
-        assert len(set(calls["diagonal"])) > len(calls["tail"]), m
+        assert calls["tail"] == calls["diagonal"], m
+        assert len(calls["diagonal"]) == res.trials > res.hess_evals, m
+        assert found == [(20, 3), (10, 3)] * res.hess_evals, m  # the (d, r) and (n, r) diagonals
 
 
 def test_singular_diagonal_block_fails_its_trial(monkeypatch):
