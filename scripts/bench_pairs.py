@@ -1,0 +1,160 @@
+"""Run the benchmark in alternating parent/change pairs and compare the sides.
+
+    python3 scripts/bench_pairs.py PARENT_REF --workload W --pairs N
+        [--seconds S] [--seed K] [--rel-tol T]
+
+The parent is PARENT_REF, copied from this repository into a temporary
+directory with `git archive`; the change is the working tree.  Each pair
+runs perfbench/bench.py unedited on both sides (`--trace 0`), the parent
+first in odd pairs and the change first in even ones, so that the position
+within a pair falls on both sides alike.
+
+Every run is printed with its end-to-end metrics.  Per metric the summary
+gives each side's median, q1, q3 and IQR (inclusive quartiles), the pairs
+the change wins, the median per-pair change/parent ratio, the two-sided
+sign-test p over the pairs that are not tied, and the ratio of a run's value
+in the first position to its value in the second, estimated from the pairs
+of both orders so that the difference between the sides cancels (n/a from
+pairs of one order).  Each pair's two reports are compared by
+scripts/same_trajectories.py, with --rel-tol when given.  Exits 1 when a
+bench run fails or a pair's digests or statuses differ, 2 on a usage error,
+and 0 otherwise.
+"""
+
+import argparse
+import json
+import math
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from same_trajectories import tolerance
+
+ROOT = Path(__file__).resolve().parents[1]
+SAME_TRAJECTORIES = ROOT / "scripts" / "same_trajectories.py"
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+LOWER_IS_BETTER = {m["name"]: m["better"] == "lower" for m in BENCHMARK["end_to_end"]}
+
+
+def positive(kind):
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    return parse
+
+
+def bench(tree: Path, args, keep: Path) -> dict:
+    """One untraced bench run in tree: its result object, its report copied to keep."""
+    proc = subprocess.run(
+        [sys.executable, str(tree / "perfbench" / "bench.py"), "--workload", args.workload,
+         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    if proc.returncode:
+        sys.exit(f"bench run in {tree} failed (exit {proc.returncode}):\n{proc.stderr}")
+    shutil.copy(tree / "perfbench" / "out" / f"{args.workload}-seed{args.seed}-trace0.json", keep)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def quartiles(values):
+    """(q1, median, q3), inclusive: the linear interpolation numpy uses by default."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def sign_test(wins: int, losses: int) -> float:
+    """Two-sided exact sign test: the chance of a split at least this uneven."""
+    n = wins + losses
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, k) for k in range(min(wins, losses) + 1)) / 2**n
+    return min(1.0, 2.0 * tail)
+
+
+def summary(runs) -> list[str]:
+    """Per metric, each side's spread and the paired statistics."""
+    lines = []
+    for name in runs[0]["parent"]["metrics"]:
+        lower = LOWER_IS_BETTER[name]
+        value = {side: [run[side]["metrics"][name]["value"] for run in runs]
+                 for side in ("parent", "change")}
+        spread = {side: quartiles(values) for side, values in value.items()}
+        for side, (q1, median, q3) in spread.items():
+            lines.append(f"{name:<12} {side:<6}  median {median:.6g}  q1 {q1:.6g}  "
+                         f"q3 {q3:.6g}  IQR {q3 - q1:.6g}")
+        pairs = list(zip(value["parent"], value["change"]))
+        wins = sum((c < p) if lower else (c > p) for p, c in pairs)
+        losses = sum((c > p) if lower else (c < p) for p, c in pairs)
+        gap = abs(spread["change"][1] - spread["parent"][1])
+        iqr = spread["parent"][2] - spread["parent"][0]
+        # a first run read f times its value gives a pair ratio r = R / f when
+        # the parent runs first and R f when the change does, so f squared is
+        # the quotient of the two orders' median ratios
+        by_first = [statistics.median(ratios) for ratios in (
+            [c / p for (p, c), run in zip(pairs, runs) if run["first"] == first]
+            for first in ("change", "parent")) if ratios]
+        position = f"{math.sqrt(by_first[0] / by_first[1]):.4f}" if len(by_first) == 2 else "n/a"
+        lines.append(f"{name:<12} change {'lower' if lower else 'higher'} in {wins} of "
+                     f"{len(pairs)} pairs; median change/parent "
+                     f"{statistics.median(c / p for p, c in pairs):.4f}; sign-test p "
+                     f"{sign_test(wins, losses):.3g}; median gap {gap:.6g} "
+                     f"{'>' if gap > iqr else '<='} parent IQR {iqr:.6g}; first/second {position}")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent_ref", metavar="PARENT_REF")
+    ap.add_argument("--workload", required=True, choices=[w["name"] for w in BENCHMARK["workloads"]])
+    ap.add_argument("--pairs", type=positive(int), required=True)
+    ap.add_argument("--seconds", type=positive(float), default=25.0)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--rel-tol", type=tolerance, default=None, metavar="T",
+                    help="compare status and F_final within T instead of bit for bit")
+    args = ap.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        parent = Path(tmp) / "parent"
+        parent.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", args.parent_ref],
+                                 capture_output=True)
+        if archive.returncode:
+            ap.error(f"cannot archive {args.parent_ref}: {archive.stderr.decode().strip()}")
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
+        trees = {"parent": parent, "change": ROOT}
+        print(f"# {args.workload} seed={args.seed} seconds={args.seconds:g} pairs={args.pairs}: "
+              f"parent {args.parent_ref}, change the working tree {ROOT}")
+
+        runs, agree = [], True
+        for i in range(1, args.pairs + 1):
+            order = ("parent", "change") if i % 2 else ("change", "parent")
+            run = {"first": order[0]}
+            for position, side in enumerate(order, 1):
+                run[side] = result = bench(trees[side], args, Path(tmp) / f"pair{i}-{side}.json")
+                metrics = "  ".join(f"{name} {m['value']:.6g}" for name, m in result["metrics"].items())
+                print(f"pair {i} run {position}: {side:<6}  {metrics}  failed {result['failed']} "
+                      f"of {result['attempted']}  correct {str(result['correct']).lower()}")
+            compare = subprocess.run(
+                [sys.executable, str(SAME_TRAJECTORIES),
+                 *(["--rel-tol", repr(args.rel_tol)] if args.rel_tol is not None else []),
+                 str(Path(tmp) / f"pair{i}-parent.json"), str(Path(tmp) / f"pair{i}-change.json")],
+                capture_output=True, text=True)
+            agree = agree and compare.returncode == 0
+            shown = compare.stdout.splitlines() if compare.returncode else compare.stdout.splitlines()[-1:]
+            print("\n".join(f"pair {i} trajectories: {line}" for line in shown + compare.stderr.splitlines()))
+            runs.append(run)
+
+    print("\n".join(summary(runs)))
+    print(f"trajectories: {'every pair agrees' if agree else 'some pair differs'}")
+    return 0 if agree else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

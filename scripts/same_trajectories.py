@@ -16,7 +16,8 @@ and the relative difference |F_change - F_parent| / |F_parent| of F_final,
 then the totals, ending with the largest of those differences and its
 seed.  It exits 1 only when a status changed, a seed was solved by one
 report alone, or an F_final differs by more than REL.  REL must be a
-number at least 0; anything else is a usage error (exit 2).
+number at least 0; anything else is a usage error (exit 2).  So are two
+reports of different workloads.
 """
 
 import argparse
@@ -27,9 +28,11 @@ import sys
 FIELDS = ("status", "iters", "trials", "hess_evals", "digest", "g_final", "F_final")
 
 
-def solves(path):
+def load(path):
+    """(workload, {seed: solve}) of one report."""
     with open(path) as fh:
-        return {solve["seed"]: solve for solve in json.load(fh)["solves"]}
+        report = json.load(fh)
+    return report["workload"], {solve["seed"]: solve for solve in report["solves"]}
 
 
 def differences(parent, change):
@@ -99,7 +102,10 @@ def main(argv=None) -> int:
     ap.add_argument("--rel-tol", type=tolerance, default=None, metavar="REL",
                     help="compare status and F_final within REL instead of bit for bit")
     args = ap.parse_args(argv)
-    parent, change = solves(args.parent), solves(args.change)
+    (parent_workload, parent), (change_workload, change) = load(args.parent), load(args.change)
+    if parent_workload != change_workload:
+        ap.error(f"the reports are of different workloads: {parent_workload} ({args.parent}) "
+                 f"and {change_workload} ({args.change})")
     if args.rel_tol is not None:
         lines, ok = within_tolerance(parent, change, args.rel_tol)
         print("\n".join(lines))

@@ -31,7 +31,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
@@ -186,6 +186,9 @@ def make_nmf(seed: int, d: int = 200, n: int = 100, r: int = 12,
 
     Draw order from Rng(seed): U_true (d x r, uniform), V_true (n x r,
     uniform), noise Z (d x n, normal), then x0 = 0.5 * normal(d r + n r).
+    Both factors come from one uniform draw of (d + n) x r, split by rows:
+    the uniform stream is sequential, so the values and the order are
+    those of two separate draws.
     Y = U_true V_true^T + sigma Z.  Objective over x = (vec U, vec V):
 
         0.5 ||U V^T - Y||_F^2 + alpha (||U||_F^2 + ||V||_F^2)
@@ -193,13 +196,12 @@ def make_nmf(seed: int, d: int = 200, n: int = 100, r: int = 12,
     """
     _check_domain("make_nmf", d=d, n=n, r=r, alpha=alpha, beta=beta, sigma=sigma)
     rng = Rng(seed)
-    u_true = rng.uniform((d, r))
-    v_true = rng.uniform((n, r))
+    factors = rng.uniform((d + n, r))  # U_true's rows, then V_true's
     noise = rng.normal((d, n))
     x0 = 0.5 * rng.normal(d * r + n * r)
     inst = NmfInstance(seed=int(seed), d=int(d), n=int(n), r=int(r), alpha=float(alpha),
                        beta=float(beta), sigma=float(sigma),
-                       Y=u_true @ v_true.T + sigma * noise, x0=x0)
+                       Y=factors[:d] @ factors[d:].T + sigma * noise, x0=x0)
     return problem_from_instance(inst)
 
 
@@ -523,7 +525,9 @@ def _kind_of(inst) -> str:
 def problem_from_instance(inst) -> CompositeProblem:
     """Rebuild the CompositeProblem for a (possibly imported) instance."""
     name = _kind_of(inst)
-    return replace(KINDS[name].build(inst), name=name, x0=inst.x0.copy(), instance=inst)
+    problem = KINDS[name].build(inst)
+    problem.name, problem.x0, problem.instance = name, inst.x0.copy(), inst
+    return problem
 
 
 # ------------------------------------------------------- export / import

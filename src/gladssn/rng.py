@@ -26,15 +26,27 @@ A request for q gaussians consumes the next 2*ceil(q/2) uniforms as pairs
 in that order, and the trailing value is dropped when q is odd.  Any
 implementation following this recipe reproduces the uniform stream exactly
 and the gaussians up to libm rounding.
+
+Here a draw forms its counters in one uint64 array and runs splitmix64 over
+it in one in-place pass per block; a gaussian block then builds its radius
+in place and writes the two Box-Muller halves straight into the output.
+So a call costs a fixed number of numpy operations, whatever the form of
+its size, plus the arithmetic per value.
 """
 
 from __future__ import annotations
+
+import math
+import operator
 
 import numpy as np
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
+_SHIFT_U53 = np.uint64(11)
+_ONE = np.uint64(1)
 _U53 = 2.0**-53
 # Uniforms per block of a gaussian draw: even, so each block holds whole
 # Box-Muller pairs and the values do not depend on the blocking.  Drawing
@@ -42,16 +54,33 @@ _U53 = 2.0**-53
 _NORMAL_BLOCK = 2**16
 
 
-def mix64(z):
-    """splitmix64 finalizer, elementwise on uint64 scalars or arrays."""
-    z = np.uint64(z) if np.isscalar(z) else np.asarray(z, dtype=np.uint64)
-    with np.errstate(over="ignore"):  # wraparound is the point
-        z = z ^ (z >> np.uint64(30))
-        z = z * _MIX1
-        z = z ^ (z >> np.uint64(27))
-        z = z * _MIX2
-        z = z ^ (z >> np.uint64(31))
+def _mix_in_place(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, in place on a uint64 array, which it returns.
+
+    Array arithmetic wraps mod 2**64 silently; only numpy scalars warn.
+    """
+    z ^= z >> _SHIFT1
+    z *= _MIX1
+    z ^= z >> _SHIFT2
+    z *= _MIX2
+    z ^= z >> _SHIFT3
     return z
+
+
+def mix64(z):
+    """splitmix64 finalizer, elementwise on uint64 scalars or arrays.
+
+    The argument is never written; a scalar gives a 0-d array.
+    """
+    return _mix_in_place(np.array(z, dtype=np.uint64))
+
+
+def _count(size) -> int:
+    """The number of values in a draw of shape size: one integer, or a sequence of them."""
+    try:
+        return operator.index(size)
+    except TypeError:
+        return int(math.prod(size))
 
 
 class Rng:
@@ -63,30 +92,37 @@ class Rng:
 
     def _u53(self, n: int) -> np.ndarray:
         """The next n uniforms ((z >> 11) + 1) * 2**-53 of the stream."""
+        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        # the index array stays unnamed: held to the end, it adds 8n bytes to the peak
-        z = mix64(self._seed + np.arange(self._count - n + 1, self._count + 1,
-                                         dtype=np.uint64) * _GAMMA) >> np.uint64(11)
-        return (z.astype(np.float64) + 1.0) * _U53
+        z *= _GAMMA
+        z += self._seed
+        _mix_in_place(z)
+        z >>= _SHIFT_U53
+        z += _ONE  # at most 2**53, so the one conversion below is exact
+        return z * _U53
 
     def uniform(self, size=None) -> np.ndarray | float:
         """Uniform draws in (0, 1]."""
-        u = self._u53(1 if size is None else int(np.prod(size)))
         if size is None:
-            return float(u[0])
-        return u.reshape(size)
+            return float(self._u53(1)[0])
+        return self._u53(_count(size)).reshape(size)
 
     def normal(self, size=None) -> np.ndarray | float:
         """Standard normal draws."""
-        q = 1 if size is None else int(np.prod(size))
+        q = 1 if size is None else _count(size)
         out = np.empty(2 * ((q + 1) // 2))
         for start in range(0, out.size, _NORMAL_BLOCK):
             u = self._u53(min(_NORMAL_BLOCK, out.size - start))
-            radius = np.sqrt(-2.0 * np.log(u[0::2]))
-            angle = 2.0 * np.pi * u[1::2]
+            radius = np.log(u[0::2])
+            radius *= -2.0
+            np.sqrt(radius, out=radius)
+            angle = u[1::2] * (2.0 * np.pi)
             block = out[start:start + u.size]
-            block[0::2] = radius * np.cos(angle)
-            block[1::2] = radius * np.sin(angle)
+            even, odd = block[0::2], block[1::2]
+            np.cos(angle, out=even)
+            even *= radius
+            np.sin(angle, out=odd)
+            odd *= radius
         if size is None:
             return float(out[0])
         return out[:q].reshape(size)

@@ -409,6 +409,20 @@ def test_nmf_data_model():
     assert abs(np.std(p.x0) - 0.5) < 0.25
 
 
+@pytest.mark.parametrize("seed, d, n, r", [(1, 40, 20, 4), (3, 7, 5, 3)])
+def test_make_nmf_draws_in_the_documented_order(seed, d, n, r):
+    # Y and x0 equal, bit for bit, four separate draws in the documented
+    # order; an odd d * n burns one uniform before x0's draw
+    rng = Rng(seed)
+    u_true = rng.uniform((d, r))
+    v_true = rng.uniform((n, r))
+    noise = rng.normal((d, n))
+    x0 = 0.5 * rng.normal((d + n) * r)
+    inst = make_nmf(seed, d=d, n=n, r=r).instance
+    np.testing.assert_array_equal(inst.Y, u_true @ v_true.T + inst.sigma * noise)
+    np.testing.assert_array_equal(inst.x0, x0)
+
+
 # ----------------------------------------------------------------------- svm
 
 def test_svm_value_at_origin():
@@ -643,6 +657,14 @@ def test_instance_round_trip(tmp_path):
             for point in (p.x0, x):
                 np.testing.assert_array_equal(q.smooth.eval_hess(point),
                                               p.smooth.eval_hess(point))
+
+
+def test_problem_from_instance_copies_the_start():
+    inst = make_nmf(2, d=5, n=4, r=2).instance
+    problem = problem_from_instance(inst)
+    assert (problem.name, problem.instance) == ("nmf", inst)
+    np.testing.assert_array_equal(problem.x0, inst.x0)
+    assert not np.shares_memory(problem.x0, inst.x0)
 
 
 def test_load_instance_rejects_garbage(tmp_path):

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from gladssn import rng
 from gladssn.rng import Rng, mix64
@@ -28,6 +29,15 @@ def uniform_py(seed, i):
 def test_mix64_matches_pure_python():
     for z in [0, 1, 42, 2**63, MASK, 0xDEADBEEFCAFEBABE]:
         assert int(mix64(np.uint64(z))) == mix64_py(z)
+
+
+def test_mix64_leaves_its_argument_and_works_elementwise():
+    z = np.array([0, 1, 42, 2**63, MASK, 0xDEADBEEFCAFEBABE], dtype=np.uint64)
+    kept = z.copy()
+    out = mix64(z)
+    np.testing.assert_array_equal(z, kept)
+    for zi, oi in zip(z, out):
+        assert int(mix64(zi)) == int(oi) == mix64_py(int(zi))
 
 
 def test_uniform_stream_matches_pure_python():
@@ -124,3 +134,21 @@ def test_blocked_normal_draw_equals_the_unblocked_recipe():
         np.testing.assert_array_equal(r.normal(size=q), normal_unblocked(21, skip, q))
         skip += 2 * ((q + 1) // 2)
     assert r.uniform() == uniform_py(21, skip)
+
+
+@pytest.mark.parametrize("size, shape", [
+    (None, None), (5, (5,)), (np.int64(5), (5,)), (np.int32(3), (3,)), ((), ()), ((3,), (3,)),
+    ((2, 3), (2, 3)), ([2, 3], (2, 3)), ((np.int64(2), np.int64(3)), (2, 3)),
+    ([np.int32(3), 1], (3, 1))])
+def test_draws_give_the_recipe_for_every_form_of_size(size, shape):
+    # every form of size a draw takes, with the shape it gives (None: a float)
+    q = 1 if shape is None else math.prod(shape)
+    want = {"uniform": np.array([uniform_py(9, i) for i in range(q)]),
+            "normal": normal_unblocked(9, 0, q)}
+    for method, values in want.items():
+        got = getattr(Rng(9), method)(size)
+        if shape is None:
+            assert type(got) is float and got == values[0], method
+        else:
+            assert got.shape == shape, method
+            np.testing.assert_array_equal(got.ravel(), values, err_msg=method)

@@ -5,12 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 SAME_TRAJECTORIES = SCRIPTS / "same_trajectories.py"
 
 
-def report(path, solves):
-    path.write_text(json.dumps({"workload": "nmf-matfree", "seed": 1, "solves": solves}))
+def report(path, solves, workload="nmf-matfree"):
+    path.write_text(json.dumps({"workload": workload, "seed": 1, "solves": solves}))
     return str(path)
 
 
@@ -91,6 +93,52 @@ def test_same_trajectories_rejects_a_negative_or_nan_tolerance(tmp_path):
         assert out.returncode == 2 and out.stdout == "", rel
         assert "argument --rel-tol" in out.stderr, rel
     assert same_trajectories("--rel-tol", "0", parent, parent).returncode == 0
+
+
+def test_same_trajectories_refuses_reports_of_two_workloads(tmp_path):
+    # the same seeds of two workloads are different instances: a usage
+    # error naming both, in either mode
+    parent = report(tmp_path / "svm.json", [solve_record(s) for s in (1, 2)], workload="svm")
+    change = report(tmp_path / "nmf.json", [solve_record(s) for s in (1, 2)],
+                    workload="nmf-dense-lazy")
+    for mode in ([], ["--rel-tol", "1e-6"]):
+        out = same_trajectories(*mode, parent, change)
+        assert out.returncode == 2 and out.stdout == "", mode
+        assert f"different workloads: svm ({parent}) and nmf-dense-lazy ({change})" in out.stderr
+
+
+def repository_files(root):
+    """Every path git lists under root, tracked, untracked or ignored, with its state."""
+    out = subprocess.run(["git", "-C", str(root), "status", "--porcelain", "--ignored",
+                          "--untracked-files=all"], capture_output=True, text=True, check=True)
+    return set(out.stdout.splitlines())
+
+
+@pytest.mark.skipif(subprocess.run(["git", "-C", str(SCRIPTS), "rev-parse", "HEAD"],
+                                   capture_output=True).returncode != 0,
+                    reason="needs a git checkout to archive the parent from")
+def test_bench_pairs_runs_both_sides_and_compares_trajectories():
+    # HEAD against the working tree: both sides solve the same instances,
+    # their digests agree, and only the ignored perfbench/out/ is written
+    root = SCRIPTS.parent
+    before = repository_files(root)
+    out = subprocess.run([sys.executable, str(SCRIPTS / "bench_pairs.py"), "HEAD",
+                          "--workload", "nmf-dense-lazy", "--pairs", "1", "--seconds", "1"],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = out.stdout.splitlines()
+    runs = [line for line in lines if re.match(r"pair \d+ run \d+: ", line)]
+    assert [line.split()[4] for line in runs] == ["parent", "change"]
+    for line in runs:
+        assert all(f" {name} " in line for name in ("solve_rel", "setup_s", "peak_rss_mb"))
+        assert line.endswith("correct true")
+    assert re.fullmatch(r"pair 1 trajectories: \d+ solves agree in .*", lines[lines.index(runs[-1]) + 1])
+    for name in ("solve_rel", "setup_s", "peak_rss_mb"):
+        assert any(line.startswith(f"{name} ") and "sign-test p" in line for line in lines)
+    assert lines[-1] == "trajectories: every pair agrees"
+    added = {entry for entry in repository_files(root) - before
+             if not entry.startswith("!! perfbench/out/")}
+    assert not added, added
 
 
 def test_lazy_sweep_prints_the_cost_ratio():
