@@ -67,10 +67,10 @@ THETA = 0.1
 # rtol of a solve's first MINRES call.  scipy stops once its residual
 # estimate is within rtol ||A|| ||s||, not THETA lam ||s||, so the step is
 # then checked against the rule itself.  On the Schur complement of the
-# matrix-free NMF Hessian (make_nmf seeds 1-17 at the benchmark's config),
-# THETA**2 misses the rule on the first call in 501 of 1331 solves; THETA**3
-# in 53 of 1346, each met by one correction, at a median first-call
-# ||rho|| / (lam ||s||) of 0.006.
+# matrix-free NMF Hessian (make_nmf seeds 1-17 at the benchmark's config,
+# 1 BLAS thread, block-Jacobi preconditioned), THETA**2 misses the rule on
+# the first call in 384 of 1322 solves; THETA**3 in 52 of 1321, each met by
+# one correction, at a median first-call ||rho|| / (lam ||s||) of 0.0034.
 _MINRES_RTOL = THETA**3
 
 # FISTA sweeps per composite model solve (Regularized.prox_solve).
@@ -191,10 +191,11 @@ class BorderedBlocks:
     kind for the blocks of a block-diagonal T.  The coupling C is either the
     (k b, m) array (the dense form) or the pair (matvec, rmatvec) of
     callables p -> C p and q -> C^T q (the matrix-free form); nothing else
-    differs between the forms.  The parts are checked for sizes that fit and
-    for symmetric bases here; split = k b is the first row of the tail.  It
-    exposes shape and @ the way an array does; Regularized eliminates the
-    blocks per solve (see solve), and assemble() is the dense array.
+    differs between the forms, and nothing else is kept.  The parts are
+    checked for sizes that fit and for symmetric bases here; split = k b is
+    the first row of the tail.  It exposes shape and @ the way an array
+    does, one product for both forms; Regularized eliminates the blocks per
+    solve (see solve), and assemble() is the dense array.
     """
 
     def __init__(self, blocks, coupling, tail):
@@ -212,7 +213,6 @@ class BorderedBlocks:
         self.coupling = coupling
         self.tail = tail
         self.shape = (self.split + m,) * 2
-        self._dense = None  # the dense form's (block stack, tail array), at first use
 
     @property
     def is_dense(self) -> bool:
@@ -223,27 +223,15 @@ class BorderedBlocks:
         """Every stored array: the matrix-free coupling is not one."""
         return self.blocks + self.tail + ((self.coupling,) if self.is_dense else ())
 
-    def _dense_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dense form's (k, b, b) block stack and (m, m) tail array.
-
-        Built from the pairs at first use and kept, one build per refresh.
-        H @ v multiplies them (np.matmul on the stack, one dense product with
-        the tail), and the Schur complement starts from the tail array.
-        """
-        if self._dense is None:
-            m = self.shape[0] - self.split
-            tail = np.zeros((m, m))
-            _block_diagonal(tail, _shifted_blocks(*self.tail))
-            self._dense = _shifted_blocks(*self.blocks), tail
-        return self._dense
+    @property
+    def _products(self) -> tuple:
+        """The pair (p -> C p, q -> C^T q): an array coupling's @ and .T @."""
+        c = self.coupling
+        return (c.__matmul__, c.T.__matmul__) if self.is_dense else c
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         head, rest = v[:self.split], v[self.split:]
-        if self.is_dense:
-            stack, tail = self._dense_parts()
-            return np.concatenate([_block_apply(stack, head) + self.coupling @ rest,
-                                   self.coupling.T @ head + tail @ rest])
-        matvec, rmatvec = self.coupling
+        matvec, rmatvec = self._products
         return np.concatenate([_shifted_apply(self.blocks, head) + matvec(rest),
                                rmatvec(head) + _shifted_apply(self.tail, rest)])
 
@@ -305,9 +293,9 @@ def _shifted_blocks(base: np.ndarray, diags: np.ndarray) -> np.ndarray:
 
 
 def _block_diagonal(out: np.ndarray, blocks: np.ndarray) -> None:
-    """Write the (k, b, b) stack blocks along the diagonal of the zero (k b, k b) out."""
+    """Add the (k, b, b) stack blocks onto the diagonal blocks of the (k b, k b) out."""
     k, b, _ = blocks.shape
-    out.reshape(k, b, k, b)[np.arange(k), :, np.arange(k), :] = blocks
+    out.reshape(k, b, k, b)[np.arange(k), :, np.arange(k), :] += blocks
 
 
 class Regularized:
@@ -532,22 +520,25 @@ class Regularized:
         coupling (Golub & Van Loan, Matrix Computations, secs. 3.2 and 4.2):
         S s_2 = r_2 - C^T A^{-1} r_1, and s_1 = A^{-1} r_1 - A^{-1} C s_2.
         A^{-1} is exact, so the whole residual lies in the tail rows.  The
-        forms differ only in how S is solved: the dense form forms and
-        factors it (_direct_solver; LU means H + lam I is indefinite, as A
-        is positive definite for positive definite blocks), and the
-        matrix-free form runs MINRES on it (_schur_minres).
+        forms differ only in how S is solved: the dense form forms it, from
+        -C^T A^{-1} C with the tail's blocks added onto its diagonal blocks
+        and lam onto its diagonal, and factors it (_direct_solver; LU means
+        H + lam I is indefinite, as A is positive definite for positive
+        definite blocks), and the matrix-free form runs MINRES on it
+        (_schur_minres).
         """
         h = self.h
         kb = h.split
         inv = self._block_inverse("blocks", lam)
+        matvec, rmatvec = h._products
         if h.is_dense:
             inv_c = np.matmul(inv, h.coupling.reshape(*inv.shape[:2], -1)).reshape(kb, -1)
-            schur = h._dense_parts()[1] - h.coupling.T @ inv_c
+            schur = -(h.coupling.T @ inv_c)
+            _block_diagonal(schur, _shifted_blocks(*h.tail))
             schur.flat[::schur.shape[0] + 1] += lam
             schur_solve = _direct_solver(schur, f"Schur complement of H + {lam:.3e} I")
-            rmatvec, inv_c_apply = h.coupling.T.__matmul__, inv_c.__matmul__
+            inv_c_apply = inv_c.__matmul__
         else:
-            matvec, rmatvec = h.coupling
             inv_c_apply = lambda q: _block_apply(inv, matvec(q))
             schur_solve = self._schur_minres(lam, inv_c_apply)
 

@@ -569,9 +569,11 @@ def nmf_bordered_hessian(dense_dim_max=problems.DENSE_DIM_MAX):
 
 
 def test_bordered_blocks_matvec_equals_the_assembled_product():
-    # the dense form's H @ v multiplies the stack of its blocks, the
-    # coupling and the block-diagonal tail array bit for bit as an
-    # assembled Hessian's parts would be multiplied
+    # both forms apply H @ v by one rule: each block group by one gemm on
+    # the (k, b) view Q of its rows, Q base + diags * Q, and the coupling by
+    # its two products.  At the same point, the dense form's product is bit
+    # for bit the matrix-free form's whose pair is the coupling array's own
+    # @ and .T @, and it matches the assembled array's product
     h, dense = nmf_bordered_hessian()
     assert h.shape == dense.shape == (42, 42)
     stack, tail = block_stack(h.blocks), scipy.linalg.block_diag(*block_stack(h.tail))
@@ -580,12 +582,79 @@ def test_bordered_blocks_matvec_equals_the_assembled_product():
     np.testing.assert_array_equal(dense[27:, 27:], tail)
     np.testing.assert_array_equal(dense[3:6, 3:6], stack[1])
     assert not np.any(dense[:3, 3:27])  # off the diagonal blocks
+    c = h.coupling
+    pair = BorderedBlocks(h.blocks, (lambda p: c @ p, lambda q: c.T @ q), h.tail)
+    assert not pair.is_dense
+    (base, diags), (tail_base, tail_diags) = h.blocks, h.tail
     for v in np.random.default_rng(13).standard_normal((5, 42)):
         np.testing.assert_allclose(h @ v, dense @ v, rtol=1e-14, atol=1e-14)
-        head, rest = v[:27], v[27:]
+        np.testing.assert_array_equal(h @ v, pair @ v)
+        head, rest = v[:27].reshape(9, 3), v[27:].reshape(5, 3)
         np.testing.assert_array_equal(h @ v, np.concatenate([
-            np.matmul(stack, head.reshape(9, 3, 1)).ravel() + h.coupling @ rest,
-            h.coupling.T @ head + tail @ rest]))
+            (head @ base + diags * head).ravel() + c @ rest.ravel(),
+            c.T @ head.ravel() + (rest @ tail_base + tail_diags * rest).ravel()]))
+
+
+def test_dense_bordered_blocks_keeps_nothing_from_use():
+    # a BorderedBlocks is plain data, its two (base, diags) pairs, its
+    # coupling and its sizes: H @ v and solves (Cholesky and LU of the Schur
+    # complement) read the dense form and set nothing on it
+    h, dense = nmf_bordered_hessian()
+    before = dict(vars(h))
+    assert before.keys() == {"split", "blocks", "coupling", "tail", "shape"}
+    arrays = [a.copy() for a in h.arrays]
+    lam_min = np.linalg.eigvalsh(dense)[0]
+    h @ np.ones(42)
+    reg = Regularized(h, MetricB())
+    for lam in (2.0 - lam_min, -0.5 * lam_min):
+        reg.zero_psi_sub(lam, np.ones(42), reg.solve(lam, -np.ones(42)))
+    assert vars(h).keys() == before.keys()
+    assert all(vars(h)[name] is part for name, part in before.items())
+    for got, want in zip(h.arrays, arrays, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_dense_schur_complement_is_built_from_the_pairs(monkeypatch):
+    # the dense elimination factors S = T + lam I - C^T A^{-1} C, T the
+    # block-diagonal tail array, without building T: it adds the tail's
+    # blocks onto the diagonal blocks of -C^T A^{-1} C, then lam onto its
+    # diagonal.  As t - x == (-x) + t, S is bit for bit (T - C^T A^{-1} C)
+    # + lam I, at a lam Cholesky accepts and at one it declines
+    h, dense = nmf_bordered_hessian()
+    lam_min = np.linalg.eigvalsh(dense)[0]
+    factored = []
+    direct_solver = linalg._direct_solver
+
+    def seen_direct(m, name):
+        factored.append(m.copy())
+        return direct_solver(m, name)
+
+    monkeypatch.setattr(linalg, "_direct_solver", seen_direct)
+    lus = _count_lu(monkeypatch)
+    c = h.coupling
+    tail = scipy.linalg.block_diag(*block_stack(h.tail))
+    rhs = np.random.default_rng(16).standard_normal(42)
+    for lam, declined in ((2.0 - lam_min, False), (-0.5 * lam_min, True)):
+        factored.clear()
+        lus.clear()
+        reg = Regularized(h, MetricB())
+        reg.solve(lam, rhs)
+        inv_c = np.matmul(reg._block_inverse("blocks", lam), c.reshape(9, 3, 15)).reshape(27, 15)
+        want = tail - c.T @ inv_c
+        want.flat[::16] += lam
+        assert len(factored) == 1 and lus == ([(15, 15)] if declined else []), lam
+        np.testing.assert_array_equal(factored[0], want)
+
+
+def test_block_diagonal_adds_onto_its_target():
+    # one helper writes a stack of blocks along a diagonal: onto zeros for
+    # assemble(), onto -C^T A^{-1} C for the dense Schur complement
+    blocks = np.arange(12.0).reshape(3, 2, 2) - 5.5
+    out = np.linspace(-1.0, 2.0, 64).reshape(8, 8)
+    want = out.copy()
+    want[2:, 2:] += scipy.linalg.block_diag(*blocks)
+    linalg._block_diagonal(out[2:, 2:], blocks)
+    np.testing.assert_array_equal(out, want)
 
 
 def test_matrix_free_products_match_the_assembled_array(monkeypatch):

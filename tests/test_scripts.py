@@ -117,12 +117,17 @@ def repository_files(root):
 @pytest.mark.skipif(subprocess.run(["git", "-C", str(SCRIPTS), "rev-parse", "HEAD"],
                                    capture_output=True).returncode != 0,
                     reason="needs a git checkout to archive the parent from")
-def test_bench_pairs_runs_both_sides_and_compares_trajectories():
-    # HEAD against the working tree: both sides solve the same instances,
-    # their digests agree, and only the ignored perfbench/out/ is written
+def test_bench_pairs_runs_both_sides_and_compares_trajectories(tmp_path):
+    # HEAD against the working tree of a local clone of HEAD, so that both
+    # sides are the committed tree whatever this checkout's uncommitted
+    # edits: they solve the same instances, their digests agree, and only
+    # the ignored perfbench/out/ is written, in the clone or in the checkout
     root = SCRIPTS.parent
-    before = repository_files(root)
-    out = subprocess.run([sys.executable, str(SCRIPTS / "bench_pairs.py"), "HEAD",
+    clone = tmp_path / "clone"
+    subprocess.run(["git", "clone", "--quiet", str(root), str(clone)],
+                   capture_output=True, check=True)
+    before = {tree: repository_files(tree) for tree in (root, clone)}
+    out = subprocess.run([sys.executable, str(clone / "scripts" / "bench_pairs.py"), "HEAD",
                           "--workload", "nmf-dense-lazy", "--pairs", "1", "--seconds", "1"],
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stdout + out.stderr
@@ -136,9 +141,10 @@ def test_bench_pairs_runs_both_sides_and_compares_trajectories():
     for name in ("solve_rel", "setup_s", "peak_rss_mb"):
         assert any(line.startswith(f"{name} ") and "sign-test p" in line for line in lines)
     assert lines[-1] == "trajectories: every pair agrees"
-    added = {entry for entry in repository_files(root) - before
-             if not entry.startswith("!! perfbench/out/")}
-    assert not added, added
+    for tree, entries in before.items():
+        added = {entry for entry in repository_files(tree) - entries
+                 if not entry.startswith("!! perfbench/out/")}
+        assert not added, (tree, added)
 
 
 def test_lazy_sweep_prints_the_cost_ratio():
