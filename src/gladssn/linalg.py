@@ -306,8 +306,10 @@ class Regularized:
     LinearOperator, an ActiveGram, which is assembled here (see _assemble),
     or a BorderedBlocks.  A dense BorderedBlocks is kept unassembled for an
     identity metric and assembled for any other; a matrix-free one is never
-    assembled.  The distinct blocks of each block group of a BorderedBlocks
-    are per-refresh state (see _block_inverse); solve keeps nothing that
+    assembled.  Per-refresh state of a BorderedBlocks: the distinct blocks
+    of each block group (see _block_inverse), and for the dense form the
+    block-diagonal tail array, built here.  The product H v of the last
+    apply is kept with its v, for zero_psi_sub.  solve keeps nothing that
     depends on lam, so its step does not depend on an earlier solve.
     prev is the previous refresh's Regularized, from which an ActiveGram is
     built and FISTA's step starts (see prox_solve); it is not kept.
@@ -318,9 +320,15 @@ class Regularized:
         self.metric = metric
         self._t = prev._t if prev is not None else None  # FISTA's last accepted step
         self._groups = {}  # a BorderedBlocks group's (distinct blocks, which), at first use
+        self._last_product = None, None  # (v, H v) of the last apply
         self.gram = h if isinstance(h, ActiveGram) else None
-        if isinstance(h, BorderedBlocks) and h.is_dense and not metric.is_identity:
-            h = h.assemble()  # its blocks are not blocks of the pencil (H, B)
+        if isinstance(h, BorderedBlocks) and h.is_dense:
+            if metric.is_identity:
+                m = h.shape[0] - h.split
+                self._tail = np.zeros((m, m))  # blockdiag(tail), for the Schur complement
+                _block_diagonal(self._tail, _shifted_blocks(*h.tail))
+            else:
+                h = h.assemble()  # its blocks are not blocks of the pencil (H, B)
         if self.gram is not None:
             h = self._assemble(prev)
         elif isinstance(h, np.ndarray):
@@ -368,12 +376,18 @@ class Regularized:
         return all(np.all(np.isfinite(part)) for part in parts)
 
     def apply(self, lam: float, v: np.ndarray) -> np.ndarray:
-        """(H + lam B) v."""
-        return self.h @ v + lam * self.metric.apply(v)
+        """(H + lam B) v; H v is kept with v (see _model_grad)."""
+        hv = self.h @ v
+        self._last_product = v, hv
+        return hv + lam * self.metric.apply(v)
 
     def _model_grad(self, lam: float, f_grad: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Gradient f_grad + H s + lam B s of the regularized model at step s."""
-        return f_grad + self.h @ s + lam * self.metric.apply(s)
+        """Gradient f_grad + H s + lam B s of the regularized model at step s,
+        with the H s of the last apply when s is the very array it applied."""
+        last, hs = self._last_product
+        if s is not last:
+            hs = self.h @ s
+        return f_grad + hs + lam * self.metric.apply(s)
 
     def _forcing(self, lam: float, s: np.ndarray) -> float:
         """THETA lam ||s||_B, the bound of the forcing rule (see THETA) at step s."""
@@ -382,7 +396,9 @@ class Regularized:
     def zero_psi_sub(self, lam: float, f_grad: np.ndarray, s: np.ndarray) -> np.ndarray:
         """The subgradient v of a zero psi at x + s, for s = solve(lam, -f_grad).
 
-        Zero after MINRES; after a direct solve, -(f_grad + H s + lam B s).
+        Zero after MINRES; after a direct solve, -(f_grad + H s + lam B s),
+        whose H s is that of solve's last residual check when s is the very
+        array solve returned, so a trial applies H to its step once.
         """
         if not self.is_dense:
             return np.zeros_like(s)
@@ -520,12 +536,12 @@ class Regularized:
         coupling (Golub & Van Loan, Matrix Computations, secs. 3.2 and 4.2):
         S s_2 = r_2 - C^T A^{-1} r_1, and s_1 = A^{-1} r_1 - A^{-1} C s_2.
         A^{-1} is exact, so the whole residual lies in the tail rows.  The
-        forms differ only in how S is solved: the dense form forms it, from
-        -C^T A^{-1} C with the tail's blocks added onto its diagonal blocks
-        and lam onto its diagonal, and factors it (_direct_solver; LU means
-        H + lam I is indefinite, as A is positive definite for positive
-        definite blocks), and the matrix-free form runs MINRES on it
-        (_schur_minres).
+        forms differ only in how S is solved: the dense form forms it as
+        (T - C^T A^{-1} C) + lam I, T the block-diagonal tail array built
+        once per refresh (see __init__), and factors it (_direct_solver; LU
+        means H + lam I is indefinite, as A is positive definite for
+        positive definite blocks), and the matrix-free form runs MINRES on
+        it (_schur_minres).
         """
         h = self.h
         kb = h.split
@@ -533,8 +549,7 @@ class Regularized:
         matvec, rmatvec = h._products
         if h.is_dense:
             inv_c = np.matmul(inv, h.coupling.reshape(*inv.shape[:2], -1)).reshape(kb, -1)
-            schur = -(h.coupling.T @ inv_c)
-            _block_diagonal(schur, _shifted_blocks(*h.tail))
+            schur = self._tail - h.coupling.T @ inv_c
             schur.flat[::schur.shape[0] + 1] += lam
             schur_solve = _direct_solver(schur, f"Schur complement of H + {lam:.3e} I")
             inv_c_apply = inv_c.__matmul__
@@ -679,7 +694,7 @@ def _cholesky_solver(m: np.ndarray):
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return None
-    if not np.min(np.diag(chol)) ** 2 > _PIVOT_REL * (np.trace(m) / m.shape[0]):
+    if not chol.diagonal().min() ** 2 > _PIVOT_REL * (m.trace() / m.shape[0]):
         return None
     # LAPACK's potrs, which scipy.linalg.cho_solve calls, on a Fortran-ordered
     # copy made once here rather than on every solve

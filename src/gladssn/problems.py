@@ -223,9 +223,9 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
         res = resid(x)
         neg_u = np.minimum(u, 0.0)
         neg_v = np.minimum(v, 0.0)
-        return (0.5 * float(np.sum(res * res))
-                + alpha * (float(np.sum(u * u)) + float(np.sum(v * v)))
-                + 0.5 / beta * (float(np.sum(neg_u * neg_u)) + float(np.sum(neg_v * neg_v))))
+        return (0.5 * float((res * res).sum())
+                + alpha * (float((u * u).sum()) + float((v * v).sum()))
+                + 0.5 / beta * (float((neg_u * neg_u).sum()) + float((neg_v * neg_v).sum())))
 
     def eval_grad(x):
         u, v = unpack(x)

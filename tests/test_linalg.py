@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 from scipy.sparse.linalg import LinearOperator
 
-from gladssn import linalg, problems
+from gladssn import linalg, problems, ssn
 from gladssn.linalg import (ActiveGram, BorderedBlocks, MetricB, MetricError, Regularized,
                             SolverStallError, sym_part)
 from gladssn.oracle import SeparableProx
@@ -616,10 +616,10 @@ def test_dense_bordered_blocks_keeps_nothing_from_use():
 
 def test_dense_schur_complement_is_built_from_the_pairs(monkeypatch):
     # the dense elimination factors S = T + lam I - C^T A^{-1} C, T the
-    # block-diagonal tail array, without building T: it adds the tail's
-    # blocks onto the diagonal blocks of -C^T A^{-1} C, then lam onto its
-    # diagonal.  As t - x == (-x) + t, S is bit for bit (T - C^T A^{-1} C)
-    # + lam I, at a lam Cholesky accepts and at one it declines
+    # block-diagonal tail array, which its refresh builds once from the
+    # tail's pair: each solve subtracts C^T A^{-1} C from T, then adds lam
+    # onto the diagonal.  S is bit for bit (T - C^T A^{-1} C) + lam I, at a
+    # lam Cholesky accepts and at one it declines
     h, dense = nmf_bordered_hessian()
     lam_min = np.linalg.eigvalsh(dense)[0]
     factored = []
@@ -646,9 +646,62 @@ def test_dense_schur_complement_is_built_from_the_pairs(monkeypatch):
         np.testing.assert_array_equal(factored[0], want)
 
 
+def test_dense_tail_array_is_built_once_per_refresh(monkeypatch):
+    # T depends on no lam: a dense refresh scatters the tail's blocks once,
+    # and its solves at three lam values (Cholesky, LU, Cholesky) each start
+    # from T, with steps bit for bit those of a fresh refresh
+    h, dense = nmf_bordered_hessian()
+    lam_min = np.linalg.eigvalsh(dense)[0]
+    scattered = []
+    block_diagonal = linalg._block_diagonal
+
+    def counted(out, blocks):
+        scattered.append(blocks.shape)
+        return block_diagonal(out, blocks)
+
+    rhs = np.random.default_rng(18).standard_normal(42)
+    lams = (2.0 - lam_min, -0.5 * lam_min, 5.0)
+    fresh = [Regularized(h, MetricB()).solve(lam, rhs) for lam in lams]
+    monkeypatch.setattr(linalg, "_block_diagonal", counted)
+    lus = _count_lu(monkeypatch)
+    reg = Regularized(h, MetricB())
+    for lam, want in zip(lams, fresh, strict=True):
+        np.testing.assert_array_equal(reg.solve(lam, rhs), want)
+    assert scattered == [(5, 3, 3)] and lus == [(15, 15)]
+
+
+def test_dense_zero_psi_trial_applies_h_once(monkeypatch):
+    # a dense zero-psi trial's residual check and its subgradient share one
+    # product H s, and v = -(f_grad + H s + lam s) bit for bit; a step that
+    # is not the array solve returned gets its own product
+    p = make_nmf(4, d=9, n=5, r=3)
+    x = p.x0
+    f_grad = p.smooth.eval_grad(x)
+    reg = Regularized(p.smooth.eval_hess(x), MetricB())
+    assert isinstance(reg.h, BorderedBlocks) and reg.is_dense
+    steps = []
+    matmul = BorderedBlocks.__matmul__
+
+    def counted(h, v):
+        steps.append(v)
+        return matmul(h, v)
+
+    monkeypatch.setattr(BorderedBlocks, "__matmul__", counted)
+    for lam in (0.5, 4.0):
+        steps.clear()
+        x_plus, v = ssn.trial_step(x, f_grad, reg, lam, p)
+        assert len(steps) == 1, lam
+        s = steps[0]
+        np.testing.assert_array_equal(x_plus, x + s)
+        np.testing.assert_array_equal(v, -(f_grad + matmul(reg.h, s) + lam * s))
+        np.testing.assert_array_equal(reg.zero_psi_sub(lam, f_grad, s.copy()), v)
+        assert len(steps) == 2, lam
+
+
 def test_block_diagonal_adds_onto_its_target():
-    # one helper writes a stack of blocks along a diagonal: onto zeros for
-    # assemble(), onto -C^T A^{-1} C for the dense Schur complement
+    # one helper adds a stack of blocks along a diagonal, onto any target:
+    # onto zeros for assemble() and for the tail array T that a dense
+    # refresh builds for its Schur complements
     blocks = np.arange(12.0).reshape(3, 2, 2) - 5.5
     out = np.linspace(-1.0, 2.0, 64).reshape(8, 8)
     want = out.copy()
