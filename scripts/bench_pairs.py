@@ -16,7 +16,9 @@ sign-test p over the pairs that are not tied, and the ratio of a run's value
 in the first position to its value in the second, estimated from the pairs
 of both orders so that the difference between the sides cancels (n/a from
 pairs of one order).  Each pair's two reports are compared by
-scripts/same_trajectories.py, with --rel-tol when given.  Exits 1 when a
+scripts/same_trajectories.py, with --rel-tol when given.  The line count of
+src/gladssn that each side's reports record is printed with the change's
+difference from the parent, the line delta of a change.  Exits 1 when a
 bench run fails or a pair's digests or statuses differ, 2 on a usage error,
 and 0 otherwise.
 """
@@ -150,7 +152,11 @@ def main(argv=None) -> int:
             shown = compare.stdout.splitlines() if compare.returncode else compare.stdout.splitlines()[-1:]
             print("\n".join(f"pair {i} trajectories: {line}" for line in shown + compare.stderr.splitlines()))
             runs.append(run)
+        count = {side: json.loads((Path(tmp) / f"pair1-{side}.json").read_text())
+                 ["environment"]["src_gladssn_lines"] for side in trees}
 
+    print(f"src/gladssn lines: parent {count['parent']}, change {count['change']}, "
+          f"{count['change'] - count['parent']:+d}")
     print("\n".join(summary(runs)))
     print(f"trajectories: {'every pair agrees' if agree else 'some pair differs'}")
     return 0 if agree else 1

@@ -8,8 +8,9 @@ an ActiveGram that Regularized assembles, or a BorderedBlocks, whose
 groups of blocks are each one shared base plus a diagonal per block, and
 which Regularized solves by eliminating its diagonal blocks; its Schur
 complement is then factored when the coupling is an array, and solved by
-MINRES when it is a pair of products.  All four are applied as H @ v.
-Vectors are 1-d float64 arrays.  Nothing here mutates its inputs.
+MINRES when it is a pair of products; a Regularized picks its route, and
+builds the pieces the route needs, when it is built.  All four are applied
+as H @ v.  Vectors are 1-d float64 arrays.  Nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -304,31 +305,27 @@ class Regularized:
     H is a dense array, which is replaced by its symmetric part (H + H^T) / 2
     (a new array; the caller's is never written), a matrix-free scipy
     LinearOperator, an ActiveGram, which is assembled here (see _assemble),
-    or a BorderedBlocks.  A dense BorderedBlocks is kept unassembled for an
-    identity metric and assembled for any other; a matrix-free one is never
-    assembled.  Per-refresh state of a BorderedBlocks: the distinct blocks
-    of each block group (see _block_inverse), and for the dense form the
-    block-diagonal tail array, built here.  The product H v of the last
-    apply is kept with its v, for zero_psi_sub.  solve keeps nothing that
-    depends on lam, so its step does not depend on an earlier solve.
-    prev is the previous refresh's Regularized, from which an ActiveGram is
-    built and FISTA's step starts (see prox_solve); it is not kept.
+    or a BorderedBlocks, assembled only when dense with a metric other than
+    the identity.  Here the refresh fixes its route and builds its pieces:
+    block elimination for a BorderedBlocks with the identity metric
+    (_elimination_solver, on the distinct blocks and the tail), a
+    factorization for a dense array (_dense_solver), and plain MINRES
+    otherwise (_operator_solver).  The route is a plain function called with
+    self, so that no refresh refers to itself.  The last apply's H v is kept
+    with its v, for zero_psi_sub; nothing that depends on lam is kept, so no
+    step depends on an earlier solve.  prev is the previous refresh, from
+    which an ActiveGram is built and FISTA's step starts (see prox_solve);
+    it is not kept.
     """
 
     def __init__(self, h: np.ndarray | LinearOperator | ActiveGram | BorderedBlocks,
                  metric: MetricB, prev: Regularized | None = None):
         self.metric = metric
         self._t = prev._t if prev is not None else None  # FISTA's last accepted step
-        self._groups = {}  # a BorderedBlocks group's (distinct blocks, which), at first use
         self._last_product = None, None  # (v, H v) of the last apply
         self.gram = h if isinstance(h, ActiveGram) else None
-        if isinstance(h, BorderedBlocks) and h.is_dense:
-            if metric.is_identity:
-                m = h.shape[0] - h.split
-                self._tail = np.zeros((m, m))  # blockdiag(tail), for the Schur complement
-                _block_diagonal(self._tail, _shifted_blocks(*h.tail))
-            else:
-                h = h.assemble()  # its blocks are not blocks of the pencil (H, B)
+        if isinstance(h, BorderedBlocks) and h.is_dense and not metric.is_identity:
+            h = h.assemble()  # its blocks are not blocks of the pencil (H, B)
         if self.gram is not None:
             h = self._assemble(prev)
         elif isinstance(h, np.ndarray):
@@ -337,6 +334,19 @@ class Regularized:
             raise TypeError(f"eval_hess must return an ndarray, a LinearOperator, an "
                             f"ActiveGram or a BorderedBlocks, got {type(h).__name__}")
         self.h = h
+        self.is_dense = isinstance(h, np.ndarray) or (isinstance(h, BorderedBlocks) and h.is_dense)
+        if isinstance(h, BorderedBlocks) and metric.is_identity:
+            self._route = Regularized._elimination_solver
+            self._blocks = _distinct_blocks(h.blocks)
+            if h.is_dense:
+                m = h.shape[0] - h.split
+                self._tail = np.zeros((m, m))  # blockdiag(tail), for the Schur complement
+                _block_diagonal(self._tail, _shifted_blocks(*h.tail))
+            else:
+                self._tail = _distinct_blocks(h.tail)  # for the Schur preconditioner
+        else:
+            self._route = (Regularized._dense_solver if self.is_dense
+                           else Regularized._operator_solver)
 
     def _assemble(self, prev: Regularized | None) -> np.ndarray:
         """The dense H of self.gram, from prev's when both share rows and shift.
@@ -361,11 +371,6 @@ class Regularized:
         h = prev.h + added.T @ added
         h -= removed.T @ removed
         return h
-
-    @property
-    def is_dense(self) -> bool:
-        h = self.h
-        return isinstance(h, np.ndarray) or (isinstance(h, BorderedBlocks) and h.is_dense)
 
     @property
     def is_finite(self) -> bool:
@@ -468,65 +473,45 @@ class Regularized:
         )
 
     def solve(self, lam: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (H + lam B) s = rhs: directly for a dense H, inexactly by MINRES otherwise.
+        """Solve (H + lam B) s = rhs by the refresh's route (see __init__).
 
-        Every method runs in one loop: a first solve and up to three
+        Every route runs in one loop: a first solve and up to three
         corrections, each solving again for the residual rhs - (H + lam B) s
-        (through apply, for every method), until the residual meets its
-        target in the dual norm.  A BorderedBlocks H with the identity
-        metric (see __init__) is never assembled: its blocks are eliminated
-        per lam (_elimination_solver).
-
-        A dense H is solved only directly, to the residual target
+        (through apply), until the residual meets its target in the dual
+        norm.  A dense H is solved only directly, to the target
         max(1e-10, 1e-12 ||rhs||): the one matrix factored, H + lam B or a
         Schur complement, goes through _direct_solver (Cholesky, then LU),
         and a singular one raises SolverStallError.
 
-        A matrix-free H goes to MINRES, capped at 10 n iterations per call:
+        A matrix-free H goes to MINRES, capped at 10 n iterations per call,
         on the Schur complement of a BorderedBlocks with the identity metric
-        (_schur_minres), on H + lam B itself otherwise, unpreconditioned.
-        Its solve is inexact: it stops once the residual
-        rho = rhs - (H + lam B) s of the whole system meets
-        ||rho||_* <= THETA lam ||s||_B, the forcing rule prox_solve shares.
-        With rhs = -f'(x) and psi = 0, -rho is the model residual
+        (_schur_minres) or on H + lam B itself.  Its solve is inexact: it
+        stops once the residual rho = rhs - (H + lam B) s of the whole system
+        meets ||rho||_* <= THETA lam ||s||_B, the forcing rule prox_solve
+        shares.  With rhs = -f'(x) and psi = 0, -rho is the model residual
         f'(x) + (H + lam B) s.  A residual not within its target, NaN
         included, raises SolverStallError.
         """
         _check_lam(lam)
         rhs = np.asarray(rhs, dtype=np.float64)
-        n = rhs.shape[0]
-        if self.h.shape[0] != n:
-            raise ValueError(f"operator dim {self.h.shape[0]} does not match rhs dim {n}")
+        n = self.h.shape[0]
+        if rhs.shape != (n,):
+            raise ValueError(f"operator dim {n} takes an rhs of shape ({n},), got {rhs.shape}")
         if (rhs_norm := float(np.linalg.norm(rhs))) == 0.0:
             return np.zeros(n)
         target = ((lambda s: max(1e-10, 1e-12 * rhs_norm)) if self.is_dense
                   else (lambda s: self._forcing(lam, s)))
-        if isinstance(self.h, BorderedBlocks) and self.metric.is_identity:
-            once = self._elimination_solver(lam)
-        elif self.is_dense:
-            shift = np.eye(n) if self.metric.is_identity else self.metric.matrix
-            once = _direct_solver(self.h + lam * shift, f"H + {lam:.3e} B")
-        else:
-            once = _minres_solver(lambda v: self.apply(lam, v), n, None)
-        return _refined(once, lambda v: self.apply(lam, v), rhs, self.metric.dual_norm, target)
+        return _refined(self._route(self, lam), lambda v: self.apply(lam, v), rhs,
+                        self.metric.dual_norm, target)
 
-    def _block_inverse(self, group: str, lam: float) -> np.ndarray:
-        """(blockdiag(group) + lam I)^{-1} of a BorderedBlocks H, as a (k, b, b) stack.
+    def _dense_solver(self, lam: float):
+        """r -> (H + lam B)^{-1} r for a dense array H, by one factorization."""
+        shift = np.eye(self.h.shape[0]) if self.metric.is_identity else self.metric.matrix
+        return _direct_solver(self.h + lam * shift, f"H + {lam:.3e} B")
 
-        group is "blocks" or "tail", and one rule serves both: the distinct
-        blocks of a group (base, diags) are found once per refresh, compared
-        by their (k, b) diagonals alone (_distinct), and only they are built
-        (_shifted_blocks); each is inverted at every solve's lam (_inverse).
-        The inverse is exact for that lam: a stale one would leave a residual
-        in the rows of the blocks.
-        """
-        if group not in self._groups:
-            base, diags = getattr(self.h, group)
-            distinct, which = _distinct(diags)
-            self._groups[group] = _shifted_blocks(base, distinct), which
-        blocks, which = self._groups[group]
-        name = "a diagonal block" if group == "blocks" else "a tail block"
-        return _inverse(blocks, lam, f"{name} of H + lam I")[which]
+    def _operator_solver(self, lam: float):
+        """r -> an unpreconditioned MINRES step for (H + lam B) s = r."""
+        return _minres_solver(lambda v: self.apply(lam, v), self.h.shape[0], None)
 
     def _elimination_solver(self, lam: float):
         """r -> a step for (H + lam I) s = r, H a BorderedBlocks, by block elimination.
@@ -535,17 +520,18 @@ class Regularized:
         complement S = tail + lam I - C^T A^{-1} C carries all of the
         coupling (Golub & Van Loan, Matrix Computations, secs. 3.2 and 4.2):
         S s_2 = r_2 - C^T A^{-1} r_1, and s_1 = A^{-1} r_1 - A^{-1} C s_2.
-        A^{-1} is exact, so the whole residual lies in the tail rows.  The
-        forms differ only in how S is solved: the dense form forms it as
-        (T - C^T A^{-1} C) + lam I, T the block-diagonal tail array built
-        once per refresh (see __init__), and factors it (_direct_solver; LU
-        means H + lam I is indefinite, as A is positive definite for
-        positive definite blocks), and the matrix-free form runs MINRES on
-        it (_schur_minres).
+        A^{-1} is exact, inverted from the refresh's distinct blocks at this
+        lam, so the whole residual lies in the tail rows.  The forms differ
+        only in how S is solved: the dense form forms it as
+        (T - C^T A^{-1} C) + lam I, T the refresh's block-diagonal tail
+        array, and factors it (_direct_solver; LU means H + lam I is
+        indefinite, as A is positive definite for positive definite blocks),
+        and the matrix-free form runs MINRES on it (_schur_minres).
         """
         h = self.h
         kb = h.split
-        inv = self._block_inverse("blocks", lam)
+        blocks, which = self._blocks
+        inv = _inverse(blocks, lam, "a diagonal block of H + lam I")[which]
         matvec, rmatvec = h._products
         if h.is_dense:
             inv_c = np.matmul(inv, h.coupling.reshape(*inv.shape[:2], -1)).reshape(kb, -1)
@@ -569,14 +555,15 @@ class Regularized:
 
         S p = (tail + lam I) p - C^T A^{-1} C p is applied matrix-free, tail
         + lam I by one gemm (_shifted_apply).  S is preconditioned by block
-        Jacobi, the inverse of blockdiag(tail) + lam I at this solve's lam
-        (_block_inverse), made exactly symmetric, which is positive definite
-        (so MINRES stays valid for an indefinite S).
+        Jacobi, the inverse of blockdiag(tail) + lam I at this solve's lam,
+        made exactly symmetric, which is positive definite (so MINRES stays
+        valid for an indefinite S).
         """
         h = self.h
         m = h.shape[0] - h.split
         _, rmatvec = h.coupling
-        tail_inv = self._block_inverse("tail", lam)
+        blocks, which = self._tail
+        tail_inv = _inverse(blocks, lam, "a tail block of H + lam I")[which]
         tail_inv = 0.5 * (tail_inv + tail_inv.transpose(0, 2, 1))
         precond = LinearOperator((m, m), matvec=lambda q: _block_apply(tail_inv, q),
                                  dtype=np.float64)
@@ -584,6 +571,16 @@ class Regularized:
         shifted_tail = (base, diags + lam)  # tail + lam I
         return _minres_solver(lambda p: _shifted_apply(shifted_tail, p) - rmatvec(inv_c(p)),
                               m, precond)
+
+
+def _distinct_blocks(group: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(blocks, which) of a group (base, diags): its distinct blocks, told
+    apart by their diagonals (_distinct) and the only ones built, and each
+    block's index among them; _inverse(blocks, lam)[which] then inverts
+    blockdiag(group) + lam I at any lam."""
+    base, diags = group
+    distinct, which = _distinct(diags)
+    return _shifted_blocks(base, distinct), which
 
 
 def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -76,11 +76,15 @@ def mix64(z):
 
 
 def _count(size) -> int:
-    """The number of values in a draw of shape size: one integer, or a sequence of them."""
+    """The number of values in a draw of shape size: one integer, or a sequence
+    of them; a negative one raises ValueError before the stream moves."""
     try:
-        return operator.index(size)
+        dims = (operator.index(size),)
     except TypeError:
-        return int(math.prod(size))
+        dims = tuple(size)
+    if min(dims, default=0) < 0:
+        raise ValueError(f"negative dimensions are not allowed, got size {size}")
+    return int(math.prod(dims))
 
 
 class Rng:

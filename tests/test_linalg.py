@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -396,10 +399,10 @@ def test_schur_minres_step_solves_the_block_rows_to_rounding():
 
 def test_both_block_groups_are_inverted_at_every_solves_lam(monkeypatch):
     # one rule for both block groups: a Regularized finds each group's
-    # distinct blocks once, and inverts the diagonal blocks and the tail
-    # blocks (the Schur complement's preconditioner) plus lam I at every
-    # solve's lam; every step meets the forcing rule, on the matrix-free
-    # NMF Hessian and on an indefinite H
+    # distinct blocks as it is built, before any solve, and inverts the
+    # diagonal blocks and the tail blocks (the Schur complement's
+    # preconditioner) plus lam I at every solve's lam; every step meets the
+    # forcing rule, on the matrix-free NMF Hessian and on an indefinite H
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     nmf = make_nmf(2, d=20, n=10, r=3)
     inverse, distinct = linalg._inverse, linalg._distinct
@@ -420,6 +423,7 @@ def test_both_block_groups_are_inverted_at_every_solves_lam(monkeypatch):
         calls.clear()
         found.clear()
         reg = Regularized(h, MetricB())
+        assert found == [h.blocks[1].shape, h.tail[1].shape] and calls == []
         lams = (lam0, 16.0 * lam0, lam0 / 16.0)
         for lam in lams:
             rhs = rng.standard_normal(h.shape[0])
@@ -639,7 +643,9 @@ def test_dense_schur_complement_is_built_from_the_pairs(monkeypatch):
         lus.clear()
         reg = Regularized(h, MetricB())
         reg.solve(lam, rhs)
-        inv_c = np.matmul(reg._block_inverse("blocks", lam), c.reshape(9, 3, 15)).reshape(27, 15)
+        blocks, which = reg._blocks
+        inv = linalg._inverse(blocks, lam, "a diagonal block")[which]
+        inv_c = np.matmul(inv, c.reshape(9, 3, 15)).reshape(27, 15)
         want = tail - c.T @ inv_c
         want.flat[::16] += lam
         assert len(factored) == 1 and lus == ([(15, 15)] if declined else []), lam
@@ -668,6 +674,36 @@ def test_dense_tail_array_is_built_once_per_refresh(monkeypatch):
     for lam, want in zip(lams, fresh, strict=True):
         np.testing.assert_array_equal(reg.solve(lam, rhs), want)
     assert scattered == [(5, 3, 3)] and lus == [(15, 15)]
+
+
+def test_a_solved_refresh_is_freed_without_the_cyclic_collector():
+    # a refresh keeps its route as a plain function, not bound to itself, so
+    # no form's Regularized refers to itself: once solved and dropped it is
+    # freed by reference counting alone, and a run holds one refresh at a time
+    h, dense = nmf_bordered_hessian()
+    metric = MetricB(np.diag(np.linspace(1.0, 2.0, 42)))
+    lam = 2.0 - np.linalg.eigvalsh(dense)[0]  # H + lam B is positive definite
+    forms = {
+        "ndarray": (dense, MetricB()),
+        "ActiveGram": (active_gram(3, 4), MetricB()),
+        "LinearOperator": (scipy.sparse.linalg.aslinearoperator(dense), MetricB()),
+        "dense BorderedBlocks": (h, MetricB()),
+        "matrix-free BorderedBlocks": (nmf_bordered_hessian(0)[0], MetricB()),
+        "dense BorderedBlocks, other metric": (h, metric),
+    }
+    rng = np.random.default_rng(19)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for label, (form, b) in forms.items():
+            reg = Regularized(form, b)
+            reg.solve(lam, rng.standard_normal(form.shape[0]))
+            ref = weakref.ref(reg)
+            del reg
+            assert ref() is None, label
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_dense_zero_psi_trial_applies_h_once(monkeypatch):
@@ -874,6 +910,11 @@ def test_solve_regularized_argument_errors():
         reg.solve(np.inf, np.ones(2))
     with pytest.raises(ValueError):
         reg.solve(1.0, np.ones(3))
+    # the rhs is a vector of H's dimension, so a 0-d or a column rhs is
+    # refused by the shape check rather than deep in a product
+    for rhs in (np.float64(1.0), np.ones((2, 1))):
+        with pytest.raises(ValueError, match=r"rhs of shape \(2,\)"):
+            reg.solve(1.0, rhs)
     # H is one of four kinds: a nested list is none of them, and neither is a
     # bare callable v -> H v until a LinearOperator wraps it
     kinds = "an ndarray, a LinearOperator, an ActiveGram or a BorderedBlocks"

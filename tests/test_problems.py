@@ -163,7 +163,8 @@ def test_nmf_preconditioner_inverts_gauss_newton_blocks(monkeypatch):
         assert np.min(np.linalg.eigvalsh(m)) > 0.0
         err = m @ (block_v + lam * np.eye(n * r)) - np.eye(n * r)
         assert np.max(np.abs(err)) <= 1e-12
-        a_inv = scipy.linalg.block_diag(*reg._block_inverse("blocks", lam))
+        blocks, which = reg._blocks
+        a_inv = scipy.linalg.block_diag(*linalg._inverse(blocks, lam, "a diagonal block")[which])
         err = a_inv @ (block_u + lam * np.eye(d * r)) - np.eye(d * r)
         assert np.max(np.abs(err)) <= 1e-12
 
@@ -271,9 +272,9 @@ def test_nmf_preconditioner_inverts_each_distinct_block_once(monkeypatch):
             preconditioners.clear()
             reg.solve(lam, rhs)
             assert sizes == [distinct_u, distinct_v], label
-            for group in ("blocks", "tail"):
-                np.testing.assert_array_equal(reg._block_inverse(group, lam),
-                                              per_row_inverses(block_stack(getattr(h, group)), lam),
+            for (blocks, which), group in ((reg._blocks, h.blocks), (reg._tail, h.tail)):
+                np.testing.assert_array_equal(linalg._inverse(blocks, lam, "a block")[which],
+                                              per_row_inverses(block_stack(group), lam),
                                               err_msg=label)
             want = per_row_inverses(block_stack(h.tail), lam)
             want = 0.5 * (want + want.transpose(0, 2, 1))

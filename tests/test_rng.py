@@ -152,3 +152,14 @@ def test_draws_give_the_recipe_for_every_form_of_size(size, shape):
         else:
             assert got.shape == shape, method
             np.testing.assert_array_equal(got.ravel(), values, err_msg=method)
+
+
+@pytest.mark.parametrize("size", [-1, np.int64(-1), (2, -1), (-2, -3), [0, -4]])
+def test_a_negative_size_is_refused_before_the_stream_moves(size):
+    # a negative dimension raises before any value is drawn, so the stream
+    # does not move: the next draw is a fresh stream's first
+    for method in ("uniform", "normal"):
+        r = Rng(13)
+        with pytest.raises(ValueError, match="negative dimensions"):
+            getattr(r, method)(size)
+        np.testing.assert_array_equal(r.uniform(size=3), Rng(13).uniform(size=3), err_msg=method)

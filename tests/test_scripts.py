@@ -140,6 +140,9 @@ def test_bench_pairs_runs_both_sides_and_compares_trajectories(tmp_path):
     assert re.fullmatch(r"pair 1 trajectories: \d+ solves agree in .*", lines[lines.index(runs[-1]) + 1])
     for name in ("solve_rel", "setup_s", "peak_rss_mb"):
         assert any(line.startswith(f"{name} ") and "sign-test p" in line for line in lines)
+    count = sum(len(path.read_text().splitlines())
+                for path in (clone / "src" / "gladssn").glob("*.py"))
+    assert f"src/gladssn lines: parent {count}, change {count}, +0" in lines
     assert lines[-1] == "trajectories: every pair agrees"
     for tree, entries in before.items():
         added = {entry for entry in repository_files(tree) - entries
