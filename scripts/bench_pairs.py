@@ -15,7 +15,12 @@ the change wins, the median per-pair change/parent ratio, the two-sided
 sign-test p over the pairs that are not tied, and the ratio of a run's value
 in the first position to its value in the second, estimated from the pairs
 of both orders so that the difference between the sides cancels (n/a from
-pairs of one order).  Each pair's two reports are compared by
+pairs of one order), and then whether the rule for claiming a gain holds:
+over 10 pairs or more the change wins at least 9 of every 10 pairs run, a
+tie counting for neither side; its median is better than the parent's by
+more than the parent's IQR; and its largest count of failed solves, printed
+per side, is no larger than the parent's, since a gain does not count when
+more solves fail.  Each pair's two reports are compared by
 scripts/same_trajectories.py, with --rel-tol when given.  The line count of
 src/gladssn that each side's reports record is printed with the change's
 difference from the parent, the line delta of a change.  Exits 1 when a
@@ -80,9 +85,16 @@ def sign_test(wins: int, losses: int) -> float:
     return min(1.0, 2.0 * tail)
 
 
+# the rule for claiming a gain: at least CLAIM_PAIRS pairs, of which the
+# change wins at least CLAIM_WINS of every CLAIM_PAIRS
+CLAIM_PAIRS, CLAIM_WINS = 10, 9
+
+
 def summary(runs) -> list[str]:
-    """Per metric, each side's spread and the paired statistics."""
-    lines = []
+    """Per metric, each side's spread, the paired statistics and whether the
+    claim rule holds; first each side's largest count of failed solves."""
+    failed = {side: max(run[side]["failed"] for run in runs) for side in ("parent", "change")}
+    lines = [f"largest failed: parent {failed['parent']}, change {failed['change']}"]
     for name in runs[0]["parent"]["metrics"]:
         lower = LOWER_IS_BETTER[name]
         value = {side: [run[side]["metrics"][name]["value"] for run in runs]
@@ -108,6 +120,15 @@ def summary(runs) -> list[str]:
                      f"{statistics.median(c / p for p, c in pairs):.4f}; sign-test p "
                      f"{sign_test(wins, losses):.3g}; median gap {gap:.6g} "
                      f"{'>' if gap > iqr else '<='} parent IQR {iqr:.6g}; first/second {position}")
+        gain = (spread["parent"][1] - spread["change"][1]) * (1 if lower else -1)
+        n = len(pairs)
+        met = (n >= CLAIM_PAIRS and wins * CLAIM_PAIRS >= CLAIM_WINS * n and gain > iqr
+               and failed["change"] <= failed["parent"])
+        lines.append(f"{name:<12} claim rule {'met' if met else 'not met'}: change "
+                     f"{'lower' if lower else 'higher'} in {wins} of {n} pairs, needs "
+                     f"{CLAIM_WINS} of every {CLAIM_PAIRS} over {CLAIM_PAIRS} or more; "
+                     f"median gain {gain:.6g} {'>' if gain > iqr else '<='} parent IQR "
+                     f"{iqr:.6g}; largest failed {failed['change']} against {failed['parent']}")
     return lines
 
 

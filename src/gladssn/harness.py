@@ -16,7 +16,10 @@ step_grad, no_overshoot, value_gain), and over the whole trace:
 
     finite      every value of every row is finite   [a baseline trace's only check]
     lambda_cap  lambda_k  <=  max(4 L, Lambda_0 g_0^p)     [needs L]
-    newton_count sum_{i<=k} j_i  ==  (k+1) + log4(Lambda_{k+1} / Lambda_0)
+    newton_count Lambda_{k+1}  ==  ssn.next_Lambda(Lambda_k, j_k)  at every row,
+                 exactly: powers of 4 scale without rounding, and the rows
+                 telescope to the paper's trial count
+                 sum_{i<=k} j_i  ==  (k+1) + log4(Lambda_{k+1} / Lambda_0)
     envelope    min_{i<=k} g_i  <=  4 sqrt(lambda_bar (F_0 - fstar) / k)   [needs fstar]
     hessian_schedule  row k refreshes iff m divides k - k_0, and hess_evals ==
                       (k - k_0) // m + 1  [m off the first two refreshes, inf
@@ -243,8 +246,8 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
 
     trace may be a path, a list of records or a SolveResult.  A SolveResult
     also ends the last transition at its terminal state: g_final and F_final
-    stand in for the row after the last one, and Lambda_final closes the
-    last prefix of the trial-count identity.  L enables the lambda cap
+    stand in for the row after the last one, and Lambda_final is the last
+    row's Lambda_{k+1} for the update-rule check.  L enables the lambda cap
     check and fstar the gradient-envelope check; an L that is negative or
     not finite, or an fstar that is not finite, raises ValueError.
     """
@@ -274,7 +277,8 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
 
     # the state after the last row is a SolveResult's terminal state; else the
     # last transition goes unchecked, and the update rule gives Lambda_{k+1}
-    last = ([], [], 4.0**js[-1] * caps[-1] / 4.0) if terminal is None else \
+    rule = np.array([ssn.next_Lambda(c, j) for c, j in zip(caps.tolist(), js.tolist())])
+    last = ([], [], rule[-1]) if terminal is None else \
         ([terminal.g_final], [terminal.F_final], terminal.Lambda_final)
     g_next, F_next, lam_next = (np.append(c[1:], t) for c, t in zip((gs, f_F, caps), last))
     n_tr = g_next.size
@@ -292,15 +296,14 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
     else:
         notes.append("no L given: lambda_cap skipped")
 
-    # counting identity at every prefix, to a tolerance with no absolute term
-    expected = (ks - ks[0] + 1) + np.log(lam_next / caps[0]) / np.log(4.0)
-    sum_j = np.cumsum(js)
-    resid = np.abs(sum_j - expected)
-    tol = _REL_SLACK * np.maximum(1.0, np.abs(sum_j))
-    bad = ~(resid <= tol)  # a NaN residual is a violation
-    worst = int(np.argmax(resid - tol))
-    checks["newton_count"] = CheckResult("newton_count", n_rows, int(np.count_nonzero(bad)),
-                                         float(resid[worst]), int(ks[worst]))
+    # the update rule at every row, with no slack: each Lambda_{k+1} is the
+    # rule's value bit for bit, and a row's slack is |Lambda_{k+1} - rule|
+    # (NaN, a violation, where either is not finite)
+    slack = np.where(np.isfinite(lam_next) & np.isfinite(rule), np.abs(lam_next - rule), np.nan)
+    worst = int(np.argmax(slack))  # the first NaN, if any
+    checks["newton_count"] = CheckResult("newton_count", n_rows,
+                                         int(np.count_nonzero(~(slack == 0.0))),
+                                         float(slack[worst]), int(ks[worst]))
 
     if fstar is not None:
         env_bar = lambda_bar if lambda_bar is not None else max(lam0_seed, float(np.max(lams)))

@@ -16,6 +16,7 @@ as H @ v.  Vectors are 1-d float64 arrays.  Nothing here mutates its inputs.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -141,10 +142,10 @@ class MetricB:
         return self._inverse(g)
 
     def norm(self, v: np.ndarray) -> float:
-        return float(np.sqrt(max(float(v @ self.apply(v)), 0.0)))
+        return math.sqrt(max(float(v @ self.apply(v)), 0.0))
 
     def dual_norm(self, g: np.ndarray) -> float:
-        return float(np.sqrt(max(float(g @ self.solve(g)), 0.0)))
+        return math.sqrt(max(float(g @ self.solve(g)), 0.0))
 
 
 class ActiveGram:
@@ -318,6 +319,9 @@ class Regularized:
     it is not kept.
     """
 
+    # parts that are not finite build pieces that are not either, without a
+    # warning: is_finite reports them, and ssn.solve raises NonFiniteError
+    @np.errstate(invalid="ignore", over="ignore")
     def __init__(self, h: np.ndarray | LinearOperator | ActiveGram | BorderedBlocks,
                  metric: MetricB, prev: Regularized | None = None):
         self.metric = metric
@@ -444,9 +448,10 @@ class Regularized:
         for _ in range(_PROX_MAX_SWEEPS):
             y_new = psi.prox(z - t * grad_z, t)
             gap = z - y_new
-            grad_new = self._model_grad(lam, f_grad, y_new - x)
+            s_new = y_new - x
+            grad_new = self._model_grad(lam, f_grad, s_new)
             curv = float((grad_new - grad_z) @ gap)
-            if not np.isfinite(curv):
+            if not math.isfinite(curv):
                 raise SolverStallError(f"model curvature is {curv}", best_residual=np.inf)
             if curv < -float(gap @ gap) / t:
                 t *= 0.5
@@ -454,14 +459,14 @@ class Regularized:
             self._t = t
             v = gap / t - grad_z
             resid = self.metric.dual_norm(grad_new + v)
-            if resid <= self._forcing(lam, y_new - x):
+            if resid <= self._forcing(lam, s_new):
                 return y_new, v
             step = y_new - y
             if float(gap @ step) > 0.0:
                 theta = 1.0
                 z, grad_z = y_new, grad_new
             else:
-                theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+                theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
                 beta = (theta - 1.0) / theta_new
                 z = y_new + beta * step
                 grad_z = grad_new + beta * (grad_new - grad_y)
@@ -497,7 +502,7 @@ class Regularized:
         n = self.h.shape[0]
         if rhs.shape != (n,):
             raise ValueError(f"operator dim {n} takes an rhs of shape ({n},), got {rhs.shape}")
-        if (rhs_norm := float(np.linalg.norm(rhs))) == 0.0:
+        if (rhs_norm := math.sqrt(float(rhs @ rhs))) == 0.0:  # np.linalg.norm's sum
             return np.zeros(n)
         target = ((lambda s: max(1e-10, 1e-12 * rhs_norm)) if self.is_dense
                   else (lambda s: self._forcing(lam, s)))
@@ -536,7 +541,7 @@ class Regularized:
         if h.is_dense:
             inv_c = np.matmul(inv, h.coupling.reshape(*inv.shape[:2], -1)).reshape(kb, -1)
             schur = self._tail - h.coupling.T @ inv_c
-            schur.flat[::schur.shape[0] + 1] += lam
+            schur.reshape(-1)[::schur.shape[0] + 1] += lam  # a view: schur is new
             schur_solve = _direct_solver(schur, f"Schur complement of H + {lam:.3e} I")
             inv_c_apply = inv_c.__matmul__
         else:
@@ -616,7 +621,7 @@ def _inverse(blocks: np.ndarray, lam: float, name: str) -> np.ndarray:
         inv = np.linalg.inv(shifted)
     except np.linalg.LinAlgError:
         inv = None
-    if inv is None or not np.all(np.isfinite(inv)):
+    if inv is None or not np.isfinite(inv).all():
         raise SolverStallError(f"{name} is singular", best_residual=np.inf)
     return inv
 
@@ -637,7 +642,7 @@ def _minres_solver(matvec, n: int, precond):
 
 
 def _check_lam(lam: float) -> None:
-    if not (lam > 0.0 and np.isfinite(lam)):
+    if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"regularizer must be positive and finite, got {lam}")
 
 

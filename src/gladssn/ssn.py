@@ -16,9 +16,9 @@ even where the model is solved inexactly; the trial is accepted when
     F(x_k) - F(x_+)       >=  lambda/4 * ||x_+ - x_k||_B^2
 
 both hold (acceptance_test, through step_inequalities), after which
-Lambda_{k+1} = 4^{j_k} Lambda_k / 4.  A trial is scored value first:
-F(x_+), then the decrease inequality, and only for a trial that passes it
-the gradient f'(x_+), F'(x_+) and the pairing.  A trial rejected on the
+Lambda_{k+1} = 4^{j_k} Lambda_k / 4 (next_Lambda).  A trial is scored
+value first: F(x_+), then the decrease inequality, and only for a trial
+that passes it the gradient f'(x_+), F'(x_+) and the pairing.  A trial rejected on the
 decrease never evaluates its gradient, so it cannot raise NonFiniteError
 on that gradient.  Rejected trials quadruple lambda; a failed inner solve
 counts as a rejected trial.  An outer iteration ends the run as stalled at
@@ -59,6 +59,7 @@ inner solves.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields
 
@@ -76,6 +77,7 @@ __all__ = [
     "TraceRecord",
     "SolveResult",
     "trial_lambda",
+    "next_Lambda",
     "step_inequalities",
     "acceptance_test",
     "trial_step",
@@ -178,6 +180,16 @@ class SolveResult:
 def trial_lambda(Lambda_k: float, g_k: float, p: float, j: int) -> float:
     """Regularizer for inner trial j: 4^j * Lambda_k * g_k^p."""
     return (4.0**j) * Lambda_k * g_k**p
+
+
+def next_Lambda(Lambda_k, j):
+    """Lambda_{k+1} = 4^{j_k} Lambda_k / 4 after a trial accepted at j_k = j.
+
+    The one statement of the update; harness.verify checks every row of a
+    trace against it.  Scaling by a power of 4 does not round, so the check
+    needs no slack.
+    """
+    return (4.0**j) * Lambda_k / 4.0
 
 
 def step_inequalities(pairing, g_next, r, lam, decrease, g) -> dict:
@@ -283,7 +295,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
     F_sub = f_grad + psi_sub
     f_val = float(problem.smooth.eval_f(x))
     F_val = f_val + problem.psi.eval_psi(x)
-    if not (np.isfinite(F_val) and np.all(np.isfinite(F_sub))):
+    if not (math.isfinite(F_val) and np.isfinite(F_sub).all()):
         raise NonFiniteError("objective or gradient non-finite at the starting point")
     g = metric.dual_norm(F_sub)
 
@@ -316,12 +328,12 @@ def solve(problem: CompositeProblem, config: SolverConfig,
                 x_plus, psi_sub_plus = trial_step(x, f_grad, reg, lam, problem, s_prev)
             except SolverStallError:
                 continue
-            if problem.psi.is_zero and np.array_equal(x_plus, x):
+            if problem.psi.is_zero and (x_plus == x).all():
                 break  # x + s rounds to x, now and at every larger lam
             s_prev = x_plus - x
             f_plus = float(problem.smooth.eval_f(x_plus))
             F_plus = f_plus + problem.psi.eval_psi(x_plus)
-            if not np.isfinite(F_plus):
+            if not math.isfinite(F_plus):
                 raise NonFiniteError(
                     f"non-finite trial value at outer iteration {k}, trial {j}",
                     k=k, j=j)
@@ -334,7 +346,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
                 continue
             f_grad_plus = np.asarray(problem.smooth.eval_grad(x_plus), dtype=np.float64)
             F_sub_plus = f_grad_plus + psi_sub_plus
-            if not np.all(np.isfinite(F_sub_plus)):
+            if not np.isfinite(F_sub_plus).all():
                 raise NonFiniteError(
                     f"non-finite trial gradient at outer iteration {k}, trial {j}",
                     k=k, j=j)
@@ -352,7 +364,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             f_val=f_val, F_val=F_val, g_k=g, r_k=r, inner_prod=pairing,
             hess_evals=hess_evals, trials=trials,
             wall_ns=time.perf_counter_ns() - start_ns))
-        Lambda_k = (4.0**j) * Lambda_k / 4.0
+        Lambda_k = next_Lambda(Lambda_k, j)
         x = x_plus
         psi_sub = psi_sub_plus
         f_grad = f_grad_plus

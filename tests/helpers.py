@@ -1,9 +1,59 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
+
 import numpy as np
 
+from gladssn.problems import make_svm
 from gladssn.rng import mix64
 from gladssn.ssn import TraceRecord
+
+# Factors on a run's Lambda0: itself, and one part in 2^40 above it.  A test
+# that runs at both shows that its property does not hang on the last bits
+# of a trajectory, as a run decided at the rounding floor would.
+LAMBDA0_NUDGES = (1.0, 1.0 + 2.0**-40)
+
+
+def svm_with_f_diff(problem):
+    """A make_svm problem with eval_f_diff: f(x) - f(x + s) from the step.
+
+    The ridge term is -<dw, w + dw / 2>.  The change of each margin residual
+    r is d = -y (X dw + db), and its hinge term relu(r)^2 - relu(r + d)^2 is
+    -d (2 r + d) where both are positive, so that no difference of two
+    rounded values of F enters.
+    """
+    inst = problem.instance
+    feats, labels, gamma = inst.X, inst.y, inst.gamma
+    n = feats.shape[1]
+
+    def diff(x, s):
+        r = 1.0 - labels * (feats @ x[:n] + x[n])
+        d = -labels * (feats @ s[:n] + s[n])
+        r_new = r + d
+        hinge = np.where((r > 0.0) & (r_new > 0.0), -d * (2.0 * r + d),
+                         np.maximum(r, 0.0)**2 - np.maximum(r_new, 0.0)**2)
+        return -float(s[:n] @ (x[:n] + 0.5 * s[:n])) + gamma * float(hinge.sum())
+    return dataclasses.replace(problem, eval_f_diff=diff)
+
+
+# Lambda0 of svm_far_start's runs
+FAR_START_LAMBDA0 = 1e-2
+
+
+def svm_far_start():
+    """make_svm(2, n=10, ell=200, gamma=1) started at w = 3 e_1, along the
+    feature that separates the classes, where 29 of the 200 margins are active.
+
+    The model sees only their hinge terms, so at Lambda0 = FAR_START_LAMBDA0
+    the first trial, whose lam is far below the curvature, steps to where
+    most margins are active and F rises: it fails the decrease by about
+    1e15 times the rounding error of F.  gamma = 1 keeps F near 1e2, so a
+    run to grad_tol = 1e-6 ends far above the rounding floor.
+    """
+    problem = make_svm(2, n=10, ell=200, gamma=1.0)
+    x0 = np.zeros(problem.dim)
+    x0[0] = 3.0
+    return dataclasses.replace(problem, x0=x0)
 
 def synthetic_trace(gs, lam=1.0):
     """Minimal trace whose g_k column follows the given sequence."""

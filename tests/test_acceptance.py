@@ -23,7 +23,7 @@ from gladssn.linalg import BorderedBlocks
 from gladssn.oracle import check_gradient_fd, check_hvp_fd
 from gladssn.problems import penalty_violation
 
-from helpers import kink_free_points, opnorm_est
+from helpers import LAMBDA0_NUDGES, kink_free_points, opnorm_est, svm_with_f_diff
 
 
 def _report(capsys, num, slug, ok, detail):
@@ -178,27 +178,34 @@ def test_criterion_04_superlinear_order(capsys):
     """Fitted local order q >= 1.3 with a clean fit on SVM and Huber.
 
     Instances and tolerances were picked so the runs converge with at least
-    six transitions inside the measurable gradient range; the Huber run
-    additionally raises Lambda0 so the regularizer is still relaxing when
-    the gradient enters that range, keeping the log-log tail on the local
-    rate rather than the relaxation schedule.
+    six transitions inside the measurable gradient range, at Lambda0 and at
+    one part in 2^40 above it, so that no outcome hangs on the last bits of
+    a run.  The SVM run certifies its decreases at the rounding floor by an
+    eval_f_diff (helpers.svm_with_f_diff); without it, its last step is
+    decided on the rounding of F ~ 4e6.  Measured with the paper's update
+    and with the "very successful" one of ROADMAP item 11 (Lambda_k / 4
+    after a first-trial acceptance, else 4^j Lambda_k): q 1.76 and 1.82,
+    fit residual 0.104 and 0.165 on the SVM run; q 1.84 and 0.144 under
+    both on the Huber run.
     """
     runs = [
-        ("svm", make_svm(2, n=50, ell=2000),
-         SolverConfig(p=0.5, m=1, grad_tol=1e-6, max_outer=200)),
+        ("svm", svm_with_f_diff(make_svm(2, n=50, ell=2000)),
+         dict(p=0.5, m=1, grad_tol=1e-6, max_outer=200)),
         ("huber", make_huber(2, m=1000, n=100, delta=0.3, ridge=1e-3),
-         SolverConfig(p=0.5, m=1, Lambda0=10.0, grad_tol=1e-11, max_outer=200)),
+         dict(p=0.5, m=1, grad_tol=1e-11, max_outer=200)),
     ]
     failures = []
     parts = []
     for name, prob, cfg in runs:
-        res = solve(prob, cfg)
-        est = estimate_order(res.trace, tail=6)
-        parts.append(f"{name}: q={est.q:.2f} resid={est.fit_residual:.3f}")
-        if res.status != "converged":
-            failures.append(f"{name}: {res.status}")
-        if not (est.q >= 1.3 and est.fit_residual <= 0.2):
-            failures.append(f"{name}: q={est.q:.3f} resid={est.fit_residual:.3f}")
+        for nudge in LAMBDA0_NUDGES:
+            tag = name if nudge == 1.0 else f"{name} nudged"
+            res = solve(prob, SolverConfig(Lambda0=nudge, **cfg))
+            est = estimate_order(res.trace, tail=6)
+            parts.append(f"{tag}: q={est.q:.2f} resid={est.fit_residual:.3f}")
+            if res.status != "converged":
+                failures.append(f"{tag}: {res.status}")
+            if not (est.q >= 1.3 and est.fit_residual <= 0.2):
+                failures.append(f"{tag}: q={est.q:.3f} resid={est.fit_residual:.3f}")
     ok = not failures
     line = _report(capsys, 4, "superlinear order", ok, "; ".join(parts))
     assert ok, line + "; " + "; ".join(failures)

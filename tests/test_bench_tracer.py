@@ -7,11 +7,13 @@ included) with wrapped callables.  A refactor that renames or reshapes any
 of these breaks `bench.py --trace 1`, whose own tests are not part of this
 suite.  The tracer also counts MINRES calls and iterations by patching
 scipy.sparse.linalg.minres, so linalg must resolve that name at call time.
-This test loads spans.py as it is and runs six solves under it.  The
+This test loads spans.py as it is and runs seven solves under it.  The
 tracer's oracle copy keeps only SmoothOracle's fields, while the problem's
 eval_f_diff, which certifies decreases at the rounding floor, lives on
-CompositeProblem, which the tracer copies whole.  Four solves converge off
-the floor.  Two end at it.  One is an SVM run that stalls there, deciding
+CompositeProblem, which the tracer copies whole.  Five solves converge off
+the floor, two of them an SVM run from a far start (helpers.svm_far_start)
+at Lambda0 and one part in 2^40 above it.  Two end at the floor.  One is an
+SVM run that stalls there, deciding
 on rounded values (SVM has no eval_f_diff); its last iteration ends at the
 trial whose step rounds to x_k, which evaluates nothing.  The other is the
 benchmark's huber-l1 instance at seed 2, a composite run whose trials
@@ -20,7 +22,8 @@ tracer copy that dropped the certificate would make its traced run differ
 from the plain one.
 The SVM solves also show that the residual cache, reached through the
 tracer's wrapped callables, leaves the trajectory alone, and that trials
-rejected on the decrease evaluate no gradient.
+rejected on the decrease evaluate no gradient: the far start's first trial
+fails the decrease by far more than rounding.
 """
 
 import dataclasses
@@ -33,6 +36,8 @@ from gladssn import problems, ssn
 from gladssn.oracle import SeparableProx
 from gladssn.problems import make_huber, make_nmf, make_svm
 from gladssn.ssn import CONVERGED, STALLED, SolverConfig
+
+from helpers import FAR_START_LAMBDA0, LAMBDA0_NUDGES, svm_far_start
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -77,8 +82,10 @@ def test_tracer_wraps_the_solver_without_changing_it(monkeypatch):
         "huber-l1": (dataclasses.replace(make_huber(1, m=80, n=10), psi=l1(0.5)),
                      SolverConfig(m=1, grad_tol=1e-8),
                      {"ssn.acceptance_test", "ssn.trial_step"}),
-        "svm": (make_svm(2, n=10, ell=200), SolverConfig(m=1, grad_tol=1e-6),
-                {"ssn.acceptance_test", "ssn.trial_step", "linalg.solve_regularized"}),
+        **{"svm" if nudge == 1.0 else "svm nudged": (
+            svm_far_start(), SolverConfig(m=1, Lambda0=FAR_START_LAMBDA0 * nudge, grad_tol=1e-6),
+            {"ssn.acceptance_test", "ssn.trial_step", "linalg.solve_regularized"})
+           for nudge in LAMBDA0_NUDGES},
         "svm-stalled": (make_svm(3, n=50, ell=2000), SolverConfig(m=1, grad_tol=1e-12),
                         {"ssn.acceptance_test", "ssn.trial_step",
                          "linalg.solve_regularized"}),
@@ -100,7 +107,7 @@ def test_tracer_wraps_the_solver_without_changing_it(monkeypatch):
             assert tracer.counts["linalg.minres.iters"] > tracer.counts["linalg.minres.calls"] > 0
         else:
             assert tracer.counts["linalg.dense_solves"] > 0
-        if name == "svm":
+        if name in ("svm", "svm nudged"):
             assert calls["oracle.eval_grad"] < calls["oracle.eval_f"] == 1 + plain.trials
         elif name == "svm-stalled":
             assert calls["oracle.eval_grad"] < calls["oracle.eval_f"] == plain.trials

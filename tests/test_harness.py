@@ -117,8 +117,14 @@ def test_verify_checks_last_transition_of_a_result(quad_result):
     assert not verify(unbounded).checks["no_overshoot"].passed
     uncounted = dataclasses.replace(quad_result, Lambda_final=math.nan)
     assert not verify(uncounted).checks["newton_count"].passed
+    # the last row's update is checked with no slack
+    ulps = [dataclasses.replace(quad_result, Lambda_final=np.nextafter(
+        quad_result.Lambda_final, direction)) for direction in (0.0, np.inf)]
+    for off in ulps:
+        check = verify(off).checks["newton_count"]
+        assert (check.violations, check.worst_row) == (1, last.k)
     # a bare trace has no terminal state, so none of these changes shows in it
-    for tampered in (overshoot, miscounted, unbounded, uncounted):
+    for tampered in (overshoot, miscounted, unbounded, uncounted, *ulps):
         assert verify(tampered.trace).passed
 
 
@@ -189,12 +195,22 @@ def test_verify_flags_tampered_inner_counter(quad_result):
     assert not report.checks["newton_count"].passed
 
 
-def test_verify_flags_tampered_lambda(quad_result):
+def test_verify_flags_tampered_lambda(tmp_path, quad_result):
     p = make_quadratic(1)
     rows = [dataclasses.replace(r) for r in quad_result.trace]
     rows[4].lambda_k = 1e12
     report = verify(rows, L=quad_lipschitz(p))
     assert not report.checks["lambda_cap"].passed
+    # the update rule holds with no slack: a Lambda_k one ulp off breaks it
+    # into its row and out of it, in a list of rows and in their file alike
+    rows = [dataclasses.replace(r) for r in quad_result.trace]
+    rows[2].Lambda_k = np.nextafter(rows[2].Lambda_k, np.inf)
+    path = tmp_path / "t.csv"
+    write_trace(path, rows)
+    for trace in (rows, path):
+        check = verify(trace).checks["newton_count"]
+        assert (check.checked, check.violations) == (len(rows), 2)
+        assert check.worst_row in (1, 2) and check.worst_slack > 0.0
 
 
 @pytest.mark.parametrize("col, value, check", [

@@ -16,6 +16,9 @@ from gladssn.ssn import (CONVERGED, MAXITER, STALLED, NonFiniteError,
                          SolverConfig, acceptance_test, solve, trial_lambda,
                          trial_step)
 
+from helpers import (FAR_START_LAMBDA0, LAMBDA0_NUDGES, svm_far_start,
+                     svm_with_f_diff)
+
 
 def test_trial_lambda():
     assert trial_lambda(1.0, 4.0, 0.5, 0) == 2.0
@@ -252,15 +255,20 @@ def test_lazy_runs_match_eager_on_constant_hessian():
 
 def test_convex_step_bound_and_counting():
     # with H psd the accepted step obeys r <= g / lambda (which verify does
-    # not cover), and verify checks the trial-count identity through
-    # Lambda_final
-    for prob in (make_quadratic(1), make_huber(1), make_svm(1, n=30, ell=500)):
-        res = solve(prob, SolverConfig(p=0.5, m=1, grad_tol=1e-9))
-        assert res.status == CONVERGED
-        g, lam, r = (np.array([getattr(row, c) for row in res.trace])
-                     for c in ("g_k", "lambda_k", "r_k"))
-        assert _check_ineq("step_bound", g / lam, r, np.arange(len(r))).passed
-        assert verify(res).passed
+    # not cover), and verify checks the update rule at every row, the last
+    # through Lambda_final.  The SVM run certifies a decrease at the rounding
+    # floor by its eval_f_diff, so it converges at 1e-9 whatever the last
+    # bits of Lambda0; gamma = 1 keeps F near 60, whose rounding error is far
+    # below verify's absolute slack of 1e-12
+    svm = svm_with_f_diff(make_svm(1, n=30, ell=500, gamma=1.0))
+    for prob in (make_quadratic(1), make_huber(1), svm):
+        for nudge in LAMBDA0_NUDGES:
+            res = solve(prob, SolverConfig(p=0.5, m=1, Lambda0=nudge, grad_tol=1e-9))
+            assert res.status == CONVERGED, nudge
+            g, lam, r = (np.array([getattr(row, c) for row in res.trace])
+                         for c in ("g_k", "lambda_k", "r_k"))
+            assert _check_ineq("step_bound", g / lam, r, np.arange(len(r))).passed
+            assert verify(res).passed
 
 
 def test_accepted_inequalities_on_nonconvex_run():
@@ -609,20 +617,25 @@ def test_stall_when_inner_budget_exhausted(monkeypatch):
 
 
 def test_stall_exit_skips_only_trials_that_round_to_x():
-    # this SVM run stalls at the rounding floor: its last iteration stops
-    # at trial j*, whose step rounds to x_k bit for bit.  Replaying every
-    # trial the exit skipped, at its larger lambda, lands on x_k as well.
-    problem = make_svm(3, n=50, ell=2000)
-    config = SolverConfig(m=1, grad_tol=1e-12)
-    res = solve(problem, config)
-    assert (res.status, res.iters, res.trials) == (STALLED, 13, 52)
-    j_star = res.trials - res.trace[-1].trials - 1
-    x = res.x
-    reg = Regularized(problem.smooth.eval_hess(x), problem.metric)
-    f_grad = problem.smooth.eval_grad(x)
-    for j in range(j_star, ssn._MAX_TRIALS):
-        lam = trial_lambda(res.Lambda_final, res.g_final, config.p, j)
-        assert np.array_equal(trial_step(x, f_grad, reg, lam, problem)[0], x), j
+    # without eval_f_diff, offset_quadratic stalls by construction: near its
+    # minimizer a step's decrease falls below the rounding error of F ~ 1e3
+    # (test_rounding_floor_certified_by_eval_f_diff).  Its last iteration
+    # stops at trial j*, the first whose step rounds to x_k bit for bit.
+    # Replaying that iteration at x_k, no trial before j* lands on x_k, and
+    # every trial the exit skipped, at its larger lambda, does.
+    problem = offset_quadratic(False)
+    for nudge in LAMBDA0_NUDGES:
+        config = SolverConfig(p=1.0, m=1, Lambda0=nudge, grad_tol=1e-13)
+        res = solve(problem, config)
+        assert res.status == STALLED and res.g_final > 1e-8, nudge
+        j_star = res.trials - res.trace[-1].trials - 1
+        x = res.x
+        reg = Regularized(problem.smooth.eval_hess(x), problem.metric)
+        f_grad = problem.smooth.eval_grad(x)
+        lands = [np.array_equal(trial_step(x, f_grad, reg, trial_lambda(
+            res.Lambda_final, res.g_final, config.p, j), problem)[0], x)
+            for j in range(ssn._MAX_TRIALS)]
+        assert not any(lands[:j_star]) and all(lands[j_star:]), (nudge, j_star)
 
 
 def counting_diff(problem):
@@ -792,6 +805,22 @@ def test_non_finite_hessian_raises_or_fails_the_trial():
             solve(dataclasses.replace(nmf, smooth=dataclasses.replace(
                 nmf.smooth, eval_hess=eval_hess)), SolverConfig(m=1))
         assert exc.value.k == 0, name
+    # inf in the blocks' base where their diagonals hold -inf makes NaN only
+    # when the refresh forms base + diag: that raises the same typed error,
+    # not a RuntimeWarning, in either form
+    for dense_dim_max in (dense, 0):
+        def eval_hess(x, dense_dim_max=dense_dim_max):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(problems, "DENSE_DIM_MAX", dense_dim_max)
+                h = nmf.smooth.eval_hess(x)
+            base, diags = h.blocks
+            base[0, 0], diags[:, 0] = np.inf, -np.inf
+            return h
+
+        with pytest.raises(NonFiniteError, match="Hessian") as exc:
+            solve(dataclasses.replace(nmf, smooth=dataclasses.replace(
+                nmf.smooth, eval_hess=eval_hess)), SolverConfig(m=1))
+        assert exc.value.k == 0, dense_dim_max
     # a matrix-free H whose product is NaN fails every inner solve, MINRES
     # and FISTA alike, so each trial is rejected and the run stalls in place;
     # FISTA stops at its first sweep's curvature, one prox call per trial
@@ -837,9 +866,11 @@ def test_dense_run_declining_cholesky_never_reaches_minres(monkeypatch):
 
 def test_gradient_skipped_only_on_decrease_rejections(monkeypatch):
     # the gradient at a trial point is evaluated once the trial passes the
-    # decrease, and the value once its model is solved, plus one each at x0
-    base = make_svm(2, n=10, ell=200)
-    counts = {"f": 0, "grad": 0}
+    # decrease, and the value once its model is solved, plus one each at x0;
+    # the SVM run from a far start fails its first trial on the decrease by
+    # far more than rounding (helpers.svm_far_start)
+    base = svm_far_start()
+    counts = {}
 
     def counted(name, fn):
         def wrapped(x):
@@ -858,13 +889,16 @@ def test_gradient_skipped_only_on_decrease_rejections(monkeypatch):
         return decreases[-1][0]
 
     monkeypatch.setattr(ssn, "_certified_decrease", record)
-    res = solve(prob, SolverConfig(m=1, grad_tol=1e-6))
-    assert res.status == CONVERGED
-    passed = sum(dec >= floor for dec, floor in decreases)
-    assert 0 < len(decreases) - passed  # some trials fail on the decrease
-    assert res.iters < passed  # and some pass it, yet fail the pairing
-    assert counts["grad"] == 1 + passed
-    assert counts["f"] == 1 + len(decreases)
+    for nudge in LAMBDA0_NUDGES:
+        counts.update(f=0, grad=0)
+        decreases.clear()
+        res = solve(prob, SolverConfig(m=1, Lambda0=FAR_START_LAMBDA0 * nudge, grad_tol=1e-6))
+        assert res.status == CONVERGED, nudge
+        passed = sum(dec >= floor for dec, floor in decreases)
+        assert 0 < len(decreases) - passed, nudge  # some trials fail on the decrease
+        assert res.iters < passed, nudge  # and some pass it, yet fail the pairing
+        assert counts["grad"] == 1 + passed, nudge
+        assert counts["f"] == 1 + len(decreases), nudge
 
 
 def test_matrix_free_run_inverts_both_block_groups_at_every_trial(monkeypatch):
