@@ -106,8 +106,11 @@ def summary(runs) -> list[str]:
         pairs = list(zip(value["parent"], value["change"]))
         wins = sum((c < p) if lower else (c > p) for p, c in pairs)
         losses = sum((c > p) if lower else (c < p) for p, c in pairs)
-        gap = abs(spread["change"][1] - spread["parent"][1])
+        # the gain is signed: positive where the change's median is better
+        gain = (spread["parent"][1] - spread["change"][1]) * (1 if lower else -1)
         iqr = spread["parent"][2] - spread["parent"][0]
+        met = (len(pairs) >= CLAIM_PAIRS and wins * CLAIM_PAIRS >= CLAIM_WINS * len(pairs)
+               and gain > iqr and failed["change"] <= failed["parent"])
         # a first run read f times its value gives a pair ratio r = R / f when
         # the parent runs first and R f when the change does, so f squared is
         # the quotient of the two orders' median ratios
@@ -118,17 +121,9 @@ def summary(runs) -> list[str]:
         lines.append(f"{name:<12} change {'lower' if lower else 'higher'} in {wins} of "
                      f"{len(pairs)} pairs; median change/parent "
                      f"{statistics.median(c / p for p, c in pairs):.4f}; sign-test p "
-                     f"{sign_test(wins, losses):.3g}; median gap {gap:.6g} "
-                     f"{'>' if gap > iqr else '<='} parent IQR {iqr:.6g}; first/second {position}")
-        gain = (spread["parent"][1] - spread["change"][1]) * (1 if lower else -1)
-        n = len(pairs)
-        met = (n >= CLAIM_PAIRS and wins * CLAIM_PAIRS >= CLAIM_WINS * n and gain > iqr
-               and failed["change"] <= failed["parent"])
-        lines.append(f"{name:<12} claim rule {'met' if met else 'not met'}: change "
-                     f"{'lower' if lower else 'higher'} in {wins} of {n} pairs, needs "
-                     f"{CLAIM_WINS} of every {CLAIM_PAIRS} over {CLAIM_PAIRS} or more; "
-                     f"median gain {gain:.6g} {'>' if gain > iqr else '<='} parent IQR "
-                     f"{iqr:.6g}; largest failed {failed['change']} against {failed['parent']}")
+                     f"{sign_test(wins, losses):.3g}; median gain {gain:+.6g} "
+                     f"{'>' if gain > iqr else '<='} parent IQR {iqr:.6g}; first/second "
+                     f"{position}; claim rule {'met' if met else 'not met'}")
     return lines
 
 

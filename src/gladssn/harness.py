@@ -16,9 +16,10 @@ step_grad, no_overshoot, value_gain), and over the whole trace:
 
     finite      every value of every row is finite   [a baseline trace's only check]
     lambda_cap  lambda_k  <=  max(4 L, Lambda_0 g_0^p)     [needs L]
-    newton_count Lambda_{k+1}  ==  ssn.next_Lambda(Lambda_k, j_k)  at every row,
-                 exactly: powers of 4 scale without rounding, and the rows
-                 telescope to the paper's trial count
+    newton_count Lambda_{k+1}  ==  ssn.next_Lambda(Lambda_k, j_k)  and
+                 k_{next row} == k + 1  at every row, exactly: powers of 4
+                 scale without rounding, and the rows telescope to the
+                 paper's trial count
                  sum_{i<=k} j_i  ==  (k+1) + log4(Lambda_{k+1} / Lambda_0)
     envelope    min_{i<=k} g_i  <=  4 sqrt(lambda_bar (F_0 - fstar) / k)   [needs fstar]
     hessian_schedule  row k refreshes iff m divides k - k_0, and hess_evals ==
@@ -277,7 +278,7 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
 
     # the state after the last row is a SolveResult's terminal state; else the
     # last transition goes unchecked, and the update rule gives Lambda_{k+1}
-    rule = np.array([ssn.next_Lambda(c, j) for c, j in zip(caps.tolist(), js.tolist())])
+    rule = ssn.next_Lambda(caps, js)
     last = ([], [], rule[-1]) if terminal is None else \
         ([terminal.g_final], [terminal.F_final], terminal.Lambda_final)
     g_next, F_next, lam_next = (np.append(c[1:], t) for c, t in zip((gs, f_F, caps), last))
@@ -298,8 +299,11 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
 
     # the update rule at every row, with no slack: each Lambda_{k+1} is the
     # rule's value bit for bit, and a row's slack is |Lambda_{k+1} - rule|
-    # (NaN, a violation, where either is not finite)
-    slack = np.where(np.isfinite(lam_next) & np.isfinite(rule), np.abs(lam_next - rule), np.nan)
+    # (NaN, a violation, where either is not finite or where the next row's
+    # k is not this one's plus one, so that the rows telescope)
+    steps = np.append(np.diff(ks), 1)  # a last row has no next k
+    slack = np.where(np.isfinite(lam_next) & np.isfinite(rule) & (steps == 1),
+                     np.abs(lam_next - rule), np.nan)
     worst = int(np.argmax(slack))  # the first NaN, if any
     checks["newton_count"] = CheckResult("newton_count", n_rows,
                                          int(np.count_nonzero(~(slack == 0.0))),
