@@ -278,7 +278,9 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
 
     # the state after the last row is a SolveResult's terminal state; else the
     # last transition goes unchecked, and the update rule gives Lambda_{k+1}
-    rule = ssn.next_Lambda(caps, js)
+    # row by row, so that a rule written for scalars, with a branch on j,
+    # drops into the helper unchanged
+    rule = np.vectorize(ssn.next_Lambda, otypes=[float])(caps, js)
     last = ([], [], rule[-1]) if terminal is None else \
         ([terminal.g_final], [terminal.F_final], terminal.Lambda_final)
     g_next, F_next, lam_next = (np.append(c[1:], t) for c, t in zip((gs, f_F, caps), last))
