@@ -188,11 +188,22 @@ def test_verify_flags_tampered_gradient(quad_result):
     assert {"pairing", "step_grad", "no_overshoot"} & bad
 
 
-def test_verify_flags_tampered_inner_counter(quad_result):
+def test_verify_flags_tampered_inner_counter(quad_result, huber_lazy_result):
     rows = [dataclasses.replace(r) for r in quad_result.trace]
     rows[2].j_k += 1
     report = verify(rows)
     assert not report.checks["newton_count"].passed
+    # a row accepted at j_k = 1 leaves Lambda as it was, so with one deleted
+    # every Lambda_{k+1} is still the rule's value and the refresh schedule
+    # still fits m = 5: only the step in k gives the missing trial away
+    rows = huber_lazy_result.trace
+    assert rows[2].j_k == 1 and rows[2].hess_evals == rows[1].hess_evals
+    cut = rows[:2] + rows[3:]
+    for trace in (cut, dataclasses.replace(huber_lazy_result, trace=cut)):
+        report = verify(trace)
+        check = report.checks["newton_count"]
+        assert (check.checked, check.violations, check.worst_row) == (len(cut), 1, rows[1].k)
+        assert report.checks["hessian_schedule"].passed
 
 
 def test_verify_flags_tampered_lambda(tmp_path, quad_result):
@@ -212,20 +223,6 @@ def test_verify_flags_tampered_lambda(tmp_path, quad_result):
         assert (check.checked, check.violations) == (len(rows), 2)
         assert check.worst_row in (1, 2) and check.worst_slack > 0.0
 
-
-
-def test_verify_flags_a_deleted_row(huber_lazy_result):
-    # a row accepted at j_k = 1 leaves Lambda as it was, so with one deleted
-    # every Lambda_{k+1} is still the rule's value and the refresh schedule
-    # still fits m = 5: only the step in k gives the missing trial away
-    rows = huber_lazy_result.trace
-    assert rows[2].j_k == 1 and rows[2].hess_evals == rows[1].hess_evals
-    cut = rows[:2] + rows[3:]
-    for trace in (cut, dataclasses.replace(huber_lazy_result, trace=cut)):
-        report = verify(trace)
-        check = report.checks["newton_count"]
-        assert (check.checked, check.violations, check.worst_row) == (len(cut), 1, rows[1].k)
-        assert report.checks["hessian_schedule"].passed
 
 @pytest.mark.parametrize("col, value, check", [
     ("inner_prod", math.nan, "pairing"), ("lambda_k", math.nan, "pairing"),
