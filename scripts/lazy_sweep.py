@@ -14,11 +14,12 @@ serves, at 1 BLAS thread (bench.py pins it):
 seeds of each.  Each instance is built once and solved twice per m.
 Prints one markdown row per workload and m: the mean seconds per solve of
 each repeat (the solve only, not the set-up), over the seeds the total
-iterations, Hessian evaluations and solves that did not converge, and the
-cost ratio.  That is the mean time of one Hessian refresh (one eval_hess
-call, timed by wrapping the problem's oracle) over the mean time of one
-trial (the rest of the solve over its trials), with both times in ms after
-it.  Takes about a minute.
+iterations and trials, the accepted iterations split by the trial that was
+accepted (each trace's j_k column: j_k = 0 / 1 / >= 2), Hessian evaluations
+and solves that did not converge, and the cost ratio.  That is the mean
+time of one Hessian refresh (one eval_hess call, timed by wrapping the
+problem's oracle) over the mean time of one trial (the rest of the solve
+over its trials), with both times in ms after it.  Takes about a minute.
 """
 
 import argparse
@@ -59,7 +60,8 @@ def sweep(name: str, seeds: range, ms: tuple) -> list[str]:
     """One table row per m for workload name, solving each seed REPEATS times per m."""
     workload = bench.WORKLOADS[name]
     seconds = {(m, rep): 0.0 for m in ms for rep in range(REPEATS)}
-    totals = {m: [0, 0, 0] for m in ms}  # iterations, Hessians, failed
+    totals = {m: [0, 0, 0, 0] for m in ms}  # iterations, trials, Hessians, failed
+    accepted = {m: [0, 0, 0] for m in ms}  # iterations accepted at j_k = 0, 1, >= 2
     costs = {m: [0.0, 0, 0] for m in ms}  # Hessian seconds, Hessians, trials
     for seed in seeds:
         hess_s = [0.0]
@@ -75,8 +77,11 @@ def sweep(name: str, seeds: range, ms: tuple) -> list[str]:
                 costs[m][1] += res.hess_evals
                 costs[m][2] += res.trials
             totals[m][0] += res.iters
-            totals[m][1] += res.hess_evals
-            totals[m][2] += res.status != ssn.CONVERGED
+            totals[m][1] += res.trials
+            totals[m][2] += res.hess_evals
+            totals[m][3] += res.status != ssn.CONVERGED
+            for rec in res.trace:
+                accepted[m][min(rec.j_k, 2)] += 1
     label = f"`{name}` ({seeds.start}-{seeds.stop - 1})"
     rows = []
     for m in ms:
@@ -85,7 +90,9 @@ def sweep(name: str, seeds: range, ms: tuple) -> list[str]:
         trial = (sum(seconds[m, rep] for rep in range(REPEATS)) - hess_total) / trials
         rows.append(f"| {label} | {m} | "
                     + " / ".join(f"{seconds[m, rep] / len(seeds):.3f}" for rep in range(REPEATS))
-                    + " | " + " | ".join(str(t) for t in totals[m])
+                    + " | " + " | ".join(str(t) for t in totals[m][:2])
+                    + " | " + " / ".join(str(a) for a in accepted[m])
+                    + " | " + " | ".join(str(t) for t in totals[m][2:])
                     + f" | {refresh / trial:#.3g} ({1e3 * refresh:#.3g} / {1e3 * trial:#.3g}) |")
     return rows
 
@@ -98,9 +105,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seeds is not None and args.seeds < 1:
         parser.error("--seeds must be at least 1")
-    print("| workload (seeds) | m | s per solve, each repeat | iterations | Hessians | failed "
-          "| cost ratio (ms per refresh / per trial) |")
-    print("|---|---|---|---|---|---|---|")
+    print("| workload (seeds) | m | s per solve, each repeat | iterations | trials "
+          "| j_k = 0 / 1 / >= 2 | Hessians | failed | cost ratio (ms per refresh / per trial) |")
+    print("|---|---|---|---|---|---|---|---|---|")
     for name in args.workload or GRID:
         seeds, ms = GRID[name]
         if args.seeds is not None:

@@ -15,12 +15,15 @@ solver's own ssn.step_inequalities on every transition (pairing, decrease,
 step_grad, no_overshoot, value_gain), and over the whole trace:
 
     finite      every value of every row is finite   [a baseline trace's only check]
-    lambda_cap  lambda_k  <=  max(4 L, Lambda_0 g_0^p)     [needs L]
-    newton_count Lambda_{k+1}  ==  ssn.next_Lambda(Lambda_k, j_k)  and
-                 k_{next row} == k + 1  at every row, exactly: powers of 4
-                 scale without rounding, and the rows telescope to the
-                 paper's trial count
+    lambda_cap  lambda_k  <=  max(4 L, Lambda_0 g_0^p)     [needs L; 8 L under keep]
+    newton_count Lambda_{k+1}  ==  ssn.next_Lambda(Lambda_k, j_k, keep)  and
+                 k_{next row} == k + 1  at every row, exactly, with one
+                 rule throughout (the paper's, keep = False, or keep; the
+                 notes name it): powers of 4 scale without rounding, and
+                 the rows telescope to the paper's trial count
                  sum_{i<=k} j_i  ==  (k+1) + log4(Lambda_{k+1} / Lambda_0)
+                 or, under keep, to
+                 sum_{i<=k} j_i  ==  #{i<=k : j_i = 0} + log4(Lambda_{k+1} / Lambda_0)
     envelope    min_{i<=k} g_i  <=  4 sqrt(lambda_bar (F_0 - fstar) / k)   [needs fstar]
     hessian_schedule  row k refreshes iff m divides k - k_0, and hess_evals ==
                       (k - k_0) // m + 1  [m off the first two refreshes, inf
@@ -277,13 +280,9 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
         return VerifyReport(rows=n_rows, checks=checks, lambda_bar=None, notes=notes)
 
     # the state after the last row is a SolveResult's terminal state; else the
-    # last transition goes unchecked, and the update rule gives Lambda_{k+1}
-    # row by row, so that a rule written for scalars, with a branch on j,
-    # drops into the helper unchanged
-    rule = np.vectorize(ssn.next_Lambda, otypes=[float])(caps, js)
-    last = ([], [], rule[-1]) if terminal is None else \
-        ([terminal.g_final], [terminal.F_final], terminal.Lambda_final)
-    g_next, F_next, lam_next = (np.append(c[1:], t) for c, t in zip((gs, f_F, caps), last))
+    # last transition goes unchecked
+    last = ([], []) if terminal is None else ([terminal.g_final], [terminal.F_final])
+    g_next, F_next = (np.append(c[1:], t) for c, t in zip((gs, f_F), last))
     n_tr = g_next.size
     row_ids = ks[:n_tr]
     ineqs = ssn.step_inequalities(col["inner_prod"][:n_tr], g_next, col["r_k"][:n_tr],
@@ -291,25 +290,38 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
     for name, (lhs, rhs) in ineqs.items():
         checks[name] = _check_ineq(name, lhs, rhs, row_ids)
 
+    # the update rule at every row, with no slack, under one of next_Lambda's
+    # rules throughout: the one that fits more rows, the paper's on a tie.  A
+    # row's slack is |Lambda_{k+1} - rule|, NaN (a violation) where either is
+    # not finite or the next row's k is not this one's plus one, so that the
+    # rows telescope; after the last row Lambda_{k+1} is a SolveResult's
+    # Lambda_final, else the rule's own value.  np.vectorize applies a rule
+    # written for scalars, with a branch on j, row by row.
+    steps = np.append(np.diff(ks), 1)  # a last row has no next k
+    slacks = {}
+    for name, keep in (("paper", False), ("keep", True)):
+        rule = np.vectorize(ssn.next_Lambda, otypes=[float])(caps, js, keep)
+        lam_next = np.append(caps[1:], rule[-1] if terminal is None else terminal.Lambda_final)
+        slacks[name] = np.where(np.isfinite(lam_next) & np.isfinite(rule) & (steps == 1),
+                                np.abs(lam_next - rule), np.nan)
+    bad = {name: int(np.count_nonzero(~(slack == 0.0))) for name, slack in slacks.items()}
+    keep = bad["keep"] < bad["paper"]
+    slack = slacks["keep" if keep else "paper"]
     lam0_seed = lams[0] / 4.0**js[0]  # Lambda_0 * g_0^p, recovered exactly
     lambda_bar = None
     if L is not None:
-        lambda_bar = max(4.0 * L, lam0_seed)
+        # under keep a first trial after a j >= 1 acceptance sits at up to
+        # 2^p lambda_k, and 2^p <= 2
+        lambda_bar = max((8.0 if keep else 4.0) * L, lam0_seed)
         checks["lambda_cap"] = _check_ineq("lambda_cap", np.full(n_rows, lambda_bar), lams, ks)
     else:
         notes.append("no L given: lambda_cap skipped")
-
-    # the update rule at every row, with no slack: each Lambda_{k+1} is the
-    # rule's value bit for bit, and a row's slack is |Lambda_{k+1} - rule|
-    # (NaN, a violation, where either is not finite or where the next row's
-    # k is not this one's plus one, so that the rows telescope)
-    steps = np.append(np.diff(ks), 1)  # a last row has no next k
-    slack = np.where(np.isfinite(lam_next) & np.isfinite(rule) & (steps == 1),
-                     np.abs(lam_next - rule), np.nan)
     worst = int(np.argmax(slack))  # the first NaN, if any
-    checks["newton_count"] = CheckResult("newton_count", n_rows,
-                                         int(np.count_nonzero(~(slack == 0.0))),
+    checks["newton_count"] = CheckResult("newton_count", n_rows, min(bad.values()),
                                          float(slack[worst]), int(ks[worst]))
+    notes.append("update rule: paper or keep (no row tells them apart)"
+                 if bad["keep"] == bad["paper"] == 0 else
+                 f"update rule: {'keep' if keep else 'paper'}")
 
     if fstar is not None:
         env_bar = lambda_bar if lambda_bar is not None else max(lam0_seed, float(np.max(lams)))

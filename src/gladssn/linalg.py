@@ -71,8 +71,8 @@ THETA = 0.1
 # then checked against the rule itself.  On the Schur complement of the
 # matrix-free NMF Hessian (make_nmf seeds 1-17 at the benchmark's config,
 # 1 BLAS thread, block-Jacobi preconditioned), THETA**2 misses the rule on
-# the first call in 384 of 1322 solves; THETA**3 in 52 of 1321, each met by
-# one correction, at a median first-call ||rho|| / (lam ||s||) of 0.0034.
+# the first call in 216 of 1011 solves; THETA**3 in 25 of 1018, each met by
+# one correction, at a median first-call ||rho|| / (lam ||s||) of 0.0017.
 _MINRES_RTOL = THETA**3
 
 # FISTA sweeps per composite model solve (Regularized.prox_solve).

@@ -16,7 +16,9 @@ even where the model is solved inexactly; the trial is accepted when
     F(x_k) - F(x_+)       >=  lambda/4 * ||x_+ - x_k||_B^2
 
 both hold (acceptance_test, through step_inequalities), after which
-Lambda_{k+1} = 4^{j_k} Lambda_k / 4 (next_Lambda).  A trial is scored
+Lambda_{k+1} = Lambda_k / 4 if j_k = 0 and otherwise, on a problem with
+eval_f_diff, 4^{j_k} Lambda_k, or else the paper's 4^{j_k} Lambda_k / 4
+(next_Lambda; see below for why eval_f_diff decides).  A trial is scored
 value first: F(x_+), then the decrease inequality, and only for a trial
 that passes it the gradient f'(x_+), F'(x_+) and the pairing.  A trial rejected on the
 decrease never evaluates its gradient, so it cannot raise NonFiniteError
@@ -45,7 +47,9 @@ eval_f_diff(x_k, s) when psi is zero, and the lower bound
 eval_f_diff(x_k, s) - <v, s> on F(x_k) - F(x_+) when it is not, with v the
 trial's subgradient of psi at x_+.  Outside the band, or without
 eval_f_diff, the rounded values decide, and a run whose trials all fail on
-noise stops as stalled.
+noise stops as stalled.  There a rejection on noise would raise Lambda for
+good if its level were kept, while the paper's rule forgets it one level per
+iteration, so only a problem with eval_f_diff keeps Lambda's level.
 
 Each Hessian refresh builds one linalg.Regularized, which owns H + lambda B
 for every trial and lazy iteration until the next refresh.  It is built
@@ -182,13 +186,19 @@ def trial_lambda(Lambda_k: float, g_k: float, p: float, j: int) -> float:
     return (4.0**j) * Lambda_k * g_k**p
 
 
-def next_Lambda(Lambda_k, j):
-    """Lambda_{k+1} = 4^{j_k} Lambda_k / 4 after a trial accepted at j_k = j.
+def next_Lambda(Lambda_k, j, keep):
+    """Lambda_{k+1} after a trial accepted at j_k = j.
 
-    The one statement of the update; harness.verify checks every row of a
-    trace against it.  Scaling by a power of 4 does not round, so the check
-    needs no slack.
+    Lambda_k / 4 after a first-trial acceptance (j = 0).  After j >= 1 the
+    paper's rule gives 4^j Lambda_k / 4, so the next first trial retries the
+    level just rejected; keep gives 4^j Lambda_k, the level just accepted
+    (the "very successful" rule of adaptive cubic regularization: shrink only
+    when the first trial passed).  The one statement of the update;
+    harness.verify checks every row of a trace against it.  Scaling by a
+    power of 4 does not round, so the check needs no slack.
     """
+    if keep and j:
+        return (4.0**j) * Lambda_k
     return (4.0**j) * Lambda_k / 4.0
 
 
@@ -300,6 +310,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
     g = metric.dual_norm(F_sub)
 
     Lambda_k = float(config.Lambda0)
+    keep = problem.eval_f_diff is not None  # next_Lambda's rule; see above
     reg: Regularized | None = None
     hess_evals = 0
     trials = 0
@@ -364,7 +375,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             f_val=f_val, F_val=F_val, g_k=g, r_k=r, inner_prod=pairing,
             hess_evals=hess_evals, trials=trials,
             wall_ns=time.perf_counter_ns() - start_ns))
-        Lambda_k = next_Lambda(Lambda_k, j)
+        Lambda_k = next_Lambda(Lambda_k, j, keep)
         x = x_plus
         psi_sub = psi_sub_plus
         f_grad = f_grad_plus

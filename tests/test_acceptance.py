@@ -183,10 +183,10 @@ def test_criterion_04_superlinear_order(capsys):
     a run.  The SVM run certifies its decreases at the rounding floor by an
     eval_f_diff (helpers.svm_with_f_diff); without it, its last step is
     decided on the rounding of F ~ 4e6.  Measured with the paper's update
-    and with the "very successful" one of ROADMAP item 11 (Lambda_k / 4
-    after a first-trial acceptance, else 4^j Lambda_k): q 1.76 and 1.82,
-    fit residual 0.104 and 0.165 on the SVM run; q 1.84 and 0.144 under
-    both on the Huber run.
+    and with the "very successful" one (Lambda_k / 4 after a first-trial
+    acceptance, else 4^j Lambda_k), which the solver applies to both runs,
+    as both problems have eval_f_diff: q 1.76 and 1.82, fit residual 0.104
+    and 0.165 on the SVM run; q 1.84 and 0.144 under both on the Huber run.
     """
     runs = [
         ("svm", svm_with_f_diff(make_svm(2, n=50, ell=2000)),

@@ -155,6 +155,27 @@ def test_verify_command(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_names_the_update_rule(tmp_path, capsys):
+    # NMF certifies its decrease from the step (eval_f_diff) and keeps Lambda's
+    # level; SVM decides on rounded values and follows the paper's rule; the
+    # quadratic accepts every first trial, where the two rules agree
+    runs = {"keep": {"problem": "nmf", "seed": 2, "grad_tol": 1e-6,
+                     "problem_kwargs": {"d": 20, "n": 10, "r": 3}},
+            "paper": {"problem": "svm", "seed": 2, "grad_tol": 1e-6,
+                      "problem_kwargs": {"n": 10, "ell": 200}},
+            "paper or keep (no row tells them apart)": {"problem": "quad", "seed": 7,
+                                                        "grad_tol": 1e-10}}
+    for rule, cfg in runs.items():
+        out, cfg_path = tmp_path / "t.csv", tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"  note: update rule: {rule}" in lines, lines
+        assert lines[-1] == "verify: PASS"
+
+
 def test_verify_rejects_an_option_it_cannot_use(tmp_path, capsys):
     # the README's quad seed-7 trace passes verify with no options
     out = tmp_path / "t.csv"

@@ -8,8 +8,8 @@ from gladssn.baselines import armijo_gd
 from gladssn.harness import (COLUMNS, SOLVERS, ConfigError, NotEstimableError, RunConfig,
                              compare, estimate_order, read_trace, run, verify,
                              write_trace)
-from gladssn.problems import make_huber, make_quadratic
-from gladssn.ssn import SolverConfig, solve
+from gladssn.problems import make_huber, make_nmf, make_quadratic
+from gladssn.ssn import SolverConfig, next_Lambda, solve
 
 from helpers import synthetic_trace
 
@@ -22,6 +22,16 @@ def quad_result():
 @pytest.fixture(scope="module")
 def huber_lazy_result():
     return solve(make_huber(1), SolverConfig(p=0.0, m=5, grad_tol=0.0, max_outer=12))
+
+
+@pytest.fixture(scope="module")
+def nmf_rule_results():
+    """One small NMF instance solved under each update rule: with its
+    eval_f_diff (keep) and without it (the paper's)."""
+    problem = make_nmf(2, d=20, n=10, r=3)
+    config = SolverConfig(p=0.5, m=1, grad_tol=1e-6)
+    return {"keep": solve(problem, config),
+            "paper": solve(dataclasses.replace(problem, eval_f_diff=None), config)}
 
 
 # ------------------------------------------------------------------ trace IO
@@ -222,6 +232,47 @@ def test_verify_flags_tampered_lambda(tmp_path, quad_result):
         check = verify(trace).checks["newton_count"]
         assert (check.checked, check.violations) == (len(rows), 2)
         assert check.worst_row in (1, 2) and check.worst_slack > 0.0
+
+
+def test_verify_checks_one_update_rule_throughout(nmf_rule_results, quad_result):
+    # each pure trace passes and its notes name its rule; rows that no j_k >= 1
+    # tells apart fit both, and then the paper's cap is checked
+    for rule, res in nmf_rule_results.items():
+        assert any(r.j_k >= 1 for r in res.trace[:-1]), rule
+        for trace in (res, res.trace):
+            report = verify(trace, L=1e6)
+            assert report.passed, (rule, report.summary())
+            assert f"update rule: {rule}" in report.notes
+            # under keep a first trial after j >= 1 sits at up to 2^p lambda_k
+            assert report.lambda_bar == (8e6 if rule == "keep" else 4e6)
+    assert all(r.j_k == 0 for r in quad_result.trace)
+    report = verify(quad_result, L=1e6)
+    assert "update rule: paper or keep (no row tells them apart)" in report.notes
+    assert report.lambda_bar == 4e6
+    # a trace with one row's update rewritten to the other rule's value, and
+    # the rows after it rescaled to follow its own rule again: every row fits
+    # one rule, but no rule fits every row
+    for rule, scale in (("keep", 0.25), ("paper", 4.0)):
+        res = nmf_rule_results[rule]
+        rows = [dataclasses.replace(r) for r in res.trace]
+        i = max(i for i, r in enumerate(rows[:-1]) if r.j_k >= 1)
+        for r in rows[i + 1:]:
+            r.Lambda_k *= scale
+        assert rows[i + 1].Lambda_k == next_Lambda(rows[i].Lambda_k, rows[i].j_k,
+                                                   rule == "paper")
+        for trace in (rows, dataclasses.replace(res, trace=rows,
+                                                Lambda_final=scale * res.Lambda_final)):
+            check = verify(trace).checks["newton_count"]
+            assert (check.violations, check.worst_row) == (1, rows[i].k), rule
+    # the last row's update, from Lambda_final, is checked the same way: each
+    # run's last row is accepted at j_k >= 1, and the other rule's value fails
+    for rule, res in nmf_rule_results.items():
+        last = res.trace[-1]
+        assert last.j_k >= 1
+        other = dataclasses.replace(
+            res, Lambda_final=next_Lambda(last.Lambda_k, last.j_k, rule == "paper"))
+        check = verify(other).checks["newton_count"]
+        assert (check.violations, check.worst_row) == (1, last.k), rule
 
 
 @pytest.mark.parametrize("col, value, check", [

@@ -163,11 +163,17 @@ def test_lazy_sweep_prints_the_cost_ratio():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     header, _, *rows = out.stdout.splitlines()
-    assert header.endswith("| failed | cost ratio (ms per refresh / per trial) |")
+    assert header.endswith("| iterations | trials | j_k = 0 / 1 / >= 2 | Hessians | failed "
+                           "| cost ratio (ms per refresh / per trial) |")
     assert [row.split(" | ")[:2] for row in rows] == [["| `nmf-dense-lazy` (1-1)", "1"],
                                                       ["| `nmf-dense-lazy` (1-1)", "5"]]
     for row in rows:
-        ratio, refresh, trial = map(float, re.fullmatch(
-            r".* \| (\S+) \((\S+) / (\S+)\) \|", row).groups())
+        iters, trials, j0, j1, j2, hessians, failed, ratio, refresh, trial = map(
+            float, re.fullmatch(r".* \| (\d+) \| (\d+) \| (\d+) / (\d+) / (\d+) \| (\d+) \| "
+                                r"(\d+) \| (\S+) \((\S+) / (\S+)\) \|", row).groups())
+        # the split covers every accepted iteration, and each iteration accepted
+        # at j_k took j_k + 1 trials (a solve that did not converge pays more)
+        assert j0 + j1 + j2 == iters and trials >= iters + j1 + 2.0 * j2, row
+        assert failed == 0 and hessians <= iters, row
         assert refresh > 0.0 and trial > 0.0
         assert math.isclose(ratio, refresh / trial, rel_tol=0.02), row

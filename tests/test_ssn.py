@@ -13,8 +13,8 @@ from gladssn.problems import make_huber, make_nmf, make_quadratic, make_svm
 from gladssn import ssn
 from gladssn.harness import ConfigError, RunConfig, _check_ineq, estimate_order, verify
 from gladssn.ssn import (CONVERGED, MAXITER, STALLED, NonFiniteError,
-                         SolverConfig, acceptance_test, solve, trial_lambda,
-                         trial_step)
+                         SolverConfig, acceptance_test, next_Lambda, solve,
+                         trial_lambda, trial_step)
 
 from helpers import (FAR_START_LAMBDA0, LAMBDA0_NUDGES, svm_far_start,
                      svm_with_f_diff)
@@ -25,6 +25,18 @@ def test_trial_lambda():
     assert trial_lambda(1.0, 4.0, 0.5, 2) == 32.0
     assert trial_lambda(0.25, 7.0, 0.0, 1) == 1.0
     assert trial_lambda(2.0, 3.0, 1.0, 0) == 6.0
+
+
+def test_next_Lambda_rules():
+    # both rules shrink after a first-trial acceptance; after j >= 1 the
+    # paper's retries the level below the accepted one, and keep keeps it
+    for keep in (False, True):
+        assert next_Lambda(8.0, 0, keep) == 2.0
+    assert [next_Lambda(8.0, j, False) for j in (1, 2, 3)] == [8.0, 32.0, 128.0]
+    assert [next_Lambda(8.0, j, True) for j in (1, 2, 3)] == [32.0, 128.0, 512.0]
+    # powers of 4 scale without rounding, so both rules are exact
+    lam = 0.1 + 0.2
+    assert next_Lambda(next_Lambda(lam, 3, True), 0, True) == 16.0 * lam
 
 
 def test_acceptance_boundaries():
@@ -405,7 +417,7 @@ def test_local_order_survives_inexact_solves(monkeypatch):
 def test_lazy_local_order_over_refresh_rows():
     # the paper's local rate survives laziness: at m = 3 the order fitted
     # over the refresh rows alone, log g_{k+3} on log g_k over the last 4
-    # blocks, stays superlinear (measured: 2.10, 2.03, 1.79 and 1.85, the
+    # blocks, stays superlinear (measured: 2.32, 2.27, 1.69 and 1.88, the
     # same at 1 and 2 BLAS threads); the runs solve NMF's dense
     # BorderedBlocks Hessian across the lazy iterations of each refresh
     for seed, size in ((2, dict(d=20, n=10, r=3)), (1, dict(d=40, n=20, r=4)),
@@ -717,15 +729,25 @@ def test_verify_accepts_a_decrease_certified_at_the_floor():
 
 
 def test_off_floor_nmf_never_consults_eval_f_diff():
+    # off the floor eval_f_diff is never called, so wrapping it to count its
+    # calls leaves the run as it was, trial for trial
     base = make_nmf(1, d=40, n=20, r=4)
     prob, calls = counting_diff(base)
     cfg = SolverConfig(p=0.5, m=5, grad_tol=1e-2)
     res = solve(prob, cfg)
     assert res.status == CONVERGED
     assert calls == []
+    unwrapped = solve(base, cfg)
+    assert unwrapped.trials == res.trials
+    np.testing.assert_array_equal(unwrapped.x, res.x)
+    # having eval_f_diff at all picks the update rule: the run without it
+    # follows the paper's at every row, the run with it keeps Lambda's level
     plain = solve(dataclasses.replace(base, eval_f_diff=None), cfg)
-    assert plain.trials == res.trials
-    np.testing.assert_array_equal(plain.x, res.x)
+    assert plain.status == CONVERGED
+    for run, keep in ((plain, False), (res, True)):
+        after = [r.Lambda_k for r in run.trace[1:]] + [run.Lambda_final]
+        assert after == [next_Lambda(r.Lambda_k, r.j_k, keep) for r in run.trace], keep
+        assert any(r.j_k >= 1 for r in run.trace), keep  # where the rules differ
 
 
 def test_non_finite_start_raises():
