@@ -198,19 +198,25 @@ def test_verify_flags_tampered_gradient(quad_result):
     assert {"pairing", "step_grad", "no_overshoot"} & bad
 
 
-def test_verify_flags_tampered_inner_counter(quad_result, huber_lazy_result):
+def test_verify_flags_tampered_inner_counter(quad_result):
     rows = [dataclasses.replace(r) for r in quad_result.trace]
     rows[2].j_k += 1
     report = verify(rows)
     assert not report.checks["newton_count"].passed
-    # a row accepted at j_k = 1 leaves Lambda as it was, so with one deleted
-    # every Lambda_{k+1} is still the rule's value and the refresh schedule
-    # still fits m = 5: only the step in k gives the missing trial away
-    rows = huber_lazy_result.trace
+    # under the paper's rule a row accepted at j_k = 1 leaves Lambda as it
+    # was, so with one deleted every Lambda_{k+1} is still the rule's value and
+    # the refresh schedule still fits m = 5: only the step in k gives the
+    # missing trial away.  (Under keep such a row quadruples Lambda, so its
+    # deletion shows in Lambda too; without eval_f_diff the paper's rule runs.)
+    problem = dataclasses.replace(make_huber(1), eval_f_diff=None)
+    res = solve(problem, SolverConfig(p=0.0, m=5, grad_tol=0.0, max_outer=12))
+    assert "update rule: paper" in verify(res).notes
+    rows = res.trace
     assert rows[2].j_k == 1 and rows[2].hess_evals == rows[1].hess_evals
     cut = rows[:2] + rows[3:]
-    for trace in (cut, dataclasses.replace(huber_lazy_result, trace=cut)):
+    for trace in (cut, dataclasses.replace(res, trace=cut)):
         report = verify(trace)
+        assert "update rule: paper" in report.notes
         check = report.checks["newton_count"]
         assert (check.checked, check.violations, check.worst_row) == (len(cut), 1, rows[1].k)
         assert report.checks["hessian_schedule"].passed
