@@ -16,13 +16,19 @@ Prints one markdown row per workload and m: the mean seconds per solve of
 each repeat (the solve only, not the set-up), over the seeds the total
 iterations and trials, the accepted iterations split by the trial that was
 accepted (each trace's j_k column: j_k = 0 / 1 / >= 2), Hessian evaluations
-and solves that did not converge, and the cost ratio.  That is the mean
-time of one Hessian refresh (one eval_hess call, timed by wrapping the
-problem's oracle) over the mean time of one trial (the rest of the solve
-over its trials), with both times in ms after it.  Takes about a minute.
+and solves that did not converge, the rest of the solve per iteration, and
+the cost ratio.  Each part of a solve is timed by wrapping the calls that
+make it up: a refresh is one eval_hess call and the ssn.Regularized built
+from it, and a trial is one ssn.trial_step call and the eval_f and
+eval_grad calls made after it (those at the starting point are not a
+trial's).  The rest is the solve's time outside both, over its iterations:
+the acceptance tests, a certified decrease, the trace.  The cost ratio is
+the mean time of one refresh over the mean time of one trial, with both
+times in ms after it.  Takes about a minute.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 import time
@@ -41,19 +47,46 @@ GRID = {
 REPEATS = 2
 
 
-def timed_hessian(problem, spent: list):
-    """problem with its eval_hess wrapped to add each call's seconds to spent[0]."""
-    eval_hess = problem.smooth.eval_hess
-
-    def timed(x):
+def timed(fn, spent: dict, part: str, gate=None):
+    """fn wrapped to add each call's seconds to spent[part]; with a gate, only
+    the calls made while gate[0] is true."""
+    def wrapper(*args, **kwargs):
+        if gate is not None and not gate[0]:
+            return fn(*args, **kwargs)
         start = time.perf_counter()
         try:
-            return eval_hess(x)
+            return fn(*args, **kwargs)
         finally:
-            spent[0] += time.perf_counter() - start
+            spent[part] += time.perf_counter() - start
+    return wrapper
 
-    return dataclasses.replace(problem,
-                               smooth=dataclasses.replace(problem.smooth, eval_hess=timed))
+
+def timed_problem(problem, spent: dict, trials_begun: list):
+    """problem with eval_hess timed as a refresh, and eval_f and eval_grad as
+    a trial once trials_begun[0] is set."""
+    smooth = problem.smooth
+    return dataclasses.replace(problem, smooth=dataclasses.replace(
+        smooth, eval_hess=timed(smooth.eval_hess, spent, "refresh"),
+        eval_f=timed(smooth.eval_f, spent, "trial", trials_begun),
+        eval_grad=timed(smooth.eval_grad, spent, "trial", trials_begun)))
+
+
+@contextlib.contextmanager
+def timed_solver(spent: dict, trials_begun: list):
+    """ssn.Regularized timed as a refresh and ssn.trial_step as a trial, which
+    also sets trials_begun[0], while the context lasts."""
+    regularized, trial_step = ssn.Regularized, ssn.trial_step
+
+    def marking_trials(*args, **kwargs):
+        trials_begun[0] = True
+        return trial_step(*args, **kwargs)
+
+    ssn.Regularized = timed(regularized, spent, "refresh")
+    ssn.trial_step = timed(marking_trials, spent, "trial")
+    try:
+        yield
+    finally:
+        ssn.Regularized, ssn.trial_step = regularized, trial_step
 
 
 def sweep(name: str, seeds: range, ms: tuple) -> list[str]:
@@ -62,20 +95,19 @@ def sweep(name: str, seeds: range, ms: tuple) -> list[str]:
     seconds = {(m, rep): 0.0 for m in ms for rep in range(REPEATS)}
     totals = {m: [0, 0, 0, 0] for m in ms}  # iterations, trials, Hessians, failed
     accepted = {m: [0, 0, 0] for m in ms}  # iterations accepted at j_k = 0, 1, >= 2
-    costs = {m: [0.0, 0, 0] for m in ms}  # Hessian seconds, Hessians, trials
+    spent = {m: {"refresh": 0.0, "trial": 0.0} for m in ms}  # seconds, over the repeats
+    trials_begun = [False]
     for seed in seeds:
-        hess_s = [0.0]
-        problem = timed_hessian(workload.make(seed), hess_s)
+        problem = workload.make(seed)
         for m in ms:
             config = dataclasses.replace(workload.config, m=m)
+            timed_seed = timed_problem(problem, spent[m], trials_begun)
             for rep in range(REPEATS):
-                hess_s[0] = 0.0
-                start = time.perf_counter()
-                res = ssn.solve(problem, config)
-                seconds[m, rep] += time.perf_counter() - start
-                costs[m][0] += hess_s[0]
-                costs[m][1] += res.hess_evals
-                costs[m][2] += res.trials
+                trials_begun[0] = False
+                with timed_solver(spent[m], trials_begun):
+                    start = time.perf_counter()
+                    res = ssn.solve(timed_seed, config)
+                    seconds[m, rep] += time.perf_counter() - start
             totals[m][0] += res.iters
             totals[m][1] += res.trials
             totals[m][2] += res.hess_evals
@@ -85,14 +117,18 @@ def sweep(name: str, seeds: range, ms: tuple) -> list[str]:
     label = f"`{name}` ({seeds.start}-{seeds.stop - 1})"
     rows = []
     for m in ms:
-        hess_total, hessians, trials = costs[m]
-        refresh = hess_total / hessians
-        trial = (sum(seconds[m, rep] for rep in range(REPEATS)) - hess_total) / trials
+        # every repeat takes the same steps, so the counts over them are REPEATS times totals
+        iters, trials, hessians = (REPEATS * t for t in totals[m][:3])
+        refresh = spent[m]["refresh"] / hessians
+        trial = spent[m]["trial"] / trials
+        rest = (sum(seconds[m, rep] for rep in range(REPEATS))
+                - spent[m]["refresh"] - spent[m]["trial"]) / iters
         rows.append(f"| {label} | {m} | "
                     + " / ".join(f"{seconds[m, rep] / len(seeds):.3f}" for rep in range(REPEATS))
                     + " | " + " | ".join(str(t) for t in totals[m][:2])
                     + " | " + " / ".join(str(a) for a in accepted[m])
                     + " | " + " | ".join(str(t) for t in totals[m][2:])
+                    + f" | {1e3 * rest:#.3g}"
                     + f" | {refresh / trial:#.3g} ({1e3 * refresh:#.3g} / {1e3 * trial:#.3g}) |")
     return rows
 
@@ -106,8 +142,9 @@ def main(argv=None) -> int:
     if args.seeds is not None and args.seeds < 1:
         parser.error("--seeds must be at least 1")
     print("| workload (seeds) | m | s per solve, each repeat | iterations | trials "
-          "| j_k = 0 / 1 / >= 2 | Hessians | failed | cost ratio (ms per refresh / per trial) |")
-    print("|---|---|---|---|---|---|---|---|---|")
+          "| j_k = 0 / 1 / >= 2 | Hessians | failed | rest, ms per iteration "
+          "| cost ratio (ms per refresh / per trial) |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     for name in args.workload or GRID:
         seeds, ms = GRID[name]
         if args.seeds is not None:

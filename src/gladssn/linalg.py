@@ -8,9 +8,10 @@ an ActiveGram that Regularized assembles, or a BorderedBlocks, whose
 groups of blocks are each one shared base plus a diagonal per block, and
 which Regularized solves by eliminating its diagonal blocks; its Schur
 complement is then factored when the coupling is an array, and solved by
-MINRES when it is a pair of products; a Regularized picks its route, and
-builds the pieces the route needs, when it is built.  All four are applied
-as H @ v.  Vectors are 1-d float64 arrays.  Nothing here mutates its inputs.
+MINRES, preconditioned by the tail's diagonal, when it is a pair of
+products; a Regularized picks its route, and builds the pieces the route
+needs, when it is built.  All four are applied as H @ v.  Vectors are 1-d
+float64 arrays.  Nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ THETA = 0.1
 # estimate is within rtol ||A|| ||s||, not THETA lam ||s||, so the step is
 # then checked against the rule itself.  On the Schur complement of the
 # matrix-free NMF Hessian (make_nmf seeds 1-17 at the benchmark's config,
-# 1 BLAS thread, block-Jacobi preconditioned), THETA**2 misses the rule on
-# the first call in 216 of 1011 solves; THETA**3 in 25 of 1018, each met by
-# one correction, at a median first-call ||rho|| / (lam ||s||) of 0.0017.
+# 1 BLAS thread, Jacobi preconditioned), THETA**2 misses the rule on the
+# first call in 224 of 1025 solves; THETA**3 in 28 of 1029, each met by one
+# correction, at a median first-call ||rho|| / (lam ||s||) of 0.0017.
 _MINRES_RTOL = THETA**3
 
 # FISTA sweeps per composite model solve (Regularized.prox_solve).
@@ -309,7 +310,8 @@ class Regularized:
     or a BorderedBlocks, assembled only when dense with a metric other than
     the identity.  Here the refresh fixes its route and builds its pieces:
     block elimination for a BorderedBlocks with the identity metric
-    (_elimination_solver, on the distinct blocks and the tail), a
+    (_elimination_solver, on the distinct diagonal blocks and the tail: its
+    block-diagonal array when dense, its diagonal when matrix-free), a
     factorization for a dense array (_dense_solver), and plain MINRES
     otherwise (_operator_solver).  The route is a plain function called with
     self, so that no refresh refers to itself.  The last apply's H v is kept
@@ -347,7 +349,7 @@ class Regularized:
                 self._tail = np.zeros((m, m))  # blockdiag(tail), for the Schur complement
                 _block_diagonal(self._tail, _shifted_blocks(*h.tail))
             else:
-                self._tail = _distinct_blocks(h.tail)  # for the Schur preconditioner
+                self._tail = (np.diagonal(h.tail[0]) + h.tail[1]).reshape(-1)  # diag(tail)
         else:
             self._route = (Regularized._dense_solver if self.is_dense
                            else Regularized._operator_solver)
@@ -536,7 +538,7 @@ class Regularized:
         h = self.h
         kb = h.split
         blocks, which = self._blocks
-        inv = _inverse(blocks, lam, "a diagonal block of H + lam I")[which]
+        inv = _inverse(blocks, lam)[which]
         matvec, rmatvec = h._products
         if h.is_dense:
             inv_c = np.matmul(inv, h.coupling.reshape(*inv.shape[:2], -1)).reshape(kb, -1)
@@ -559,19 +561,21 @@ class Regularized:
         matrix-free BorderedBlocks H + lam I and inv_c the product p -> A^{-1} C p.
 
         S p = (tail + lam I) p - C^T A^{-1} C p is applied matrix-free, tail
-        + lam I by one gemm (_shifted_apply).  S is preconditioned by block
-        Jacobi, the inverse of blockdiag(tail) + lam I at this solve's lam,
-        made exactly symmetric, which is positive definite (so MINRES stays
-        valid for an indefinite S).
+        + lam I by one gemm (_shifted_apply).  S is preconditioned by Jacobi
+        on the tail, 1 / (diag(blockdiag(tail)) + lam) at this solve's lam,
+        which MINRES needs positive definite (so it stays valid for an
+        indefinite S): an entry of diag(tail) + lam that is not positive, NaN
+        included, raises SolverStallError, and a larger lam may then solve.
         """
         h = self.h
         m = h.shape[0] - h.split
         _, rmatvec = h.coupling
-        blocks, which = self._tail
-        tail_inv = _inverse(blocks, lam, "a tail block of H + lam I")[which]
-        tail_inv = 0.5 * (tail_inv + tail_inv.transpose(0, 2, 1))
-        precond = LinearOperator((m, m), matvec=lambda q: _block_apply(tail_inv, q),
-                                 dtype=np.float64)
+        diag = self._tail + lam
+        if not np.all(diag > 0.0):
+            raise SolverStallError("the tail diagonal of H + lam I is not positive",
+                                   best_residual=np.inf)
+        scale = 1.0 / diag
+        precond = LinearOperator((m, m), matvec=lambda q: scale * q, dtype=np.float64)
         base, diags = h.tail
         shifted_tail = (base, diags + lam)  # tail + lam I
         return _minres_solver(lambda p: _shifted_apply(shifted_tail, p) - rmatvec(inv_c(p)),
@@ -579,10 +583,10 @@ class Regularized:
 
 
 def _distinct_blocks(group: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(blocks, which) of a group (base, diags): its distinct blocks, told
-    apart by their diagonals (_distinct) and the only ones built, and each
-    block's index among them; _inverse(blocks, lam)[which] then inverts
-    blockdiag(group) + lam I at any lam."""
+    """(blocks, which) of a BorderedBlocks' diagonal blocks (base, diags):
+    its distinct blocks, told apart by their diagonals (_distinct) and the
+    only ones built, and each block's index among them; _inverse(blocks,
+    lam)[which] then inverts blockdiag(group) + lam I at any lam."""
     base, diags = group
     distinct, which = _distinct(diags)
     return _shifted_blocks(base, distinct), which
@@ -608,11 +612,11 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[order[starts]], which
 
 
-def _inverse(blocks: np.ndarray, lam: float, name: str) -> np.ndarray:
-    """(blocks + lam I)^{-1}, block by block, for a (k, b, b) stack.
+def _inverse(blocks: np.ndarray, lam: float) -> np.ndarray:
+    """(blocks + lam I)^{-1}, block by block, for a (k, b, b) stack of H's diagonal blocks.
 
-    One batched call; raises SolverStallError, naming the blocks, when one
-    of them is singular or an inverse is not finite.
+    One batched call; raises SolverStallError when one of them is singular
+    or an inverse is not finite.
     """
     k, b, _ = blocks.shape
     shifted = blocks.copy()
@@ -622,7 +626,7 @@ def _inverse(blocks: np.ndarray, lam: float, name: str) -> np.ndarray:
     except np.linalg.LinAlgError:
         inv = None
     if inv is None or not np.isfinite(inv).all():
-        raise SolverStallError(f"{name} is singular", best_residual=np.inf)
+        raise SolverStallError("a diagonal block of H + lam I is singular", best_residual=np.inf)
     return inv
 
 

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import LinearOperator
 from gladssn import linalg, problems, ssn
 from gladssn.linalg import (ActiveGram, BorderedBlocks, MetricB, MetricError, Regularized,
                             SolverStallError, sym_part)
-from gladssn.oracle import SeparableProx
+from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPart
 from gladssn.problems import make_nmf
 
 from helpers import block_stack, columns
@@ -338,8 +338,8 @@ def matrix_free_bordered(seed, k=6, b=3, j=4, c=3):
 
 def test_preconditioned_minres_meets_the_same_target(monkeypatch):
     # H + lam B is indefinite.  With the identity metric MINRES runs on the
-    # Schur complement, preconditioned by the SPD inverse of the tail
-    # blocks plus lam I, which keeps it valid; with another metric it runs
+    # Schur complement, preconditioned by the inverse of the tail's diagonal
+    # plus lam, which is positive and keeps it valid; with another metric it runs
     # on H + lam B unpreconditioned.  Either way the solve meets the same
     # forcing rule ||rho||_* <= THETA lam ||s||_B on the whole system
     h, dense = matrix_free_bordered(8)
@@ -398,40 +398,52 @@ def test_schur_minres_step_solves_the_block_rows_to_rounding():
 
 
 def test_both_block_groups_are_inverted_at_every_solves_lam(monkeypatch):
-    # one rule for both block groups: a Regularized finds each group's
-    # distinct blocks as it is built, before any solve, and inverts the
-    # diagonal blocks and the tail blocks (the Schur complement's
-    # preconditioner) plus lam I at every solve's lam; every step meets the
-    # forcing rule, on the matrix-free NMF Hessian and on an indefinite H
+    # a Regularized finds the diagonal blocks' distinct blocks as it is
+    # built, before any solve, and inverts them plus lam I at every solve's
+    # lam; the tail group, the Schur complement's Jacobi preconditioner, is
+    # inverted as its diagonal, 1 / (diag(blockdiag(tail)) + lam), which is
+    # positive.  Every step meets the forcing rule, on the matrix-free NMF
+    # Hessian and on an indefinite H
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     nmf = make_nmf(2, d=20, n=10, r=3)
     inverse, distinct = linalg._inverse, linalg._distinct
-    calls, found = [], []
+    calls, found, preconditioners = [], [], []
+    minres = scipy.sparse.linalg.minres
 
-    def counted(blocks, lam, name):
-        calls.append((name.split()[1], lam))
-        return inverse(blocks, lam, name)
+    def counted(blocks, lam):
+        calls.append(lam)
+        return inverse(blocks, lam)
 
     def counted_distinct(rows):
         found.append(rows.shape)
         return distinct(rows)
 
+    def recorded(*args, M=None, **kwargs):
+        preconditioners.append(M)
+        return minres(*args, M=M, **kwargs)
+
     monkeypatch.setattr(linalg, "_inverse", counted)
     monkeypatch.setattr(linalg, "_distinct", counted_distinct)
+    monkeypatch.setattr(scipy.sparse.linalg, "minres", recorded)
     rng = np.random.default_rng(10)
     for h, lam0 in ((nmf.smooth.eval_hess(nmf.x0), 1.0), (matrix_free_bordered(11)[0], 0.5)):
         calls.clear()
         found.clear()
         reg = Regularized(h, MetricB())
-        assert found == [h.blocks[1].shape, h.tail[1].shape] and calls == []
+        assert found == [h.blocks[1].shape] and calls == []
+        tail_diag = np.diagonal(scipy.linalg.block_diag(*block_stack(h.tail)))
         lams = (lam0, 16.0 * lam0, lam0 / 16.0)
         for lam in lams:
+            preconditioners.clear()
             rhs = rng.standard_normal(h.shape[0])
             s = reg.solve(lam, rhs)
             rho = np.linalg.norm(reg.apply(lam, s) - rhs)
             assert 0.0 < rho <= linalg.THETA * lam * np.linalg.norm(s)
-        assert calls == [(name, lam) for lam in lams for name in ("diagonal", "tail")]
-        assert found == [h.blocks[1].shape, h.tail[1].shape]
+            m = columns(preconditioners[0])
+            np.testing.assert_array_equal(m, np.diag(1.0 / (tail_diag + lam)))
+            assert np.min(np.diag(m)) > 0.0
+        assert calls == list(lams)
+        assert found == [h.blocks[1].shape]
 
 
 def test_a_solve_does_not_depend_on_an_earlier_one(monkeypatch):
@@ -463,6 +475,59 @@ def test_singular_or_overflowing_block_inverse_stalls():
             assert exc.value.best_residual == np.inf
             s = reg.solve(4.0, np.ones(2))
             np.testing.assert_allclose(reg.apply(4.0, s), np.ones(2), rtol=0.1)
+
+
+def indefinite_tail(tail_base):
+    """A matrix-free BorderedBlocks with U blocks 3 I_2 (three of them), two
+    tail blocks tail_base and a random coupling, and its dense array."""
+    coupling = np.random.default_rng(17).standard_normal((6, 4))
+    h = BorderedBlocks((3.0 * np.eye(2), np.zeros((3, 2))),
+                       (lambda p: coupling @ p, lambda q: coupling.T @ q),
+                       (tail_base, np.zeros((2, 2))))
+    dense = scipy.linalg.block_diag(3.0 * np.eye(6), tail_base, tail_base)
+    dense[:6, 6:] = coupling
+    dense[6:, :6] = coupling.T
+    return h, dense
+
+
+def test_a_tail_diagonal_that_is_not_positive_fails_its_trial(monkeypatch):
+    # the Schur complement's Jacobi preconditioner needs diag(tail) + lam > 0:
+    # with the tail base diag(-5, 1), lam = 1 fails typed and lam = 10
+    # solves, and a tail block that is indefinite at lam (eigenvalues 3 and
+    # -1, plus 0.5) with a positive diagonal solves too
+    rng = np.random.default_rng(18)
+    negative = np.diag([-5.0, 1.0])
+    with pytest.raises(SolverStallError, match="tail diagonal of H") as exc:
+        Regularized(indefinite_tail(negative)[0], MetricB()).solve(1.0, rng.standard_normal(10))
+    assert exc.value.best_residual == np.inf
+    for base, lam in ((negative, 10.0), (np.array([[1.0, 2.0], [2.0, 1.0]]), 0.5)):
+        h, dense = indefinite_tail(base)
+        rhs = rng.standard_normal(10)
+        s = Regularized(h, MetricB()).solve(lam, rhs)
+        assert np.linalg.norm(dense @ s + lam * s - rhs) <= linalg.THETA * lam * np.linalg.norm(s)
+    # so ssn.solve fails the trials at lam = 1 and 4 typed, and steps at 16
+    h, _ = indefinite_tail(negative)
+    prob = CompositeProblem(
+        smooth=SmoothOracle(dim=10, eval_f=lambda x: 0.5 * float(x @ x),
+                            eval_grad=lambda x: x.copy(), eval_hess=lambda x: h),
+        psi=ZeroPart(), x0=rng.standard_normal(10))
+    outcomes = []
+    solve_regularized = ssn.solve_regularized
+
+    def seen(reg, lam, rhs):
+        try:
+            s = solve_regularized(reg, lam, rhs)
+        except SolverStallError as exc:
+            outcomes.append((lam, str(exc)))
+            raise
+        outcomes.append((lam, "solved"))
+        return s
+
+    monkeypatch.setattr(ssn, "solve_regularized", seen)
+    res = ssn.solve(prob, ssn.SolverConfig(p=0.0, m=1, Lambda0=1.0, max_outer=1))
+    stalled = "the tail diagonal of H + lam I is not positive"
+    assert outcomes[:3] == [(1.0, stalled), (4.0, stalled), (16.0, "solved")]
+    assert res.iters == 1
 
 
 def test_bordered_blocks_forms_do_not_mix():
@@ -644,7 +709,7 @@ def test_dense_schur_complement_is_built_from_the_pairs(monkeypatch):
         reg = Regularized(h, MetricB())
         reg.solve(lam, rhs)
         blocks, which = reg._blocks
-        inv = linalg._inverse(blocks, lam, "a diagonal block")[which]
+        inv = linalg._inverse(blocks, lam)[which]
         inv_c = np.matmul(inv, c.reshape(9, 3, 15)).reshape(27, 15)
         want = tail - c.T @ inv_c
         want.flat[::16] += lam

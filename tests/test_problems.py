@@ -139,9 +139,9 @@ def test_nmf_dense_threshold_and_hvp_consistency(monkeypatch):
 
 def test_nmf_preconditioner_inverts_gauss_newton_blocks(monkeypatch):
     # at every solve's lam, the Schur complement's preconditioner is the
-    # inverse of the V rows' Gauss-Newton blocks
-    # U^T U + diag(2 alpha + [V_j < 0] / beta) plus lam I, exactly symmetric
-    # and positive definite, and the eliminated U blocks are
+    # inverse of the diagonal of the V rows' Gauss-Newton blocks
+    # U^T U + diag(2 alpha + [V_j < 0] / beta) plus lam, the tail's diagonal
+    # exactly and positive, and the eliminated U blocks are
     # V^T V + diag(2 alpha + [U_i < 0] / beta), inverted at lam
     p = make_nmf(2, d=6, n=5, r=3)
     inst = p.instance
@@ -159,12 +159,13 @@ def test_nmf_preconditioner_inverts_gauss_newton_blocks(monkeypatch):
         preconditioners.clear()
         reg.solve(lam, rhs)
         m = columns(preconditioners[0])
-        np.testing.assert_array_equal(m, m.T)
-        assert np.min(np.linalg.eigvalsh(m)) > 0.0
-        err = m @ (block_v + lam * np.eye(n * r)) - np.eye(n * r)
+        tail = scipy.linalg.block_diag(*block_stack(h.tail))
+        np.testing.assert_array_equal(m, np.diag(1.0 / (np.diagonal(tail) + lam)))
+        assert np.min(np.diag(m)) > 0.0
+        err = m @ np.diag(np.diagonal(block_v) + lam) - np.eye(n * r)
         assert np.max(np.abs(err)) <= 1e-12
         blocks, which = reg._blocks
-        a_inv = scipy.linalg.block_diag(*linalg._inverse(blocks, lam, "a diagonal block")[which])
+        a_inv = scipy.linalg.block_diag(*linalg._inverse(blocks, lam)[which])
         err = a_inv @ (block_u + lam * np.eye(d * r)) - np.eye(d * r)
         assert np.max(np.abs(err)) <= 1e-12
 
@@ -199,23 +200,33 @@ def minres_iterations(monkeypatch) -> list:
 
 
 def test_nmf_preconditioner_cuts_minres_iterations(monkeypatch):
-    # the preconditioned Schur complement takes fewer MINRES iterations than
-    # the whole system unpreconditioned, each over a third of the variables
+    # the Jacobi-preconditioned Schur complement takes fewer MINRES
+    # iterations than the same solve with M=None, and at lam = 1 than the
+    # whole system unpreconditioned, each over a third of the variables
+    # (at lam = 30, not asserted, the Schur solves read 13 against 11)
     p = make_nmf(1)
     h = p.smooth.eval_hess(p.x0)
     plain = scipy.sparse.linalg.LinearOperator(h.shape, matvec=h.__matmul__, dtype=np.float64)
     rhs = -p.smooth.eval_grad(p.x0)
     iters = minres_iterations(monkeypatch)
-    lam = 1.0
-    totals = {}
-    for label, op in (("plain", plain), ("schur", h)):
-        iters.clear()
-        s = Regularized(op, MetricB()).solve(lam, rhs)
-        # both stop at the forcing rule ||rho|| <= THETA lam ||s||
-        res = np.linalg.norm(h @ s + lam * s - rhs)
-        assert res <= linalg.THETA * lam * np.linalg.norm(s)
-        totals[label] = sum(iters)
-    assert 0 < totals["schur"] < totals["plain"]
+    counted = scipy.sparse.linalg.minres
+
+    def without_m(*args, M=None, **kwargs):
+        return counted(*args, **kwargs)
+
+    for lam, cases in ((0.1, ("schur", "schur, M=None")),
+                       (1.0, ("schur", "schur, M=None", "plain"))):
+        totals = {}
+        for label in cases:
+            monkeypatch.setattr(scipy.sparse.linalg, "minres",
+                                without_m if label == "schur, M=None" else counted)
+            iters.clear()
+            s = Regularized(plain if label == "plain" else h, MetricB()).solve(lam, rhs)
+            # each stops at the forcing rule ||rho|| <= THETA lam ||s||
+            res = np.linalg.norm(h @ s + lam * s - rhs)
+            assert res <= linalg.THETA * lam * np.linalg.norm(s)
+            totals[label] = sum(iters)
+        assert 0 < totals["schur"] < min(totals[label] for label in cases[1:]), lam
 
 
 UNPATCHED_INV = np.linalg.inv  # the reference inverses', uncounted when a test patches inv
@@ -240,10 +251,11 @@ def per_row_inverses(blocks, lam):
 
 def test_nmf_preconditioner_inverts_each_distinct_block_once(monkeypatch):
     # per solve, the U blocks plus lam I are inverted once for each distinct
-    # sign pattern of a U row, and the V blocks, the Schur complement's
-    # preconditioner, once for each distinct pattern of a V row; each
-    # inverse is bit for bit the one of its block, the Gram plus its row's
-    # diagonal, inverted alone
+    # sign pattern of a U row, each inverse bit for bit the one of its
+    # block, the Gram plus its row's diagonal, inverted alone; the V blocks
+    # are not inverted, as the Schur complement's preconditioner is the
+    # inverse of their diagonal plus lam, and the distinct blocks are found
+    # once per refresh, for the U blocks only
     p = make_nmf(3, d=6, n=5, r=4)
     inst = p.instance
     d, n, r = inst.d, inst.n, inst.r
@@ -256,49 +268,68 @@ def test_nmf_preconditioner_inverts_each_distinct_block_once(monkeypatch):
         return np.where(masks.ravel(), -magnitude, magnitude)
 
     points = {
-        "repeated": (point(np.arange(d) % 2, np.arange(n) % 3), 2, 3),
-        "all distinct": (point(np.arange(d), d + np.arange(n)), d, n),
-        "U and V share a mask": (point(np.full(d, 5), np.full(n, 5)), 1, 1),
+        "repeated": (point(np.arange(d) % 2, np.arange(n) % 3), 2),
+        "all distinct": (point(np.arange(d), d + np.arange(n)), d),
+        "U and V share a mask": (point(np.full(d, 5), np.full(n, 5)), 1),
     }
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     sizes = inv_batch_sizes(monkeypatch)
     preconditioners = minres_preconditioners(monkeypatch)
-    for label, (x, distinct_u, distinct_v) in points.items():
+    distinct, found = linalg._distinct, []
+
+    def counted_distinct(rows):
+        found.append(rows.shape)
+        return distinct(rows)
+
+    monkeypatch.setattr(linalg, "_distinct", counted_distinct)
+    for label, (x, distinct_u) in points.items():
         h = p.smooth.eval_hess(x)
+        found.clear()
         reg = Regularized(h, MetricB())
+        assert found == [(d, r)], label
         rhs = -p.smooth.eval_grad(x)
+        tail_diag = np.diagonal(scipy.linalg.block_diag(*block_stack(h.tail)))
         for lam in (1e-3, 0.7, 30.0):
             sizes.clear()
             preconditioners.clear()
             reg.solve(lam, rhs)
-            assert sizes == [distinct_u, distinct_v], label
-            for (blocks, which), group in ((reg._blocks, h.blocks), (reg._tail, h.tail)):
-                np.testing.assert_array_equal(linalg._inverse(blocks, lam, "a block")[which],
-                                              per_row_inverses(block_stack(group), lam),
-                                              err_msg=label)
-            want = per_row_inverses(block_stack(h.tail), lam)
-            want = 0.5 * (want + want.transpose(0, 2, 1))
-            np.testing.assert_array_equal(columns(preconditioners[0]),
-                                          scipy.linalg.block_diag(*want), err_msg=label)
+            assert sizes == [distinct_u], label
+            blocks, which = reg._blocks
+            np.testing.assert_array_equal(linalg._inverse(blocks, lam)[which],
+                                          per_row_inverses(block_stack(h.blocks), lam),
+                                          err_msg=label)
+            m = columns(preconditioners[0])
+            np.testing.assert_array_equal(m, np.diag(1.0 / (tail_diag + lam)), err_msg=label)
+            assert np.min(np.diag(m)) > 0.0, label
+        assert found == [(d, r)], label
 
 
 def test_nmf_matfree_trace_unchanged_by_the_deduplicated_preconditioner(monkeypatch):
-    # the same solve with every block taken as distinct accepts the same
-    # iterates bit for bit, while the library's build inverts fewer blocks
+    # the same solve with every U block taken as distinct accepts the same
+    # iterates bit for bit, while the library's build inverts fewer blocks;
+    # the V blocks, preconditioned by their diagonal, are never inverted,
+    # and the distinct U blocks are found once per refresh
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     p = make_nmf(3, d=20, n=12, r=3)
-    distinct = linalg._distinct
+    distinct, found = linalg._distinct, []
+
+    def counted_distinct(rows):
+        found.append(rows.shape)
+        return distinct(rows)
+
     sizes = inv_batch_sizes(monkeypatch)
     for m in (1, 3):
         config = SolverConfig(p=0.5, m=m, grad_tol=1e-4)
         monkeypatch.setattr(linalg, "_distinct", lambda rows: (rows, np.arange(len(rows))))
         want = solve(p, config)
-        assert sizes and set(sizes) == {20, 12}
+        assert sizes and set(sizes) == {20}
         sizes.clear()
-        monkeypatch.setattr(linalg, "_distinct", distinct)
+        found.clear()
+        monkeypatch.setattr(linalg, "_distinct", counted_distinct)
         got = solve(p, config)
         assert got.status == want.status == CONVERGED and got.iters >= 10
-        assert len(sizes) == 2 * got.trials and min(sizes) < 12
+        assert len(sizes) == got.trials and min(sizes) < 12
+        assert found == [(20, 3)] * got.hess_evals
         sizes.clear()
         assert ([dataclasses.replace(rec, wall_ns=0) for rec in got.trace]
                 == [dataclasses.replace(rec, wall_ns=0) for rec in want.trace])

@@ -164,16 +164,21 @@ def test_lazy_sweep_prints_the_cost_ratio():
     assert out.returncode == 0, out.stderr
     header, _, *rows = out.stdout.splitlines()
     assert header.endswith("| iterations | trials | j_k = 0 / 1 / >= 2 | Hessians | failed "
-                           "| cost ratio (ms per refresh / per trial) |")
+                           "| rest, ms per iteration | cost ratio (ms per refresh / per trial) |")
     assert [row.split(" | ")[:2] for row in rows] == [["| `nmf-dense-lazy` (1-1)", "1"],
                                                       ["| `nmf-dense-lazy` (1-1)", "5"]]
     for row in rows:
-        iters, trials, j0, j1, j2, hessians, failed, ratio, refresh, trial = map(
-            float, re.fullmatch(r".* \| (\d+) \| (\d+) \| (\d+) / (\d+) / (\d+) \| (\d+) \| "
-                                r"(\d+) \| (\S+) \((\S+) / (\S+)\) \|", row).groups())
+        cells = re.fullmatch(r".* \| (\S+) / (\S+) \| (\d+) \| (\d+) \| (\d+) / (\d+) / (\d+) "
+                             r"\| (\d+) \| (\d+) \| (\S+) \| (\S+) \((\S+) / (\S+)\) \|", row)
+        first, second, iters, trials, j0, j1, j2, hessians, failed, rest, ratio, refresh, trial = (
+            map(float, cells.groups()))
         # the split covers every accepted iteration, and each iteration accepted
         # at j_k took j_k + 1 trials (a solve that did not converge pays more)
         assert j0 + j1 + j2 == iters and trials >= iters + j1 + 2.0 * j2, row
         assert failed == 0 and hessians <= iters, row
-        assert refresh > 0.0 and trial > 0.0
+        assert refresh > 0.0 and trial > 0.0 and rest > 0.0
         assert math.isclose(ratio, refresh / trial, rel_tol=0.02), row
+        # the three parts, timed apart, add up to the mean solve (one seed),
+        # within the rounding of the printed seconds (0.5 ms) and ms (3 digits)
+        parts = refresh * hessians + trial * trials + rest * iters
+        assert math.isclose(parts, 1e3 * (first + second) / 2.0, rel_tol=0.01, abs_tol=0.5), row

@@ -16,7 +16,7 @@ from gladssn.ssn import (CONVERGED, MAXITER, STALLED, NonFiniteError,
                          SolverConfig, acceptance_test, next_Lambda, solve,
                          trial_lambda, trial_step)
 
-from helpers import (FAR_START_LAMBDA0, LAMBDA0_NUDGES, svm_far_start,
+from helpers import (FAR_START_LAMBDA0, LAMBDA0_NUDGES, block_stack, columns, svm_far_start,
                      svm_with_f_diff)
 
 
@@ -924,33 +924,49 @@ def test_gradient_skipped_only_on_decrease_rejections(monkeypatch):
 
 
 def test_matrix_free_run_inverts_both_block_groups_at_every_trial(monkeypatch):
-    # the U blocks and the tail blocks (the Schur complement's block-Jacobi
-    # preconditioner) plus lam I are both inverted at every trial's lam, in
-    # its refresh's trials and, at m > 1, its lazy iterations; each
-    # group's distinct blocks are found once per refresh
+    # the U blocks plus lam I are inverted at every trial's lam, in its
+    # refresh's trials and, at m > 1, its lazy iterations, and the tail
+    # group, the Schur complement's Jacobi preconditioner, is inverted as
+    # its diagonal, 1 / (diag(blockdiag(tail)) + lam), which is positive;
+    # the U group's distinct blocks are found once per refresh
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     p = make_nmf(2, d=20, n=10, r=3)
     inverse, distinct = linalg._inverse, linalg._distinct
+    minres, solve_regularized = scipy.sparse.linalg.minres, ssn.solve_regularized
     for m in (1, 3):
-        calls = {"tail": [], "diagonal": []}
-        found = []
+        calls, found, trials, preconditioners = [], [], [], []
 
-        def counted(blocks, lam, name):
-            calls[name.split()[1]].append(lam)
-            return inverse(blocks, lam, name)
+        def counted(blocks, lam):
+            calls.append(lam)
+            return inverse(blocks, lam)
 
         def counted_distinct(rows):
             found.append(rows.shape)
             return distinct(rows)
 
+        def recorded(*args, M=None, **kwargs):
+            preconditioners.append(M)
+            return minres(*args, M=M, **kwargs)
+
+        def seen(reg, lam, rhs):
+            trials.append((reg.h.tail, lam, len(preconditioners)))
+            return solve_regularized(reg, lam, rhs)
+
         monkeypatch.setattr(linalg, "_inverse", counted)
         monkeypatch.setattr(linalg, "_distinct", counted_distinct)
+        monkeypatch.setattr(scipy.sparse.linalg, "minres", recorded)
+        monkeypatch.setattr(ssn, "solve_regularized", seen)
         res = solve(p, SolverConfig(m=m, grad_tol=1e-6))
         assert res.status == CONVERGED, m
         assert verify(res).passed, m
-        assert calls["tail"] == calls["diagonal"], m
-        assert len(calls["diagonal"]) == res.trials > res.hess_evals, m
-        assert found == [(20, 3), (10, 3)] * res.hess_evals, m  # the (d, r) and (n, r) diagonals
+        assert calls == [lam for _, lam, _ in trials], m
+        assert len(calls) == res.trials > res.hess_evals, m
+        assert found == [(20, 3)] * res.hess_evals, m  # the (d, r) diagonals
+        for tail, lam, first in trials:
+            tail_diag = np.diagonal(scipy.linalg.block_diag(*block_stack(tail)))
+            precond = columns(preconditioners[first])
+            np.testing.assert_array_equal(precond, np.diag(1.0 / (tail_diag + lam)))
+            assert np.min(np.diag(precond)) > 0.0, m
 
 
 def test_singular_diagonal_block_fails_its_trial(monkeypatch):
