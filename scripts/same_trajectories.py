@@ -13,14 +13,16 @@ for bit.
 With --rel-tol, for a change that moves the trajectories on purpose,
 prints for each seed its status, the change's iteration and trial deltas
 and the relative difference |F_change - F_parent| / |F_parent| of F_final,
-then the totals, ending with the largest of those differences and its
-seed.  It exits 1 only when a status changed, a seed was solved by one
-report alone, or an F_final differs by more than REL.  REL must be a
-number at least 0; anything else is a usage error (exit 2).  So are two
-reports of different workloads.
+then the totals, with the status changes counted by direction (the most
+common first), ending with the largest of those differences and its seed.
+It exits 1 only when a status changed, a seed was solved by one report
+alone, or an F_final differs by more than REL.  REL must be a number at
+least 0; anything else is a usage error (exit 2).  So are two reports of
+different workloads.
 """
 
 import argparse
+import collections
 import json
 import math
 import sys
@@ -55,6 +57,7 @@ def within_tolerance(parent, change, rel_tol):
     within rel_tol of the parent's."""
     lines, ok = [], True
     totals = {"iters": [0, 0], "trials": [0, 0]}
+    flips = collections.Counter()  # "was -> now" of each status change
     largest = None  # (rel, seed) of the largest F_final relative difference
     for seed in sorted(parent.keys() | change.keys()):
         if seed not in change or seed not in parent:
@@ -70,6 +73,8 @@ def within_tolerance(parent, change, rel_tol):
                                          (f"F_final beyond {rel_tol:g}", not rel <= rel_tol))
                if failed]
         ok = ok and not bad
+        if was["status"] != now["status"]:
+            flips[status] += 1
         if largest is None or rel > largest[0]:
             largest = rel, seed
         for name, pair in totals.items():
@@ -82,6 +87,9 @@ def within_tolerance(parent, change, rel_tol):
                  + ", ".join(f"{name} {was} -> {now}" for name, (was, now) in totals.items())
                  + f"; {'all' if ok else 'not all'} within F_final rel-tol {rel_tol:g} "
                    f"with the same status"
+                 + ("; status changes: " + ", ".join(f"{flip} {count}"
+                                                     for flip, count in flips.most_common())
+                    if flips else "")
                  + (f"; largest F_final rel diff {largest[0]:.2e} at seed {largest[1]}"
                     if largest else ""))
     return lines, ok

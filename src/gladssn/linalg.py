@@ -10,8 +10,9 @@ which Regularized solves by eliminating its diagonal blocks; its Schur
 complement is then factored when the coupling is an array, and solved by
 MINRES, preconditioned by the tail's diagonal, when it is a pair of
 products; a Regularized picks its route, and builds the pieces the route
-needs, when it is built.  All four are applied as H @ v.  Vectors are 1-d
-float64 arrays.  Nothing here mutates its inputs.
+needs, when it is built.  All four are applied as H @ v.  Every route,
+direct or iterative, stops at the one forcing rule documented at THETA.
+Vectors are 1-d float64 arrays.  Nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -39,15 +40,13 @@ __all__ = [
 # mean diagonal is treated as numerically semidefinite.
 _PIVOT_REL = 1e-14
 
-# Forcing term of the inexact inner solves.  A trial's model solve at x
-# returns a step s and a subgradient v of psi at x + s, so that
-# f'(x + s) + v lies in dF(x + s).  A dense H with psi zero is solved
-# directly to a tight residual target (Regularized.solve), and v is read off
-# the model's optimality identity (zero_psi_sub).  The iterative solves stop
-# early, and their v is exact: MINRES for a matrix-free H with psi zero
-# (v = 0), and FISTA for a nonzero psi (prox_solve; v from its last prox
-# step).  Both stop once the model residual rho = f'(x) + (H + lam B) s + v
-# meets the forcing rule
+# Forcing term of the inner solves.  A trial's model solve at x returns a
+# step s and a subgradient v of psi at x + s, so that f'(x + s) + v lies in
+# dF(x + s), and v is exact on every route: v = 0 for a zero psi, its only
+# subgradient, whether H is solved directly or by MINRES (Regularized.solve),
+# and FISTA's last prox step for a nonzero psi (prox_solve).  Every route
+# stops once the model residual rho = f'(x) + (H + lam B) s + v meets the
+# forcing rule
 #
 #     ||rho||_*  <=  THETA lam ||s||_B,
 #
@@ -314,11 +313,11 @@ class Regularized:
     block-diagonal array when dense, its diagonal when matrix-free), a
     factorization for a dense array (_dense_solver), and plain MINRES
     otherwise (_operator_solver).  The route is a plain function called with
-    self, so that no refresh refers to itself.  The last apply's H v is kept
-    with its v, for zero_psi_sub; nothing that depends on lam is kept, so no
-    step depends on an earlier solve.  prev is the previous refresh, from
-    which an ActiveGram is built and FISTA's step starts (see prox_solve);
-    it is not kept.
+    self, so that no refresh refers to itself.  solve and apply set nothing
+    on the refresh, so no step depends on an earlier solve; prox_solve keeps
+    only FISTA's last accepted step size.  prev is the previous refresh,
+    from which an ActiveGram is built and that step size is taken; it is not
+    kept.
     """
 
     # parts that are not finite build pieces that are not either, without a
@@ -328,7 +327,6 @@ class Regularized:
                  metric: MetricB, prev: Regularized | None = None):
         self.metric = metric
         self._t = prev._t if prev is not None else None  # FISTA's last accepted step
-        self._last_product = None, None  # (v, H v) of the last apply
         self.gram = h if isinstance(h, ActiveGram) else None
         if isinstance(h, BorderedBlocks) and h.is_dense and not metric.is_identity:
             h = h.assemble()  # its blocks are not blocks of the pencil (H, B)
@@ -387,33 +385,12 @@ class Regularized:
         return all(np.all(np.isfinite(part)) for part in parts)
 
     def apply(self, lam: float, v: np.ndarray) -> np.ndarray:
-        """(H + lam B) v; H v is kept with v (see _model_grad)."""
-        hv = self.h @ v
-        self._last_product = v, hv
-        return hv + lam * self.metric.apply(v)
-
-    def _model_grad(self, lam: float, f_grad: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Gradient f_grad + H s + lam B s of the regularized model at step s,
-        with the H s of the last apply when s is the very array it applied."""
-        last, hs = self._last_product
-        if s is not last:
-            hs = self.h @ s
-        return f_grad + hs + lam * self.metric.apply(s)
+        """(H + lam B) v."""
+        return self.h @ v + lam * self.metric.apply(v)
 
     def _forcing(self, lam: float, s: np.ndarray) -> float:
         """THETA lam ||s||_B, the bound of the forcing rule (see THETA) at step s."""
         return THETA * lam * self.metric.norm(s)
-
-    def zero_psi_sub(self, lam: float, f_grad: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """The subgradient v of a zero psi at x + s, for s = solve(lam, -f_grad).
-
-        Zero after MINRES; after a direct solve, -(f_grad + H s + lam B s),
-        whose H s is that of solve's last residual check when s is the very
-        array solve returned, so a trial applies H to its step once.
-        """
-        if not self.is_dense:
-            return np.zeros_like(s)
-        return -self._model_grad(lam, f_grad, s)
 
     def prox_solve(self, lam: float, x: np.ndarray, f_grad: np.ndarray, psi,
                    s0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -443,7 +420,7 @@ class Regularized:
         _check_lam(lam)
         t = 1.0 / lam if self._t is None else 2.0 * self._t
         y = x if s0 is None else x + s0
-        z, grad_y = y, self._model_grad(lam, f_grad, y - x)
+        z, grad_y = y, f_grad + self.apply(lam, y - x)
         grad_z = grad_y
         theta = 1.0
         resid = np.inf
@@ -451,7 +428,7 @@ class Regularized:
             y_new = psi.prox(z - t * grad_z, t)
             gap = z - y_new
             s_new = y_new - x
-            grad_new = self._model_grad(lam, f_grad, s_new)
+            grad_new = f_grad + self.apply(lam, s_new)
             curv = float((grad_new - grad_z) @ gap)
             if not math.isfinite(curv):
                 raise SolverStallError(f"model curvature is {curv}", best_residual=np.inf)
@@ -483,33 +460,27 @@ class Regularized:
         """Solve (H + lam B) s = rhs by the refresh's route (see __init__).
 
         Every route runs in one loop: a first solve and up to three
-        corrections, each solving again for the residual rhs - (H + lam B) s
-        (through apply), until the residual meets its target in the dual
-        norm.  A dense H is solved only directly, to the target
-        max(1e-10, 1e-12 ||rhs||): the one matrix factored, H + lam B or a
-        Schur complement, goes through _direct_solver (Cholesky, then LU),
-        and a singular one raises SolverStallError.
-
-        A matrix-free H goes to MINRES, capped at 10 n iterations per call,
-        on the Schur complement of a BorderedBlocks with the identity metric
-        (_schur_minres) or on H + lam B itself.  Its solve is inexact: it
-        stops once the residual rho = rhs - (H + lam B) s of the whole system
-        meets ||rho||_* <= THETA lam ||s||_B, the forcing rule prox_solve
-        shares.  With rhs = -f'(x) and psi = 0, -rho is the model residual
-        f'(x) + (H + lam B) s.  A residual not within its target, NaN
-        included, raises SolverStallError.
+        corrections, each solving again for the residual rho = rhs -
+        (H + lam B) s (through apply), until rho meets the forcing rule
+        ||rho||_* <= THETA lam ||s||_B that prox_solve shares.  With
+        rhs = -f'(x) and psi = 0, -rho is the model residual
+        f'(x) + (H + lam B) s.  A dense H is solved directly: the one matrix
+        factored, H + lam B or a Schur complement, goes through
+        _direct_solver (Cholesky, then LU), and a singular one raises
+        SolverStallError.  A matrix-free H goes to MINRES, capped at 10 n
+        iterations per call, on the Schur complement of a BorderedBlocks
+        with the identity metric (_schur_minres) or on H + lam B itself.  A
+        residual not within the rule, NaN included, raises SolverStallError.
         """
         _check_lam(lam)
         rhs = np.asarray(rhs, dtype=np.float64)
         n = self.h.shape[0]
         if rhs.shape != (n,):
             raise ValueError(f"operator dim {n} takes an rhs of shape ({n},), got {rhs.shape}")
-        if (rhs_norm := math.sqrt(float(rhs @ rhs))) == 0.0:  # np.linalg.norm's sum
+        if not rhs.any():
             return np.zeros(n)
-        target = ((lambda s: max(1e-10, 1e-12 * rhs_norm)) if self.is_dense
-                  else (lambda s: self._forcing(lam, s)))
         return _refined(self._route(self, lam), lambda v: self.apply(lam, v), rhs,
-                        self.metric.dual_norm, target)
+                        self.metric.dual_norm, lambda s: self._forcing(lam, s))
 
     def _dense_solver(self, lam: float):
         """r -> (H + lam B)^{-1} r for a dense array H, by one factorization."""

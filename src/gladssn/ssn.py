@@ -26,16 +26,17 @@ on that gradient.  Rejected trials quadruple lambda; a failed inner solve
 counts as a rejected trial.  An outer iteration ends the run as stalled at
 the first trial whose point rounds to x_k (psi zero), or after 60 rejected
 trials (_MAX_TRIALS).  A point x_+ == x_k has pairing 0 against a
-positive ||F'(x_+)||^2 / (2 lambda), since F'(x_+) is f'(x_k) up to the
-model residual, so it is rejected; every later trial has a larger lambda
-and a step no longer in the B-norm.  With psi nonzero a null prox step
-can pass both tests with F'(x_+) = 0, so there the exit is not taken.
+positive ||F'(x_+)||^2 / (2 lambda), since F'(x_+) is then f'(x_k), so it
+is rejected; every later trial has a larger lambda and a step no longer in
+the B-norm.  With psi nonzero a null prox step can pass both tests with
+F'(x_+) = 0, so there the exit is not taken.
 
-Each trial's model is solved by linalg.Regularized (below), inexactly
-under the forcing rule documented at linalg.THETA.  Across the trials of
-one iteration the model changes only in lambda, so FISTA's trial j + 1
-starts from the step of the last trial that solved its model; the first
-trial of each iteration starts from x_k.
+Each trial's model is solved by linalg.Regularized (below), on every
+route inexactly under the forcing rule documented at linalg.THETA, and with
+an exact subgradient: v = 0 when psi is zero.  Across the trials of one
+iteration the model changes only in lambda, so FISTA's trial j + 1 starts
+from the step of the last trial that solved its model; the first trial of
+each iteration starts from x_k.
 
 Near the optimum the decrease F(x_k) - F(x_+) falls under the rounding
 error of evaluating F, and its difference of two rounded values would
@@ -271,14 +272,14 @@ def trial_step(x: np.ndarray, f_grad: np.ndarray, reg: Regularized, lam: float,
     f_grad is f'(x) and reg holds the lazy H + lam B.  s0, when given,
     warm-starts the inner FISTA loop of a nonzero psi at x + s0; the linear
     solve of a zero psi ignores it.  v makes f'(x_+) + v an element of
-    dF(x_+): reg.prox_solve's for a nonzero psi, reg.zero_psi_sub's for a
-    zero one.  No oracle of f is called: the caller evaluates f'(x_+) only
-    once the trial passes the decrease test.  Raises SolverStallError when
-    the inner solve misses its target.
+    dF(x_+): reg.prox_solve's for a nonzero psi, and 0, the only subgradient
+    of a zero psi, on every route of its linear solve.  No oracle of f is
+    called: the caller evaluates f'(x_+) only once the trial passes the
+    decrease test.  Raises SolverStallError when the inner solve misses the
+    forcing rule.
     """
     if problem.psi.is_zero:
-        s = solve_regularized(reg, lam, -f_grad)
-        return x + s, reg.zero_psi_sub(lam, f_grad, s)
+        return x + solve_regularized(reg, lam, -f_grad), np.zeros_like(x)
     return reg.prox_solve(lam, x, f_grad, problem.psi, s0)
 
 
@@ -289,10 +290,11 @@ def solve(problem: CompositeProblem, config: SolverConfig,
 
     psi_sub0 must be a subgradient of psi at x0; the default zero vector is
     correct whenever psi is zero (or x0 happens to have 0 in its
-    subdifferential).  One TraceRecord is appended per accepted iteration,
-    carrying the pre-step state (F_val, g_k, ...) together with the accepted
-    trial's lambda, step length and duality pairing; cumulative counters
-    include the accepted trial itself.
+    subdifferential), and a zero psi, whose only subgradient is 0, takes no
+    other: a nonzero psi_sub0 then raises ValueError.  One TraceRecord is
+    appended per accepted iteration, carrying the pre-step state (F_val,
+    g_k, ...) together with the accepted trial's lambda, step length and
+    duality pairing; cumulative counters include the accepted trial itself.
     """
     metric = problem.metric
     n = problem.dim
@@ -300,6 +302,8 @@ def solve(problem: CompositeProblem, config: SolverConfig,
     psi_sub = np.zeros(n) if psi_sub0 is None else np.array(psi_sub0, dtype=np.float64)
     if psi_sub.shape != (n,):
         raise ValueError(f"psi_sub0 must have shape ({n},), got {psi_sub.shape}")
+    if problem.psi.is_zero and psi_sub.any():
+        raise ValueError("psi_sub0 must be zero when psi is zero, its only subgradient")
 
     f_grad = np.asarray(problem.smooth.eval_grad(x), dtype=np.float64)
     F_sub = f_grad + psi_sub

@@ -293,9 +293,9 @@ def test_solve_regularized_never_writes_into_h():
 
 
 def test_solve_regularized_dense_vs_matvec_route():
-    # the dense route solves to the tight target; the matrix-free one stops
-    # at the forcing rule ||rho|| <= THETA lam ||s||, which puts its step
-    # within ||rho|| / lambda_min(H + lam I) of the dense one
+    # both routes stop at the forcing rule ||rho|| <= THETA lam ||s||: the
+    # dense one's direct solve meets it to rounding, and the matrix-free
+    # one's step lies within ||rho|| / lambda_min(H + lam I) of the dense one
     rng = np.random.default_rng(4)
     a = rng.standard_normal((8, 8))
     spd = a @ a.T + np.eye(8)
@@ -676,7 +676,7 @@ def test_dense_bordered_blocks_keeps_nothing_from_use():
     h @ np.ones(42)
     reg = Regularized(h, MetricB())
     for lam in (2.0 - lam_min, -0.5 * lam_min):
-        reg.zero_psi_sub(lam, np.ones(42), reg.solve(lam, -np.ones(42)))
+        reg.solve(lam, -np.ones(42))
     assert vars(h).keys() == before.keys()
     assert all(vars(h)[name] is part for name, part in before.items())
     for got, want in zip(h.arrays, arrays, strict=True):
@@ -741,13 +741,15 @@ def test_dense_tail_array_is_built_once_per_refresh(monkeypatch):
     assert scattered == [(5, 3, 3)] and lus == [(15, 15)]
 
 
-def test_a_solved_refresh_is_freed_without_the_cyclic_collector():
-    # a refresh keeps its route as a plain function, not bound to itself, so
-    # no form's Regularized refers to itself: once solved and dropped it is
-    # freed by reference counting alone, and a run holds one refresh at a time
+def every_form():
+    """({label: (H, B)}, lam) over every form of H and route of Regularized.
+
+    The dense array, an ActiveGram, a LinearOperator, both BorderedBlocks
+    forms, and the dense one under another metric, which Regularized
+    assembles; H + lam B is positive definite for each.
+    """
     h, dense = nmf_bordered_hessian()
     metric = MetricB(np.diag(np.linspace(1.0, 2.0, 42)))
-    lam = 2.0 - np.linalg.eigvalsh(dense)[0]  # H + lam B is positive definite
     forms = {
         "ndarray": (dense, MetricB()),
         "ActiveGram": (active_gram(3, 4), MetricB()),
@@ -756,6 +758,14 @@ def test_a_solved_refresh_is_freed_without_the_cyclic_collector():
         "matrix-free BorderedBlocks": (nmf_bordered_hessian(0)[0], MetricB()),
         "dense BorderedBlocks, other metric": (h, metric),
     }
+    return forms, 2.0 - np.linalg.eigvalsh(dense)[0]
+
+
+def test_a_solved_refresh_is_freed_without_the_cyclic_collector():
+    # a refresh keeps its route as a plain function, not bound to itself, so
+    # no form's Regularized refers to itself: once solved and dropped it is
+    # freed by reference counting alone, and a run holds one refresh at a time
+    forms, lam = every_form()
     rng = np.random.default_rng(19)
     enabled = gc.isenabled()
     gc.disable()
@@ -772,31 +782,54 @@ def test_a_solved_refresh_is_freed_without_the_cyclic_collector():
 
 
 def test_dense_zero_psi_trial_applies_h_once(monkeypatch):
-    # a dense zero-psi trial's residual check and its subgradient share one
-    # product H s, and v = -(f_grad + H s + lam s) bit for bit; a step that
-    # is not the array solve returned gets its own product
-    p = make_nmf(4, d=9, n=5, r=3)
-    x = p.x0
-    f_grad = p.smooth.eval_grad(x)
-    reg = Regularized(p.smooth.eval_hess(x), MetricB())
-    assert isinstance(reg.h, BorderedBlocks) and reg.is_dense
-    steps = []
-    matmul = BorderedBlocks.__matmul__
+    # 0 is the only subgradient of a zero psi, so a zero-psi trial returns
+    # v = 0 exactly on every route, with a step that meets the forcing rule
+    # ||f_grad + (H + lam B) s||_* <= THETA lam ||s||_B.  Every route's last
+    # product is its solve's residual check of the step it returns, and a
+    # dense route applies H only there, once per trial.  The trial calls no
+    # oracle of f
+    forms, lam = every_form()
+    applied = []
+    apply = Regularized.apply
 
-    def counted(h, v):
-        steps.append(v)
-        return matmul(h, v)
+    def counted(reg, lam, v):
+        applied.append(v)
+        return apply(reg, lam, v)
 
-    monkeypatch.setattr(BorderedBlocks, "__matmul__", counted)
-    for lam in (0.5, 4.0):
-        steps.clear()
-        x_plus, v = ssn.trial_step(x, f_grad, reg, lam, p)
-        assert len(steps) == 1, lam
-        s = steps[0]
-        np.testing.assert_array_equal(x_plus, x + s)
-        np.testing.assert_array_equal(v, -(f_grad + matmul(reg.h, s) + lam * s))
-        np.testing.assert_array_equal(reg.zero_psi_sub(lam, f_grad, s.copy()), v)
-        assert len(steps) == 2, lam
+    monkeypatch.setattr(Regularized, "apply", counted)
+    rng = np.random.default_rng(20)
+    for label, (form, b) in forms.items():
+        n = form.shape[0]
+        prob = CompositeProblem(
+            smooth=SmoothOracle(dim=n, eval_f=None, eval_grad=None, eval_hess=None),
+            psi=ZeroPart(), metric=b)
+        x, f_grad = rng.standard_normal((2, n))
+        reg = Regularized(form, b)
+        for mu in (lam, 4.0 * lam):
+            applied.clear()
+            x_plus, v = ssn.trial_step(x, f_grad, reg, mu, prob)
+            s = applied[-1]
+            np.testing.assert_array_equal(x_plus, x + s)
+            assert v.shape == (n,) and not v.any(), (label, mu)
+            rho = b.dual_norm(f_grad + apply(reg, mu, s))
+            assert rho <= linalg.THETA * mu * b.norm(s), (label, mu)
+            assert len(applied) == 1 or not reg.is_dense, (label, mu)
+
+
+def test_a_solve_leaves_its_refresh_unchanged():
+    # solve and apply set nothing on a refresh of any form: afterwards each
+    # of its attributes is the very object it was, so no step depends on an
+    # earlier solve or product
+    forms, lam = every_form()
+    rng = np.random.default_rng(21)
+    for label, (form, b) in forms.items():
+        reg = Regularized(form, b)
+        before = dict(vars(reg))
+        v = rng.standard_normal(form.shape[0])
+        reg.solve(lam, v)
+        reg.apply(lam, v)
+        assert vars(reg).keys() == before.keys(), label
+        assert all(vars(reg)[name] is part for name, part in before.items()), label
 
 
 def test_block_diagonal_adds_onto_its_target():
@@ -872,7 +905,7 @@ def test_both_dense_forms_take_one_cholesky_then_lu_order(monkeypatch):
     # the assembled array and the BorderedBlocks form of one Hessian go
     # through the same fallback: Cholesky of the one matrix each factors
     # (H + lam I, or its Schur complement), then LU where Cholesky declines,
-    # at the same lam, and never eigh; both solve to the tight dense target
+    # at the same lam, and never eigh; both solve to rounding
     h, dense = nmf_bordered_hessian()
     lam_min = np.linalg.eigvalsh(dense)[0]
     rhs = np.random.default_rng(15).standard_normal(42)

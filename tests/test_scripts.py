@@ -81,7 +81,21 @@ def test_same_trajectories_tolerance_mode_fails_only_on_status_seed_or_value(tmp
         "seed 4: solved only in the change",
         "3 solves in both: iters 111 -> 111, trials 225 -> 225; "
         "not all within F_final rel-tol 1e-06 with the same status; "
+        "status changes: converged -> stalled 1; "
         "largest F_final rel diff 1.62e-02 at seed 2"])
+    # the totals count the status changes by direction, the most common first
+    stalled = report(tmp_path / "stalled.json",
+                     [solve_record(s, status="stalled") for s in (1, 2, 3)] + [solve_record(4)])
+    flipped = report(tmp_path / "flipped.json", [
+        solve_record(1), solve_record(2), solve_record(3, status="stalled"),
+        solve_record(4, status="stalled")])
+    out = same_trajectories("--rel-tol", "1e-6", stalled, flipped)
+    assert out.returncode == 1
+    assert out.stdout.splitlines()[-1] == (
+        "4 solves in both: iters 148 -> 148, trials 300 -> 300; "
+        "not all within F_final rel-tol 1e-06 with the same status; "
+        "status changes: stalled -> converged 2, converged -> stalled 1; "
+        "largest F_final rel diff 0.00e+00 at seed 1")
 
 
 def test_same_trajectories_rejects_a_negative_or_nan_tolerance(tmp_path):

@@ -1052,6 +1052,11 @@ def test_bad_start_shapes():
         solve(p, SolverConfig(), x0=np.zeros(4))
     with pytest.raises(ValueError):
         solve(p, SolverConfig(), psi_sub0=np.zeros(6))
+    # 0 is the only subgradient of a zero psi: -f'(x0) would certify g = 0
+    # and report converged at k = 0, with ||f'(x0)|| about 9.3e3
+    with pytest.raises(ValueError, match="psi_sub0"):
+        solve(p, SolverConfig(), psi_sub0=-p.smooth.eval_grad(p.x0))
+    assert solve(p, SolverConfig(), psi_sub0=np.zeros(5)).status == CONVERGED
 
 
 def test_solve_never_writes_into_the_oracles_hessian():
