@@ -3,6 +3,9 @@
     python3 scripts/bench_pairs.py PARENT_REF --workload W --pairs N
         [--seconds S] [--seed K] [--rel-tol T]
 
+W is a BENCHMARK.json workload, or `all` for each of them in turn, every
+workload printed as one W would be.
+
 The parent is PARENT_REF, copied from this repository into a temporary
 directory with `git archive`; the change is the working tree.  Each pair
 runs perfbench/bench.py unedited on both sides (`--trace 0`), the parent
@@ -24,8 +27,8 @@ more solves fail.  Each pair's two reports are compared by
 scripts/same_trajectories.py, with --rel-tol when given.  The line count of
 src/gladssn that each side's reports record is printed with the change's
 difference from the parent, the line delta of a change.  Exits 1 when a
-bench run fails or a pair's digests or statuses differ, 2 on a usage error,
-and 0 otherwise.
+bench run fails or a pair's digests or statuses differ, on any workload, 2
+on a usage error, and 0 otherwise.
 """
 
 import argparse
@@ -56,16 +59,16 @@ def positive(kind):
     return parse
 
 
-def bench(tree: Path, args, keep: Path) -> dict:
+def bench(tree: Path, workload: str, args, keep: Path) -> dict:
     """One untraced bench run in tree: its result object, its report copied to keep."""
     proc = subprocess.run(
-        [sys.executable, str(tree / "perfbench" / "bench.py"), "--workload", args.workload,
+        [sys.executable, str(tree / "perfbench" / "bench.py"), "--workload", workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if proc.returncode:
         sys.exit(f"bench run in {tree} failed (exit {proc.returncode}):\n{proc.stderr}")
-    shutil.copy(tree / "perfbench" / "out" / f"{args.workload}-seed{args.seed}-trace0.json", keep)
+    shutil.copy(tree / "perfbench" / "out" / f"{workload}-seed{args.seed}-trace0.json", keep)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -127,10 +130,42 @@ def summary(runs) -> list[str]:
     return lines
 
 
+def compare_pairs(workload: str, trees: dict, args, tmp: Path) -> bool:
+    """Run and print one workload's pairs and summary; whether every pair agrees."""
+    print(f"# {workload} seed={args.seed} seconds={args.seconds:g} pairs={args.pairs}: "
+          f"parent {args.parent_ref}, change the working tree {ROOT}")
+    runs, agree = [], True
+    for i in range(1, args.pairs + 1):
+        order = ("parent", "change") if i % 2 else ("change", "parent")
+        run = {"first": order[0]}
+        for position, side in enumerate(order, 1):
+            run[side] = result = bench(trees[side], workload, args, tmp / f"pair{i}-{side}.json")
+            metrics = "  ".join(f"{name} {m['value']:.6g}" for name, m in result["metrics"].items())
+            print(f"pair {i} run {position}: {side:<6}  {metrics}  failed {result['failed']} "
+                  f"of {result['attempted']}  correct {str(result['correct']).lower()}")
+        compare = subprocess.run(
+            [sys.executable, str(SAME_TRAJECTORIES),
+             *(["--rel-tol", repr(args.rel_tol)] if args.rel_tol is not None else []),
+             str(tmp / f"pair{i}-parent.json"), str(tmp / f"pair{i}-change.json")],
+            capture_output=True, text=True)
+        agree = agree and compare.returncode == 0
+        shown = compare.stdout.splitlines() if compare.returncode else compare.stdout.splitlines()[-1:]
+        print("\n".join(f"pair {i} trajectories: {line}" for line in shown + compare.stderr.splitlines()))
+        runs.append(run)
+    count = {side: json.loads((tmp / f"pair1-{side}.json").read_text())
+             ["environment"]["src_gladssn_lines"] for side in trees}
+    print(f"src/gladssn lines: parent {count['parent']}, change {count['change']}, "
+          f"{count['change'] - count['parent']:+d}")
+    print("\n".join(summary(runs)))
+    print(f"trajectories: {'every pair agrees' if agree else 'some pair differs'}")
+    return agree
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent_ref", metavar="PARENT_REF")
-    ap.add_argument("--workload", required=True, choices=[w["name"] for w in BENCHMARK["workloads"]])
+    workloads = [w["name"] for w in BENCHMARK["workloads"]]
+    ap.add_argument("--workload", required=True, choices=[*workloads, "all"])
     ap.add_argument("--pairs", type=positive(int), required=True)
     ap.add_argument("--seconds", type=positive(float), default=25.0)
     ap.add_argument("--seed", type=int, default=1)
@@ -147,36 +182,18 @@ def main(argv=None) -> int:
             ap.error(f"cannot archive {args.parent_ref}: {archive.stderr.decode().strip()}")
         subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
         trees = {"parent": parent, "change": ROOT}
-        print(f"# {args.workload} seed={args.seed} seconds={args.seconds:g} pairs={args.pairs}: "
-              f"parent {args.parent_ref}, change the working tree {ROOT}")
+        differ = []
+        for workload in workloads if args.workload == "all" else [args.workload]:
+            reports = Path(tmp) / workload
+            reports.mkdir()
+            if not compare_pairs(workload, trees, args, reports):
+                differ.append(workload)
 
-        runs, agree = [], True
-        for i in range(1, args.pairs + 1):
-            order = ("parent", "change") if i % 2 else ("change", "parent")
-            run = {"first": order[0]}
-            for position, side in enumerate(order, 1):
-                run[side] = result = bench(trees[side], args, Path(tmp) / f"pair{i}-{side}.json")
-                metrics = "  ".join(f"{name} {m['value']:.6g}" for name, m in result["metrics"].items())
-                print(f"pair {i} run {position}: {side:<6}  {metrics}  failed {result['failed']} "
-                      f"of {result['attempted']}  correct {str(result['correct']).lower()}")
-            compare = subprocess.run(
-                [sys.executable, str(SAME_TRAJECTORIES),
-                 *(["--rel-tol", repr(args.rel_tol)] if args.rel_tol is not None else []),
-                 str(Path(tmp) / f"pair{i}-parent.json"), str(Path(tmp) / f"pair{i}-change.json")],
-                capture_output=True, text=True)
-            agree = agree and compare.returncode == 0
-            shown = compare.stdout.splitlines() if compare.returncode else compare.stdout.splitlines()[-1:]
-            print("\n".join(f"pair {i} trajectories: {line}" for line in shown + compare.stderr.splitlines()))
-            runs.append(run)
-        count = {side: json.loads((Path(tmp) / f"pair1-{side}.json").read_text())
-                 ["environment"]["src_gladssn_lines"] for side in trees}
-
-    print(f"src/gladssn lines: parent {count['parent']}, change {count['change']}, "
-          f"{count['change'] - count['parent']:+d}")
-    print("\n".join(summary(runs)))
-    print(f"trajectories: {'every pair agrees' if agree else 'some pair differs'}")
-    return 0 if agree else 1
-
+    if args.workload == "all":
+        verdict = (f"some pair differs on {', '.join(differ)}" if differ
+                   else f"every pair agrees on all {len(workloads)}")
+        print(f"workloads: {verdict}")
+    return 1 if differ else 0
 
 if __name__ == "__main__":
     sys.exit(main())

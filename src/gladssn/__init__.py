@@ -5,11 +5,9 @@ from .harness import (NotEstimableError, RunConfig, VerifyReport, compare,
                       estimate_order, read_trace, run, verify, write_trace)
 from .linalg import (ActiveGram, BorderedBlocks, MetricB, Regularized, SolverStallError,
                      sym_part)
-from .oracle import (CompositeProblem, SeparableProx, SmoothOracle, ZeroPart,
-                     check_gradient_fd, check_hvp_fd)
+from .oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPart
 from .problems import (load_instance, make_huber, make_nmf, make_quadratic,
-                       make_svm, penalty_violation, problem_from_instance,
-                       save_instance)
+                       make_svm, problem_from_instance, save_instance)
 from .ssn import (CONVERGED, MAXITER, STALLED, NonFiniteError, SolveResult,
                   SolverConfig, TraceRecord, acceptance_test, solve,
                   trial_lambda, trial_step)
@@ -21,9 +19,8 @@ __all__ = [
     "ActiveGram", "BorderedBlocks", "MetricB", "Regularized", "SolverStallError",
     "sym_part",
     "CompositeProblem", "SeparableProx", "SmoothOracle", "ZeroPart",
-    "check_gradient_fd", "check_hvp_fd",
     "load_instance", "make_huber", "make_nmf", "make_quadratic", "make_svm",
-    "penalty_violation", "problem_from_instance", "save_instance",
+    "problem_from_instance", "save_instance",
     "CONVERGED", "MAXITER", "STALLED", "NonFiniteError",
     "SolveResult", "SolverConfig", "TraceRecord", "acceptance_test",
     "solve", "trial_lambda", "trial_step",

@@ -459,18 +459,19 @@ class Regularized:
     def solve(self, lam: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (H + lam B) s = rhs by the refresh's route (see __init__).
 
-        Every route runs in one loop: a first solve and up to three
-        corrections, each solving again for the residual rho = rhs -
-        (H + lam B) s (through apply), until rho meets the forcing rule
-        ||rho||_* <= THETA lam ||s||_B that prox_solve shares.  With
-        rhs = -f'(x) and psi = 0, -rho is the model residual
+        The route's solve runs once on rhs and then up to three times as a
+        correction s += once(rho), rho = rhs - (H + lam B) s (through apply),
+        and the first s whose residual meets the forcing rule
+        ||rho||_* <= THETA lam ||s||_B that prox_solve shares is returned.
+        With rhs = -f'(x) and psi = 0, -rho is the model residual
         f'(x) + (H + lam B) s.  A dense H is solved directly: the one matrix
         factored, H + lam B or a Schur complement, goes through
         _direct_solver (Cholesky, then LU), and a singular one raises
         SolverStallError.  A matrix-free H goes to MINRES, capped at 10 n
         iterations per call, on the Schur complement of a BorderedBlocks
-        with the identity metric (_schur_minres) or on H + lam B itself.  A
-        residual not within the rule, NaN included, raises SolverStallError.
+        with the identity metric (_schur_minres) or on H + lam B itself.
+        When none of the four steps meets the rule (a NaN residual never
+        does), SolverStallError carries the smallest residual seen.
         """
         _check_lam(lam)
         rhs = np.asarray(rhs, dtype=np.float64)
@@ -479,8 +480,20 @@ class Regularized:
             raise ValueError(f"operator dim {n} takes an rhs of shape ({n},), got {rhs.shape}")
         if not rhs.any():
             return np.zeros(n)
-        return _refined(self._route(self, lam), lambda v: self.apply(lam, v), rhs,
-                        self.metric.dual_norm, lambda s: self._forcing(lam, s))
+        once = self._route(self, lam)
+        s = once(rhs)
+        for attempt in range(4):
+            if attempt:
+                s = s + once(r)
+            r = rhs - self.apply(lam, s)
+            res, goal = self.metric.dual_norm(r), self._forcing(lam, s)
+            if res <= goal:
+                return s
+            best = res if attempt == 0 else min(best, res)
+        raise SolverStallError(
+            f"regularized solve stalled at residual {best:.3e} (target {goal:.3e})",
+            best_residual=best,
+        )
 
     def _dense_solver(self, lam: float):
         """r -> (H + lam B)^{-1} r for a dense array H, by one factorization."""
@@ -619,28 +632,6 @@ def _minres_solver(matvec, n: int, precond):
 def _check_lam(lam: float) -> None:
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"regularizer must be positive and finite, got {lam}")
-
-
-def _refined(solve_once, apply, rhs: np.ndarray, norm, target) -> np.ndarray:
-    """solve_once(rhs) plus up to three corrections s += solve_once(rhs - apply(s)).
-
-    Returns the first step whose residual r = rhs - apply(s) meets
-    norm(r) <= target(s).  When none of the four does (a NaN residual never
-    does), raises SolverStallError with the smallest residual seen.
-    """
-    s = solve_once(rhs)
-    for attempt in range(4):
-        if attempt:
-            s = s + solve_once(r)
-        r = rhs - apply(s)
-        res, goal = float(norm(r)), float(target(s))
-        if res <= goal:
-            return s
-        best = res if attempt == 0 else min(best, res)
-    raise SolverStallError(
-        f"regularized solve stalled at residual {best:.3e} (target {goal:.3e})",
-        best_residual=best,
-    )
 
 
 def _direct_solver(m: np.ndarray, name: str):

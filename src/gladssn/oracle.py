@@ -22,8 +22,6 @@ __all__ = [
     "ZeroPart",
     "SeparableProx",
     "CompositeProblem",
-    "check_gradient_fd",
-    "check_hvp_fd",
 ]
 
 
@@ -90,27 +88,22 @@ class SeparableProx:
 class CompositeProblem:
     """F = f + psi together with the metric the solver should work in.
 
-    kink_gap, when provided, maps a point to its distance from the nearest
-    nondifferentiability of the Hessian field (used to pick safe
-    finite-difference test points).  eval_f_diff(x, s), when provided,
-    returns the decrease f(x) - f(x + s) of the smooth part computed from
-    the step itself, so that it stays accurate when the decrease is far
-    below the rounding error eps * |f| of eval_f.  The solver consults it
-    only where the decrease test would otherwise be decided by that
-    rounding (see ssn); without it the rounding decides.  Both are
-    functions of f's data: a caller who replaces smooth with another f must
-    replace them too, or the problem keeps the old ones.  x0 is the
-    canonical starting point for harness runs, and instance keeps the
-    generator record so the problem can be exported and replayed elsewhere.
+    eval_f_diff(x, s), when provided, returns the decrease f(x) - f(x + s)
+    of the smooth part computed from the step itself, so that it stays
+    accurate when the decrease is far below the rounding error eps * |f| of
+    eval_f.  The solver consults it only where the decrease test would
+    otherwise be decided by that rounding (see ssn); without it the rounding
+    decides.  It is a function of f's data: a caller who replaces smooth
+    with another f must replace it too, or the problem keeps the old one.
+    x0 is the canonical starting point for harness runs, and instance keeps
+    the generator record so the problem can be exported and replayed
+    elsewhere.
     """
 
     smooth: SmoothOracle
     psi: ZeroPart | SeparableProx
     metric: MetricB = field(default_factory=MetricB)
-    known_fstar: float | None = None
-    known_xstar: np.ndarray | None = None
     name: str = ""
-    kink_gap: Callable[[np.ndarray], float] | None = None
     eval_f_diff: Callable[[np.ndarray, np.ndarray], float] | None = None
     x0: np.ndarray | None = None
     instance: object | None = None
@@ -119,36 +112,3 @@ class CompositeProblem:
     def dim(self) -> int:
         return self.smooth.dim
 
-
-def check_gradient_fd(problem: CompositeProblem, x: np.ndarray, h: float = 1e-6) -> float:
-    """Worst relative mismatch between the gradient oracle and central differences.
-
-    Per-coordinate error |fd_i - g_i| / max(1, |fd_i|, |g_i|); the max over
-    coordinates is returned.  Meaningful only at points where f is smooth on
-    an h-neighbourhood (check kink_gap first for piecewise oracles).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(problem.smooth.eval_grad(x), dtype=np.float64)
-    worst = 0.0
-    e = np.zeros_like(x)
-    for i in range(x.shape[0]):
-        e[i] = h
-        fd = (problem.smooth.eval_f(x + e) - problem.smooth.eval_f(x - e)) / (2.0 * h)
-        e[i] = 0.0
-        err = abs(fd - g[i]) / max(1.0, abs(fd), abs(g[i]))
-        worst = max(worst, err)
-    return worst
-
-
-def check_hvp_fd(problem: CompositeProblem, x: np.ndarray, v: np.ndarray,
-                 h: float = 1e-6) -> float:
-    """Relative mismatch between H(x) v and a central difference of gradients.
-
-    Returns ||H v - (grad(x + h v) - grad(x - h v)) / (2 h)|| / max(1, ||H v||).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    hv = problem.smooth.eval_hess(x) @ v
-    fd = (np.asarray(problem.smooth.eval_grad(x + h * v), dtype=np.float64)
-          - np.asarray(problem.smooth.eval_grad(x - h * v), dtype=np.float64)) / (2.0 * h)
-    return float(np.linalg.norm(hv - fd) / max(1.0, np.linalg.norm(hv)))

@@ -52,7 +52,6 @@ __all__ = [
     "make_huber",
     "make_quadratic",
     "problem_from_instance",
-    "penalty_violation",
     "dataclass_from_json",
     "save_instance",
     "load_instance",
@@ -284,14 +283,7 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
     return CompositeProblem(
         smooth=SmoothOracle(dim=dim, eval_f=eval_f, eval_grad=eval_grad,
                             eval_hess=eval_hess),
-        psi=ZeroPart(), kink_gap=lambda x: float(np.min(np.abs(x))),
-        eval_f_diff=eval_f_diff)
-
-
-def penalty_violation(x: np.ndarray, inst: NmfInstance) -> float:
-    """Value of the negative-part penalty 1/(2 beta) (||U_-||^2 + ||V_-||^2) at x."""
-    neg = np.minimum(x, 0.0)  # x = (vec U, vec V)
-    return 0.5 / inst.beta * float(np.sum(neg * neg))
+        psi=ZeroPart(), eval_f_diff=eval_f_diff)
 
 
 # ----------------------------------------------------------------------- svm
@@ -383,7 +375,7 @@ def _svm_problem(inst: SvmInstance) -> CompositeProblem:
     return CompositeProblem(
         smooth=SmoothOracle(dim=dim, eval_f=eval_f, eval_grad=eval_grad,
                             eval_hess=eval_hess),
-        psi=ZeroPart(), kink_gap=lambda x: float(np.min(np.abs(margins_resid(x)))))
+        psi=ZeroPart())
 
 
 # --------------------------------------------------------------------- huber
@@ -447,9 +439,7 @@ def _huber_problem(inst: HuberInstance) -> CompositeProblem:
     return CompositeProblem(
         smooth=SmoothOracle(dim=n, eval_f=eval_f, eval_grad=eval_grad,
                             eval_hess=eval_hess),
-        psi=ZeroPart(),
-        kink_gap=lambda x: float(np.min(np.abs(np.abs(resid(x)) - delta))),
-        eval_f_diff=eval_f_diff)
+        psi=ZeroPart(), eval_f_diff=eval_f_diff)
 
 
 # ---------------------------------------------------------------------- quad
@@ -481,7 +471,6 @@ def make_quadratic(seed: int, n: int = 50, cond: float = 1e4) -> CompositeProble
 def _quad_problem(inst: QuadInstance) -> CompositeProblem:
     a_mat, b_vec = inst.A, inst.b
     n = a_mat.shape[0]
-    xstar = np.linalg.solve(a_mat, b_vec)
 
     def eval_f(x):
         return 0.5 * float(x @ (a_mat @ x)) - float(b_vec @ x)
@@ -492,8 +481,7 @@ def _quad_problem(inst: QuadInstance) -> CompositeProblem:
     return CompositeProblem(
         smooth=SmoothOracle(dim=n, eval_f=eval_f, eval_grad=eval_grad,
                             eval_hess=lambda x: a_mat),
-        psi=ZeroPart(), known_fstar=-0.5 * float(b_vec @ xstar), known_xstar=xstar,
-        kink_gap=lambda x: np.inf,
+        psi=ZeroPart(),
         eval_f_diff=lambda x, s: -float(s @ (eval_grad(x) + 0.5 * (a_mat @ s))))
 
 

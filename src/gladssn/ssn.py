@@ -24,8 +24,9 @@ that passes it the gradient f'(x_+), F'(x_+) and the pairing.  A trial rejected 
 decrease never evaluates its gradient, so it cannot raise NonFiniteError
 on that gradient.  Rejected trials quadruple lambda; a failed inner solve
 counts as a rejected trial.  An outer iteration ends the run as stalled at
-the first trial whose point rounds to x_k (psi zero), or after 60 rejected
-trials (_MAX_TRIALS).  A point x_+ == x_k has pairing 0 against a
+the first trial whose point rounds to x_k (psi zero), at the first trial
+whose lambda is not in (0, inf), which is then not run, or after 60
+rejected trials (_MAX_TRIALS).  A point x_+ == x_k has pairing 0 against a
 positive ||F'(x_+)||^2 / (2 lambda), since F'(x_+) is then f'(x_k), so it
 is rejected; every later trial has a larger lambda and a step no longer in
 the B-norm.  With psi nonzero a null prox step can pass both tests with
@@ -338,6 +339,8 @@ def solve(problem: CompositeProblem, config: SolverConfig,
         accepted = False
         for j in range(_MAX_TRIALS):
             lam = trial_lambda(Lambda_k, g, config.p, j)
+            if not 0.0 < lam < math.inf:
+                break  # so is 4^i lam at every later trial i: the run stalls
             trials += 1
             try:
                 x_plus, psi_sub_plus = trial_step(x, f_grad, reg, lam, problem, s_prev)

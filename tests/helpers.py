@@ -1,10 +1,11 @@
 """Shared helpers for the test suite."""
 
 import dataclasses
+import math
 
 import numpy as np
 
-from gladssn.problems import make_svm
+from gladssn.problems import HuberInstance, NmfInstance, QuadInstance, SvmInstance, make_svm
 from gladssn.rng import mix64
 from gladssn.ssn import TraceRecord
 
@@ -79,6 +80,77 @@ def columns(op):
     return np.column_stack([op @ e for e in np.eye(op.shape[0])])
 
 
+# Per instance type, the distance of x from the nearest point where the
+# problem's Hessian field jumps: a sign change of a factor entry (the NMF
+# penalty), a margin residual 1 - y (w^T x_i + b) of zero (the SVM hinge),
+# a residual of |a_i^T x - b_i| = delta (Huber), and none for the quadratic.
+_KINK_GAPS = {
+    NmfInstance: lambda inst, x: float(np.min(np.abs(x))),
+    SvmInstance: lambda inst, x: float(np.min(np.abs(
+        1.0 - inst.y * (inst.X @ x[:-1] + x[-1])))),
+    HuberInstance: lambda inst, x: float(np.min(np.abs(
+        np.abs(inst.A @ x - inst.b) - inst.delta))),
+    QuadInstance: lambda inst, x: math.inf,
+}
+
+
+def kink_gap(problem, x):
+    """Distance of x from the nearest nondifferentiability of the problem's
+    Hessian field, from problem.instance; raises TypeError for an instance
+    of a type that has no rule."""
+    rule = _KINK_GAPS.get(type(problem.instance))
+    if rule is None:
+        raise TypeError(f"no kink rule for {type(problem.instance).__name__}")
+    return rule(problem.instance, x)
+
+
+def quad_optimum(problem):
+    """(fstar, xstar) of a make_quadratic problem: xstar solves A x = b."""
+    inst = problem.instance
+    xstar = np.linalg.solve(inst.A, inst.b)
+    return -0.5 * float(inst.b @ xstar), xstar
+
+
+def penalty_violation(x, inst):
+    """Value of the negative-part penalty 1/(2 beta) (||U_-||^2 + ||V_-||^2)
+    of an NmfInstance at x = (vec U, vec V)."""
+    neg = np.minimum(x, 0.0)
+    return 0.5 / inst.beta * float(np.sum(neg * neg))
+
+
+def check_gradient_fd(problem, x, h=1e-6):
+    """Worst relative mismatch between the gradient oracle and central differences.
+
+    Per-coordinate error |fd_i - g_i| / max(1, |fd_i|, |g_i|); the max over
+    coordinates is returned.  Meaningful only at points where f is smooth on
+    an h-neighbourhood (check kink_gap first for piecewise oracles).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    g = np.asarray(problem.smooth.eval_grad(x), dtype=np.float64)
+    worst = 0.0
+    e = np.zeros_like(x)
+    for i in range(x.shape[0]):
+        e[i] = h
+        fd = (problem.smooth.eval_f(x + e) - problem.smooth.eval_f(x - e)) / (2.0 * h)
+        e[i] = 0.0
+        err = abs(fd - g[i]) / max(1.0, abs(fd), abs(g[i]))
+        worst = max(worst, err)
+    return worst
+
+
+def check_hvp_fd(problem, x, v, h=1e-6):
+    """Relative mismatch between H(x) v and a central difference of gradients.
+
+    Returns ||H v - (grad(x + h v) - grad(x - h v)) / (2 h)|| / max(1, ||H v||).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    hv = problem.smooth.eval_hess(x) @ v
+    fd = (np.asarray(problem.smooth.eval_grad(x + h * v), dtype=np.float64)
+          - np.asarray(problem.smooth.eval_grad(x - h * v), dtype=np.float64)) / (2.0 * h)
+    return float(np.linalg.norm(hv - fd) / max(1.0, np.linalg.norm(hv)))
+
+
 def kink_free_points(problem, seed, count, scale=0.3, min_gap=1e-5):
     """Sample `count` points around x0 where the nonsmooth seams are far away.
 
@@ -93,7 +165,7 @@ def kink_free_points(problem, seed, count, scale=0.3, min_gap=1e-5):
         if tries > 200 * count:
             raise RuntimeError("could not find enough kink-free points")
         x = problem.x0 + scale * rng.standard_normal(problem.dim)
-        if problem.kink_gap(x) > min_gap:
+        if kink_gap(problem, x) > min_gap:
             pts.append(x)
     return pts
 

@@ -11,7 +11,7 @@ from gladssn.harness import (COLUMNS, SOLVERS, ConfigError, NotEstimableError, R
 from gladssn.problems import make_huber, make_nmf, make_quadratic
 from gladssn.ssn import SolverConfig, next_Lambda, solve
 
-from helpers import synthetic_trace
+from helpers import quad_optimum, synthetic_trace
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +101,7 @@ def quad_lipschitz(p):
 def test_verify_passes_on_solver_trace(quad_result):
     p = make_quadratic(1)
     lip = quad_lipschitz(p)
-    report = verify(quad_result.trace, L=lip, fstar=p.known_fstar)
+    report = verify(quad_result.trace, L=lip, fstar=quad_optimum(p)[0])
     assert report.passed, report.summary()
     for name in ("pairing", "decrease", "step_grad", "no_overshoot",
                  "value_gain", "lambda_cap", "newton_count", "envelope",
@@ -349,7 +349,7 @@ def test_verify_hessian_schedule_counts_off_schedule_rows(huber_lazy_result):
 
 def test_verify_envelope_uses_observed_lambda_without_L(quad_result):
     p = make_quadratic(1)
-    report = verify(quad_result.trace, fstar=p.known_fstar)
+    report = verify(quad_result.trace, fstar=quad_optimum(p)[0])
     assert report.checks["envelope"].passed
     assert any("max observed" in n for n in report.notes)
     # an fstar above F_0 leaves no gap to bound

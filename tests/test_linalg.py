@@ -964,20 +964,23 @@ def test_solve_regularized_inconsistent_system_stalls():
 
 
 def test_refinement_decides_on_the_step_it_returns():
-    # with a step-dependent target, a correction that raises the residual
-    # must not pass on an earlier, smaller one: s = 2 misses (residual 2,
-    # target 1.2); s = -4 misses its own target 2.4 with residual 8, though
-    # the smallest residual so far is below 2.4; the exact correction passes
+    # H + lam I = -5 + 6 = 1, so the residual of s is 4 - s and the forcing
+    # rule's target 0.6 |s| depends on the step: a correction that raises the
+    # residual must not pass on an earlier, smaller one.  s = 2 misses
+    # (residual 2, target 1.2); s = -4 misses its own target 2.4 with
+    # residual 8, though the smallest residual so far is below 2.4; the
+    # exact correction passes
+    reg = Regularized(np.array([[-5.0]]), MetricB())
     steps = iter([np.array([2.0]), np.array([-6.0])])
 
     def once(r):
         return next(steps, r)
-    s = linalg._refined(once, lambda v: v, np.array([4.0]), np.linalg.norm,
-                        lambda s: 0.6 * np.linalg.norm(s))
-    np.testing.assert_array_equal(s, [4.0])
+    reg._route = lambda reg, lam: once
+    np.testing.assert_array_equal(reg.solve(6.0, np.array([4.0])), [4.0])
+    # a route that never moves keeps s = 0, whose target is 0
+    reg._route = lambda reg, lam: lambda r: np.zeros(1)
     with pytest.raises(SolverStallError) as exc:
-        linalg._refined(lambda r: np.zeros(1), lambda v: v, np.array([4.0]),
-                        np.linalg.norm, lambda s: 1.0)
+        reg.solve(6.0, np.array([4.0]))
     assert exc.value.best_residual == 4.0
 
 

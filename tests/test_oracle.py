@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gladssn.linalg import MetricB
-from gladssn.oracle import (CompositeProblem, SeparableProx, SmoothOracle,
-                            ZeroPart, check_gradient_fd, check_hvp_fd)
+from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPart
+
+from helpers import check_gradient_fd, check_hvp_fd
 
 
 def quad_problem(a, b):

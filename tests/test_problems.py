@@ -12,12 +12,12 @@ from gladssn import linalg, problems
 from gladssn.linalg import BorderedBlocks, MetricB, Regularized
 from gladssn.problems import (DENSE_DIM_MAX, HuberInstance, NmfInstance,
                               QuadInstance, SvmInstance, load_instance, make_huber, make_nmf,
-                              make_quadratic, make_svm, penalty_violation,
-                              problem_from_instance, save_instance)
+                              make_quadratic, make_svm, problem_from_instance,
+                              save_instance)
 from gladssn.rng import Rng
 from gladssn.ssn import CONVERGED, SolverConfig, solve
 
-from helpers import block_stack, columns
+from helpers import block_stack, columns, kink_gap, penalty_violation, quad_optimum
 
 
 def test_same_seed_is_bitwise_identical():
@@ -60,7 +60,7 @@ def test_nmf_hand_values():
     np.testing.assert_allclose(h, [[104.02, -6.0], [-6.0, 1.02]], rtol=1e-13)
     assert penalty_violation(x, inst) == pytest.approx(50.0, rel=1e-15)
     assert penalty_violation(np.array([1.0, 2.0]), inst) == 0.0
-    assert p.kink_gap(np.array([0.3, -0.2])) == pytest.approx(0.2)
+    assert kink_gap(p, np.array([0.3, -0.2])) == pytest.approx(0.2)
 
 
 def test_nmf_gradient_matches_loop_oracle():
@@ -363,7 +363,7 @@ def test_nmf_eval_f_diff_resolves_decrease_below_rounding():
     # remainder is O(||s||^3))
     p = make_nmf(5, d=6, n=4, r=3)
     x = p.x0.copy()
-    assert p.kink_gap(x) > 1e-3
+    assert kink_gap(p, x) > 1e-3
     g = p.smooth.eval_grad(x)
     h = p.smooth.eval_hess(x)
     w = np.random.default_rng(3).standard_normal(x.size)
@@ -581,8 +581,8 @@ def test_huber_hand_values():
         np.testing.assert_allclose(Regularized(p.smooth.eval_hess(np.array([x])), MetricB()).h,
                                    want)
     # residual hits |r| = delta at x = 1.5
-    assert p.kink_gap(np.array([1.5])) == pytest.approx(0.0, abs=1e-15)
-    assert p.kink_gap(np.array([0.8])) == pytest.approx(0.7, rel=1e-14)
+    assert kink_gap(p, np.array([1.5])) == pytest.approx(0.0, abs=1e-15)
+    assert kink_gap(p, np.array([0.8])) == pytest.approx(0.7, rel=1e-14)
 
 
 def test_huber_default_instance():
@@ -604,7 +604,7 @@ def oracle_outputs(problem, x):
         h = h.assemble()
     elif not isinstance(h, np.ndarray):  # matrix-free: compared through H @ v
         h = h @ np.linspace(-1.0, 1.0, problem.dim)
-    out = [smooth.eval_f(x), smooth.eval_grad(x), h, problem.kink_gap(x)]
+    out = [smooth.eval_f(x), smooth.eval_grad(x), h]
     if problem.eval_f_diff is not None:
         out.append(problem.eval_f_diff(x, np.full(problem.dim, 1e-3)))
     return out
@@ -623,8 +623,8 @@ def assert_bitwise_equal(got, want):
 ], ids=["make_svm-kw0", "make_huber-kw1", "make_nmf-dense", "make_nmf-matrix-free"])
 def test_residual_cache_matches_fresh_oracles(make, kw, dense_max, monkeypatch):
     # SVM's margins and Huber's and NMF's residuals are computed once per
-    # point and shared by f, the gradient, the Hessian, kink_gap and the
-    # step's decrease.  Every result must equal a fresh oracle's at that
+    # point and shared by f, the gradient, the Hessian and the step's
+    # decrease.  Every result must equal a fresh oracle's at that
     # point, also after the caller changes the array it passed in place.
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", dense_max)
     problem = make(3, **kw)
@@ -651,15 +651,29 @@ def test_quadratic_spectrum_and_solution():
     assert eigs[0] == pytest.approx(1.0, rel=1e-9)
     assert eigs[-1] == pytest.approx(1e3, rel=1e-9)
     assert np.all(eigs >= 1.0 - 1e-6) and np.all(eigs <= 1e3 + 1e-6)
-    g = p.smooth.eval_grad(p.known_xstar)
+    fstar, xstar = quad_optimum(p)
+    g = p.smooth.eval_grad(xstar)
     assert np.linalg.norm(g) < 1e-9 * np.linalg.norm(p.instance.b)
-    assert p.smooth.eval_f(p.known_xstar) == pytest.approx(p.known_fstar, abs=1e-9)
+    assert p.smooth.eval_f(xstar) == pytest.approx(fstar, abs=1e-9)
     # minimum really is a minimum
     rng = np.random.default_rng(0)
     for _ in range(5):
-        assert p.smooth.eval_f(p.known_xstar + 0.1 * rng.standard_normal(12)) \
-            > p.known_fstar
-    assert p.kink_gap(p.x0) == np.inf
+        assert p.smooth.eval_f(xstar + 0.1 * rng.standard_normal(12)) > fstar
+    assert kink_gap(p, p.x0) == np.inf
+
+
+# ------------------------------------------------------------- kink gaps
+
+@pytest.mark.parametrize("kind", sorted(problems.KINDS))
+def test_kink_gap_has_a_rule_for_every_kind(kind):
+    # helpers.kink_gap knows every kind, so kink_free_points cannot accept
+    # every point of a kind added without a rule; an unknown instance raises
+    small = {"nmf": {"d": 4, "n": 3, "r": 2}, "svm": {"n": 4, "ell": 10},
+             "huber": {"m": 6, "n": 3}, "quad": {"n": 4}}
+    p = problems.KINDS[kind].make(1, **small.get(kind, {}))
+    assert kink_gap(p, p.x0) >= 0.0
+    with pytest.raises(TypeError, match="no kink rule"):
+        kink_gap(dataclasses.replace(p, instance=object()), p.x0)
 
 
 # -------------------------------------------------------- export / import

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import re
@@ -168,6 +169,43 @@ def test_bench_pairs_runs_both_sides_and_compares_trajectories(tmp_path):
         added = {entry for entry in repository_files(tree) - entries
                  if not entry.startswith("!! perfbench/out/")}
         assert not added, (tree, added)
+
+
+@pytest.mark.skipif(subprocess.run(["git", "-C", str(SCRIPTS), "rev-parse", "HEAD"],
+                                   capture_output=True).returncode != 0,
+                    reason="needs a git checkout to archive the parent from")
+@pytest.mark.parametrize("moved", [[], ["svm"]])
+def test_bench_pairs_all_runs_every_workload_and_fails_if_one_differs(moved, capsys,
+                                                                       monkeypatch):
+    # `--workload all` prints each workload's pairs and summary as one
+    # workload does, and exits 1 when a pair of any workload differs; the
+    # bench runs are stubbed, the change moving one digest on `moved`
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    bench_pairs = importlib.import_module("bench_pairs")
+    workloads = [w["name"] for w in bench_pairs.BENCHMARK["workloads"]]
+
+    def bench(tree, workload, args, keep):
+        side = "change" if tree == bench_pairs.ROOT else "parent"
+        moves = side == "change" and workload in moved
+        keep.write_text(json.dumps({
+            "workload": workload, "seed": args.seed,
+            "solves": [solve_record(1, **({"digest": "f" * 64} if moves else {}))],
+            "environment": {"src_gladssn_lines": 100 if side == "parent" else 90}}))
+        return {"metrics": {name: {"value": 1.0} for name in bench_pairs.LOWER_IS_BETTER},
+                "failed": 0, "attempted": 1, "correct": True}
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    code = bench_pairs.main(["HEAD", "--workload", "all", "--pairs", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == (1 if moved else 0)
+    headers = [line.split()[1] for line in lines if line.startswith("# ")]
+    assert headers == workloads
+    verdicts = [line for line in lines if line.startswith("trajectories: ")]
+    assert verdicts == [f"trajectories: {'some pair differs' if w in moved else 'every pair agrees'}"
+                        for w in workloads]
+    assert lines.count("src/gladssn lines: parent 100, change 90, -10") == len(workloads)
+    assert lines[-1] == ("workloads: some pair differs on svm" if moved
+                         else f"workloads: every pair agrees on all {len(workloads)}")
 
 
 def test_lazy_sweep_prints_the_cost_ratio():

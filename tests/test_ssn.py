@@ -16,8 +16,8 @@ from gladssn.ssn import (CONVERGED, MAXITER, STALLED, NonFiniteError,
                          SolverConfig, acceptance_test, next_Lambda, solve,
                          trial_lambda, trial_step)
 
-from helpers import (FAR_START_LAMBDA0, LAMBDA0_NUDGES, block_stack, columns, svm_far_start,
-                     svm_with_f_diff)
+from helpers import (FAR_START_LAMBDA0, LAMBDA0_NUDGES, block_stack, columns, quad_optimum,
+                     svm_far_start, svm_with_f_diff)
 
 
 def test_trial_lambda():
@@ -176,7 +176,7 @@ def test_trial_step_soft_threshold_frozen():
 
 def test_solve_stationary_start():
     p = make_quadratic(2, n=8)
-    res = solve(p, SolverConfig(grad_tol=1e-6), x0=p.known_xstar)
+    res = solve(p, SolverConfig(grad_tol=1e-6), x0=quad_optimum(p)[1])
     assert res.status == CONVERGED
     assert res.iters == 0
     assert res.trace == []
@@ -190,7 +190,7 @@ def test_solve_quadratic_fast():
     assert res.status == CONVERGED
     assert res.iters <= 30
     assert res.g_final <= 1e-10
-    assert res.F_final <= p.known_fstar + 1e-8
+    assert res.F_final <= quad_optimum(p)[0] + 1e-8
     assert verify(res).passed
 
 
@@ -855,6 +855,22 @@ def test_non_finite_hessian_raises_or_fails_the_trial():
     assert prox_calls[0] == ssn._MAX_TRIALS
 
 
+def test_overflowed_regularizer_stalls_the_run():
+    # every inner solve fails on a NaN product, so the trials quadruple lam
+    # from Lambda0 = 1e300 until it overflows: the iteration then ends as
+    # stalled, within _MAX_TRIALS and without running a trial at lam = inf,
+    # for a zero psi (MINRES) and a nonzero one (FISTA) alike
+    p = make_quadratic(1, n=5)
+    nan_hvp = dataclasses.replace(p.smooth, eval_hess=lambda x: LinearOperator(
+        (5, 5), matvec=lambda v: np.full(5, np.nan), dtype=np.float64))
+    l1, _ = counted_l1(1.0)
+    for psi in (p.psi, l1):
+        res = solve(dataclasses.replace(p, smooth=nan_hvp, psi=psi),
+                    SolverConfig(m=1, Lambda0=1e300))
+        assert res.status == STALLED and res.iters == 0
+        assert 0 < res.trials < ssn._MAX_TRIALS
+
+
 def test_dense_run_declining_cholesky_never_reaches_minres(monkeypatch):
     # the first refresh of this nonconvex NMF model at m = 5, handed over as
     # a dense array, is indefinite: Cholesky declines it and the refresh's
@@ -923,7 +939,7 @@ def test_gradient_skipped_only_on_decrease_rejections(monkeypatch):
         assert counts["f"] == 1 + len(decreases), nudge
 
 
-def test_matrix_free_run_inverts_both_block_groups_at_every_trial(monkeypatch):
+def test_matrix_free_run_inverts_the_u_blocks_and_the_tail_diagonal_at_every_trial(monkeypatch):
     # the U blocks plus lam I are inverted at every trial's lam, in its
     # refresh's trials and, at m > 1, its lazy iterations, and the tail
     # group, the Schur complement's Jacobi preconditioner, is inverted as
