@@ -23,12 +23,12 @@ over 10 pairs or more the change wins at least 9 of every 10 pairs run, a
 tie counting for neither side; its median is better than the parent's by
 more than the parent's IQR; and its largest count of failed solves, printed
 per side, is no larger than the parent's, since a gain does not count when
-more solves fail.  Each pair's two reports are compared by
-scripts/same_trajectories.py, with --rel-tol when given.  The line count of
-src/gladssn that each side's reports record is printed with the change's
-difference from the parent, the line delta of a change.  Exits 1 when a
-bench run fails or a pair's digests or statuses differ, on any workload, 2
-on a usage error, and 0 otherwise.
+more solves fail.  Each pair's two reports are compared in this process by
+the compare of scripts/same_trajectories.py, with --rel-tol when given.
+The line count of src/gladssn that each side's reports record is printed
+with the change's difference from the parent, the line delta of a change.
+Exits 1 when a bench run fails or a pair's digests or statuses differ, on
+any workload, 2 on a usage error, and 0 otherwise.
 """
 
 import argparse
@@ -42,10 +42,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from same_trajectories import tolerance
+from same_trajectories import compare, load, tolerance
 
 ROOT = Path(__file__).resolve().parents[1]
-SAME_TRAJECTORIES = ROOT / "scripts" / "same_trajectories.py"
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 LOWER_IS_BETTER = {m["name"]: m["better"] == "lower" for m in BENCHMARK["end_to_end"]}
 
@@ -143,14 +142,12 @@ def compare_pairs(workload: str, trees: dict, args, tmp: Path) -> bool:
             metrics = "  ".join(f"{name} {m['value']:.6g}" for name, m in result["metrics"].items())
             print(f"pair {i} run {position}: {side:<6}  {metrics}  failed {result['failed']} "
                   f"of {result['attempted']}  correct {str(result['correct']).lower()}")
-        compare = subprocess.run(
-            [sys.executable, str(SAME_TRAJECTORIES),
-             *(["--rel-tol", repr(args.rel_tol)] if args.rel_tol is not None else []),
-             str(tmp / f"pair{i}-parent.json"), str(tmp / f"pair{i}-change.json")],
-            capture_output=True, text=True)
-        agree = agree and compare.returncode == 0
-        shown = compare.stdout.splitlines() if compare.returncode else compare.stdout.splitlines()[-1:]
-        print("\n".join(f"pair {i} trajectories: {line}" for line in shown + compare.stderr.splitlines()))
+        (_, parent), (_, change) = (load(tmp / f"pair{i}-{side}.json")
+                                    for side in ("parent", "change"))
+        lines, ok = compare(parent, change, args.rel_tol)
+        agree = agree and ok
+        shown = lines if not ok else lines[-1:]
+        print("\n".join(f"pair {i} trajectories: {line}" for line in shown))
         runs.append(run)
     count = {side: json.loads((tmp / f"pair1-{side}.json").read_text())
              ["environment"]["src_gladssn_lines"] for side in trees}

@@ -95,6 +95,17 @@ def within_tolerance(parent, change, rel_tol):
     return lines, ok
 
 
+def compare(parent, change, rel_tol=None):
+    """(lines, ok) of two {seed: solve} maps: within_tolerance's with
+    rel_tol, else a line per seed that moved or, when none did, one line
+    saying how many solves agree."""
+    if rel_tol is not None:
+        return within_tolerance(parent, change, rel_tol)
+    lines = differences(parent, change)
+    return (lines, False) if lines else ([f"{len(parent)} solves agree in {', '.join(FIELDS)}"],
+                                         True)
+
+
 def tolerance(text):
     """A --rel-tol value: a float at least 0, so neither negative nor NaN."""
     value = float(text)
@@ -114,17 +125,9 @@ def main(argv=None) -> int:
     if parent_workload != change_workload:
         ap.error(f"the reports are of different workloads: {parent_workload} ({args.parent}) "
                  f"and {change_workload} ({args.change})")
-    if args.rel_tol is not None:
-        lines, ok = within_tolerance(parent, change, args.rel_tol)
-        print("\n".join(lines))
-        return 0 if ok else 1
-    lines = differences(parent, change)
-    for line in lines:
-        print(line)
-    if lines:
-        return 1
-    print(f"{len(parent)} solves agree in {', '.join(FIELDS)}")
-    return 0
+    lines, ok = compare(parent, change, args.rel_tol)
+    print("\n".join(lines))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

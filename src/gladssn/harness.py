@@ -38,7 +38,6 @@ A check fails wherever one side of its inequality is not finite.
 from __future__ import annotations
 
 import json
-import numbers
 import time
 import typing
 from dataclasses import dataclass, field, fields
@@ -107,7 +106,7 @@ class RunConfig(ssn.SolverConfig):
         if self.solver not in SOLVERS:
             raise ConfigError(f"unknown solver {self.solver!r}; "
                               f"choose from {sorted(SOLVERS)}")
-        if not (isinstance(self.seed, numbers.Real) and float(self.seed).is_integer()):
+        if not ssn._is_whole(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         self.seed = int(self.seed)
         if not (self.out_path is None or isinstance(self.out_path, str)):

@@ -9,8 +9,8 @@ groups of blocks are each one shared base plus a diagonal per block, and
 which Regularized solves by eliminating its diagonal blocks; its Schur
 complement is then factored when the coupling is an array, and solved by
 MINRES, preconditioned by the tail's diagonal, when it is a pair of
-products; a Regularized picks its route, and builds the pieces the route
-needs, when it is built.  All four are applied as H @ v.  Every route,
+products; a Regularized builds the pieces its route needs, and each solve
+picks the route from them.  All four are applied as H @ v.  Every route,
 direct or iterative, stops at the one forcing rule documented at THETA.
 Vectors are 1-d float64 arrays.  Nothing here mutates its inputs.
 """
@@ -307,13 +307,11 @@ class Regularized:
     (a new array; the caller's is never written), a matrix-free scipy
     LinearOperator, an ActiveGram, which is assembled here (see _assemble),
     or a BorderedBlocks, assembled only when dense with a metric other than
-    the identity.  Here the refresh fixes its route and builds its pieces:
-    block elimination for a BorderedBlocks with the identity metric
-    (_elimination_solver, on the distinct diagonal blocks and the tail: its
-    block-diagonal array when dense, its diagonal when matrix-free), a
-    factorization for a dense array (_dense_solver), and plain MINRES
-    otherwise (_operator_solver).  The route is a plain function called with
-    self, so that no refresh refers to itself.  solve and apply set nothing
+    the identity.  A refresh keeps data, no function or method, so that
+    reference counting alone frees it: for a BorderedBlocks with the
+    identity metric, its distinct diagonal blocks (_blocks) and its tail,
+    a block-diagonal array when dense and a diagonal when matrix-free, from
+    which solve picks the route on each call.  solve and apply set nothing
     on the refresh, so no step depends on an earlier solve; prox_solve keeps
     only FISTA's last accepted step size.  prev is the previous refresh,
     from which an ActiveGram is built and that step size is taken; it is not
@@ -339,8 +337,8 @@ class Regularized:
                             f"ActiveGram or a BorderedBlocks, got {type(h).__name__}")
         self.h = h
         self.is_dense = isinstance(h, np.ndarray) or (isinstance(h, BorderedBlocks) and h.is_dense)
+        self._blocks = None
         if isinstance(h, BorderedBlocks) and metric.is_identity:
-            self._route = Regularized._elimination_solver
             self._blocks = _distinct_blocks(h.blocks)
             if h.is_dense:
                 m = h.shape[0] - h.split
@@ -348,9 +346,6 @@ class Regularized:
                 _block_diagonal(self._tail, _shifted_blocks(*h.tail))
             else:
                 self._tail = (np.diagonal(h.tail[0]) + h.tail[1]).reshape(-1)  # diag(tail)
-        else:
-            self._route = (Regularized._dense_solver if self.is_dense
-                           else Regularized._operator_solver)
 
     def _assemble(self, prev: Regularized | None) -> np.ndarray:
         """The dense H of self.gram, from prev's when both share rows and shift.
@@ -457,21 +452,21 @@ class Regularized:
         )
 
     def solve(self, lam: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (H + lam B) s = rhs by the refresh's route (see __init__).
+        """Solve (H + lam B) s = rhs by the route the refresh's pieces pick.
 
+        The one dispatch of a regularized solve: a refresh with _blocks set
+        eliminates them (_elimination_solver), a dense array H is factored
+        as H + lam B (_direct_solver: Cholesky, then LU; a singular one
+        raises SolverStallError), and any other H goes to MINRES on
+        H + lam B (_minres_solver, capped at 10 n iterations per call).
         The route's solve runs once on rhs and then up to three times as a
         correction s += once(rho), rho = rhs - (H + lam B) s (through apply),
         and the first s whose residual meets the forcing rule
         ||rho||_* <= THETA lam ||s||_B that prox_solve shares is returned.
         With rhs = -f'(x) and psi = 0, -rho is the model residual
-        f'(x) + (H + lam B) s.  A dense H is solved directly: the one matrix
-        factored, H + lam B or a Schur complement, goes through
-        _direct_solver (Cholesky, then LU), and a singular one raises
-        SolverStallError.  A matrix-free H goes to MINRES, capped at 10 n
-        iterations per call, on the Schur complement of a BorderedBlocks
-        with the identity metric (_schur_minres) or on H + lam B itself.
-        When none of the four steps meets the rule (a NaN residual never
-        does), SolverStallError carries the smallest residual seen.
+        f'(x) + (H + lam B) s.  When none of the four steps meets the rule
+        (a NaN residual never does), SolverStallError carries the smallest
+        residual seen.
         """
         _check_lam(lam)
         rhs = np.asarray(rhs, dtype=np.float64)
@@ -480,7 +475,13 @@ class Regularized:
             raise ValueError(f"operator dim {n} takes an rhs of shape ({n},), got {rhs.shape}")
         if not rhs.any():
             return np.zeros(n)
-        once = self._route(self, lam)
+        if self._blocks is not None:
+            once = self._elimination_solver(lam)
+        elif isinstance(self.h, np.ndarray):
+            shift = np.eye(n) if self.metric.is_identity else self.metric.matrix
+            once = _direct_solver(self.h + lam * shift, f"H + {lam:.3e} B")
+        else:
+            once = _minres_solver(lambda v: self.apply(lam, v), n)
         s = once(rhs)
         for attempt in range(4):
             if attempt:
@@ -495,15 +496,6 @@ class Regularized:
             best_residual=best,
         )
 
-    def _dense_solver(self, lam: float):
-        """r -> (H + lam B)^{-1} r for a dense array H, by one factorization."""
-        shift = np.eye(self.h.shape[0]) if self.metric.is_identity else self.metric.matrix
-        return _direct_solver(self.h + lam * shift, f"H + {lam:.3e} B")
-
-    def _operator_solver(self, lam: float):
-        """r -> an unpreconditioned MINRES step for (H + lam B) s = r."""
-        return _minres_solver(lambda v: self.apply(lam, v), self.h.shape[0], None)
-
     def _elimination_solver(self, lam: float):
         """r -> a step for (H + lam I) s = r, H a BorderedBlocks, by block elimination.
 
@@ -517,7 +509,13 @@ class Regularized:
         (T - C^T A^{-1} C) + lam I, T the refresh's block-diagonal tail
         array, and factors it (_direct_solver; LU means H + lam I is
         indefinite, as A is positive definite for positive definite blocks),
-        and the matrix-free form runs MINRES on it (_schur_minres).
+        and the matrix-free form runs MINRES on it, applying
+        S p = (tail + lam I) p - C^T A^{-1} C p matrix-free, tail + lam I by
+        one gemm (_shifted_apply).  S is preconditioned by Jacobi on the
+        tail, 1 / (diag(blockdiag(tail)) + lam) at this solve's lam, which
+        MINRES needs positive definite (so it stays valid for an indefinite
+        S): an entry of diag(tail) + lam that is not positive, NaN included,
+        raises SolverStallError, and a larger lam may then solve.
         """
         h = self.h
         kb = h.split
@@ -531,39 +529,21 @@ class Regularized:
             schur_solve = _direct_solver(schur, f"Schur complement of H + {lam:.3e} I")
             inv_c_apply = inv_c.__matmul__
         else:
+            diag = self._tail + lam
+            if not np.all(diag > 0.0):
+                raise SolverStallError("the tail diagonal of H + lam I is not positive",
+                                       best_residual=np.inf)
+            shifted_tail = (h.tail[0], h.tail[1] + lam)  # tail + lam I
             inv_c_apply = lambda q: _block_apply(inv, matvec(q))
-            schur_solve = self._schur_minres(lam, inv_c_apply)
+            schur_solve = _minres_solver(
+                lambda p: _shifted_apply(shifted_tail, p) - rmatvec(inv_c_apply(p)),
+                diag.size, 1.0 / diag)
 
         def once(r):
             head = _block_apply(inv, r[:kb])
             rest = schur_solve(r[kb:] - rmatvec(head))
             return np.concatenate([head - inv_c_apply(rest), rest])
         return once
-
-    def _schur_minres(self, lam: float, inv_c):
-        """q -> MINRES solution of S s_2 = q, S the Schur complement of a
-        matrix-free BorderedBlocks H + lam I and inv_c the product p -> A^{-1} C p.
-
-        S p = (tail + lam I) p - C^T A^{-1} C p is applied matrix-free, tail
-        + lam I by one gemm (_shifted_apply).  S is preconditioned by Jacobi
-        on the tail, 1 / (diag(blockdiag(tail)) + lam) at this solve's lam,
-        which MINRES needs positive definite (so it stays valid for an
-        indefinite S): an entry of diag(tail) + lam that is not positive, NaN
-        included, raises SolverStallError, and a larger lam may then solve.
-        """
-        h = self.h
-        m = h.shape[0] - h.split
-        _, rmatvec = h.coupling
-        diag = self._tail + lam
-        if not np.all(diag > 0.0):
-            raise SolverStallError("the tail diagonal of H + lam I is not positive",
-                                   best_residual=np.inf)
-        scale = 1.0 / diag
-        precond = LinearOperator((m, m), matvec=lambda q: scale * q, dtype=np.float64)
-        base, diags = h.tail
-        shifted_tail = (base, diags + lam)  # tail + lam I
-        return _minres_solver(lambda p: _shifted_apply(shifted_tail, p) - rmatvec(inv_c(p)),
-                              m, precond)
 
 
 def _distinct_blocks(group: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -614,16 +594,19 @@ def _inverse(blocks: np.ndarray, lam: float) -> np.ndarray:
     return inv
 
 
-def _minres_solver(matvec, n: int, precond):
+def _minres_solver(matvec, n: int, scale: np.ndarray | None = None):
     """r -> MINRES solution of the n x n system whose product is matvec.
 
-    One call of a solve's refinement loop.  The first call runs to scipy's
+    The one place a MINRES operator or preconditioner is built; a call is
+    one step of a solve's refinement loop.  The first call runs to scipy's
     rtol _MINRES_RTOL, and each correction tightens it by that factor again,
     so a step that misses the forcing rule (an ill-scaled operator, whose
-    ||H|| dwarfs lam) is corrected more tightly each time.  precond, an SPD
-    LinearOperator or None, is MINRES's M.
+    ||H|| dwarfs lam) is corrected more tightly each time.  MINRES's M is
+    the Jacobi preconditioner diag(scale), scale positive, or None.
     """
     op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    precond = (None if scale is None else
+               LinearOperator((n, n), matvec=lambda q: scale * q, dtype=np.float64))
     calls = itertools.count(1)
     return lambda r: scipy.sparse.linalg.minres(op, r, rtol=_MINRES_RTOL ** next(calls),
                                                 maxiter=10 * n, M=precond)[0]

@@ -66,6 +66,7 @@ inner solves.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
 
@@ -108,6 +109,13 @@ _MAX_TRIALS = 60
 # most 3 eps |F| at 1 and 2 BLAS threads.  8 leaves a margin over that.
 _ROUNDING_BAND = 8.0
 _EPS = float(np.finfo(np.float64).eps)
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def _is_whole(value) -> bool:
+    """Whether value is a whole real number, found without float() of an int."""
+    return isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
 
 
 class NonFiniteError(RuntimeError):
@@ -133,18 +141,21 @@ class SolverConfig:
 
     def __post_init__(self):
         for f in fields(self):  # a subclass's fields too
-            if isinstance(getattr(self, f.name), bool):
+            value = getattr(self, f.name)
+            if isinstance(value, bool):
                 raise ValueError(f"{f.name} must not be a bool")
+            if isinstance(value, numbers.Integral) and not abs(value) <= _FLOAT_MAX:
+                raise ValueError(f"{f.name} must fit a float, got {value.bit_length()} bits")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if not float(self.m).is_integer() or self.m < 1:
+        if not (_is_whole(self.m) and self.m >= 1):
             raise ValueError(f"m must be a positive integer, got {self.m}")
         self.m = int(self.m)
         if not (self.Lambda0 > 0.0 and np.isfinite(self.Lambda0)):
             raise ValueError(f"Lambda0 must be positive, got {self.Lambda0}")
         if not self.grad_tol >= 0.0:
             raise ValueError(f"grad_tol must be nonnegative, got {self.grad_tol}")
-        if not float(self.max_outer).is_integer() or self.max_outer < 0:
+        if not (_is_whole(self.max_outer) and self.max_outer >= 0):
             raise ValueError(
                 f"max_outer must be a nonnegative integer, got {self.max_outer}")
         self.max_outer = int(self.max_outer)
@@ -289,10 +300,10 @@ def solve(problem: CompositeProblem, config: SolverConfig,
           psi_sub0: np.ndarray | None = None) -> SolveResult:
     """Run the solver from x0 (default: the problem's canonical start).
 
-    psi_sub0 must be a subgradient of psi at x0; the default zero vector is
-    correct whenever psi is zero (or x0 happens to have 0 in its
-    subdifferential), and a zero psi, whose only subgradient is 0, takes no
-    other: a nonzero psi_sub0 then raises ValueError.  One TraceRecord is
+    psi_sub0 must be a subgradient of psi at x0, and None stands for 0:
+    for a nonzero psi it raises ValueError unless prox_psi(x0, 1) = x0,
+    which holds exactly when 0 is one, and a zero psi, whose only
+    subgradient is 0, takes no other (ValueError).  One TraceRecord is
     appended per accepted iteration, carrying the pre-step state (F_val,
     g_k, ...) together with the accepted trial's lambda, step length and
     duality pairing; cumulative counters include the accepted trial itself.
@@ -305,6 +316,10 @@ def solve(problem: CompositeProblem, config: SolverConfig,
         raise ValueError(f"psi_sub0 must have shape ({n},), got {psi_sub.shape}")
     if problem.psi.is_zero and psi_sub.any():
         raise ValueError("psi_sub0 must be zero when psi is zero, its only subgradient")
+    # a NaN in x0 is left to the NonFiniteError below
+    if (psi_sub0 is None and not problem.psi.is_zero
+            and not np.array_equal(problem.psi.prox(x, 1.0), x, equal_nan=True)):
+        raise ValueError("psi_sub0 must be given: 0 is not a subgradient of psi at x0")
 
     f_grad = np.asarray(problem.smooth.eval_grad(x), dtype=np.float64)
     F_sub = f_grad + psi_sub

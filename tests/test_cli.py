@@ -44,6 +44,18 @@ def test_bad_flag_value_is_exit_1(tmp_path, capsys):
                  "--out", str(tmp_path / "t.csv")]) == 1
     assert "grad_tol" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+    # an integer beyond float range is a config error too, as a flag or in
+    # a config file, reported in one line and not as a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"problem": "quad", "m": 1' + "0" * 400 + "}")
+    for argv in (["--problem", "quad", "--seed", "1" + "0" * 400],
+                 ["--problem", "quad", "--m", "1" + "0" * 400],
+                 ["--problem", "quad", "--max-outer", "1" + "0" * 400],
+                 ["--config", str(cfg)]):
+        assert main(["run", *argv, "--out", str(tmp_path / "t.csv")]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("gladssn: ") and "Traceback" not in err, argv
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_run_maxiter_exit_code(tmp_path):

@@ -475,7 +475,8 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         run(RunConfig(problem="quad", problem_kwargs={"bogus_kw": 3}))
     # a seed must be an integer value: not a fraction, a string, null or a bool
-    for seed in (1.5, "7", None, float("nan"), True):
+    # or an integer beyond float range
+    for seed in (1.5, "7", None, float("nan"), True, 10**400, -10**400):
         with pytest.raises(ConfigError, match="seed"):
             RunConfig.from_dict({"problem": "quad", "seed": seed})
     # out_path is None or a string, checked before any run

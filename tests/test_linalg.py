@@ -1,4 +1,5 @@
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -761,10 +762,25 @@ def every_form():
     return forms, 2.0 - np.linalg.eigvalsh(dense)[0]
 
 
+def test_a_refresh_keeps_no_function_or_method():
+    # a refresh keeps data and picks its route from it on each solve: no
+    # attribute of any form's Regularized, before or after a solve, is a
+    # function or a method, so none can be a bound method referring back to
+    # the refresh itself
+    forms, lam = every_form()
+    rng = np.random.default_rng(19)
+    for label, (form, b) in forms.items():
+        reg = Regularized(form, b)
+        for _ in range(2):
+            routines = [name for name, value in vars(reg).items() if inspect.isroutine(value)]
+            assert routines == [], label
+            reg.solve(lam, rng.standard_normal(form.shape[0]))
+
+
 def test_a_solved_refresh_is_freed_without_the_cyclic_collector():
-    # a refresh keeps its route as a plain function, not bound to itself, so
-    # no form's Regularized refers to itself: once solved and dropped it is
-    # freed by reference counting alone, and a run holds one refresh at a time
+    # a refresh keeps no function or method, so no form's Regularized refers
+    # to itself: once solved and dropped it is freed by reference counting
+    # alone, and a run holds one refresh at a time
     forms, lam = every_form()
     rng = np.random.default_rng(19)
     enabled = gc.isenabled()
@@ -963,7 +979,7 @@ def test_solve_regularized_inconsistent_system_stalls():
         assert exc.value.best_residual > 0.0
 
 
-def test_refinement_decides_on_the_step_it_returns():
+def test_refinement_decides_on_the_step_it_returns(monkeypatch):
     # H + lam I = -5 + 6 = 1, so the residual of s is 4 - s and the forcing
     # rule's target 0.6 |s| depends on the step: a correction that raises the
     # residual must not pass on an earlier, smaller one.  s = 2 misses
@@ -975,10 +991,10 @@ def test_refinement_decides_on_the_step_it_returns():
 
     def once(r):
         return next(steps, r)
-    reg._route = lambda reg, lam: once
+    monkeypatch.setattr(linalg, "_direct_solver", lambda m, name: once)
     np.testing.assert_array_equal(reg.solve(6.0, np.array([4.0])), [4.0])
     # a route that never moves keeps s = 0, whose target is 0
-    reg._route = lambda reg, lam: lambda r: np.zeros(1)
+    monkeypatch.setattr(linalg, "_direct_solver", lambda m, name: lambda r: np.zeros(1))
     with pytest.raises(SolverStallError) as exc:
         reg.solve(6.0, np.array([4.0]))
     assert exc.value.best_residual == 4.0
