@@ -13,7 +13,7 @@ serves, at 1 BLAS thread (bench.py pins it):
 --workload keeps only the named workloads and --seeds only the first K
 seeds of each.  Each instance is built once and solved twice per m.
 Prints one markdown row per workload and m: the mean seconds per solve of
-each repeat (the solve only, not the set-up), over the seeds the total
+each repeat to 0.1 ms (the solve only, not the set-up), over the seeds the total
 iterations and trials, the accepted iterations split by the trial that was
 accepted (each trace's j_k column: j_k = 0 / 1 / >= 2), Hessian evaluations
 and solves that did not converge, the rest of the solve per iteration, and
@@ -124,7 +124,7 @@ def sweep(name: str, seeds: range, ms: tuple) -> list[str]:
         rest = (sum(seconds[m, rep] for rep in range(REPEATS))
                 - spent[m]["refresh"] - spent[m]["trial"]) / iters
         rows.append(f"| {label} | {m} | "
-                    + " / ".join(f"{seconds[m, rep] / len(seeds):.3f}" for rep in range(REPEATS))
+                    + " / ".join(f"{seconds[m, rep] / len(seeds):.4f}" for rep in range(REPEATS))
                     + " | " + " | ".join(str(t) for t in totals[m][:2])
                     + " | " + " / ".join(str(a) for a in accepted[m])
                     + " | " + " | ".join(str(t) for t in totals[m][2:])

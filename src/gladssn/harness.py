@@ -38,6 +38,7 @@ A check fails wherever one side of its inequality is not finite.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 import typing
 from dataclasses import dataclass, field, fields
@@ -46,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, problems, ssn
-from .ssn import SolveResult, TraceRecord
+from .ssn import ConfigError, SolveResult, TraceRecord
 
 __all__ = [
     "COLUMNS",
@@ -77,17 +78,14 @@ _ABS_SLACK = 1e-12
 SOLVERS = {"gladssn": ssn.solve, "armijo": baselines.armijo_gd}
 
 
-class ConfigError(ValueError):
-    """Bad run configuration (maps to CLI exit code 1)."""
-
-
 class NotEstimableError(RuntimeError):
     """The trace tail is too short or not decreasing for an order fit."""
 
 
 @dataclass(kw_only=True)
 class RunConfig(ssn.SolverConfig):
-    """A SolverConfig plus the problem, solver and output of one run."""
+    """A SolverConfig plus the problem, solver and output of one run; problem
+    and solver must also be keys of problems.KINDS and SOLVERS."""
 
     problem: str
     solver: str = "gladssn"
@@ -96,21 +94,13 @@ class RunConfig(ssn.SolverConfig):
     problem_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        try:
-            super().__post_init__()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        super().__post_init__()
         if self.problem not in problems.KINDS:
             raise ConfigError(f"unknown problem {self.problem!r}; "
                               f"choose from {sorted(problems.KINDS)}")
         if self.solver not in SOLVERS:
             raise ConfigError(f"unknown solver {self.solver!r}; "
                               f"choose from {sorted(SOLVERS)}")
-        if not ssn._is_whole(self.seed):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        self.seed = int(self.seed)
-        if not (self.out_path is None or isinstance(self.out_path, str)):
-            raise ConfigError(f"out_path must be a string, got {self.out_path!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -251,9 +241,13 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
     also ends the last transition at its terminal state: g_final and F_final
     stand in for the row after the last one, and Lambda_final is the last
     row's Lambda_{k+1} for the update-rule check.  L enables the lambda cap
-    check and fstar the gradient-envelope check; an L that is negative or
-    not finite, or an fstar that is not finite, raises ValueError.
+    check and fstar the gradient-envelope check; an L or fstar that is not a
+    real number (a bool is not), an L that is negative or not finite, or an
+    fstar that is not finite, raises ValueError.
     """
+    for name, value in (("L", L), ("fstar", fstar)):
+        if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
     if L is not None and not 0.0 <= L < np.inf:
         raise ValueError(f"L must be nonnegative and finite, got {L}")
     if fstar is not None and not np.isfinite(fstar):
@@ -371,11 +365,12 @@ def estimate_order(trace, tail: int = 6) -> OrderEstimate:
     100 eps g_0 (floor noise).  The slope q is base-invariant;
     fit_residual is the RMS residual of the fit in base-10 logs.
     Raises NotEstimableError when fewer than `tail` clean transitions
-    remain or the tail is not strictly decreasing.
+    remain or the tail is not strictly decreasing, and ValueError when tail
+    is not an integer of at least 2.
     """
     records, _ = _records(trace)
-    if tail < 2:
-        raise ValueError(f"tail must be at least 2, got {tail}")
+    if isinstance(tail, bool) or not isinstance(tail, numbers.Integral) or tail < 2:
+        raise ValueError(f"tail must be an integer of at least 2, got {tail!r}")
     gs = np.array([r.g_k for r in records])
     if gs.size < tail + 1:
         raise NotEstimableError(f"need {tail + 1} rows, trace has {gs.size}")

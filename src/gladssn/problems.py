@@ -80,8 +80,11 @@ _QUAD_DOMAIN = {**_DOMAIN, "n": (2, True)}
 
 
 def _check_domain(where: str, domain: dict = _DOMAIN, /, **values) -> None:
-    """Raise ValueError naming the first value outside its domain; NaN is in none."""
+    """Raise ValueError naming the first value outside its domain; NaN and bools
+    are in none."""
     for name, value in values.items():
+        if isinstance(value, bool):
+            raise ValueError(f"{where}: {name} must be a number, not a bool, got {value}")
         low, closed = domain[name]
         if not (value >= low if closed else value > low):
             raise ValueError(f"{where}: {name} must be {'at least' if closed else 'above'} "

@@ -37,6 +37,7 @@ its size, plus the arithmetic per value.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -91,6 +92,8 @@ class Rng:
     """Counter-based splitmix64 stream with Box-Muller gaussians."""
 
     def __init__(self, seed: int):
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise TypeError(f"seed must be an integer, got {seed!r}")
         self._seed = np.uint64(int(seed) % 2**64)
         self._count = 0
 

@@ -68,7 +68,8 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,6 +80,7 @@ __all__ = [
     "CONVERGED",
     "MAXITER",
     "STALLED",
+    "ConfigError",
     "NonFiniteError",
     "SolverConfig",
     "TraceRecord",
@@ -109,13 +111,6 @@ _MAX_TRIALS = 60
 # most 3 eps |F| at 1 and 2 BLAS threads.  8 leaves a margin over that.
 _ROUNDING_BAND = 8.0
 _EPS = float(np.finfo(np.float64).eps)
-_FLOAT_MAX = float(np.finfo(np.float64).max)
-
-
-def _is_whole(value) -> bool:
-    """Whether value is a whole real number, found without float() of an int."""
-    return isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and float(value).is_integer())
 
 
 class NonFiniteError(RuntimeError):
@@ -131,8 +126,20 @@ class NonFiniteError(RuntimeError):
         self.j = j
 
 
+class ConfigError(ValueError):
+    """A config field of the wrong type or outside its domain (CLI exit code 1)."""
+
+
+_NOUNS = {float: "a real number, not a bool", int: "an integer, not a bool",
+          str: "a string", str | None: "a string or None", dict: "a dict"}
+
+
 @dataclass
 class SolverConfig:
+    """The solver's parameters.  One rule checks every field, a subclass's too,
+    against its declared type: a number is a real, not a bool, that fits a float,
+    an int is also whole and stored as an int, and any other field holds its type."""
+
     p: float = 0.5
     m: int = 1
     Lambda0: float = 1.0
@@ -140,25 +147,28 @@ class SolverConfig:
     max_outer: int = 1000
 
     def __post_init__(self):
-        for f in fields(self):  # a subclass's fields too
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                raise ValueError(f"{f.name} must not be a bool")
-            if isinstance(value, numbers.Integral) and not abs(value) <= _FLOAT_MAX:
-                raise ValueError(f"{f.name} must fit a float, got {value.bit_length()} bits")
+        for name, typ in typing.get_type_hints(type(self)).items():
+            value = getattr(self, name)
+            try:  # float() of an integer beyond float range overflows (and its repr may)
+                ok = (isinstance(value, typ) if typ not in (float, int) else
+                      isinstance(value, numbers.Real) and not isinstance(value, bool)
+                      and (float(value).is_integer() or typ is float))
+            except OverflowError:
+                raise ConfigError(f"{name} must fit a float") from None
+            if not ok:
+                raise ConfigError(f"{name} must be {_NOUNS[typ]}, got {value!r}")
+            if typ is int:
+                setattr(self, name, int(value))
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if not (_is_whole(self.m) and self.m >= 1):
-            raise ValueError(f"m must be a positive integer, got {self.m}")
-        self.m = int(self.m)
+            raise ConfigError(f"p must lie in [0, 1], got {self.p}")
+        if not self.m >= 1:
+            raise ConfigError(f"m must be a positive integer, got {self.m}")
         if not (self.Lambda0 > 0.0 and np.isfinite(self.Lambda0)):
-            raise ValueError(f"Lambda0 must be positive, got {self.Lambda0}")
+            raise ConfigError(f"Lambda0 must be positive, got {self.Lambda0}")
         if not self.grad_tol >= 0.0:
-            raise ValueError(f"grad_tol must be nonnegative, got {self.grad_tol}")
-        if not (_is_whole(self.max_outer) and self.max_outer >= 0):
-            raise ValueError(
-                f"max_outer must be a nonnegative integer, got {self.max_outer}")
-        self.max_outer = int(self.max_outer)
+            raise ConfigError(f"grad_tol must be nonnegative, got {self.grad_tol}")
+        if not self.max_outer >= 0:
+            raise ConfigError(f"max_outer must be a nonnegative integer, got {self.max_outer}")
 
 
 @dataclass

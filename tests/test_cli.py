@@ -111,7 +111,8 @@ def test_run_with_a_size_below_one_is_exit_1(tmp_path, capsys, problem, kwargs):
     ("nmf", {"beta": 0}), ("nmf", {"alpha": -1}), ("nmf", {"sigma": -1}),
     ("svm", {"gamma": 0}), ("svm", {"gamma": -1}),
     ("huber", {"delta": 0}), ("huber", {"ridge": -1}),
-    ("quad", {"cond": 0}), ("quad", {"cond": -1})])
+    ("quad", {"cond": 0}), ("quad", {"cond": -1}),
+    ("nmf", {"alpha": True})])  # a bool is not a number
 def test_run_with_a_parameter_outside_its_domain_is_exit_1(tmp_path, capsys, problem, kwargs):
     # these once ended in a ZeroDivisionError traceback, ran to maxiter on an
     # objective unbounded below, or "converged" on a degenerate loss

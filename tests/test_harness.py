@@ -360,7 +360,9 @@ def test_verify_envelope_uses_observed_lambda_without_L(quad_result):
 
 @pytest.mark.parametrize("option, value", [("L", -5.0), ("L", math.inf), ("L", math.nan),
                                            ("fstar", math.inf), ("fstar", -math.inf),
-                                           ("fstar", math.nan)])
+                                           ("fstar", math.nan),
+                                           # a string or a bool is not a number
+                                           ("L", "1"), ("fstar", "0"), ("L", True)])
 def test_verify_rejects_an_option_it_cannot_use(quad_result, option, value):
     # a bad L or fstar would otherwise fail (or skip) a check of a valid trace
     with pytest.raises(ValueError, match=f"{option} must be"):
@@ -394,8 +396,9 @@ def test_estimate_order_real_fit_residual():
 def test_estimate_order_needs_enough_rows():
     with pytest.raises(NotEstimableError):
         estimate_order(synthetic_trace([1.0, 0.1, 0.01]), tail=6)
-    with pytest.raises(ValueError):
-        estimate_order(synthetic_trace([1.0, 0.1, 0.01]), tail=1)
+    for tail in (1, 3.0, "3", True):  # tail counts transitions: an integer of at least 2
+        with pytest.raises(ValueError, match="tail must be"):
+            estimate_order(synthetic_trace([1.0, 0.1, 0.01, 1e-3, 1e-4]), tail=tail)
 
 
 def test_estimate_order_rejects_floor_noise():
@@ -467,6 +470,11 @@ def test_run_config_validation():
         RunConfig(problem="nosuch")
     with pytest.raises(ConfigError):
         RunConfig(problem="quad", solver="bfgs")
+    # a field of the wrong type is a ConfigError, not a TypeError or a late failure
+    for kw in ({"problem": ["x"]}, {"problem": "quad", "solver": ["x"]},
+               {"problem": "quad", "problem_kwargs": 5}):
+        with pytest.raises(ConfigError):
+            RunConfig(**kw)
     for unknown in ("lambda_zero", "emit"):  # emit: traces are CSV only
         with pytest.raises(ConfigError, match=unknown):
             RunConfig.from_dict({"problem": "quad", unknown: "csv"})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gladssn import rng
+from gladssn.problems import make_quadratic
 from gladssn.rng import Rng, mix64
 
 MASK = (1 << 64) - 1
@@ -108,6 +109,12 @@ def test_seed_wraps_mod_2_64():
     big = 2**64 + 123
     np.testing.assert_array_equal(Rng(big).uniform(size=4),
                                   Rng(123).uniform(size=4))
+    # a numpy integer is a seed; a fraction or a bool is refused, not rounded
+    np.testing.assert_array_equal(Rng(np.int64(123)).uniform(size=4),
+                                  Rng(123).uniform(size=4))
+    for seed in (1.5, True):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            make_quadratic(seed, n=4)
 
 
 def normal_unblocked(seed, skip, q):

@@ -231,6 +231,6 @@ def test_lazy_sweep_prints_the_cost_ratio():
         assert refresh > 0.0 and trial > 0.0 and rest > 0.0
         assert math.isclose(ratio, refresh / trial, rel_tol=0.02), row
         # the three parts, timed apart, add up to the mean solve (one seed),
-        # within the rounding of the printed seconds (0.5 ms) and ms (3 digits)
+        # within the rounding of the printed seconds (0.05 ms) and ms (3 digits)
         parts = refresh * hessians + trial * trials + rest * iters
         assert math.isclose(parts, 1e3 * (first + second) / 2.0, rel_tol=0.01, abs_tol=0.5), row

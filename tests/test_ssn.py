@@ -1058,9 +1058,11 @@ def test_config_validation():
                # a bool is not a number in any field
                {"p": True}, {"m": True}, {"Lambda0": True}, {"grad_tol": False},
                {"max_outer": True},
-               # nor is an integer beyond float range, however whole
-               {"p": 10**400}, {"m": 10**400}, {"Lambda0": 10**400},
-               {"grad_tol": 10**400}, {"max_outer": 10**400}, {"max_outer": -10**400}):
+               # nor is an integer beyond float range, however whole (or too long to print)
+               {"p": 10**400}, {"m": 10**400}, {"m": 10**5000}, {"Lambda0": 10**400},
+               {"grad_tol": 10**400}, {"max_outer": 10**400}, {"max_outer": -10**400},
+               # nor is a string, however numeric
+               {"p": "0.5"}, {"Lambda0": "1"}, {"grad_tol": "x"}, {"m": "2"}):
         with pytest.raises(ValueError):
             SolverConfig(**kw)
         # a run config validates its solver fields the same way
