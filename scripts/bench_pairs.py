@@ -27,7 +27,10 @@ more solves fail.  Each pair's two reports are compared in this process by
 the compare of scripts/same_trajectories.py, with --rel-tol when given.
 The line count of src/gladssn that each side's reports record is printed
 with the change's difference from the parent, the line delta of a change.
-Exits 1 when a bench run fails or a pair's digests or statuses differ, on
+A change is also refused when a run's check reads correct false or when
+its largest failed count exceeds the parent's; each such finding is printed
+as one line that starts with the workload's name.  Exits 1 when a bench run
+fails, a pair's digests or statuses differ, or there is such a finding, on
 any workload, 2 on a usage error, and 0 otherwise.
 """
 
@@ -129,8 +132,22 @@ def summary(runs) -> list[str]:
     return lines
 
 
-def compare_pairs(workload: str, trees: dict, args, tmp: Path) -> bool:
-    """Run and print one workload's pairs and summary; whether every pair agrees."""
+def rejections(workload: str, runs) -> list[str]:
+    """One line, naming workload, per run whose check reads correct false, and
+    one when the change's largest failed count exceeds the parent's."""
+    lines = [f"{workload}: pair {i} {side} reads correct false"
+             for i, run in enumerate(runs, 1) for side in ("parent", "change")
+             if not run[side]["correct"]]
+    failed = {side: max(run[side]["failed"] for run in runs) for side in ("parent", "change")}
+    if failed["change"] > failed["parent"]:
+        lines.append(f"{workload}: largest failed rises from {failed['parent']} "
+                     f"to {failed['change']}")
+    return lines
+
+
+def compare_pairs(workload: str, trees: dict, args, tmp: Path) -> tuple[bool, list[str]]:
+    """Run and print one workload's pairs and summary: whether every pair
+    agrees, and the workload's rejections, which are printed last."""
     print(f"# {workload} seed={args.seed} seconds={args.seconds:g} pairs={args.pairs}: "
           f"parent {args.parent_ref}, change the working tree {ROOT}")
     runs, agree = [], True
@@ -155,7 +172,10 @@ def compare_pairs(workload: str, trees: dict, args, tmp: Path) -> bool:
           f"{count['change'] - count['parent']:+d}")
     print("\n".join(summary(runs)))
     print(f"trajectories: {'every pair agrees' if agree else 'some pair differs'}")
-    return agree
+    rejected = rejections(workload, runs)
+    for line in rejected:
+        print(line)
+    return agree, rejected
 
 
 def main(argv=None) -> int:
@@ -179,18 +199,20 @@ def main(argv=None) -> int:
             ap.error(f"cannot archive {args.parent_ref}: {archive.stderr.decode().strip()}")
         subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
         trees = {"parent": parent, "change": ROOT}
-        differ = []
+        differ, rejected = [], []
         for workload in workloads if args.workload == "all" else [args.workload]:
             reports = Path(tmp) / workload
             reports.mkdir()
-            if not compare_pairs(workload, trees, args, reports):
+            agree, lines = compare_pairs(workload, trees, args, reports)
+            if not agree:
                 differ.append(workload)
+            rejected += lines
 
     if args.workload == "all":
         verdict = (f"some pair differs on {', '.join(differ)}" if differ
                    else f"every pair agrees on all {len(workloads)}")
         print(f"workloads: {verdict}")
-    return 1 if differ else 0
+    return 1 if differ or rejected else 0
 
 if __name__ == "__main__":
     sys.exit(main())

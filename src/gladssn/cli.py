@@ -105,7 +105,7 @@ def _verify_command(args) -> int:
 def _order_command(args) -> int:
     est = estimate_order(args.trace, tail=args.tail)
     print(f"q={est.q:.4f} fit_residual={est.fit_residual:.4f} "
-          f"(last {est.used} transitions)")
+          f"(last {args.tail} transitions)")
     return 0
 
 

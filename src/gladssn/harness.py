@@ -353,7 +353,6 @@ def verify(trace, L: float | None = None, fstar: float | None = None) -> VerifyR
 class OrderEstimate:
     q: float
     fit_residual: float
-    used: int
 
 
 def estimate_order(trace, tail: int = 6) -> OrderEstimate:
@@ -387,9 +386,7 @@ def estimate_order(trace, tail: int = 6) -> OrderEstimate:
         raise NotEstimableError("gradient norms not strictly decreasing at the tail")
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (intercept + slope * x)
-    return OrderEstimate(q=float(slope),
-                         fit_residual=float(np.sqrt(np.mean(resid**2))),
-                         used=tail)
+    return OrderEstimate(q=float(slope), fit_residual=float(np.sqrt(np.mean(resid**2))))
 
 
 # ------------------------------------------------------------------- compare

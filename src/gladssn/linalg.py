@@ -308,14 +308,16 @@ class Regularized:
     LinearOperator, an ActiveGram, which is assembled here (see _assemble),
     or a BorderedBlocks, assembled only when dense with a metric other than
     the identity.  A refresh keeps data, no function or method, so that
-    reference counting alone frees it: for a BorderedBlocks with the
-    identity metric, its distinct diagonal blocks (_blocks) and its tail,
-    a block-diagonal array when dense and a diagonal when matrix-free, from
-    which solve picks the route on each call.  solve and apply set nothing
-    on the refresh, so no step depends on an earlier solve; prox_solve keeps
-    only FISTA's last accepted step size.  prev is the previous refresh,
-    from which an ActiveGram is built and that step size is taken; it is not
-    kept.
+    reference counting alone frees it.  For a BorderedBlocks with the
+    identity metric that is the keys of its diagonal blocks (_blocks: the
+    distinct rows of the diags of its pair (base, diags), and each block's
+    index among them) and, on the dense form only, its tail as one
+    block-diagonal array (_tail); solve picks the route from them on each
+    call, and the matrix-free route reads the tail's diagonal from h at each
+    solve.  solve and apply set nothing on the refresh, so no step depends
+    on an earlier solve; prox_solve keeps only FISTA's last accepted step
+    size.  prev is the previous refresh, from which an ActiveGram is built
+    and that step size is taken; it is not kept.
     """
 
     # parts that are not finite build pieces that are not either, without a
@@ -339,13 +341,11 @@ class Regularized:
         self.is_dense = isinstance(h, np.ndarray) or (isinstance(h, BorderedBlocks) and h.is_dense)
         self._blocks = None
         if isinstance(h, BorderedBlocks) and metric.is_identity:
-            self._blocks = _distinct_blocks(h.blocks)
+            self._blocks = _distinct(h.blocks[1])
             if h.is_dense:
                 m = h.shape[0] - h.split
                 self._tail = np.zeros((m, m))  # blockdiag(tail), for the Schur complement
                 _block_diagonal(self._tail, _shifted_blocks(*h.tail))
-            else:
-                self._tail = (np.diagonal(h.tail[0]) + h.tail[1]).reshape(-1)  # diag(tail)
 
     def _assemble(self, prev: Regularized | None) -> np.ndarray:
         """The dense H of self.gram, from prev's when both share rows and shift.
@@ -503,24 +503,25 @@ class Regularized:
         complement S = tail + lam I - C^T A^{-1} C carries all of the
         coupling (Golub & Van Loan, Matrix Computations, secs. 3.2 and 4.2):
         S s_2 = r_2 - C^T A^{-1} r_1, and s_1 = A^{-1} r_1 - A^{-1} C s_2.
-        A^{-1} is exact, inverted from the refresh's distinct blocks at this
-        lam, so the whole residual lies in the tail rows.  The forms differ
-        only in how S is solved: the dense form forms it as
-        (T - C^T A^{-1} C) + lam I, T the refresh's block-diagonal tail
-        array, and factors it (_direct_solver; LU means H + lam I is
-        indefinite, as A is positive definite for positive definite blocks),
-        and the matrix-free form runs MINRES on it, applying
+        A^{-1} is exact, inverted at this lam from the shared base and the
+        refresh's distinct diagonals (_inverse), so the whole residual lies
+        in the tail rows.  The forms differ only in how S is solved: the
+        dense form forms it as (T - C^T A^{-1} C) + lam I, T the refresh's
+        block-diagonal tail array, and factors it (_direct_solver; LU means
+        H + lam I is indefinite, as A is positive definite for positive
+        definite blocks), and the matrix-free form runs MINRES on it, applying
         S p = (tail + lam I) p - C^T A^{-1} C p matrix-free, tail + lam I by
         one gemm (_shifted_apply).  S is preconditioned by Jacobi on the
-        tail, 1 / (diag(blockdiag(tail)) + lam) at this solve's lam, which
-        MINRES needs positive definite (so it stays valid for an indefinite
-        S): an entry of diag(tail) + lam that is not positive, NaN included,
-        raises SolverStallError, and a larger lam may then solve.
+        tail, 1 / ((diag(base) + diags) + lam) from the tail's pair at this
+        solve's lam, which MINRES needs positive definite (so it stays valid
+        for an indefinite S): an entry of diag(tail) + lam that is not
+        positive, NaN included, raises SolverStallError, and a larger lam may
+        then solve.
         """
         h = self.h
         kb = h.split
-        blocks, which = self._blocks
-        inv = _inverse(blocks, lam)[which]
+        distinct, which = self._blocks
+        inv = _inverse(h.blocks[0], distinct, lam)[which]
         matvec, rmatvec = h._products
         if h.is_dense:
             inv_c = np.matmul(inv, h.coupling.reshape(*inv.shape[:2], -1)).reshape(kb, -1)
@@ -529,7 +530,7 @@ class Regularized:
             schur_solve = _direct_solver(schur, f"Schur complement of H + {lam:.3e} I")
             inv_c_apply = inv_c.__matmul__
         else:
-            diag = self._tail + lam
+            diag = (np.diagonal(h.tail[0]) + h.tail[1]).reshape(-1) + lam
             if not np.all(diag > 0.0):
                 raise SolverStallError("the tail diagonal of H + lam I is not positive",
                                        best_residual=np.inf)
@@ -544,16 +545,6 @@ class Regularized:
             rest = schur_solve(r[kb:] - rmatvec(head))
             return np.concatenate([head - inv_c_apply(rest), rest])
         return once
-
-
-def _distinct_blocks(group: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(blocks, which) of a BorderedBlocks' diagonal blocks (base, diags):
-    its distinct blocks, told apart by their diagonals (_distinct) and the
-    only ones built, and each block's index among them; _inverse(blocks,
-    lam)[which] then inverts blockdiag(group) + lam I at any lam."""
-    base, diags = group
-    distinct, which = _distinct(diags)
-    return _shifted_blocks(base, distinct), which
 
 
 def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -576,14 +567,16 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[order[starts]], which
 
 
-def _inverse(blocks: np.ndarray, lam: float) -> np.ndarray:
-    """(blocks + lam I)^{-1}, block by block, for a (k, b, b) stack of H's diagonal blocks.
+def _inverse(base: np.ndarray, diags: np.ndarray, lam: float) -> np.ndarray:
+    """(base + diag(diags[i]) + lam I)^{-1}, one block per row of diags.
 
-    One batched call; raises SolverStallError when one of them is singular
-    or an inverse is not finite.
+    The blocks are built from the pair (_shifted_blocks) and lam is added
+    on their diagonals, then all are inverted in one batched call; raises
+    SolverStallError when one of them is singular or an inverse is not
+    finite.
     """
-    k, b, _ = blocks.shape
-    shifted = blocks.copy()
+    k, b = diags.shape
+    shifted = _shifted_blocks(base, diags)
     shifted.reshape(k, b * b)[:, ::b + 1] += lam  # the diagonal of each block
     try:
         inv = np.linalg.inv(shifted)

@@ -31,6 +31,7 @@ import functools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, get_type_hints
 
@@ -77,18 +78,28 @@ _DOMAIN = {**dict.fromkeys(("d", "n", "r", "ell", "m", "cond"), (1, True)),
            **dict.fromkeys(("beta", "gamma", "delta"), (0, False))}
 # The quadratic pins both ends of its spectrum, so it needs two variables.
 _QUAD_DOMAIN = {**_DOMAIN, "n": (2, True)}
+# The sizes among them, which count rows or columns and so are integers.
+_SIZES = frozenset(("d", "n", "r", "ell", "m"))
 
 
 def _check_domain(where: str, domain: dict = _DOMAIN, /, **values) -> None:
-    """Raise ValueError naming the first value outside its domain; NaN and bools
-    are in none."""
+    """Raise ValueError naming the first value of the wrong type or outside its
+    domain.  A size (_SIZES) must be an integer and any other parameter a
+    finite real number, neither a bool; the bound is checked before
+    finiteness, so NaN, which is in no domain, is reported against its bound."""
     for name, value in values.items():
-        if isinstance(value, bool):
-            raise ValueError(f"{where}: {name} must be a number, not a bool, got {value}")
+        size = name in _SIZES
+        kind = numbers.Integral if size else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{where}: {name} must be {'an integer' if size else 'a number'}, "
+                             f"got {value!r}")
         low, closed = domain[name]
         if not (value >= low if closed else value > low):
             raise ValueError(f"{where}: {name} must be {'at least' if closed else 'above'} "
                              f"{low}, got {value}")
+        if not (size or value <= sys.float_info.max):  # exact for an int of any size
+            got = "an integer beyond float range" if isinstance(value, numbers.Integral) else value
+            raise ValueError(f"{where}: {name} must be finite, got {got}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,7 @@ rounding of the platform's libm (the tests allow 1e-15 absolute).  Draw i
 
     z_i = mix64((s + (i + 1) * 0x9E3779B97F4A7C15) mod 2**64)
 
-where mix64 is the splitmix64 finalizer
+where mix64 is the splitmix64 finalizer (_mix_in_place)
 
     z ^= z >> 30;  z *= 0xBF58476D1CE4E5B9
     z ^= z >> 27;  z *= 0x94D049BB133111EB
@@ -66,14 +66,6 @@ def _mix_in_place(z: np.ndarray) -> np.ndarray:
     z *= _MIX2
     z ^= z >> _SHIFT3
     return z
-
-
-def mix64(z):
-    """splitmix64 finalizer, elementwise on uint64 scalars or arrays.
-
-    The argument is never written; a scalar gives a 0-d array.
-    """
-    return _mix_in_place(np.array(z, dtype=np.uint64))
 
 
 def _count(size) -> int:

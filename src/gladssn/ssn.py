@@ -44,10 +44,10 @@ error of evaluating F, and its difference of two rounded values would
 decide the second test on noise.  When the problem supplies eval_f_diff
 and the test lies within the rounding band
 |(F_k - F_+) - lambda r^2/4| <= 8 eps (|F_k| + |F_+|) (_ROUNDING_BAND),
-the decrease is taken from the step s = x_+ - x_k instead:
-eval_f_diff(x_k, s) when psi is zero, and the lower bound
-eval_f_diff(x_k, s) - <v, s> on F(x_k) - F(x_+) when it is not, with v the
-trial's subgradient of psi at x_+.  Outside the band, or without
+the decrease is taken from the step s = x_+ - x_k instead, as the lower
+bound eval_f_diff(x_k, s) - <v, s> on F(x_k) - F(x_+), with v the trial's
+subgradient of psi at x_+; for a zero psi v is exactly 0 and the bound is
+eval_f_diff(x_k, s) itself.  Outside the band, or without
 eval_f_diff, the rounded values decide, and a run whose trials all fail on
 noise stops as stalled.  There a rejection on noise would raise Lambda for
 good if its level were kept, while the paper's rule forgets it one level per
@@ -255,18 +255,18 @@ def _certified_decrease(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
 
     When the problem has eval_f_diff and the test lies within the rounding
     band |(F_val - F_plus) - floor| <= _ROUNDING_BAND * eps * (|F_val| +
-    |F_plus|), the decrease of f is eval_f_diff(x, s).  With psi zero that
-    is the result.  With psi nonzero, v_plus is a subgradient of psi at
-    x + s, so convexity gives psi(x) - psi(x + s) >= -<v_plus, s>, and the
-    result eval_f_diff(x, s) - <v_plus, s> is a lower bound on the decrease:
-    no step passes that the exact test rejects.  Else F_val - F_plus.
+    |F_plus|), the result is eval_f_diff(x, s) - <v_plus, s>, one formula
+    for every psi.  v_plus is a subgradient of psi at x + s, so convexity
+    gives psi(x) - psi(x + s) >= -<v_plus, s>, and the result is a lower
+    bound on the decrease: no step passes that the exact test rejects.  With
+    psi zero v_plus is exactly 0, so the result is eval_f_diff(x, s) itself.
+    Else F_val - F_plus.
     """
     diff = problem.eval_f_diff
     if diff is not None:
         band = _ROUNDING_BAND * _EPS * (abs(F_val) + abs(F_plus))
         if abs((F_val - F_plus) - floor) <= band:
-            decrease = float(diff(x, s))
-            return decrease if problem.psi.is_zero else decrease - float(v_plus @ s)
+            return float(diff(x, s)) - float(v_plus @ s)
     return F_val - F_plus
 
 

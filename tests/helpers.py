@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from gladssn.problems import HuberInstance, NmfInstance, QuadInstance, SvmInstance, make_svm
-from gladssn.rng import mix64
+from gladssn.rng import _mix_in_place
 from gladssn.ssn import TraceRecord
 
 # Factors on a run's Lambda0: itself, and one part in 2^40 above it.  A test
@@ -177,7 +177,7 @@ def opnorm_est(matvec, n: int, iters: int = 50) -> float:
     repeated calls agree bitwise.  The estimate is a lower bound on the true
     norm; callers that need an upper bound should add their own headroom.
     """
-    z = mix64(np.arange(1, n + 1, dtype=np.uint64))
+    z = _mix_in_place(np.arange(1, n + 1, dtype=np.uint64))
     v = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53 - 0.5
     nv = np.linalg.norm(v)
     if nv == 0.0:

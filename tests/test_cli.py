@@ -130,6 +130,28 @@ def test_run_with_a_parameter_outside_its_domain_is_exit_1(tmp_path, capsys, pro
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("problem, kwargs, message", [
+    ("quad", {"n": 1e400}, "n must be an integer, got inf"),
+    ("quad", {"n": 4.0}, "n must be an integer, got 4.0"),
+    ("quad", {"n": 4.5}, "n must be an integer, got 4.5"),
+    ("svm", {"ell": 1e400}, "ell must be an integer, got inf"),
+    ("nmf", {"d": 4, "n": 3, "r": 2.5}, "r must be an integer, got 2.5"),
+    ("quad", {"cond": "3"}, "cond must be a number, got '3'"),
+    ("quad", {"cond": 1e400}, "cond must be finite, got inf")])
+def test_run_with_a_parameter_of_the_wrong_type_is_exit_1(tmp_path, capsys, problem, kwargs,
+                                                          message):
+    # these once ended in an OverflowError or a TypeError traceback, an error
+    # naming no field, or a run that failed at its non-finite start
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": problem, "problem_kwargs": kwargs,
+                               "out_path": str(tmp_path / "t.csv")}))
+    assert main(["run", "--config", str(cfg)]) == 1
+    make = {"quad": "make_quadratic"}.get(problem, f"make_{problem}")
+    assert capsys.readouterr().err == (f"gladssn: bad problem_kwargs for {problem}: "
+                                       f"{make}: {message}\n")
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_run_flags_cover_run_config_fields():
     parser = _build_parser()
     sub = next(a for a in parser._actions
@@ -238,15 +260,25 @@ def test_verify_malformed_csv_trace(tmp_path, capsys):
 
 
 def test_readme_cli_quick_start(tmp_path, monkeypatch, capsys):
-    # the run, verify and estimate-order lines of README's CLI quick start
+    # every line of README's CLI quick start: run, verify and estimate-order,
+    # then the heredoc's runs.json, which compare runs to one row per config
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Quick start (CLI)")[1].split("```sh\n")[1].split("```")[0]
-    lines = [shlex.split(ln, comments=True) for ln in block.splitlines()]
-    commands = [ln[1:] for ln in lines if ln[1:2] in (["run"], ["verify"], ["estimate-order"])]
-    assert [c[0] for c in commands] == ["run", "verify", "estimate-order"]
+    before, heredoc = block.split("cat > runs.json <<'JSON'\n")
+    runs_json, after = heredoc.split("\nJSON\n")
+    lines = [shlex.split(ln, comments=True) for ln in (before + after).splitlines()]
+    commands = [ln[1:] for ln in lines if ln[:1] == ["gladssn"]]
+    assert [c[0] for c in commands] == ["run", "verify", "estimate-order", "compare"]
+    assert commands[-1] == ["compare", "--config", "runs.json"]
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs.json").write_text(runs_json)
     for argv in commands:
+        capsys.readouterr()
         assert main(argv) == 0, (argv, capsys.readouterr())
+    header, rule, *rows = capsys.readouterr().out.splitlines()
+    assert header.startswith("problem") and set(rule) == {"-"}
+    assert [row.split()[:2] for row in rows] == [[c["problem"], c.get("solver", "gladssn")]
+                                                 for c in json.loads(runs_json)]
 
 
 def test_readme_library_quick_start(capsys):

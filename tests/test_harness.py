@@ -376,7 +376,6 @@ def test_estimate_order_quadratic_decay():
     est = estimate_order(synthetic_trace([1e-1, 1e-2, 1e-4, 1e-8]), tail=3)
     assert est.q == pytest.approx(2.0, abs=0.05)
     assert est.fit_residual < 1e-12
-    assert est.used == 3
 
 
 def test_estimate_order_geometric_decay():

@@ -411,9 +411,9 @@ def test_both_block_groups_are_inverted_at_every_solves_lam(monkeypatch):
     calls, found, preconditioners = [], [], []
     minres = scipy.sparse.linalg.minres
 
-    def counted(blocks, lam):
+    def counted(base, diags, lam):
         calls.append(lam)
-        return inverse(blocks, lam)
+        return inverse(base, diags, lam)
 
     def counted_distinct(rows):
         found.append(rows.shape)
@@ -709,8 +709,8 @@ def test_dense_schur_complement_is_built_from_the_pairs(monkeypatch):
         lus.clear()
         reg = Regularized(h, MetricB())
         reg.solve(lam, rhs)
-        blocks, which = reg._blocks
-        inv = linalg._inverse(blocks, lam)[which]
+        distinct, which = reg._blocks
+        inv = linalg._inverse(h.blocks[0], distinct, lam)[which]
         inv_c = np.matmul(inv, c.reshape(9, 3, 15)).reshape(27, 15)
         want = tail - c.T @ inv_c
         want.flat[::16] += lam
@@ -740,6 +740,21 @@ def test_dense_tail_array_is_built_once_per_refresh(monkeypatch):
     for lam, want in zip(lams, fresh, strict=True):
         np.testing.assert_array_equal(reg.solve(lam, rhs), want)
     assert scattered == [(5, 3, 3)] and lus == [(15, 15)]
+
+
+def test_a_bordered_refresh_keeps_the_distinct_diagonals_and_a_dense_tail_only():
+    # on both forms a refresh keeps the distinct rows of the blocks' diags
+    # and each block's index among them, which rebuild every block from the
+    # shared base; only the dense form keeps its tail, as blockdiag(tail)
+    for h in (nmf_bordered_hessian()[0], nmf_bordered_hessian(0)[0]):
+        reg = Regularized(h, MetricB())
+        distinct, which = reg._blocks
+        assert len(distinct) < len(h.blocks[1])
+        np.testing.assert_array_equal(distinct[which], h.blocks[1])
+        if h.is_dense:
+            np.testing.assert_array_equal(reg._tail, scipy.linalg.block_diag(*block_stack(h.tail)))
+        else:
+            assert not hasattr(reg, "_tail")
 
 
 def every_form():

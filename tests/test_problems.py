@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -164,8 +165,8 @@ def test_nmf_preconditioner_inverts_gauss_newton_blocks(monkeypatch):
         assert np.min(np.diag(m)) > 0.0
         err = m @ np.diag(np.diagonal(block_v) + lam) - np.eye(n * r)
         assert np.max(np.abs(err)) <= 1e-12
-        blocks, which = reg._blocks
-        a_inv = scipy.linalg.block_diag(*linalg._inverse(blocks, lam)[which])
+        distinct, which = reg._blocks
+        a_inv = scipy.linalg.block_diag(*linalg._inverse(h.blocks[0], distinct, lam)[which])
         err = a_inv @ (block_u + lam * np.eye(d * r)) - np.eye(d * r)
         assert np.max(np.abs(err)) <= 1e-12
 
@@ -294,8 +295,8 @@ def test_nmf_preconditioner_inverts_each_distinct_block_once(monkeypatch):
             preconditioners.clear()
             reg.solve(lam, rhs)
             assert sizes == [distinct_u], label
-            blocks, which = reg._blocks
-            np.testing.assert_array_equal(linalg._inverse(blocks, lam)[which],
+            keys, which = reg._blocks
+            np.testing.assert_array_equal(linalg._inverse(h.blocks[0], keys, lam)[which],
                                           per_row_inverses(block_stack(h.blocks), lam),
                                           err_msg=label)
             m = columns(preconditioners[0])
@@ -886,6 +887,39 @@ def test_instances_reject_parameters_outside_their_domain(make, name, value, tmp
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"bad.inst: {cls}: {name} must be"):
         load_instance(path)
+
+
+WRONG_SIZE = [
+    (make_nmf, "d", 4.0, "an integer, got 4.0"), (make_nmf, "r", 2.5, "an integer, got 2.5"),
+    (make_svm, "ell", math.inf, "an integer, got inf"), (make_huber, "m", "6", "an integer, got '6'"),
+    (make_quadratic, "n", math.inf, "an integer, got inf"),
+]
+WRONG_PARAMETER = [
+    (make_quadratic, "cond", "3", "a number, got '3'"),
+    (make_quadratic, "cond", math.inf, "finite, got inf"),
+    (make_quadratic, "cond", 10**400, "finite, got an integer beyond float range"),
+    (make_nmf, "alpha", math.inf, "finite, got inf"), (make_svm, "gamma", "1", "a number, got '1'"),
+    (make_huber, "ridge", math.inf, "finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("make, name, value, message", WRONG_SIZE + WRONG_PARAMETER)
+def test_generators_reject_parameters_of_the_wrong_type(make, name, value, message, monkeypatch):
+    # a size that is not an integer and a parameter that is not a finite real
+    # once failed in numpy or a comparison, with an error naming no field,
+    # or built a problem that is not finite; rejected before the first draw
+    monkeypatch.setattr(problems, "Rng", None)
+    with pytest.raises(ValueError, match=rf"^{make.__name__}: {name} must be {re.escape(message)}$"):
+        make(1, **{**SMALL[make], name: value})
+
+
+@pytest.mark.parametrize("make, name, value, message", WRONG_PARAMETER)
+def test_instances_reject_parameters_of_the_wrong_type(make, name, value, message):
+    # an instance's sizes are its arrays' shapes; its parameters are checked
+    inst = make(1, **SMALL[make]).instance
+    with pytest.raises(ValueError,
+                       match=rf"^{type(inst).__name__}: {name} must be {re.escape(message)}$"):
+        dataclasses.replace(inst, **{name: value})
 
 
 def test_save_instance_rejects_foreign_object(tmp_path):

@@ -208,6 +208,41 @@ def test_bench_pairs_all_runs_every_workload_and_fails_if_one_differs(moved, cap
                          else f"workloads: every pair agrees on all {len(workloads)}")
 
 
+@pytest.mark.skipif(subprocess.run(["git", "-C", str(SCRIPTS), "rev-parse", "HEAD"],
+                                   capture_output=True).returncode != 0,
+                    reason="needs a git checkout to archive the parent from")
+@pytest.mark.parametrize("side, edits, line", [
+    ("change", {"correct": False}, "svm: pair 2 change reads correct false"),
+    ("parent", {"correct": False}, "svm: pair 2 parent reads correct false"),
+    ("change", {"failed": 3}, "svm: largest failed rises from 1 to 3")])
+def test_bench_pairs_fails_a_run_that_is_not_correct_or_fails_more(side, edits, line, capsys,
+                                                                     monkeypatch):
+    # with every trajectory agreeing, `--workload all` still exits 1 when a
+    # run of svm reads correct false, or when the change's largest failed
+    # count exceeds the parent's, with one line naming svm
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    bench_pairs = importlib.import_module("bench_pairs")
+    workloads = [w["name"] for w in bench_pairs.BENCHMARK["workloads"]]
+
+    def bench(tree, workload, args, keep):
+        keep.write_text(json.dumps({
+            "workload": workload, "seed": args.seed, "solves": [solve_record(1)],
+            "environment": {"src_gladssn_lines": 100}}))
+        result = {"metrics": {name: {"value": 1.0} for name in bench_pairs.LOWER_IS_BETTER},
+                  "failed": 1, "attempted": 2, "correct": True}
+        if workload == "svm" and keep.name == f"pair2-{side}.json":
+            result.update(edits)
+        return result
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    code = bench_pairs.main(["HEAD", "--workload", "all", "--pairs", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [ln for ln in lines if ln.startswith(tuple(f"{w}: " for w in workloads))] == [line]
+    assert lines[lines.index(line) - 1] == "trajectories: every pair agrees"
+    assert lines[-1] == f"workloads: every pair agrees on all {len(workloads)}"
+
+
 def test_lazy_sweep_prints_the_cost_ratio():
     # one seed of the smallest workload keeps the run short
     out = subprocess.run([sys.executable, str(SCRIPTS / "lazy_sweep.py"),

@@ -86,11 +86,13 @@ def test_certified_decrease_inside_and_outside_the_band():
     x, s, v = np.array([1.0, 0.0]), np.array([-0.5, 0.0]), np.array([2.0, 0.0])
     r, lam = 0.5, 1.0
     on_band = 0.25 * lam * r * r  # rounded decrease exactly at the test's boundary
-    assert ssn._certified_decrease(exact, x, s, v, on_band, 1.0, 1.0 - on_band) == 42.0
-    assert ssn._certified_decrease(exact, x, s, v, on_band, 1.0, 0.5) == 0.5
+    zero = np.zeros(2)  # a zero psi's only subgradient, the v of its every trial
+    assert ssn._certified_decrease(exact, x, s, zero, on_band, 1.0, 1.0 - on_band) == 42.0
+    assert ssn._certified_decrease(exact, x, s, zero, on_band, 1.0, 0.5) == 0.5
     # without the oracle the rounded difference decides, even inside the band
-    assert ssn._certified_decrease(base, x, s, v, on_band, 1.0, 1.0 - on_band) == on_band
-    # a nonzero psi subtracts <v, s> from the oracle's decrease inside the band
+    assert ssn._certified_decrease(base, x, s, zero, on_band, 1.0, 1.0 - on_band) == on_band
+    # one formula for every psi: a nonzero one's v subtracts <v, s> from the
+    # oracle's decrease inside the band
     l1, _ = counted_l1(2.0)  # v is a subgradient of 2 ||.||_1 at x + s
     composite = dataclasses.replace(exact, psi=l1)
     assert ssn._certified_decrease(composite, x, s, v, on_band, 1.0, 1.0 - on_band) == 43.0
@@ -955,9 +957,9 @@ def test_matrix_free_run_inverts_the_u_blocks_and_the_tail_diagonal_at_every_tri
     for m in (1, 3):
         calls, found, trials, preconditioners = [], [], [], []
 
-        def counted(blocks, lam):
+        def counted(base, diags, lam):
             calls.append(lam)
-            return inverse(blocks, lam)
+            return inverse(base, diags, lam)
 
         def counted_distinct(rows):
             found.append(rows.shape)
