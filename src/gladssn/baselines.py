@@ -13,7 +13,7 @@ SolverConfig and reads only its stopping rule, grad_tol and max_outer.
 Traces reuse the solver's record layout so the same harness tooling
 applies: j_k holds the backtrack count, lambda_k the accepted inverse step
 size 1/t, Lambda_k is fixed at 0.0 (which also marks the trace as a
-baseline run), and hess_evals stays 0.
+baseline run), hess_evals stays 0 and inner stays empty.
 """
 
 from __future__ import annotations
@@ -84,4 +84,4 @@ def armijo_gd(problem: CompositeProblem, config: SolverConfig,
     return SolveResult(status=status, x=x, trace=trace, iters=k,
                        g_final=float(np.linalg.norm(grad)), f_final=f_val,
                        F_final=f_val, psi_sub=np.zeros(n), Lambda_final=0.0,
-                       hess_evals=0, trials=trials)
+                       hess_evals=0, trials=trials, inner={})

@@ -93,7 +93,16 @@ def _run_command(args) -> int:
     code, result, out_path = run(config)
     print(f"{config.problem}/{config.solver}: {result.status} after {result.iters} "
           f"iterations, g_final={result.g_final:.4e}, trace -> {out_path}")
+    print("inner: " + (", ".join(_inner_totals(path, *totals)
+                                 for path, totals in result.inner.items()) or "none"))
     return code
+
+
+def _inner_totals(path: str, solves: int, iters: int, corrections: int) -> str:
+    """'minres 59 solves, 395 iterations, 1 correction': the counts that are not 0."""
+    counts = ((solves, "solve"), (iters, "iteration"), (corrections, "correction"))
+    return path + " " + ", ".join(f"{count} {noun}{'s' * (count != 1)}"
+                                  for count, noun in counts if count)
 
 
 def _verify_command(args) -> int:

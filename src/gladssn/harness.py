@@ -154,12 +154,16 @@ def _make_problem(config: RunConfig):
     """The seeded problem config names; bad problem_kwargs are a ConfigError.
 
     A generator rejects an unknown keyword with TypeError and a bad value,
-    such as a size below 1, with ValueError.
+    such as a size below 1, with ValueError, and fails with MemoryError on
+    a size too large to allocate.
     """
     try:
         return problems.KINDS[config.problem].make(config.seed, **config.problem_kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad problem_kwargs for {config.problem}: {exc}") from exc
+    except MemoryError as exc:
+        raise ConfigError(f"problem_kwargs {config.problem_kwargs} too large for "
+                          f"{config.problem}: {exc}") from exc
 
 
 def run(config: RunConfig):

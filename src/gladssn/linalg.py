@@ -11,14 +11,16 @@ complement is then factored when the coupling is an array, and solved by
 MINRES, preconditioned by the tail's diagonal, when it is a pair of
 products; a Regularized builds the pieces its route needs, and each solve
 picks the route from them.  All four are applied as H @ v.  Every route,
-direct or iterative, stops at the one forcing rule documented at THETA.
-Vectors are 1-d float64 arrays.  Nothing here mutates its inputs.
+direct or iterative, stops at the one forcing rule documented at THETA
+and returns an InnerSolve of what it did beside its step.  Vectors are
+1-d float64 arrays.  Nothing here mutates its inputs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -29,6 +31,7 @@ __all__ = [
     "THETA",
     "SolverStallError",
     "MetricError",
+    "InnerSolve",
     "sym_part",
     "MetricB",
     "ActiveGram",
@@ -92,6 +95,20 @@ class SolverStallError(RuntimeError):
 
 class MetricError(ValueError):
     """The supplied metric matrix is not symmetric positive definite."""
+
+
+class InnerSolve(NamedTuple):
+    """What one inner solve did, returned beside its step: the route that ran
+    (path: "cholesky" or "lu", of H + lam B or a Schur complement, "minres" or
+    "prox"; None for a zero rhs, which runs none), its MINRES iterations over
+    all calls or prox sweeps with backtracking tries (iters; 0 otherwise), its
+    refinement corrections (0 to 3), and ratio = ||rho||_* / (THETA lam
+    ||s||_B) at the returned step, at most 1 (0 when rho is)."""
+
+    path: str | None
+    iters: int
+    corrections: int
+    ratio: float
 
 
 def sym_part(a: np.ndarray) -> np.ndarray:
@@ -388,7 +405,7 @@ class Regularized:
         return THETA * lam * self.metric.norm(s)
 
     def prox_solve(self, lam: float, x: np.ndarray, f_grad: np.ndarray, psi,
-                   s0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   s0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, InnerSolve]:
         """Minimize the regularized model with nonzero psi inexactly, by FISTA with restart.
 
         Accelerated proximal gradient (Beck & Teboulle 2009) from x + s0 (x
@@ -406,7 +423,7 @@ class Regularized:
         previous one, else at 1 / lam; a curvature that is not finite (say, a
         matrix-free H whose products are not) raises SolverStallError at once.
 
-        Returns (y, v) once the model residual rho = grad m(y) + v =
+        Returns (y, v, InnerSolve) once the model residual rho = grad m(y) + v =
         f'(x) + (H + lam B)(y - x) + v meets the forcing rule
         ||rho||_* <= THETA lam ||y - x||_B.  grad m is affine, so grad m(z) is
         combined from the gradients at the last two prox points and a sweep
@@ -419,7 +436,7 @@ class Regularized:
         grad_z = grad_y
         theta = 1.0
         resid = np.inf
-        for _ in range(_PROX_MAX_SWEEPS):
+        for sweep in range(1, _PROX_MAX_SWEEPS + 1):
             y_new = psi.prox(z - t * grad_z, t)
             gap = z - y_new
             s_new = y_new - x
@@ -432,9 +449,9 @@ class Regularized:
                 continue
             self._t = t
             v = gap / t - grad_z
-            resid = self.metric.dual_norm(grad_new + v)
-            if resid <= self._forcing(lam, s_new):
-                return y_new, v
+            resid, goal = self.metric.dual_norm(grad_new + v), self._forcing(lam, s_new)
+            if resid <= goal:
+                return y_new, v, InnerSolve("prox", sweep, 0, resid / goal if resid else 0.0)
             step = y_new - y
             if float(gap @ step) > 0.0:
                 theta = 1.0
@@ -451,7 +468,7 @@ class Regularized:
             best_residual=resid,
         )
 
-    def solve(self, lam: float, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, lam: float, rhs: np.ndarray) -> tuple[np.ndarray, InnerSolve]:
         """Solve (H + lam B) s = rhs by the route the refresh's pieces pick.
 
         The one dispatch of a regularized solve: a refresh with _blocks set
@@ -462,11 +479,11 @@ class Regularized:
         The route's solve runs once on rhs and then up to three times as a
         correction s += once(rho), rho = rhs - (H + lam B) s (through apply),
         and the first s whose residual meets the forcing rule
-        ||rho||_* <= THETA lam ||s||_B that prox_solve shares is returned.
-        With rhs = -f'(x) and psi = 0, -rho is the model residual
-        f'(x) + (H + lam B) s.  When none of the four steps meets the rule
-        (a NaN residual never does), SolverStallError carries the smallest
-        residual seen.
+        ||rho||_* <= THETA lam ||s||_B that prox_solve shares is returned,
+        with the InnerSolve of the route and of the loop.  With rhs = -f'(x)
+        and psi = 0, -rho is the model residual f'(x) + (H + lam B) s.  When
+        none of the four steps meets the rule (a NaN residual never does),
+        SolverStallError carries the smallest residual seen.
         """
         _check_lam(lam)
         rhs = np.asarray(rhs, dtype=np.float64)
@@ -474,14 +491,15 @@ class Regularized:
         if rhs.shape != (n,):
             raise ValueError(f"operator dim {n} takes an rhs of shape ({n},), got {rhs.shape}")
         if not rhs.any():
-            return np.zeros(n)
+            return np.zeros(n), InnerSolve(None, 0, 0, 0.0)
+        ticks = itertools.count()  # one tick per MINRES iteration
         if self._blocks is not None:
-            once = self._elimination_solver(lam)
+            once, path = self._elimination_solver(lam, ticks)
         elif isinstance(self.h, np.ndarray):
             shift = np.eye(n) if self.metric.is_identity else self.metric.matrix
-            once = _direct_solver(self.h + lam * shift, f"H + {lam:.3e} B")
+            once, path = _direct_solver(self.h + lam * shift, f"H + {lam:.3e} B")
         else:
-            once = _minres_solver(lambda v: self.apply(lam, v), n)
+            once, path = _minres_solver(lambda v: self.apply(lam, v), n, ticks)
         s = once(rhs)
         for attempt in range(4):
             if attempt:
@@ -489,15 +507,15 @@ class Regularized:
             r = rhs - self.apply(lam, s)
             res, goal = self.metric.dual_norm(r), self._forcing(lam, s)
             if res <= goal:
-                return s
+                return s, InnerSolve(path, next(ticks), attempt, res / goal if res else 0.0)
             best = res if attempt == 0 else min(best, res)
         raise SolverStallError(
             f"regularized solve stalled at residual {best:.3e} (target {goal:.3e})",
             best_residual=best,
         )
 
-    def _elimination_solver(self, lam: float):
-        """r -> a step for (H + lam I) s = r, H a BorderedBlocks, by block elimination.
+    def _elimination_solver(self, lam: float, ticks):
+        """(r -> a step for (H + lam I) s = r, path), H a BorderedBlocks, by block elimination.
 
         With A = blockdiag(blocks) + lam I and C the coupling, the Schur
         complement S = tail + lam I - C^T A^{-1} C carries all of the
@@ -527,7 +545,7 @@ class Regularized:
             inv_c = np.matmul(inv, h.coupling.reshape(*inv.shape[:2], -1)).reshape(kb, -1)
             schur = self._tail - h.coupling.T @ inv_c
             schur.reshape(-1)[::schur.shape[0] + 1] += lam  # a view: schur is new
-            schur_solve = _direct_solver(schur, f"Schur complement of H + {lam:.3e} I")
+            schur_solve, path = _direct_solver(schur, f"Schur complement of H + {lam:.3e} I")
             inv_c_apply = inv_c.__matmul__
         else:
             diag = (np.diagonal(h.tail[0]) + h.tail[1]).reshape(-1) + lam
@@ -536,15 +554,15 @@ class Regularized:
                                        best_residual=np.inf)
             shifted_tail = (h.tail[0], h.tail[1] + lam)  # tail + lam I
             inv_c_apply = lambda q: _block_apply(inv, matvec(q))
-            schur_solve = _minres_solver(
+            schur_solve, path = _minres_solver(
                 lambda p: _shifted_apply(shifted_tail, p) - rmatvec(inv_c_apply(p)),
-                diag.size, 1.0 / diag)
+                diag.size, ticks, 1.0 / diag)
 
         def once(r):
             head = _block_apply(inv, r[:kb])
             rest = schur_solve(r[kb:] - rmatvec(head))
             return np.concatenate([head - inv_c_apply(rest), rest])
-        return once
+        return once, path
 
 
 def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -587,22 +605,24 @@ def _inverse(base: np.ndarray, diags: np.ndarray, lam: float) -> np.ndarray:
     return inv
 
 
-def _minres_solver(matvec, n: int, scale: np.ndarray | None = None):
-    """r -> MINRES solution of the n x n system whose product is matvec.
+def _minres_solver(matvec, n: int, ticks, scale: np.ndarray | None = None):
+    """(r -> MINRES solution of the n x n system whose product is matvec, "minres").
 
     The one place a MINRES operator or preconditioner is built; a call is
     one step of a solve's refinement loop.  The first call runs to scipy's
     rtol _MINRES_RTOL, and each correction tightens it by that factor again,
     so a step that misses the forcing rule (an ill-scaled operator, whose
     ||H|| dwarfs lam) is corrected more tightly each time.  MINRES's M is
-    the Jacobi preconditioner diag(scale), scale positive, or None.
+    the Jacobi preconditioner diag(scale), scale positive, or None, and its
+    callback advances the counter ticks once per iteration.
     """
     op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
     precond = (None if scale is None else
                LinearOperator((n, n), matvec=lambda q: scale * q, dtype=np.float64))
     calls = itertools.count(1)
-    return lambda r: scipy.sparse.linalg.minres(op, r, rtol=_MINRES_RTOL ** next(calls),
-                                                maxiter=10 * n, M=precond)[0]
+    return (lambda r: scipy.sparse.linalg.minres(op, r, rtol=_MINRES_RTOL ** next(calls),
+                                                 maxiter=10 * n, M=precond,
+                                                 callback=lambda xk: next(ticks))[0]), "minres"
 
 
 def _check_lam(lam: float) -> None:
@@ -611,15 +631,15 @@ def _check_lam(lam: float) -> None:
 
 
 def _direct_solver(m: np.ndarray, name: str):
-    """r -> m^{-1} r for a dense symmetric m, by Cholesky, or by LU when
-    Cholesky declines m (it is then indefinite or near singular).  Raises
-    SolverStallError, naming m, when LU declines it too."""
-    once = _cholesky_solver(m)
+    """(r -> m^{-1} r, path) for a dense symmetric m, by Cholesky, or by LU
+    when Cholesky declines m (it is then indefinite or near singular).
+    Raises SolverStallError, naming m, when LU declines it too."""
+    once, path = _cholesky_solver(m), "cholesky"
     if once is None:
-        once = _lu_solver(m)
+        once, path = _lu_solver(m), "lu"
     if once is None:
         raise SolverStallError(f"{name} is singular", best_residual=np.inf)
-    return once
+    return once, path
 
 
 def _lu_solver(m: np.ndarray):

@@ -84,9 +84,10 @@ _SIZES = frozenset(("d", "n", "r", "ell", "m"))
 
 def _check_domain(where: str, domain: dict = _DOMAIN, /, **values) -> None:
     """Raise ValueError naming the first value of the wrong type or outside its
-    domain.  A size (_SIZES) must be an integer and any other parameter a
-    finite real number, neither a bool; the bound is checked before
-    finiteness, so NaN, which is in no domain, is reported against its bound."""
+    domain.  A size (_SIZES) must be an integer of at most sys.maxsize, which
+    numpy can index, and any other parameter a finite real number, neither a
+    bool; the bound is checked before finiteness, so NaN, which is in no
+    domain, is reported against its bound."""
     for name, value in values.items():
         size = name in _SIZES
         kind = numbers.Integral if size else numbers.Real
@@ -97,6 +98,8 @@ def _check_domain(where: str, domain: dict = _DOMAIN, /, **values) -> None:
         if not (value >= low if closed else value > low):
             raise ValueError(f"{where}: {name} must be {'at least' if closed else 'above'} "
                              f"{low}, got {value}")
+        if size and value > sys.maxsize:
+            raise ValueError(f"{where}: {name} must be at most {sys.maxsize}, got {value}")
         if not (size or value <= sys.float_info.max):  # exact for an int of any size
             got = "an integer beyond float range" if isinstance(value, numbers.Integral) else value
             raise ValueError(f"{where}: {name} must be finite, got {got}")

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Regularized, SolverStallError
+from .linalg import InnerSolve, Regularized, SolverStallError
 from .oracle import CompositeProblem
 
 __all__ = [
@@ -202,6 +202,7 @@ class SolveResult:
     Lambda_final: float
     hess_evals: int
     trials: int
+    inner: dict[str, tuple[int, int, int]]  # path -> (solves, iters, corrections)
 
 
 def trial_lambda(Lambda_k: float, g_k: float, p: float, j: int) -> float:
@@ -288,8 +289,8 @@ solve_regularized = Regularized.solve
 
 def trial_step(x: np.ndarray, f_grad: np.ndarray, reg: Regularized, lam: float,
                problem: CompositeProblem,
-               s0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the regularized model at x; return x_+ and a psi subgradient v at x_+.
+               s0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, InnerSolve]:
+    """Solve the regularized model at x; return x_+, a psi subgradient v at x_+, its InnerSolve.
 
     f_grad is f'(x) and reg holds the lazy H + lam B.  s0, when given,
     warm-starts the inner FISTA loop of a nonzero psi at x + s0; the linear
@@ -301,7 +302,8 @@ def trial_step(x: np.ndarray, f_grad: np.ndarray, reg: Regularized, lam: float,
     forcing rule.
     """
     if problem.psi.is_zero:
-        return x + solve_regularized(reg, lam, -f_grad), np.zeros_like(x)
+        s, done = solve_regularized(reg, lam, -f_grad)
+        return x + s, np.zeros_like(x), done
     return reg.prox_solve(lam, x, f_grad, problem.psi, s0)
 
 
@@ -317,6 +319,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
     appended per accepted iteration, carrying the pre-step state (F_val,
     g_k, ...) together with the accepted trial's lambda, step length and
     duality pairing; cumulative counters include the accepted trial itself.
+    SolveResult.inner totals per path the InnerSolve of each trial whose inner solve returned.
     """
     metric = problem.metric
     n = problem.dim
@@ -344,6 +347,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
     reg: Regularized | None = None
     hess_evals = 0
     trials = 0
+    inner: dict[str, tuple[int, int, int]] = {}
     trace: list[TraceRecord] = []
     start_ns = time.perf_counter_ns()
     k = 0
@@ -368,9 +372,11 @@ def solve(problem: CompositeProblem, config: SolverConfig,
                 break  # so is 4^i lam at every later trial i: the run stalls
             trials += 1
             try:
-                x_plus, psi_sub_plus = trial_step(x, f_grad, reg, lam, problem, s_prev)
+                x_plus, psi_sub_plus, done = trial_step(x, f_grad, reg, lam, problem, s_prev)
             except SolverStallError:
                 continue
+            solves, iters, corrections = inner.get(done.path, (0, 0, 0))
+            inner[done.path] = (solves + 1, iters + done.iters, corrections + done.corrections)
             if problem.psi.is_zero and (x_plus == x).all():
                 break  # x + s rounds to x, now and at every larger lam
             s_prev = x_plus - x
@@ -419,4 +425,4 @@ def solve(problem: CompositeProblem, config: SolverConfig,
     return SolveResult(status=status, x=x, trace=trace, iters=k,
                        g_final=g, f_final=f_val, F_final=F_val,
                        psi_sub=psi_sub, Lambda_final=Lambda_k, hess_evals=hess_evals,
-                       trials=trials)
+                       trials=trials, inner=inner)

@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
 import json
+import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,6 +152,44 @@ def test_run_with_a_parameter_of_the_wrong_type_is_exit_1(tmp_path, capsys, prob
     assert capsys.readouterr().err == (f"gladssn: bad problem_kwargs for {problem}: "
                                        f"{make}: {message}\n")
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("n", [10**9, 10**54])
+def test_run_with_a_size_too_large_to_allocate_is_exit_1(tmp_path, capsys, n):
+    # 10**9 once ended in numpy's MemoryError traceback, and 10**54 in its
+    # "Maximum allowed dimension exceeded", which named no field.  Both fail
+    # at the first allocation, so the test allocates nothing
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "quad", "problem_kwargs": {"n": n},
+                               "out_path": str(tmp_path / "t.csv")}))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gladssn: ") and err.count("\n") == 1 and "Traceback" not in err
+    if n > sys.maxsize:
+        assert err == (f"gladssn: bad problem_kwargs for quad: make_quadratic: "
+                       f"n must be at most {sys.maxsize}, got {n}\n")
+    else:
+        assert err.startswith(f"gladssn: problem_kwargs {{'n': {n}}} too large for quad: ")
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("problem, path, flags", [
+    ("quad", "cholesky", []), ("nmf", "minres", ["--tol", "1e-2"])])
+def test_run_prints_the_inner_solve_totals(tmp_path, capsys, problem, path, flags):
+    # one line after the status line totals the inner solves of the run's
+    # trials by route: direct factors for quad, and MINRES for the
+    # default-size nmf, which is matrix-free, with its iterations and any
+    # corrections.  No trial fails its inner solve here, so the solves
+    # number the trials the trace counts
+    out = tmp_path / "t.csv"
+    assert main(["run", "--problem", problem, *flags, "--out", str(out)]) == 0
+    status, inner = capsys.readouterr().out.splitlines()
+    assert status.startswith(f"{problem}/gladssn: converged")
+    counts = re.fullmatch(rf"inner: {path} (\d+) solves(?:, (\d+) iterations)?"
+                          r"(?:, (\d+) corrections?)?", inner)
+    assert counts is not None, inner
+    assert int(counts[1]) == read_trace(out)[-1].trials
+    assert (counts[2] is not None) == (path == "minres")
 
 
 def test_run_flags_cover_run_config_fields():

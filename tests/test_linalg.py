@@ -9,8 +9,8 @@ import scipy.sparse.linalg
 from scipy.sparse.linalg import LinearOperator
 
 from gladssn import linalg, problems, ssn
-from gladssn.linalg import (ActiveGram, BorderedBlocks, MetricB, MetricError, Regularized,
-                            SolverStallError, sym_part)
+from gladssn.linalg import (ActiveGram, BorderedBlocks, InnerSolve, MetricB, MetricError,
+                            Regularized, SolverStallError, sym_part)
 from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPart
 from gladssn.problems import make_nmf
 
@@ -149,14 +149,14 @@ def test_unchanged_mask_keeps_the_previous_refresh():
     first.prox_solve(1.0, np.zeros(8), np.zeros(8), psi)
     assert steps == [1.0] and first._t == 1.0
     rhs = np.ones(8)
-    step = first.solve(1.0, rhs)
+    step, _ = first.solve(1.0, rhs)
     again = active_gram(0, 1, rows=first.gram.rows)
     assert again.mask is not first.gram.mask
     second = Regularized(again, metric, prev=first)
     assert second.h is first.h
     second.prox_solve(1.0, np.zeros(8), np.zeros(8), psi)
     assert steps[1] == 2.0 * steps[0]  # twice the previous refresh's step
-    np.testing.assert_array_equal(second.solve(1.0, rhs), step)
+    np.testing.assert_array_equal(second.solve(1.0, rhs)[0], step)
     # another metric keeps the array too
     third = Regularized(again, MetricB(np.diag(np.linspace(1.0, 2.0, 8))), prev=first)
     assert third.h is first.h
@@ -241,16 +241,18 @@ def test_prox_step_backtracks_on_the_model_curvature():
 def test_solve_regularized_spd_frozen():
     # (diag(1,3) + 1*I) s = (2,4)  =>  s = (1,1), solved by hand
     h = np.diag([1.0, 3.0])
-    s = Regularized(h, MetricB()).solve(1.0, np.array([2.0, 4.0]))
+    s, done = Regularized(h, MetricB()).solve(1.0, np.array([2.0, 4.0]))
     np.testing.assert_allclose(s, [1.0, 1.0], atol=1e-12)
+    assert done.path == "cholesky" and done.iters == done.corrections == 0
 
 
 def test_solve_regularized_indefinite_frozen():
     # (diag(1,-3) + 1*I) = diag(2,-2) is indefinite: Cholesky must bail and
     # LU take over.  diag(2,-2) s = (2,2)  =>  s = (1,-1), by hand.
     h = np.diag([1.0, -3.0])
-    s = Regularized(h, MetricB()).solve(1.0, np.array([2.0, 2.0]))
+    s, done = Regularized(h, MetricB()).solve(1.0, np.array([2.0, 2.0]))
     np.testing.assert_allclose(s, [1.0, -1.0], atol=1e-9)
+    assert done.path == "lu" and done.iters == done.corrections == 0
 
 
 def test_solve_regularized_random_spd():
@@ -261,7 +263,7 @@ def test_solve_regularized_random_spd():
             h = a @ a.T
             lam = 10.0 ** rng.uniform(-4, 2)
             rhs = rng.standard_normal(n)
-            s = Regularized(h, MetricB()).solve(lam, rhs)
+            s, _ = Regularized(h, MetricB()).solve(lam, rhs)
             res = np.linalg.norm(h @ s + lam * s - rhs)
             assert res <= max(1e-10, 1e-12 * np.linalg.norm(rhs)) * (1 + 1e-9)
 
@@ -273,7 +275,7 @@ def test_solve_regularized_with_metric():
     metric = MetricB(bmat)
     rhs = rng.standard_normal(6)
     h = a @ a.T
-    s = Regularized(h, metric).solve(0.7, rhs)
+    s, _ = Regularized(h, metric).solve(0.7, rhs)
     res = np.linalg.norm(h @ s + 0.7 * (bmat @ s) - rhs)
     assert res <= 1e-10 * (1 + 1e-9)
 
@@ -302,9 +304,10 @@ def test_solve_regularized_dense_vs_matvec_route():
     spd = a @ a.T + np.eye(8)
     rhs = rng.standard_normal(8)
     lam = 0.3
-    s_dense = Regularized(spd, MetricB()).solve(lam, rhs)
+    s_dense, dense_done = Regularized(spd, MetricB()).solve(lam, rhs)
     matvec = LinearOperator((8, 8), matvec=lambda v: spd @ v, dtype=np.float64)
-    s_mv = Regularized(matvec, MetricB()).solve(lam, rhs)
+    s_mv, mv_done = Regularized(matvec, MetricB()).solve(lam, rhs)
+    assert (dense_done.path, mv_done.path) == ("cholesky", "minres") and mv_done.iters > 0
     m = spd + lam * np.eye(8)
     assert np.linalg.norm(m @ s_dense - rhs) <= max(1e-10, 1e-12 * np.linalg.norm(rhs))
     rho = np.linalg.norm(m @ s_mv - rhs)
@@ -364,7 +367,8 @@ def test_preconditioned_minres_meets_the_same_target(monkeypatch):
         for lam in (0.5, 2.0):
             assert np.min(np.linalg.eigvalsh(dense + lam * bmat)) < 0.0
             rhs = rng.standard_normal(n)
-            s = reg.solve(lam, rhs)
+            s, done = reg.solve(lam, rhs)
+            assert done.path == "minres"
             rho = dense @ s + lam * (bmat @ s) - rhs
             assert metric.dual_norm(rho) <= linalg.THETA * lam * metric.norm(s)
             assert metric.norm(s) > 0.0
@@ -388,7 +392,7 @@ def test_schur_minres_step_solves_the_block_rows_to_rounding():
     rhs = -p.smooth.eval_grad(x)
     reg = Regularized(h, MetricB())
     for lam in (0.05, 1.0, 20.0):
-        s = reg.solve(lam, rhs)
+        s, _ = reg.solve(lam, rhs)
         a_rows = (dense @ s + lam * s - rhs)[:60]
         rho = reg.apply(lam, s) - rhs
         assert np.linalg.norm(a_rows) <= 1e-13 * (np.linalg.norm(rhs) + lam * np.linalg.norm(s)
@@ -437,7 +441,7 @@ def test_both_block_groups_are_inverted_at_every_solves_lam(monkeypatch):
         for lam in lams:
             preconditioners.clear()
             rhs = rng.standard_normal(h.shape[0])
-            s = reg.solve(lam, rhs)
+            s, _ = reg.solve(lam, rhs)
             rho = np.linalg.norm(reg.apply(lam, s) - rhs)
             assert 0.0 < rho <= linalg.THETA * lam * np.linalg.norm(s)
             m = columns(preconditioners[0])
@@ -450,7 +454,8 @@ def test_both_block_groups_are_inverted_at_every_solves_lam(monkeypatch):
 def test_a_solve_does_not_depend_on_an_earlier_one(monkeypatch):
     # two Regularized on one matrix-free NMF Hessian, one of which first
     # solves at 16 lam, return the same step at lam bit for bit: nothing
-    # that depends on lam is kept between solves
+    # that depends on lam is kept between solves, and both take the same
+    # MINRES iterations and corrections
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     p = make_nmf(2, d=20, n=10, r=3)
     h = p.smooth.eval_hess(p.x0)
@@ -458,7 +463,9 @@ def test_a_solve_does_not_depend_on_an_earlier_one(monkeypatch):
     rhs = -p.smooth.eval_grad(p.x0)
     fresh, used = Regularized(h, MetricB()), Regularized(h, MetricB())
     used.solve(16.0, rhs)
-    np.testing.assert_array_equal(used.solve(1.0, rhs), fresh.solve(1.0, rhs))
+    (s_used, used_done), (s_fresh, fresh_done) = used.solve(1.0, rhs), fresh.solve(1.0, rhs)
+    np.testing.assert_array_equal(s_used, s_fresh)
+    assert used_done == fresh_done and used_done.path == "minres"
 
 
 def test_singular_or_overflowing_block_inverse_stalls():
@@ -474,7 +481,7 @@ def test_singular_or_overflowing_block_inverse_stalls():
             with pytest.raises(SolverStallError, match="diagonal block of H") as exc:
                 reg.solve(lam, np.ones(2))
             assert exc.value.best_residual == np.inf
-            s = reg.solve(4.0, np.ones(2))
+            s, _ = reg.solve(4.0, np.ones(2))
             np.testing.assert_allclose(reg.apply(4.0, s), np.ones(2), rtol=0.1)
 
 
@@ -504,7 +511,7 @@ def test_a_tail_diagonal_that_is_not_positive_fails_its_trial(monkeypatch):
     for base, lam in ((negative, 10.0), (np.array([[1.0, 2.0], [2.0, 1.0]]), 0.5)):
         h, dense = indefinite_tail(base)
         rhs = rng.standard_normal(10)
-        s = Regularized(h, MetricB()).solve(lam, rhs)
+        s, _ = Regularized(h, MetricB()).solve(lam, rhs)
         assert np.linalg.norm(dense @ s + lam * s - rhs) <= linalg.THETA * lam * np.linalg.norm(s)
     # so ssn.solve fails the trials at lam = 1 and 4 typed, and steps at 16
     h, _ = indefinite_tail(negative)
@@ -572,29 +579,27 @@ def test_bordered_blocks_rejects_parts_that_do_not_fit():
 
 
 def _count_calls(monkeypatch) -> dict:
-    """Count eigh (numpy's and scipy's), Cholesky and MINRES calls from here on."""
-    calls = {"eigh": 0, "cholesky": 0, "minres": 0}
-    for mod, name, key in ((np.linalg, "eigh", "eigh"), (scipy.linalg, "eigh", "eigh"),
-                           (np.linalg, "cholesky", "cholesky"),
-                           (scipy.sparse.linalg, "minres", "minres")):
-        def wrapper(*args, _key=key, _fn=getattr(mod, name), **kwargs):
-            calls[_key] += 1
+    """Count eigh calls, numpy's and scipy's, from here on: no route runs one."""
+    calls = {"eigh": 0}
+    for mod in (np.linalg, scipy.linalg):
+        def wrapper(*args, _fn=mod.eigh, **kwargs):
+            calls["eigh"] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(mod, name, wrapper)
+        monkeypatch.setattr(mod, "eigh", wrapper)
     return calls
 
 
-def _count_lu(monkeypatch) -> list:
-    """The shape of every matrix handed to linalg._lu_solver from here on."""
-    shapes = []
-    lu_solver = linalg._lu_solver
+def _factored(monkeypatch) -> list:
+    """A copy of every matrix handed to linalg._direct_solver from here on."""
+    matrices = []
+    direct_solver = linalg._direct_solver
 
-    def seen_lu(m):
-        shapes.append(m.shape)
-        return lu_solver(m)
+    def seen_direct(m, name):
+        matrices.append(m.copy())
+        return direct_solver(m, name)
 
-    monkeypatch.setattr(linalg, "_lu_solver", seen_lu)
-    return shapes
+    monkeypatch.setattr(linalg, "_direct_solver", seen_direct)
+    return matrices
 
 
 def test_cholesky_pivot_test_declines_a_tiny_pivot(monkeypatch):
@@ -608,15 +613,15 @@ def test_cholesky_pivot_test_declines_a_tiny_pivot(monkeypatch):
     assert linalg._cholesky_solver(shifted) is None
     assert linalg._lu_solver(shifted) is None
     calls = _count_calls(monkeypatch)
-    lus = _count_lu(monkeypatch)
     reg = Regularized(h_mat, MetricB())
-    with pytest.raises(SolverStallError, match="is singular") as exc:
+    # the direct solve's message, raised once LU has declined H + lam I too
+    with pytest.raises(SolverStallError, match="H \\+ 5.000e-01 B is singular") as exc:
         reg.solve(lam, rhs)
     assert exc.value.best_residual == np.inf
-    assert calls == {"eigh": 0, "cholesky": 1, "minres": 0} and lus == [(2, 2)]
-    s = reg.solve(4.0 * lam, rhs)
+    s, done = reg.solve(4.0 * lam, rhs)
     np.testing.assert_allclose(s, [1.0, 0.0], rtol=1e-15, atol=1e-15)
-    assert calls == {"eigh": 0, "cholesky": 2, "minres": 0} and lus == [(2, 2)]
+    assert (done.path, done.iters, done.corrections) == ("cholesky", 0, 0)
+    assert calls == {"eigh": 0}
 
 
 def nmf_bordered_hessian(dense_dim_max=problems.DENSE_DIM_MAX):
@@ -692,29 +697,20 @@ def test_dense_schur_complement_is_built_from_the_pairs(monkeypatch):
     # lam Cholesky accepts and at one it declines
     h, dense = nmf_bordered_hessian()
     lam_min = np.linalg.eigvalsh(dense)[0]
-    factored = []
-    direct_solver = linalg._direct_solver
-
-    def seen_direct(m, name):
-        factored.append(m.copy())
-        return direct_solver(m, name)
-
-    monkeypatch.setattr(linalg, "_direct_solver", seen_direct)
-    lus = _count_lu(monkeypatch)
+    factored = _factored(monkeypatch)
     c = h.coupling
     tail = scipy.linalg.block_diag(*block_stack(h.tail))
     rhs = np.random.default_rng(16).standard_normal(42)
     for lam, declined in ((2.0 - lam_min, False), (-0.5 * lam_min, True)):
         factored.clear()
-        lus.clear()
         reg = Regularized(h, MetricB())
-        reg.solve(lam, rhs)
+        _, done = reg.solve(lam, rhs)
         distinct, which = reg._blocks
         inv = linalg._inverse(h.blocks[0], distinct, lam)[which]
         inv_c = np.matmul(inv, c.reshape(9, 3, 15)).reshape(27, 15)
         want = tail - c.T @ inv_c
         want.flat[::16] += lam
-        assert len(factored) == 1 and lus == ([(15, 15)] if declined else []), lam
+        assert len(factored) == 1 and done.path == ("lu" if declined else "cholesky"), lam
         np.testing.assert_array_equal(factored[0], want)
 
 
@@ -733,13 +729,17 @@ def test_dense_tail_array_is_built_once_per_refresh(monkeypatch):
 
     rhs = np.random.default_rng(18).standard_normal(42)
     lams = (2.0 - lam_min, -0.5 * lam_min, 5.0)
-    fresh = [Regularized(h, MetricB()).solve(lam, rhs) for lam in lams]
+    fresh = [Regularized(h, MetricB()).solve(lam, rhs)[0] for lam in lams]
     monkeypatch.setattr(linalg, "_block_diagonal", counted)
-    lus = _count_lu(monkeypatch)
+    factored = _factored(monkeypatch)
     reg = Regularized(h, MetricB())
+    paths = []
     for lam, want in zip(lams, fresh, strict=True):
-        np.testing.assert_array_equal(reg.solve(lam, rhs), want)
-    assert scattered == [(5, 3, 3)] and lus == [(15, 15)]
+        s, done = reg.solve(lam, rhs)
+        np.testing.assert_array_equal(s, want)
+        paths.append(done.path)
+    assert scattered == [(5, 3, 3)] and paths == ["cholesky", "lu", "cholesky"]
+    assert [m.shape for m in factored] == [(15, 15)] * 3
 
 
 def test_a_bordered_refresh_keeps_the_distinct_diagonals_and_a_dense_tail_only():
@@ -838,7 +838,7 @@ def test_dense_zero_psi_trial_applies_h_once(monkeypatch):
         reg = Regularized(form, b)
         for mu in (lam, 4.0 * lam):
             applied.clear()
-            x_plus, v = ssn.trial_step(x, f_grad, reg, mu, prob)
+            x_plus, v, _ = ssn.trial_step(x, f_grad, reg, mu, prob)
             s = applied[-1]
             np.testing.assert_array_equal(x_plus, x + s)
             assert v.shape == (n,) and not v.any(), (label, mu)
@@ -861,6 +861,67 @@ def test_a_solve_leaves_its_refresh_unchanged():
         reg.apply(lam, v)
         assert vars(reg).keys() == before.keys(), label
         assert all(vars(reg)[name] is part for name, part in before.items()), label
+
+
+def test_every_record_names_the_routine_that_ran(monkeypatch):
+    # the one test that spies on the routines themselves, so that the
+    # record every other test reads is checked against them.  On every
+    # form, at a lam where H + lam B is positive definite and at one where
+    # the dense forms' is indefinite, a solve's path is the routine that
+    # returned its steps: Cholesky, else LU, else MINRES.  Its iters are the
+    # iterations scipy's MINRES reports through its callback, and its
+    # corrections the calls of that routine after the first.  A prox solve's
+    # iters are its prox calls.  Every ratio lies in [0, 1]
+    forms, lam = every_form()
+    indefinite = -0.5 * np.linalg.eigvalsh(forms["ndarray"][0])[0]
+    seen = dict.fromkeys(("cholesky", "lu", "minres", "calls", "iters"), 0)
+    minres = scipy.sparse.linalg.minres
+
+    def spy(name, solver):
+        def spied(m):
+            once = solver(m)
+            if once is None:
+                return None
+            seen[name] += 1
+
+            def counted(r):
+                seen["calls"] += 1
+                return once(r)
+            return counted
+        return spied
+
+    def seen_minres(*args, callback, **kwargs):
+        def counted(xk):
+            seen["iters"] += 1
+            callback(xk)
+        seen["minres"] += 1
+        seen["calls"] += 1
+        return minres(*args, callback=counted, **kwargs)
+
+    monkeypatch.setattr(linalg, "_cholesky_solver", spy("cholesky", linalg._cholesky_solver))
+    monkeypatch.setattr(linalg, "_lu_solver", spy("lu", linalg._lu_solver))
+    monkeypatch.setattr(scipy.sparse.linalg, "minres", seen_minres)
+    psi, steps = step_recorder()
+    rng = np.random.default_rng(23)
+    paths = set()
+    for label, (form, b) in forms.items():
+        reg = Regularized(form, b)
+        for mu in (lam, indefinite):
+            before = dict(seen)
+            _, done = reg.solve(mu, rng.standard_normal(form.shape[0]))
+            ran = {name: seen[name] - before[name] for name in seen}
+            assert ran["cholesky"] + ran["lu"] + (ran["minres"] > 0) == 1, (label, mu)
+            path = next(name for name in ("cholesky", "lu", "minres") if ran[name])
+            assert (done.path, done.iters, done.corrections) == (
+                path, ran["iters"], ran["calls"] - 1), (label, mu)
+            assert 0.0 <= done.ratio <= 1.0, (label, mu)
+            paths.add(done.path)
+        steps.clear()
+        _, _, done = reg.prox_solve(lam, np.zeros(form.shape[0]),
+                                    rng.standard_normal(form.shape[0]), psi)
+        assert (done.path, done.iters, done.corrections) == ("prox", len(steps), 0), label
+        assert 0.0 <= done.ratio <= 1.0, label
+    assert paths == {"cholesky", "lu", "minres"}
 
 
 def test_block_diagonal_adds_onto_its_target():
@@ -910,25 +971,26 @@ def test_bordered_blocks_solve_matches_a_dense_solve(monkeypatch):
     h, dense = nmf_bordered_hessian()
     lam_min = np.linalg.eigvalsh(dense)[0]
     assert lam_min < -0.5
-    lus = _count_lu(monkeypatch)
+    factored = _factored(monkeypatch)
     calls = _count_calls(monkeypatch)
     rhs = np.random.default_rng(14).standard_normal(42)
     reg = Regularized(h, MetricB())
     assert reg.h is h and reg.is_dense and reg.is_finite
     for lam, indefinite in ((2.0 - lam_min, False), (10.0, False), (0.1, True),
                             (-0.5 * lam_min, True)):
-        lus.clear()
-        s = reg.solve(lam, rhs)
-        assert lus == ([(15, 15)] if indefinite else []), lam
+        factored.clear()
+        s, done = reg.solve(lam, rhs)
+        assert [m.shape for m in factored] == [(15, 15)], lam
+        assert done.path == ("lu" if indefinite else "cholesky") and done.iters == 0, lam
         want = np.linalg.solve(dense + lam * np.eye(42), rhs)
         np.testing.assert_allclose(s, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
-    assert calls == {"eigh": 0, "cholesky": 4, "minres": 0}
+    assert calls == {"eigh": 0}
     bmat = np.diag(np.linspace(0.5, 2.0, 42))
     reg = Regularized(h, MetricB(bmat))
     assert isinstance(reg.h, np.ndarray)
     np.testing.assert_array_equal(reg.h, dense)
     for lam in (0.1, 10.0):
-        s = reg.solve(lam, rhs)
+        s, _ = reg.solve(lam, rhs)
         np.testing.assert_allclose(s, np.linalg.solve(dense + lam * bmat, rhs), rtol=1e-10)
 
 
@@ -940,20 +1002,19 @@ def test_both_dense_forms_take_one_cholesky_then_lu_order(monkeypatch):
     h, dense = nmf_bordered_hessian()
     lam_min = np.linalg.eigvalsh(dense)[0]
     rhs = np.random.default_rng(15).standard_normal(42)
-    lus = _count_lu(monkeypatch)
+    factored = _factored(monkeypatch)
     calls = _count_calls(monkeypatch)
     steps, orders = {}, {}
     for form in (h, dense):
         reg = Regularized(form, MetricB())
         order = []
         for lam in (2.0 - lam_min, -0.5 * lam_min):  # SPD, then indefinite
-            before = (calls["cholesky"], len(lus))
-            steps[form is h, lam] = reg.solve(lam, rhs)
-            order.append((calls["cholesky"] - before[0], len(lus) - before[1]))
+            steps[form is h, lam], done = reg.solve(lam, rhs)
+            order.append(done.path)
         orders[form is h] = order
-    assert orders[True] == orders[False] == [(1, 0), (1, 1)]
-    assert lus == [(15, 15), (42, 42)]
-    assert calls == {"eigh": 0, "cholesky": 4, "minres": 0}
+    assert orders[True] == orders[False] == ["cholesky", "lu"]
+    assert [m.shape for m in factored] == [(15, 15), (15, 15), (42, 42), (42, 42)]
+    assert calls == {"eigh": 0}
     for lam in (2.0 - lam_min, -0.5 * lam_min):
         want = np.linalg.solve(dense + lam * np.eye(42), rhs)
         for bordered in (True, False):
@@ -974,12 +1035,14 @@ def test_bordered_blocks_with_a_singular_schur_complement_stall():
 
 def test_solve_regularized_zero_rhs(monkeypatch):
     # a zero right-hand side returns the zero step without factoring, even
-    # for a singular H + lam I
+    # for a singular H + lam I: its record names no route
     calls = _count_calls(monkeypatch)
     for h in (np.diag([1.0, 2.0]), np.diag([-1.0, 1.0])):
         reg = Regularized(h, MetricB())
-        np.testing.assert_array_equal(reg.solve(1.0, np.zeros(2)), np.zeros(2))
-    assert calls == {"eigh": 0, "cholesky": 0, "minres": 0}
+        s, done = reg.solve(1.0, np.zeros(2))
+        np.testing.assert_array_equal(s, np.zeros(2))
+        assert done == InnerSolve(None, 0, 0, 0.0)
+    assert calls == {"eigh": 0}
 
 
 def test_solve_regularized_inconsistent_system_stalls():
@@ -1000,16 +1063,19 @@ def test_refinement_decides_on_the_step_it_returns(monkeypatch):
     # residual must not pass on an earlier, smaller one.  s = 2 misses
     # (residual 2, target 1.2); s = -4 misses its own target 2.4 with
     # residual 8, though the smallest residual so far is below 2.4; the
-    # exact correction passes
+    # exact correction passes, the second
     reg = Regularized(np.array([[-5.0]]), MetricB())
     steps = iter([np.array([2.0]), np.array([-6.0])])
 
     def once(r):
         return next(steps, r)
-    monkeypatch.setattr(linalg, "_direct_solver", lambda m, name: once)
-    np.testing.assert_array_equal(reg.solve(6.0, np.array([4.0])), [4.0])
+    monkeypatch.setattr(linalg, "_direct_solver", lambda m, name: (once, "cholesky"))
+    s, done = reg.solve(6.0, np.array([4.0]))
+    np.testing.assert_array_equal(s, [4.0])
+    assert done == InnerSolve("cholesky", 0, 2, 0.0)
     # a route that never moves keeps s = 0, whose target is 0
-    monkeypatch.setattr(linalg, "_direct_solver", lambda m, name: lambda r: np.zeros(1))
+    monkeypatch.setattr(linalg, "_direct_solver",
+                        lambda m, name: (lambda r: np.zeros(1), "cholesky"))
     with pytest.raises(SolverStallError) as exc:
         reg.solve(6.0, np.array([4.0]))
     assert exc.value.best_residual == 4.0
@@ -1028,8 +1094,8 @@ def test_solve_regularized_singular_but_consistent():
         with pytest.raises(SolverStallError, match="is singular"):
             Regularized(dense, MetricB()).solve(1.0, b)
     matvec = LinearOperator((2, 2), matvec=lambda v: h @ v, dtype=np.float64)
-    s = Regularized(matvec, MetricB()).solve(1.0, rhs)
-    assert abs(2.0 * s[1] - 2.0) <= linalg.THETA * np.linalg.norm(s)
+    s, done = Regularized(matvec, MetricB()).solve(1.0, rhs)
+    assert abs(2.0 * s[1] - 2.0) <= linalg.THETA * np.linalg.norm(s) and done.path == "minres"
 
 
 def test_solve_regularized_argument_errors():
@@ -1080,12 +1146,11 @@ def test_reused_operator_solves_indefinite_shift_directly(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(h_mat + 1.5 * np.eye(4))
     calls = _count_calls(monkeypatch)
-    lus = _count_lu(monkeypatch)
     reg = Regularized(h_mat, MetricB())
-    for lam, lu in ((1.5, 1), (2.5, 2), (3.5, 2), (10.0, 2)):
-        s = reg.solve(lam, rhs)
+    for lam, path in ((1.5, "lu"), (2.5, "lu"), (3.5, "cholesky"), (10.0, "cholesky")):
+        s, done = reg.solve(lam, rhs)
         np.testing.assert_allclose(s, np.linalg.solve(h_mat + lam * np.eye(4), rhs),
                                    rtol=1e-12)
         assert np.linalg.norm(h_mat @ s + lam * s - rhs) <= 1e-10
-        assert len(lus) == lu, lam
-    assert calls == {"eigh": 0, "cholesky": 4, "minres": 0}
+        assert (done.path, done.iters, done.corrections) == (path, 0, 0), lam
+    assert calls == {"eigh": 0}

@@ -122,7 +122,8 @@ def test_trial_step_quadratic_frozen():
 
     # f(x) = 0.5 ||x||^2, exact oracles; trial_step leaves f'(x_+) to the caller
     prob = half_norm_problem(2)
-    x_plus, v = trial_step(x, x.copy(), Regularized(np.eye(2), MetricB()), 1.0, prob)
+    x_plus, v, done = trial_step(x, x.copy(), Regularized(np.eye(2), MetricB()), 1.0, prob)
+    assert done.path == "cholesky"
     f_grad_plus = prob.smooth.eval_grad(x_plus)
     np.testing.assert_allclose(x_plus, [0.5, 0.0], atol=1e-12)
     np.testing.assert_allclose(v, [0.0, 0.0], atol=1e-12)
@@ -141,7 +142,7 @@ def test_trial_step_certifies_model_optimality():
                             eval_grad=lambda z: 2.0 * z,
                             eval_hess=lambda z: h),
         psi=ZeroPart())
-    x_plus, v = trial_step(x, 2.0 * x, Regularized(h, MetricB()), 0.3, prob)
+    x_plus, v, _ = trial_step(x, 2.0 * x, Regularized(h, MetricB()), 0.3, prob)
     s = x_plus - x
     np.testing.assert_allclose(v, -(2.0 * x) - h @ s - 0.3 * s, atol=1e-12)
     # so the composite gradient is f'(x_+) - f'(x) - H s - lam s
@@ -165,8 +166,9 @@ def test_trial_step_soft_threshold_frozen():
                             eval_hess=lambda x: np.zeros((1, 1))),
         psi=psi)
     lam = 1.0
-    x_plus, v = trial_step(np.array([2.0]), np.zeros(1),
-                           Regularized(np.zeros((1, 1)), MetricB()), lam, prob)
+    x_plus, v, done = trial_step(np.array([2.0]), np.zeros(1),
+                                 Regularized(np.zeros((1, 1)), MetricB()), lam, prob)
+    assert (done.path, done.iters) == ("prox", 1)
     s = x_plus[0] - 2.0
     rho = lam * s + v[0]
     assert abs(rho) <= linalg.THETA * lam * abs(s)
@@ -227,30 +229,25 @@ def assembled(problem):
 def test_decomposition_schedule(monkeypatch):
     # nothing is eigendecomposed, at any m: each trial factors H + lam B
     # (a dense array H) or its Schur complement (NMF's own BorderedBlocks
-    # H) by Cholesky, and by LU once that declines
-    calls = {}
+    # H) by Cholesky, and by LU once that declines, so every trial's inner
+    # solve is a direct one
+    eighs = []
+    eigh = np.linalg.eigh
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted(*args, **kwargs):
+        eighs.append(args)
+        return eigh(*args, **kwargs)
 
-    for name in ("eigh", "cholesky"):
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     p = make_nmf(1, d=8, n=6, r=2)
-
-    def run(prob, m):
-        calls.update(eigh=0, cholesky=0)
-        res = solve(prob, SolverConfig(m=m, grad_tol=1e-6))
-        assert res.status == CONVERGED
-        return res, dict(calls)
-
     for m in (1, 5):
         for prob in (assembled(p), p):
-            res, res_calls = run(prob, m)
+            res = solve(prob, SolverConfig(m=m, grad_tol=1e-6))
+            assert res.status == CONVERGED
             assert res.hess_evals >= 2
-            assert res_calls == {"eigh": 0, "cholesky": res.trials}, m
+            assert set(res.inner) <= {"cholesky", "lu"}, m
+            assert sum(solves for solves, _, _ in res.inner.values()) == res.trials, m
+            assert eighs == [], m
 
 
 def test_lazy_runs_match_eager_on_constant_hessian():
@@ -362,7 +359,8 @@ def test_inexact_trial_certificates_are_exact(monkeypatch):
     f_grad = prob.smooth.eval_grad(x)
     reg = Regularized(prob.smooth.eval_hess(x), MetricB())
     for lam in (0.1, 1.0, 10.0):
-        x_plus, v = trial_step(x, f_grad, reg, lam, prob)
+        x_plus, v, done = trial_step(x, f_grad, reg, lam, prob)
+        assert done.path == "prox"
         s = x_plus - x
         rho = np.linalg.norm(f_grad + reg.h @ s + lam * s + v)
         # short of the minimizer by far more than rounding, within the rule
@@ -379,8 +377,8 @@ def test_inexact_trial_certificates_are_exact(monkeypatch):
     reg = Regularized(nmf.smooth.eval_hess(nmf.x0), MetricB())
     assert not reg.is_dense
     lam = 1.0
-    x_plus, v = trial_step(nmf.x0, f_grad, reg, lam, nmf)
-    assert np.array_equal(v, np.zeros(nmf.dim))
+    x_plus, v, done = trial_step(nmf.x0, f_grad, reg, lam, nmf)
+    assert np.array_equal(v, np.zeros(nmf.dim)) and done.path == "minres"
     s = x_plus - nmf.x0
     rho = np.linalg.norm(f_grad + reg.h @ s + lam * s)
     assert 0.0 < rho <= linalg.THETA * lam * np.linalg.norm(s)
@@ -536,8 +534,8 @@ def test_prox_model_solve_meets_target_on_ill_conditioned_l1():
     reg, curv, x, f_grad = ill_conditioned_l1_model()
     for lam in (1e-6, 1e-3):
         psi, calls = counted_l1(1.0)
-        y, v = reg.prox_solve(lam, x, f_grad, psi)
-        assert calls[0] <= linalg._PROX_MAX_SWEEPS
+        y, v, done = reg.prox_solve(lam, x, f_grad, psi)
+        assert done.iters == calls[0] <= linalg._PROX_MAX_SWEEPS
         check_model_solution(y, v, curv, x, f_grad, lam, 1.0)
 
 
@@ -554,7 +552,7 @@ def test_prox_model_solve_warm_start():
     cold_calls, calls[0] = calls[0], 0
     warm = reg.prox_solve(4.0 * lam, x, f_grad, psi, s0=s_prev)
     assert calls[0] < cold_calls
-    for y, v in (cold, warm):
+    for y, v, _ in (cold, warm):
         check_model_solution(y, v, curv, x, f_grad, 4.0 * lam, 1.0)
 
 
@@ -876,34 +874,18 @@ def test_overflowed_regularizer_stalls_the_run():
         assert 0 < res.trials < ssn._MAX_TRIALS
 
 
-def test_dense_run_declining_cholesky_never_reaches_minres(monkeypatch):
+def test_dense_run_declining_cholesky_never_reaches_minres():
     # the first refresh of this nonconvex NMF model at m = 5, handed over as
-    # a dense array, is indefinite: Cholesky declines it and the refresh's
-    # eigenbasis solves the rest
-    declines = []
-    cholesky = linalg._cholesky_solver
-
-    def seen_cholesky(m):
-        chol = cholesky(m)
-        declines.append(chol is None)
-        return chol
-
-    def no_minres(*args, **kwargs):
-        raise AssertionError("a dense system reached MINRES")
-
-    monkeypatch.setattr(linalg, "_cholesky_solver", seen_cholesky)
-    monkeypatch.setattr(scipy.sparse.linalg, "minres", no_minres)
+    # a dense array, is indefinite: Cholesky declines H + lam I at one of its
+    # trials, and LU solves that trial's system.  The run's first m
+    # iterations are those of the first refresh, and no trial of the whole
+    # run reaches MINRES
     p = assembled(make_nmf(3, d=8, n=6, r=2))
-    refreshes = []  # Cholesky calls made before each Hessian refresh
-
-    def eval_hess(x):
-        refreshes.append(len(declines))
-        return p.smooth.eval_hess(x)
-
-    prob = dataclasses.replace(p, smooth=dataclasses.replace(p.smooth, eval_hess=eval_hess))
-    res = solve(prob, SolverConfig(m=5, grad_tol=1e-8))
+    first = solve(p, SolverConfig(m=5, grad_tol=1e-8, max_outer=5))
+    assert first.hess_evals == 1 and "lu" in first.inner
+    res = solve(p, SolverConfig(m=5, grad_tol=1e-8))
     assert res.status == CONVERGED and res.hess_evals >= 2
-    assert any(declines[:refreshes[1]])  # the first refresh declined
+    assert set(res.inner) <= {"cholesky", "lu"}
     assert verify(res).passed
 
 
