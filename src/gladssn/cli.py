@@ -77,11 +77,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_config(path: str):
+    """The JSON document in the --config file path; ConfigError naming path
+    when its text is not JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:  # json.JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigError(f"{path}: not JSON: {exc}") from exc
+
+
 def _run_command(args) -> int:
     values: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        loaded = _read_config(args.config)
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config} must hold a single JSON object")
         values.update(loaded)
@@ -119,8 +128,7 @@ def _order_command(args) -> int:
 
 
 def _compare_command(args) -> int:
-    with open(args.config) as fh:
-        loaded = json.load(fh)
+    loaded = _read_config(args.config)
     if not (isinstance(loaded, list) and all(isinstance(d, dict) for d in loaded)):
         raise ConfigError(f"{args.config} must hold a JSON list of run configs")
     print(format_compare_table(compare([RunConfig.from_dict(d) for d in loaded])))

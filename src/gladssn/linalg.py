@@ -73,9 +73,14 @@ THETA = 0.1
 # estimate is within rtol ||A|| ||s||, not THETA lam ||s||, so the step is
 # then checked against the rule itself.  On the Schur complement of the
 # matrix-free NMF Hessian (make_nmf seeds 1-17 at the benchmark's config,
-# 1 BLAS thread, Jacobi preconditioned), THETA**2 misses the rule on the
-# first call in 224 of 1025 solves; THETA**3 in 28 of 1029, each met by one
-# correction, at a median first-call ||rho|| / (lam ||s||) of 0.0017.
+# grad_tol = 1, 1 BLAS thread, Jacobi preconditioned), THETA**2 misses the
+# rule on the first call in 224 of 1025 solves; THETA**3 in 28 of 1029, each
+# met by one correction, at a median first-call ||rho|| / (lam ||s||) of
+# 0.0017.  Those figures hold only at that loose tolerance: scipy's stop
+# scales with ||A|| ||s||, while the target THETA lam ||s|| shrinks as
+# lam ~ g^p falls, so a run to a tight tolerance corrects about half its
+# first calls (make_nmf(1) at grad_tol = 1e-8: 257 of 531 solves miss,
+# with 344 corrections and 18243 iterations in all).
 _MINRES_RTOL = THETA**3
 
 # FISTA sweeps per composite model solve (Regularized.prox_solve).
@@ -125,7 +130,8 @@ class MetricB:
     The primal norm is ||v|| = sqrt(v^T B v) and the dual norm of a gradient
     is ||g||_* = sqrt(g^T B^{-1} g), one formula for either metric (for the
     identity, the ddot np.linalg.norm runs); duality pairings stay plain dot
-    products.  A dense metric is validated by Cholesky at construction.
+    products.  A dense metric must be finite and is validated by Cholesky
+    at construction.
     """
 
     def __init__(self, matrix: np.ndarray | None = None):
@@ -134,6 +140,8 @@ class MetricB:
             m = np.asarray(matrix, dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise MetricError(f"metric must be square, got shape {m.shape}")
+            if not np.isfinite(m).all():
+                raise MetricError("metric has an entry that is not finite")
             if not np.allclose(m, m.T, rtol=1e-12, atol=1e-12):
                 raise MetricError("metric must be symmetric")
             m = sym_part(m)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 
+from gladssn import linalg, ssn
+from gladssn.linalg import SolverStallError
 from gladssn.problems import HuberInstance, NmfInstance, QuadInstance, SvmInstance, make_svm
 from gladssn.rng import _mix_in_place
 from gladssn.ssn import TraceRecord
@@ -67,6 +69,41 @@ def synthetic_trace(gs, lam=1.0):
                                 wall_ns=1000 * (i + 1)))
         F *= 0.5
     return rows
+
+
+def minres_handed(monkeypatch, scale=True):
+    """Spy on linalg._minres_solver, the one place a MINRES solve is built:
+    record (matvec, n, scale), what the library hands it, once per solve.
+    With scale=False the solve runs without the Jacobi scale (scipy's M is
+    None), while the record keeps the scale the library handed."""
+    handed = []
+    factory = linalg._minres_solver
+
+    def spied(matvec, n, ticks, given=None):
+        handed.append((matvec, n, given))
+        return factory(matvec, n, ticks, given if scale else None)
+
+    monkeypatch.setattr(linalg, "_minres_solver", spied)
+    return handed
+
+
+def trial_outcomes(monkeypatch):
+    """Spy on ssn.trial_step: record (reg, lam, outcome) per trial, outcome
+    "solved" or the message of the SolverStallError the trial raised."""
+    seen = []
+    trial_step = ssn.trial_step
+
+    def spied(x, f_grad, reg, lam, *args, **kwargs):
+        try:
+            step = trial_step(x, f_grad, reg, lam, *args, **kwargs)
+        except SolverStallError as exc:
+            seen.append((reg, lam, str(exc)))
+            raise
+        seen.append((reg, lam, "solved"))
+        return step
+
+    monkeypatch.setattr(ssn, "trial_step", spied)
+    return seen
 
 
 def block_stack(group):

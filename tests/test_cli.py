@@ -358,6 +358,20 @@ def test_compare_command(tmp_path, capsys):
     assert main(["compare", "--config", str(cfg)]) == 1
 
 
+def test_a_config_file_that_is_not_json_is_named(tmp_path, capsys):
+    # text that is not JSON, or bytes that are not UTF-8, in a --config
+    # file is a config error of either command, reported in one line that
+    # names the file
+    cfg = tmp_path / "bad.json"
+    for text in (b"{bad", b"\xff{}"):
+        cfg.write_bytes(text)
+        for command in ("run", "compare"):
+            assert main([command, "--config", str(cfg)]) == 1, (command, text)
+            err = capsys.readouterr().err
+            assert err.startswith("gladssn: ") and "Traceback" not in err, (command, text)
+            assert err.count("\n") == 1 and str(cfg) in err, (command, text)
+
+
 def test_compare_rejects_non_object_entry(tmp_path, capsys):
     cfg = tmp_path / "cmp.json"
     cfg.write_text(json.dumps([{"problem": "quad"}, 1]))

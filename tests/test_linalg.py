@@ -14,7 +14,7 @@ from gladssn.linalg import (ActiveGram, BorderedBlocks, InnerSolve, MetricB, Met
 from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPart
 from gladssn.problems import make_nmf
 
-from helpers import block_stack, columns
+from helpers import block_stack, columns, minres_handed, trial_outcomes
 
 
 def test_sym_part():
@@ -73,6 +73,10 @@ def test_metric_rejects_bad_matrices():
         MetricB(np.zeros((2, 2)))
     with pytest.raises(MetricError):
         MetricB(np.zeros((2, 3)))
+    # a NaN or inf entry is refused as such, before symmetry or definiteness
+    for bad in (np.nan, np.inf):
+        with pytest.raises(MetricError, match="not finite"):
+            MetricB(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_linop_dense_and_matvec_agree():
@@ -349,21 +353,14 @@ def test_preconditioned_minres_meets_the_same_target(monkeypatch):
     h, dense = matrix_free_bordered(8)
     n = dense.shape[0]
     np.testing.assert_allclose(h.assemble(), dense, rtol=1e-15, atol=1e-15)
-    with_m = []
-    minres = scipy.sparse.linalg.minres
-
-    def seen_minres(*args, M=None, **kwargs):
-        with_m.append(M is not None)
-        return minres(*args, M=M, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "minres", seen_minres)
+    handed = minres_handed(monkeypatch)
     rng = np.random.default_rng(9)
     c = rng.standard_normal((n, n))
     spd = c @ c.T / (4 * n) + 0.5 * np.eye(n)
     for metric, bmat in ((MetricB(), np.eye(n)), (MetricB(spd), spd)):
         reg = Regularized(h, metric)
         assert reg.h is h and not reg.is_dense and reg.is_finite
-        with_m.clear()
+        handed.clear()
         for lam in (0.5, 2.0):
             assert np.min(np.linalg.eigvalsh(dense + lam * bmat)) < 0.0
             rhs = rng.standard_normal(n)
@@ -372,7 +369,7 @@ def test_preconditioned_minres_meets_the_same_target(monkeypatch):
             rho = dense @ s + lam * (bmat @ s) - rhs
             assert metric.dual_norm(rho) <= linalg.THETA * lam * metric.norm(s)
             assert metric.norm(s) > 0.0
-        assert with_m and set(with_m) == {metric.is_identity}
+        assert handed and {scale is not None for *_, scale in handed} == {metric.is_identity}
 
 
 def test_schur_minres_step_solves_the_block_rows_to_rounding():
@@ -412,8 +409,7 @@ def test_both_block_groups_are_inverted_at_every_solves_lam(monkeypatch):
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     nmf = make_nmf(2, d=20, n=10, r=3)
     inverse, distinct = linalg._inverse, linalg._distinct
-    calls, found, preconditioners = [], [], []
-    minres = scipy.sparse.linalg.minres
+    calls, found = [], []
 
     def counted(base, diags, lam):
         calls.append(lam)
@@ -423,13 +419,9 @@ def test_both_block_groups_are_inverted_at_every_solves_lam(monkeypatch):
         found.append(rows.shape)
         return distinct(rows)
 
-    def recorded(*args, M=None, **kwargs):
-        preconditioners.append(M)
-        return minres(*args, M=M, **kwargs)
-
     monkeypatch.setattr(linalg, "_inverse", counted)
     monkeypatch.setattr(linalg, "_distinct", counted_distinct)
-    monkeypatch.setattr(scipy.sparse.linalg, "minres", recorded)
+    handed = minres_handed(monkeypatch)
     rng = np.random.default_rng(10)
     for h, lam0 in ((nmf.smooth.eval_hess(nmf.x0), 1.0), (matrix_free_bordered(11)[0], 0.5)):
         calls.clear()
@@ -439,14 +431,14 @@ def test_both_block_groups_are_inverted_at_every_solves_lam(monkeypatch):
         tail_diag = np.diagonal(scipy.linalg.block_diag(*block_stack(h.tail)))
         lams = (lam0, 16.0 * lam0, lam0 / 16.0)
         for lam in lams:
-            preconditioners.clear()
+            handed.clear()
             rhs = rng.standard_normal(h.shape[0])
             s, _ = reg.solve(lam, rhs)
             rho = np.linalg.norm(reg.apply(lam, s) - rhs)
             assert 0.0 < rho <= linalg.THETA * lam * np.linalg.norm(s)
-            m = columns(preconditioners[0])
-            np.testing.assert_array_equal(m, np.diag(1.0 / (tail_diag + lam)))
-            assert np.min(np.diag(m)) > 0.0
+            (_, _, scale), = handed
+            np.testing.assert_array_equal(scale, 1.0 / (tail_diag + lam))
+            assert np.min(scale) > 0.0
         assert calls == list(lams)
         assert found == [h.blocks[1].shape]
 
@@ -519,22 +511,11 @@ def test_a_tail_diagonal_that_is_not_positive_fails_its_trial(monkeypatch):
         smooth=SmoothOracle(dim=10, eval_f=lambda x: 0.5 * float(x @ x),
                             eval_grad=lambda x: x.copy(), eval_hess=lambda x: h),
         psi=ZeroPart(), x0=rng.standard_normal(10))
-    outcomes = []
-    solve_regularized = ssn.solve_regularized
-
-    def seen(reg, lam, rhs):
-        try:
-            s = solve_regularized(reg, lam, rhs)
-        except SolverStallError as exc:
-            outcomes.append((lam, str(exc)))
-            raise
-        outcomes.append((lam, "solved"))
-        return s
-
-    monkeypatch.setattr(ssn, "solve_regularized", seen)
+    outcomes = trial_outcomes(monkeypatch)
     res = ssn.solve(prob, ssn.SolverConfig(p=0.0, m=1, Lambda0=1.0, max_outer=1))
     stalled = "the tail diagonal of H + lam I is not positive"
-    assert outcomes[:3] == [(1.0, stalled), (4.0, stalled), (16.0, "solved")]
+    assert [(lam, outcome) for _, lam, outcome in outcomes[:3]] == [
+        (1.0, stalled), (4.0, stalled), (16.0, "solved")]
     assert res.iters == 1
 
 
@@ -870,12 +851,16 @@ def test_every_record_names_the_routine_that_ran(monkeypatch):
     # the dense forms' is indefinite, a solve's path is the routine that
     # returned its steps: Cholesky, else LU, else MINRES.  Its iters are the
     # iterations scipy's MINRES reports through its callback, and its
-    # corrections the calls of that routine after the first.  A prox solve's
-    # iters are its prox calls.  Every ratio lies in [0, 1]
+    # corrections the calls of that routine after the first.  A MINRES solve
+    # builds its solve once, in linalg._minres_solver, whose arguments the
+    # other tests read (helpers.minres_handed): scipy is handed an operator
+    # that applies its matvec and an M that applies diag(scale), or None
+    # when scale is None.  A prox solve's iters are its prox calls.  Every
+    # ratio lies in [0, 1]
     forms, lam = every_form()
     indefinite = -0.5 * np.linalg.eigvalsh(forms["ndarray"][0])[0]
-    seen = dict.fromkeys(("cholesky", "lu", "minres", "calls", "iters"), 0)
-    minres = scipy.sparse.linalg.minres
+    seen = dict.fromkeys(("cholesky", "lu", "minres", "factory", "calls", "iters"), 0)
+    minres, factory, handed = scipy.sparse.linalg.minres, linalg._minres_solver, []
 
     def spy(name, solver):
         def spied(m):
@@ -890,16 +875,30 @@ def test_every_record_names_the_routine_that_ran(monkeypatch):
             return counted
         return spied
 
-    def seen_minres(*args, callback, **kwargs):
+    def seen_factory(matvec, n, ticks, scale=None):
+        seen["factory"] += 1
+        handed.append((matvec, scale))
+        return factory(matvec, n, ticks, scale)
+
+    def seen_minres(op, rhs, *, M, callback, **kwargs):
+        matvec, scale = handed[-1]
+        basis = np.eye(op.shape[0])
+        np.testing.assert_array_equal(columns(op), np.column_stack([matvec(e) for e in basis]))
+        if scale is None:
+            assert M is None
+        else:
+            np.testing.assert_array_equal(columns(M), np.diag(scale))
+
         def counted(xk):
             seen["iters"] += 1
             callback(xk)
         seen["minres"] += 1
         seen["calls"] += 1
-        return minres(*args, callback=counted, **kwargs)
+        return minres(op, rhs, M=M, callback=counted, **kwargs)
 
     monkeypatch.setattr(linalg, "_cholesky_solver", spy("cholesky", linalg._cholesky_solver))
     monkeypatch.setattr(linalg, "_lu_solver", spy("lu", linalg._lu_solver))
+    monkeypatch.setattr(linalg, "_minres_solver", seen_factory)
     monkeypatch.setattr(scipy.sparse.linalg, "minres", seen_minres)
     psi, steps = step_recorder()
     rng = np.random.default_rng(23)
@@ -912,6 +911,7 @@ def test_every_record_names_the_routine_that_ran(monkeypatch):
             ran = {name: seen[name] - before[name] for name in seen}
             assert ran["cholesky"] + ran["lu"] + (ran["minres"] > 0) == 1, (label, mu)
             path = next(name for name in ("cholesky", "lu", "minres") if ran[name])
+            assert ran["factory"] == (path == "minres"), (label, mu)
             assert (done.path, done.iters, done.corrections) == (
                 path, ran["iters"], ran["calls"] - 1), (label, mu)
             assert 0.0 <= done.ratio <= 1.0, (label, mu)
@@ -922,6 +922,7 @@ def test_every_record_names_the_routine_that_ran(monkeypatch):
         assert (done.path, done.iters, done.corrections) == ("prox", len(steps), 0), label
         assert 0.0 <= done.ratio <= 1.0, label
     assert paths == {"cholesky", "lu", "minres"}
+    assert {scale is None for _, scale in handed} == {True, False}
 
 
 def test_block_diagonal_adds_onto_its_target():
@@ -947,21 +948,14 @@ def test_matrix_free_products_match_the_assembled_array(monkeypatch):
         want = dense @ v
         assert np.linalg.norm(h @ v - want) <= 1e-12 * np.linalg.norm(want)
     np.testing.assert_allclose(h.assemble(), dense, rtol=1e-15, atol=1e-14)
-    ops = []
-    minres = scipy.sparse.linalg.minres
-
-    def seen_minres(op, *args, **kwargs):
-        ops.append(op)
-        return minres(op, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "minres", seen_minres)
+    handed = minres_handed(monkeypatch)
     a, c = dense[:27, :27], dense[:27, 27:]
     for lam in (0.1, 3.0):
         Regularized(h, MetricB()).solve(lam, rng.standard_normal(42))
         schur = dense[27:, 27:] + lam * np.eye(15) - c.T @ np.linalg.solve(a + lam * np.eye(27), c)
         for p in rng.standard_normal((3, 15)):
             want = schur @ p
-            assert np.linalg.norm(ops[-1].matvec(p) - want) <= 1e-12 * np.linalg.norm(want), lam
+            assert np.linalg.norm(handed[-1][0](p) - want) <= 1e-12 * np.linalg.norm(want), lam
 
 
 def test_bordered_blocks_solve_matches_a_dense_solve(monkeypatch):

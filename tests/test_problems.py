@@ -18,7 +18,8 @@ from gladssn.problems import (DENSE_DIM_MAX, HuberInstance, NmfInstance,
 from gladssn.rng import Rng
 from gladssn.ssn import CONVERGED, SolverConfig, solve
 
-from helpers import block_stack, columns, kink_gap, penalty_violation, quad_optimum
+from helpers import (block_stack, columns, kink_gap, minres_handed, penalty_violation,
+                     quad_optimum)
 
 
 def test_same_seed_is_bitwise_identical():
@@ -154,16 +155,16 @@ def test_nmf_preconditioner_inverts_gauss_newton_blocks(monkeypatch):
     block_u = np.kron(np.eye(d), v.T @ v) + np.diag(shift_u)
     block_v = np.kron(np.eye(n), u.T @ u) + np.diag(shift_v)
     rhs = -p.smooth.eval_grad(x)
-    preconditioners = minres_preconditioners(monkeypatch)
+    handed = minres_handed(monkeypatch)
     reg = Regularized(h, MetricB())
     for lam in (1e-3, 0.7, 30.0):
-        preconditioners.clear()
+        handed.clear()
         reg.solve(lam, rhs)
-        m = columns(preconditioners[0])
+        (_, _, scale), = handed
         tail = scipy.linalg.block_diag(*block_stack(h.tail))
-        np.testing.assert_array_equal(m, np.diag(1.0 / (np.diagonal(tail) + lam)))
-        assert np.min(np.diag(m)) > 0.0
-        err = m @ np.diag(np.diagonal(block_v) + lam) - np.eye(n * r)
+        np.testing.assert_array_equal(scale, 1.0 / (np.diagonal(tail) + lam))
+        assert np.min(scale) > 0.0
+        err = scale * (np.diagonal(block_v) + lam) - 1.0
         assert np.max(np.abs(err)) <= 1e-12
         distinct, which = reg._blocks
         a_inv = scipy.linalg.block_diag(*linalg._inverse(h.blocks[0], distinct, lam)[which])
@@ -171,41 +172,25 @@ def test_nmf_preconditioner_inverts_gauss_newton_blocks(monkeypatch):
         assert np.max(np.abs(err)) <= 1e-12
 
 
-def minres_preconditioners(monkeypatch) -> list:
-    """Patch scipy's MINRES to record the preconditioner M of each call."""
-    seen = []
-    minres = scipy.sparse.linalg.minres
-
-    def recorded(*args, M=None, **kwargs):
-        seen.append(M)
-        return minres(*args, M=M, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "minres", recorded)
-    return seen
-
-
-def test_nmf_preconditioner_cuts_minres_iterations(monkeypatch):
+def test_nmf_preconditioner_cuts_minres_iterations():
     # the Jacobi-preconditioned Schur complement takes fewer MINRES
     # iterations (the record's iters, over all of a solve's calls) than the
-    # same solve with M=None, and at lam = 1 than the whole system
-    # unpreconditioned, each over a third of the variables (at lam = 30, not
-    # asserted, the Schur solves read 13 against 11)
+    # same solve run without its scale (M=None, through helpers.minres_handed),
+    # and at lam = 1 than the whole system unpreconditioned, each over a third
+    # of the variables (at lam = 30, not asserted, the Schur solves read 13
+    # against 11)
     p = make_nmf(1)
     h = p.smooth.eval_hess(p.x0)
     plain = scipy.sparse.linalg.LinearOperator(h.shape, matvec=h.__matmul__, dtype=np.float64)
     rhs = -p.smooth.eval_grad(p.x0)
-    minres = scipy.sparse.linalg.minres
-
-    def without_m(*args, M=None, **kwargs):
-        return minres(*args, **kwargs)
-
     for lam, cases in ((0.1, ("schur", "schur, M=None")),
                        (1.0, ("schur", "schur, M=None", "plain"))):
         totals = {}
         for label in cases:
-            monkeypatch.setattr(scipy.sparse.linalg, "minres",
-                                without_m if label == "schur, M=None" else minres)
-            s, done = Regularized(plain if label == "plain" else h, MetricB()).solve(lam, rhs)
+            with pytest.MonkeyPatch.context() as mp:
+                if label == "schur, M=None":
+                    minres_handed(mp, scale=False)
+                s, done = Regularized(plain if label == "plain" else h, MetricB()).solve(lam, rhs)
             # each stops at the forcing rule ||rho|| <= THETA lam ||s||
             res = np.linalg.norm(h @ s + lam * s - rhs)
             assert res <= linalg.THETA * lam * np.linalg.norm(s) and done.path == "minres"
@@ -258,7 +243,7 @@ def test_nmf_preconditioner_inverts_each_distinct_block_once(monkeypatch):
     }
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     sizes = inv_batch_sizes(monkeypatch)
-    preconditioners = minres_preconditioners(monkeypatch)
+    handed = minres_handed(monkeypatch)
     distinct, found = linalg._distinct, []
 
     def counted_distinct(rows):
@@ -275,16 +260,16 @@ def test_nmf_preconditioner_inverts_each_distinct_block_once(monkeypatch):
         tail_diag = np.diagonal(scipy.linalg.block_diag(*block_stack(h.tail)))
         for lam in (1e-3, 0.7, 30.0):
             sizes.clear()
-            preconditioners.clear()
+            handed.clear()
             reg.solve(lam, rhs)
             assert sizes == [distinct_u], label
             keys, which = reg._blocks
             np.testing.assert_array_equal(linalg._inverse(h.blocks[0], keys, lam)[which],
                                           per_row_inverses(block_stack(h.blocks), lam),
                                           err_msg=label)
-            m = columns(preconditioners[0])
-            np.testing.assert_array_equal(m, np.diag(1.0 / (tail_diag + lam)), err_msg=label)
-            assert np.min(np.diag(m)) > 0.0, label
+            (_, _, scale), = handed
+            np.testing.assert_array_equal(scale, 1.0 / (tail_diag + lam), err_msg=label)
+            assert np.min(scale) > 0.0, label
         assert found == [(d, r)], label
 
 

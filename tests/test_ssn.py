@@ -4,7 +4,6 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from scipy.sparse.linalg import LinearOperator
 
 from gladssn import linalg, problems
@@ -17,8 +16,8 @@ from gladssn.ssn import (CONVERGED, MAXITER, STALLED, NonFiniteError,
                          SolverConfig, acceptance_test, next_Lambda, solve,
                          trial_lambda, trial_step)
 
-from helpers import (FAR_START_LAMBDA0, LAMBDA0_NUDGES, block_stack, columns, quad_optimum,
-                     svm_far_start, svm_with_f_diff)
+from helpers import (FAR_START_LAMBDA0, LAMBDA0_NUDGES, block_stack, minres_handed,
+                     quad_optimum, svm_far_start, svm_with_f_diff, trial_outcomes)
 
 
 def test_trial_lambda():
@@ -935,9 +934,8 @@ def test_matrix_free_run_inverts_the_u_blocks_and_the_tail_diagonal_at_every_tri
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     p = make_nmf(2, d=20, n=10, r=3)
     inverse, distinct = linalg._inverse, linalg._distinct
-    minres, solve_regularized = scipy.sparse.linalg.minres, ssn.solve_regularized
     for m in (1, 3):
-        calls, found, trials, preconditioners = [], [], [], []
+        calls, found = [], []
 
         def counted(base, diags, lam):
             calls.append(lam)
@@ -947,29 +945,20 @@ def test_matrix_free_run_inverts_the_u_blocks_and_the_tail_diagonal_at_every_tri
             found.append(rows.shape)
             return distinct(rows)
 
-        def recorded(*args, M=None, **kwargs):
-            preconditioners.append(M)
-            return minres(*args, M=M, **kwargs)
-
-        def seen(reg, lam, rhs):
-            trials.append((reg.h.tail, lam, len(preconditioners)))
-            return solve_regularized(reg, lam, rhs)
-
         monkeypatch.setattr(linalg, "_inverse", counted)
         monkeypatch.setattr(linalg, "_distinct", counted_distinct)
-        monkeypatch.setattr(scipy.sparse.linalg, "minres", recorded)
-        monkeypatch.setattr(ssn, "solve_regularized", seen)
+        handed, trials = minres_handed(monkeypatch), trial_outcomes(monkeypatch)
         res = solve(p, SolverConfig(m=m, grad_tol=1e-6))
         assert res.status == CONVERGED, m
         assert verify(res).passed, m
         assert calls == [lam for _, lam, _ in trials], m
         assert len(calls) == res.trials > res.hess_evals, m
         assert found == [(20, 3)] * res.hess_evals, m  # the (d, r) diagonals
-        for tail, lam, first in trials:
-            tail_diag = np.diagonal(scipy.linalg.block_diag(*block_stack(tail)))
-            precond = columns(preconditioners[first])
-            np.testing.assert_array_equal(precond, np.diag(1.0 / (tail_diag + lam)))
-            assert np.min(np.diag(precond)) > 0.0, m
+        assert len(handed) == len(trials), m  # one MINRES solve per trial
+        for (reg, lam, _), (_, _, scale) in zip(trials, handed):
+            tail_diag = np.diagonal(scipy.linalg.block_diag(*block_stack(reg.h.tail)))
+            np.testing.assert_array_equal(scale, 1.0 / (tail_diag + lam))
+            assert np.min(scale) > 0.0, m
 
 
 def test_singular_diagonal_block_fails_its_trial(monkeypatch):
@@ -982,22 +971,10 @@ def test_singular_diagonal_block_fails_its_trial(monkeypatch):
         smooth=SmoothOracle(dim=2, eval_f=lambda x: 0.5 * float(x @ x),
                             eval_grad=lambda x: x.copy(), eval_hess=lambda x: h),
         psi=ZeroPart(), x0=np.array([0.6, 0.8]))
-    outcomes = []
-    solve_regularized = ssn.solve_regularized
-
-    def seen(reg, lam, rhs):
-        try:
-            s = solve_regularized(reg, lam, rhs)
-        except SolverStallError as exc:
-            outcomes.append((lam, str(exc)))
-            raise
-        outcomes.append((lam, "solved"))
-        return s
-
-    monkeypatch.setattr(ssn, "solve_regularized", seen)
+    outcomes = trial_outcomes(monkeypatch)
     res = solve(prob, SolverConfig(p=1.0, m=1, max_outer=1))
-    assert outcomes[:2] == [(1.0, "a diagonal block of H + lam I is singular"),
-                            (4.0, "solved")]
+    assert [(lam, outcome) for _, lam, outcome in outcomes[:2]] == [
+        (1.0, "a diagonal block of H + lam I is singular"), (4.0, "solved")]
     assert res.iters == 1 and res.trials == 2
     assert verify(res).passed
 
