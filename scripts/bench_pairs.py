@@ -26,7 +26,8 @@ per side, is no larger than the parent's, since a gain does not count when
 more solves fail.  Each pair's two reports are compared in this process by
 the compare of scripts/same_trajectories.py, with --rel-tol when given.
 The line count of src/gladssn that each side's reports record is printed
-with the change's difference from the parent, the line delta of a change.
+with the change's difference from the parent, the line delta of a change,
+and beside it the same for tests/*.py, counted in each side's tree.
 A change is also refused when a run's check reads correct false or when
 its largest failed count exceeds the parent's; each such finding is printed
 as one line that starts with the workload's name.  Exits 1 when a bench run
@@ -169,6 +170,10 @@ def compare_pairs(workload: str, trees: dict, args, tmp: Path) -> tuple[bool, li
     count = {side: json.loads((tmp / f"pair1-{side}.json").read_text())
              ["environment"]["src_gladssn_lines"] for side in trees}
     print(f"src/gladssn lines: parent {count['parent']}, change {count['change']}, "
+          f"{count['change'] - count['parent']:+d}")
+    count = {side: sum(len(path.read_text().splitlines())
+                       for path in (tree / "tests").glob("*.py")) for side, tree in trees.items()}
+    print(f"tests lines: parent {count['parent']}, change {count['change']}, "
           f"{count['change'] - count['parent']:+d}")
     print("\n".join(summary(runs)))
     print(f"trajectories: {'every pair agrees' if agree else 'some pair differs'}")

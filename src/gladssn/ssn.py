@@ -230,8 +230,12 @@ def step_inequalities(pairing, g_next, r, lam, decrease, g) -> dict:
     """The five inequalities of a step x_k -> x_+, each as (lhs, rhs), lhs >= rhs.
 
     g and g_next are the gradient norms at x_k and x_+, r = ||x_k - x_+||,
-    pairing = <F'(x_+), x_k - x_+> and decrease = F(x_k) - F(x_+).  The first
-    two are the acceptance test and imply the rest; floats or arrays.
+    pairing = <F'(x_+), x_k - x_+> and decrease = F(x_k) - F(x_+); floats
+    or arrays.  The first two are the acceptance test.  They imply step_grad
+    (the pairing is at most g_next r) and value_gain.  no_overshoot also
+    needs lam r <= g, which the model step gives only where H is positive
+    semidefinite, and then only up to a factor 1 / (1 - THETA) under the
+    forcing rule (linalg.THETA); where H is indefinite it can fail.
     """
     return {
         "pairing": (pairing, g_next * g_next / (2.0 * lam)),

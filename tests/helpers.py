@@ -1,15 +1,27 @@
 """Shared helpers for the test suite."""
 
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 from gladssn import linalg, ssn
-from gladssn.linalg import SolverStallError
+from gladssn.linalg import ActiveGram, SolverStallError
+from gladssn.oracle import SeparableProx
 from gladssn.problems import HuberInstance, NmfInstance, QuadInstance, SvmInstance, make_svm
 from gladssn.rng import _mix_in_place
 from gladssn.ssn import TraceRecord
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+# The seams the spies below wrap, as the library defines them: a spy
+# installed twice in one test replaces the first instead of wrapping it.
+_MINRES_SOLVER, _TRIAL_STEP = linalg._minres_solver, ssn.trial_step
+_INVERSE, _DISTINCT, _ASSEMBLE = linalg._inverse, linalg._distinct, ActiveGram.assemble
+_EIGH = {mod: mod.eigh for mod in (np.linalg, scipy.linalg)}
 
 # Factors on a run's Lambda0: itself, and one part in 2^40 above it.  A test
 # that runs at both shows that its property does not hang on the last bits
@@ -77,11 +89,10 @@ def minres_handed(monkeypatch, scale=True):
     With scale=False the solve runs without the Jacobi scale (scipy's M is
     None), while the record keeps the scale the library handed."""
     handed = []
-    factory = linalg._minres_solver
 
     def spied(matvec, n, ticks, given=None):
         handed.append((matvec, n, given))
-        return factory(matvec, n, ticks, given if scale else None)
+        return _MINRES_SOLVER(matvec, n, ticks, given if scale else None)
 
     monkeypatch.setattr(linalg, "_minres_solver", spied)
     return handed
@@ -91,11 +102,10 @@ def trial_outcomes(monkeypatch):
     """Spy on ssn.trial_step: record (reg, lam, outcome) per trial, outcome
     "solved" or the message of the SolverStallError the trial raised."""
     seen = []
-    trial_step = ssn.trial_step
 
     def spied(x, f_grad, reg, lam, *args, **kwargs):
         try:
-            step = trial_step(x, f_grad, reg, lam, *args, **kwargs)
+            step = _TRIAL_STEP(x, f_grad, reg, lam, *args, **kwargs)
         except SolverStallError as exc:
             seen.append((reg, lam, str(exc)))
             raise
@@ -104,6 +114,67 @@ def trial_outcomes(monkeypatch):
 
     monkeypatch.setattr(ssn, "trial_step", spied)
     return seen
+
+
+def block_inversions(monkeypatch, dedupe=True):
+    """Spy on a block group's two seams: record the lam of each
+    linalg._inverse call, made per solve, and the shape of the rows handed
+    to each linalg._distinct call, made per refresh; (lams, shapes).  With
+    dedupe=False every block is taken as distinct."""
+    lams, shapes = [], []
+
+    def inverse(base, diags, lam):
+        lams.append(lam)
+        return _INVERSE(base, diags, lam)
+
+    def distinct(rows):
+        shapes.append(rows.shape)
+        return _DISTINCT(rows) if dedupe else (rows, np.arange(len(rows)))
+
+    monkeypatch.setattr(linalg, "_inverse", inverse)
+    monkeypatch.setattr(linalg, "_distinct", distinct)
+    return lams, shapes
+
+
+def full_assemblies(monkeypatch):
+    """Spy on ActiveGram.assemble: record each Gram assembled in full."""
+    grams = []
+
+    def assemble(gram):
+        grams.append(gram)
+        return _ASSEMBLE(gram)
+
+    monkeypatch.setattr(ActiveGram, "assemble", assemble)
+    return grams
+
+
+def eigh_calls(monkeypatch) -> dict:
+    """Count eigh calls, numpy's and scipy's, from here on: no route runs one."""
+    calls = {"eigh": 0}
+    for mod, eigh in _EIGH.items():
+        def counted(*args, _eigh=eigh, **kwargs):
+            calls["eigh"] += 1
+            return _eigh(*args, **kwargs)
+        monkeypatch.setattr(mod, "eigh", counted)
+    return calls
+
+
+def counted_l1(weight):
+    """||.||_1 times weight as a SeparableProx, with its prox calls counted."""
+    calls = [0]
+
+    def prox(v, t):
+        calls[0] += 1
+        return np.sign(v) * np.maximum(np.abs(v) - weight * t, 0.0)
+    return SeparableProx(prox, lambda x: weight * float(np.sum(np.abs(x)))), calls
+
+
+def load_spans():
+    """perfbench/spans.py, the benchmark's span tracer, loaded as it is."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def block_stack(group):

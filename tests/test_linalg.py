@@ -14,7 +14,8 @@ from gladssn.linalg import (ActiveGram, BorderedBlocks, InnerSolve, MetricB, Met
 from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPart
 from gladssn.problems import make_nmf
 
-from helpers import block_stack, columns, minres_handed, trial_outcomes
+from helpers import (block_inversions, block_stack, columns, eigh_calls, full_assemblies,
+                     minres_handed, trial_outcomes)
 
 
 def test_sym_part():
@@ -79,7 +80,7 @@ def test_metric_rejects_bad_matrices():
             MetricB(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
-def test_linop_dense_and_matvec_agree():
+def test_dense_and_matvec_hessians_agree():
     # a matrix-free LinearOperator is applied like the dense array it stands for
     a = np.array([[2.0, 1.0], [1.0, 3.0]])
     mv = LinearOperator((2, 2), matvec=lambda v: a @ v, dtype=np.float64)
@@ -171,14 +172,7 @@ def test_unchanged_mask_keeps_the_previous_refresh():
 
 
 def test_refresh_updates_a_small_churn_and_assembles_otherwise(monkeypatch):
-    assembled = []
-    assemble = ActiveGram.assemble
-
-    def counted(gram):
-        assembled.append(gram)
-        return assemble(gram)
-
-    monkeypatch.setattr(ActiveGram, "assemble", counted)
+    assembled = full_assemblies(monkeypatch)
     rows = np.random.default_rng(0).standard_normal((60, 8))
     first = Regularized(active_gram(0, 1, rows=rows), MetricB())
     mask = first.gram.mask.copy()
@@ -408,19 +402,7 @@ def test_both_block_groups_are_inverted_at_every_solves_lam(monkeypatch):
     # Hessian and on an indefinite H
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     nmf = make_nmf(2, d=20, n=10, r=3)
-    inverse, distinct = linalg._inverse, linalg._distinct
-    calls, found = [], []
-
-    def counted(base, diags, lam):
-        calls.append(lam)
-        return inverse(base, diags, lam)
-
-    def counted_distinct(rows):
-        found.append(rows.shape)
-        return distinct(rows)
-
-    monkeypatch.setattr(linalg, "_inverse", counted)
-    monkeypatch.setattr(linalg, "_distinct", counted_distinct)
+    calls, found = block_inversions(monkeypatch)
     handed = minres_handed(monkeypatch)
     rng = np.random.default_rng(10)
     for h, lam0 in ((nmf.smooth.eval_hess(nmf.x0), 1.0), (matrix_free_bordered(11)[0], 0.5)):
@@ -559,17 +541,6 @@ def test_bordered_blocks_rejects_parts_that_do_not_fit():
         BorderedBlocks((np.eye(2), np.zeros(2)), products, group)
 
 
-def _count_calls(monkeypatch) -> dict:
-    """Count eigh calls, numpy's and scipy's, from here on: no route runs one."""
-    calls = {"eigh": 0}
-    for mod in (np.linalg, scipy.linalg):
-        def wrapper(*args, _fn=mod.eigh, **kwargs):
-            calls["eigh"] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(mod, "eigh", wrapper)
-    return calls
-
-
 def _factored(monkeypatch) -> list:
     """A copy of every matrix handed to linalg._direct_solver from here on."""
     matrices = []
@@ -593,7 +564,7 @@ def test_cholesky_pivot_test_declines_a_tiny_pivot(monkeypatch):
     assert np.all(np.diag(np.linalg.cholesky(shifted)) > 0.0)
     assert linalg._cholesky_solver(shifted) is None
     assert linalg._lu_solver(shifted) is None
-    calls = _count_calls(monkeypatch)
+    calls = eigh_calls(monkeypatch)
     reg = Regularized(h_mat, MetricB())
     # the direct solve's message, raised once LU has declined H + lam I too
     with pytest.raises(SolverStallError, match="H \\+ 5.000e-01 B is singular") as exc:
@@ -966,7 +937,7 @@ def test_bordered_blocks_solve_matches_a_dense_solve(monkeypatch):
     lam_min = np.linalg.eigvalsh(dense)[0]
     assert lam_min < -0.5
     factored = _factored(monkeypatch)
-    calls = _count_calls(monkeypatch)
+    calls = eigh_calls(monkeypatch)
     rhs = np.random.default_rng(14).standard_normal(42)
     reg = Regularized(h, MetricB())
     assert reg.h is h and reg.is_dense and reg.is_finite
@@ -997,7 +968,7 @@ def test_both_dense_forms_take_one_cholesky_then_lu_order(monkeypatch):
     lam_min = np.linalg.eigvalsh(dense)[0]
     rhs = np.random.default_rng(15).standard_normal(42)
     factored = _factored(monkeypatch)
-    calls = _count_calls(monkeypatch)
+    calls = eigh_calls(monkeypatch)
     steps, orders = {}, {}
     for form in (h, dense):
         reg = Regularized(form, MetricB())
@@ -1030,7 +1001,7 @@ def test_bordered_blocks_with_a_singular_schur_complement_stall():
 def test_solve_regularized_zero_rhs(monkeypatch):
     # a zero right-hand side returns the zero step without factoring, even
     # for a singular H + lam I: its record names no route
-    calls = _count_calls(monkeypatch)
+    calls = eigh_calls(monkeypatch)
     for h in (np.diag([1.0, 2.0]), np.diag([-1.0, 1.0])):
         reg = Regularized(h, MetricB())
         s, done = reg.solve(1.0, np.zeros(2))
@@ -1139,7 +1110,7 @@ def test_reused_operator_solves_indefinite_shift_directly(monkeypatch):
     rhs = np.array([1.0, -2.0, 0.5, 3.0])
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(h_mat + 1.5 * np.eye(4))
-    calls = _count_calls(monkeypatch)
+    calls = eigh_calls(monkeypatch)
     reg = Regularized(h_mat, MetricB())
     for lam, path in ((1.5, "lu"), (2.5, "lu"), (3.5, "cholesky"), (10.0, "cholesky")):
         s, done = reg.solve(lam, rhs)

@@ -18,8 +18,8 @@ from gladssn.problems import (DENSE_DIM_MAX, HuberInstance, NmfInstance,
 from gladssn.rng import Rng
 from gladssn.ssn import CONVERGED, SolverConfig, solve
 
-from helpers import (block_stack, columns, kink_gap, minres_handed, penalty_violation,
-                     quad_optimum)
+from helpers import (block_inversions, block_stack, columns, kink_gap, minres_handed,
+                     penalty_violation, quad_optimum)
 
 
 def test_same_seed_is_bitwise_identical():
@@ -244,13 +244,7 @@ def test_nmf_preconditioner_inverts_each_distinct_block_once(monkeypatch):
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     sizes = inv_batch_sizes(monkeypatch)
     handed = minres_handed(monkeypatch)
-    distinct, found = linalg._distinct, []
-
-    def counted_distinct(rows):
-        found.append(rows.shape)
-        return distinct(rows)
-
-    monkeypatch.setattr(linalg, "_distinct", counted_distinct)
+    _, found = block_inversions(monkeypatch)
     for label, (x, distinct_u) in points.items():
         h = p.smooth.eval_hess(x)
         found.clear()
@@ -280,21 +274,14 @@ def test_nmf_matfree_trace_unchanged_by_the_deduplicated_preconditioner(monkeypa
     # and the distinct U blocks are found once per refresh
     monkeypatch.setattr(problems, "DENSE_DIM_MAX", 0)
     p = make_nmf(3, d=20, n=12, r=3)
-    distinct, found = linalg._distinct, []
-
-    def counted_distinct(rows):
-        found.append(rows.shape)
-        return distinct(rows)
-
     sizes = inv_batch_sizes(monkeypatch)
     for m in (1, 3):
         config = SolverConfig(p=0.5, m=m, grad_tol=1e-4)
-        monkeypatch.setattr(linalg, "_distinct", lambda rows: (rows, np.arange(len(rows))))
+        block_inversions(monkeypatch, dedupe=False)
         want = solve(p, config)
         assert sizes and set(sizes) == {20}
         sizes.clear()
-        found.clear()
-        monkeypatch.setattr(linalg, "_distinct", counted_distinct)
+        _, found = block_inversions(monkeypatch)
         got = solve(p, config)
         assert got.status == want.status == CONVERGED and got.iters >= 10
         assert len(sizes) == got.trials and min(sizes) < 12

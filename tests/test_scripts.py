@@ -159,11 +159,13 @@ def test_bench_pairs_runs_both_sides_and_compares_trajectories(tmp_path):
                        if line.startswith(f"{name} ") and "sign-test p" in line)
         assert re.fullmatch(rf"{name} +change (lower|higher) in [01] of 1 pairs; .*; median gain "
                             r"\S+ (>|<=) parent IQR \S+; .*; claim rule not met", verdict), verdict
-    assert re.fullmatch(r"largest failed: parent (\d+), change \1", lines[lines.index(
-        next(line for line in lines if line.startswith("src/gladssn lines:"))) + 1])
-    count = sum(len(path.read_text().splitlines())
-                for path in (clone / "src" / "gladssn").glob("*.py"))
-    assert f"src/gladssn lines: parent {count}, change {count}, +0" in lines
+    counts = [line for line in lines if line.startswith(("src/gladssn lines:", "tests lines:"))]
+    assert re.fullmatch(r"largest failed: parent (\d+), change \1",
+                        lines[lines.index(counts[-1]) + 1])
+    src, tests = (sum(len(path.read_text().splitlines()) for path in (clone / tree).glob("*.py"))
+                  for tree in ("src/gladssn", "tests"))
+    assert counts == [f"src/gladssn lines: parent {src}, change {src}, +0",
+                      f"tests lines: parent {tests}, change {tests}, +0"]
     assert lines[-1] == "trajectories: every pair agrees"
     for tree, entries in before.items():
         added = {entry for entry in repository_files(tree) - entries
