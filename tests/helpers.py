@@ -15,8 +15,6 @@ from gladssn.problems import HuberInstance, NmfInstance, QuadInstance, SvmInstan
 from gladssn.rng import _mix_in_place
 from gladssn.ssn import TraceRecord
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
 # The seams the spies below wrap, as the library defines them: a spy
 # installed twice in one test replaces the first instead of wrapping it.
 _MINRES_SOLVER, _TRIAL_STEP = linalg._minres_solver, ssn.trial_step
@@ -171,7 +169,8 @@ def counted_l1(weight):
 
 def load_spans():
     """perfbench/spans.py, the benchmark's span tracer, loaded as it is."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
