@@ -192,7 +192,7 @@ class ActiveGram:
             got = f"{mask.dtype} {mask.shape}" if isinstance(mask, np.ndarray) else _shape(mask)
             raise ValueError(f"mask must be a boolean array of shape ({rows.shape[0]},), "
                              f"one entry per row, got {got}")
-        self.rows = rows
+        self.rows = rows.astype(np.float64, copy=False)  # a float64 array is kept as is
         self.mask = mask
         self.shift = float(shift)
         self.shape = (rows.shape[1], rows.shape[1])
@@ -232,13 +232,14 @@ class BorderedBlocks:
             if coupling.shape != (self.split, m):
                 raise ValueError(f"block groups of {self.split} and {m} rows take a coupling "
                                  f"of shape ({self.split}, {m}), got {coupling.shape}")
+            coupling = coupling.astype(np.float64, copy=False)
         elif not (isinstance(coupling, tuple) and len(coupling) == 2
                   and all(map(callable, coupling))):
             raise ValueError("coupling is an array or a (matvec, rmatvec) pair, "
                              f"got {type(coupling).__name__}")
-        self.blocks = blocks
+        self.blocks, self.tail = (tuple(a.astype(np.float64, copy=False) for a in group)
+                                  for group in (blocks, tail))  # float64 arrays are kept as is
         self.coupling = coupling
-        self.tail = tail
         self.shape = (self.split + m,) * 2
 
     @property

@@ -541,6 +541,34 @@ def test_bordered_blocks_rejects_parts_that_do_not_fit():
         BorderedBlocks((np.eye(2), np.zeros(2)), products, group)
 
 
+def test_integer_parts_solve_as_their_float_form():
+    # an integer part is taken as float64 when a form is built: a refresh
+    # once added its float shift into it in place and failed with numpy's
+    # casting error.  The integer form's step matches the float form's bit
+    # for bit, and a float64 part is kept as the array given
+    rows, mask = np.arange(12).reshape(4, 3), np.array([True, False, True, True])
+    blocks = (np.eye(2, dtype=int), np.array([[1, 2], [3, 4], [1, 2]]))
+    tail = (2 * np.eye(2, dtype=int), np.array([[1, 1]]))
+    coupling = np.arange(12).reshape(6, 2) % 3
+    products = (lambda p: coupling @ p, lambda q: coupling.T @ q)
+    parts = (rows, *blocks, *tail, coupling)
+    as_float = {id(a): a.astype(np.float64) for a in parts}
+
+    def forms(cast):
+        group, rest = tuple(map(cast, blocks)), tuple(map(cast, tail))
+        return (ActiveGram(cast(rows), mask, shift=0.5),
+                BorderedBlocks(group, cast(coupling), rest), BorderedBlocks(group, products, rest))
+
+    real = forms(lambda a: as_float[id(a)])
+    for whole, h in zip(forms(lambda a: a), real):
+        rhs = np.arange(h.shape[0]) - 1.5
+        step, _ = Regularized(whole, MetricB()).solve(1.0, rhs)
+        np.testing.assert_array_equal(step, Regularized(h, MetricB()).solve(1.0, rhs)[0])
+    gram, dense, _ = real
+    for kept, given in zip((gram.rows, *dense.blocks, *dense.tail, dense.coupling), parts):
+        assert kept is as_float[id(given)]
+
+
 def _factored(monkeypatch) -> list:
     """A copy of every matrix handed to linalg._direct_solver from here on."""
     matrices = []

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -848,6 +849,7 @@ WRONG_SIZE = [
     (make_nmf, "d", 4.0, "an integer, got 4.0"), (make_nmf, "r", 2.5, "an integer, got 2.5"),
     (make_svm, "ell", math.inf, "an integer, got inf"), (make_huber, "m", "6", "an integer, got '6'"),
     (make_quadratic, "n", math.inf, "an integer, got inf"),
+    (make_quadratic, "n", 10**54, f"at most {sys.maxsize}, got {10**54}"),  # numpy cannot index it
 ]
 WRONG_PARAMETER = [
     (make_quadratic, "cond", "3", "a number, got '3'"),
@@ -855,6 +857,7 @@ WRONG_PARAMETER = [
     (make_quadratic, "cond", 10**400, "finite, got an integer beyond float range"),
     (make_nmf, "alpha", math.inf, "finite, got inf"), (make_svm, "gamma", "1", "a number, got '1'"),
     (make_huber, "ridge", math.inf, "finite, got inf"),
+    (make_nmf, "alpha", True, "a number, got True"),  # a bool is not a number
 ]
 
 

@@ -206,19 +206,6 @@ def test_solve_max_outer_zero():
     assert res.iters == 0 and res.trace == [] and res.hess_evals == 0
 
 
-def test_lazy_hessian_count():
-    p = make_quadratic(1)
-    for m in (1, 2, 4, 5, 10):
-        res = solve(p, SolverConfig(p=0.5, m=m, grad_tol=0.0, max_outer=6))
-        assert res.status == MAXITER
-        assert res.iters == 6
-        k_last = res.trace[-1].k
-        assert res.hess_evals == k_last // m + 1
-        # per-row counter is the number of refreshes up to that iteration
-        for row in res.trace:
-            assert row.hess_evals == row.k // m + 1
-
-
 def assembled(problem):
     """problem with its BorderedBlocks Hessian handed over as the dense array."""
     hess = problem.smooth.eval_hess
@@ -241,21 +228,6 @@ def test_decomposition_schedule(monkeypatch):
             assert set(res.inner) <= {"cholesky", "lu"}, m
             assert sum(solves for solves, _, _ in res.inner.values()) == res.trials, m
             assert calls == {"eigh": 0}, m
-
-
-def test_lazy_runs_match_eager_on_constant_hessian():
-    # the quadratic's Hessian never changes, so m > 1 must reproduce the
-    # m = 1 trajectory bit for bit
-    p = make_quadratic(3)
-    r1 = solve(p, SolverConfig(p=0.5, m=1, grad_tol=1e-10))
-    r3 = solve(p, SolverConfig(p=0.5, m=3, grad_tol=1e-10))
-    assert r1.status == r3.status and r1.iters == r3.iters
-    np.testing.assert_array_equal(r1.x, r3.x)
-    for a, b in zip(r1.trace, r3.trace):
-        assert (a.k, a.j_k, a.lambda_k, a.Lambda_k, a.f_val, a.F_val, a.g_k,
-                a.r_k, a.inner_prod, a.trials) == \
-               (b.k, b.j_k, b.lambda_k, b.Lambda_k, b.f_val, b.F_val, b.g_k,
-                b.r_k, b.inner_prod, b.trials)
 
 
 def test_convex_step_bound_and_counting():
