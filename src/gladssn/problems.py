@@ -305,13 +305,6 @@ def _nmf_problem(inst: NmfInstance) -> CompositeProblem:
 
 # ----------------------------------------------------------------------- svm
 
-# Values per Rng.normal call when make_svm fills its feature store, rounded
-# down to an even number of rows: every call then takes whole Box-Muller
-# pairs, so the values equal one draw of the whole matrix, and the draw's
-# temporaries stay small against the store.
-_SVM_DRAW_VALUES = 2**13
-
-
 def _bordered_store(feats) -> np.ndarray:
     """The C-contiguous (ell, n+1) store whose first n columns are feats and last ones.
 
@@ -335,20 +328,17 @@ def make_svm(seed: int, n: int = 200, ell: int = 10000,
              gamma: float = 1e4) -> CompositeProblem:
     """L2-hinge SVM on two gaussian blobs separated along the first axis.
 
-    Draw order from Rng(seed): features G (ell x n, normal), drawn row block
-    by row block into the instance's bordered store with the values of one
-    draw.  Labels are +1 for the first ceil(ell/2) rows and -1 for the rest;
-    the first feature is shifted by 1.5 * label.  Variables x = (omega, b):
+    Draw order from Rng(seed): features G (ell x n, normal), drawn straight
+    into the instance's bordered store.  Labels are +1 for the first
+    ceil(ell/2) rows and -1 for the rest; the first feature is shifted by
+    1.5 * label.  Variables x = (omega, b):
 
         0.5 ||omega||^2 + gamma * sum_i max(0, 1 - y_i (omega^T x_i + b))^2
     """
     _check_domain("make_svm", n=n, ell=ell, gamma=gamma)
     rng = Rng(seed)
     store = np.empty((ell, n + 1))
-    rows = max(2, _SVM_DRAW_VALUES // n // 2 * 2)
-    for start in range(0, ell, rows):
-        stop = min(start + rows, ell)
-        store[start:stop, :n] = rng.normal((stop - start, n))
+    rng.normal(out=store[:, :n])
     store[:, n] = 1.0
     labels = np.ones(ell)
     labels[(ell + 1) // 2:] = -1.0

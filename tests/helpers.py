@@ -284,7 +284,8 @@ def opnorm_est(matvec, n: int, iters: int = 50) -> float:
     repeated calls agree bitwise.  The estimate is a lower bound on the true
     norm; callers that need an upper bound should add their own headroom.
     """
-    z = _mix_in_place(np.arange(1, n + 1, dtype=np.uint64))
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    _mix_in_place(z, np.empty_like(z))
     v = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53 - 0.5
     nv = np.linalg.norm(v)
     if nv == 0.0:

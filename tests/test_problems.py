@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from gladssn import linalg, problems
+from gladssn import linalg, problems, rng
 from gladssn.linalg import BorderedBlocks, MetricB, Regularized
 from gladssn.problems import (DENSE_DIM_MAX, HuberInstance, NmfInstance,
                               QuadInstance, SvmInstance, load_instance, make_huber, make_nmf,
@@ -464,16 +465,18 @@ def test_svm_hessian_is_the_labelled_gram():
     assert 0 < np.count_nonzero(active) < 300
 
 
-def test_make_svm_draws_whole_pairs_into_one_store():
-    # an odd n that fits an odd number of rows in one draw, and an ell over
-    # several draws, the last one of an odd count: the features equal one
-    # draw of the whole matrix
+def test_make_svm_draws_whole_pairs_into_one_store(monkeypatch):
+    # an odd n, so Box-Muller pairs straddle rows, and an odd count large
+    # enough to split among three threads, whose blocks end mid-row: the
+    # features equal one serial draw of the whole matrix
     n = 17
-    assert problems._SVM_DRAW_VALUES // n % 2 == 1
-    rows = problems._SVM_DRAW_VALUES // n // 2 * 2
-    ell = 2 * rows + rows // 2 + 1
-    inst = make_svm(5, n=n, ell=ell).instance
+    ell = rng._THREADED_VALUES // n + 1
+    assert ell * n % 2 == 1 and ell * n >= rng._THREADED_VALUES
+    assert rng._NORMAL_BLOCK % n
+    monkeypatch.setattr(rng, "_cpu_count", lambda: 1)
     want = Rng(5).normal((ell, n))
+    monkeypatch.setattr(rng, "_cpu_count", lambda: 3)
+    inst = make_svm(5, n=n, ell=ell).instance
     want[:, 0] += 1.5 * inst.y
     np.testing.assert_array_equal(inst.X, want)
     # X is the first n columns of a C-contiguous store whose last column is ones
@@ -486,21 +489,51 @@ def test_make_svm_draws_whole_pairs_into_one_store():
     np.testing.assert_array_equal(plain.X, want)
 
 
-def test_svm_memory_holds_one_feature_matrix():
-    # set-up holds the store and one small draw at a time, and the Hessian
-    # at x0, where every row is active, copies no rows
-    tracemalloc.start()
-    try:
-        p = make_svm(1, n=50, ell=4000)
-        peak = tracemalloc.get_traced_memory()[1]
-        feats_bytes = p.instance.X.nbytes
-        assert peak < 1.5 * feats_bytes
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        p.smooth.eval_hess(p.x0)
-        assert tracemalloc.get_traced_memory()[1] - before < 0.1 * feats_bytes
-    finally:
-        tracemalloc.stop()
+def test_threaded_make_svm_draws_only_in_the_calling_thread(monkeypatch):
+    # a tracer wraps Rng.normal and Rng.uniform and keeps one span stack
+    # for all threads, so only the calling thread may enter them; a draw
+    # splits among the threads it starts and has joined them when it returns
+    entered, pools = [], []
+    for method in ("normal", "uniform"):
+        def spied(self, *args, _draw=getattr(Rng, method), **kwargs):
+            before = threading.active_count()
+            values = _draw(self, *args, **kwargs)
+            entered.append((threading.get_ident(), threading.active_count() - before))
+            return values
+        monkeypatch.setattr(Rng, method, spied)
+
+    class Pool(rng.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(rng, "_cpu_count", lambda: 2)
+    before = threading.active_count()
+    make_svm(1)
+    assert threading.active_count() == before
+    assert pools == [1]
+    assert entered == [(threading.get_ident(), 0)]
+
+
+def test_svm_memory_holds_one_feature_matrix(monkeypatch):
+    # set-up holds the store and small scratch, also at the default size
+    # split among the most threads a draw starts, and the Hessian at x0,
+    # where every row is active, copies no rows
+    monkeypatch.setattr(rng, "_cpu_count", lambda: rng._MAX_THREADS)
+    for kw in ({"n": 50, "ell": 4000}, {}):
+        tracemalloc.start()
+        try:
+            p = make_svm(1, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+            feats_bytes = p.instance.X.nbytes
+            assert peak < 1.5 * feats_bytes, kw
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            p.smooth.eval_hess(p.x0)
+            assert tracemalloc.get_traced_memory()[1] - before < 0.1 * feats_bytes, kw
+        finally:
+            tracemalloc.stop()
 
 
 def test_svm_labels_must_be_plus_or_minus_one(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ def test_mix64_matches_pure_python():
     # the in-place finalizer, elementwise on a uint64 array, which it returns
     words = [0, 1, 42, 2**63, MASK, 0xDEADBEEFCAFEBABE]
     z = np.array(words, dtype=np.uint64)
-    out = rng._mix_in_place(z)
+    out = rng._mix_in_place(z, np.empty_like(z))
     assert out is z
     assert [int(o) for o in out] == [mix64_py(w) for w in words]
 
@@ -124,18 +125,25 @@ def normal_unblocked(seed, skip, q):
     return out[:q]
 
 
-def test_blocked_normal_draw_equals_the_unblocked_recipe():
-    # normal() draws by blocks of rng._NORMAL_BLOCK uniforms; a draw that
-    # spans block boundaries equals the recipe computed in one piece bit
-    # for bit, for an odd count too, and the stream continues after it
+def test_blocked_normal_draw_equals_the_unblocked_recipe(monkeypatch):
+    # normal() draws by blocks of rng._NORMAL_BLOCK uniforms and splits a
+    # draw of rng._THREADED_VALUES values or more among threads, one per
+    # CPU; a draw that spans block boundaries equals the recipe computed in
+    # one piece bit for bit, for an odd count too, on this process's CPUs,
+    # on one and on three, and the stream continues after it
     block = rng._NORMAL_BLOCK
-    assert block % 2 == 0
-    r = Rng(21)
-    skip = 0
-    for q in (2 * block + 1, block - 1, block, 3):
-        np.testing.assert_array_equal(r.normal(size=q), normal_unblocked(21, skip, q))
-        skip += 2 * ((q + 1) // 2)
-    assert r.uniform() == uniform_py(21, skip)
+    threaded = rng._THREADED_VALUES + block // 2 + 1
+    assert block % 2 == 0 and threaded % 2 == 1
+    counts = (2 * block + 1, threaded, block - 1, block, 3)
+    skips = list(itertools.accumulate((2 * ((q + 1) // 2) for q in counts), initial=0))
+    want = [normal_unblocked(21, skip, q) for skip, q in zip(skips, counts)]
+    for cpus in (None, 1, 3):
+        if cpus is not None:
+            monkeypatch.setattr(rng, "_cpu_count", lambda: cpus)
+        r = Rng(21)
+        for q, values in zip(counts, want):
+            np.testing.assert_array_equal(r.normal(size=q), values, err_msg=f"cpus {cpus}")
+        assert r.uniform() == uniform_py(21, skips[-1])
 
 
 @pytest.mark.parametrize("size, shape", [
@@ -165,3 +173,20 @@ def test_a_negative_size_is_refused_before_the_stream_moves(size):
         with pytest.raises(ValueError, match="negative dimensions"):
             getattr(r, method)(size)
         np.testing.assert_array_equal(r.uniform(size=3), Rng(13).uniform(size=3), err_msg=method)
+
+
+@pytest.mark.parametrize("out, size", [
+    (np.empty((4, 6), dtype=np.float32), None), (np.empty(24), None),
+    (np.empty((2, 3, 4)), None), (np.empty((4, 6), order="F"), None),
+    (np.empty((4, 12))[:, ::2], None), (np.empty((4, 6)), (6, 4)),
+    (np.zeros((4, 6)).view(np.int64), None), ([[0.0] * 6] * 4, None),
+    (np.broadcast_to(np.zeros(6), (4, 6)), None)])
+def test_a_bad_out_is_refused_before_the_stream_moves(out, size):
+    # normal(out=) takes a writeable 2-d float64 array with unit-stride
+    # rows, and a size only if it is that array's shape; anything else
+    # raises before any value is drawn
+    r = Rng(13)
+    with pytest.raises(ValueError, match="out"):
+        r.normal(size, out=out)
+    np.testing.assert_array_equal(r.uniform(size=3), Rng(13).uniform(size=3))
+
