@@ -27,13 +27,13 @@ in that order, and the trailing value is dropped when q is odd.  Any
 implementation following this recipe reproduces the uniform stream exactly
 and the gaussians up to libm rounding.
 
-Here a draw goes by blocks of _NORMAL_BLOCK uniforms.  A block forms its
-counters as fixed steps plus one offset in a uint64 array, runs splitmix64
-over it in place, turns it into uniforms, and writes the two Box-Muller
-halves into the output.  Every block is a pure function of its counter and
-runs the same numpy operations on the same layouts wherever it runs, so
-the values of a draw do not depend on how its blocks are split among
-threads: an instance has the same bits at any CPU count.
+Here a gaussian draw goes by blocks of _NORMAL_BLOCK uniforms.  A block
+forms its counters as fixed steps plus one offset in a uint64 array, runs
+splitmix64 over it in place, turns it into uniforms, and writes the two
+Box-Muller halves into the output.  Every block is a pure function of its
+counter and runs the same numpy operations on the same layouts wherever it
+runs, so the values of a draw do not depend on how its blocks are split
+among threads: an instance has the same bits at any CPU count.
 
 Splitting a large draw.  A gaussian draw of at least _THREADED_VALUES
 values hands its blocks, one task each, to one thread per CPU the process
@@ -71,8 +71,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-_GAMMA_INT = 0x9E3779B97F4A7C15
-_GAMMA = np.uint64(_GAMMA_INT)
+_GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
@@ -81,7 +80,7 @@ _ONE = np.uint64(1)
 _U53 = 2.0**-53
 # (i + 1) * gamma mod 2**64: the counters of a block are these steps plus
 # one offset per stretch of _STEPS.size, so no block makes an arange
-_STEPS = np.arange(1, 2**12 + 1, dtype=np.uint64) * _GAMMA
+_STEPS = np.arange(1, 2**12 + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 _STEPS.flags.writeable = False
 # Uniforms per block of a gaussian draw, and per task of a threaded one:
 # even, so each block holds whole Box-Muller pairs and the values do not
@@ -124,7 +123,7 @@ def _fill_uniform(seed: int, first: int, u: np.ndarray, z: np.ndarray) -> None:
     z = z[:u.size]
     for at in range(0, u.size, _STEPS.size):
         part = z[at:at + _STEPS.size]
-        offset = np.uint64(((first + at) * _GAMMA_INT + seed) % 2**64)
+        offset = np.uint64(((first + at) * _GAMMA + seed) % 2**64)
         np.add(_STEPS[:part.size], offset, out=part)
     _mix_in_place(z, u.view(np.uint64))
     z >>= _SHIFT_U53
@@ -201,14 +200,14 @@ class Rng:
     def __init__(self, seed: int):
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
             raise TypeError(f"seed must be an integer, got {seed!r}")
-        self._seed = np.uint64(int(seed) % 2**64)
+        self._seed = int(seed) % 2**64
         self._count = 0
 
     def uniform(self, size=None) -> np.ndarray | float:
         """Uniform draws in (0, 1]."""
         q = 1 if size is None else _count(size)
         u = np.empty(q)
-        _fill_uniform(int(self._seed), self._count, u, np.empty(q, np.uint64))
+        _fill_uniform(self._seed, self._count, u, np.empty(q, np.uint64))
         self._count += q
         return float(u[0]) if size is None else u.reshape(size)
 
@@ -226,8 +225,8 @@ class Rng:
             flat = np.empty(2 * ((q + 1) // 2))
         else:
             if not (isinstance(out, np.ndarray) and out.dtype == np.float64
-                    and out.ndim == 2 and out.strides[1] == out.itemsize
-                    and out.flags.writeable):
+                    and out.ndim == 2 and out.flags.writeable
+                    and (out.strides[1] == out.itemsize or min(out.shape[1], out.size) < 2)):
                 raise ValueError("out must be a writeable 2-d float64 array with "
                                  "unit-stride rows")
             if size is not None and tuple(np.atleast_1d(size)) != out.shape:
@@ -235,7 +234,7 @@ class Rng:
             q = out.size
             flat = None
         total = 2 * ((q + 1) // 2)
-        seed, first = int(self._seed), self._count
+        seed, first = self._seed, self._count
         self._count += total
         starts = range(0, total, _NORMAL_BLOCK)
         threads = min(_cpu_count(), len(starts), _MAX_THREADS) if q >= _THREADED_VALUES else 1

@@ -190,3 +190,19 @@ def test_a_bad_out_is_refused_before_the_stream_moves(out, size):
         r.normal(size, out=out)
     np.testing.assert_array_equal(r.uniform(size=3), Rng(13).uniform(size=3))
 
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (3, 1), (1, 7), (7, 5)])
+def test_normal_fills_the_rows_of_out_in_c_order(shape):
+    # out may be a view whose rows lie apart, one column, or empty (numpy
+    # gives an empty array zero strides): it gets the values of the same
+    # draw by size, the columns beside it keep theirs, and the stream
+    # continues after the draw
+    store = np.full((shape[0], shape[1] + 2), 7.0)
+    q = math.prod(shape)
+    for out in (store[:, 1:-1], np.empty(shape)):
+        r = Rng(3)
+        assert r.normal(out=out) is out
+        np.testing.assert_array_equal(out, Rng(3).normal(shape))
+        assert r.uniform() == uniform_py(3, 2 * ((q + 1) // 2))
+    assert np.all(store[:, [0, -1]] == 7.0)
