@@ -191,7 +191,6 @@ def test_a_bad_out_is_refused_before_the_stream_moves(out, size):
     np.testing.assert_array_equal(r.uniform(size=3), Rng(13).uniform(size=3))
 
 
-
 @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (3, 1), (1, 7), (7, 5)])
 def test_normal_fills_the_rows_of_out_in_c_order(shape):
     # out may be a view whose rows lie apart, one column, or empty (numpy
