@@ -201,8 +201,8 @@ class ActiveGram:
         return self.rows.T @ np.where(self.mask, self.rows @ v, 0.0) + self.shift * v
 
     def assemble(self) -> np.ndarray:
-        """The dense Gram, exactly symmetric (numpy forms act^T act by syrk)."""
-        act = self.rows[self.mask]
+        """The dense Gram, exactly symmetric (syrk on the active rows, uncopied if all are)."""
+        act = self.rows if self.mask.all() else self.rows[self.mask]
         dense = act.T @ act
         dense[np.diag_indices_from(dense)] += self.shift
         return dense

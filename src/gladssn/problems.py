@@ -11,9 +11,10 @@ parameter outside its domain (_DOMAIN).
 
 An SVM instance keeps its features once: X is the first n columns of one
 C-contiguous (ell, n+1) array whose last column is ones, which make_svm
-draws into and any other X is copied into.  The SVM Hessian is the Gram of
-that store's active rows, which needs labels of +-1; the instance rejects
-any other.
+draws into and any other X is copied into.  The SVM Hessian is I_n (+) 0
+plus 2 gamma times the Gram of that store's active rows, which needs labels
+of +-1; the instance rejects any other.  The oracle forms it densely by
+ActiveGram.assemble, which copies no row when every row is active.
 
 Hessians come back as dense arrays for SVM and the quadratic.  NMF's is a
 BorderedBlocks whose diagonal blocks, one per row of U, the solver
@@ -37,7 +38,7 @@ from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .linalg import ActiveGram, BorderedBlocks
+from .linalg import ActiveGram, BorderedBlocks, sym_part
 from .oracle import CompositeProblem, SmoothOracle, ZeroPart
 from .rng import Rng
 
@@ -354,7 +355,7 @@ def _svm_problem(inst: SvmInstance) -> CompositeProblem:
     dim = n + 1
     # With z_i = y_i (x_i, 1) the Hessian is I_n (+) 0 plus 2 gamma Z_act^T Z_act.
     # As y_i = +-1, Z_act^T Z_act is the Gram of the rows (x_i, 1) themselves,
-    # bit for bit, so it is taken from the bordered store that inst.X views.
+    # bit for bit, so it is the ActiveGram of the bordered store that inst.X views.
     store = feats.base
 
     @_last_point
@@ -373,9 +374,7 @@ def _svm_problem(inst: SvmInstance) -> CompositeProblem:
         return g
 
     def eval_hess(x):
-        active = margins_resid(x) > 0.0
-        z_act = store if active.all() else store[active]
-        dense = 2.0 * gamma * (z_act.T @ z_act)
+        dense = 2.0 * gamma * ActiveGram(store, margins_resid(x) > 0.0).assemble()
         dense[np.arange(n), np.arange(n)] += 1.0
         return dense
 
@@ -467,8 +466,7 @@ def make_quadratic(seed: int, n: int = 50, cond: float = 1e4) -> CompositeProble
     eigs[0] = 1.0
     eigs[n - 1] = float(cond)
     eigs[1:n - 1] = np.exp(rng.uniform(n - 2) * np.log(cond))
-    a_mat = (q * eigs) @ q.T
-    a_mat = 0.5 * (a_mat + a_mat.T)
+    a_mat = sym_part((q * eigs) @ q.T)
     b_vec = rng.normal(n)
     x0 = rng.normal(n)
     inst = QuadInstance(seed=int(seed), cond=float(cond), A=a_mat, b=b_vec, x0=x0)
