@@ -17,21 +17,19 @@ each repeat to 0.1 ms (the solve only, not the set-up), over the seeds the total
 iterations and trials, the accepted iterations split by the trial that was
 accepted (each trace's j_k column: j_k = 0 / 1 / >= 2), Hessian evaluations
 and solves that did not converge, the rest of the solve per iteration, and
-the cost ratio.  Each part of a solve is timed by wrapping the calls that
-make it up: a refresh is one eval_hess call and the ssn.Regularized built
-from it, and a trial is one ssn.trial_step call and the eval_f and
-eval_grad calls made after it (those at the starting point are not a
-trial's).  The rest is the solve's time outside both, over its iterations:
-the acceptance tests, a certified decrease, the trace.  The cost ratio is
-the mean time of one refresh over the mean time of one trial, with both
-times in ms after it.  Takes about a minute.
+the cost ratio.  Every time is the solver's own, from SolveResult.seconds:
+a solve is its total, a refresh its eval_hess and refresh phases, and a
+trial its trial_step, eval_f and eval_grad phases (so the one eval_f and
+one eval_grad at the starting point count as a trial's).  The rest is the
+total outside both, over the iterations: the acceptance tests, a certified
+decrease, the trace.  The cost ratio is the mean time of one refresh over
+the mean time of one trial, with both times in ms after it.  Takes about a
+minute.
 """
 
 import argparse
-import contextlib
 import dataclasses
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -45,48 +43,8 @@ GRID = {
     "svm": (range(1, 9), (1, 2, 3, 5, 8)),
 }
 REPEATS = 2
-
-
-def timed(fn, spent: dict, part: str, gate=None):
-    """fn wrapped to add each call's seconds to spent[part]; with a gate, only
-    the calls made while gate[0] is true."""
-    def wrapper(*args, **kwargs):
-        if gate is not None and not gate[0]:
-            return fn(*args, **kwargs)
-        start = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            spent[part] += time.perf_counter() - start
-    return wrapper
-
-
-def timed_problem(problem, spent: dict, trials_begun: list):
-    """problem with eval_hess timed as a refresh, and eval_f and eval_grad as
-    a trial once trials_begun[0] is set."""
-    smooth = problem.smooth
-    return dataclasses.replace(problem, smooth=dataclasses.replace(
-        smooth, eval_hess=timed(smooth.eval_hess, spent, "refresh"),
-        eval_f=timed(smooth.eval_f, spent, "trial", trials_begun),
-        eval_grad=timed(smooth.eval_grad, spent, "trial", trials_begun)))
-
-
-@contextlib.contextmanager
-def timed_solver(spent: dict, trials_begun: list):
-    """ssn.Regularized timed as a refresh and ssn.trial_step as a trial, which
-    also sets trials_begun[0], while the context lasts."""
-    regularized, trial_step = ssn.Regularized, ssn.trial_step
-
-    def marking_trials(*args, **kwargs):
-        trials_begun[0] = True
-        return trial_step(*args, **kwargs)
-
-    ssn.Regularized = timed(regularized, spent, "refresh")
-    ssn.trial_step = timed(marking_trials, spent, "trial")
-    try:
-        yield
-    finally:
-        ssn.Regularized, ssn.trial_step = regularized, trial_step
+PARTS = {"refresh": ("eval_hess", "refresh"),
+         "trial": ("trial_step", "eval_f", "eval_grad")}  # SolveResult.seconds phases
 
 
 def sweep(name: str, seeds: range, ms: tuple) -> list[str]:
@@ -95,19 +53,16 @@ def sweep(name: str, seeds: range, ms: tuple) -> list[str]:
     seconds = {(m, rep): 0.0 for m in ms for rep in range(REPEATS)}
     totals = {m: [0, 0, 0, 0] for m in ms}  # iterations, trials, Hessians, failed
     accepted = {m: [0, 0, 0] for m in ms}  # iterations accepted at j_k = 0, 1, >= 2
-    spent = {m: {"refresh": 0.0, "trial": 0.0} for m in ms}  # seconds, over the repeats
-    trials_begun = [False]
+    spent = {m: dict.fromkeys(PARTS, 0.0) for m in ms}  # seconds, over the repeats
     for seed in seeds:
         problem = workload.make(seed)
         for m in ms:
             config = dataclasses.replace(workload.config, m=m)
-            timed_seed = timed_problem(problem, spent[m], trials_begun)
             for rep in range(REPEATS):
-                trials_begun[0] = False
-                with timed_solver(spent[m], trials_begun):
-                    start = time.perf_counter()
-                    res = ssn.solve(timed_seed, config)
-                    seconds[m, rep] += time.perf_counter() - start
+                res = ssn.solve(problem, config)
+                seconds[m, rep] += res.seconds["total"]
+                for part, phases in PARTS.items():
+                    spent[m][part] += sum(res.seconds[phase] for phase in phases)
             totals[m][0] += res.iters
             totals[m][1] += res.trials
             totals[m][2] += res.hess_evals

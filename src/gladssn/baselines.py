@@ -13,7 +13,8 @@ SolverConfig and reads only its stopping rule, grad_tol and max_outer.
 Traces reuse the solver's record layout so the same harness tooling
 applies: j_k holds the backtrack count, lambda_k the accepted inverse step
 size 1/t, Lambda_k is fixed at 0.0 (which also marks the trace as a
-baseline run), hess_evals stays 0 and inner stays empty.
+baseline run), hess_evals stays 0 and inner stays empty.  seconds times
+the eval_f and eval_grad phases; the solver's other phases read 0.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import time
 import numpy as np
 
 from .oracle import CompositeProblem
-from .ssn import (CONVERGED, MAXITER, STALLED, SolveResult, SolverConfig, TraceRecord,
-                  _start_point)
+from .ssn import (CONVERGED, MAXITER, PHASES, STALLED, SolveResult, SolverConfig,
+                  TraceRecord, _seconds, _start_point, _timed)
 
 __all__ = ["armijo_gd"]
 
@@ -36,14 +37,16 @@ _MAX_BACKTRACKS = 60
 
 def armijo_gd(problem: CompositeProblem, config: SolverConfig,
               x0: np.ndarray | None = None) -> SolveResult:
+    call_ns = time.perf_counter_ns()
+    ns = dict.fromkeys(PHASES, 0)
     if not problem.psi.is_zero:
         raise ValueError("armijo_gd handles smooth problems only (psi must be zero)")
     if not problem.metric.is_identity:
         raise ValueError("armijo_gd works in the Euclidean metric only")
     n = problem.dim
     x = _start_point(problem, x0)
-    grad = np.asarray(problem.smooth.eval_grad(x), dtype=np.float64)
-    f_val = float(problem.smooth.eval_f(x))
+    grad = np.asarray(_timed(ns, "eval_grad", problem.smooth.eval_grad, x), dtype=np.float64)
+    f_val = float(_timed(ns, "eval_f", problem.smooth.eval_f, x))
     trials = 0
     trace: list[TraceRecord] = []
     start_ns = time.perf_counter_ns()
@@ -62,7 +65,7 @@ def armijo_gd(problem: CompositeProblem, config: SolverConfig,
         for i in range(_MAX_BACKTRACKS):
             trials += 1
             x_new = x - t * grad
-            f_new = float(problem.smooth.eval_f(x_new))
+            f_new = float(_timed(ns, "eval_f", problem.smooth.eval_f, x_new))
             if f_new <= f_val - _C1 * t * g_norm * g_norm:
                 accepted = (i, t, x_new, f_new)
                 break
@@ -71,7 +74,8 @@ def armijo_gd(problem: CompositeProblem, config: SolverConfig,
             status = STALLED
             break
         i, t, x_new, f_new = accepted
-        grad_new = np.asarray(problem.smooth.eval_grad(x_new), dtype=np.float64)
+        grad_new = np.asarray(_timed(ns, "eval_grad", problem.smooth.eval_grad, x_new),
+                              dtype=np.float64)
         trace.append(TraceRecord(
             k=k, j_k=i, lambda_k=1.0 / t, Lambda_k=0.0,
             f_val=f_val, F_val=f_val, g_k=g_norm, r_k=t * g_norm,
@@ -84,4 +88,5 @@ def armijo_gd(problem: CompositeProblem, config: SolverConfig,
     return SolveResult(status=status, x=x, trace=trace, iters=k,
                        g_final=float(np.linalg.norm(grad)), f_final=f_val,
                        F_final=f_val, psi_sub=np.zeros(n), Lambda_final=0.0,
-                       hess_evals=0, trials=trials, inner={})
+                       hess_evals=0, trials=trials, inner={},
+                       seconds=_seconds(ns, call_ns))

@@ -25,7 +25,7 @@ from dataclasses import fields
 from .harness import (SOLVERS, ConfigError, NotEstimableError, RunConfig, compare,
                       estimate_order, format_compare_table, run, verify)
 from .problems import KINDS
-from .ssn import NonFiniteError
+from .ssn import PHASES, NonFiniteError
 
 
 class _UsageError(Exception):
@@ -104,6 +104,9 @@ def _run_command(args) -> int:
           f"iterations, g_final={result.g_final:.4e}, trace -> {out_path}")
     print("inner: " + (", ".join(_inner_totals(path, *totals)
                                  for path, totals in result.inner.items()) or "none"))
+    other = result.seconds["total"] - sum(result.seconds[phase] for phase in PHASES)
+    print("time: " + ", ".join(f"{name} {1e3 * value:.3f} ms"
+                               for name, value in (result.seconds | {"other": other}).items()))
     return code
 
 

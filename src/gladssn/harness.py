@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import numbers
-import time
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -398,22 +397,19 @@ def estimate_order(trace, tail: int = 6) -> OrderEstimate:
 def compare(configs: list[RunConfig]) -> list[dict]:
     """Run each config and return one summary per run (see format_compare_table).
 
-    wall_s times the whole solver call, rejected trials included, and leaves
-    out building the problem.
+    wall_s is the solver's own seconds["total"]: the whole solver call,
+    rejected trials included, but not building the problem.
     """
     summaries = []
     for cfg in configs:
-        problem = _make_problem(cfg)
-        start_ns = time.perf_counter_ns()
-        result = SOLVERS[cfg.solver](problem, cfg)
-        wall_ns = time.perf_counter_ns() - start_ns
+        result = SOLVERS[cfg.solver](_make_problem(cfg), cfg)
         if cfg.out_path:
             write_trace(cfg.out_path, result.trace)
         summaries.append({
             "problem": cfg.problem, "solver": cfg.solver, "p": cfg.p, "m": cfg.m,
             "seed": cfg.seed, "status": result.status, "iters": result.iters,
             "trials": result.trials, "hess_evals": result.hess_evals,
-            "g_final": result.g_final, "wall_s": wall_ns / 1e9,
+            "g_final": result.g_final, "wall_s": result.seconds["total"],
         })
     return summaries
 

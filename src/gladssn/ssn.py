@@ -61,6 +61,14 @@ by the rows that changed, and FISTA starts from the last step it accepted.
 That state lives in this call, not in the oracle.  A refreshed dense H that
 is not finite raises NonFiniteError; a matrix-free one fails its trials'
 inner solves.
+
+SolveResult.seconds splits the call's time by phase (PHASES), from
+perf_counter_ns differences summed over the run: eval_hess; refresh, the
+Regularized built from it with its is_finite check; trial_step, a call that
+raises SolverStallError included; eval_f with eval_psi; and eval_grad, the
+calls at the starting point included.  total is the whole call, so total
+less the phases is the rest: the acceptance tests, a certified decrease,
+the trace.  No clock is read inside an inner solve.
 """
 
 from __future__ import annotations
@@ -79,6 +87,7 @@ from .oracle import CompositeProblem
 __all__ = [
     "CONVERGED",
     "MAXITER",
+    "PHASES",
     "STALLED",
     "ConfigError",
     "NonFiniteError",
@@ -96,6 +105,9 @@ __all__ = [
 CONVERGED = "converged"
 MAXITER = "maxiter"
 STALLED = "stalled"
+
+# The phases SolveResult.seconds times; its total is the whole call.
+PHASES = ("eval_hess", "refresh", "trial_step", "eval_f", "eval_grad")
 
 # Inner trials per outer iteration; the last trial's regularizer is 4^59
 # times the first.  With psi zero an iteration stops earlier, at the first
@@ -203,6 +215,7 @@ class SolveResult:
     hess_evals: int
     trials: int
     inner: dict[str, tuple[int, int, int]]  # path -> (solves, iters, corrections)
+    seconds: dict[str, float]  # "total", then each of PHASES -> seconds
 
 
 def trial_lambda(Lambda_k: float, g_k: float, p: float, j: int) -> float:
@@ -287,6 +300,21 @@ def _start_point(problem: CompositeProblem, x0: np.ndarray | None) -> np.ndarray
     return x
 
 
+def _timed(ns: dict[str, int], phase: str, fn, *args):
+    """fn(*args), with its nanoseconds added to ns[phase], also when it raises."""
+    start = time.perf_counter_ns()
+    try:
+        return fn(*args)
+    finally:
+        ns[phase] += time.perf_counter_ns() - start
+
+
+def _seconds(ns: dict[str, int], start_ns: int) -> dict[str, float]:
+    """SolveResult.seconds: the call begun at start_ns, then each phase of ns."""
+    return {"total": (time.perf_counter_ns() - start_ns) / 1e9} | {
+        phase: t / 1e9 for phase, t in ns.items()}
+
+
 # The per-trial linear solve, a module-level name a tracer can wrap.
 solve_regularized = Regularized.solve
 
@@ -325,6 +353,8 @@ def solve(problem: CompositeProblem, config: SolverConfig,
     duality pairing; cumulative counters include the accepted trial itself.
     SolveResult.inner totals per path the InnerSolve of each trial whose inner solve returned.
     """
+    call_ns = time.perf_counter_ns()
+    ns = dict.fromkeys(PHASES, 0)
     metric = problem.metric
     n = problem.dim
     x = _start_point(problem, x0)
@@ -338,10 +368,10 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             and not np.array_equal(problem.psi.prox(x, 1.0), x, equal_nan=True)):
         raise ValueError("psi_sub0 must be given: 0 is not a subgradient of psi at x0")
 
-    f_grad = np.asarray(problem.smooth.eval_grad(x), dtype=np.float64)
+    f_grad = np.asarray(_timed(ns, "eval_grad", problem.smooth.eval_grad, x), dtype=np.float64)
     F_sub = f_grad + psi_sub
-    f_val = float(problem.smooth.eval_f(x))
-    F_val = f_val + problem.psi.eval_psi(x)
+    f_val = float(_timed(ns, "eval_f", problem.smooth.eval_f, x))
+    F_val = f_val + _timed(ns, "eval_f", problem.psi.eval_psi, x)
     if not (math.isfinite(F_val) and np.isfinite(F_sub).all()):
         raise NonFiniteError("objective or gradient non-finite at the starting point")
     g = metric.dual_norm(F_sub)
@@ -363,9 +393,13 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             status = MAXITER
             break
         if k % config.m == 0:
-            reg = Regularized(problem.smooth.eval_hess(x), metric, prev=reg)
+            h = _timed(ns, "eval_hess", problem.smooth.eval_hess, x)
+            start = time.perf_counter_ns()
+            reg = Regularized(h, metric, prev=reg)
+            finite = reg.is_finite
+            ns["refresh"] += time.perf_counter_ns() - start
             hess_evals += 1
-            if not reg.is_finite:
+            if not finite:
                 raise NonFiniteError(f"non-finite Hessian at outer iteration {k}", k=k)
 
         s_prev = None
@@ -376,7 +410,8 @@ def solve(problem: CompositeProblem, config: SolverConfig,
                 break  # so is 4^i lam at every later trial i: the run stalls
             trials += 1
             try:
-                x_plus, psi_sub_plus, done = trial_step(x, f_grad, reg, lam, problem, s_prev)
+                x_plus, psi_sub_plus, done = _timed(ns, "trial_step", trial_step,
+                                                    x, f_grad, reg, lam, problem, s_prev)
             except SolverStallError:
                 continue
             solves, iters, corrections = inner.get(done.path, (0, 0, 0))
@@ -384,8 +419,8 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             if problem.psi.is_zero and (x_plus == x).all():
                 break  # x + s rounds to x, now and at every larger lam
             s_prev = x_plus - x
-            f_plus = float(problem.smooth.eval_f(x_plus))
-            F_plus = f_plus + problem.psi.eval_psi(x_plus)
+            f_plus = float(_timed(ns, "eval_f", problem.smooth.eval_f, x_plus))
+            F_plus = f_plus + _timed(ns, "eval_f", problem.psi.eval_psi, x_plus)
             if not math.isfinite(F_plus):
                 raise NonFiniteError(
                     f"non-finite trial value at outer iteration {k}, trial {j}",
@@ -397,7 +432,8 @@ def solve(problem: CompositeProblem, config: SolverConfig,
                                            F_val, F_plus)
             if not decrease >= floor:
                 continue
-            f_grad_plus = np.asarray(problem.smooth.eval_grad(x_plus), dtype=np.float64)
+            f_grad_plus = np.asarray(_timed(ns, "eval_grad", problem.smooth.eval_grad, x_plus),
+                                     dtype=np.float64)
             F_sub_plus = f_grad_plus + psi_sub_plus
             if not np.isfinite(F_sub_plus).all():
                 raise NonFiniteError(
@@ -429,4 +465,5 @@ def solve(problem: CompositeProblem, config: SolverConfig,
     return SolveResult(status=status, x=x, trace=trace, iters=k,
                        g_final=g, f_final=f_val, F_final=F_val,
                        psi_sub=psi_sub, Lambda_final=Lambda_k, hess_evals=hess_evals,
-                       trials=trials, inner=inner)
+                       trials=trials, inner=inner,
+                       seconds=_seconds(ns, call_ns))

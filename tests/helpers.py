@@ -176,6 +176,15 @@ def load_spans():
     return module
 
 
+def check_phase_seconds(result):
+    """result.seconds has every phase and total, none negative, and the
+    phases, timed apart within the call, add up to at most its total."""
+    seconds = result.seconds
+    assert set(seconds) == {*ssn.PHASES, "total"}, seconds
+    assert all(value >= 0.0 for value in seconds.values()), seconds
+    assert sum(seconds[phase] for phase in ssn.PHASES) <= seconds["total"], seconds
+
+
 def block_stack(group):
     """The blocks base + diag(row) of a matrix-free block group (base, diags), stacked."""
     base, diags = group

@@ -9,6 +9,8 @@ from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPa
 from gladssn.problems import make_huber, make_quadratic
 from gladssn.ssn import CONVERGED, MAXITER, STALLED, SolverConfig
 
+from helpers import check_phase_seconds
+
 
 def test_one_step_on_identity_quadratic():
     # f = 0.5||x||^2: x - 1.0 * g = 0, and t0 = 1 passes the Armijo test
@@ -55,6 +57,9 @@ def test_converges_on_huber():
     assert res.g_final <= 1e-6
     f_vals = [row.f_val for row in res.trace] + [res.f_final]
     assert all(a >= b for a, b in zip(f_vals, f_vals[1:]))
+    # the baseline times the phases it has, eval_f and eval_grad
+    check_phase_seconds(res)
+    assert res.seconds["eval_hess"] == res.seconds["refresh"] == res.seconds["trial_step"] == 0.0
 
 
 def test_sufficient_decrease_recomputable_from_trace():

@@ -35,6 +35,13 @@ each MINRES solve and each of its corrections is one MINRES call, and each
 prox sweep is one prox call.  The tracer's prox count also holds the one
 prox call with which ssn.solve checks that 0 is a subgradient of psi at
 x0, when no psi_sub0 is given, as the benchmark gives none.
+
+SolveResult.seconds times a solve's phases from inside it.  Its clock reads
+enclose the tracer's wrappers, so in a traced solve each phase is at least
+the summed spans of the calls it times, and every case checks that, with
+every key present, none negative and the phases within total.  The cases
+cover four forms of H: a dense BorderedBlocks (nmf), a matrix-free one
+(nmf-matfree), an ActiveGram (huber-l1) and an ndarray (svm).
 """
 
 import dataclasses
@@ -46,9 +53,13 @@ from gladssn import problems, ssn
 from gladssn.problems import DENSE_DIM_MAX, make_huber, make_nmf, make_svm
 from gladssn.ssn import CONVERGED, STALLED, SolverConfig
 
-from helpers import FAR_START_LAMBDA0, LAMBDA0_NUDGES, counted_l1, load_spans, svm_far_start
+from helpers import (FAR_START_LAMBDA0, LAMBDA0_NUDGES, check_phase_seconds, counted_l1,
+                     load_spans, svm_far_start)
 
 TRACED_GLOBALS = ("trial_step", "solve_regularized", "acceptance_test")
+# SolveResult.seconds phase -> the tracer's span of each call it times
+PHASE_SPANS = {"eval_hess": "oracle.eval_hess", "trial_step": "ssn.trial_step",
+               "eval_f": "oracle.eval_f", "eval_grad": "oracle.eval_grad"}
 
 
 class Case(NamedTuple):
@@ -107,7 +118,11 @@ def test_tracer_wraps_the_solver_without_changing_it(runs):
         case = CASES[name]
         assert plain.status == case.status, name
         assert traced_globals == before, name  # restored on exit
-        calls, _, _ = tracer.totals()
+        calls, spent, _ = tracer.totals()
+        for result in (plain, traced):
+            check_phase_seconds(result)
+        for phase, span in PHASE_SPANS.items():
+            assert traced.seconds[phase] >= spent[span] > 0.0, (name, phase)
         expected_spans = {"ssn.acceptance_test", "ssn.trial_step"}
         if case.problem.psi.is_zero:
             expected_spans.add("linalg.solve_regularized")

@@ -13,6 +13,7 @@ import pytest
 import gladssn
 from gladssn.cli import _build_parser, main
 from gladssn.harness import RunConfig, read_trace, write_trace
+from gladssn.ssn import PHASES
 
 from helpers import LAMBDA0_NUDGES, synthetic_trace
 
@@ -146,16 +147,23 @@ def test_run_prints_the_inner_solve_totals(tmp_path, capsys, problem, path, flag
     # trials by route: direct factors for quad, and MINRES for the
     # default-size nmf, which is matrix-free, with its iterations and any
     # corrections.  No trial fails its inner solve here, so the solves
-    # number the trials the trace counts
+    # number the trials the trace counts.  The last line gives the run's
+    # time: its total, each phase, and the rest as other
     out = tmp_path / "t.csv"
     assert main(["run", "--problem", problem, *flags, "--out", str(out)]) == 0
-    status, inner = capsys.readouterr().out.splitlines()
+    status, inner, time = capsys.readouterr().out.splitlines()
     assert status.startswith(f"{problem}/gladssn: converged")
     counts = re.fullmatch(rf"inner: {path} (\d+) solves(?:, (\d+) iterations)?"
                           r"(?:, (\d+) corrections?)?", inner)
     assert counts is not None, inner
     assert int(counts[1]) == read_trace(out)[-1].trials
     assert (counts[2] is not None) == (path == "minres")
+    assert time.startswith("time: ")
+    ms = dict(item.removesuffix(" ms").split(" ")
+              for item in time.removeprefix("time: ").split(", "))
+    assert list(ms) == ["total", *PHASES, "other"]
+    assert float(ms["other"]) >= 0.0
+    assert sum(float(ms[phase]) for phase in PHASES) <= float(ms["total"])
 
 
 def test_run_flags_cover_run_config_fields():

@@ -17,7 +17,7 @@ from gladssn.ssn import (CONVERGED, MAXITER, STALLED, NonFiniteError,
                          trial_lambda, trial_step)
 
 from helpers import (FAR_START_LAMBDA0, LAMBDA0_NUDGES, block_inversions, block_stack,
-                     counted_l1, eigh_calls, full_assemblies, minres_handed, quad_optimum,
+                     check_phase_seconds, counted_l1, eigh_calls, full_assemblies, minres_handed, quad_optimum,
                      svm_far_start, svm_with_f_diff, trial_outcomes)
 
 
@@ -928,6 +928,9 @@ def test_matvec_hessian_converges_to_same_point():
     r_mf = solve(mv_prob, SolverConfig(grad_tol=1e-6))
     assert r_mf.status == CONVERGED
     np.testing.assert_allclose(r_mf.x, r_dense.x, atol=1e-5)
+    # both Hessian forms, ndarray and LinearOperator, time every phase
+    for res in (r_dense, r_mf):
+        check_phase_seconds(res)
 
 
 def test_symmetrize_cleans_skew_part():
