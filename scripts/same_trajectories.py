@@ -37,24 +37,15 @@ def load(path):
     return report["workload"], {solve["seed"]: solve for solve in report["solves"]}
 
 
-def differences(parent, change):
-    """One line per seed whose solves differ between the two {seed: solve} maps."""
-    lines = []
-    for seed in sorted(parent.keys() | change.keys()):
-        if seed not in change or seed not in parent:
-            lines.append(f"seed {seed}: solved only in the {'parent' if seed in parent else 'change'}")
-            continue
-        moved = [f"{name} {parent[seed][name]!r} -> {change[seed][name]!r}"
-                 for name in FIELDS if repr(parent[seed][name]) != repr(change[seed][name])]
-        if moved:
-            lines.append(f"seed {seed}: " + "; ".join(moved))
-    return lines
+def compare(parent, change, rel_tol=None):
+    """(lines, ok) of two {seed: solve} maps, from one walk over their seeds.
 
-
-def within_tolerance(parent, change, rel_tol):
-    """(lines, ok): one line per seed and a totals line, and whether no status
-    changed, no seed was solved by one report alone and every F_final is
-    within rel_tol of the parent's."""
+    Without rel_tol: a line per seed that moved or was solved by one map
+    alone, ok when there is none, and then one line saying how many solves
+    agree.  With it: a line per seed and a totals line, ok when no status
+    changed, no seed was solved by one map alone and every F_final is within
+    rel_tol of the parent's.
+    """
     lines, ok = [], True
     totals = {"iters": [0, 0], "trials": [0, 0]}
     flips = collections.Counter()  # "was -> now" of each status change
@@ -65,6 +56,13 @@ def within_tolerance(parent, change, rel_tol):
             ok = False
             continue
         was, now = parent[seed], change[seed]
+        if rel_tol is None:
+            changed = [f"{name} {was[name]!r} -> {now[name]!r}"
+                       for name in FIELDS if repr(was[name]) != repr(now[name])]
+            if changed:
+                lines.append(f"seed {seed}: " + "; ".join(changed))
+                ok = False
+            continue
         status = was["status"] if was["status"] == now["status"] else \
             f"{was['status']} -> {now['status']}"
         moved = abs(now["F_final"] - was["F_final"])
@@ -83,6 +81,9 @@ def within_tolerance(parent, change, rel_tol):
         lines.append(f"seed {seed}: {status}; iters {now['iters'] - was['iters']:+d}, "
                      f"trials {now['trials'] - was['trials']:+d}; F_final rel diff {rel:.2e}"
                      + "".join(f" ({note})" for note in bad))
+    if rel_tol is None:
+        return (lines, False) if lines else (
+            [f"{len(parent)} solves agree in {', '.join(FIELDS)}"], True)
     lines.append(f"{len(parent.keys() & change.keys())} solves in both: "
                  + ", ".join(f"{name} {was} -> {now}" for name, (was, now) in totals.items())
                  + f"; {'all' if ok else 'not all'} within F_final rel-tol {rel_tol:g} "
@@ -93,17 +94,6 @@ def within_tolerance(parent, change, rel_tol):
                  + (f"; largest F_final rel diff {largest[0]:.2e} at seed {largest[1]}"
                     if largest else ""))
     return lines, ok
-
-
-def compare(parent, change, rel_tol=None):
-    """(lines, ok) of two {seed: solve} maps: within_tolerance's with
-    rel_tol, else a line per seed that moved or, when none did, one line
-    saying how many solves agree."""
-    if rel_tol is not None:
-        return within_tolerance(parent, change, rel_tol)
-    lines = differences(parent, change)
-    return (lines, False) if lines else ([f"{len(parent)} solves agree in {', '.join(FIELDS)}"],
-                                         True)
 
 
 def tolerance(text):

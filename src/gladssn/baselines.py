@@ -7,7 +7,8 @@ sufficient-decrease test
     f(x - t g) <= f(x) - 1e-4 * t * ||g||^2        (_C1 = 1e-4)
 
 passes; after 60 failed tries (_MAX_BACKTRACKS) the run stops as stalled.
-The step size resets to _T0 every iteration.  armijo_gd takes the solver's
+A NaN or inf trial value fails the test; a non-finite value or gradient at the
+start or an accepted point raises NonFiniteError.  armijo_gd takes the solver's
 SolverConfig and reads only its stopping rule, grad_tol and max_outer.
 
 Traces reuse the solver's record layout so the same harness tooling
@@ -25,7 +26,7 @@ import numpy as np
 
 from .oracle import CompositeProblem
 from .ssn import (CONVERGED, MAXITER, PHASES, STALLED, SolveResult, SolverConfig,
-                  TraceRecord, _seconds, _start_point, _timed)
+                  TraceRecord, _check_finite, _seconds, _start_point, _timed)
 
 __all__ = ["armijo_gd"]
 
@@ -43,10 +44,10 @@ def armijo_gd(problem: CompositeProblem, config: SolverConfig,
         raise ValueError("armijo_gd handles smooth problems only (psi must be zero)")
     if not problem.metric.is_identity:
         raise ValueError("armijo_gd works in the Euclidean metric only")
-    n = problem.dim
     x = _start_point(problem, x0)
     grad = np.asarray(_timed(ns, "eval_grad", problem.smooth.eval_grad, x), dtype=np.float64)
     f_val = float(_timed(ns, "eval_f", problem.smooth.eval_f, x))
+    _check_finite(f_val, grad)
     trials = 0
     trace: list[TraceRecord] = []
     start_ns = time.perf_counter_ns()
@@ -76,6 +77,7 @@ def armijo_gd(problem: CompositeProblem, config: SolverConfig,
         i, t, x_new, f_new = accepted
         grad_new = np.asarray(_timed(ns, "eval_grad", problem.smooth.eval_grad, x_new),
                               dtype=np.float64)
+        _check_finite(f_new, grad_new, k, i)
         trace.append(TraceRecord(
             k=k, j_k=i, lambda_k=1.0 / t, Lambda_k=0.0,
             f_val=f_val, F_val=f_val, g_k=g_norm, r_k=t * g_norm,
@@ -86,7 +88,7 @@ def armijo_gd(problem: CompositeProblem, config: SolverConfig,
         k += 1
 
     return SolveResult(status=status, x=x, trace=trace, iters=k,
-                       g_final=float(np.linalg.norm(grad)), f_final=f_val,
-                       F_final=f_val, psi_sub=np.zeros(n), Lambda_final=0.0,
+                       g_final=float(np.linalg.norm(grad)), F_final=f_val,
+                       psi_sub=np.zeros_like(x), Lambda_final=0.0,
                        hess_evals=0, trials=trials, inner={},
                        seconds=_seconds(ns, call_ns))

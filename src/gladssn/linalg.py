@@ -103,14 +103,13 @@ class MetricError(ValueError):
 
 
 class InnerSolve(NamedTuple):
-    """What one inner solve did, returned beside its step: the route that ran
-    (path: "cholesky" or "lu", of H + lam B or a Schur complement, "minres" or
-    "prox"; None for a zero rhs, which runs none), its MINRES iterations over
-    all calls or prox sweeps with backtracking tries (iters; 0 otherwise), its
-    refinement corrections (0 to 3), and ratio = ||rho||_* / (THETA lam
+    """What one inner solve did, returned beside its step: the route that ran (path:
+    "cholesky" or "lu", of H + lam B or a Schur complement, "minres" or "prox"), its
+    MINRES iterations over all calls or prox sweeps with backtracking tries (iters; 0
+    otherwise), its refinement corrections (0 to 3), and ratio = ||rho||_* / (THETA lam
     ||s||_B) at the returned step, at most 1 (0 when rho is)."""
 
-    path: str | None
+    path: str
     iters: int
     corrections: int
     ratio: float
@@ -481,26 +480,23 @@ class Regularized:
         """Solve (H + lam B) s = rhs by the route the refresh's pieces pick.
 
         The one dispatch of a regularized solve: a refresh with _blocks set
-        eliminates them (_elimination_solver), a dense array H is factored
-        as H + lam B (_direct_solver: Cholesky, then LU; a singular one
-        raises SolverStallError), and any other H goes to MINRES on
-        H + lam B (_minres_solver, capped at 10 n iterations per call).
-        The route's solve runs once on rhs and then up to three times as a
-        correction s += once(rho), rho = rhs - (H + lam B) s (through apply),
-        and the first s whose residual meets the forcing rule
-        ||rho||_* <= THETA lam ||s||_B that prox_solve shares is returned,
-        with the InnerSolve of the route and of the loop.  With rhs = -f'(x)
-        and psi = 0, -rho is the model residual f'(x) + (H + lam B) s.  When
-        none of the four steps meets the rule (a NaN residual never does),
-        SolverStallError carries the smallest residual seen.
+        eliminates them (_elimination_solver), a dense array H is factored as H +
+        lam B (_direct_solver: Cholesky, then LU; a singular one raises
+        SolverStallError), and any other H goes to MINRES on H + lam B
+        (_minres_solver, capped at 10 n iterations per call).  From s = 0 and rho =
+        rhs (a zero rhs too), each of up to four attempts sets s += once(rho), rho =
+        rhs - (H + lam B) s by apply; all after the first are corrections.  The
+        first s whose residual meets the forcing rule ||rho||_* <= THETA lam ||s||_B
+        that prox_solve shares is returned, with the InnerSolve of the route and of
+        the loop.  With rhs = -f'(x) and psi = 0, -rho is the model residual f'(x) +
+        (H + lam B) s.  When no attempt meets the rule (a NaN residual never does),
+        SolverStallError carries the smallest residual.
         """
         _check_lam(lam)
         rhs = np.asarray(rhs, dtype=np.float64)
         n = self.h.shape[0]
         if rhs.shape != (n,):
             raise ValueError(f"operator dim {n} takes an rhs of shape ({n},), got {rhs.shape}")
-        if not rhs.any():
-            return np.zeros(n), InnerSolve(None, 0, 0, 0.0)
         ticks = itertools.count()  # one tick per MINRES iteration
         if self._blocks is not None:
             once, path = self._elimination_solver(lam, ticks)
@@ -509,10 +505,9 @@ class Regularized:
             once, path = _direct_solver(self.h + lam * shift, f"H + {lam:.3e} B")
         else:
             once, path = _minres_solver(lambda v: self.apply(lam, v), n, ticks)
-        s = once(rhs)
+        s, r = np.zeros(n), rhs
         for attempt in range(4):
-            if attempt:
-                s = s + once(r)
+            s = s + once(r)
             r = rhs - self.apply(lam, s)
             res, goal = self.metric.dual_norm(r), self._forcing(lam, s)
             if res <= goal:

@@ -208,7 +208,6 @@ class SolveResult:
     trace: list[TraceRecord]
     iters: int
     g_final: float
-    f_final: float
     F_final: float
     psi_sub: np.ndarray
     Lambda_final: float
@@ -286,6 +285,14 @@ def _certified_decrease(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
         if abs((F_val - F_plus) - floor) <= band:
             return float(diff(x, s)) - float(v_plus @ s)
     return F_val - F_plus
+
+
+def _check_finite(F_val: float, F_sub: np.ndarray, k=None, j=None) -> None:
+    """Raise NonFiniteError unless F_val and F_sub, F and a subgradient at the start (k
+    None) or at trial j of outer iteration k, are finite: every solver's one check."""
+    if not (math.isfinite(F_val) and np.isfinite(F_sub).all()):
+        where = "the starting point" if k is None else f"outer iteration {k}, trial {j}"
+        raise NonFiniteError(f"objective or gradient non-finite at {where}", k=k, j=j)
 
 
 def _start_point(problem: CompositeProblem, x0: np.ndarray | None) -> np.ndarray:
@@ -372,8 +379,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
     F_sub = f_grad + psi_sub
     f_val = float(_timed(ns, "eval_f", problem.smooth.eval_f, x))
     F_val = f_val + _timed(ns, "eval_f", problem.psi.eval_psi, x)
-    if not (math.isfinite(F_val) and np.isfinite(F_sub).all()):
-        raise NonFiniteError("objective or gradient non-finite at the starting point")
+    _check_finite(F_val, F_sub)
     g = metric.dual_norm(F_sub)
 
     Lambda_k = float(config.Lambda0)
@@ -435,10 +441,7 @@ def solve(problem: CompositeProblem, config: SolverConfig,
             f_grad_plus = np.asarray(_timed(ns, "eval_grad", problem.smooth.eval_grad, x_plus),
                                      dtype=np.float64)
             F_sub_plus = f_grad_plus + psi_sub_plus
-            if not np.isfinite(F_sub_plus).all():
-                raise NonFiniteError(
-                    f"non-finite trial gradient at outer iteration {k}, trial {j}",
-                    k=k, j=j)
+            _check_finite(F_plus, F_sub_plus, k, j)
             pairing = -float(F_sub_plus @ s_prev)  # <F'(x_+), x_k - x_+>
             g_plus = metric.dual_norm(F_sub_plus)
             accepted = acceptance_test(pairing, g_plus, r, lam, decrease, g)
@@ -463,7 +466,6 @@ def solve(problem: CompositeProblem, config: SolverConfig,
         k += 1
 
     return SolveResult(status=status, x=x, trace=trace, iters=k,
-                       g_final=g, f_final=f_val, F_final=F_val,
-                       psi_sub=psi_sub, Lambda_final=Lambda_k, hess_evals=hess_evals,
-                       trials=trials, inner=inner,
+                       g_final=g, F_final=F_val, psi_sub=psi_sub, Lambda_final=Lambda_k,
+                       hess_evals=hess_evals, trials=trials, inner=inner,
                        seconds=_seconds(ns, call_ns))

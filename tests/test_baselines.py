@@ -7,7 +7,7 @@ from gladssn.baselines import armijo_gd
 from gladssn.linalg import MetricB
 from gladssn.oracle import CompositeProblem, SeparableProx, SmoothOracle, ZeroPart
 from gladssn.problems import make_huber, make_quadratic
-from gladssn.ssn import CONVERGED, MAXITER, STALLED, SolverConfig
+from gladssn.ssn import CONVERGED, MAXITER, STALLED, NonFiniteError, SolverConfig
 
 from helpers import check_phase_seconds
 
@@ -55,7 +55,7 @@ def test_converges_on_huber():
     res = armijo_gd(p, SolverConfig(grad_tol=1e-6, max_outer=5000))
     assert res.status == CONVERGED
     assert res.g_final <= 1e-6
-    f_vals = [row.f_val for row in res.trace] + [res.f_final]
+    f_vals = [row.f_val for row in res.trace] + [res.F_final]
     assert all(a >= b for a, b in zip(f_vals, f_vals[1:]))
     # the baseline times the phases it has, eval_f and eval_grad
     check_phase_seconds(res)
@@ -66,7 +66,7 @@ def test_sufficient_decrease_recomputable_from_trace():
     p = make_quadratic(2, n=10, cond=100.0)
     res = armijo_gd(p, SolverConfig(grad_tol=1e-6, max_outer=5000))
     assert res.status == CONVERGED
-    f_vals = [row.f_val for row in res.trace] + [res.f_final]
+    f_vals = [row.f_val for row in res.trace] + [res.F_final]
     for i, row in enumerate(res.trace):
         t = 1.0 / row.lambda_k
         assert f_vals[i + 1] <= f_vals[i] - 1e-4 * t * row.g_k ** 2 + 1e-12
@@ -79,6 +79,33 @@ def test_maxiter_status():
     assert res.status == MAXITER
     assert res.iters == 5
     assert len(res.trace) == 5
+
+
+def _identity_quadratic(eval_f=lambda x: 0.5 * float(x @ x), eval_grad=lambda x: x.copy()):
+    return CompositeProblem(
+        smooth=SmoothOracle(dim=2, eval_f=eval_f, eval_grad=eval_grad,
+                            eval_hess=lambda x: np.eye(2)),
+        psi=ZeroPart(), x0=np.array([1.0, -2.0]))
+
+
+@pytest.mark.parametrize("oracle", [{"eval_f": lambda x: np.nan},
+                                    {"eval_grad": lambda x: np.array([np.inf, 0.0])}],
+                         ids=["value", "gradient"])
+def test_non_finite_start_raises(oracle):
+    # the solver's start check, before any backtrack
+    with pytest.raises(NonFiniteError, match="start") as exc:
+        armijo_gd(_identity_quadratic(**oracle), SolverConfig())
+    assert (exc.value.k, exc.value.j) == (None, None)
+
+
+def test_non_finite_accepted_gradient_raises():
+    # f'(x) is finite at x0 and NaN everywhere else: the first step, accepted
+    # at its first try, raises with its place and leaves no NaN trace row
+    prob = _identity_quadratic(
+        eval_grad=lambda x: x.copy() if x[0] == 1.0 else np.full(2, np.nan))
+    with pytest.raises(NonFiniteError, match="gradient") as exc:
+        armijo_gd(prob, SolverConfig())
+    assert (exc.value.k, exc.value.j) == (0, 0)
 
 
 def test_rejects_composite_and_metric_problems():

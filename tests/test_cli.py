@@ -108,13 +108,18 @@ def test_run_with_config_file_and_override(tmp_path):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-def test_run_non_finite_problem_is_exit_1(tmp_path, capsys):
+@pytest.mark.parametrize("solver", ["gladssn", "armijo"])
+def test_run_non_finite_problem_is_exit_1(tmp_path, capsys, solver):
+    # both solvers refuse a non-finite start alike, in one line and with no trace
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": "nmf", "out_path": str(tmp_path / "t.csv"),
+                               "solver": solver,
                                "problem_kwargs": {"d": 4, "n": 3, "r": 2,
                                                   "sigma": 1e308}}))
     assert main(["run", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err.startswith("gladssn: ")
+    err = capsys.readouterr().err
+    assert err.startswith("gladssn: ") and err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("problem, kwargs, message", [

@@ -1043,16 +1043,19 @@ def test_bordered_blocks_with_a_singular_schur_complement_stall():
     assert not Regularized(h, MetricB()).is_finite
 
 
-def test_solve_regularized_zero_rhs(monkeypatch):
-    # a zero right-hand side returns the zero step without factoring, even
-    # for a singular H + lam I: its record names no route
-    calls = eigh_calls(monkeypatch)
-    for h in (np.diag([1.0, 2.0]), np.diag([-1.0, 1.0])):
-        reg = Regularized(h, MetricB())
+def test_solve_regularized_zero_rhs():
+    # a zero right-hand side takes its route like any other: the zero step
+    # from Cholesky of diag(1, 2) + I, or from MINRES on the same operator
+    # given matrix-free, and a stall on the singular diag(-1, 1) + I
+    h = np.diag([1.0, 2.0])
+    matvec = LinearOperator((2, 2), matvec=lambda v: h @ v, dtype=np.float64)
+    for reg, path in ((Regularized(h, MetricB()), "cholesky"),
+                      (Regularized(matvec, MetricB()), "minres")):
         s, done = reg.solve(1.0, np.zeros(2))
         np.testing.assert_array_equal(s, np.zeros(2))
-        assert done == InnerSolve(None, 0, 0, 0.0)
-    assert calls == {"eigh": 0}
+        assert done == InnerSolve(path, 0, 0, 0.0)
+    with pytest.raises(SolverStallError, match="singular"):
+        Regularized(np.diag([-1.0, 1.0]), MetricB()).solve(1.0, np.zeros(2))
 
 
 def test_solve_regularized_inconsistent_system_stalls():
